@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro import obs, perf
 from repro.channel.pathloss import MIN_DISTANCE_M, rss_at
@@ -61,12 +60,18 @@ DEFAULT_N_GRID: np.ndarray = np.arange(1.2, 4.51, 0.05)
 #: system has 4 unknowns and noise demands real redundancy.
 MIN_SAMPLES = 8
 
-#: Natural log of 10, shared by the analytic warm-start Jacobian.
+#: Natural log of 10, shared by the analytic Jacobian.
 _LN10 = math.log(10.0)
 
-#: Gauss-Newton parameter bounds (x, h, Γ, n) — see :meth:`_refine`.
+#: Levenberg-Marquardt parameter bounds (x, h, Γ, n). The position bounds
+#: reflect BLE's usable sensing range (~15 m, Sec. 7.5): beyond it the
+#: advertisements would not decode, so a solution out there is an artefact
+#: of a flat likelihood.
 _GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
 _GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
+
+#: One ``(x, h, Γ, n)`` starting point for the nonlinear refinement.
+Seed = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -239,7 +244,7 @@ class EllipticalEstimator:
         q: Sequence[float],
         rss: Sequence[float],
         warm: Optional[WarmStartState] = None,
-        extra_seeds: Sequence[Tuple[float, float, float, float]] = (),
+        extra_seeds: Sequence[Seed] = (),
     ) -> FitResult:
         """Joint fit over both axes (L-shaped or richer movement).
 
@@ -255,10 +260,13 @@ class EllipticalEstimator:
         warm state can degrade latency but never accuracy. ``extra_seeds``
         adds caller-provided ``(x, h, Γ, n)`` starting points (e.g. from an
         incremental sliding-window regressor) to the warm seed set.
+
+        This is a batch of one through the same code :func:`fit_batch`
+        runs, so a request returns bit-identical results either way.
         """
         p, q, rss = self._validate(p, q, rss)
-        use_q = float(np.ptp(q)) > 0.3  # metres of lateral motion
-        return self._fit_dispatch(p, q, rss, use_q, warm, tuple(extra_seeds))
+        job = _Job(self, p, q, rss, _uses_q(q), warm, tuple(extra_seeds))
+        return _solve_jobs([job], return_exceptions=False)[0]
 
     def fit_batch(
         self,
@@ -283,8 +291,9 @@ class EllipticalEstimator:
         disambiguation.
         """
         a = np.asarray(a, dtype=float)
-        res = self._fit_single_axis(-a, np.zeros_like(a), np.asarray(rss, float))
-        res.warm = self._warm_state_from(res, use_q=False, n_rows=len(a))
+        job = _Job(self, -a, np.zeros_like(a), np.asarray(rss, float),
+                   use_q=False, warm=None)
+        res = _solve_jobs([job], return_exceptions=False)[0]
         mirror_warm = (dataclasses.replace(res.warm, h=-res.warm.h)
                        if res.warm is not None else None)
         mirror_res = dataclasses.replace(
@@ -320,42 +329,39 @@ class EllipticalEstimator:
 
     # -- warm-start path ----------------------------------------------------
 
-    def _fit_dispatch(
-        self,
-        p: np.ndarray,
-        q: np.ndarray,
-        rss: np.ndarray,
-        use_q: bool,
-        warm: Optional[WarmStartState],
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
-    ) -> FitResult:
-        """Warm fast path when possible, cold full-grid path otherwise."""
-        res: Optional[FitResult] = None
-        if warm is not None and self._warm_usable(warm):
-            res = self._fit_warm(p, q, rss, use_q, warm, extra_seeds)
-        if res is None:
-            res = (self._fit_joint(p, q, rss) if use_q
-                   else self._fit_single_axis(p, q, rss))
-        res.warm = self._warm_state_from(res, use_q, len(p))
-        return res
-
     def _warm_usable(self, warm: WarmStartState) -> bool:
-        """A warm state worth seeding from: finite, with an in-grid exponent."""
-        vals = (warm.x, warm.h, warm.gamma, warm.n, warm.rss_rmse)
-        if not all(math.isfinite(v) for v in vals):
-            return False
-        if warm.rss_rmse < 0.0:
-            return False
+        """A warm state worth seeding from: finite, with an in-grid exponent.
+
+        A refused state emits one ``solver.warm_unusable`` event plus one
+        ``estimator.warm_unusable`` counter tick, at this one site.
+        """
         grid = np.asarray(self.n_grid, dtype=float)
         lo, hi = float(grid.min()), float(grid.max())
-        return lo - self.warm_n_step <= warm.n <= hi + self.warm_n_step
+        vals = (warm.x, warm.h, warm.gamma, warm.n, warm.rss_rmse)
+        if not all(math.isfinite(v) for v in vals):
+            reason = "non-finite"
+        elif warm.rss_rmse < 0.0:
+            reason = "negative-rmse"
+        elif not lo - self.warm_n_step <= warm.n <= hi + self.warm_n_step:
+            reason = "n-outside-window"
+        else:
+            return True
+        perf.count("estimator.warm_unusable")
+        obs.emit(
+            "solver.warm_unusable",
+            severity="info",
+            component="estimator",
+            reason=reason,
+            warm_n=warm.n,
+        )
+        return False
 
     def _warm_seeds(
         self,
         warm: WarmStartState,
         use_q: bool,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
-    ) -> List[Tuple[float, float, float, float]]:
+        extra_seeds: Tuple[Seed, ...],
+    ) -> List[Seed]:
         """Seed set for a warm fit: previous optimum ± one exponent step.
 
         Three seeds bracket the previous exponent inside the clipped grid
@@ -417,30 +423,6 @@ class EllipticalEstimator:
             n_rows=n_rows,
         )
 
-    def _fit_warm(
-        self,
-        p: np.ndarray,
-        q: np.ndarray,
-        rss: np.ndarray,
-        use_q: bool,
-        warm: WarmStartState,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
-    ) -> Optional[FitResult]:
-        """One warm solve — a batch of one through the shared lockstep
-        kernel, so a sequential warm fit is bit-identical to the same
-        request inside any :func:`fit_batch` group."""
-        if not self.refine:
-            res, reason = self._fit_warm_linearized(p, q, rss, use_q, warm)
-        else:
-            res, reason = _solve_warm_group(
-                [(self, p, q, rss, use_q, warm,
-                  self._warm_seeds(warm, use_q, extra_seeds))]
-            )[0]
-        if res is None:
-            self._warm_reject(reason, warm, len(p))
-            return None
-        return res
-
     def _fit_warm_linearized(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
         use_q: bool, warm: WarmStartState,
@@ -463,6 +445,16 @@ class EllipticalEstimator:
         res.warm_started = True
         perf.count("estimator.warm_fits")
         return res, ""
+
+    def _fit_linearized_job(self, job: "_Job", warm_ok: bool) -> FitResult:
+        """``refine=False`` solve: warm neighbourhood first, full grid after."""
+        if warm_ok:
+            res, reason = self._fit_warm_linearized(
+                job.p, job.q, job.rss, job.use_q, job.warm)
+            if res is not None:
+                return res
+            self._warm_reject(reason, job.warm, len(job.p))
+        return self._fit_linearized(job.p, job.q, job.rss, job.use_q)
 
     def _solve_for_n(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, n: float,
@@ -599,70 +591,6 @@ class EllipticalEstimator:
         predicted = np.array([rss_at(float(d), gamma, n) for d in l])
         return rss - predicted
 
-    def _refine(
-        self,
-        p: np.ndarray,
-        q: np.ndarray,
-        rss: np.ndarray,
-        x0: float,
-        h0: float,
-        gamma0: float,
-        n0: float,
-        fix_h_zero: bool = False,
-    ) -> Optional[Tuple[float, float, float, float, np.ndarray]]:
-        """Gauss–Newton refinement of (x, h, Γ, n) in the RSS domain.
-
-        The linearised solve of Eq. 4 puts the measurement noise inside the
-        regressor ``y = 10^(-RS/(5n))`` (an errors-in-variables setup that
-        shrinks the geometry), so it only serves as an initialiser; the
-        final estimate minimises Eq. 5's objective — squared RSS-domain
-        residuals — directly, where the noise sits in the response.
-        """
-
-        # Prior strength scales with sqrt(N) so it keeps pace with the data
-        # term instead of washing out on long traces.
-        root_n = math.sqrt(len(rss))
-
-        def residual_fn(theta: np.ndarray) -> np.ndarray:
-            x, h, gamma, n = theta
-            if fix_h_zero:
-                h = 0.0
-            l = np.maximum(np.hypot(x + p, h + q), 0.1)
-            rows = [rss - (gamma - 10.0 * n * np.log10(l))]
-            if self.gamma_prior is not None:
-                rows.append(
-                    np.array([
-                        root_n * (gamma - self.gamma_prior) / self.gamma_prior_sigma
-                    ])
-                )
-            if self.n_prior is not None:
-                rows.append(
-                    np.array([root_n * (n - self.n_prior) / self.n_prior_sigma])
-                )
-            return np.concatenate(rows)
-
-        theta0 = np.array([x0, h0, gamma0, n0])
-        # Position bounds reflect BLE's usable sensing range (~15 m,
-        # Sec. 7.5): beyond it the advertisements would not decode, so a
-        # solution out there is an artefact of a flat likelihood.
-        lo = np.array([-18.0, -18.0, -95.0, 1.0])
-        hi = np.array([18.0, 18.0, -25.0, 5.0])
-        theta0 = np.clip(theta0, lo + 1e-6, hi - 1e-6)
-        try:
-            sol = least_squares(
-                residual_fn, theta0, bounds=(lo, hi), max_nfev=200
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        x, h, gamma, n = (float(v) for v in sol.x)
-        if fix_h_zero:
-            h = 0.0
-        total_cost = float(np.sum(np.asarray(sol.fun) ** 2))
-        pos_std, cov_cond, cov_status = self._position_covariance(sol, len(rss))
-        # Report only the data residuals; prior rows stay in total_cost.
-        return (x, h, gamma, n, np.asarray(sol.fun)[: len(rss)], pos_std,
-                cov_cond, cov_status, total_cost)
-
     #: Position-std ceiling (metres). BLE's usable sensing range is ~15 m
     #: (Sec. 7.5), so an uncertainty beyond this says only "unobservable".
     POS_STD_CAP = 25.0
@@ -671,13 +599,6 @@ class EllipticalEstimator:
     #: as rank-deficient: solving them would report a confidently tiny std
     #: along a direction the walk geometry never observed.
     COND_LIMIT = 1e12
-
-    def _position_covariance(
-        self, sol, n_data: int
-    ) -> Tuple[float, Optional[float], str]:
-        """Position std from a scipy ``least_squares`` solution object."""
-        return self._covariance_from(
-            np.asarray(sol.jac), np.asarray(sol.fun), n_data)
 
     def _covariance_from(
         self, jac: np.ndarray, fun: np.ndarray, n_data: int
@@ -741,15 +662,16 @@ class EllipticalEstimator:
 
     def _initial_candidates(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, use_q: bool
-    ) -> List[Tuple[float, float, float, float]]:
-        """(x, h, Γ, n) starting points for the nonlinear refinement.
+    ) -> List[Seed]:
+        """(x, h, Γ, n) starting points for a cold nonlinear refinement.
 
         Collects the linearised solutions at a spread of exponents plus a
         range-heuristic seed (median RSS inverted at nominal parameters,
         beacon assumed broadside of the walk) so at least one initial point
-        sits in the right basin.
+        sits in the right basin. Straight-leg seeds (``use_q`` False) keep
+        ``h >= 0``, the canonical side of the mirror ambiguity.
         """
-        seeds: List[Tuple[float, float, float, float]] = []
+        seeds: List[Seed] = []
         n_subset = np.asarray(self.n_grid, dtype=float)[
             :: max(1, len(self.n_grid) // 8)
         ]
@@ -770,15 +692,18 @@ class EllipticalEstimator:
         # heavy noise, so the refinement needs starts in several basins.
         nominal_gamma = self.gamma_prior if self.gamma_prior is not None else -59.0
         nominal_n = self.n_prior if self.n_prior is not None else 2.2
-        d0 = 10.0 ** ((nominal_gamma - float(np.median(rss))) / (10.0 * nominal_n))
+        # The exponent is capped before the power so that absurd (finite)
+        # readings cannot overflow; the cap sits above the 30 m clamp.
+        d0 = 10.0 ** min(
+            (nominal_gamma - float(np.median(rss))) / (10.0 * nominal_n), 2.0)
         d0 = min(max(d0, 0.5), 30.0)
         for scale in (1.0, 1.5):
             for angle in (0.0, math.pi / 4, -math.pi / 4, math.pi / 2,
                           -math.pi / 2):
-                seeds.append(
-                    (d0 * scale * math.cos(angle), d0 * scale * math.sin(angle),
-                     nominal_gamma, nominal_n)
-                )
+                h0 = d0 * scale * math.sin(angle)
+                seeds.append((d0 * scale * math.cos(angle),
+                              h0 if use_q else abs(h0),
+                              nominal_gamma, nominal_n))
         return seeds
 
     def _fit_linearized(
@@ -891,79 +816,6 @@ class EllipticalEstimator:
                 "no path-loss exponent yielded a valid solve")
         return best
 
-    def _fit_joint(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray
-    ) -> FitResult:
-        if not self.refine:
-            return self._fit_linearized(p, q, rss, use_q=True)
-        best: Optional[FitResult] = None
-        best_cost = math.inf
-        seeds = self._initial_candidates(p, q, rss, use_q=True)
-        for x0, h0, gamma0, n0 in seeds:
-            refined = self._refine(p, q, rss, x0, h0, gamma0, n0)
-            if refined is None:
-                continue
-            x, h, gamma, n, resid, pos_std, cov_cond, cov_status, cost = refined
-            if cost < best_cost:
-                best_cost = cost
-                best = FitResult(
-                    position=Vec2(x, h),
-                    n=n,
-                    gamma=gamma,
-                    epsilon=10.0 ** (gamma / (5.0 * n)),
-                    residuals=resid,
-                    g=x * x + h * h,
-                    position_std=pos_std,
-                    solver="gauss-newton",
-                    n_candidates=len(seeds),
-                    cov_cond=cov_cond,
-                    cov_status=cov_status,
-                )
-        if best is None:
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
-        self._report_covariance(best)
-        return best
-
-    def _fit_single_axis(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray
-    ) -> FitResult:
-        """Straight-leg fit: the lateral offset is identifiable only up to
-        sign, so we refine with h constrained non-negative and report the
-        mirrored solution as the Sec. 5.1 ambiguity."""
-        if not self.refine:
-            return self._fit_linearized(p, q, rss, use_q=False)
-        best: Optional[FitResult] = None
-        best_cost = math.inf
-        seeds = self._initial_candidates(p, q, rss, use_q=False)
-        for x0, h0, gamma0, n0 in seeds:
-            refined = self._refine(p, q, rss, x0, abs(h0), gamma0, n0)
-            if refined is None:
-                continue
-            x, h, gamma, n, resid, pos_std, cov_cond, cov_status, cost = refined
-            h = abs(h)  # symmetric problem: canonical solution keeps h >= 0
-            if cost < best_cost:
-                best_cost = cost
-                best = FitResult(
-                    position=Vec2(x, h),
-                    n=n,
-                    gamma=gamma,
-                    epsilon=10.0 ** (gamma / (5.0 * n)),
-                    residuals=resid,
-                    mirror=Vec2(x, -h),
-                    g=x * x + h * h,
-                    position_std=pos_std,
-                    solver="gauss-newton",
-                    n_candidates=len(seeds),
-                    cov_cond=cov_cond,
-                    cov_status=cov_status,
-                )
-        if best is None:
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
-        self._report_covariance(best)
-        return best
-
 
 @dataclass
 class FitRequest:
@@ -978,20 +830,45 @@ class FitRequest:
     q: Sequence[float]
     rss: Sequence[float]
     warm: Optional[WarmStartState] = None
-    extra_seeds: Tuple[Tuple[float, float, float, float], ...] = ()
+    extra_seeds: Tuple[Seed, ...] = ()
     estimator: Optional[EllipticalEstimator] = None
 
 
-def _warm_residuals(
+@dataclass
+class _Job:
+    """One validated request on its way through :func:`_solve_jobs`."""
+
+    est: EllipticalEstimator
+    p: np.ndarray
+    q: np.ndarray
+    rss: np.ndarray
+    use_q: bool
+    warm: Optional[WarmStartState]
+    extra_seeds: Tuple[Seed, ...] = ()
+
+
+def _uses_q(q: np.ndarray) -> bool:
+    """Whether the walk moved laterally enough (metres) for a joint fit."""
+    return float(np.ptp(q)) > 0.3
+
+
+def _lm_residuals(
     theta: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
     """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
 
-    Row layout matches :meth:`EllipticalEstimator._refine`: N data rows,
-    then the Γ-prior row, then the n-prior row (weight 0 when the prior is
-    absent, so every batch member has the same row count — a requirement
-    for per-slice bit-identical reductions).
+    The linearised solve of Eq. 4 puts the measurement noise inside the
+    regressor ``y = 10^(-RS/(5n))`` (an errors-in-variables setup that
+    shrinks the geometry), so it only seeds the refinement; the final
+    estimate minimises Eq. 5's objective — squared RSS-domain residuals —
+    directly, where the noise sits in the response.
+
+    Row layout: N data rows, then the Γ-prior row, then the n-prior row.
+    The prior weights scale with ``sqrt(N)`` so the priors keep pace with
+    the data term instead of washing out on long traces; an absent prior
+    has weight 0, so every batch member has the same row count — a
+    requirement for per-slice bit-identical reductions.
     """
     x = theta[:, 0:1]
     h = theta[:, 1:2]
@@ -1004,11 +881,11 @@ def _warm_residuals(
     return np.concatenate([r_data, r_pg, r_pn], axis=1)
 
 
-def _warm_jacobian(
+def _lm_jacobian(
     theta: np.ndarray, p: np.ndarray, q: np.ndarray,
     wg: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
-    """Analytic Jacobian of :func:`_warm_residuals`, shape ``(B, N+2, 4)``."""
+    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(B, N+2, 4)``."""
     n_rows = p.shape[1]
     x = theta[:, 0:1]
     h = theta[:, 1:2]
@@ -1029,27 +906,28 @@ def _warm_jacobian(
     return j
 
 
-def _gn_warm_kernel(
+def _lm_kernel(
     theta0: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
     max_iter: int = 60,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep projected Levenberg-Marquardt over a batch of warm seeds.
+    """Lockstep projected Levenberg-Marquardt over a batch of seeds.
 
-    Every operation is either elementwise, a reduction along the row axis of
-    a C-contiguous array, or a batched per-slice LAPACK call — the exact set
-    of NumPy operations whose batched results are bit-identical to running
-    each slice alone. Converged (or failed) rows freeze by being removed
-    from the compacted working set and never change again, so a batch of B
+    This is the one nonlinear solver of the elliptical regression: cold,
+    warm and batched fits all run through it. Every operation is either
+    elementwise, a reduction along the row axis of a C-contiguous array, or
+    a per-slice LAPACK call — the exact set of NumPy operations whose
+    batched results are bit-identical to running each slice alone.
+    Converged, stuck or failed rows freeze by being removed from the
+    compacted working set and never change again, so a batch of B
     systems returns bit-identical ``(theta, residuals, cost)`` to B
     separate batch-of-1 runs — while late iterations only pay for the rows
-    still moving. This is the
-    property :func:`fit_batch` relies on; ``einsum``/``matmul`` reductions
-    are deliberately avoided (their batched forms are *not* per-slice
-    bit-identical).
+    still moving. This is the property :func:`fit_batch` relies on;
+    ``einsum``/``matmul`` reductions are deliberately avoided (their
+    batched forms are *not* per-slice bit-identical).
     """
     theta_out = theta0.copy()
-    r_out = _warm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
+    r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
     cost_out = np.sum(r_out * r_out, axis=1)
     eye = np.eye(4)
 
@@ -1070,7 +948,7 @@ def _gn_warm_kernel(
     for _ in range(max_iter):
         if idx.size == 0:
             break
-        j = _warm_jacobian(theta, pp, qq, wgg, wnn)
+        j = _lm_jacobian(theta, pp, qq, wgg, wnn)
         jtj = np.sum(j[:, :, :, None] * j[:, :, None, :], axis=1)
         grad = np.sum(j * r[:, :, None], axis=1)
         finite = (np.isfinite(jtj).all(axis=(1, 2))
@@ -1085,7 +963,7 @@ def _gn_warm_kernel(
         except np.linalg.LinAlgError:
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
-        r_t = _warm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
+        r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
         cost_t = np.sum(r_t * r_t, axis=1)
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
         theta = np.where(better[:, None], trial, theta)
@@ -1113,86 +991,177 @@ def _gn_warm_kernel(
     return theta_out, r_out, cost_out
 
 
-def _solve_warm_group(
-    items: Sequence[Tuple[EllipticalEstimator, np.ndarray, np.ndarray,
-                          np.ndarray, bool, WarmStartState,
-                          List[Tuple[float, float, float, float]]]],
-) -> List[Tuple[Optional[FitResult], str]]:
-    """Solve same-shape warm requests through one lockstep kernel.
+#: A job's winning kernel row: ``(theta, residual row, Jacobian)``.
+_Best = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Each item is ``(estimator, p, q, rss, use_q, warm, seeds)``; every item
-    must share the same window length and seed count (callers group by
-    those — ragged padding would regroup NumPy's pairwise summations and
-    break the bit-identity contract). Returns one ``(result, reason)`` pair
-    per item, ``result=None`` when the warm fit must be rejected.
+
+def _lockstep(
+    jobs: Sequence[_Job], seed_sets: Sequence[List[Seed]],
+) -> List[Optional[_Best]]:
+    """Refine every job's seed set, one kernel run per window length.
+
+    Returns, per job, its winning seed — lowest total cost, the first seed
+    on ties — or ``None`` when no seed reached a finite cost. Only the
+    window length splits a group (the stacked arrays need one row count).
+    Seed counts may differ: every kernel row is independent and each job's
+    arg-min reads only its own rows, so a job's result does not depend on
+    what else shares the run.
     """
-    n_items = len(items)
-    n_rows = len(items[0][1])
-    n_seeds = len(items[0][6])
-    root_n = math.sqrt(n_rows)
+    out: List[Optional[_Best]] = [None] * len(jobs)
+    groups: Dict[int, List[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(len(job.p), []).append(i)
+    for n_rows, members in groups.items():
+        root_n = math.sqrt(n_rows)
+        counts = [len(seed_sets[i]) for i in members]
+        ests = [jobs[i].est for i in members]
 
-    p = np.repeat(np.stack([it[1] for it in items]), n_seeds, axis=0)
-    q = np.repeat(np.stack([it[2] for it in items]), n_seeds, axis=0)
-    rss = np.repeat(np.stack([it[3] for it in items]), n_seeds, axis=0)
+        def stack(rows: List[Any]) -> np.ndarray:
+            return np.repeat(np.asarray(rows, dtype=float), counts, axis=0)
 
-    total = n_items * n_seeds
-    gp = np.empty(total)
-    wg = np.empty(total)
-    npr = np.empty(total)
-    wn = np.empty(total)
-    theta0 = np.empty((total, 4))
-    for i, (est, _p, _q, _rss, _use_q, _warm, seeds) in enumerate(items):
-        sl = slice(i * n_seeds, (i + 1) * n_seeds)
-        gp[sl] = 0.0 if est.gamma_prior is None else est.gamma_prior
-        wg[sl] = (0.0 if est.gamma_prior is None
-                  else root_n / est.gamma_prior_sigma)
-        npr[sl] = 0.0 if est.n_prior is None else est.n_prior
-        wn[sl] = 0.0 if est.n_prior is None else root_n / est.n_prior_sigma
-        theta0[sl] = np.clip(np.asarray(seeds, dtype=float),
-                             _GN_LO + 1e-6, _GN_HI - 1e-6)
+        p = stack([jobs[i].p for i in members])
+        q = stack([jobs[i].q for i in members])
+        rss = stack([jobs[i].rss for i in members])
+        gp = stack([0.0 if e.gamma_prior is None else e.gamma_prior
+                    for e in ests])
+        wg = stack([0.0 if e.gamma_prior is None
+                    else root_n / e.gamma_prior_sigma for e in ests])
+        npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
+        wn = stack([0.0 if e.n_prior is None else root_n / e.n_prior_sigma
+                    for e in ests])
+        theta0 = np.clip(
+            np.concatenate([np.asarray(seed_sets[i], dtype=float)
+                            for i in members]),
+            _GN_LO + 1e-6, _GN_HI - 1e-6)
 
-    theta, r, cost = _gn_warm_kernel(theta0, p, q, rss, gp, wg, npr, wn)
-    j_final = _warm_jacobian(theta, p, q, wg, wn)
+        theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn)
+        winners: List[Tuple[int, int]] = []
+        start = 0
+        for i, count in zip(members, counts):
+            k = start + int(np.argmin(cost[start:start + count]))
+            start += count
+            if math.isfinite(float(cost[k])):
+                winners.append((i, k))
+        if winners:
+            ks = [k for _i, k in winners]
+            jac = _lm_jacobian(theta[ks], p[ks], q[ks], wg[ks], wn[ks])
+            for (i, k), j_k in zip(winners, jac):
+                out[i] = (theta[k], r[k], j_k)
+    return out
 
-    out: List[Tuple[Optional[FitResult], str]] = []
-    for i, (est, _p, _q, _rss, use_q, warm, _seeds) in enumerate(items):
-        sl = slice(i * n_seeds, (i + 1) * n_seeds)
-        k = i * n_seeds + int(np.argmin(cost[sl]))
-        if not math.isfinite(float(cost[k])):
-            out.append((None, "diverged"))
+
+def _fit_result(
+    job: _Job, best: _Best, solver: str, n_seeds: int,
+) -> FitResult:
+    """A winning kernel row as a reported fit, covariance event included."""
+    theta, r, jac = best
+    n_rows = len(job.p)
+    x, h, gam, n = (float(v) for v in theta)
+    pos_std, cov_cond, cov_status = job.est._covariance_from(jac, r, n_rows)
+    if not job.use_q:
+        h = abs(h)  # symmetric problem: canonical solution keeps h >= 0
+    res = FitResult(
+        position=Vec2(x, h),
+        n=n,
+        gamma=gam,
+        epsilon=10.0 ** (gam / (5.0 * n)),
+        residuals=r[:n_rows].copy(),
+        mirror=None if job.use_q else Vec2(x, -h),
+        g=x * x + h * h,
+        position_std=pos_std,
+        solver=solver,
+        n_candidates=n_seeds,
+        cov_cond=cov_cond,
+        cov_status=cov_status,
+        warm_started=solver == "warm-start",
+    )
+    job.est._report_covariance(res)
+    return res
+
+
+def _warm_gate(job: _Job, best: Optional[_Best]) -> str:
+    """Why a warm fit must be rejected (``""`` when it is accepted).
+
+    The warm basin is stale when no seed converged or the RSS-domain RMSE
+    blew past ``max(warm_blowup * previous_rmse, warm_floor_db)``.
+    """
+    if best is None:
+        return "diverged"
+    resid = best[1][:len(job.p)]
+    rmse = float(np.sqrt(np.mean(resid * resid)))
+    if not math.isfinite(rmse):
+        return "diverged"
+    est, warm = job.est, job.warm
+    if rmse > max(est.warm_blowup * warm.rss_rmse, est.warm_floor_db):
+        return "residual blow-up"
+    return ""
+
+
+def _cold_result(job: _Job, best: Optional[_Best], n_seeds: int) -> FitResult:
+    """A cold fit's winning row as a fit; no finite seed is a typed error."""
+    if best is None:
+        raise DegenerateGeometryError(
+            "no path-loss exponent yielded a valid solve")
+    return _fit_result(job, best, "gauss-newton", n_seeds)
+
+
+def _solve_jobs(
+    jobs: Sequence[_Job], return_exceptions: bool,
+) -> List[Union[FitResult, BaseException]]:
+    """Solve validated jobs: a warm kernel phase, then a cold kernel phase.
+
+    A job whose warm state is usable first refines its few warm seeds; a
+    rejected warm fit joins the cold phase exactly like a first fix, with
+    the full :meth:`EllipticalEstimator._initial_candidates` seed set and
+    no blow-up gate. Each phase is one :func:`_lockstep` run, so a job's
+    result does not depend on the other jobs. ``refine=False`` jobs take
+    the linearised Eq. 4/5 path instead.
+    """
+    out: List[Any] = [None] * len(jobs)
+
+    def settle(i: int, solve: Any, *args: Any) -> None:
+        job = jobs[i]
+        try:
+            res = solve(*args)
+        except ReproError as exc:
+            if not return_exceptions:
+                raise
+            out[i] = exc
+            return
+        res.warm = job.est._warm_state_from(res, job.use_q, len(job.p))
+        out[i] = res
+
+    warm_ids: List[int] = []
+    cold_ids: List[int] = []
+    for i, job in enumerate(jobs):
+        warm_ok = job.warm is not None and job.est._warm_usable(job.warm)
+        if not job.est.refine:
+            settle(i, job.est._fit_linearized_job, job, warm_ok)
+        elif warm_ok:
+            warm_ids.append(i)
+        else:
+            cold_ids.append(i)
+
+    warm_jobs = [jobs[i] for i in warm_ids]
+    warm_seeds = [job.est._warm_seeds(job.warm, job.use_q, job.extra_seeds)
+                  for job in warm_jobs]
+    for i, job, seeds, best in zip(warm_ids, warm_jobs, warm_seeds,
+                                   _lockstep(warm_jobs, warm_seeds)):
+        reason = _warm_gate(job, best)
+        if reason:
+            job.est._warm_reject(reason, job.warm, len(job.p))
+            cold_ids.append(i)
             continue
-        x, h, gam, n = (float(v) for v in theta[k])
-        resid = r[k, :n_rows].copy()
-        rmse = float(np.sqrt(np.mean(resid * resid)))
-        limit = max(est.warm_blowup * warm.rss_rmse, est.warm_floor_db)
-        if not math.isfinite(rmse):
-            out.append((None, "diverged"))
-            continue
-        if rmse > limit:
-            out.append((None, "residual blow-up"))
-            continue
-        pos_std, cov_cond, cov_status = est._covariance_from(
-            j_final[k], r[k], n_rows)
-        if not use_q:
-            h = abs(h)  # symmetric problem: canonical solution keeps h >= 0
-        res = FitResult(
-            position=Vec2(x, h),
-            n=n,
-            gamma=gam,
-            epsilon=10.0 ** (gam / (5.0 * n)),
-            residuals=resid,
-            mirror=None if use_q else Vec2(x, -h),
-            g=x * x + h * h,
-            position_std=pos_std,
-            solver="warm-start",
-            n_candidates=n_seeds,
-            cov_cond=cov_cond,
-            cov_status=cov_status,
-            warm_started=True,
-        )
-        est._report_covariance(res)
+        settle(i, _fit_result, job, best, "warm-start", len(seeds))
         perf.count("estimator.warm_fits")
-        out.append((res, ""))
+
+    cold_jobs = [jobs[i] for i in cold_ids]
+    cold_seeds = [job.est._initial_candidates(job.p, job.q, job.rss,
+                                              job.use_q)
+                  for job in cold_jobs]
+    for i, job, seeds, best in zip(cold_ids, cold_jobs, cold_seeds,
+                                   _lockstep(cold_jobs, cold_seeds)):
+        settle(i, _cold_result, job, best, len(seeds))
     return out
 
 
@@ -1204,25 +1173,22 @@ def fit_batch(
 ) -> List[Union[FitResult, BaseException]]:
     """Solve N independent elliptical regressions as one batched program.
 
-    Warm-startable requests are grouped by (window length, seed count,
-    geometry mode) and each group runs through one lockstep LM kernel —
-    one NumPy program instead of N Python solver loops. Results are
-    **bit-identical** to the sequential loop
-    ``[est.fit(r.p, r.q, r.rss, warm=r.warm) for r in requests]``: the
-    sequential warm path is itself a batch of one through the same kernel,
-    cold and rejected-warm requests fall back to the identical cold-path
-    code, and grouping (rather than ragged padding) preserves per-slice
-    bit-exact reductions.
+    Warm fits, first fixes and rejected warm fits alike run through the
+    lockstep LM kernel, one NumPy program per window length and phase
+    instead of N Python solver loops. Results are **bit-identical** to the
+    sequential loop ``[est.fit(r.p, r.q, r.rss, warm=r.warm) for r in
+    requests]``: a sequential fit is itself a batch of one through the same
+    code, and grouping by window length (rather than ragged padding) keeps
+    every per-slice reduction bit-exact.
 
     With ``return_exceptions`` the failure of one request (e.g. degenerate
     geometry) becomes the exception object in its slot instead of
     propagating — the batch analogue of a per-session try/except.
     """
-    requests = list(requests)
-    results: List[Any] = [None] * len(requests)
-
-    prepared = []
-    for idx, req in enumerate(requests):
+    results: List[Any] = []
+    jobs: List[_Job] = []
+    slots: List[int] = []
+    for req in requests:
         est = req.estimator if req.estimator is not None else default_estimator
         if est is None:
             est = EllipticalEstimator()
@@ -1231,47 +1197,12 @@ def fit_batch(
         except ReproError as exc:
             if not return_exceptions:
                 raise
-            results[idx] = exc
+            results.append(exc)
             continue
-        use_q = float(np.ptp(q)) > 0.3
-        prepared.append(
-            [idx, est, p, q, rss, use_q, req.warm, tuple(req.extra_seeds)])
-
-    # Partition: warm-refinable requests batch through the lockstep kernel;
-    # everything else (cold, non-refine, unusable warm) runs the sequential
-    # dispatch, which is the same code path `fit` uses.
-    groups: Dict[Tuple[int, int, bool], List[Tuple[list, list]]] = {}
-    sequential = []
-    for item in prepared:
-        _idx, est, p, _q, _rss, use_q, warm, extra = item
-        if est.refine and warm is not None and est._warm_usable(warm):
-            seeds = est._warm_seeds(warm, use_q, extra)
-            key = (len(p), len(seeds), use_q)
-            groups.setdefault(key, []).append((item, seeds))
-        else:
-            sequential.append(item)
-
-    for members in groups.values():
-        solved = _solve_warm_group(
-            [(it[1], it[2], it[3], it[4], it[5], it[6], seeds)
-             for it, seeds in members])
-        for (item, _seeds), (res, reason) in zip(members, solved):
-            idx, est, p, _q, _rss, use_q, warm, _extra = item
-            if res is None:
-                est._warm_reject(reason, warm, len(p))
-                # Re-run cold exactly as the sequential path would after a
-                # rejection: dispatch with the warm state dropped.
-                item[6] = None
-                sequential.append(item)
-            else:
-                res.warm = est._warm_state_from(res, use_q, len(p))
-                results[idx] = res
-
-    for idx, est, p, q, rss, use_q, warm, extra in sequential:
-        try:
-            results[idx] = est._fit_dispatch(p, q, rss, use_q, warm, extra)
-        except ReproError as exc:
-            if not return_exceptions:
-                raise
-            results[idx] = exc
+        slots.append(len(results))
+        results.append(None)
+        jobs.append(_Job(est, p, q, rss, _uses_q(q), req.warm,
+                         tuple(req.extra_seeds)))
+    for slot, res in zip(slots, _solve_jobs(jobs, return_exceptions)):
+        results[slot] = res
     return results

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.estimator import EllipticalEstimator
 from repro.errors import EstimationError, InsufficientDataError
@@ -142,6 +141,10 @@ class Estimator3D:
         )
 
     def _refine(self, p, q, r, rss, x0, h0, z0, gamma0, n0, z_nonneg):
+        # Imported here so that ``import repro`` does not load scipy.optimize
+        # (~230 ms); only 3-D fits need it.
+        from scipy.optimize import least_squares
+
         planar = self.planar
         root_n = math.sqrt(len(rss))
 

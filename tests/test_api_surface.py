@@ -106,3 +106,22 @@ class TestPublicApi:
         est = repro.LocBLE().estimate(rec.rssi_traces["b"],
                                       rec.observer_imu.trace)
         assert est.error_to(rec.true_position_in_frame("b")) < 5.0
+
+    def test_import_does_not_load_scipy_optimize(self):
+        """The serving stack imports without scipy.optimize (~230 ms): the
+        elliptical solver is NumPy-only and 3-D fits import it lazily."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, repro, repro.fleet, repro.gateway, "
+                "repro.durability; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr[-800:]
+        assert out.stdout.strip() == "[]", out.stdout[-800:]

@@ -286,6 +286,7 @@ class TestSoakEventCrossCheck:
         ("session.solve_skipped", "service.solves_skipped_nodata"),
         ("session.solve_degenerate", "service.solves_degenerate"),
         ("solver.warm_rejected", "estimator.warm_rejected"),
+        ("solver.warm_unusable", "estimator.warm_unusable"),
     ]
 
     @pytest.fixture(scope="class")

@@ -7,6 +7,7 @@ contract with the sequential loop, warm chaining through
 ``estimate_series``, and the service's batched tick dispatch.
 """
 
+import dataclasses
 import json
 import math
 
@@ -25,7 +26,12 @@ from repro.core.estimator import (
 )
 from repro.core.incremental import SlidingWindowRegressor
 from repro.core.pipeline import LocBLE
-from repro.errors import ConfigurationError, EstimationError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    DegenerateGeometryError,
+    EstimationError,
+    ReproError,
+)
 from repro.sim.faults import inject_spikes
 from repro.types import RssiTrace, Vec2
 
@@ -261,6 +267,180 @@ class TestFitBatchBitIdentity:
         seq = est.fit(p, q, rss2, warm=stale)
         assert not bat[0].warm_started
         _assert_fits_identical(bat[0], seq)
+
+
+#: A warm state the new window's residuals blow far past (rejected warm).
+_STALE = WarmStartState(x=-9.0, h=14.0, gamma=-90.0, n=4.4, rss_rmse=0.01)
+
+#: Warm states the estimator refuses to seed from, by refusal reason.
+_UNUSABLE = {
+    "non-finite": WarmStartState(x=math.nan, h=3.0, gamma=-59.0, n=2.0,
+                                 rss_rmse=1.0),
+    "negative-rmse": WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=2.0,
+                                    rss_rmse=-1.0),
+    "n-outside-window": WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=4.95,
+                                       rss_rmse=1.0),
+}
+
+#: Request kinds of the mixed-batch property.
+_KINDS = ("cold", "warm", "rejected", "unusable", "straight",
+          "straight-warm", "nlos-cold")
+
+_MIXED_POOL = {}
+
+
+def _mixed_request(kind, n_samples):
+    """One deterministic request of ``kind`` with an ``n_samples`` window."""
+    key = (kind, n_samples)
+    if key in _MIXED_POOL:
+        return _MIXED_POOL[key]
+    rng = np.random.default_rng(2000 + n_samples + 97 * _KINDS.index(kind))
+    est = EllipticalEstimator()
+    if kind.startswith("straight"):
+        p = -np.linspace(0.0, 3.5, n_samples)
+        q = np.zeros(n_samples)
+    else:
+        p, q = _l_walk(n=n_samples)
+    rss = _rss_for((4.0, -3.0), p, q, noise=1.0, rng=rng)
+    warm = None
+    estimator = None
+    if kind in ("warm", "straight-warm"):
+        warm = est.fit(p, q, rss).warm
+        rss = rss + rng.normal(0.0, 0.4, rss.shape)
+    elif kind == "rejected":
+        # No residual scale passes a zero floor and a 0.01 dB previous
+        # RMSE, so this warm fit is always rejected.
+        warm = _STALE
+        estimator = dataclasses.replace(est, warm_floor_db=0.0)
+    elif kind == "unusable":
+        warm = list(_UNUSABLE.values())[n_samples % len(_UNUSABLE)]
+    elif kind == "nlos-cold":
+        estimator = est.with_environment("NLOS")
+    req = FitRequest(p=p, q=q, rss=rss, warm=warm, estimator=estimator)
+    _MIXED_POOL[key] = req
+    return req
+
+
+def _event_count(name):
+    return sum(1 for e in obs.tail() if e.name == name)
+
+
+class TestMixedBatchBitIdentity:
+    """fit_batch ≡ the sequential fit loop for every request kind: cold,
+    warm, rejected-warm, unusable-warm, straight-leg (``use_q=False``)
+    and per-request estimator overrides, with ragged window lengths."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_KINDS),
+                              st.sampled_from([24, 30, 31, 40])),
+                    min_size=1, max_size=7))
+    def test_mixed_kinds_property(self, draws):
+        est = EllipticalEstimator()
+        requests = [_mixed_request(kind, n) for kind, n in draws]
+        obs.reset()
+        seq = [(r.estimator or est).fit(r.p, r.q, r.rss, warm=r.warm)
+               for r in requests]
+        seq_events = {name: _event_count(name) for name in
+                      ("solver.warm_unusable", "solver.warm_rejected",
+                       "estimator.cov_fallback")}
+        obs.reset()
+        bat = fit_batch(requests, default_estimator=est)
+        bat_events = {name: _event_count(name) for name in seq_events}
+        obs.reset()
+        for s, b in zip(seq, bat):
+            _assert_fits_identical(s, b)
+            assert s.n_candidates == b.n_candidates
+        assert seq_events == bat_events
+        n_unusable = sum(kind == "unusable" for kind, _n in draws)
+        assert bat_events["solver.warm_unusable"] == n_unusable
+        for (kind, _n), b in zip(draws, bat):
+            assert b.warm_started == (kind in ("warm", "straight-warm"))
+            assert (b.mirror is None) == (not kind.startswith("straight"))
+
+
+class TestWarmUnusableEvent:
+    @pytest.mark.parametrize("reason", sorted(_UNUSABLE))
+    def test_one_event_and_counter_per_request(self, reason):
+        warm = _UNUSABLE[reason]
+        req = _mixed_request("cold", 30)
+        est = EllipticalEstimator()
+        for solve in (lambda: est.fit(req.p, req.q, req.rss, warm=warm),
+                      lambda: fit_batch([FitRequest(req.p, req.q, req.rss,
+                                                    warm=warm)] * 2,
+                                        default_estimator=est)):
+            obs.reset()
+            before = perf.counter_value("estimator.warm_unusable")
+            out = solve()
+            n_req = len(out) if isinstance(out, list) else 1
+            events = [e for e in obs.tail()
+                      if e.name == "solver.warm_unusable"]
+            obs.reset()
+            assert len(events) == n_req
+            assert (perf.counter_value("estimator.warm_unusable")
+                    - before) == n_req
+            assert events[0].fields["reason"] == reason
+            assert (events[0].fields["warm_n"] == warm.n
+                    or math.isnan(warm.n))
+
+    def test_usable_warm_emits_nothing(self):
+        req = _mixed_request("warm", 30)
+        obs.reset()
+        EllipticalEstimator().fit(req.p, req.q, req.rss, warm=req.warm)
+        assert _event_count("solver.warm_unusable") == 0
+        obs.reset()
+
+
+class TestColdKernelRegressions:
+    def test_all_seeds_non_finite_raise_typed_error(self):
+        """Finite but absurd readings overflow every seed's cost: the cold
+        fit must refuse with a typed error, alone and inside a batch."""
+        p, q = _l_walk(n=30)
+        est = EllipticalEstimator()
+        for value in (1e200, -1e200):
+            for qq in (q, np.zeros_like(q)):
+                rss = np.full(30, value)
+                with np.errstate(all="ignore"):
+                    with pytest.raises(DegenerateGeometryError):
+                        est.fit(p, qq, rss)
+                    out = fit_batch([FitRequest(p, qq, rss)],
+                                    default_estimator=est,
+                                    return_exceptions=True)
+                assert isinstance(out[0], DegenerateGeometryError)
+
+    def test_collinear_walk_is_rank_deficient_and_evented_once(self):
+        ox = np.linspace(0.0, 3.0, 30)
+        rss = np.array([rss_at(d, -59.0, 2.0) for d in np.abs(5.0 - ox)])
+        est = EllipticalEstimator()
+        for solve in (lambda: est.fit(-ox, np.zeros(30), rss),
+                      lambda: fit_batch([FitRequest(-ox, np.zeros(30), rss)],
+                                        default_estimator=est)[0]):
+            obs.reset()
+            before = perf.counter_value("estimator.cov_fallbacks")
+            r = solve()
+            events = [e for e in obs.tail()
+                      if e.name == "estimator.cov_fallback"]
+            obs.reset()
+            assert r.solver == "gauss-newton"
+            assert r.cov_status == "rank-deficient"
+            assert r.position_std == EllipticalEstimator.POS_STD_CAP
+            assert perf.counter_value("estimator.cov_fallbacks") - before == 1
+            assert len(events) == 1
+            assert events[0].fields["status"] == "rank-deficient"
+
+    @pytest.mark.parametrize("side", [3.0, -3.0])
+    def test_fit_leg_returns_mirrored_pair(self, side):
+        a = np.linspace(0, 3.5, 35)
+        rng = np.random.default_rng(4)
+        rss = (np.array([rss_at(d, -59.0, 2.0)
+                         for d in np.hypot(4.0 - a, side)])
+               + rng.normal(0.0, 0.5, a.shape))
+        pos, neg = EllipticalEstimator().fit_leg(a, rss)
+        assert pos.position.y >= 0.0 >= neg.position.y
+        assert pos.position.x == neg.position.x
+        assert pos.position.y == -neg.position.y
+        assert pos.mirror == neg.position and neg.mirror == pos.position
+        assert pos.warm.h == -neg.warm.h
+        assert pos.position.distance_to(Vec2(4.0, abs(side))) < 1.0
 
 
 class TestSlidingWindowRegressor:
