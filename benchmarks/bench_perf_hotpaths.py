@@ -1,9 +1,11 @@
 """Hot-path performance benchmarks: vectorized kernels vs their references.
 
-Times the three overhauled hot paths against the retained reference
+Times the overhauled hot paths against the retained reference
 implementations and writes ``BENCH_perf.json`` at the repo root:
 
 * the estimator's exponent grid search (batched LS vs per-candidate loop);
+* the serving ANF (float-loop filters vs the NumPy-scalar reference loops
+  retained in ``tests/test_filters.py``);
 * banded DTW (two-buffer vectorized band vs per-cell DP);
 * the Monte-Carlo sweep (process pool vs serial — only meaningful on
   multi-core hosts; the report records ``effective_cpus`` so a 1-CPU
@@ -16,6 +18,8 @@ with ``python -m repro.perf.report``.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -27,8 +31,11 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.core import anf as anf_module
+from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
 from repro.dtw.dtw import _dtw_distance_reference, dtw_distance
+from repro.filters import butterworth
 from repro.sim.montecarlo import stationary_trials
 from repro.world.scenarios import scenario
 
@@ -41,6 +48,7 @@ TARGET_DTW = 5.0
 TARGET_PARALLEL = 2.0
 TARGET_WARM = 5.0
 TARGET_BATCH = 3.0
+TARGET_ANF = 3.0
 
 
 def _parallel_target(cpus: int) -> float:
@@ -178,6 +186,53 @@ def bench_fit_batch(n_sessions: int = 32) -> Dict[str, object]:
     }
 
 
+@contextlib.contextmanager
+def _reference_filters():
+    """Route the ANF through the retained NumPy-scalar reference loops.
+
+    ``ButterworthLowPass.apply`` and ``AdaptiveNoiseFilter.apply`` call
+    these two functions through their module globals, so swapping them
+    times the reference with every other line of ``apply`` unchanged.
+    """
+    path = REPO_ROOT / "tests" / "test_filters.py"
+    spec = importlib.util.spec_from_file_location("_filter_references", path)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    saved = butterworth.sos_filter, anf_module.adaptive_kalman_fuse
+    butterworth.sos_filter = ref.reference_sos_filter
+    anf_module.adaptive_kalman_fuse = ref.reference_adaptive_kalman_fuse
+    try:
+        yield
+    finally:
+        butterworth.sos_filter, anf_module.adaptive_kalman_fuse = saved
+
+
+def bench_anf_apply() -> Dict[str, object]:
+    """One serving-sized ANF window: the float-loop Butterworth and AKF vs
+    the NumPy-scalar loops they replaced, verified bit-identical."""
+    rng = np.random.default_rng(41)
+    fs_hz = 8.0
+    values = np.where(np.arange(160) < 80, -62.0, -71.0)
+    values = values + rng.normal(0.0, 3.0, 160)
+    anf = AdaptiveNoiseFilter()
+    after_out = anf.apply(values, fs_hz)
+    with _reference_filters():
+        before_out = anf.apply(values, fs_hz)
+        before = _best_of(lambda: anf.apply(values, fs_hz))
+    assert np.array_equal(before_out, after_out), "ANF must be bit-identical"
+    after = _best_of(lambda: anf.apply(values, fs_hz), number=20)
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "target_speedup": TARGET_ANF,
+        "meets_target": before / after >= TARGET_ANF,
+        "note": "160-sample window at 8 Hz (one 20 s serving window); "
+                "Butterworth + AKF over Python floats vs over NumPy "
+                "scalars with np.mean/np.std; outputs verified bit-identical",
+    }
+
+
 def bench_dtw() -> Dict[str, object]:
     rng = np.random.default_rng(11)
     a = np.cumsum(rng.normal(0.0, 1.0, 200))
@@ -231,6 +286,7 @@ def build_report() -> Dict[str, object]:
         "estimator_grid_search": bench_estimator(),
         "estimator_warm_start": bench_warm_start(),
         "estimator_fit_batch": bench_fit_batch(),
+        "anf_apply": bench_anf_apply(),
         "dtw_distance_banded": bench_dtw(),
         "parallel_stationary_trials": bench_parallel(),
     }
@@ -260,6 +316,7 @@ def test_perf_hotpaths():
     assert benches["estimator_grid_search"]["meets_target"], benches
     assert benches["estimator_warm_start"]["meets_target"], benches
     assert benches["estimator_fit_batch"]["meets_target"], benches
+    assert benches["anf_apply"]["meets_target"], benches
     assert benches["dtw_distance_banded"]["meets_target"], benches
     # The pool bench's target is already scaled to what this host's core
     # count can express (see _parallel_target), so it always asserts.

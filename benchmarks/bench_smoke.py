@@ -25,6 +25,7 @@ import pytest
 
 from bench_perf_hotpaths import (
     REPORT_PATH,
+    bench_anf_apply,
     bench_dtw,
     bench_estimator,
     bench_fit_batch,
@@ -40,6 +41,7 @@ SMOKE_BENCHES: Dict[str, Callable[[], Dict[str, object]]] = {
     "estimator_grid_search": bench_estimator,
     "estimator_warm_start": bench_warm_start,
     "estimator_fit_batch": bench_fit_batch,
+    "anf_apply": bench_anf_apply,
     "dtw_distance_banded": bench_dtw,
 }
 

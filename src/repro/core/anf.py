@@ -42,7 +42,7 @@ class AdaptiveNoiseFilter:
     akf_measurement_var: float = 9.0
 
     def __post_init__(self) -> None:
-        if self.cutoff_hz <= 0:
+        if not self.cutoff_hz > 0:  # also refuses NaN
             raise ConfigurationError("cutoff_hz must be positive")
 
     @perf.profiled("anf.AdaptiveNoiseFilter.apply")
@@ -50,11 +50,21 @@ class AdaptiveNoiseFilter:
         """Filter one RSS value sequence sampled near ``fs_hz``.
 
         The Butterworth cutoff is capped below Nyquist for low sampling
-        rates (the Fig. 13a sweep goes down to 5.5 Hz).
+        rates (the Fig. 13a sweep goes down to 5.5 Hz). Both stages are
+        recursive, so one non-finite reading would poison every output
+        after it; such input raises :class:`~repro.errors.DataQualityError`
+        naming the first bad index instead.
         """
         values = np.asarray(values, dtype=float)
         if values.size < _MIN_FILTER_SAMPLES:
             return values.copy()
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DataQualityError(
+                f"filter input has a non-finite RSSI value at index {bad} "
+                f"({float(values.flat[bad])}); sanitize the trace before filtering"
+            )
         if not np.isfinite(fs_hz) or fs_hz <= 0:
             raise ConfigurationError("fs_hz must be positive and finite")
 

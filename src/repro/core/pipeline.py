@@ -39,7 +39,7 @@ from repro.errors import (
     EstimationError,
     InsufficientDataError,
 )
-from repro.motion.deadreckoning import MotionTracker
+from repro.motion.deadreckoning import MotionTracker, TrackMemo
 from repro.obs.provenance import FixProvenance
 from repro.robustness.diagnostics import EstimateDiagnostics
 from repro.robustness.sanitize import (
@@ -262,6 +262,7 @@ class LocBLE:
         target_imu: Optional[ImuTrace] = None,
         warm: Optional[WarmStartState] = None,
         extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
+        tracks: Optional[TrackMemo] = None,
     ) -> LocationEstimate:
         """Estimate the beacon's position in the measurement frame.
 
@@ -274,8 +275,13 @@ class LocBLE:
         ``diagnostics.warm``) routes the solve through the estimator's
         warm-start fast path; a stale warm state is rejected and re-solved
         cold, so it can only cost latency, never accuracy.
+
+        ``tracks`` lets callers that solve many beacons against one
+        observer IMU window dead-reckon it once: the observer track comes
+        from the memo instead of a fresh ``motion_tracker.track`` call.
         """
-        ctx = self._build_context(rssi_trace, observer_imu, target_imu)
+        ctx = self._build_context(rssi_trace, observer_imu, target_imu,
+                                  tracks=tracks)
         return self._estimate_from_context(ctx, warm=warm,
                                            extra_seeds=extra_seeds)
 
@@ -284,6 +290,7 @@ class LocBLE:
         rssi_trace: RssiTrace,
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace] = None,
+        tracks: Optional[TrackMemo] = None,
     ) -> PreparedEstimate:
         """Run every pipeline stage up to (but not including) the solve.
 
@@ -292,14 +299,16 @@ class LocBLE:
         :func:`repro.core.estimator.fit_batch` call, and each
         :class:`~repro.core.estimator.FitResult` comes back through
         :meth:`complete_estimate`. ``prepare + fit_batch + complete`` is
-        numerically identical to :meth:`estimate` per session.
+        numerically identical to :meth:`estimate` per session;
+        ``tracks`` is as in :meth:`estimate`.
         """
         if not self.uses_batched_solver:
             raise ConfigurationError(
                 f"solver {self.solver!r} has no cross-session batched path; "
                 "use estimate() per session"
             )
-        ctx = self._build_context(rssi_trace, observer_imu, target_imu)
+        ctx = self._build_context(rssi_trace, observer_imu, target_imu,
+                                  tracks=tracks)
         return PreparedEstimate(ctx=ctx, estimator=self._resolve_estimator(ctx))
 
     def complete_estimate(
@@ -501,6 +510,7 @@ class LocBLE:
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace],
         _pq_cache: Optional[_PqCache] = None,
+        tracks: Optional[TrackMemo] = None,
     ) -> EstimationContext:
         report: Optional[SanitizationReport] = None
         if self.sanitize == "repair":
@@ -514,7 +524,10 @@ class LocBLE:
             check_trace(rssi_trace, context="trace")
 
         # Step 1 — movement detection (observer, and target if moving).
-        observer_track = self.motion_tracker.track(observer_imu)
+        if tracks is None:
+            observer_track = self.motion_tracker.track(observer_imu)
+        else:
+            observer_track = tracks.track(self.motion_tracker, observer_imu)
         target_track = None
         frame_rotation = 0.0
         if target_imu is not None:

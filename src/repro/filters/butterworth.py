@@ -95,23 +95,27 @@ def butter_lowpass_sos(order: int, cutoff_hz: float, fs_hz: float) -> np.ndarray
 
 
 def sos_filter(sos: np.ndarray, x: Sequence[float]) -> np.ndarray:
-    """Causal filtering through cascaded biquads (direct form II transposed)."""
+    """Causal filtering through cascaded biquads (direct form II transposed).
+
+    The recurrence runs over Python floats: the same IEEE operations in the
+    same order as over NumPy scalars, without their per-operation overhead.
+    """
     sos = np.asarray(sos, dtype=float)
     if sos.ndim != 2 or sos.shape[1] != 6:
         raise ConfigurationError("sos must have shape (n_sections, 6)")
-    y = np.asarray(x, dtype=float).copy()
-    for b0, b1, b2, a0, a1, a2 in sos:
+    y = np.asarray(x, dtype=float).tolist()
+    for b0, b1, b2, a0, a1, a2 in sos.tolist():
         if abs(a0 - 1.0) > 1e-12:
             b0, b1, b2, a1, a2 = b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0
         z1 = z2 = 0.0
-        out = np.empty_like(y)
-        for i, xi in enumerate(y):
+        out = []
+        for xi in y:
             yi = b0 * xi + z1
             z1 = b1 * xi + z2 - a1 * yi
             z2 = b2 * xi - a2 * yi
-            out[i] = yi
+            out.append(yi)
         y = out
-    return y
+    return np.array(y, dtype=float)
 
 
 @dataclass

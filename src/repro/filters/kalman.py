@@ -17,13 +17,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 __all__ = ["ScalarKalman", "AdaptiveKalman", "adaptive_kalman_fuse"]
+
+
+def _numpy_sum(xs: List[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit, on Python floats.
+
+    NumPy's pairwise summation adds a block of up to 128 elements with a
+    plain loop below 8 elements and eight interleaved accumulators from 8
+    up (longer vectors split in halves), then adds the result to the
+    reduction's initial 0.0. Keeping that order lets
+    :class:`AdaptiveKalman` take its window statistics on floats and
+    still match ``np.mean``/``np.std`` exactly.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for v in xs:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    m = n - n % 8
+    for i in range(8, m, 8):
+        r0 += xs[i]
+        r1 += xs[i + 1]
+        r2 += xs[i + 2]
+        r3 += xs[i + 3]
+        r4 += xs[i + 4]
+        r5 += xs[i + 5]
+        r6 += xs[i + 6]
+        r7 += xs[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in xs[m:]:
+        total += v
+    return 0.0 + total
 
 
 @dataclass
@@ -116,22 +153,25 @@ class AdaptiveKalman:
         self.x += control
         p_prior = self.p + self.process_var
         innovation = z - self.x
-        self._innovations.append(innovation)
-        if len(self._innovations) > self.window:
-            self._innovations.pop(0)
-        if len(self._innovations) >= 3:
-            est = float(np.mean(np.square(self._innovations))) - p_prior
+        inn = self._innovations
+        inn.append(innovation)
+        if len(inn) > self.window:
+            inn.pop(0)
+        n = len(inn)
+        # Window statistics in np.mean/np.std's summation order (bitwise).
+        if n >= 3:
+            est = _numpy_sum([v * v for v in inn]) / n - p_prior
             # Keep R sane: never below a tenth of, nor above 25x, the prior.
             lo = 0.1 * self.initial_measurement_var
             hi = 25.0 * self.initial_measurement_var
             self._r = min(max(est, lo), hi)
         k = p_prior / (p_prior + self._r)
-        if self.bias_gating and len(self._innovations) >= 4:
-            inn = np.asarray(self._innovations)
-            spread = float(np.std(inn)) + 1e-9
-            significance = abs(float(np.mean(inn))) / (
-                spread / math.sqrt(len(inn))
-            )
+        if self.bias_gating and n >= 4:
+            mean = _numpy_sum(inn) / n
+            spread = math.sqrt(
+                _numpy_sum([(v - mean) * (v - mean) for v in inn]) / n
+            ) + 1e-9
+            significance = abs(mean) / (spread / math.sqrt(n))
             # significance ~ t-statistic: ~1 for pure noise, >> 1 when the
             # trend input lags a level change. Map to a (0, 1] gain scale.
             k *= min(1.0, significance / 3.0)
@@ -162,10 +202,10 @@ def adaptive_kalman_fuse(
         initial_measurement_var=initial_measurement_var,
         window=window,
     )
-    out = np.empty_like(raw)
+    out = []
     prev_s: Optional[float] = None
-    for i, (z, s) in enumerate(zip(raw, smoothed)):
+    for z, s in zip(raw.tolist(), smoothed.tolist()):
         control = 0.0 if prev_s is None else s - prev_s
-        out[i] = akf.step(z, control=control)
+        out.append(akf.step(z, control=control))
         prev_s = s
-    return out
+    return np.array(out, dtype=float)

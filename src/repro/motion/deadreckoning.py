@@ -31,7 +31,7 @@ from repro.motion.steplength import StepLengthModel
 from repro.motion.turndetector import DetectedTurn, TurnDetector
 from repro.types import ImuTrace, Vec2
 
-__all__ = ["MotionTrack", "MotionTracker"]
+__all__ = ["MotionTrack", "MotionTracker", "TrackMemo"]
 
 
 @dataclass
@@ -146,3 +146,27 @@ class MotionTracker:
             n = i - lo
         freq = n / span if span > 0 else 1.8
         return self.step_length_model.length_for_frequency(freq)
+
+
+class TrackMemo:
+    """Shares :meth:`MotionTracker.track` results between callers.
+
+    A track is reused only for the *same* :class:`~repro.types.ImuTrace`
+    object and an equal tracker configuration (dataclass equality), so
+    callers that slice their own windows never share by accident. The memo
+    keeps every window it has seen alive: hold one for a bounded scope —
+    the streaming service keeps one per tick. Consumers must treat the
+    returned :class:`MotionTrack` as read-only.
+    """
+
+    def __init__(self) -> None:
+        self._entries: List[tuple] = []
+
+    def track(self, tracker: MotionTracker, trace: ImuTrace) -> MotionTrack:
+        """``tracker.track(trace)``, computed once per (trace, config)."""
+        for seen_trace, seen_tracker, track in self._entries:
+            if seen_trace is trace and seen_tracker == tracker:
+                return track
+        track = tracker.track(trace)
+        self._entries.append((trace, tracker, track))
+        return track

@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, DataQualityError
 from repro.service.buffers import BoundedBuffer
 from repro.service.checkpoint import restore_guard
 from repro.service.session import (
+    ImuTick,
     PipelineFactory,
     SessionConfig,
     SessionSnapshot,
@@ -169,14 +170,10 @@ class TrackingService:
         Sessions are stepped in sorted beacon-id order (determinism), each
         against the shared IMU window. Returns per-beacon snapshots.
         """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        horizon = t - self.config.imu_window_s
-        self.imu.drop_while(lambda s: s.timestamp < horizon)
-        imu_trace = ImuTrace(self.imu.items())
+        imu = self._imu_tick(t)
         out: Dict[str, SessionSnapshot] = {}
         for beacon_id in sorted(self.sessions):
-            out[beacon_id] = self.sessions[beacon_id].step(t, imu_trace)
+            out[beacon_id] = self.sessions[beacon_id].step(t, imu)
         return out
 
     @perf.profiled("service.TrackingService.tick_batch")
@@ -192,15 +189,10 @@ class TrackingService:
         warm solve is itself a batch of one through the same kernel), so
         the two paths are interchangeable tick by tick.
         """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        horizon = t - self.config.imu_window_s
-        self.imu.drop_while(lambda s: s.timestamp < horizon)
-        imu_trace = ImuTrace(self.imu.items())
-
+        imu = self._imu_tick(t)
         pending = []
         for beacon_id in sorted(self.sessions):
-            p = self.sessions[beacon_id].begin_step(t, imu_trace)
+            p = self.sessions[beacon_id].begin_step(t, imu)
             if p is not None:
                 pending.append((self.sessions[beacon_id], p))
 
@@ -215,6 +207,19 @@ class TrackingService:
         for beacon_id in sorted(self.sessions):
             out[beacon_id] = self.sessions[beacon_id].finish_step(t)
         return out
+
+    def _imu_tick(self, t: float) -> ImuTick:
+        """Age the IMU buffer out to ``t`` and open the tick's shared view.
+
+        Every session of the tick slices its window and takes its observer
+        track from this one view, so both are computed once per distinct
+        window and tracker configuration, not once per session.
+        """
+        if not math.isfinite(t):
+            raise ConfigurationError("step time must be finite")
+        horizon = t - self.config.imu_window_s
+        self.imu.drop_while(lambda s: s.timestamp < horizon)
+        return ImuTick(ImuTrace(self.imu.items()), t)
 
     # -- reporting -----------------------------------------------------------
 

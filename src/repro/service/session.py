@@ -57,11 +57,12 @@ from repro.service.breaker import (
 from repro.service.buffers import BoundedBuffer
 from repro.service.checkpoint import restore_guard
 from repro.obs.provenance import FixProvenance
+from repro.motion.deadreckoning import TrackMemo
 from repro.service.health import HealthConfig, HealthMachine, SessionState
 from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve"]
+           "PendingSolve", "ImuTick"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -163,6 +164,34 @@ class PendingSolve:
     t: float
     prepared: PreparedEstimate
     request: FitRequest
+
+
+class ImuTick:
+    """The shared observer IMU as every session of one tick sees it.
+
+    Sessions ask it for their solve window instead of slicing the buffer
+    themselves: each distinct ``window_s`` is sliced once, and
+    :attr:`tracks` dead-reckons each window once per tracker
+    configuration for all of them. Valid for its tick's time ``t`` only.
+    """
+
+    def __init__(self, imu: ImuTrace, t: float):
+        self.imu = imu
+        self.t = t
+        self.tracks = TrackMemo()
+        self._ts: Optional[list] = None
+        self._windows: Dict[float, ImuTrace] = {}
+
+    def window(self, window_s: float) -> ImuTrace:
+        """IMU samples in ``[t - window_s, t)``."""
+        out = self._windows.get(window_s)
+        if out is None:
+            if self._ts is None:
+                self._ts = [s.timestamp for s in self.imu.samples]
+            lo = bisect_left(self._ts, self.t - window_s)
+            hi = bisect_left(self._ts, self.t)
+            out = self._windows[window_s] = ImuTrace(self.imu.samples[lo:hi])
+        return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +357,7 @@ class TrackingSession:
 
     # -- the supervised solve loop ------------------------------------------
 
-    def step(self, t: float, imu: ImuTrace) -> SessionSnapshot:
+    def step(self, t: float, imu: "ImuTrace | ImuTick") -> SessionSnapshot:
         """Advance the session to stream time ``t``.
 
         Runs at most one solve attempt (respecting the solve period, the
@@ -336,10 +365,12 @@ class TrackingSession:
         and returns a snapshot whose ``track`` is the Kalman belief at ``t``
         — coasted via ``predict`` when no fresh fix was accepted. Never
         raises on data: every failure mode is a typed, counted, supervised
-        event. Caller bugs (non-finite ``t``) still raise.
+        event. Caller bugs (non-finite ``t``) still raise. ``imu`` is the
+        shared observer IMU, or the tick's :class:`ImuTick` view of it.
         """
         if not math.isfinite(t):
             raise ConfigurationError("step time must be finite")
+        tick = self._imu_tick(imu, t)
 
         self._age_out(t)
         due = (
@@ -348,7 +379,7 @@ class TrackingSession:
         )
         if due:
             window = self._window(t)
-            imu_window = self._imu_window(imu, t)
+            imu_window = tick.window(self.config.window_s)
             if (len(window) < self.pipeline.estimator.min_samples
                     or len(imu_window) < self.config.min_imu_samples):
                 self._count("solves_skipped_nodata")
@@ -375,11 +406,13 @@ class TrackingSession:
                     backoff_attempt=self.backoff.attempt,
                 )
             else:
-                self._attempt_solve(t, window, imu_window)
+                self._attempt_solve(t, window, imu_window, tick.tracks)
 
         return self.finish_step(t)
 
-    def begin_step(self, t: float, imu: ImuTrace) -> Optional[PendingSolve]:
+    def begin_step(
+        self, t: float, imu: "ImuTrace | ImuTick"
+    ) -> Optional[PendingSolve]:
         """First half of a batched step: gating plus solve preparation.
 
         Runs everything :meth:`step` would up to the solve itself — buffer
@@ -394,6 +427,7 @@ class TrackingSession:
         """
         if not math.isfinite(t):
             raise ConfigurationError("step time must be finite")
+        tick = self._imu_tick(imu, t)
 
         self._age_out(t)
         due = (
@@ -403,7 +437,7 @@ class TrackingSession:
         if not due:
             return None
         window = self._window(t)
-        imu_window = self._imu_window(imu, t)
+        imu_window = tick.window(self.config.window_s)
         if (len(window) < self.pipeline.estimator.min_samples
                 or len(imu_window) < self.config.min_imu_samples):
             self._count("solves_skipped_nodata")
@@ -436,13 +470,14 @@ class TrackingSession:
             # Sequential-only backend (particle, EKF): there is no
             # cross-session batched solve to join, so run the full solve
             # inline — outcome accounting is identical to :meth:`step`.
-            self._attempt_solve(t, window, imu_window)
+            self._attempt_solve(t, window, imu_window, tick.tracks)
             return None
 
         self._count("solves_attempted")
         perf.count("service.solves_attempted")
         try:
-            prepared = self.pipeline.prepare_estimate(window, imu_window)
+            prepared = self.pipeline.prepare_estimate(
+                window, imu_window, tracks=tick.tracks)
         except DegenerateGeometryError as exc:
             self._solve_degenerate(t, exc)
             self.last_solve_t = t
@@ -514,7 +549,8 @@ class TrackingSession:
         return self._snapshot(t)
 
     def _attempt_solve(
-        self, t: float, window: RssiTrace, imu_window: ImuTrace
+        self, t: float, window: RssiTrace, imu_window: ImuTrace,
+        tracks: TrackMemo,
     ) -> None:
         self._count("solves_attempted")
         perf.count("service.solves_attempted")
@@ -523,7 +559,8 @@ class TrackingSession:
                 "session.solve", component="service", beacon=self.beacon_id
             ):
                 est = self.pipeline.estimate(
-                    window, imu_window, warm=self._usable_warm(t))
+                    window, imu_window, warm=self._usable_warm(t),
+                    tracks=tracks)
                 self.tracker.update(t, est)
         except DegenerateGeometryError as exc:
             self._solve_degenerate(t, exc)
@@ -652,11 +689,14 @@ class TrackingSession:
     def _window(self, t: float) -> RssiTrace:
         return RssiTrace([s for s in self.rss if s.timestamp <= t])
 
-    def _imu_window(self, imu: ImuTrace, t: float) -> ImuTrace:
-        ts = [s.timestamp for s in imu.samples]
-        lo = bisect_left(ts, t - self.config.window_s)
-        hi = bisect_left(ts, t)
-        return ImuTrace(imu.samples[lo:hi])
+    @staticmethod
+    def _imu_tick(imu: "ImuTrace | ImuTick", t: float) -> ImuTick:
+        if isinstance(imu, ImuTick):
+            if imu.t != t:
+                raise ConfigurationError(
+                    f"IMU tick is for t={imu.t}, not the step time t={t}")
+            return imu
+        return ImuTick(imu, t)
 
     # -- reporting -----------------------------------------------------------
 

@@ -45,7 +45,7 @@ class _OkPipeline:
     def __init__(self):
         self.estimator = _StubEstimator()
 
-    def estimate(self, trace, imu, warm=None, extra_seeds=()):
+    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
         t = trace.samples[-1].timestamp
         return LocationEstimate(
             position=Vec2(0.1 * t, 1.0), confidence=0.9, position_std=0.5

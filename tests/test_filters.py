@@ -1,5 +1,7 @@
 """Tests for the signal-processing substrate (Butterworth, Kalman, smoothing)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,119 @@ from repro.filters.butterworth import (
     butter_lowpass_sos,
     sos_filter,
 )
-from repro.filters.kalman import AdaptiveKalman, ScalarKalman, adaptive_kalman_fuse
+from repro.filters.kalman import (
+    AdaptiveKalman,
+    ScalarKalman,
+    _numpy_sum,
+    adaptive_kalman_fuse,
+)
 from repro.filters.smoothing import differentiate, moving_average, moving_median
+
+
+# -- retained references ------------------------------------------------------
+# The NumPy-scalar filter loops that the float loops in repro.filters
+# replaced. The rewrite promises bit-identical output, so the tests below
+# (and the ``anf_apply`` entry of benchmarks/bench_perf_hotpaths.py)
+# compare against these with array_equal.
+
+
+def reference_sos_filter(sos, x):
+    """DF2T cascade looping over an ndarray (NumPy-scalar arithmetic)."""
+    sos = np.asarray(sos, dtype=float)
+    if sos.ndim != 2 or sos.shape[1] != 6:
+        raise ConfigurationError("sos must have shape (n_sections, 6)")
+    y = np.asarray(x, dtype=float).copy()
+    for b0, b1, b2, a0, a1, a2 in sos:
+        if abs(a0 - 1.0) > 1e-12:
+            b0, b1, b2, a1, a2 = b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0
+        z1 = z2 = 0.0
+        out = np.empty_like(y)
+        for i, xi in enumerate(y):
+            yi = b0 * xi + z1
+            z1 = b1 * xi + z2 - a1 * yi
+            z2 = b2 * xi - a2 * yi
+            out[i] = yi
+        y = out
+    return y
+
+
+class ReferenceAdaptiveKalman(AdaptiveKalman):
+    """The AKF step taking its window statistics with np.mean/np.std."""
+
+    def step(self, z, control=0.0):
+        if not self._initialized:
+            self.x = z
+            self.p = self._r
+            self._initialized = True
+            return self.x
+        self.x += control
+        p_prior = self.p + self.process_var
+        innovation = z - self.x
+        self._innovations.append(innovation)
+        if len(self._innovations) > self.window:
+            self._innovations.pop(0)
+        if len(self._innovations) >= 3:
+            est = float(np.mean(np.square(self._innovations))) - p_prior
+            lo = 0.1 * self.initial_measurement_var
+            hi = 25.0 * self.initial_measurement_var
+            self._r = min(max(est, lo), hi)
+        k = p_prior / (p_prior + self._r)
+        if self.bias_gating and len(self._innovations) >= 4:
+            inn = np.asarray(self._innovations)
+            spread = float(np.std(inn)) + 1e-9
+            significance = abs(float(np.mean(inn))) / (
+                spread / math.sqrt(len(inn))
+            )
+            k *= min(1.0, significance / 3.0)
+        self.x += k * innovation
+        self.p = (1.0 - k) * p_prior
+        return self.x
+
+
+def reference_adaptive_kalman_fuse(raw, smoothed, **akf_kwargs):
+    """BF+AKF fusion over ndarray elements through the reference AKF."""
+    raw = np.asarray(raw, dtype=float)
+    smoothed = np.asarray(smoothed, dtype=float)
+    if raw.shape != smoothed.shape:
+        raise ConfigurationError("raw and smoothed signals must align")
+    akf = ReferenceAdaptiveKalman(**akf_kwargs)
+    out = np.empty_like(raw)
+    prev_s = None
+    for i, (z, s) in enumerate(zip(raw, smoothed)):
+        control = 0.0 if prev_s is None else s - prev_s
+        out[i] = akf.step(z, control=control)
+        prev_s = s
+    return out
+
+
+class TestFloatLoopBitIdentity:
+    """The float-loop filters reproduce the NumPy-scalar ones bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_summation_matches_numpy_reduce(self, n):
+        # Lengths 1-7 take NumPy's plain loop, 8-16 its eight accumulators.
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            xs = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+            assert _numpy_sum(xs.tolist()) == np.add.reduce(xs)
+
+    @given(n=st.integers(min_value=0, max_value=400),
+           window=st.integers(min_value=2, max_value=16),
+           log_scale=st.floats(min_value=-3.0, max_value=3.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_filters_match_references(self, n, window, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        level = np.where(np.arange(n) < n // 2, -60.0, -75.0)
+        raw = level + rng.normal(0.0, scale, n)
+        sos = butter_lowpass_sos(6, 0.8, 8.0)
+        smoothed = reference_sos_filter(sos, raw)
+        assert np.array_equal(sos_filter(sos, raw), smoothed)
+        got = adaptive_kalman_fuse(raw, smoothed, window=window)
+        want = reference_adaptive_kalman_fuse(raw, smoothed, window=window)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestButterworthDesign:

@@ -266,6 +266,20 @@ class TestAnfRateRegression:
         with pytest.raises(ConfigurationError):
             AdaptiveNoiseFilter().apply(np.zeros(10), float("nan"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_reading_raises_instead_of_poisoning(self, bad):
+        # Both ANF stages are recursive: one NaN used to turn 140 of 160
+        # outputs non-finite with no error raised.
+        vals = np.linspace(-55.0, -75.0, 160)
+        vals[20] = bad
+        with pytest.raises(DataQualityError, match="at index 20"):
+            AdaptiveNoiseFilter().apply(vals, 8.0)
+
+    def test_nan_cutoff_rejected_at_construction(self):
+        # `nan <= 0` is False, so NaN used to pass and fail untyped in apply.
+        with pytest.raises(ConfigurationError, match="cutoff_hz"):
+            AdaptiveNoiseFilter(cutoff_hz=float("nan"))
+
 
 class TestPathLossClampRegression:
     """Satellite: the inverse model now clamps like the forward model."""

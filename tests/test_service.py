@@ -491,7 +491,7 @@ class _ScriptedPipeline:
         self.script = list(script)
         self.calls = 0
 
-    def estimate(self, trace, imu, warm=None, extra_seeds=()):
+    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
         action = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
         if action == "degenerate":
@@ -793,3 +793,155 @@ class TestServiceRealPipeline:
         a = svc.step(float(t_end + 1))["b"]
         b = resumed.step(float(t_end + 1))["b"]
         assert (a.t, a.state, a.track) == (b.t, b.state, b.track)
+
+
+# -- one observer track per tick ---------------------------------------------
+
+
+def _three_beacon_walk():
+    from repro.sim.simulator import BeaconSpec, Simulator
+    from repro.world.scenarios import scenario
+    from repro.world.trajectory import l_shape
+
+    sc = scenario(1)
+    sim = Simulator(sc.floorplan, np.random.default_rng(5))
+    walk = l_shape(sc.observer_start, sc.observer_heading_rad,
+                   leg1=2.8, leg2=2.2)
+    beacons = [
+        BeaconSpec(bid, position=sc.beacon_position + Vec2(dx, dy))
+        for bid, dx, dy in (("a", 0.0, 0.0), ("b", 0.8, -0.4),
+                            ("c", -0.5, 0.9))
+    ]
+    rec = sim.simulate(walk, beacons)
+    scans = [s for tr in rec.rssi_traces.values() for s in tr.samples]
+    return scans, rec.observer_imu.trace.samples
+
+
+@pytest.fixture
+def track_calls(monkeypatch):
+    """Every MotionTracker.track call: (tracker, window length, track)."""
+    import copy
+
+    from repro.motion.deadreckoning import MotionTracker
+
+    calls = []
+    original = MotionTracker.track
+
+    def counted(self, trace):
+        track = original(self, trace)
+        calls.append((self, len(trace), track, copy.deepcopy(track)))
+        return track
+
+    monkeypatch.setattr(MotionTracker, "track", counted)
+    return calls
+
+
+def _run_walk(svc, batch, per_tick=None, calls=None):
+    """Stream the three-beacon walk in 1 s ticks; return the snapshots."""
+    scans, imu = _three_beacon_walk()
+    t_end = math.ceil(max(s.timestamp for s in imu))
+    snaps = []
+    for k in range(1, t_end + 1):
+        t = float(k)
+        svc.ingest_scans([s for s in scans if t - 1.0 <= s.timestamp < t])
+        svc.ingest_imu([s for s in imu if t - 1.0 <= s.timestamp < t])
+        before = svc.stats()["counters"].get("fixes_accepted", 0)
+        n_calls = len(calls) if calls is not None else 0
+        snaps.append(svc.tick_batch(t) if batch else svc.step(t))
+        if per_tick is not None:
+            per_tick.append((
+                svc.stats()["counters"].get("fixes_accepted", 0) - before,
+                len(calls) - n_calls,
+            ))
+    return snaps
+
+
+class TestOneObserverTrackPerTick:
+    """Sessions sharing an IMU window and tracker config share one track."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_one_track_call_per_tick(self, track_calls, batch):
+        svc = TrackingService(ServiceConfig(
+            session=SessionConfig(solve_period_s=1.0)))
+        per_tick = []
+        _run_walk(svc, batch, per_tick, track_calls)
+        assert max(n for _, n in per_tick) == 1
+        solved = [n for fixes, n in per_tick if fixes]
+        assert solved and all(n == 1 for n in solved)
+        # Sharing actually happened: ticks where several sessions fixed.
+        assert max(fixes for fixes, _ in per_tick) == 3
+        # No consumer mutated a shared track.
+        for _tracker, _n, track, pristine in track_calls:
+            assert track == pristine
+
+    def test_different_tracker_config_never_shares(self, track_calls):
+        from repro.core.pipeline import LocBLE
+        from repro.motion.deadreckoning import MotionTracker
+
+        made = []
+
+        def factory():
+            # Sessions are created in beacon-id order: a, b, c.
+            right_angle = len(made) == 1
+            made.append(right_angle)
+            return LocBLE(sanitize="repair", motion_tracker=MotionTracker(
+                assume_right_angle=right_angle))
+
+        svc = TrackingService(ServiceConfig(
+            session=SessionConfig(solve_period_s=1.0)), factory)
+        per_tick = []
+        _run_walk(svc, True, per_tick, track_calls)
+        assert made == [False, True, False]
+        assert max(n for _, n in per_tick) == 2
+        full = [n for fixes, n in per_tick if fixes == 3]
+        assert full and all(n == 2 for n in full)
+        assert {c[0].assume_right_angle for c in track_calls} == {False, True}
+
+    def test_different_window_never_shares(self, track_calls):
+        from repro.motion.deadreckoning import TrackMemo
+        from repro.service.session import ImuTick
+
+        scans, imu = _three_beacon_walk()
+        t = float(math.ceil(max(s.timestamp for s in imu)))
+        tick = ImuTick(ImuTrace(imu), t)
+        sessions = [
+            TrackingSession(bid, SessionConfig(window_s=w))
+            for bid, w in (("a", 60.0), ("b", 60.0), ("c", 3.0))
+        ]
+        for s in sessions:
+            s.ingest([x for x in scans if x.beacon_id == s.beacon_id])
+            assert s.begin_step(t, tick) is not None
+        assert tick.window(60.0) is tick.window(60.0)
+        assert len(tick.window(3.0)) < len(tick.window(60.0))
+        assert sorted(n for _, n, _, _ in track_calls) == [
+            len(tick.window(3.0)), len(tick.window(60.0))]
+        # The memo also refuses an equal-content window that is not the
+        # same object: callers that slice for themselves never share.
+        memo = TrackMemo()
+        tracker = sessions[0].pipeline.motion_tracker
+        memo.track(tracker, ImuTrace(imu))
+        memo.track(tracker, ImuTrace(imu))
+        assert len(track_calls) == 4
+
+    def test_step_and_tick_batch_snapshots_bitwise_equal(self):
+        from repro.sim.soak import _snapshot_key
+
+        def run(batch):
+            svc = TrackingService(ServiceConfig(
+                session=SessionConfig(solve_period_s=1.0)))
+            return _run_walk(svc, batch)
+
+        seq, bat = run(False), run(True)
+        assert len(seq) == len(bat)
+        n_fixes = 0
+        for a, b in zip(seq, bat):
+            assert sorted(a) == sorted(b)
+            for bid in a:
+                assert _snapshot_key(a[bid]) == _snapshot_key(b[bid])
+                ea, eb = a[bid].estimate, b[bid].estimate
+                assert (ea is None) == (eb is None)
+                if ea is not None:
+                    n_fixes += 1
+                    assert (ea.position, ea.gamma, ea.n) == (
+                        eb.position, eb.gamma, eb.n)
+        assert n_fixes > 0
