@@ -6,6 +6,8 @@ implementations and writes ``BENCH_perf.json`` at the repo root:
 * the estimator's exponent grid search (batched LS vs per-candidate loop);
 * the serving ANF (float-loop filters vs the NumPy-scalar reference loops
   retained in ``tests/test_filters.py``);
+* checkpoint saves (one long-lived store that remembers what it verified
+  vs a fresh store per save that re-verifies every retained snapshot);
 * banded DTW (two-buffer vectorized band vs per-cell DP);
 * the Monte-Carlo sweep (process pool vs serial — only meaningful on
   multi-core hosts; the report records ``effective_cpus`` so a 1-CPU
@@ -23,6 +25,7 @@ import importlib.util
 import json
 import math
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict
@@ -34,8 +37,11 @@ from repro import perf
 from repro.core import anf as anf_module
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
+from repro.durability import CheckpointStore
 from repro.dtw.dtw import _dtw_distance_reference, dtw_distance
 from repro.filters import butterworth
+from repro.fleet import FleetConfig, TrackingFleet
+from repro.sim.load import LoadConfig, generate_load
 from repro.sim.montecarlo import stationary_trials
 from repro.world.scenarios import scenario
 
@@ -49,6 +55,7 @@ TARGET_PARALLEL = 2.0
 TARGET_WARM = 5.0
 TARGET_BATCH = 3.0
 TARGET_ANF = 3.0
+TARGET_CHECKPOINT = 3.0
 
 
 def _parallel_target(cpus: int) -> float:
@@ -233,6 +240,69 @@ def bench_anf_apply() -> Dict[str, object]:
     }
 
 
+def _fleet_checkpoint() -> Dict[str, object]:
+    """A serving-sized fleet checkpoint (~0.5 MB of canonical JSON): 48
+    beacons through a 2-shard fleet for 20 s of generated load."""
+    stream = generate_load(LoadConfig(duration_s=20.0, seed=3,
+                                      n_beacons=48, template_beacons=2))
+    fleet = TrackingFleet(FleetConfig(n_shards=2))
+    for t, scans, imu in stream.ticks:
+        fleet.ingest_scans(scans)
+        fleet.ingest_imu(imu)
+        fleet.tick(float(t))
+    return fleet.checkpoint()
+
+
+def _store_tree(root: str) -> Dict[str, bytes]:
+    base = Path(root)
+    return {str(p.relative_to(base)): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def bench_checkpoint_save(retain: int = 4) -> Dict[str, object]:
+    """Steady-state ``CheckpointStore.save`` of a fleet checkpoint at
+    ``retain=4``: one long-lived store, which remembers the snapshots it
+    wrote or verified, vs a fresh store per save, which parses and
+    re-digests every retained snapshot. Both directories receive the same
+    save sequence and must end byte-identical."""
+    fleet = _fleet_checkpoint()
+    with tempfile.TemporaryDirectory() as before_root, \
+            tempfile.TemporaryDirectory() as after_root:
+        live = CheckpointStore(after_root, retain=retain, durability="flush")
+        ticks = {before_root: 0, after_root: 0}
+
+        def save(store: CheckpointStore) -> None:
+            tick = ticks[str(store.root)]
+            ticks[str(store.root)] = tick + 1
+            store.save("fleet", {"tick": tick, "fleet": fleet}, tick=tick)
+
+        def fresh_save() -> None:
+            save(CheckpointStore(before_root, retain=retain,
+                                 durability="flush"))
+
+        for _ in range(retain + 1):  # fill retention: every save rotates
+            fresh_save()
+            save(live)
+        before = _best_of(fresh_save, repeats=5, number=3)
+        after = _best_of(lambda: save(live), repeats=5, number=3)
+        assert _store_tree(before_root) == _store_tree(after_root), \
+            "both stores must leave byte-identical files"
+        n_bytes = live.latest("fleet").n_bytes
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "target_speedup": TARGET_CHECKPOINT,
+        "meets_target": before / after >= TARGET_CHECKPOINT,
+        "note": f"{n_bytes / 1e3:.0f} KB fleet checkpoint (48 beacons, 2 "
+                f"shards), retain={retain}, durability='flush'; one "
+                "long-lived store vs a fresh store per save, directories "
+                "verified byte-identical. 'before' understates the old "
+                "save, which also encoded the body twice and re-verified "
+                "the retained snapshots twice per save",
+    }
+
+
 def bench_dtw() -> Dict[str, object]:
     rng = np.random.default_rng(11)
     a = np.cumsum(rng.normal(0.0, 1.0, 200))
@@ -287,6 +357,7 @@ def build_report() -> Dict[str, object]:
         "estimator_warm_start": bench_warm_start(),
         "estimator_fit_batch": bench_fit_batch(),
         "anf_apply": bench_anf_apply(),
+        "checkpoint_save": bench_checkpoint_save(),
         "dtw_distance_banded": bench_dtw(),
         "parallel_stationary_trials": bench_parallel(),
     }
@@ -317,6 +388,7 @@ def test_perf_hotpaths():
     assert benches["estimator_warm_start"]["meets_target"], benches
     assert benches["estimator_fit_batch"]["meets_target"], benches
     assert benches["anf_apply"]["meets_target"], benches
+    assert benches["checkpoint_save"]["meets_target"], benches
     assert benches["dtw_distance_banded"]["meets_target"], benches
     # The pool bench's target is already scaled to what this host's core
     # count can express (see _parallel_target), so it always asserts.

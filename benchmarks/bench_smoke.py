@@ -26,6 +26,7 @@ import pytest
 from bench_perf_hotpaths import (
     REPORT_PATH,
     bench_anf_apply,
+    bench_checkpoint_save,
     bench_dtw,
     bench_estimator,
     bench_fit_batch,
@@ -42,6 +43,7 @@ SMOKE_BENCHES: Dict[str, Callable[[], Dict[str, object]]] = {
     "estimator_warm_start": bench_warm_start,
     "estimator_fit_batch": bench_fit_batch,
     "anf_apply": bench_anf_apply,
+    "checkpoint_save": bench_checkpoint_save,
     "dtw_distance_banded": bench_dtw,
 }
 

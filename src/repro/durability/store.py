@@ -69,9 +69,25 @@ def _canonical(body: Dict[str, Any]) -> str:
                       allow_nan=True)
 
 
-def _digest(body: Dict[str, Any]) -> str:
-    return blake2b(_canonical(body).encode("utf-8"),
+def _hash(text: str) -> str:
+    return blake2b(text.encode("utf-8"),
                    digest_size=_DIGEST_LEN // 2).hexdigest()
+
+
+def _digest(body: Dict[str, Any]) -> str:
+    return _hash(_canonical(body))
+
+
+def _sealed(body: Dict[str, Any]) -> Tuple[str, str]:
+    """``(digest, text)`` of ``body`` from one encode.
+
+    ``text`` is ``_canonical(body)`` with ``"digest"`` added: sorted keys
+    put ``"digest"`` before every key a snapshot or manifest body has, so
+    it is spliced in right after the opening brace.
+    """
+    text = _canonical(body)
+    digest = _hash(text)
+    return digest, f'{{"digest":"{digest}",{text[1:]}'
 
 
 def _fsync_dir(path: Path) -> None:
@@ -129,6 +145,10 @@ class CheckpointStore:
         self.durability = durability
         #: Local mirror of the ``durability.*`` perf counters (parity).
         self.counters: Dict[str, int] = {}
+        #: File name -> (hash of its text, digest, tick) for every snapshot
+        #: this store wrote or verified, so an unchanged file is not
+        #: parsed and re-digested again (see :meth:`_verified`).
+        self._known: Dict[str, Tuple[str, str, Any]] = {}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             (self.root / "quarantine").mkdir(exist_ok=True)
@@ -160,17 +180,19 @@ class CheckpointStore:
             "payload": payload,
         }
         try:
-            body["digest"] = _digest(body)
+            digest, data = _sealed(body)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"snapshot payload for kind {kind!r} is not "
                 f"JSON-serialisable: {exc}")
         name = f"{kind}-{seq:08d}.ckpt.json"
-        data = _canonical(body)
         self._atomic_write(name, data)
+        # The written text passes _verify_file by construction: canonical
+        # JSON of string-keyed data parses and re-encodes to itself.
+        self._known[name] = (_hash(data + "\n"), digest, tick)
         info = SnapshotInfo(kind=kind, seq=seq, tick=tick,
                             path=str(self.root / name),
-                            digest=body["digest"], n_bytes=len(data))
+                            digest=digest, n_bytes=len(data))
         self._rewrite_manifest(kind)
         self._rotate(kind)
         self._event("saved", severity="info", kind=kind, seq=seq,
@@ -278,19 +300,26 @@ class CheckpointStore:
 
     # -- internals: verification and quarantine ------------------------------
 
-    def _verify_file(self, name: str) -> Any:
-        """Parse + digest-check one snapshot file.
+    def _read(self, name: str) -> Tuple[Optional[str], str]:
+        """``(text, "")`` of one snapshot file, or ``(None, reason)``."""
+        try:
+            return (self.root / name).read_text(encoding="utf-8"), ""
+        except OSError as exc:
+            return None, f"unreadable: {exc}"
+        except UnicodeDecodeError as exc:
+            return None, f"not UTF-8 (bit rot?): {exc}"
+
+    def _verify_file(self, name: str, raw: Optional[str] = None) -> Any:
+        """Parse + digest-check one snapshot file (``raw``: its text, when
+        the caller already read it).
 
         Returns the verified body dict, or a ``str`` reason when the file
         is refused (the caller decides whether that means quarantine).
         """
-        path = self.root / name
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            return f"unreadable: {exc}"
-        except UnicodeDecodeError as exc:
-            return f"not UTF-8 (bit rot?): {exc}"
+        if raw is None:
+            raw, problem = self._read(name)
+            if raw is None:
+                return problem
         try:
             body = json.loads(raw)
         except ValueError as exc:
@@ -316,8 +345,31 @@ class CheckpointStore:
             return "snapshot identity disagrees with its filename"
         return body
 
+    def _verified(self, name: str) -> Any:
+        """``(digest, tick)`` of one snapshot file, or a ``str`` reason.
+
+        The file is always read, but parsed and re-digested only when its
+        text differs from what this store last wrote or verified under
+        that name. :meth:`_verify_file` is a pure function of (name,
+        text), so unchanged text keeps its verdict and changed text
+        (corrupt, truncated, foreign) always takes the full check.
+        """
+        raw, problem = self._read(name)
+        if raw is None:
+            return problem
+        key = _hash(raw)
+        known = self._known.get(name)
+        if known is not None and known[0] == key:
+            return known[1:]
+        body = self._verify_file(name, raw)
+        if isinstance(body, str):
+            return body
+        self._known[name] = (key, body["digest"], body["tick"])
+        return body["digest"], body["tick"]
+
     def _quarantine(self, name: str, reason: str) -> None:
         """Move a refused file into ``quarantine/`` with a reason sidecar."""
+        self._known.pop(name, None)
         src = self.root / name
         dst = self.root / "quarantine" / name
         suffix = 1
@@ -416,16 +468,15 @@ class CheckpointStore:
     def _rewrite_manifest(self, kind: str) -> None:
         entries = []
         for name, seq in reversed(self._scan(kind)):
-            body = self._verify_file(name)
-            if isinstance(body, str):
+            verdict = self._verified(name)
+            if isinstance(verdict, str):
                 continue  # restore/rotation will deal with it
+            digest, tick = verdict
             entries.append({"seq": seq, "file": name,
-                            "digest": body["digest"],
-                            "tick": body["tick"]})
+                            "digest": digest, "tick": tick})
         manifest = {"format": STORE_FORMAT, "kind": kind,
                     "entries": entries}
-        manifest["digest"] = _digest(manifest)
-        self._atomic_write(self._manifest_name(kind), _canonical(manifest))
+        self._atomic_write(self._manifest_name(kind), _sealed(manifest)[1])
 
     # -- internals: retention ------------------------------------------------
 
@@ -433,16 +484,17 @@ class CheckpointStore:
         """Delete verified snapshots beyond ``retain`` (never quarantine)."""
         scan = self._scan(kind)
         for name, seq in scan[self.retain:]:
-            body = self._verify_file(name)
-            if isinstance(body, str):
+            verdict = self._verified(name)
+            if isinstance(verdict, str):
                 # Unverifiable: rotation quarantines rather than deletes,
                 # so corruption cannot be aged out of the evidence trail.
-                self._quarantine(name, f"refused during rotation: {body}")
+                self._quarantine(name, f"refused during rotation: {verdict}")
                 continue
             try:
                 (self.root / name).unlink()
             except OSError:
                 continue
+            self._known.pop(name, None)
             self._event("rotated", severity="debug", kind=kind, seq=seq)
         if len(scan) > self.retain:
             self._rewrite_manifest(kind)

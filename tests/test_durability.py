@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro import perf
+from repro.durability import store as store_module
 from repro.durability import (
     ChaosConfig,
     CheckpointStore,
@@ -187,6 +188,57 @@ class TestCheckpointStore:
         for name, n in store.counters.items():
             key = f"durability.{name}"
             assert perf.counter_value(key) - before.get(key, 0) == n
+
+    def test_written_text_is_canonical_full_body(self, tmp_path):
+        """``save`` splices the digest into the one encode of the body;
+        the result must be the canonical text of the whole body."""
+        store = CheckpointStore(str(tmp_path))
+        payload = {"z": [1.5, float("nan"), None], "a": {"b": "\u00e9"}}
+        info = store.save("fleet", payload, tick=3)
+        body = {"format": store_module.STORE_FORMAT, "kind": "fleet",
+                "seq": 1, "tick": 3, "payload": payload}
+        assert info.digest == store_module._digest(body)
+        text = (tmp_path / "fleet-00000001.ckpt.json").read_text()
+        assert text == store_module._canonical(
+            {**body, "digest": info.digest}) + "\n"
+        assert info.n_bytes == len(text) - 1
+        manifest = (tmp_path / "MANIFEST-fleet.json").read_text()
+        assert manifest == store_module._canonical(json.loads(manifest)) \
+            + "\n"
+
+    def test_steady_state_save_encodes_once_and_reverifies_nothing(
+            self, tmp_path, monkeypatch):
+        store = CheckpointStore(str(tmp_path), retain=4,
+                                durability="flush")
+        for k in range(6):
+            store.save("fleet", {"k": k}, tick=k)
+        verified, encoded = [], []
+        full_check = CheckpointStore._verify_file
+        canonical = store_module._canonical
+
+        def spy_verify(self, name, *args):
+            verified.append(name)
+            return full_check(self, name, *args)
+
+        def spy_canonical(body):
+            if "payload" in body:
+                encoded.append(body["payload"])
+            return canonical(body)
+
+        monkeypatch.setattr(CheckpointStore, "_verify_file", spy_verify)
+        monkeypatch.setattr(store_module, "_canonical", spy_canonical)
+        payloads = [{"k": k} for k in range(6, 9)]
+        for k, payload in enumerate(payloads, 6):
+            store.save("fleet", payload, tick=k)
+        assert verified == []
+        assert encoded == payloads
+        # Changed bytes always take the full check.
+        newest = tmp_path / "fleet-00000009.ckpt.json"
+        newest.write_text(newest.read_text().replace('"k":8', '"k":0'))
+        store.save("fleet", {"k": 9}, tick=9)
+        assert set(verified) == {newest.name}
+        listed = json.loads((tmp_path / "MANIFEST-fleet.json").read_text())
+        assert [e["seq"] for e in listed["entries"]] == [7, 8, 10]
 
 
 class TestFleetSupervisor:

@@ -11,17 +11,22 @@ Two invariants, over arbitrary corruption:
   verifies or raises :class:`DataQualityError` /
   :class:`ConfigurationError` — never an untyped exception — and never
   returns a payload that was not one of the saved generations.
+* **Store memo**: a long-lived store, which remembers the files it
+  already verified, leaves exactly the tree and events a fresh store per
+  save leaves, whatever corruption lands between its saves.
 * **Trace**: for any truncation point, ``recover_trace`` either returns
   a verified prefix of the original ticks (dropping at most the one torn
   line) or refuses typed.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.durability import CheckpointStore
 from repro.errors import ConfigurationError, DataQualityError
 from repro.gateway import IngestionGateway, TraceWriter, trace_meta
@@ -122,6 +127,50 @@ class TestStoreCorruptionFuzz:
         restored = store.restore_latest("fleet")
         assert restored.payload == {"generation": "post-corruption"}
         assert restored.info.seq == info.seq
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(CORRUPTION, min_size=1, max_size=8))
+    def test_long_lived_store_matches_fresh_store_per_save(
+            self, tmp_path_factory, ops):
+        """Corruption between saves of one store: its memo of verified
+        files must never trust changed bytes, so every step leaves the
+        same tree and the same ``durability.*`` events as a twin
+        directory where a fresh store (empty memo) does each save."""
+        live_root = tmp_path_factory.mktemp("live")
+        twin_root = tmp_path_factory.mktemp("twin")
+        live = CheckpointStore(str(live_root), retain=N_GENERATIONS,
+                               durability="flush")
+        ring = obs.add_sink(obs.RingBufferSink())
+        try:
+            for step in range(len(ops) + N_GENERATIONS):
+                if step >= N_GENERATIONS:
+                    op = ops[step - N_GENERATIONS]
+                    _apply(str(live_root), op)
+                    _apply(str(twin_root), op)
+                payload = {"generation": step}
+                ring.drain()
+                live.save("fleet", payload, tick=step)
+                live_events = _durability_events(ring.drain())
+                CheckpointStore(str(twin_root), retain=N_GENERATIONS,
+                                durability="flush").save(
+                                    "fleet", payload, tick=step)
+                assert _durability_events(ring.drain()) == live_events
+                assert _tree(live_root) == _tree(twin_root), step
+        finally:
+            obs.remove_sink(ring)
+
+
+def _durability_events(events):
+    return [(e.name, e.severity, dict(e.fields)) for e in events
+            if e.name.startswith("durability.")]
+
+
+def _tree(root):
+    """Every file under ``root`` (snapshots, MANIFEST, quarantine and its
+    ``.reason`` sidecars) by relative path, with its bytes."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _recorded_trace(path, ticks=5) -> int:
