@@ -24,9 +24,9 @@ import numpy as np
 from helpers import dominant_env, measure_once, print_series, run_experiment
 from repro.baselines.dartle import DartleRanger
 from repro.baselines.fingerprint import DistanceFingerprint, FingerprintLocator
+from repro.baselines.particle import ParticleEstimator
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import EllipticalEstimator
-from repro.core.particle import ParticleEstimator
 from repro.core.pipeline import LocBLE
 from repro.errors import EstimationError, InsufficientDataError
 from repro.motion.deadreckoning import MotionTracker

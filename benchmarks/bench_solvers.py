@@ -1,10 +1,9 @@
-"""Solver-backend accuracy-vs-cost comparison on the Table-1 scenarios.
+"""Solver accuracy and cost on the Table-1 scenarios.
 
-Runs the same measurement sessions (all nine Table-1 environments, several
-seeds each) through :class:`~repro.core.pipeline.LocBLE` with each
-registered solver backend — elliptical (the paper's regression), particle
-(sequential Monte Carlo) and ekf (multi-hypothesis extended Kalman filter)
-— and writes ``BENCH_solvers.json`` at the repo root with, per backend:
+Runs the measurement sessions (all nine Table-1 environments, several
+seeds each) through :class:`~repro.core.pipeline.LocBLE` in repair mode —
+the paper's elliptical regression, the one solver — and writes
+``BENCH_solvers.json`` at the repo root with:
 
 * **accuracy**: median / mean / p90 location error across all scenarios
   and seeds, plus the per-scenario medians;
@@ -15,7 +14,7 @@ registered solver backend — elliptical (the paper's regression), particle
 
 Run directly (``python benchmarks/bench_solvers.py``), as the CI gate
 (``python benchmarks/bench_solvers.py --smoke`` — one scenario, asserts
-every backend estimates with zero untyped errors, does not rewrite the
+the solver estimates with zero untyped errors, does not rewrite the
 committed report), or via pytest (``pytest benchmarks/bench_solvers.py -m
 solvers``). EXPERIMENTS.md summarizes the committed numbers.
 """
@@ -34,7 +33,6 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import LocBLE
-from repro.core.solvers import available_backends
 from repro.errors import ReproError
 from repro.world.scenarios import scenario
 
@@ -48,12 +46,11 @@ SCENARIOS = tuple(range(1, 10))
 SEEDS = tuple(range(6))
 
 
-def run_backend(
-    backend: str,
+def run_solver(
     scenarios: Sequence[int] = SCENARIOS,
     seeds: Sequence[int] = SEEDS,
 ) -> Dict[str, object]:
-    """Accuracy and per-estimate cost for one backend over the grid."""
+    """Accuracy and per-estimate cost of the solver over the grid."""
     errors: List[float] = []
     times_ms: List[float] = []
     per_scenario: Dict[str, float] = {}
@@ -64,7 +61,7 @@ def run_backend(
         sc_errors: List[float] = []
         for seed in seeds:
             rec, _ = measure_once(sc, seed)
-            pipeline = LocBLE(solver=backend, sanitize="repair")
+            pipeline = LocBLE(sanitize="repair")
             t0 = time.perf_counter()
             try:
                 est = pipeline.estimate(
@@ -83,7 +80,6 @@ def run_backend(
         if sc_errors:
             per_scenario[f"scenario_{idx}"] = float(np.median(sc_errors))
     return {
-        "backend": backend,
         "n_trials": len(list(scenarios)) * len(list(seeds)),
         "n_estimates": len(errors),
         "refused": refused,
@@ -100,8 +96,8 @@ def run_backend(
 def run_full() -> Dict[str, object]:
     return {
         "description": (
-            "Accuracy-vs-cost comparison of the registered solver backends "
-            "on the Table-1 stationary scenarios (same traces per backend)."
+            "Accuracy and cost of the elliptical regression on the Table-1 "
+            "stationary scenarios."
         ),
         "python": platform.python_version(),
         "config": {
@@ -110,26 +106,18 @@ def run_full() -> Dict[str, object]:
             "legs": list(DEFAULT_LEGS),
             "sanitize": "repair",
         },
-        "backends": [run_backend(b) for b in available_backends()],
+        "elliptical": run_solver(),
     }
 
 
 def run_smoke() -> Dict[str, object]:
-    """The CI gate: one scenario, two seeds, every backend must estimate
-    with zero untyped errors. Small enough for a pull-request loop."""
-    return {
-        "backends": [
-            run_backend(b, scenarios=(1,), seeds=(0, 1))
-            for b in available_backends()
-        ],
-    }
+    """The CI gate: one scenario, two seeds; the solver must estimate with
+    zero untyped errors. Small enough for a pull-request loop."""
+    return run_solver(scenarios=(1,), seeds=(0, 1))
 
 
-def _smoke_ok(report: Dict[str, object]) -> bool:
-    return all(
-        row["untyped_errors"] == 0 and row["n_estimates"] > 0
-        for row in report["backends"]
-    )
+def _ok(row: Dict[str, object]) -> bool:
+    return row["untyped_errors"] == 0 and row["n_estimates"] > 0
 
 
 # -- pytest entry point (excluded from tier-1 via the solvers marker) ---------
@@ -137,41 +125,36 @@ def _smoke_ok(report: Dict[str, object]) -> bool:
 
 @pytest.mark.solvers
 def test_bench_solvers_smoke():
-    report = run_smoke()
-    for row in report["backends"]:
-        assert row["untyped_errors"] == 0, row
-        assert row["n_estimates"] > 0, row
-        assert row["error_median_m"] < 6.0, row
+    row = run_smoke()
+    assert _ok(row), row
+    assert row["error_median_m"] < 6.0, row
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny CI gate: every backend estimates, zero "
+                        help="tiny CI gate: the solver estimates, zero "
                              "untyped errors; does not rewrite "
                              "BENCH_solvers.json")
     args = parser.parse_args(argv)
 
     if args.smoke:
-        report = run_smoke()
-        print(json.dumps(report, indent=2))
-        ok = _smoke_ok(report)
+        row = run_smoke()
+        print(json.dumps(row, indent=2))
+        ok = _ok(row)
         print("smoke:", "OK" if ok else "FAILED")
         return 0 if ok else 1
 
     report = run_full()
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"{'backend':12s} {'median':>7s} {'mean':>6s} {'p90':>6s} "
+    row = report["elliptical"]
+    print(f"{'median':>7s} {'mean':>6s} {'p90':>6s} "
           f"{'ms/solve':>9s} {'refused':>7s} {'untyped':>7s}")
-    for row in report["backends"]:
-        print(f"{row['backend']:12s} {row['error_median_m']:7.2f} "
-              f"{row['error_mean_m']:6.2f} {row['error_p90_m']:6.2f} "
-              f"{row['solve_ms_median']:9.1f} {row['refused']:7d} "
-              f"{row['untyped_errors']:7d}")
+    print(f"{row['error_median_m']:7.2f} {row['error_mean_m']:6.2f} "
+          f"{row['error_p90_m']:6.2f} {row['solve_ms_median']:9.1f} "
+          f"{row['refused']:7d} {row['untyped_errors']:7d}")
     print(f"wrote {REPORT_PATH}")
-    ok = all(r["untyped_errors"] == 0 and r["n_estimates"] > 0
-             for r in report["backends"])
-    return 0 if ok else 1
+    return 0 if _ok(row) else 1
 
 
 if __name__ == "__main__":

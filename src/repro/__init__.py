@@ -19,7 +19,12 @@ Quick start::
     print(est.position, "error:", est.error_to(rec.true_position_in_frame("b")))
 """
 
-from repro.baselines import DartleRanger, ProximityEstimator, ProximityZone
+from repro.baselines import (
+    DartleRanger,
+    ParticleEstimator,
+    ProximityEstimator,
+    ProximityZone,
+)
 from repro.core import (
     AdaptiveNoiseFilter,
     ClusteringCalibrator,
@@ -27,9 +32,6 @@ from repro.core import (
     EnvAwareClassifier,
     LocBLE,
     Navigator,
-    ParticleEstimator,
-    available_backends,
-    make_solver,
 )
 from repro.fleet import FleetConfig, ShardRouter, TrackingFleet
 from repro.gateway import GatewayConfig, IngestionGateway
@@ -64,7 +66,7 @@ __all__ = [
     "DartleRanger", "ProximityEstimator", "ProximityZone",
     "AdaptiveNoiseFilter", "ClusteringCalibrator", "EllipticalEstimator",
     "EnvAwareClassifier", "LocBLE", "Navigator", "ParticleEstimator",
-    "available_backends", "make_solver", "BeaconSpec",
+    "BeaconSpec",
     "EnvDatasetBuilder", "FaultModel", "degradation_sweep",
     "EstimateDiagnostics", "SanitizationReport", "check_trace",
     "sanitize_trace", "MeasurementRecord", "Simulator", "EnvClass",

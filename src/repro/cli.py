@@ -48,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leg1", type=float, default=2.8)
     p.add_argument("--leg2", type=float, default=2.2)
     p.add_argument("--env-prior", choices=["auto", "off"], default="auto")
-    p.add_argument("--solver", choices=["elliptical", "particle", "ekf"],
-                   default="elliptical",
-                   help="solver backend resolving the location")
 
     p = sub.add_parser("table1", help="per-environment accuracy sweep")
     p.add_argument("--seeds", type=int, default=3)
@@ -98,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spike-rate", type=float, default=0.0)
     p.add_argument("--spike-db", type=float, default=20.0)
     p.add_argument("--nan-rate", type=float, default=0.0)
-    p.add_argument("--solver", choices=["elliptical", "particle", "ekf"],
-                   default="elliptical",
-                   help="solver backend the faulted trials solve with")
 
     p = sub.add_parser(
         "soak",
@@ -271,7 +265,7 @@ def _cmd_locate(args) -> int:
         env = sc.floorplan.classify_link(
             sc.beacon_position, sc.observer_start).env_class
         estimator = estimator.with_environment(env)
-    est = LocBLE(estimator=estimator, solver=args.solver).estimate(
+    est = LocBLE(estimator=estimator).estimate(
         rec.rssi_traces["b"], rec.observer_imu.trace)
     truth = rec.true_position_in_frame("b")
 
@@ -422,7 +416,8 @@ def _cmd_report(args) -> int:
 def _cmd_degrade(args) -> int:
     from repro import scenario
     from repro.sim.faults import FaultModel, degradation_sweep
-    from repro.sim.montecarlo import SolverPipelineFactory, summarize
+    from repro.service.session import default_pipeline_factory
+    from repro.sim.montecarlo import summarize
 
     sc = scenario(args.scenario)
     models = [
@@ -439,12 +434,11 @@ def _cmd_degrade(args) -> int:
         )
         for loss in args.loss
     ]
-    print(f"scenario #{sc.index} {sc.name}, {args.seeds} seeds per point, "
-          f"solver={args.solver}")
+    print(f"scenario #{sc.index} {sc.name}, {args.seeds} seeds per point")
     print(f"{'loss':>5s} {'n':>3s} {'median':>7s} {'mean':>6s} {'p90':>6s}")
     sweep = degradation_sweep(
         sc, range(args.seeds), models,
-        pipeline_factory=SolverPipelineFactory(solver=args.solver),
+        pipeline_factory=default_pipeline_factory,
     )
     for model, errors in sweep:
         if not errors:

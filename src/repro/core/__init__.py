@@ -14,13 +14,8 @@ from repro.core.estimator import (
 from repro.core.features import FEATURE_NAMES, feature_matrix, window_features
 from repro.core.incremental import SlidingWindowRegressor
 from repro.core.navigation import Instruction, Navigator
-from repro.core.particle import ParticleEstimator
 from repro.core.pipeline import EstimationContext, LocBLE, PreparedEstimate
 from repro.core.reporting import SessionReport, session_report
-from repro.core.solvers import (
-    EkfBackend, EllipticalBackend, ParticleBackend, SolverBackend,
-    available_backends, make_solver, restore_solver,
-)
 from repro.core.straightwalk import StraightWalkResolver
 from repro.core.three_d import Estimator3D, Fit3DResult, Vec3
 from repro.core.tracking import BeaconTracker, TrackState, joseph_update
@@ -34,8 +29,7 @@ __all__ = [
     "FEATURE_NAMES", "feature_matrix", "window_features", "Instruction",
     "Navigator", "EstimationContext", "LocBLE", "PreparedEstimate",
     "StraightWalkResolver",
-    "SessionReport", "session_report", "ParticleEstimator",
+    "SessionReport", "session_report",
     "Estimator3D", "Fit3DResult", "Vec3", "BeaconTracker", "TrackState",
-    "joseph_update", "SolverBackend", "EkfBackend", "EllipticalBackend",
-    "ParticleBackend", "available_backends", "make_solver", "restore_solver",
+    "joseph_update",
 ]

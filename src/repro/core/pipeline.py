@@ -219,38 +219,12 @@ class LocBLE:
     #: report on the estimate's diagnostics. Fault-injection sweeps run in
     #: repair mode; interactive use keeps strict so bad logs surface loudly.
     sanitize: str = "strict"
-    #: Which solver backend resolves the location from the matched rows —
-    #: a name from :func:`repro.core.solvers.available_backends`. The
-    #: default ``"elliptical"`` keeps the paper's regression with its
-    #: warm-start and cross-session batching fast paths; ``"particle"``
-    #: and ``"ekf"`` route the solve through the corresponding
-    #: :class:`~repro.core.solvers.base.SolverBackend` (every upstream
-    #: pipeline stage — sanitization, dead reckoning, EnvAware, ANF —
-    #: is identical across backends).
-    solver: str = "elliptical"
 
     def __post_init__(self) -> None:
         if self.sanitize not in ("strict", "repair"):
             raise ConfigurationError(
                 f"sanitize must be 'strict' or 'repair', got {self.sanitize!r}"
             )
-        from repro.core.solvers import available_backends
-
-        if self.solver not in available_backends():
-            raise ConfigurationError(
-                f"unknown solver {self.solver!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
-
-    @property
-    def uses_batched_solver(self) -> bool:
-        """Whether this pipeline's solves can be stacked into ``fit_batch``.
-
-        Only the elliptical regression has the cross-session batched path;
-        services fall back to per-session sequential solves for the other
-        backends.
-        """
-        return self.solver == "elliptical"
 
     # -- public API ---------------------------------------------------------
 
@@ -302,11 +276,6 @@ class LocBLE:
         numerically identical to :meth:`estimate` per session;
         ``tracks`` is as in :meth:`estimate`.
         """
-        if not self.uses_batched_solver:
-            raise ConfigurationError(
-                f"solver {self.solver!r} has no cross-session batched path; "
-                "use estimate() per session"
-            )
         ctx = self._build_context(rssi_trace, observer_imu, target_imu,
                                   tracks=tracks)
         return PreparedEstimate(ctx=ctx, estimator=self._resolve_estimator(ctx))
@@ -664,45 +633,12 @@ class LocBLE:
         warm: Optional[WarmStartState] = None,
         extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
     ) -> LocationEstimate:
-        if self.solver != "elliptical":
-            return self._estimate_with_backend(ctx)
         estimator = self._resolve_estimator(ctx)
         with obs.span(
             "estimator.solve", component="pipeline", env=ctx.env_class
         ) as sp:
             fit = estimator.fit(ctx.matched_p, ctx.matched_q, ctx.matched_rss,
                                 warm=warm, extra_seeds=extra_seeds)
-            confidence = estimation_confidence(fit.residuals)
-            sp.annotate(solver=fit.solver, cov_status=fit.cov_status,
-                        confidence=confidence)
-        return self._finish_estimate(ctx, fit, confidence)
-
-    def _estimate_with_backend(self, ctx: EstimationContext) -> LocationEstimate:
-        """Solve via a registered non-elliptical backend.
-
-        A fresh backend (deterministically seeded) consumes this context's
-        matched rows, so repeated solves over the same window are
-        reproducible; the environment-resolved priors of the elliptical
-        path are handed to the backend so EnvAware shapes every solver the
-        same way. Warm-start state does not apply — the sequential
-        backends carry their own state between ``observe`` calls instead.
-        """
-        from repro.core.solvers import make_solver
-
-        estimator = self._resolve_estimator(ctx)
-        with obs.span(
-            "estimator.solve", component="pipeline", env=ctx.env_class,
-            backend=self.solver,
-        ) as sp:
-            backend = make_solver(
-                self.solver,
-                sanitize=self.sanitize,
-                seed=0,
-                gamma_prior=estimator.gamma_prior,
-                n_prior=estimator.n_prior,
-            )
-            backend.observe(ctx.matched_p, ctx.matched_q, ctx.matched_rss)
-            fit = backend.solve()
             confidence = estimation_confidence(fit.residuals)
             sp.annotate(solver=fit.solver, cov_status=fit.cov_status,
                         confidence=confidence)

@@ -31,8 +31,7 @@ TRACKER_CHECKPOINT_FORMAT = 1
 def joseph_update(x, p, h, r, innovation):
     """One Kalman measurement update in Joseph (stabilised) form.
 
-    Shared by :class:`BeaconTracker` and the EKF solver backend
-    (:mod:`repro.core.solvers.ekf`). Computes the gain by solving
+    The update step of :class:`BeaconTracker`. Computes the gain by solving
     ``S Kᵀ = H Pᵀ`` rather than inverting S, and applies the Joseph-form
     covariance update — algebraically identical to ``(I - KH) P`` but keeps
     P symmetric positive semi-definite even when S is ill-conditioned.

@@ -35,7 +35,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro import obs, perf
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
@@ -107,23 +107,11 @@ class SessionConfig:
     default_fix_std: float = 2.0
     warm_start: bool = True
     warm_max_age_s: float = 30.0
-    #: Which solver backend the session's pipeline solves with (a name
-    #: from :func:`repro.core.solvers.available_backends`). Checkpoints
-    #: written before this field existed restore as ``"elliptical"`` —
-    #: the only behaviour that existed then.
-    solver: str = "elliptical"
     health: HealthConfig = field(default_factory=HealthConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     backoff: BackoffConfig = field(default_factory=BackoffConfig)
 
     def __post_init__(self) -> None:
-        from repro.core.solvers import available_backends
-
-        if self.solver not in available_backends():
-            raise ConfigurationError(
-                f"unknown solver {self.solver!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
         if not (math.isfinite(self.window_s) and self.window_s > 0):
             raise ConfigurationError("window_s must be finite and > 0")
         if not (math.isfinite(self.solve_period_s) and self.solve_period_s > 0):
@@ -142,7 +130,21 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SessionConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        The one reader of session, service and fleet checkpoints and of
+        gateway trace headers. Those written while solver backends were
+        selectable carry a ``"solver"`` key: ``"elliptical"``, the only
+        solver left, is dropped; any other value names a removed backend
+        and raises :class:`~repro.errors.ConfigurationError`.
+        """
         d = dict(d)
+        solver = d.pop("solver", "elliptical")
+        if solver != "elliptical":
+            raise ConfigurationError(
+                f"session config selects solver backend {solver!r}, which "
+                "was removed; only the elliptical regression remains"
+            )
         return cls(
             health=HealthConfig(**d.pop("health")),
             breaker=BreakerConfig(**d.pop("breaker")),
@@ -222,16 +224,6 @@ class TrackingSession:
         self.config = config or SessionConfig()
         self._pipeline_factory = pipeline_factory
         self.pipeline = pipeline_factory()
-        # A non-default config.solver is authoritative over the factory's
-        # pipeline (the factory predates solver selection); a custom
-        # factory that sets its own solver keeps it when the config stays
-        # at the default.
-        if (self.config.solver != "elliptical"
-                and isinstance(self.pipeline, LocBLE)
-                and self.pipeline.solver != self.config.solver):
-            self.pipeline = dataclasses.replace(
-                self.pipeline, solver=self.config.solver
-            )
         self.tracker = self._new_tracker()
         self.health = HealthMachine(self.config.health)
         self.breaker = CircuitBreaker(self.config.breaker, key=beacon_id)
@@ -368,46 +360,11 @@ class TrackingSession:
         event. Caller bugs (non-finite ``t``) still raise. ``imu`` is the
         shared observer IMU, or the tick's :class:`ImuTick` view of it.
         """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        tick = self._imu_tick(imu, t)
-
-        self._age_out(t)
-        due = (
-            self.last_solve_t is None
-            or t - self.last_solve_t >= self.config.solve_period_s
-        )
-        if due:
-            window = self._window(t)
-            imu_window = tick.window(self.config.window_s)
-            if (len(window) < self.pipeline.estimator.min_samples
-                    or len(imu_window) < self.config.min_imu_samples):
-                self._count("solves_skipped_nodata")
-                perf.count("service.solves_skipped_nodata")
-                obs.emit(
-                    "session.solve_skipped",
-                    severity="debug",
-                    component="service",
-                    beacon=self.beacon_id,
-                    t=t,
-                    rss_window=len(window),
-                    imu_window=len(imu_window),
-                )
-            elif not (self.breaker.allow(t) and self.backoff.ready(t)):
-                self._count("solves_shed")
-                perf.count("service.solves_shed")
-                obs.emit(
-                    "session.solve_shed",
-                    severity="info",
-                    component="service",
-                    beacon=self.beacon_id,
-                    t=t,
-                    breaker_state=self.breaker.state,
-                    backoff_attempt=self.backoff.attempt,
-                )
-            else:
-                self._attempt_solve(t, window, imu_window, tick.tracks)
-
+        due = self._gate(t, imu)
+        if due is not None:
+            window, imu_window, tracks = due
+            self._settle(t, lambda: self.pipeline.estimate(
+                window, imu_window, warm=self._usable_warm(t), tracks=tracks))
         return self.finish_step(t)
 
     def begin_step(
@@ -424,6 +381,83 @@ class TrackingSession:
         :func:`~repro.core.estimator.fit_batch`. The caller must finish the
         tick with :meth:`resolve_solve` (when pending) and
         :meth:`finish_step`.
+        """
+        due = self._gate(t, imu)
+        if due is None:
+            return None
+        window, imu_window, tracks = due
+        try:
+            prepared = self.pipeline.prepare_estimate(
+                window, imu_window, tracks=tracks)
+        except DegenerateGeometryError as exc:
+            self._solve_degenerate(t, exc)
+            self.last_solve_t = t
+            return None
+        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
+            self._solve_transient(t, exc)
+            self.last_solve_t = t
+            return None
+        except BaseException:
+            self.last_solve_t = t
+            raise
+        return PendingSolve(
+            t=t,
+            prepared=prepared,
+            request=prepared.request(warm=self._usable_warm(t)),
+        )
+
+    def resolve_solve(
+        self, pending: PendingSolve, fit: "FitResult | BaseException"
+    ) -> None:
+        """Second half of a batched step: consume the batched fit result.
+
+        ``fit`` is this session's slot from ``fit_batch(...,
+        return_exceptions=True)`` — either a
+        :class:`~repro.core.estimator.FitResult` or the exception its solve
+        raised. Failure classification, breaker/backoff bookkeeping, fix
+        acceptance and provenance emission are :meth:`step`'s own.
+        """
+        def complete() -> LocationEstimate:
+            if isinstance(fit, BaseException):
+                raise fit
+            return self.pipeline.complete_estimate(pending.prepared, fit)
+
+        self._settle(pending.t, complete)
+
+    def finish_step(self, t: float) -> SessionSnapshot:
+        """Tail of a step: health tick, LOST handling, and the snapshot."""
+        prev_state = self.health.state
+        self.health.on_tick(t)
+        if (self.health.state == SessionState.LOST
+                and prev_state != SessionState.LOST):
+            # The coasted belief stopped meaning anything; drop the track
+            # so a later re-acquisition starts from the fresh fix.
+            self.tracker = self._new_tracker()
+            self.last_estimate = None
+            self._count("tracks_dropped")
+            perf.count("service.tracks_dropped")
+            obs.emit(
+                "session.track_dropped",
+                severity="warning",
+                component="service",
+                beacon=self.beacon_id,
+                t=t,
+                fix_age_s=self.health.fix_age(t),
+            )
+
+        return self._snapshot(t)
+
+    def _gate(
+        self, t: float, imu: "ImuTrace | ImuTick"
+    ) -> Optional[Tuple[RssiTrace, ImuTrace, TrackMemo]]:
+        """The gate :meth:`step` and :meth:`begin_step` share.
+
+        Ages the buffer out, then decides whether this tick solves: not
+        before the solve period has passed, not without enough RSS and IMU
+        data (``solves_skipped_nodata``), and not while the breaker or the
+        backoff holds solves back (``solves_shed``). Returns the solve's
+        RSS window, IMU window and track memo, with the attempt counted,
+        or ``None``.
         """
         if not math.isfinite(t):
             raise ConfigurationError("step time must be finite")
@@ -465,102 +499,19 @@ class TrackingSession:
                 backoff_attempt=self.backoff.attempt,
             )
             return None
-
-        if not getattr(self.pipeline, "uses_batched_solver", True):
-            # Sequential-only backend (particle, EKF): there is no
-            # cross-session batched solve to join, so run the full solve
-            # inline — outcome accounting is identical to :meth:`step`.
-            self._attempt_solve(t, window, imu_window, tick.tracks)
-            return None
-
         self._count("solves_attempted")
         perf.count("service.solves_attempted")
-        try:
-            prepared = self.pipeline.prepare_estimate(
-                window, imu_window, tracks=tick.tracks)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
-            self.last_solve_t = t
-            return None
-        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
-            self.last_solve_t = t
-            return None
-        except BaseException:
-            self.last_solve_t = t
-            raise
-        return PendingSolve(
-            t=t,
-            prepared=prepared,
-            request=prepared.request(warm=self._usable_warm(t)),
-        )
+        return window, imu_window, tick.tracks
 
-    def resolve_solve(
-        self, pending: PendingSolve, fit: "FitResult | BaseException"
+    def _settle(
+        self, t: float, solve: Callable[[], LocationEstimate]
     ) -> None:
-        """Second half of a batched step: consume the batched fit result.
-
-        ``fit`` is this session's slot from ``fit_batch(...,
-        return_exceptions=True)`` — either a
-        :class:`~repro.core.estimator.FitResult` or the exception its solve
-        raised. Failure classification, breaker/backoff bookkeeping, fix
-        acceptance and provenance emission match :meth:`step`'s sequential
-        path exactly.
-        """
-        t = pending.t
+        """Run one solve and book its outcome, sequential or batched alike."""
         try:
             with obs.span(
                 "session.solve", component="service", beacon=self.beacon_id
             ):
-                if isinstance(fit, BaseException):
-                    raise fit
-                est = self.pipeline.complete_estimate(pending.prepared, fit)
-                self.tracker.update(t, est)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
-        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
-        else:
-            self._solve_succeeded(t, est)
-        finally:
-            self.last_solve_t = t
-
-    def finish_step(self, t: float) -> SessionSnapshot:
-        """Tail of a step: health tick, LOST handling, and the snapshot."""
-        prev_state = self.health.state
-        self.health.on_tick(t)
-        if (self.health.state == SessionState.LOST
-                and prev_state != SessionState.LOST):
-            # The coasted belief stopped meaning anything; drop the track
-            # so a later re-acquisition starts from the fresh fix.
-            self.tracker = self._new_tracker()
-            self.last_estimate = None
-            self._count("tracks_dropped")
-            perf.count("service.tracks_dropped")
-            obs.emit(
-                "session.track_dropped",
-                severity="warning",
-                component="service",
-                beacon=self.beacon_id,
-                t=t,
-                fix_age_s=self.health.fix_age(t),
-            )
-
-        return self._snapshot(t)
-
-    def _attempt_solve(
-        self, t: float, window: RssiTrace, imu_window: ImuTrace,
-        tracks: TrackMemo,
-    ) -> None:
-        self._count("solves_attempted")
-        perf.count("service.solves_attempted")
-        try:
-            with obs.span(
-                "session.solve", component="service", beacon=self.beacon_id
-            ):
-                est = self.pipeline.estimate(
-                    window, imu_window, warm=self._usable_warm(t),
-                    tracks=tracks)
+                est = solve()
                 self.tracker.update(t, est)
         except DegenerateGeometryError as exc:
             self._solve_degenerate(t, exc)

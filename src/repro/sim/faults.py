@@ -333,8 +333,8 @@ def degradation_sweep(
     given; summarize with :func:`repro.sim.montecarlo.summarize`.
 
     ``pipeline_factory`` swaps the trial pipeline — e.g.
-    :class:`repro.sim.montecarlo.SolverPipelineFactory` to sweep the same
-    fault grid across solver backends. It must be picklable for the
+    :func:`repro.service.session.default_pipeline_factory`, the serving
+    stack's repair-mode pipeline. It must be picklable for the
     process-parallel path.
     """
     from repro.sim.montecarlo import stationary_trials

@@ -28,30 +28,12 @@ from repro.world.scenarios import Scenario
 from repro.world.trajectory import l_shape
 
 __all__ = [
-    "SolverPipelineFactory",
     "TrialSummary",
     "stationary_trials",
     "summarize",
     "empirical_cdf",
 ]
 
-
-@dataclass(frozen=True)
-class SolverPipelineFactory:
-    """A picklable pipeline factory selecting a solver backend.
-
-    ``stationary_trials``/``degradation_sweep`` ship their pipeline factory
-    to worker processes, so a ``lambda: LocBLE(solver="ekf")`` closure
-    would silently force the serial path — this frozen dataclass is the
-    process-pool-safe equivalent. Repair mode by default: fault sweeps
-    feed deliberately dirty traces.
-    """
-
-    solver: str = "elliptical"
-    sanitize: str = "repair"
-
-    def __call__(self) -> LocBLE:
-        return LocBLE(solver=self.solver, sanitize=self.sanitize)
 
 #: Sentinel distinguishing "the pipeline refused to estimate" (a ReproError,
 #: handled by ``failure_value``) from a crashed trial inside worker results.

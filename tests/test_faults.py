@@ -10,7 +10,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.pipeline import LocBLE
 from repro.errors import ConfigurationError
+from repro.service.session import default_pipeline_factory
 from repro.sim.faults import (
     FaultModel,
     degradation_sweep,
@@ -150,6 +152,15 @@ class TestFaultModel:
         model = FaultModel(loss_rate=0.3, n_outages=1, jitter_s=0.01)
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
+
+    def test_pipeline_factory_picklable_for_process_pool(self):
+        # The factory the degrade CLI hands degradation_sweep, which ships
+        # it to worker processes.
+        factory = pickle.loads(pickle.dumps(default_pipeline_factory))
+        assert factory is default_pipeline_factory
+        pipeline = factory()
+        assert isinstance(pipeline, LocBLE)
+        assert pipeline.sanitize == "repair"
 
     def test_composite_deterministic(self):
         tr = make_trace(300)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.fingerprint import DistanceFingerprint, FingerprintLocator
+from repro.baselines.particle import ParticleEstimator
 from repro.channel.pathloss import rss_at
-from repro.core.particle import ParticleEstimator
 from repro.errors import (
     ConfigurationError,
     EstimationError,

@@ -11,8 +11,6 @@ in repair mode), the degenerate branch keeps the pre-update posterior and
 is loud, and ``estimate()`` keeps working after any rejected reading.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import obs, perf
 from repro.channel.pathloss import rss_at
-from repro.core.particle import ParticleEstimator
+from repro.baselines.particle import ParticleEstimator
 from repro.errors import DataQualityError, EstimationError
 
 TRUE = (4.0, 3.0)
@@ -204,47 +202,3 @@ class TestEstimateDiagnostics:
         assert prov.sanitized_repaired is True
         assert prov.position_std == pytest.approx(est.position_std)
         assert prov.confidence == pytest.approx(est.confidence)
-
-
-class TestParticleCheckpoint:
-    def test_kill_and_resume_is_bit_identical(self):
-        rng = np.random.default_rng(7)
-        p, q, rss = _l_walk_readings(rng)
-        a = ParticleEstimator(np.random.default_rng(7))
-        a.update_batch(p[:20], q[:20], rss[:20])
-
-        cp = json.loads(json.dumps(a.checkpoint()))
-        b = ParticleEstimator.restore(cp)
-
-        a.update_batch(p[20:], q[20:], rss[20:])
-        b.update_batch(p[20:], q[20:], rss[20:])
-
-        ea, eb = a.estimate(), b.estimate()
-        assert ea.position.x == eb.position.x
-        assert ea.position.y == eb.position.y
-        assert ea.gamma == eb.gamma and ea.n == eb.n
-        assert ea.position_std == eb.position_std
-        np.testing.assert_array_equal(a._state, b._state)
-        np.testing.assert_array_equal(a._weights, b._weights)
-
-    def test_checkpoint_preserves_counters(self):
-        pf = _converged(sanitize="repair")
-        pf.update(float("nan"), 0.0, -60.0)
-        cp = json.loads(json.dumps(pf.checkpoint()))
-        restored = ParticleEstimator.restore(cp)
-        assert restored.n_updates == pf.n_updates
-        assert restored.n_skipped == pf.n_skipped
-
-    def test_wrong_format_fails_typed(self):
-        pf = _converged()
-        cp = pf.checkpoint()
-        cp["format"] = 99
-        with pytest.raises(DataQualityError):
-            ParticleEstimator.restore(cp)
-
-    def test_malformed_state_fails_typed(self):
-        pf = _converged()
-        cp = json.loads(json.dumps(pf.checkpoint()))
-        cp["state"] = cp["state"][:5]
-        with pytest.raises(DataQualityError):
-            ParticleEstimator.restore(cp)

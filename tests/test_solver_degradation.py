@@ -1,17 +1,18 @@
-"""Cross-backend degradation matrix: the PR 2 fault sweep across all solvers.
+"""Solver degradation matrix: every injected fault family against the solver.
 
 Marked ``solvers`` (excluded from tier-1 via addopts — run with
-``-m solvers``): every fault family the PR 2 robustness work introduced
-(bursty loss, scan outages, clock skew/jitter/reordering, RSSI spikes,
-NaN poisoning, and a kitchen-sink combination) runs against all three
-registered solver backends on the Table-1 stationary scenario.
+``-m solvers``): every fault family the repo injects (bursty loss, scan
+outages, clock skew/jitter/reordering, RSSI spikes, NaN poisoning, and a
+kitchen-sink combination) runs against the elliptical regression, through
+the serving stack's repair-mode pipeline, on the Table-1 stationary
+scenario.
 
-The acceptance bar is the robustness contract, not accuracy parity:
+The acceptance bar is the robustness contract:
 
 * **zero untyped errors** — every trial either yields a finite error or
   is refused through the typed :class:`~repro.errors.ReproError` taxonomy
   (an untyped ``TypeError``/``ValueError`` would crash the sweep);
-* the clean-input column stays accurate for every backend;
+* the clean-input column stays accurate;
 * degraded columns still produce estimates for most seeds (the repair
   pipeline drops bad samples instead of giving up).
 """
@@ -19,13 +20,12 @@ The acceptance bar is the robustness contract, not accuracy parity:
 import numpy as np
 import pytest
 
+from repro.service.session import default_pipeline_factory
 from repro.sim.faults import FaultModel, degradation_sweep
-from repro.sim.montecarlo import SolverPipelineFactory, summarize
+from repro.sim.montecarlo import summarize
 from repro.world.scenarios import scenario
 
-BACKENDS = ("elliptical", "particle", "ekf")
-
-#: The PR 2 fault families, one row each, plus a clean row and the
+#: The injected fault families, one row each, plus a clean row and the
 #: kitchen sink. Rates are deliberately harsh — this is a survival
 #: matrix, not a benchmark.
 FAULT_MATRIX = {
@@ -44,49 +44,38 @@ SEEDS = range(6)
 
 
 @pytest.mark.solvers
-class TestCrossBackendDegradationMatrix:
+class TestSolverDegradationMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
-        """Run the full matrix once: {backend: [(name, model, errors)]}."""
-        sc = scenario(1)
-        out = {}
-        for backend in BACKENDS:
-            sweep = degradation_sweep(
-                sc,
-                SEEDS,
-                list(FAULT_MATRIX.values()),
-                pipeline_factory=SolverPipelineFactory(solver=backend),
-            )
-            out[backend] = [
-                (name, model, errors)
-                for name, (model, errors) in zip(FAULT_MATRIX, sweep)
-            ]
-        return out
+        """Run the full matrix once: [(name, model, errors)]."""
+        sweep = degradation_sweep(
+            scenario(1),
+            SEEDS,
+            list(FAULT_MATRIX.values()),
+            pipeline_factory=default_pipeline_factory,
+        )
+        return [
+            (name, model, errors)
+            for name, (model, errors) in zip(FAULT_MATRIX, sweep)
+        ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sweep_completes_with_zero_untyped_errors(self, matrix, backend):
+    def test_sweep_completes_with_zero_untyped_errors(self, matrix):
         """Reaching this assertion at all means no untyped error escaped:
         degradation_sweep only catches the typed ReproError taxonomy, so a
         bare TypeError/ValueError anywhere would have crashed the fixture."""
-        rows = matrix[backend]
-        assert len(rows) == len(FAULT_MATRIX)
-        for name, _, errors in rows:
-            assert all(np.isfinite(errors)), (backend, name)
+        assert [name for name, _, _ in matrix] == list(FAULT_MATRIX)
+        for name, _, errors in matrix:
+            assert all(np.isfinite(errors)), name
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clean_column_is_accurate(self, matrix, backend):
-        name, _, errors = matrix[backend][0]
+    def test_clean_column_is_accurate(self, matrix):
+        name, _, errors = matrix[0]
         assert name == "clean"
         assert len(errors) == len(SEEDS)
-        assert summarize(errors).median < 5.0, backend
+        assert summarize(errors).median < 5.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_degraded_columns_still_produce_estimates(self, matrix, backend):
-        for name, _, errors in matrix[backend]:
+    def test_degraded_columns_still_produce_estimates(self, matrix):
+        for name, _, errors in matrix:
             # The repair path keeps most trials alive under every fault
-            # family; a backend that refused everything has regressed to
+            # family; a solver that refused everything has regressed to
             # the old give-up-on-first-junk behaviour.
-            assert len(errors) >= len(SEEDS) // 2, (backend, name)
-
-    def test_matrix_shape_is_complete(self, matrix):
-        assert set(matrix) == set(BACKENDS)
+            assert len(errors) >= len(SEEDS) // 2, name
