@@ -11,7 +11,6 @@ Usage examples::
     python -m repro report --scenario 1 --seed 1
     python -m repro degrade --scenario 1 --seeds 8 --loss 0 0.1 0.3
     python -m repro soak --duration 300 --loss 0.3 --outages 2 --outage-s 60
-    python -m repro fleet --shards 4 --beacons 200 --migrate-at 30
     python -m repro gateway --duration 20 --drop 0.1 --corrupt 0.05 \\
         --record run.trace
     python -m repro gateway --replay run.trace
@@ -117,43 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nan-rate", type=float, default=0.0)
     p.add_argument("--checkpoint-t", type=float, default=None,
                    help="stream time of a mid-run kill-and-resume check")
-    p.add_argument("--batch", action="store_true",
-                   help="drive ticks through the batched solve dispatch "
-                        "(TrackingService.tick_batch) instead of the "
-                        "sequential per-session step")
     p.add_argument("--events-log", type=str, default=None, metavar="PATH",
                    help="write the run's structured events as JSON lines "
                         "(readable by 'repro obs report')")
-
-    p = sub.add_parser(
-        "fleet",
-        help="load-test the sharded tracking fleet with generated load",
-    )
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--beacons", type=int, default=100)
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="stream length (seconds)")
-    p.add_argument("--tick", type=float, default=1.0,
-                   help="ingest/tick period (seconds)")
-    p.add_argument("--rate", type=float, default=5.0,
-                   help="per-beacon advertising rate (Hz)")
-    p.add_argument("--arrival", choices=["poisson", "periodic", "bursty"],
-                   default="poisson")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", type=int, default=6, choices=range(1, 10))
-    p.add_argument("--max-sessions", type=int, default=256,
-                   help="per-shard session cap")
-    p.add_argument("--max-total", type=int, default=None,
-                   help="fleet-wide admission cap on live sessions")
-    p.add_argument("--migrate-at", type=int, default=None, metavar="TICK",
-                   help="run a live migration wave before this tick")
-    p.add_argument("--migrate-stride", type=int, default=2,
-                   help="move every Nth session during the wave")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="bursty scan loss rate")
-    p.add_argument("--outages", type=int, default=0,
-                   help="number of full scanner outages")
-    p.add_argument("--outage-s", type=float, default=10.0)
 
     p = sub.add_parser(
         "gateway",
@@ -469,7 +434,6 @@ def _cmd_soak(args) -> int:
         ),
         checkpoint_t=args.checkpoint_t,
         events_jsonl=args.events_log,
-        batch_ticks=args.batch,
     ))
     print(f"soak      : {result.duration_s:.0f} s stream, "
           f"{result.ticks} ticks, {args.beacons} beacon(s)")
@@ -504,63 +468,6 @@ def _cmd_soak(args) -> int:
               f"(inspect with 'repro obs report')")
     ok = result.untyped_errors == 0 and result.checkpoint_equal is not False
     return 0 if ok else 1
-
-
-def _cmd_fleet(args) -> int:
-    from repro.fleet import FleetConfig, LoadTestConfig, run_load_test
-    from repro.service import ServiceConfig
-    from repro.sim.faults import FaultModel
-    from repro.sim.load import LoadConfig
-
-    result = run_load_test(LoadTestConfig(
-        fleet=FleetConfig(
-            n_shards=args.shards,
-            service=ServiceConfig(max_sessions=args.max_sessions),
-            max_total_sessions=args.max_total,
-        ),
-        load=LoadConfig(
-            duration_s=args.duration,
-            tick_s=args.tick,
-            seed=args.seed,
-            scenario_index=args.scenario,
-            n_beacons=args.beacons,
-            template_beacons=min(4, args.beacons),
-            arrival=args.arrival,
-            rate_hz=args.rate,
-            fault=FaultModel(
-                loss_rate=args.loss,
-                n_outages=args.outages,
-                outage_s=args.outage_s,
-            ),
-        ),
-        migrate_at_tick=args.migrate_at,
-        migrate_stride=args.migrate_stride,
-    ))
-    stats = result.stats
-    print(f"fleet     : {args.shards} shard(s), {args.beacons} beacon(s), "
-          f"{result.ticks} ticks over {args.duration:.0f} s")
-    print(f"offered   : {result.offered_samples} samples "
-          f"({result.offered_per_s:.1f}/s, {args.arrival})")
-    print(f"served    : {result.fixes_total} fixes, "
-          f"{result.fixes_per_s:.1f} fixes/s")
-    print(f"latency   : p50={result.fix_latency_p50_ms:.1f} ms  "
-          f"p99={result.fix_latency_p99_ms:.1f} ms")
-    print(f"shed      : {result.shed_samples} samples "
-          f"({result.shed_rate:.1%} of offered), "
-          f"admission refused {stats['admission_refused']} beacon(s)")
-    print(f"sessions  : {stats['sessions']} live, per shard "
-          f"{stats['sessions_per_shard']}")
-    if result.migrations:
-        moves = ", ".join(f"{b}->s{d}" for b, d in result.migrations[:6])
-        extra = ("" if len(result.migrations) <= 6
-                 else f", +{len(result.migrations) - 6} more")
-        print(f"migrated  : {len(result.migrations)} session(s) before tick "
-              f"{args.migrate_at} ({moves}{extra})")
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
-    return 0 if result.untyped_errors == 0 else 1
 
 
 def _cmd_gateway(args) -> int:
@@ -692,7 +599,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "degrade": _cmd_degrade,
     "soak": _cmd_soak,
-    "fleet": _cmd_fleet,
     "gateway": _cmd_gateway,
     "chaos": _cmd_chaos,
     "obs": _cmd_obs,

@@ -18,7 +18,7 @@ from repro.core.pipeline import EstimationContext, LocBLE, PreparedEstimate
 from repro.core.reporting import SessionReport, session_report
 from repro.core.straightwalk import StraightWalkResolver
 from repro.core.three_d import Estimator3D, Fit3DResult, Vec3
-from repro.core.tracking import BeaconTracker, TrackState, joseph_update
+from repro.core.tracking import BeaconTracker, TrackState
 
 __all__ = [
     "DisambiguationResult", "LegMeasurement", "TwoLegDisambiguator",
@@ -31,5 +31,4 @@ __all__ = [
     "StraightWalkResolver",
     "SessionReport", "session_report",
     "Estimator3D", "Fit3DResult", "Vec3", "BeaconTracker", "TrackState",
-    "joseph_update",
 ]

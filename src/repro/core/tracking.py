@@ -22,35 +22,10 @@ from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError, EstimationError
 from repro.types import LocationEstimate, Vec2
 
-__all__ = ["BeaconTracker", "TrackState", "joseph_update"]
+__all__ = ["BeaconTracker", "TrackState"]
 
 #: Checkpoint schema version written by :meth:`BeaconTracker.checkpoint`.
 TRACKER_CHECKPOINT_FORMAT = 1
-
-
-def joseph_update(x, p, h, r, innovation):
-    """One Kalman measurement update in Joseph (stabilised) form.
-
-    The update step of :class:`BeaconTracker`. Computes the gain by solving
-    ``S Kᵀ = H Pᵀ`` rather than inverting S, and applies the Joseph-form
-    covariance update — algebraically identical to ``(I - KH) P`` but keeps
-    P symmetric positive semi-definite even when S is ill-conditioned.
-
-    Returns the updated ``(x, p)``; raises
-    :class:`~repro.errors.EstimationError` when the innovation covariance
-    is singular.
-    """
-    s = h @ p @ h.T + r
-    try:
-        k = np.linalg.solve(s, h @ p.T).T
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"innovation covariance is singular: {exc}"
-        ) from exc
-    x = x + k @ innovation
-    i_kh = np.eye(p.shape[0]) - k @ h
-    p = i_kh @ p @ i_kh.T + k @ r @ k.T
-    return x, 0.5 * (p + p.T)
 
 
 @dataclass(frozen=True)
@@ -135,9 +110,23 @@ class BeaconTracker:
         if t < self._t:
             raise EstimationError("fixes must arrive in time order")
         self._predict_to(t)
+        # Joseph (stabilised) form: the gain solves ``S Kᵀ = H Pᵀ`` rather
+        # than inverting S, and the covariance update — algebraically
+        # ``(I - KH) P`` — keeps P symmetric positive semi-definite even
+        # when S is ill-conditioned.
+        x, p = self._x, self._p
         h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        innovation = z - h @ self._x
-        self._x, self._p = joseph_update(self._x, self._p, h, r, innovation)
+        s = h @ p @ h.T + r
+        try:
+            k = np.linalg.solve(s, h @ p.T).T
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(
+                f"innovation covariance is singular: {exc}"
+            ) from exc
+        self._x = x + k @ (z - h @ x)
+        i_kh = np.eye(4) - k @ h
+        p = i_kh @ p @ i_kh.T + k @ r @ k.T
+        self._p = 0.5 * (p + p.T)
         return self.state()
 
     def predict(self, t: float) -> TrackState:

@@ -167,15 +167,13 @@ class FleetSupervisor:
                         and self._breakers[shard].allow(t)):
                     restarted = self._restart_shard(shard, t)
                     if restarted is not None:
-                        merged.update(restarted.tick(
-                            t, batch=self.fleet.config.batch_ticks))
+                        merged.update(restarted.tick(t))
                 continue
             try:
                 fault = self._injected.pop(shard, None)
                 if fault is not None:
                     raise fault
-                merged.update(worker.tick(
-                    t, batch=self.fleet.config.batch_ticks))
+                merged.update(worker.tick(t))
             except ReproError as exc:
                 self._fail_shard(shard, t, exc, typed=True)
             except Exception as exc:  # noqa: BLE001 — containment boundary
@@ -270,7 +268,7 @@ class FleetSupervisor:
             if imu:
                 worker.ingest_imu(imu)
             if jt < t:
-                worker.tick(jt, batch=self.fleet.config.batch_ticks)
+                worker.tick(jt)
                 redriven += 1
         return redriven
 

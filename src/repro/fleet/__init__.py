@@ -4,18 +4,11 @@ The layer above :mod:`repro.service` (see ``docs/streaming.md``): a
 deterministic beacon-id → shard router, in-process multi-instance shard
 workers each driving a batched :class:`~repro.service.TrackingService`,
 layered admission control, and live session migration over the
-bit-identical checkpoint wire format. Load-test it with
-:mod:`repro.fleet.loadtest` / ``python -m repro fleet`` and the
-``benchmarks/bench_scale.py`` harness.
+bit-identical checkpoint wire format. The serving benchmark in
+``perfbench/`` measures it end to end behind the gateway and supervisor.
 """
 
 from repro.fleet.fleet import FleetConfig, TrackingFleet
-from repro.fleet.loadtest import (
-    LoadTestConfig,
-    LoadTestResult,
-    run_load_test,
-    snapshot_key,
-)
 from repro.fleet.router import ShardRouter
 from repro.fleet.worker import ShardWorker
 
@@ -24,8 +17,4 @@ __all__ = [
     "TrackingFleet",
     "ShardRouter",
     "ShardWorker",
-    "LoadTestConfig",
-    "LoadTestResult",
-    "run_load_test",
-    "snapshot_key",
 ]

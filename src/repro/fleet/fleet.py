@@ -74,7 +74,6 @@ class FleetConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     max_total_sessions: Optional[int] = None
     router_salt: str = ""
-    batch_ticks: bool = True
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -180,7 +179,7 @@ class TrackingFleet:
             raise ConfigurationError("tick time must be finite")
         merged: Dict[str, SessionSnapshot] = {}
         for worker in self.workers:
-            merged.update(worker.tick(t, batch=self.config.batch_ticks))
+            merged.update(worker.tick(t))
         perf.count("fleet.ticks")
         return merged
 
@@ -302,7 +301,6 @@ class TrackingFleet:
                 "n_shards": self.config.n_shards,
                 "max_total_sessions": self.config.max_total_sessions,
                 "router_salt": self.config.router_salt,
-                "batch_ticks": self.config.batch_ticks,
             },
             "router": self.router.checkpoint(),
             "workers": [w.checkpoint() for w in self.workers],
@@ -351,6 +349,9 @@ class TrackingFleet:
                         f"{worker.shard_id}"
                     )
             max_total = cfg["max_total_sessions"]
+            # Older checkpoints also carry a key choosing the since-removed
+            # sequential tick; both tick paths were bit-identical, so the
+            # key is ignored.
             fleet = cls(
                 FleetConfig(
                     n_shards=n_shards,
@@ -358,7 +359,6 @@ class TrackingFleet:
                     max_total_sessions=(None if max_total is None
                                         else int(max_total)),
                     router_salt=str(cfg["router_salt"]),
-                    batch_ticks=bool(cfg["batch_ticks"]),
                 ),
                 pipeline_factory=pipeline_factory,
             )

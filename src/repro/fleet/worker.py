@@ -44,7 +44,7 @@ class ShardWorker:
         self.ticks = 0
         self.last_tick_wall_s = 0.0
 
-    # -- ingest/step (the service's contract, with shard accounting) ---------
+    # -- ingest/tick (the service's contract, with shard accounting) ---------
 
     def ingest_scans(self, samples: Iterable[RssiSample]) -> int:
         return self.service.ingest_scans(samples)
@@ -52,10 +52,10 @@ class ShardWorker:
     def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
         return self.service.ingest_imu(samples)
 
-    def tick(self, t: float, batch: bool = True) -> Dict[str, SessionSnapshot]:
-        """Advance the shard to ``t``; batched solve dispatch by default."""
+    def tick(self, t: float) -> Dict[str, SessionSnapshot]:
+        """Advance the shard to ``t`` with one batched solve dispatch."""
         start = time.perf_counter()
-        snaps = (self.service.tick_batch(t) if batch else self.service.step(t))
+        snaps = self.service.tick_batch(t)
         self.last_tick_wall_s = time.perf_counter() - start
         self.ticks += 1
         perf.record("fleet.shard_tick", self.last_tick_wall_s)

@@ -44,7 +44,6 @@ from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
-from repro.fleet.loadtest import snapshot_key
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
 from repro.service import ServiceConfig
 from repro.service.session import (
@@ -52,6 +51,7 @@ from repro.service.session import (
     SessionConfig,
     SessionSnapshot,
     default_pipeline_factory,
+    snapshot_key,
 )
 from repro.types import ImuSample, RssiSample
 
@@ -98,7 +98,7 @@ def _chain(prev_h: str, record: Dict[str, Any]) -> str:
 def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
     """A deterministic digest of one tick's snapshot stream.
 
-    Built over the sorted :func:`~repro.fleet.loadtest.snapshot_key`
+    Built over the sorted :func:`~repro.service.session.snapshot_key`
     tuples — the same bit-identity contract migration and checkpoint
     equivalence are judged by (``estimate`` excluded; ``repr`` round-trips
     floats exactly).
@@ -117,7 +117,6 @@ def trace_meta(gateway: IngestionGateway) -> Dict[str, Any]:
             "n_shards": fleet_cfg.n_shards,
             "max_total_sessions": fleet_cfg.max_total_sessions,
             "router_salt": fleet_cfg.router_salt,
-            "batch_ticks": fleet_cfg.batch_ticks,
             "service": {
                 "imu_buffer": service_cfg.imu_buffer,
                 "imu_window_s": service_cfg.imu_window_s,
@@ -144,13 +143,15 @@ def _gateway_from_meta(
             max_sessions=int(svc["max_sessions"]),
         )
         max_total = f["max_total_sessions"]
+        # Older headers also carry a key choosing the since-removed
+        # sequential tick; both tick paths were bit-identical, so the key
+        # is ignored.
         fleet_cfg = FleetConfig(
             n_shards=int(f["n_shards"]),
             service=service_cfg,
             max_total_sessions=(None if max_total is None
                                 else int(max_total)),
             router_salt=str(f["router_salt"]),
-            batch_ticks=bool(f["batch_ticks"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataQualityError(

@@ -13,8 +13,8 @@ a unit. Design rules:
 * **Deterministic supervision.** Sessions are stepped in sorted beacon-id
   order, retry jitter is hash-derived, and all clocks are stream time —
   a checkpoint/restore cycle replays bit-identically.
-* **Typed failure only.** ``ingest_*``/``step`` never raise on data; every
-  failure mode is a counted, supervised event reported through
+* **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on data;
+  every failure mode is a counted, supervised event reported through
   :mod:`repro.perf` and :meth:`stats`.
 """
 
@@ -164,30 +164,17 @@ class TrackingService:
 
     # -- stepping ------------------------------------------------------------
 
-    def step(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Advance every session to stream time ``t``.
-
-        Sessions are stepped in sorted beacon-id order (determinism), each
-        against the shared IMU window. Returns per-beacon snapshots.
-        """
-        imu = self._imu_tick(t)
-        out: Dict[str, SessionSnapshot] = {}
-        for beacon_id in sorted(self.sessions):
-            out[beacon_id] = self.sessions[beacon_id].step(t, imu)
-        return out
-
     @perf.profiled("service.TrackingService.tick_batch")
     def tick_batch(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Advance every session to ``t`` with ONE batched solve dispatch.
+        """Advance every session to stream time ``t``; per-beacon snapshots.
 
-        The cross-session batching path: each due session prepares its
-        solve (:meth:`TrackingSession.begin_step`), all prepared requests
-        go through a single :func:`repro.core.estimator.fit_batch` call —
-        one NumPy program for the whole shard tick instead of N Python
-        solver loops — and the results are resolved back per session.
-        Produces bit-identical snapshots to :meth:`step` (the sequential
-        warm solve is itself a batch of one through the same kernel), so
-        the two paths are interchangeable tick by tick.
+        Each due session prepares its solve
+        (:meth:`TrackingSession.begin_step`), all prepared requests go
+        through a single :func:`repro.core.estimator.fit_batch` call — one
+        NumPy program for the whole tick instead of N Python solver loops —
+        and the results are resolved back per session. Sessions are stepped
+        in sorted beacon-id order (determinism), each against the shared
+        IMU window. A single due session is simply a batch of one.
         """
         imu = self._imu_tick(t)
         pending = []
@@ -285,7 +272,7 @@ class TrackingService:
         """Rebuild a service from a :meth:`checkpoint` dict.
 
         A restored service continues bit-identically: feeding it the same
-        future ingest/step sequence yields the same snapshots an
+        future ingest/tick sequence yields the same snapshots an
         uninterrupted service would have produced.
         """
         if not isinstance(cp, dict) or cp.get("format") != SERVICE_CHECKPOINT_FORMAT:

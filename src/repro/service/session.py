@@ -19,7 +19,7 @@ after bursty loss. It owns:
 
 Everything is checkpointable: :meth:`TrackingSession.checkpoint` emits a
 JSON-safe dict from which :meth:`TrackingSession.restore` resumes
-**bit-identically** — the same future ingest/step sequence yields the same
+**bit-identically** — the same future ingest/tick sequence yields the same
 ``TrackState`` sequence, verified continuously by :mod:`repro.sim.soak`.
 
 Frame caveat: each solve's measurement frame is anchored at the start of its
@@ -62,7 +62,7 @@ from repro.service.health import HealthConfig, HealthMachine, SessionState
 from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve", "ImuTick"]
+           "PendingSolve", "ImuTick", "snapshot_key"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -198,7 +198,7 @@ class ImuTick:
 
 @dataclass(frozen=True)
 class SessionSnapshot:
-    """What one session looks like after a :meth:`TrackingSession.step`."""
+    """What one session looks like after :meth:`TrackingSession.finish_step`."""
 
     beacon_id: str
     t: float
@@ -209,6 +209,21 @@ class SessionSnapshot:
     estimate: Optional[LocationEstimate]
     buffered: int
     shed: int
+
+
+def snapshot_key(snap: SessionSnapshot) -> tuple:
+    """The bit-identity contract of a snapshot.
+
+    Checkpoint resume, live migration and trace replay are all judged by
+    it. ``estimate`` is deliberately excluded: the last in-memory estimate
+    is transient (regenerated at the next solve) and not part of the
+    checkpoint format. Everything else — track state, health, breaker,
+    buffer occupancy — must match exactly.
+    """
+    return (
+        snap.beacon_id, snap.t, snap.state, snap.breaker_state,
+        snap.fix_age_s, snap.track, snap.buffered, snap.shed,
+    )
 
 
 class TrackingSession:
@@ -349,38 +364,21 @@ class TrackingSession:
 
     # -- the supervised solve loop ------------------------------------------
 
-    def step(self, t: float, imu: "ImuTrace | ImuTick") -> SessionSnapshot:
-        """Advance the session to stream time ``t``.
-
-        Runs at most one solve attempt (respecting the solve period, the
-        circuit breaker and the retry backoff), updates the health machine,
-        and returns a snapshot whose ``track`` is the Kalman belief at ``t``
-        — coasted via ``predict`` when no fresh fix was accepted. Never
-        raises on data: every failure mode is a typed, counted, supervised
-        event. Caller bugs (non-finite ``t``) still raise. ``imu`` is the
-        shared observer IMU, or the tick's :class:`ImuTick` view of it.
-        """
-        due = self._gate(t, imu)
-        if due is not None:
-            window, imu_window, tracks = due
-            self._settle(t, lambda: self.pipeline.estimate(
-                window, imu_window, warm=self._usable_warm(t), tracks=tracks))
-        return self.finish_step(t)
-
     def begin_step(
         self, t: float, imu: "ImuTrace | ImuTick"
     ) -> Optional[PendingSolve]:
-        """First half of a batched step: gating plus solve preparation.
+        """First third of a step: gating plus solve preparation.
 
-        Runs everything :meth:`step` would up to the solve itself — buffer
-        aging, the solve-period/breaker/backoff gates, window assembly, and
-        the pipeline's pre-solve stages. Returns ``None`` when no solve is
-        due this tick (or preparation failed, recorded exactly as a
-        sequential solve failure would be); otherwise a
-        :class:`PendingSolve` whose request joins the service-wide
-        :func:`~repro.core.estimator.fit_batch`. The caller must finish the
-        tick with :meth:`resolve_solve` (when pending) and
-        :meth:`finish_step`.
+        Runs everything up to the solve itself — buffer aging, the
+        solve-period/breaker/backoff gates, window assembly, and the
+        pipeline's pre-solve stages. Returns ``None`` when no solve is due
+        this tick (or preparation failed, recorded exactly as a solve
+        failure would be); otherwise a :class:`PendingSolve` whose request
+        joins the service-wide :func:`~repro.core.estimator.fit_batch`. The
+        caller must finish the tick with :meth:`resolve_solve` (when
+        pending) and :meth:`finish_step`. Never raises on data; caller bugs
+        (non-finite ``t``) still raise. ``imu`` is the shared observer IMU,
+        or the tick's :class:`ImuTick` view of it.
         """
         due = self._gate(t, imu)
         if due is None:
@@ -409,23 +407,38 @@ class TrackingSession:
     def resolve_solve(
         self, pending: PendingSolve, fit: "FitResult | BaseException"
     ) -> None:
-        """Second half of a batched step: consume the batched fit result.
+        """Second third of a step: consume the batched fit result.
 
         ``fit`` is this session's slot from ``fit_batch(...,
         return_exceptions=True)`` — either a
         :class:`~repro.core.estimator.FitResult` or the exception its solve
-        raised. Failure classification, breaker/backoff bookkeeping, fix
-        acceptance and provenance emission are :meth:`step`'s own.
+        raised. Classifies failures, books breaker/backoff state, and
+        accepts the fix into the tracker with its provenance.
         """
-        def complete() -> LocationEstimate:
-            if isinstance(fit, BaseException):
-                raise fit
-            return self.pipeline.complete_estimate(pending.prepared, fit)
-
-        self._settle(pending.t, complete)
+        t = pending.t
+        try:
+            with obs.span(
+                "session.solve", component="service", beacon=self.beacon_id
+            ):
+                if isinstance(fit, BaseException):
+                    raise fit
+                est = self.pipeline.complete_estimate(pending.prepared, fit)
+                self.tracker.update(t, est)
+        except DegenerateGeometryError as exc:
+            self._solve_degenerate(t, exc)
+        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
+            self._solve_transient(t, exc)
+        else:
+            self._solve_succeeded(t, est)
+        finally:
+            self.last_solve_t = t
 
     def finish_step(self, t: float) -> SessionSnapshot:
-        """Tail of a step: health tick, LOST handling, and the snapshot."""
+        """Last third of a step: health tick, LOST handling, and the snapshot.
+
+        The snapshot's ``track`` is the Kalman belief at ``t`` — coasted
+        via ``predict`` when no fresh fix was accepted.
+        """
         prev_state = self.health.state
         self.health.on_tick(t)
         if (self.health.state == SessionState.LOST
@@ -450,7 +463,7 @@ class TrackingSession:
     def _gate(
         self, t: float, imu: "ImuTrace | ImuTick"
     ) -> Optional[Tuple[RssiTrace, ImuTrace, TrackMemo]]:
-        """The gate :meth:`step` and :meth:`begin_step` share.
+        """The gate of :meth:`begin_step`.
 
         Ages the buffer out, then decides whether this tick solves: not
         before the solve period has passed, not without enough RSS and IMU
@@ -503,26 +516,7 @@ class TrackingSession:
         perf.count("service.solves_attempted")
         return window, imu_window, tick.tracks
 
-    def _settle(
-        self, t: float, solve: Callable[[], LocationEstimate]
-    ) -> None:
-        """Run one solve and book its outcome, sequential or batched alike."""
-        try:
-            with obs.span(
-                "session.solve", component="service", beacon=self.beacon_id
-            ):
-                est = solve()
-                self.tracker.update(t, est)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
-        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
-        else:
-            self._solve_succeeded(t, est)
-        finally:
-            self.last_solve_t = t
-
-    # -- solve outcome handlers (shared by step and the batched path) ---------
+    # -- solve outcome handlers -------------------------------------------------
 
     def _solve_degenerate(self, t: float, exc: Exception) -> None:
         self._count("solves_degenerate")

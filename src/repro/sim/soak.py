@@ -42,7 +42,7 @@ import numpy as np
 from repro import obs, perf
 from repro.errors import ConfigurationError, ReproError
 from repro.service import ServiceConfig, TrackingService
-from repro.service.session import SessionSnapshot
+from repro.service.session import SessionSnapshot, snapshot_key
 from repro.sim.faults import FaultModel
 from repro.sim.simulator import BeaconSpec, Simulator
 from repro.types import ImuSample, RssiSample, Vec2
@@ -70,12 +70,6 @@ class SoakConfig:
     #: (readable by ``python -m repro obs report``). The in-memory event
     #: accounting in :attr:`SoakResult.events` happens either way.
     events_jsonl: Optional[str] = None
-    #: Drive the service through :meth:`TrackingService.tick_batch`
-    #: (one batched solve dispatch per tick) instead of the sequential
-    #: :meth:`~TrackingService.step` — the two must produce identical
-    #: snapshot streams, so soaking the batch path is a standing
-    #: equivalence check against the sequential one.
-    batch_ticks: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
@@ -177,19 +171,6 @@ def long_walk(
     return Trajectory(pts, times)
 
 
-def _snapshot_key(snap: SessionSnapshot) -> tuple:
-    """The bit-identity contract of a snapshot.
-
-    ``estimate`` is deliberately excluded: the last in-memory estimate is
-    transient (regenerated at the next solve) and not part of the
-    checkpoint format.
-    """
-    return (
-        snap.beacon_id, snap.t, snap.state, snap.breaker_state,
-        snap.fix_age_s, snap.track, snap.buffered, snap.shed,
-    )
-
-
 def _build_stream(config: SoakConfig):
     """Simulate the world once and slice it into per-tick ingest batches."""
     sc = scenario(config.scenario_index)
@@ -239,22 +220,19 @@ def _drive(
     service: TrackingService,
     ticks,
     errors: List[str],
-    batch: bool = False,
 ) -> Dict[str, List[SessionSnapshot]]:
     """Replay ingest batches into a service, capturing every exception.
 
     The service's contract is to *never* raise on data; anything caught
     here is recorded as a soak failure rather than aborting the run, so a
-    single bug cannot hide later ones. With ``batch`` the stream is
-    stepped through :meth:`TrackingService.tick_batch` instead of
-    :meth:`~TrackingService.step`.
+    single bug cannot hide later ones.
     """
     out: Dict[str, List[SessionSnapshot]] = {}
     for t, scan_batch, imu_batch in ticks:
         try:
             service.ingest_scans(scan_batch)
             service.ingest_imu(imu_batch)
-            snaps = (service.tick_batch(t) if batch else service.step(t))
+            snaps = service.tick_batch(t)
         except Exception as exc:  # noqa: BLE001 — the whole point of a soak
             errors.append(f"{type(exc).__name__}: {exc}")
             continue
@@ -307,19 +285,16 @@ def _run_soak_observed(
             len(ticks) - 1,
         )
         head, tail = ticks[: cut + 1], ticks[cut + 1:]
-        snapshots = _drive(service, head, errors, batch=config.batch_ticks)
+        snapshots = _drive(service, head, errors)
         # The kill: what a restarting process would read back from disk.
         checkpoint_json = json.dumps(service.checkpoint())
-        for beacon_id, snaps in _drive(service, tail, errors,
-                                       batch=config.batch_ticks).items():
+        for beacon_id, snaps in _drive(service, tail, errors).items():
             snapshots.setdefault(beacon_id, []).extend(snaps)
         resumed = TrackingService.restore(json.loads(checkpoint_json))
-        resumed_snaps = _drive(resumed, tail, errors,
-                               batch=config.batch_ticks)
+        resumed_snaps = _drive(resumed, tail, errors)
     else:
         tail = []
-        snapshots = _drive(service, ticks, errors,
-                           batch=config.batch_ticks)
+        snapshots = _drive(service, ticks, errors)
         resumed_snaps = None
 
     checkpoint_equal: Optional[bool] = None
@@ -335,7 +310,7 @@ def _run_soak_observed(
                 divergence_t = original[0].t if original else None
                 break
             for a, b in zip(original, resumed_seq):
-                if _snapshot_key(a) != _snapshot_key(b):
+                if snapshot_key(a) != snapshot_key(b):
                     checkpoint_equal = False
                     divergence_t = a.t
                     break

@@ -1,0 +1,91 @@
+"""The one stub pipeline the service, fleet and durability tests run on.
+
+:class:`ScriptedPipeline` speaks the batched solve protocol the service
+serves through — ``prepare_estimate`` → ``fit_batch`` →
+``complete_estimate`` — so a stubbed test drives exactly the path real
+traffic takes. Each solve is one real warm :func:`fit_batch` call on a
+shared, well-posed L-walk window (solved cold once, at import); the fix the
+stub returns does not depend on it. Solve outcomes follow a script, and
+scripted failures are raised from ``complete_estimate``, so they reach
+:meth:`~repro.service.TrackingSession.resolve_solve` the same way real
+solver failures do.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from repro.channel.pathloss import rss_at
+from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
+from repro.errors import DegenerateGeometryError, InsufficientDataError
+from repro.types import LocationEstimate, Vec2
+
+
+def _shared_request() -> FitRequest:
+    """A 48-row L-walk window (+x then +y) carrying its own warm state."""
+    d = np.linspace(0.0, 4.5, 48)
+    p = -np.minimum(d, 2.5)
+    q = -np.clip(d - 2.5, 0.0, 2.0)
+    noise = np.random.default_rng(7).normal(0.0, 0.5, d.shape)
+    rss = np.array([rss_at(r, -59.0, 2.0)
+                    for r in np.hypot(4.0 + p, 3.0 + q)]) + noise
+    est = EllipticalEstimator()
+    return FitRequest(p=p, q=q, rss=rss, warm=est.fit(p, q, rss).warm,
+                      estimator=est)
+
+
+#: The request every stub solve submits: well-posed, so its warm solve
+#: succeeds deterministically wherever it lands in a batch.
+_SHARED_REQUEST = _shared_request()
+
+
+class _StubEstimator:
+    min_samples = 3
+
+
+@dataclass
+class _Prepared:
+    action: str
+    t: float
+
+    def request(self, warm=None, extra_seeds=()) -> FitRequest:
+        return _SHARED_REQUEST
+
+
+class ScriptedPipeline:
+    """A pipeline whose solve outcomes follow a script.
+
+    Entries are ``"ok"``, ``"degenerate"`` or ``"transient"``; the last
+    entry repeats forever. ``calls`` counts prepared solves. An ``"ok"``
+    solve returns a fix derived from the window's last stream time.
+    """
+
+    def __init__(self, script: Sequence[str] = ("ok",)):
+        self.estimator = _StubEstimator()
+        self.script = list(script)
+        self.calls = 0
+
+    def prepare_estimate(self, trace, imu, target_imu=None, tracks=None):
+        action = self.script[min(self.calls, len(self.script) - 1)]
+        self.calls += 1
+        return _Prepared(action, trace.samples[-1].timestamp)
+
+    def complete_estimate(self, prepared: _Prepared, fit) -> LocationEstimate:
+        if prepared.action == "degenerate":
+            raise DegenerateGeometryError("scripted: geometry degenerate")
+        if prepared.action == "transient":
+            raise InsufficientDataError("scripted: transient failure")
+        return LocationEstimate(position=Vec2(0.1 * prepared.t, 1.0),
+                                confidence=0.9, position_std=0.5)
+
+
+def step_session(session, t, imu):
+    """One tick of a lone session: a batch of one through ``fit_batch``."""
+    pending = session.begin_step(t, imu)
+    if pending is not None:
+        fit = fit_batch([pending.request], return_exceptions=True)[0]
+        session.resolve_solve(pending, fit)
+    return session.finish_step(t)

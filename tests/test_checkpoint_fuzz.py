@@ -29,7 +29,8 @@ from repro.service import (
     TrackingService,
     TrackingSession,
 )
-from repro.types import ImuSample, LocationEstimate, RssiSample, Vec2
+from repro.types import ImuSample, RssiSample
+from tests.stubs import ScriptedPipeline
 
 ALLOWED = (DataQualityError, ConfigurationError)
 
@@ -39,23 +40,8 @@ JUNK = st.sampled_from([
 ])
 
 
-class _StubEstimator:
-    min_samples = 3
-
-
-class _OkPipeline:
-    def __init__(self):
-        self.estimator = _StubEstimator()
-
-    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
-        t = trace.samples[-1].timestamp
-        return LocationEstimate(
-            position=Vec2(0.1 * t, 1.0), confidence=0.9, position_std=0.5
-        )
-
-
 def _live_service() -> TrackingService:
-    svc = TrackingService(ServiceConfig(), pipeline_factory=_OkPipeline)
+    svc = TrackingService(ServiceConfig(), pipeline_factory=ScriptedPipeline)
     for k in range(1, 4):
         t = float(k)
         svc.ingest_scans([
@@ -64,7 +50,7 @@ def _live_service() -> TrackingService:
         ])
         svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                         for i in range(4)])
-        svc.step(t)
+        svc.tick_batch(t)
     return svc
 
 
@@ -93,9 +79,9 @@ RESTORERS = {
     "backoff": lambda cp: ExponentialBackoff.restore(cp),
     "breaker": lambda cp: CircuitBreaker.restore(cp),
     "session": lambda cp: TrackingSession.restore(
-        cp, pipeline_factory=_OkPipeline),
+        cp, pipeline_factory=ScriptedPipeline),
     "service": lambda cp: TrackingService.restore(
-        cp, pipeline_factory=_OkPipeline),
+        cp, pipeline_factory=ScriptedPipeline),
 }
 
 

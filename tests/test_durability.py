@@ -35,22 +35,8 @@ from repro.gateway import IngestionGateway, TraceWriter, trace_meta
 from repro.gateway.gateway import GatewayConfig
 from repro.gateway.trace import snapshot_digest
 from repro.service import BackoffConfig
-from repro.types import LocationEstimate, RssiSample, Vec2
-
-
-class _StubEstimator:
-    min_samples = 3
-
-
-class _OkPipeline:
-    def __init__(self):
-        self.estimator = _StubEstimator()
-
-    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
-        t = trace.samples[-1].timestamp
-        return LocationEstimate(
-            position=Vec2(0.1 * t, 1.0), confidence=0.9, position_std=0.5
-        )
+from repro.types import RssiSample
+from tests.stubs import ScriptedPipeline
 
 
 def _scan(t, beacon):
@@ -68,11 +54,11 @@ def _drive(target, t):
 
 def _supervised(store=None, checkpoint_every=4):
     fleet = TrackingFleet(FleetConfig(n_shards=2),
-                          pipeline_factory=_OkPipeline)
+                          pipeline_factory=ScriptedPipeline)
     return FleetSupervisor(
         fleet, store=store, checkpoint_every=checkpoint_every,
         backoff=BackoffConfig(base_s=0.5, factor=2.0, max_s=8.0),
-        pipeline_factory=_OkPipeline)
+        pipeline_factory=ScriptedPipeline)
 
 
 class TestCheckpointStore:
@@ -278,7 +264,7 @@ class TestFleetSupervisor:
     def test_restarted_shard_is_digest_identical_to_twin(self, tmp_path):
         sup = _supervised(CheckpointStore(str(tmp_path)))
         twin = TrackingFleet(FleetConfig(n_shards=2),
-                             pipeline_factory=_OkPipeline)
+                             pipeline_factory=ScriptedPipeline)
         last_sup = last_twin = None
         for k in range(1, 12):
             t = float(k)
@@ -335,7 +321,7 @@ class TestRecover:
         store, trace, final_digest = _record_supervised_run(tmp_path)
         gateway, report = recover(
             str(tmp_path / "store"), str(trace),
-            pipeline_factory=_OkPipeline, checkpoint_every=4)
+            pipeline_factory=ScriptedPipeline, checkpoint_every=4)
         assert report.identical
         assert report.checkpoint_tick == 8
         assert report.trace_ticks == 10
@@ -350,7 +336,7 @@ class TestRecover:
         _record_supervised_run(tmp_path)
         with pytest.raises(DataQualityError, match="no readable trace"):
             recover(str(tmp_path / "store"), str(tmp_path / "run.trace"),
-                    pipeline_factory=_OkPipeline, trace_start_tick=50)
+                    pipeline_factory=ScriptedPipeline, trace_start_tick=50)
 
     def test_empty_store_refused(self, tmp_path):
         _record_supervised_run(tmp_path)
@@ -358,7 +344,7 @@ class TestRecover:
         empty.mkdir()
         with pytest.raises(DataQualityError):
             recover(str(empty), str(tmp_path / "run.trace"),
-                    pipeline_factory=_OkPipeline)
+                    pipeline_factory=ScriptedPipeline)
 
     def test_foreign_snapshot_payload_refused(self, tmp_path):
         _record_supervised_run(tmp_path)
@@ -366,7 +352,7 @@ class TestRecover:
         store.save("fleet", {"not": "a supervisor checkpoint"}, tick=99)
         with pytest.raises(DataQualityError, match="supervisor checkpoint"):
             recover(str(tmp_path / "store"), str(tmp_path / "run.trace"),
-                    pipeline_factory=_OkPipeline)
+                    pipeline_factory=ScriptedPipeline)
 
 
 @pytest.mark.chaos

@@ -1,8 +1,8 @@
 """Tests for the sharded tracking fleet (repro.fleet).
 
-Fast unit tests (stub pipelines) run in tier-1; the end-to-end load tests
-that drive the real pipeline carry the ``fleet`` marker and are excluded
-by default (run with ``-m fleet``).
+Fast unit tests (the stub pipeline) run in tier-1; the end-to-end run
+that drives the real pipeline under generated load carries the ``fleet``
+marker and is excluded by default (run with ``-m fleet``).
 """
 
 import json
@@ -10,48 +10,22 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, DataQualityError
-from repro.fleet import (
-    FleetConfig,
-    LoadTestConfig,
-    ShardRouter,
-    TrackingFleet,
-    run_load_test,
-    snapshot_key,
-)
+from repro.fleet import FleetConfig, ShardRouter, TrackingFleet
 from repro.service import ServiceConfig, TrackingService
-from repro.types import ImuSample, LocationEstimate, RssiSample, Vec2
-
-
-class _StubEstimator:
-    min_samples = 3
-
-
-class _OkPipeline:
-    """Deterministic always-succeeds pipeline (fix derived from stream t)."""
-
-    def __init__(self):
-        self.estimator = _StubEstimator()
-
-    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
-        t = trace.samples[-1].timestamp
-        return LocationEstimate(
-            position=Vec2(0.1 * t, 1.0), confidence=0.9, position_std=0.5
-        )
+from repro.service.session import snapshot_key
+from repro.types import ImuSample, RssiSample
+from tests.stubs import ScriptedPipeline
 
 
 def make_fleet(n_shards=2, max_sessions=256, max_total=None, salt=""):
-    # batch_ticks=False: the stub pipeline implements only the sequential
-    # solve protocol (tick_batch is bit-identical by contract and is
-    # exercised with the real pipeline in the fleet-marked tests below).
     return TrackingFleet(
         FleetConfig(
             n_shards=n_shards,
             service=ServiceConfig(max_sessions=max_sessions),
             max_total_sessions=max_total,
             router_salt=salt,
-            batch_ticks=False,
         ),
-        pipeline_factory=_OkPipeline,
+        pipeline_factory=ScriptedPipeline,
     )
 
 
@@ -133,13 +107,13 @@ class TestFleetRouting:
         # Sharding is pure partitioning: per-beacon snapshot streams must
         # equal one unsharded service fed the same stream.
         fleet = make_fleet(n_shards=3)
-        svc = TrackingService(ServiceConfig(), pipeline_factory=_OkPipeline)
+        svc = TrackingService(ServiceConfig(), pipeline_factory=ScriptedPipeline)
         for k in range(1, 6):
             t = float(k)
             fleet_snaps = feed_fleet(fleet, t, BEACONS)
             svc.ingest_scans(scans_for(t, BEACONS))
             svc.ingest_imu(imu_for(t))
-            svc_snaps = svc.step(t)
+            svc_snaps = svc.tick_batch(t)
             assert sorted(fleet_snaps) == sorted(svc_snaps)
             for bid in svc_snaps:
                 assert snapshot_key(fleet_snaps[bid]) == snapshot_key(
@@ -251,7 +225,7 @@ class TestFleetCheckpoint:
         part.migrate(BEACONS[0], (part.shard_of(BEACONS[0]) + 1) % 2)
         full.migrate(BEACONS[0], (full.shard_of(BEACONS[0]) + 1) % 2)
         cp = json.loads(json.dumps(part.checkpoint()))
-        resumed = TrackingFleet.restore(cp, pipeline_factory=_OkPipeline)
+        resumed = TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
         assert resumed.restores == 1
         assert resumed.router.pins == full.router.pins
         for k in range(4, 8):
@@ -269,25 +243,25 @@ class TestFleetCheckpoint:
         cp = json.loads(json.dumps(good))
         cp["config"]["n_shards"] = 3  # router/workers still say 2
         with pytest.raises(DataQualityError):
-            TrackingFleet.restore(cp, pipeline_factory=_OkPipeline)
+            TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
 
         cp = json.loads(json.dumps(good))
         cp["workers"][0]["shard_id"] = 1  # claims a shard it is not at
         with pytest.raises(DataQualityError):
-            TrackingFleet.restore(cp, pipeline_factory=_OkPipeline)
+            TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
 
         cp = json.loads(json.dumps(good))
         cp["router"]["salt"] = "different"  # sessions no longer route home
         with pytest.raises(DataQualityError):
-            TrackingFleet.restore(cp, pipeline_factory=_OkPipeline)
+            TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
 
         with pytest.raises(DataQualityError):
             TrackingFleet.restore({"format": -1},
-                                  pipeline_factory=_OkPipeline)
+                                  pipeline_factory=ScriptedPipeline)
 
         # The untouched checkpoint still restores.
         resumed = TrackingFleet.restore(
-            json.loads(json.dumps(good)), pipeline_factory=_OkPipeline)
+            json.loads(json.dumps(good)), pipeline_factory=ScriptedPipeline)
         assert resumed.total_sessions == fleet.total_sessions
 
 
@@ -337,13 +311,12 @@ class TestLoadGenerator:
             LoadConfig(burst_duty=0.0)
 
 
-# -- end-to-end load tests (real pipeline; excluded from tier-1) --------------
+# -- end-to-end under generated load (real pipeline; excluded from tier-1) ----
 
 
-def _loadtest_config(**kwargs):
+def _loaded_fleet():
     from repro.service import SessionConfig
     from repro.service.health import HealthConfig
-    from repro.sim.load import LoadConfig
 
     service = ServiceConfig(
         session=SessionConfig(
@@ -352,34 +325,42 @@ def _loadtest_config(**kwargs):
         ),
         imu_window_s=25.0,
     )
-    return LoadTestConfig(
-        fleet=FleetConfig(n_shards=2, service=service),
-        load=LoadConfig(duration_s=25.0, n_beacons=8, template_beacons=2,
-                        seed=3),
-        **kwargs,
-    )
+    return TrackingFleet(FleetConfig(n_shards=2, service=service))
+
+
+def _drive_load(fleet, stream, migrate_at_tick=None):
+    """Replay ``stream`` into ``fleet``; per-beacon ``snapshot_key`` streams.
+
+    Before tick ``migrate_at_tick`` (1-based) every second live session, in
+    sorted beacon order, moves to the next shard.
+    """
+    keys = {}
+    for k, (t, scans, imu) in enumerate(stream.ticks, start=1):
+        if k == migrate_at_tick:
+            live = sorted(b for w in fleet.workers for b in w.service.sessions)
+            for beacon_id in live[::2]:
+                fleet.migrate(beacon_id,
+                              (fleet.shard_of(beacon_id) + 1) % 2)
+        fleet.ingest_scans(scans)
+        fleet.ingest_imu(imu)
+        for beacon_id, snap in fleet.tick(t).items():
+            keys.setdefault(beacon_id, []).append(snapshot_key(snap))
+    return keys
 
 
 @pytest.mark.fleet
-class TestLoadTestEndToEnd:
-    def test_small_fleet_serves_fixes_without_untyped_errors(self):
-        result = run_load_test(_loadtest_config())
-        assert result.fixes_total > 0
-        assert result.untyped_errors == 0
-        assert result.errors == ()
-        assert result.stats["sessions"] == 8
-
+class TestFleetUnderLoad:
     def test_migration_under_real_load_is_bit_identical(self):
-        from repro.sim.load import generate_load
+        from repro.sim.load import LoadConfig, generate_load
 
-        cfg = _loadtest_config()
-        stream = generate_load(cfg.load)
-        base = run_load_test(cfg, stream=stream)
-        moved = run_load_test(_loadtest_config(migrate_at_tick=12),
-                              stream=stream)
-        assert moved.migrations
-        assert sorted(base.snapshots) == sorted(moved.snapshots)
-        for bid, seq in base.snapshots.items():
-            keys_a = [snapshot_key(s) for s in seq]
-            keys_b = [snapshot_key(s) for s in moved.snapshots[bid]]
-            assert keys_a == keys_b
+        stream = generate_load(LoadConfig(
+            duration_s=25.0, n_beacons=8, template_beacons=2, seed=3))
+        plain, moved = _loaded_fleet(), _loaded_fleet()
+        keys_plain = _drive_load(plain, stream)
+        keys_moved = _drive_load(moved, stream, migrate_at_tick=12)
+        assert moved.migrations > 0
+        for fleet in (plain, moved):
+            stats = fleet.stats()
+            assert stats["counters"]["fixes_accepted"] > 0
+            assert stats["sessions"] == 8
+        assert keys_plain == keys_moved

@@ -1,4 +1,4 @@
-"""Old checkpoints and traces that name a solver backend.
+"""Old checkpoints and traces that carry keys of removed options.
 
 Session configs used to carry a ``"solver"`` key, and every checkpoint and
 gateway trace header written then has it. ``SessionConfig.from_dict`` is
@@ -7,6 +7,11 @@ the one reader of all of them, with one rule: ``"elliptical"`` is dropped
 :class:`~repro.errors.ConfigurationError` naming the removed backend. The
 rule is checked on each carrier: a session checkpoint, a fleet checkpoint
 and a gateway trace header.
+
+Fleet configs used to carry ``"batch_ticks"``, which chose between a
+sequential and a batched tick that were bit-identical by contract. Fleet
+checkpoints and trace headers that carry it restore and replay as before,
+whatever its value.
 """
 
 import json
@@ -97,6 +102,7 @@ class TestFleetCheckpoint:
             _feed(fleet, float(k))
         cp = json.loads(json.dumps(fleet.checkpoint()))
         legacy = _with_solver(cp, "elliptical")
+        legacy["config"]["batch_ticks"] = True
         assert legacy != cp
         restored = TrackingFleet.restore(legacy)
         resumed = TrackingFleet.restore(cp)
@@ -112,10 +118,11 @@ class TestFleetCheckpoint:
 
 
 class TestTraceHeader:
-    def _record(self, path, solver):
+    def _record(self, path, solver, **fleet_keys):
         gw = IngestionGateway(GatewayConfig())
         meta = _with_solver(trace_meta(gw), solver)
         assert meta["fleet"]["service"]["session"]["solver"] == solver
+        meta["fleet"].update(fleet_keys)
         with TraceWriter(str(path), meta=meta) as writer:
             gw.tap = writer
             for k in range(1, 5):
@@ -126,7 +133,7 @@ class TestTraceHeader:
 
     def test_elliptical_key_replays_identically(self, tmp_path):
         path = tmp_path / "legacy.trace"
-        self._record(path, "elliptical")
+        self._record(path, "elliptical", batch_ticks=False)
         result = replay(str(path))
         assert result.ticks == 4 and result.identical
 

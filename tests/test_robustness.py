@@ -537,7 +537,7 @@ service_fault_plan = st.lists(
 
 
 def _scripted_service(script):
-    from tests.test_service import _ScriptedPipeline
+    from tests.stubs import ScriptedPipeline
 
     from repro.service import (
         BackoffConfig, ServiceConfig, SessionConfig, TrackingService,
@@ -547,7 +547,7 @@ def _scripted_service(script):
         backoff=BackoffConfig(jitter_frac=0.0),
     ))
     return TrackingService(
-        cfg, pipeline_factory=lambda: _ScriptedPipeline(list(script)))
+        cfg, pipeline_factory=lambda: ScriptedPipeline(list(script)))
 
 
 class TestServiceNeverCrashUndiagnosed:
@@ -568,7 +568,7 @@ class TestServiceNeverCrashUndiagnosed:
             )
             svc.ingest_imu(imu.samples)
             for k in range(1, steps + 1):
-                svc.step(float(k))
+                svc.tick_batch(float(k))
         except ReproError as exc:  # typed escapes are also forbidden here
             raise AssertionError(
                 f"service raised on data: {type(exc).__name__}: {exc}"
@@ -585,7 +585,8 @@ class TestServiceNeverCrashUndiagnosed:
         # restoring from its JSON checkpoint must continue bit-identically.
         import json
 
-        from tests.test_service import _ScriptedPipeline, feed_service
+        from tests.stubs import ScriptedPipeline
+        from tests.test_service import feed_service
 
         from repro.service import TrackingService
 
@@ -600,7 +601,7 @@ class TestServiceNeverCrashUndiagnosed:
         rest = plan[min(calls, len(plan) - 1):] or plan[-1:]
         resumed = TrackingService.restore(
             json.loads(json.dumps(part.checkpoint())),
-            pipeline_factory=lambda: _ScriptedPipeline(rest),
+            pipeline_factory=lambda: ScriptedPipeline(rest),
         )
         for k in range(cut + 1, steps + 1):
             a = feed_service(full, float(k))

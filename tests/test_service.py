@@ -11,9 +11,7 @@ from repro.core.tracking import BeaconTracker
 from repro.errors import (
     ConfigurationError,
     DataQualityError,
-    DegenerateGeometryError,
     EstimationError,
-    InsufficientDataError,
 )
 from repro.service import (
     BackoffConfig,
@@ -34,8 +32,10 @@ from repro.types import (
     ImuTrace,
     LocationEstimate,
     RssiSample,
+    RssiTrace,
     Vec2,
 )
+from tests.stubs import ScriptedPipeline, step_session
 
 
 def fix(x=1.0, y=2.0, std=0.5, confidence=0.9):
@@ -475,33 +475,6 @@ class TestBoundedBuffer:
 # -- tracking session (stub pipeline for failure injection) ------------------
 
 
-class _StubEstimator:
-    min_samples = 3
-
-
-class _ScriptedPipeline:
-    """A pipeline whose solve outcomes follow a script.
-
-    Entries are "ok", "degenerate" or "transient"; the script's last entry
-    repeats forever.
-    """
-
-    def __init__(self, script):
-        self.estimator = _StubEstimator()
-        self.script = list(script)
-        self.calls = 0
-
-    def estimate(self, trace, imu, warm=None, extra_seeds=(), tracks=None):
-        action = self.script[min(self.calls, len(self.script) - 1)]
-        self.calls += 1
-        if action == "degenerate":
-            raise DegenerateGeometryError("scripted: geometry degenerate")
-        if action == "transient":
-            raise InsufficientDataError("scripted: transient failure")
-        t = trace.samples[-1].timestamp
-        return fix(x=0.1 * t, y=1.0, std=0.5, confidence=0.9)
-
-
 def scripted_session(script, beacon_id="b", **config_kwargs):
     cfg = SessionConfig(
         solve_period_s=1.0, min_imu_samples=2,
@@ -513,7 +486,7 @@ def scripted_session(script, beacon_id="b", **config_kwargs):
     )
     return TrackingSession(
         beacon_id, config=cfg,
-        pipeline_factory=lambda: _ScriptedPipeline(script),
+        pipeline_factory=lambda: ScriptedPipeline(script),
     )
 
 
@@ -526,7 +499,7 @@ def feed(session, t):
     ])
     imu = ImuTrace([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                     for i in range(4)])
-    return session.step(t, imu)
+    return step_session(session, t, imu)
 
 
 class TestTrackingSession:
@@ -555,7 +528,7 @@ class TestTrackingSession:
     def test_nonfinite_step_time_is_caller_bug(self):
         s = scripted_session(["ok"])
         with pytest.raises(ConfigurationError):
-            s.step(float("nan"), ImuTrace([]))
+            step_session(s, float("nan"), ImuTrace([]))
 
     def test_breaker_storm_sheds_solve_work(self):
         # Three degenerate solves trip the breaker; while OPEN the session
@@ -611,10 +584,10 @@ class TestTrackingSession:
         feed(s, 1.0)
         assert s.tracker.initialized
         # Solves keep failing transiently; fix age climbs.
-        snap = s.step(5.0, ImuTrace([]))
+        snap = step_session(s, 5.0, ImuTrace([]))
         assert snap.state == SessionState.STALE
         assert snap.track is not None  # still coasting
-        snap = s.step(20.0, ImuTrace([]))
+        snap = step_session(s, 20.0, ImuTrace([]))
         assert snap.state == SessionState.LOST
         assert snap.track is None
         assert s.counters["tracks_dropped"] == 1
@@ -643,7 +616,7 @@ class TestSessionCheckpoint:
             feed(part, float(k))
         cp = json.loads(json.dumps(part.checkpoint()))
         resumed = TrackingSession.restore(
-            cp, pipeline_factory=lambda: _ScriptedPipeline(script[4:]))
+            cp, pipeline_factory=lambda: ScriptedPipeline(script[4:]))
         later = []
         for k in range(5, 9):
             a = feed(full, float(k))
@@ -671,7 +644,7 @@ def service_with_stub(script=("ok",), **kwargs):
         **kwargs,
     )
     return TrackingService(
-        cfg, pipeline_factory=lambda: _ScriptedPipeline(list(script)))
+        cfg, pipeline_factory=lambda: ScriptedPipeline(list(script)))
 
 
 def feed_service(svc, t, beacon_ids=("a", "b")):
@@ -681,7 +654,7 @@ def feed_service(svc, t, beacon_ids=("a", "b")):
     ])
     svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                     for i in range(4)])
-    return svc.step(t)
+    return svc.tick_batch(t)
 
 
 class TestTrackingService:
@@ -711,7 +684,7 @@ class TestTrackingService:
     def test_nonfinite_step_time_raises(self):
         svc = service_with_stub()
         with pytest.raises(ConfigurationError):
-            svc.step(float("inf"))
+            svc.tick_batch(float("inf"))
 
     def test_stats_aggregates_sessions(self):
         svc = service_with_stub()
@@ -737,7 +710,7 @@ class TestTrackingService:
             feed_service(part, float(k))
         cp = json.loads(json.dumps(part.checkpoint()))
         resumed = TrackingService.restore(
-            cp, pipeline_factory=lambda: _ScriptedPipeline(script[2:]))
+            cp, pipeline_factory=lambda: ScriptedPipeline(script[2:]))
         assert resumed.restores == 1
         for k in range(4, 8):
             a = feed_service(full, float(k))
@@ -784,14 +757,14 @@ class TestServiceRealPipeline:
                 [s for s in scans if t - 1.0 <= s.timestamp < t])
             svc.ingest_imu(
                 [s for s in imu if t - 1.0 <= s.timestamp < t])
-            snaps.append(svc.step(t)["b"])
+            snaps.append(svc.tick_batch(t)["b"])
         assert snaps[-1].state == SessionState.HEALTHY
         assert snaps[-1].track is not None
         # And the whole thing survives a JSON kill-and-resume.
         resumed = TrackingService.restore(
             json.loads(json.dumps(svc.checkpoint())))
-        a = svc.step(float(t_end + 1))["b"]
-        b = resumed.step(float(t_end + 1))["b"]
+        a = svc.tick_batch(float(t_end + 1))["b"]
+        b = resumed.tick_batch(float(t_end + 1))["b"]
         assert (a.t, a.state, a.track) == (b.t, b.state, b.track)
 
 
@@ -836,7 +809,7 @@ def track_calls(monkeypatch):
     return calls
 
 
-def _run_walk(svc, batch, per_tick=None, calls=None):
+def _run_walk(svc, per_tick=None, calls=None):
     """Stream the three-beacon walk in 1 s ticks; return the snapshots."""
     scans, imu = _three_beacon_walk()
     t_end = math.ceil(max(s.timestamp for s in imu))
@@ -847,7 +820,7 @@ def _run_walk(svc, batch, per_tick=None, calls=None):
         svc.ingest_imu([s for s in imu if t - 1.0 <= s.timestamp < t])
         before = svc.stats()["counters"].get("fixes_accepted", 0)
         n_calls = len(calls) if calls is not None else 0
-        snaps.append(svc.tick_batch(t) if batch else svc.step(t))
+        snaps.append(svc.tick_batch(t))
         if per_tick is not None:
             per_tick.append((
                 svc.stats()["counters"].get("fixes_accepted", 0) - before,
@@ -859,12 +832,11 @@ def _run_walk(svc, batch, per_tick=None, calls=None):
 class TestOneObserverTrackPerTick:
     """Sessions sharing an IMU window and tracker config share one track."""
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_one_track_call_per_tick(self, track_calls, batch):
+    def test_one_track_call_per_tick(self, track_calls):
         svc = TrackingService(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)))
         per_tick = []
-        _run_walk(svc, batch, per_tick, track_calls)
+        _run_walk(svc, per_tick, track_calls)
         assert max(n for _, n in per_tick) == 1
         solved = [n for fixes, n in per_tick if fixes]
         assert solved and all(n == 1 for n in solved)
@@ -890,7 +862,7 @@ class TestOneObserverTrackPerTick:
         svc = TrackingService(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)), factory)
         per_tick = []
-        _run_walk(svc, True, per_tick, track_calls)
+        _run_walk(svc, per_tick, track_calls)
         assert made == [False, True, False]
         assert max(n for _, n in per_tick) == 2
         full = [n for fixes, n in per_tick if fixes == 3]
@@ -923,25 +895,51 @@ class TestOneObserverTrackPerTick:
         memo.track(tracker, ImuTrace(imu))
         assert len(track_calls) == 4
 
-    def test_step_and_tick_batch_snapshots_bitwise_equal(self):
-        from repro.sim.soak import _snapshot_key
 
-        def run(batch):
-            svc = TrackingService(ServiceConfig(
-                session=SessionConfig(solve_period_s=1.0)))
-            return _run_walk(svc, batch)
+# -- the batched solve is the sequential estimate ------------------------------
 
-        seq, bat = run(False), run(True)
-        assert len(seq) == len(bat)
-        n_fixes = 0
-        for a, b in zip(seq, bat):
-            assert sorted(a) == sorted(b)
-            for bid in a:
-                assert _snapshot_key(a[bid]) == _snapshot_key(b[bid])
-                ea, eb = a[bid].estimate, b[bid].estimate
-                assert (ea is None) == (eb is None)
-                if ea is not None:
-                    n_fixes += 1
-                    assert (ea.position, ea.gamma, ea.n) == (
-                        eb.position, eb.gamma, eb.n)
-        assert n_fixes > 0
+
+class TestBatchedSolveMatchesEstimate:
+    def test_cold_and_warm(self):
+        """``prepare_estimate`` + one ``fit_batch`` + ``complete_estimate``
+        is :meth:`LocBLE.estimate`, beacon by beacon, cold and warm."""
+        from repro.core.estimator import fit_batch
+        from repro.motion.deadreckoning import TrackMemo
+        from repro.service.session import default_pipeline_factory
+
+        scans, imu = _three_beacon_walk()
+        t_end = float(math.ceil(max(s.timestamp for s in imu)))
+        bids = ("a", "b", "c")
+
+        def window(t):
+            return ({b: RssiTrace([s for s in scans
+                                   if s.beacon_id == b and s.timestamp < t])
+                     for b in bids},
+                    ImuTrace([s for s in imu if s.timestamp < t]))
+
+        earlier, earlier_imu = window(t_end - 1.0)
+        traces, imu_window = window(t_end)
+        warm = {b: default_pipeline_factory().estimate(
+                    earlier[b], earlier_imu).diagnostics.warm
+                for b in bids}
+        assert all(w is not None for w in warm.values())
+        warm_started = []
+        for warm_by in (dict.fromkeys(bids), warm):
+            pipelines = {b: default_pipeline_factory() for b in bids}
+            memo = TrackMemo()
+            prepared = {b: pipelines[b].prepare_estimate(
+                            traces[b], imu_window, tracks=memo)
+                        for b in bids}
+            fits = fit_batch([prepared[b].request(warm=warm_by[b])
+                              for b in bids])
+            for b, fit in zip(bids, fits):
+                got = pipelines[b].complete_estimate(prepared[b], fit)
+                ref = default_pipeline_factory().estimate(
+                    traces[b], imu_window, warm=warm_by[b])
+                assert got.position == ref.position
+                assert (got.gamma, got.n) == (ref.gamma, ref.n)
+                assert got.confidence == ref.confidence
+                assert got.position_std == ref.position_std
+                assert got.diagnostics.provenance == ref.diagnostics.provenance
+                warm_started.append(got.diagnostics.provenance.warm_started)
+        assert not any(warm_started[:3]) and any(warm_started[3:])

@@ -584,31 +584,14 @@ class TestWarmChainedSeries:
 
 
 class TestServiceBatchTick:
-    def _soak(self, **kw):
+    def test_batch_mode_checkpoint_restore_bit_identical(self):
         from repro.sim.faults import FaultModel
         from repro.sim.soak import SoakConfig, run_soak
 
-        cfg = SoakConfig(
-            duration_s=40.0, seed=11,
-            fault=FaultModel(loss_rate=0.1), **kw,
-        )
-        return run_soak(cfg)
-
-    def test_tick_batch_matches_sequential_step(self):
-        from repro.sim.soak import _snapshot_key
-
-        seq = self._soak()
-        bat = self._soak(batch_ticks=True)
-        assert bat.untyped_errors == 0
-        assert sorted(seq.snapshots) == sorted(bat.snapshots)
-        for beacon_id, snaps in seq.snapshots.items():
-            other = bat.snapshots[beacon_id]
-            assert len(snaps) == len(other)
-            for a, b in zip(snaps, other):
-                assert _snapshot_key(a) == _snapshot_key(b)
-
-    def test_batch_mode_checkpoint_restore_bit_identical(self):
-        result = self._soak(batch_ticks=True, checkpoint_t=20.0)
+        result = run_soak(SoakConfig(
+            duration_s=40.0, seed=11, checkpoint_t=20.0,
+            fault=FaultModel(loss_rate=0.1),
+        ))
         assert result.untyped_errors == 0
         assert result.checkpoint_equal is True
 
