@@ -21,7 +21,7 @@ degenerate-weight branch, which silently re-seeded the whole cloud **and**
 zeroed the update counter, so a later ``estimate()`` raised "no readings
 assimilated yet" after hundreds of successful updates. That branch now
 keeps the pre-update posterior, drops only the offending reading, and is
-loud: a ``solver.particle_degenerate`` event paired with a perf counter.
+loud: a ``solver.particle_degenerate`` signal.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError, EstimationError
 from repro.robustness.sanitize import RSSI_PLAUSIBLE_DBM
 from repro.types import LocationEstimate, Vec2
@@ -94,13 +94,8 @@ class ParticleEstimator:
         Resets of a live posterior are evented and counted.
         """
         if self._state is not None:
-            perf.count("solver.particle_resets")
-            obs.emit(
-                "solver.particle_reset",
-                severity="warning",
-                component="solver",
-                n_updates_discarded=self._n_updates,
-            )
+            obs.signal("solver.particle_resets", severity="warning",
+                       n_updates_discarded=self._n_updates)
         n = self.n_particles
         radius = self.max_range_m * np.sqrt(self.rng.uniform(0.05, 1.0, n))
         angle = self.rng.uniform(-math.pi, math.pi, n)
@@ -150,13 +145,7 @@ class ParticleEstimator:
 
     def _skip(self, reason: str) -> None:
         self._n_skipped += 1
-        perf.count("solver.particle_skipped")
-        obs.emit(
-            "solver.particle_skipped",
-            severity="debug",
-            component="solver",
-            reason=reason,
-        )
+        obs.signal("solver.particle_skipped", severity="debug", reason=reason)
 
     # -- assimilation --------------------------------------------------------
 
@@ -188,15 +177,9 @@ class ParticleEstimator:
             # behaviour (silent reset + zeroed update counter, making a
             # later estimate() raise after hundreds of good updates) is the
             # bug this module's robustness contract forbids.
-            perf.count("solver.particle_degenerate")
-            obs.emit(
-                "solver.particle_degenerate",
-                severity="warning",
-                component="solver",
-                rss=float(rss),
-                n_updates=self._n_updates,
-                weight_total=float(total),
-            )
+            obs.signal("solver.particle_degenerate", severity="warning",
+                       rss=float(rss), n_updates=self._n_updates,
+                       weight_total=float(total))
             return False
         self._weights = w / total
         self._n_updates += 1
@@ -229,13 +212,8 @@ class ParticleEstimator:
 
     def _resample(self) -> None:
         n = self.n_particles
-        perf.count("solver.particle_resamples")
-        obs.emit(
-            "solver.particle_resample",
-            severity="debug",
-            component="solver",
-            ess=self.effective_sample_size,
-        )
+        obs.signal("solver.particle_resamples", severity="debug",
+                   ess=self.effective_sample_size)
         # Systematic resampling.
         positions = (self.rng.random() + np.arange(n)) / n
         cumulative = np.cumsum(self._weights)

@@ -463,11 +463,12 @@ def _cmd_soak(args) -> int:
         top = sorted(result.events.items(), key=lambda kv: (-kv[1], kv[0]))
         shown = ", ".join(f"{name}={n}" for name, n in top[:6])
         print(f"events    : {total} total ({shown})")
+    if result.parity_failures:
+        print(f"parity    : FAILED for {list(result.parity_failures)}")
     if result.events_jsonl:
         print(f"event log : {result.events_jsonl} "
               f"(inspect with 'repro obs report')")
-    ok = result.untyped_errors == 0 and result.checkpoint_equal is not False
-    return 0 if ok else 1
+    return 0 if result.passed else 1
 
 
 def _cmd_gateway(args) -> int:

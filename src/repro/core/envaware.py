@@ -127,13 +127,8 @@ class EnvironmentMonitor:
         self._pending = label
         self._pending_count += 1
         if self._pending_count >= self.hysteresis:
-            obs.emit(
-                "envaware.change",
-                severity="info",
-                component="envaware",
-                previous=str(self._current),
-                new=str(label),
-            )
+            obs.signal("envaware.change", previous=str(self._current),
+                       new=str(label))
             self._current = label
             self._pending = None
             self._pending_count = 0

@@ -332,8 +332,7 @@ class EllipticalEstimator:
     def _warm_usable(self, warm: WarmStartState) -> bool:
         """A warm state worth seeding from: finite, with an in-grid exponent.
 
-        A refused state emits one ``solver.warm_unusable`` event plus one
-        ``estimator.warm_unusable`` counter tick, at this one site.
+        A refused state is one ``solver.warm_unusable`` signal.
         """
         grid = np.asarray(self.n_grid, dtype=float)
         lo, hi = float(grid.min()), float(grid.max())
@@ -346,14 +345,7 @@ class EllipticalEstimator:
             reason = "n-outside-window"
         else:
             return True
-        perf.count("estimator.warm_unusable")
-        obs.emit(
-            "solver.warm_unusable",
-            severity="info",
-            component="estimator",
-            reason=reason,
-            warm_n=warm.n,
-        )
+        obs.signal("solver.warm_unusable", reason=reason, warm_n=warm.n)
         return False
 
     def _warm_seeds(
@@ -411,17 +403,8 @@ class EllipticalEstimator:
     def _warm_reject(
         self, reason: str, warm: WarmStartState, n_rows: int,
     ) -> None:
-        """One event plus one counter, same site (soak cross-check parity)."""
-        perf.count("estimator.warm_rejected")
-        obs.emit(
-            "solver.warm_rejected",
-            severity="warning",
-            component="estimator",
-            reason=reason,
-            warm_n=warm.n,
-            warm_rmse=warm.rss_rmse,
-            n_rows=n_rows,
-        )
+        obs.signal("solver.warm_rejected", severity="warning", reason=reason,
+                   warm_n=warm.n, warm_rmse=warm.rss_rmse, n_rows=n_rows)
 
     def _fit_warm_linearized(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
@@ -642,23 +625,14 @@ class EllipticalEstimator:
     def _report_covariance(self, best: FitResult) -> None:
         """Make a winning fit's covariance fallback loud (never silent).
 
-        One ``estimator.cov_fallback`` event plus one perf counter tick per
-        fit whose reported ``position_std`` is not the trusted Gauss-Newton
-        value — emitted at the same site so the soak harness can cross-check
-        event volume against the counter exactly.
+        One ``estimator.cov_fallbacks`` signal per fit whose reported
+        ``position_std`` is not the trusted Gauss-Newton value.
         """
         if best.cov_status in ("ok", "none"):
             return
-        perf.count("estimator.cov_fallbacks")
-        obs.emit(
-            "estimator.cov_fallback",
-            severity="warning",
-            component="estimator",
-            status=best.cov_status,
-            cond=best.cov_cond,
-            position_std=best.position_std,
-            solver=best.solver,
-        )
+        obs.signal("estimator.cov_fallbacks", severity="warning",
+                   status=best.cov_status, cond=best.cov_cond,
+                   position_std=best.position_std, solver=best.solver)
 
     def _initial_candidates(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, use_q: bool

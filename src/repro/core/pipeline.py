@@ -303,14 +303,8 @@ class LocBLE:
                 out[beacon_id] = self.estimate(trace, observer_imu)
             except (ConfigurationError, InsufficientDataError,
                     EstimationError) as exc:
-                perf.count("pipeline.beacons_skipped")
-                obs.emit(
-                    "pipeline.beacon_skipped",
-                    severity="info",
-                    component="pipeline",
-                    beacon=str(beacon_id),
-                    reason=type(exc).__name__,
-                )
+                obs.signal("pipeline.beacons_skipped", beacon=str(beacon_id),
+                           reason=type(exc).__name__)
                 continue
         return out
 
@@ -420,15 +414,8 @@ class LocBLE:
             dropped = (report.n_nonfinite_dropped
                        + report.n_implausible_dropped
                        + report.n_duplicates_collapsed)
-            perf.count("pipeline.fallbacks")
-            obs.emit(
-                "pipeline.fallback",
-                severity="warning",
-                component="pipeline",
-                fallback=tag,
-                failure=failure,
-                n_samples=n_used,
-            )
+            obs.signal("pipeline.fallbacks", severity="warning", fallback=tag,
+                       failure=failure, n_samples=n_used)
             return FixProvenance(
                 solver="fallback",
                 n_samples=n_used,
@@ -527,25 +514,15 @@ class LocBLE:
             # the whole trace rather than regress on a standstill tail.
             span = max(float(np.ptp(p[seg_start:])), float(np.ptp(q[seg_start:])))
             if span < 0.5:
-                obs.emit(
-                    "pipeline.env_restart_suppressed",
-                    severity="debug",
-                    component="pipeline",
-                    segment_start=seg_start,
-                    movement_span_m=span,
-                )
+                obs.signal("pipeline.env_restart_suppressed",
+                           severity="debug", segment_start=seg_start,
+                           movement_span_m=span)
                 seg_start = 0
                 changes = []
             else:
-                perf.count("pipeline.env_restarts")
-                obs.emit(
-                    "pipeline.env_restart",
-                    severity="info",
-                    component="pipeline",
-                    env=str(env_class),
-                    segment_start=seg_start,
-                    at=changes[-1] if changes else None,
-                )
+                obs.signal("pipeline.env_restarts", env=str(env_class),
+                           segment_start=seg_start,
+                           at=changes[-1] if changes else None)
 
         # Step 3b — adaptive noise filtering on the active regression
         # segment only: filtering across an environment change would smear

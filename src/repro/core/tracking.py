@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError, EstimationError
 from repro.types import LocationEstimate, Vec2
 
@@ -84,14 +84,8 @@ class BeaconTracker:
         if not (math.isfinite(std) and std > 0):
             # A fix with no usable uncertainty is fused at the default
             # weight; that substitution changes the track, so count it.
-            perf.count("tracking.default_std_substitutions")
-            obs.emit(
-                "tracking.default_std",
-                severity="debug",
-                component="tracking",
-                given=std,
-                substituted=self.default_fix_std,
-            )
+            obs.signal("tracking.default_std_substitutions", severity="debug",
+                       given=std, substituted=self.default_fix_std)
             std = self.default_fix_std
         r = np.eye(2) * std**2
         z = estimate.position.as_array()

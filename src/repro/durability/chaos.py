@@ -29,9 +29,9 @@ The gates, each of which fails the run:
    baseline's.
 3. **Bounded loss** — across the whole run, at most one trace record
    (the torn line) may be lost per kill, and each is re-driven anyway.
-4. **Counter parity** — every ``durability.*`` / ``supervisor.*`` obs
-   event volume must equal its same-named :mod:`repro.perf` counter
-   delta (the emit-ritual audit, extended to the recovery path).
+4. **Signal parity** — every signal's obs event volume must equal its
+   same-named :mod:`repro.perf` counter delta over the run, recovery
+   path included (:func:`repro.obs.signal_parity`).
 """
 
 from __future__ import annotations
@@ -181,19 +181,6 @@ class ChaosResult:
         }
 
 
-class _VolumeSink:
-    """Sums each event's ``n`` field (default 1) per event name."""
-
-    def __init__(self) -> None:
-        self.volumes: Dict[str, int] = {}
-
-    def write(self, event: Any) -> None:
-        n = event.fields.get("n", 1)
-        if not isinstance(n, int) or isinstance(n, bool):
-            n = 1
-        self.volumes[event.name] = self.volumes.get(event.name, 0) + n
-
-
 def _schedule(
     config: ChaosConfig, rng: np.random.Generator
 ) -> Tuple[List[int], List[Tuple[int, int]]]:
@@ -328,13 +315,11 @@ def run_chaos(config: Optional[ChaosConfig] = None,
     ))
     ticks = list(stream.ticks)[:config.ticks]
 
-    sink = _VolumeSink()
-    obs.add_sink(sink)
-    watched_prefixes = ("durability.", "supervisor.")
+    sink = obs.add_sink(obs.CountingSink())
     # Parity is judged on counter *deltas* over exactly the window the
-    # volume sink observes, so a prior run in the same process (e.g.
-    # earlier tests) cannot skew the audit.
-    perf_before = dict(perf.snapshot()["counters"])
+    # sink observes, so a prior run in the same process (e.g. earlier
+    # tests) cannot skew the audit.
+    perf_before = perf.snapshot()["counters"]
 
     baseline_path = os.path.join(workdir, "baseline.trace")
     store_root = os.path.join(workdir, "store")
@@ -428,14 +413,8 @@ def run_chaos(config: Optional[ChaosConfig] = None,
     finally:
         obs.remove_sink(sink)
 
-    # ---- gate 4: obs↔perf parity over the durability/supervisor families
-    for name in sorted(sink.volumes):
-        if not name.startswith(watched_prefixes):
-            continue
-        delta = perf.counter_value(name) - perf_before.get(name, 0)
-        if sink.volumes[name] != delta:
-            result.parity_failures.append(
-                f"{name}: events {sink.volumes[name]} != counter {delta}")
+    # ---- gate 4: obs↔perf parity over every signal --------------------
+    result.parity_failures = obs.signal_parity(sink, perf_before)
 
     # ---- optional replay check over the recorded artifacts ---------------
     if config.replay_check and not result.untyped_errors:

@@ -30,9 +30,8 @@ dicts a crash-safe home with the classic durability ladder:
 Everything a disk can contain is *data*: every refusal is a typed
 :class:`~repro.errors.DataQualityError` (or
 :class:`~repro.errors.ConfigurationError` for an unusable root path), and
-every action emits a ``durability.<name>`` obs event paired with a
-same-named :mod:`repro.perf` counter at the same call site — the parity
-the chaos harness audits.
+every action is a ``durability.<name>`` :func:`repro.obs.signal` that
+also writes the local ``counters`` ledger.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 
 __all__ = ["CheckpointStore", "SnapshotInfo", "RestoredSnapshot"]
@@ -143,7 +142,7 @@ class CheckpointStore:
         self.root = Path(root)
         self.retain = int(retain)
         self.durability = durability
-        #: Local mirror of the ``durability.*`` perf counters (parity).
+        #: The ``durability.*`` signal ledger.
         self.counters: Dict[str, int] = {}
         #: File name -> (hash of its text, digest, tick) for every snapshot
         #: this store wrote or verified, so an unchanged file is not
@@ -195,8 +194,8 @@ class CheckpointStore:
                             digest=digest, n_bytes=len(data))
         self._rewrite_manifest(kind)
         self._rotate(kind)
-        self._event("saved", severity="info", kind=kind, seq=seq,
-                    tick=tick, bytes=info.n_bytes)
+        obs.signal("durability.saved", ledger=self.counters,
+                   kind=kind, seq=seq, tick=tick, bytes=info.n_bytes)
         return info
 
     # -- restoring -----------------------------------------------------------
@@ -229,8 +228,8 @@ class CheckpointStore:
                     # manifest never recorded is foreign state.
                     reason = "snapshot absent from a newer manifest"
                 elif listed is None:
-                    self._event("manifest_lag", severity="info", kind=kind,
-                                seq=seq)
+                    obs.signal("durability.manifest_lag", ledger=self.counters,
+                               kind=kind, seq=seq)
             if reason is not None:
                 self._quarantine(name, reason)
                 skipped.append((name, reason))
@@ -246,13 +245,13 @@ class CheckpointStore:
                 # Newer snapshots were refused on the way here; heal the
                 # manifest so the survivor is what it now attests to.
                 self._rewrite_manifest(kind)
-            self._event("restored", severity="info", kind=kind, seq=seq,
-                        tick=info.tick, skipped=len(skipped))
+            obs.signal("durability.restored", ledger=self.counters,
+                       kind=kind, seq=seq, tick=info.tick, skipped=len(skipped))
             return RestoredSnapshot(info=info, payload=payload,
                                     skipped=tuple(skipped))
         detail = "; ".join(f"{n}: {r}" for n, r in skipped) or "none on disk"
-        self._event("restore_failed", severity="error", kind=kind,
-                    candidates=len(skipped))
+        obs.signal("durability.restore_failed", ledger=self.counters,
+                   severity="error", kind=kind, candidates=len(skipped))
         raise DataQualityError(
             f"no verifiable {kind!r} snapshot in store "
             f"{str(self.root)!r} ({detail})")
@@ -382,8 +381,8 @@ class CheckpointStore:
                 reason + "\n", encoding="utf-8")
         except OSError:
             pass  # best effort: quarantine must never block recovery
-        self._event("quarantined", severity="warning", file=name,
-                    reason=reason)
+        obs.signal("durability.quarantined", ledger=self.counters,
+                   severity="warning", file=name, reason=reason)
 
     # -- internals: layout ---------------------------------------------------
 
@@ -495,19 +494,10 @@ class CheckpointStore:
             except OSError:
                 continue
             self._known.pop(name, None)
-            self._event("rotated", severity="debug", kind=kind, seq=seq)
+            obs.signal("durability.rotated", ledger=self.counters,
+                       severity="debug", kind=kind, seq=seq)
         if len(scan) > self.retain:
             self._rewrite_manifest(kind)
-
-    # -- internals: the counter/event parity ritual --------------------------
-
-    def _event(self, name: str, severity: str = "info", n: int = 1,
-               **fields: Any) -> None:
-        """``durability.<name>``: local counter + perf + obs, in lockstep."""
-        self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"durability.{name}", n)
-        obs.emit(f"durability.{name}", severity=severity,
-                 component="durability", n=n, **fields)
 
     def _check_kind(self, kind: str) -> None:
         if not isinstance(kind, str) or not _KIND_RE.match(kind):

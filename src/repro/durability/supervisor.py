@@ -36,10 +36,9 @@ that window re-drives the mover's scans to its hash-home shard. Run
 :func:`recover` path does not share this limit because the trace re-drive
 recreates the pre-migration placement exactly.
 
-Everything here follows the event ritual: each ``supervisor.<name>`` obs
-event increments a same-named :mod:`repro.perf` counter (and the local
-``counters`` mirror) at the same call site — the parity the chaos
-harness audits across kill/recover cycles.
+Every action is a ``supervisor.<name>`` :func:`repro.obs.signal` that
+also writes the local ``counters`` ledger; the chaos harness audits
+signal parity across kill/recover cycles.
 """
 
 from __future__ import annotations
@@ -213,8 +212,9 @@ class FleetSupervisor:
         self.failed[shard] = reason
         self._backoffs[shard].on_failure(t)
         self._breakers[shard].record_failure(t)
-        self._event("shard_failed", severity="error", shard=shard, t=t,
-                    typed=typed, error=type(exc).__name__)
+        obs.signal("supervisor.shard_failed", ledger=self.counters,
+                   severity="error", shard=shard, t=t, typed=typed,
+                   error=type(exc).__name__)
 
     # -- restart: snapshot + journal re-drive --------------------------------
 
@@ -241,15 +241,17 @@ class FleetSupervisor:
         except ReproError as exc:
             self._backoffs[shard].on_failure(t)
             self._breakers[shard].record_failure(t)
-            self._event("restart_failed", severity="error", shard=shard,
-                        t=t, error=type(exc).__name__, detail=str(exc))
+            obs.signal("supervisor.restart_failed", ledger=self.counters,
+                       severity="error", shard=shard, t=t,
+                       error=type(exc).__name__, detail=str(exc))
             return None
         del self.failed[shard]
         self._backoffs[shard].reset()
         self._breakers[shard].record_success(t)
         self.restarts += 1
-        self._event("shard_restarted", severity="info", shard=shard, t=t,
-                    redriven_ticks=redriven, sessions=worker.n_sessions)
+        obs.signal("supervisor.shard_restarted", ledger=self.counters,
+                   shard=shard, t=t, redriven_ticks=redriven,
+                   sessions=worker.n_sessions)
         return worker
 
     def _redrive(self, worker: ShardWorker, t: float) -> int:
@@ -300,8 +302,9 @@ class FleetSupervisor:
         that window so the eventual restart can still re-drive it.
         """
         if self.failed:
-            self._event("checkpoint_deferred", severity="warning",
-                        failed_shards=sorted(self.failed), t=t)
+            obs.signal("supervisor.checkpoint_deferred", ledger=self.counters,
+                       severity="warning", failed_shards=sorted(self.failed),
+                       t=t)
             return False
         payload = {"tick": self.ticks, "fleet": self.fleet.checkpoint()}
         self._last_cp = payload
@@ -309,22 +312,12 @@ class FleetSupervisor:
         if self.store is not None:
             info = self.store.save(FLEET_SNAPSHOT_KIND, payload,
                                    tick=self.ticks)
-            self._event("checkpointed", severity="info", tick=self.ticks,
-                        seq=info.seq, bytes=info.n_bytes)
+            obs.signal("supervisor.checkpointed", ledger=self.counters,
+                       tick=self.ticks, seq=info.seq, bytes=info.n_bytes)
         else:
-            self._event("checkpointed", severity="info", tick=self.ticks,
-                        seq=None, bytes=None)
+            obs.signal("supervisor.checkpointed", ledger=self.counters,
+                       tick=self.ticks, seq=None, bytes=None)
         return True
-
-    # -- the event ritual -----------------------------------------------------
-
-    def _event(self, name: str, severity: str = "info", n: int = 1,
-               **fields: Any) -> None:
-        """``supervisor.<name>``: local counter + perf + obs, in lockstep."""
-        self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"supervisor.{name}", n)
-        obs.emit(f"supervisor.{name}", severity=severity,
-                 component="supervisor", n=n, **fields)
 
 
 @dataclass(frozen=True)
@@ -437,12 +430,9 @@ def recover(
         quarantined=restored.skipped,
         digest_mismatches=tuple(mismatches),
     )
-    perf.count("supervisor.recovered")
-    obs.emit(
+    obs.signal(
         "supervisor.recovered",
         severity="error" if mismatches else "info",
-        component="supervisor",
-        n=1,
         checkpoint_seq=report.checkpoint_seq,
         checkpoint_tick=checkpoint_tick,
         redriven=redriven,

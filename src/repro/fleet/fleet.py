@@ -140,20 +140,15 @@ class TrackingFleet:
             if shard is None:
                 if cap is not None and self.total_sessions >= cap:
                     self.refused_samples += len(batch)
-                    perf.count("fleet.refused_samples", len(batch))
+                    obs.signal("fleet.refused_samples", len(batch),
+                               severity="warning", beacon=str(beacon_id),
+                               max_total_sessions=cap)
                     if beacon_id not in self._refused_beacons:
                         if len(self._refused_beacons) < SHED_ID_MEMORY:
                             self._refused_beacons.add(beacon_id)
                         self.admission_refused += 1
-                        perf.count("fleet.admission_refused")
-                    obs.emit(
-                        "fleet.admission_refused",
-                        severity="warning",
-                        component="fleet",
-                        beacon=str(beacon_id),
-                        samples=len(batch),
-                        max_total_sessions=cap,
-                    )
+                        obs.signal("fleet.admission_refused",
+                                   severity="warning", beacon=str(beacon_id))
                     continue
                 shard = self.router.shard_for(beacon_id)
             taken += self.workers[shard].ingest_scans(batch)
@@ -214,16 +209,8 @@ class TrackingFleet:
         )
         self.router.pin(beacon_id, dst_shard)
         self.migrations += 1
-        perf.count("fleet.migrations")
-        obs.emit(
-            "fleet.migrated",
-            severity="info",
-            component="fleet",
-            beacon=str(beacon_id),
-            src=src_shard,
-            dst=dst_shard,
-            wire_bytes=len(wire),
-        )
+        obs.signal("fleet.migrations", beacon=str(beacon_id), src=src_shard,
+                   dst=dst_shard, wire_bytes=len(wire))
 
     def drain(self, shard_id: int) -> List[Tuple[str, int]]:
         """Migrate every session off ``shard_id`` (rolling upgrade/retire).
@@ -246,13 +233,7 @@ class TrackingFleet:
             )
             self.migrate(beacon_id, dst)
             moves.append((beacon_id, dst))
-        obs.emit(
-            "fleet.drained",
-            severity="info",
-            component="fleet",
-            shard=shard_id,
-            moved=len(moves),
-        )
+        obs.signal("fleet.drained", shard=shard_id, moved=len(moves))
         return moves
 
     def rebalance(self) -> List[Tuple[str, int]]:
@@ -380,13 +361,6 @@ class TrackingFleet:
             }
             fleet.migrations = int(cp["migrations"])
             fleet.restores = int(cp["restores"]) + 1
-        perf.count("fleet.restores")
-        obs.emit(
-            "fleet.restored",
-            severity="info",
-            component="fleet",
-            shards=n_shards,
-            sessions=fleet.total_sessions,
-            restores=fleet.restores,
-        )
+        obs.signal("fleet.restores", shards=n_shards,
+                   sessions=fleet.total_sessions, restores=fleet.restores)
         return fleet

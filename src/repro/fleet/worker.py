@@ -100,11 +100,6 @@ class ShardWorker:
             worker.service = TrackingService.restore(
                 cp["service"], pipeline_factory=pipeline_factory
             )
-        obs.emit(
-            "fleet.shard_restored",
-            severity="info",
-            component="fleet",
-            shard=worker.shard_id,
-            sessions=worker.n_sessions,
-        )
+        obs.signal("fleet.shard_restored", shard=worker.shard_id,
+                   sessions=worker.n_sessions)
         return worker

@@ -25,12 +25,11 @@ Degradation ladder, outermost first:
 4. **Sample screening** — non-finite timestamps and samples older than
    the late horizon are refused per sample, counted per frame.
 5. **Queue shedding** — per-beacon :class:`~repro.service.BoundedBuffer`
-   drop-oldest with the standard shed ritual.
+   drop-oldest, each shed a ``service.shed.gateway.scan`` signal.
 
 Nothing in this module raises an untyped exception for anything a client
-can put on the wire: every refusal or repair is a ``gateway.*`` perf
-counter plus a same-named :mod:`repro.obs` event, emitted at the same
-call site.
+can put on the wire: every refusal or repair is a ``gateway.<name>``
+:func:`repro.obs.signal` that also writes the ``counters`` ledger.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ class IngestionGateway:
         self.scan_queues: Dict[str, BoundedBuffer[RssiSample]] = {}
         self.imu_queue: BoundedBuffer[ImuSample] = BoundedBuffer(
             self.config.imu_queue, name="gateway.imu")
-        #: Gateway-local refusal/repair counters (mirrored into repro.perf).
+        #: The ``gateway.*`` signal ledger (refusals and repairs).
         self.counters: Dict[str, int] = {}
         self.active_clients = 0
         self.ticks = 0
@@ -228,8 +227,9 @@ class IngestionGateway:
         state = _ClientState()
         try:
             if not admitted:
-                self._event("client_rejected", reason="max_clients",
-                            active=self.active_clients)
+                obs.signal("gateway.client_rejected", ledger=self.counters,
+                           severity="warning", reason="max_clients",
+                           active=self.active_clients)
                 await self._send(ep, state, {
                     "type": "error", "code": "busy",
                     "detail": "gateway at max_clients", "retryable": True,
@@ -239,8 +239,9 @@ class IngestionGateway:
         except Exception as exc:  # noqa: BLE001 — contract violation, surfaced
             self.task_errors.append(
                 f"{type(exc).__name__}: {exc} (client={state.client_id!r})")
-            self._event("internal_error", severity="error",
-                        client=state.client_id, error=type(exc).__name__)
+            obs.signal("gateway.internal_error", ledger=self.counters,
+                       severity="error", client=state.client_id,
+                       error=type(exc).__name__)
         finally:
             ep.close()
             if admitted:
@@ -255,8 +256,9 @@ class IngestionGateway:
             except asyncio.TimeoutError:
                 # Slow-loris / stalled client: refuse the connection, not
                 # the process. The client may reconnect and resend.
-                self._event("client_timeout", client=state.client_id,
-                            pending_bytes=decoder.pending_bytes)
+                obs.signal("gateway.client_timeout", ledger=self.counters,
+                           severity="warning", client=state.client_id,
+                           pending_bytes=decoder.pending_bytes)
                 await self._send(ep, state, {
                     "type": "error", "code": "timeout",
                     "detail": "no bytes within client_timeout_s",
@@ -267,20 +269,22 @@ class IngestionGateway:
                 try:
                     decoder.eof()
                 except DataQualityError as exc:
-                    self._event("frame_truncated", client=state.client_id,
-                                detail=str(exc))
+                    obs.signal("gateway.frame_truncated", ledger=self.counters,
+                               severity="warning", client=state.client_id,
+                               detail=str(exc))
                 else:
-                    self._event("client_disconnected", severity="info",
-                                client=state.client_id,
-                                frames=decoder.frames_decoded)
+                    obs.signal("gateway.client_disconnected",
+                               ledger=self.counters, client=state.client_id,
+                               frames=decoder.frames_decoded)
                 return
             try:
                 frames = decoder.feed(chunk)
             except DataQualityError as exc:
                 # Framing cannot resynchronize after corruption: count,
                 # answer, hang up.
-                self._event("frame_malformed", client=state.client_id,
-                            detail=str(exc))
+                obs.signal("gateway.frame_malformed", ledger=self.counters,
+                           severity="warning", client=state.client_id,
+                           detail=str(exc))
                 await self._send(ep, state, {
                     "type": "error", "code": "bad-frame",
                     "detail": str(exc), "retryable": True,
@@ -300,20 +304,23 @@ class IngestionGateway:
             ftype = validate_frame(frame)
         except DataQualityError as exc:
             state.errors += 1
-            self._event("frame_invalid", client=state.client_id,
-                        detail=str(exc), errors=state.errors)
+            obs.signal("gateway.frame_invalid", ledger=self.counters,
+                       severity="warning", client=state.client_id,
+                       detail=str(exc), errors=state.errors)
             await self._send(ep, state, {
                 "type": "error", "code": "invalid",
                 "detail": str(exc), "retryable": False,
             })
             if state.errors >= self.config.max_frame_errors:
-                self._event("client_expelled", client=state.client_id,
-                            errors=state.errors)
+                obs.signal("gateway.client_expelled", ledger=self.counters,
+                           severity="warning", client=state.client_id,
+                           errors=state.errors)
                 return False
             return True
 
         if state.client_id is None and ftype != "hello":
-            self._event("bad_handshake", client=None, got=ftype)
+            obs.signal("gateway.bad_handshake", ledger=self.counters,
+                       severity="warning", client=None, got=ftype)
             await self._send(ep, state, {
                 "type": "error", "code": "handshake",
                 "detail": "first frame must be hello", "retryable": False,
@@ -323,14 +330,14 @@ class IngestionGateway:
         if ftype == "hello":
             state.client_id = str(frame["client"])
             state.memory = self._memory_for(state.client_id)
-            self._event("client_connected", severity="info",
-                        client=state.client_id)
+            obs.signal("gateway.client_connected", ledger=self.counters,
+                       client=state.client_id)
             return await self._send(ep, state, {
                 "type": "welcome", "proto": PROTO_VERSION,
             })
         if ftype == "bye":
-            self._event("client_bye", severity="info",
-                        client=state.client_id)
+            obs.signal("gateway.client_bye", ledger=self.counters,
+                       client=state.client_id)
             return False
         if ftype == "scan":
             return await self._handle_scan(ep, state, frame)
@@ -344,19 +351,20 @@ class IngestionGateway:
         if state.memory.seen(seq):
             # At-least-once delivery: the retry of an already-ingested
             # frame is acked idempotently, never re-ingested.
-            self._event("frame_duplicate", severity="debug",
-                        client=state.client_id, seq=seq)
+            obs.signal("gateway.frame_duplicate", ledger=self.counters,
+                       severity="debug", client=state.client_id, seq=seq)
             return await self._send(ep, state, {
                 "type": "ack", "seq": seq, "taken": 0, "dup": True,
             })
         if state.memory.record(seq):
-            self._event("frame_reordered", severity="debug",
-                        client=state.client_id, seq=seq,
-                        max_seq=state.memory.max_seq)
+            obs.signal("gateway.frame_reordered", ledger=self.counters,
+                       severity="debug", client=state.client_id, seq=seq,
+                       max_seq=state.memory.max_seq)
         samples, rejected = scan_samples(frame)
         if rejected:
-            self._event("sample_rejected", n=rejected,
-                        client=state.client_id, seq=seq)
+            obs.signal("gateway.sample_rejected", n=rejected,
+                       ledger=self.counters, severity="warning",
+                       client=state.client_id, seq=seq)
         samples = self._screen_late(state, seq, samples)
         beacon = str(frame["beacon"])
         taken = 0
@@ -367,8 +375,9 @@ class IngestionGateway:
                 if len(self.scan_queues) >= self.config.max_beacons:
                     # Edge-level admission: ack so the client stops
                     # resending (a retry cannot help), but say why.
-                    self._event("admission_refused", client=state.client_id,
-                                beacon=beacon, n=len(samples))
+                    obs.signal("gateway.admission_refused", n=len(samples),
+                               ledger=self.counters, severity="warning",
+                               client=state.client_id, beacon=beacon)
                     refused = "max_beacons"
                 else:
                     queue = BoundedBuffer(self.config.scan_queue,
@@ -387,19 +396,20 @@ class IngestionGateway:
         seq = frame["seq"]
         assert state.memory is not None
         if state.memory.seen(seq):
-            self._event("frame_duplicate", severity="debug",
-                        client=state.client_id, seq=seq)
+            obs.signal("gateway.frame_duplicate", ledger=self.counters,
+                       severity="debug", client=state.client_id, seq=seq)
             return await self._send(ep, state, {
                 "type": "ack", "seq": seq, "taken": 0, "dup": True,
             })
         if state.memory.record(seq):
-            self._event("frame_reordered", severity="debug",
-                        client=state.client_id, seq=seq,
-                        max_seq=state.memory.max_seq)
+            obs.signal("gateway.frame_reordered", ledger=self.counters,
+                       severity="debug", client=state.client_id, seq=seq,
+                       max_seq=state.memory.max_seq)
         samples, rejected = imu_samples(frame)
         if rejected:
-            self._event("sample_rejected", n=rejected,
-                        client=state.client_id, seq=seq)
+            obs.signal("gateway.sample_rejected", n=rejected,
+                       ledger=self.counters, severity="warning",
+                       client=state.client_id, seq=seq)
         samples = self._screen_late(state, seq, samples)
         taken = self.imu_queue.extend(samples) if samples else 0
         return await self._send(ep, state, {
@@ -414,8 +424,9 @@ class IngestionGateway:
         fresh = [s for s in samples if s.timestamp >= horizon]
         n_late = len(samples) - len(fresh)
         if n_late:
-            self._event("sample_late", n=n_late, client=state.client_id,
-                        seq=seq, horizon=horizon)
+            obs.signal("gateway.sample_late", n=n_late, ledger=self.counters,
+                       severity="warning", client=state.client_id, seq=seq,
+                       horizon=horizon)
         return fresh
 
     # -- the synchronous spine ----------------------------------------------
@@ -424,7 +435,7 @@ class IngestionGateway:
         """Enqueue scans directly, bypassing the wire protocol.
 
         Same queue semantics as the framed path — beacon admission applies
-        and overflow sheds with the standard ritual — minus the
+        and overflow sheds exactly as on the framed path — minus the
         per-connection layers (handshake, seq dedup, late screening). This
         is the replay entry point: :func:`repro.gateway.trace.replay`
         drives *already-committed* batches back through the queues, and
@@ -435,8 +446,9 @@ class IngestionGateway:
             queue = self.scan_queues.get(s.beacon_id)
             if queue is None:
                 if len(self.scan_queues) >= self.config.max_beacons:
-                    self._event("admission_refused", client=None,
-                                beacon=s.beacon_id, n=1)
+                    obs.signal("gateway.admission_refused", n=1,
+                               ledger=self.counters, severity="warning",
+                               client=None, beacon=s.beacon_id)
                     continue
                 queue = BoundedBuffer(self.config.scan_queue,
                                       name="gateway.scan")
@@ -506,8 +518,9 @@ class IngestionGateway:
             self._seq_memory[client_id] = memory
             if len(self._seq_memory) > CLIENT_MEMORY:
                 evicted, _ = self._seq_memory.popitem(last=False)
-                self._event("client_memory_evicted", severity="debug",
-                            client=evicted)
+                obs.signal("gateway.client_memory_evicted",
+                           ledger=self.counters, severity="debug",
+                           client=evicted)
         else:
             self._seq_memory.move_to_end(client_id)
         return memory
@@ -520,20 +533,7 @@ class IngestionGateway:
             await ep.send(encode_frame(obj))
             return True
         except ConnectionClosed:
-            self._event("reply_dropped", severity="debug",
-                        client=state.client_id,
-                        frame_type=obj.get("type"))
+            obs.signal("gateway.reply_dropped", ledger=self.counters,
+                       severity="debug", client=state.client_id,
+                       frame_type=obj.get("type"))
             return False
-
-    def _event(self, name: str, severity: str = "warning", n: int = 1,
-               **fields: Any) -> None:
-        """The refusal/repair ritual: local counter + perf + obs, paired.
-
-        Every ``gateway.<name>`` perf counter increments in lockstep with
-        a same-named obs event from this one call site — the parity that
-        ``tests/test_gateway.py`` audits across whole soak runs.
-        """
-        self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"gateway.{name}", n)
-        obs.emit(f"gateway.{name}", severity=severity, component="gateway",
-                 n=n, **fields)

@@ -14,9 +14,9 @@ The acceptance contract is measured, not asserted by hope:
 * **zero untyped exceptions** — anything a client or serve task leaks
   outside ``DataQualityError``/``ConfigurationError`` lands in
   ``errors`` and fails :meth:`GatewaySoakResult.passed`;
-* **counter/event parity** — every ``gateway.*`` refusal/repair counter
-  must equal the ``n``-weighted volume of its same-named obs event over
-  the run (a run-scoped sink does the bookkeeping);
+* **signal parity** — every signal's ``n``-weighted event volume over
+  the run must equal its perf counter delta
+  (:func:`repro.obs.signal_parity` over a run-scoped sink);
 * **record→replay bit-identity** — when recording, the trace is replayed
   through a fresh gateway+fleet and each tick's snapshot digest must
   match both the trace and the live run.
@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
+from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.client import SimulatedClient
@@ -97,7 +97,8 @@ class GatewaySoakResult:
     client_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: ``n``-weighted obs event volume per event name over the run.
     event_volumes: Dict[str, int] = field(default_factory=dict)
-    #: Counter names whose obs-event volume disagreed (must be empty).
+    #: Signals whose event volume disagreed with their perf counter delta
+    #: (must be empty).
     parity_failures: List[str] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     untyped_errors: int = 0
@@ -133,19 +134,6 @@ class GatewaySoakResult:
                                   else len(self.replay_result.mismatches)),
             "passed": self.passed,
         }
-
-
-class _VolumeSink:
-    """Sums each event's ``n`` field (default 1) per event name."""
-
-    def __init__(self) -> None:
-        self.volumes: Dict[str, int] = {}
-
-    def write(self, event: Any) -> None:
-        n = event.fields.get("n", 1)
-        if not isinstance(n, int) or isinstance(n, bool):
-            n = 1
-        self.volumes[event.name] = self.volumes.get(event.name, 0) + n
 
 
 def _build_schedules(
@@ -275,22 +263,19 @@ async def _drive(
 def run_gateway_soak(config: GatewaySoakConfig) -> GatewaySoakResult:
     """Run one gateway soak to completion (drives its own event loop).
 
-    Counter/event parity is audited over a run-scoped sink; the
+    Signal parity is audited over a run-scoped sink; the
     record→replay determinism check runs after the loop when a
     ``record_path`` was given and ``replay_check`` is on.
     """
     result = GatewaySoakResult()
-    sink = _VolumeSink()
-    obs.add_sink(sink)
+    sink = obs.add_sink(obs.CountingSink())
+    perf_before = perf.snapshot()["counters"]
     try:
         asyncio.run(_drive(config, result))
     finally:
         obs.remove_sink(sink)
-    result.event_volumes = dict(sink.volumes)
-
-    for name, count in sorted(result.gateway_counters.items()):
-        if sink.volumes.get(f"gateway.{name}", 0) != count:
-            result.parity_failures.append(name)
+    result.event_volumes = dict(sink.volume)
+    result.parity_failures = obs.signal_parity(sink, perf_before)
 
     if config.record_path is not None and config.replay_check:
         replay_result = replay(config.record_path)

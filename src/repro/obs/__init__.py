@@ -11,8 +11,8 @@ Like :mod:`repro.perf`, the module doubles as a process-wide facade::
 
     from repro import obs
 
-    obs.emit("estimator.cov_fallback", severity="warning",
-             component="estimator", status="rank-deficient", cond=3.2e17)
+    obs.signal("estimator.cov_fallbacks", severity="warning",
+               status="rank-deficient", cond=3.2e17)
 
     with obs.span("pipeline.estimate", beacon="b0") as sp:
         result = locble.estimate(trace)
@@ -23,13 +23,19 @@ the most recent events are inspectable (``obs.tail()``) even when nothing
 was configured; extra sinks (a :class:`~repro.obs.sinks.JsonLinesSink`
 file, a :class:`~repro.obs.sinks.CountingSink` for tests) attach and detach
 freely. See ``docs/observability.md`` for the event schema and the list of
-events each component emits.
+signals each component emits.
+
+Every counted occurrence goes through :func:`signal`, the one call that
+writes the owner's checkpointed ledger, the :mod:`repro.perf` counter and
+the event under one name. :func:`emit` is the primitive beneath it and
+beneath spans; nothing outside this package calls it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
+from repro import perf
 from repro.obs.events import SEVERITIES, Event, EventLog
 from repro.obs.provenance import FixProvenance
 from repro.obs.sinks import CountingSink, JsonLinesSink, RingBufferSink
@@ -47,6 +53,8 @@ __all__ = [
     "log",
     "ring",
     "emit",
+    "signal",
+    "signal_parity",
     "span",
     "current_trace_id",
     "add_sink",
@@ -85,6 +93,52 @@ def emit(
     return log.emit(
         name, severity=severity, component=component, trace=trace, **fields
     )
+
+
+def signal(
+    name: str,
+    n: int = 1,
+    *,
+    ledger: Optional[Dict[str, int]] = None,
+    severity: str = "info",
+    **fields: Any,
+) -> None:
+    """Count ``n`` occurrences of ``name`` (``<family>.<key>``).
+
+    Bumps ``ledger[<key>]`` when the owner passes its counter dict, the
+    perf counter ``name``, and emits the event ``name`` with
+    ``component=<family>`` and an ``n`` field. The ledger is checkpointed
+    state, so it is written even while :func:`disable` or
+    ``perf.disable()`` is on; those switches silence only the event and
+    the perf counter.
+    """
+    family, _, key = name.partition(".")
+    if ledger is not None:
+        ledger[key] = ledger.get(key, 0) + n
+    perf.count(name, n)
+    if log.enabled:
+        emit(name, severity=severity, component=family, n=n, **fields)
+
+
+def signal_parity(
+    sink: CountingSink, perf_before: Mapping[str, int]
+) -> List[str]:
+    """Every signal in ``sink`` whose volume differs from its perf delta.
+
+    ``perf_before`` is ``perf.snapshot()["counters"]`` taken when ``sink``
+    was attached. Each event but ``span`` comes from :func:`signal`, so
+    over a window with both switches on the n-weighted event volume of a
+    name equals the growth of its perf counter; the harnesses gate on an
+    empty result.
+    """
+    failures = []
+    for name, volume in sorted(sink.volume.items()):
+        if name == "span":
+            continue
+        delta = perf.counter_value(name) - perf_before.get(name, 0)
+        if volume != delta:
+            failures.append(f"{name}: events {volume} != counter {delta}")
+    return failures
 
 
 def span(

@@ -14,11 +14,11 @@ layers as a solve travels up the stack:
   confidence, fallback path (if any);
 * :class:`~repro.service.session.TrackingSession` contributes the stream
   facts: beacon id, stream time, buffer depth and shed counts, health state
-  — and emits the completed record as one ``fix.provenance`` event.
+  — and sends the completed record as the fields of its one
+  ``service.fixes_accepted`` signal.
 
 The record is JSON-safe by construction (:meth:`to_fields`), so it lands in
-the event log verbatim and the soak harness can cross-check provenance
-volume against the :mod:`repro.perf` counters.
+the event log verbatim.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
             agg["total_s"] += float(r.get("duration_s", 0.0) or 0.0)
             if r.get("status") == "error":
                 agg["errors"] += 1
-        if name == "fix.provenance":
+        if name == "service.fixes_accepted":
             provenance["fixes"] += 1
             if r.get("degraded"):
                 provenance["degraded"] += 1

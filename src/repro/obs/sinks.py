@@ -8,8 +8,9 @@ Three sinks cover the deployment shapes the ROADMAP cares about:
 * :class:`JsonLinesSink` — the durable machine-readable log: one JSON
   object per line, flushed per event so a crash loses at most the record
   being written. This is the format ``python -m repro obs report`` reads.
-* :class:`CountingSink` — name → count aggregation for cross-checking
-  event volumes against :mod:`repro.perf` counters in tests.
+* :class:`CountingSink` — name → count and n-weighted volume, for
+  cross-checking signals against :mod:`repro.perf` counters
+  (:func:`repro.obs.signal_parity`).
 """
 
 from __future__ import annotations
@@ -120,16 +121,26 @@ class JsonLinesSink:
 
 
 class CountingSink:
-    """Aggregates event volume by name (and by severity) only."""
+    """Aggregates events by name and by severity only.
+
+    ``by_name`` counts events; ``volume`` sums each event's ``n`` field
+    (1 when absent or not an int), the amount a signal added to its perf
+    counter.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.by_name: Dict[str, int] = {}
         self.by_severity: Dict[str, int] = {}
+        self.volume: Dict[str, int] = {}
 
     def write(self, event: Event) -> None:
+        n = event.fields.get("n", 1)
+        if not isinstance(n, int) or isinstance(n, bool):
+            n = 1
         with self._lock:
             self.by_name[event.name] = self.by_name.get(event.name, 0) + 1
+            self.volume[event.name] = self.volume.get(event.name, 0) + n
             self.by_severity[event.severity] = (
                 self.by_severity.get(event.severity, 0) + 1
             )

@@ -12,7 +12,7 @@ Usage::
     with perf.timer("estimator.fit"):
         estimator.fit(p, q, rss)
 
-    perf.count("dtw.lb_rejections")
+    perf.count("segmatch.envelope_cache_hits")
     print(perf.snapshot()["timers"]["estimator.fit"]["mean_s"])
 
 ``perf.disable()`` turns the whole subsystem into a no-op (one boolean check

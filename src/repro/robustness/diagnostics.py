@@ -36,8 +36,8 @@ class EstimateDiagnostics:
 
     ``provenance`` is the :class:`repro.obs.FixProvenance` record the
     pipeline assembled for this estimate (solver facts included); streaming
-    sessions enrich it with their stream-layer fields and emit it as the
-    ``fix.provenance`` event.
+    sessions enrich it with their stream-layer fields and send it with the
+    ``service.fixes_accepted`` signal.
 
     ``warm`` is the :class:`repro.core.estimator.WarmStartState` the solver
     derived from this fit (typed loosely to keep this module import-light):

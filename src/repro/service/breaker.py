@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service.checkpoint import require_finite, restore_guard
 
@@ -226,9 +226,8 @@ class CircuitBreaker:
         if self.state == self.OPEN:
             if t - self._opened_t >= self._cooldown_s:
                 self.state = self.HALF_OPEN
-                perf.count("service.breaker_probes")
-                obs.emit("breaker.probe", severity="debug",
-                         component="service", key=self.key, t=t)
+                obs.signal("service.breaker_probes", severity="debug",
+                           key=self.key, t=t)
                 return True
             return False
         return True
@@ -237,9 +236,7 @@ class CircuitBreaker:
         """A solve succeeded: close the circuit and reset escalation."""
         self.consecutive_failures = 0
         if self.state != self.CLOSED:
-            perf.count("service.breaker_closes")
-            obs.emit("breaker.close", severity="info",
-                     component="service", key=self.key, t=t)
+            obs.signal("service.breaker_closes", key=self.key, t=t)
         self.state = self.CLOSED
         self._opened_t = None
         self._cooldown_s = self.config.cooldown_s
@@ -265,16 +262,9 @@ class CircuitBreaker:
         self.state = self.OPEN
         self._opened_t = t
         self.trips += 1
-        perf.count("service.breaker_trips")
-        obs.emit(
-            "breaker.trip",
-            severity="warning",
-            component="service",
-            key=self.key,
-            t=t,
-            consecutive_failures=self.consecutive_failures,
-            cooldown_s=self._cooldown_s,
-        )
+        obs.signal("service.breaker_trips", severity="warning", key=self.key,
+                   t=t, consecutive_failures=self.consecutive_failures,
+                   cooldown_s=self._cooldown_s)
 
     # -- persistence ---------------------------------------------------------
 

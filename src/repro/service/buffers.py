@@ -4,10 +4,9 @@ A streaming tracker that buffers scans unboundedly dies slowly under burst
 traffic; one that drops silently lies about its inputs. These buffers do
 neither: capacity is fixed at construction, overflow policy is explicit
 (*drop-oldest* — the newest measurement is always the most valuable for a
-tracker), and every shed sample is counted locally, counted into
-:mod:`repro.perf` (``service.shed.<name>``) and logged (first shed per
-buffer at WARNING, the rest at DEBUG so a sustained storm cannot flood the
-log).
+tracker), and every shed sample is counted locally, signalled as
+``service.shed.<name>`` and logged (first shed per buffer at WARNING, the
+rest at DEBUG so a sustained storm cannot flood the log).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import (
     TypeVar,
 )
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = ["DROP_OLDEST", "BoundedBuffer"]
@@ -56,7 +55,7 @@ class BoundedBuffer(Generic[T]):
         return len(self._items) >= self.maxlen
 
     def _shed_oldest(self) -> None:
-        """Evict the oldest item with the full count/perf/event/log ritual.
+        """Evict the oldest item: count, signal and log it.
 
         Every shed path (``append``, ``extend``, ``insert_by``) funnels
         through here, so per-item shed accounting is identical no matter
@@ -65,12 +64,9 @@ class BoundedBuffer(Generic[T]):
         """
         self._items.popleft()
         self.shed += 1
-        perf.count(f"service.shed.{self.name}")
-        obs.emit(
-            "buffer.shed",
+        obs.signal(
+            f"service.shed.{self.name}",
             severity="warning" if self.shed == 1 else "debug",
-            component="service",
-            buffer=self.name,
             maxlen=self.maxlen,
             shed_total=self.shed,
             policy=self.policy,

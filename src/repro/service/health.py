@@ -193,16 +193,12 @@ class HealthMachine:
         spent = max(t - self._entered_t, 0.0)
         self._dwell[self.state] += spent
         perf.record(f"service.dwell.{self.state}", spent)
-        perf.count(f"service.transitions.{self.state}->{new_state}")
-        obs.emit(
-            "health.transition",
+        obs.signal(
+            f"service.transitions.{self.state}->{new_state}",
             severity=("warning" if new_state in (SessionState.STALE,
                                                  SessionState.LOST)
                       else "info"),
-            component="service",
             t=t,
-            previous=self.state,
-            new=new_state,
             dwell_s=spent,
         )
         self.transitions.append((t, self.state, new_state))

@@ -14,8 +14,8 @@ a unit. Design rules:
   order, retry jitter is hash-derived, and all clocks are stream time —
   a checkpoint/restore cycle replays bit-identically.
 * **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on data;
-  every failure mode is a counted, supervised event reported through
-  :mod:`repro.perf` and :meth:`stats`.
+  every failure mode is a supervised :func:`repro.obs.signal`, also
+  reported through :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class TrackingService:
         were buffered.
 
         Unknown beacons get a fresh session — up to ``max_sessions``, beyond
-        which their traffic is shed with a counted
-        ``service.session_shed`` event. ``sessions_shed`` counts *distinct*
-        refused beacons; ``shed_samples`` the samples dropped with them.
+        which their traffic is shed. ``sessions_shed`` counts *distinct*
+        refused beacons; ``shed_samples`` the samples dropped with them;
+        each is its own same-named ``service.*`` signal.
         """
         taken = 0
         by_beacon: Dict[str, list] = {}
@@ -120,20 +120,15 @@ class TrackingService:
                 if len(self.sessions) >= self.config.max_sessions:
                     n = len(by_beacon[beacon_id])
                     self.shed_samples += n
-                    perf.count("service.shed_samples", n)
+                    obs.signal("service.shed_samples", n, severity="warning",
+                               beacon=str(beacon_id),
+                               max_sessions=self.config.max_sessions)
                     if beacon_id not in self._shed_beacons:
                         if len(self._shed_beacons) < SHED_ID_MEMORY:
                             self._shed_beacons.add(beacon_id)
                         self.sessions_shed += 1
-                        perf.count("service.sessions_shed")
-                    obs.emit(
-                        "service.session_shed",
-                        severity="warning",
-                        component="service",
-                        beacon=str(beacon_id),
-                        samples=n,
-                        max_sessions=self.config.max_sessions,
-                    )
+                        obs.signal("service.sessions_shed",
+                                   severity="warning", beacon=str(beacon_id))
                     continue
                 session = TrackingSession(
                     beacon_id,
@@ -150,13 +145,7 @@ class TrackingService:
         taken = 0
         for s in samples:
             if not math.isfinite(s.timestamp):
-                perf.count("service.ingest_rejected")
-                obs.emit(
-                    "service.imu_rejected",
-                    severity="warning",
-                    component="service",
-                    reason="nonfinite-timestamp",
-                )
+                obs.signal("service.imu_rejected", severity="warning")
                 continue
             self.imu.append(s)
             taken += 1
@@ -311,12 +300,6 @@ class TrackingService:
                 service.sessions[str(beacon_id)] = TrackingSession.restore(
                     session_cp, pipeline_factory=pipeline_factory
                 )
-        perf.count("service.service_restores")
-        obs.emit(
-            "service.restored",
-            severity="info",
-            component="service",
-            sessions=len(service.sessions),
-            restores=service.restores,
-        )
+        obs.signal("service.service_restores",
+                   sessions=len(service.sessions), restores=service.restores)
         return service

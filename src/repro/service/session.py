@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
 from repro.core.pipeline import LocBLE, PreparedEstimate
 from repro.core.tracking import BeaconTracker, TrackState
@@ -285,21 +285,15 @@ class TrackingSession:
         solve window sliced from it — stays time-ordered; an exact duplicate
         of a buffered sample (same timestamp, RSSI and channel — the
         signature of a retried delivery) is **refused**. Both paths are
-        counted (``ingest_reordered`` / ``ingest_duplicate``) and evented,
-        never silent.
+        signalled (``service.ingest_reordered`` /
+        ``service.ingest_duplicate``), never silent.
         """
         taken = 0
         for s in samples:
             if not math.isfinite(s.timestamp):
-                self._count("ingest_rejected_nonfinite_t")
-                perf.count("service.ingest_rejected")
-                obs.emit(
-                    "session.ingest_rejected",
-                    severity="warning",
-                    component="service",
-                    beacon=self.beacon_id,
-                    reason="nonfinite-timestamp",
-                )
+                obs.signal("service.ingest_rejected_nonfinite_t",
+                           ledger=self.counters, severity="warning",
+                           beacon=self.beacon_id)
                 continue
             last = self.rss.last()
             if last is None or s.timestamp >= last.timestamp:
@@ -309,42 +303,23 @@ class TrackingSession:
                 # order.
                 if (last is not None and s.timestamp == last.timestamp
                         and self._is_duplicate(s)):
-                    self._count("ingest_duplicate")
-                    perf.count("service.ingest_duplicate")
-                    obs.emit(
-                        "ingest.duplicate",
-                        severity="debug",
-                        component="service",
-                        beacon=self.beacon_id,
-                        t=s.timestamp,
-                    )
+                    obs.signal("service.ingest_duplicate",
+                               ledger=self.counters, severity="debug",
+                               beacon=self.beacon_id, t=s.timestamp)
                     continue
                 self.rss.append(s)
                 taken += 1
                 continue
             if self._is_duplicate(s):
-                self._count("ingest_duplicate")
-                perf.count("service.ingest_duplicate")
-                obs.emit(
-                    "ingest.duplicate",
-                    severity="debug",
-                    component="service",
-                    beacon=self.beacon_id,
-                    t=s.timestamp,
-                )
+                obs.signal("service.ingest_duplicate", ledger=self.counters,
+                           severity="debug", beacon=self.beacon_id,
+                           t=s.timestamp)
                 continue
             self.rss.insert_by(s, key=lambda x: x.timestamp)
             taken += 1
-            self._count("ingest_reordered")
-            perf.count("service.ingest_reordered")
-            obs.emit(
-                "ingest.reordered",
-                severity="debug",
-                component="service",
-                beacon=self.beacon_id,
-                t=s.timestamp,
-                behind_s=last.timestamp - s.timestamp,
-            )
+            obs.signal("service.ingest_reordered", ledger=self.counters,
+                       severity="debug", beacon=self.beacon_id,
+                       t=s.timestamp, behind_s=last.timestamp - s.timestamp)
         return taken
 
     def _is_duplicate(self, s: RssiSample) -> bool:
@@ -447,16 +422,9 @@ class TrackingSession:
             # so a later re-acquisition starts from the fresh fix.
             self.tracker = self._new_tracker()
             self.last_estimate = None
-            self._count("tracks_dropped")
-            perf.count("service.tracks_dropped")
-            obs.emit(
-                "session.track_dropped",
-                severity="warning",
-                component="service",
-                beacon=self.beacon_id,
-                t=t,
-                fix_age_s=self.health.fix_age(t),
-            )
+            obs.signal("service.tracks_dropped", ledger=self.counters,
+                       severity="warning", beacon=self.beacon_id, t=t,
+                       fix_age_s=self.health.fix_age(t))
 
         return self._snapshot(t)
 
@@ -487,61 +455,32 @@ class TrackingSession:
         imu_window = tick.window(self.config.window_s)
         if (len(window) < self.pipeline.estimator.min_samples
                 or len(imu_window) < self.config.min_imu_samples):
-            self._count("solves_skipped_nodata")
-            perf.count("service.solves_skipped_nodata")
-            obs.emit(
-                "session.solve_skipped",
-                severity="debug",
-                component="service",
-                beacon=self.beacon_id,
-                t=t,
-                rss_window=len(window),
-                imu_window=len(imu_window),
-            )
+            obs.signal("service.solves_skipped_nodata", ledger=self.counters,
+                       severity="debug", beacon=self.beacon_id, t=t,
+                       rss_window=len(window), imu_window=len(imu_window))
             return None
         if not (self.breaker.allow(t) and self.backoff.ready(t)):
-            self._count("solves_shed")
-            perf.count("service.solves_shed")
-            obs.emit(
-                "session.solve_shed",
-                severity="info",
-                component="service",
-                beacon=self.beacon_id,
-                t=t,
-                breaker_state=self.breaker.state,
-                backoff_attempt=self.backoff.attempt,
-            )
+            obs.signal("service.solves_shed", ledger=self.counters,
+                       beacon=self.beacon_id, t=t,
+                       breaker_state=self.breaker.state,
+                       backoff_attempt=self.backoff.attempt)
             return None
-        self._count("solves_attempted")
-        perf.count("service.solves_attempted")
+        obs.signal("service.solves_attempted", ledger=self.counters,
+                   severity="debug", beacon=self.beacon_id, t=t)
         return window, imu_window, tick.tracks
 
     # -- solve outcome handlers -------------------------------------------------
 
     def _solve_degenerate(self, t: float, exc: Exception) -> None:
-        self._count("solves_degenerate")
-        perf.count("service.solves_degenerate")
-        obs.emit(
-            "session.solve_degenerate",
-            severity="warning",
-            component="service",
-            beacon=self.beacon_id,
-            t=t,
-            error=str(exc),
-        )
+        obs.signal("service.solves_degenerate", ledger=self.counters,
+                   severity="warning", beacon=self.beacon_id, t=t,
+                   error=str(exc))
         self.breaker.record_failure(t)
 
     def _solve_transient(self, t: float, exc: Exception) -> None:
-        self._count("solves_transient_failures")
-        perf.count("service.solves_transient_failures")
-        obs.emit(
-            "session.solve_transient",
-            severity="warning",
-            component="service",
-            beacon=self.beacon_id,
-            t=t,
-            error=type(exc).__name__,
-        )
+        obs.signal("service.solves_transient_failures", ledger=self.counters,
+                   severity="warning", beacon=self.beacon_id, t=t,
+                   error=type(exc).__name__)
         self.backoff.on_failure(t)
 
     def _solve_succeeded(self, t: float, est: LocationEstimate) -> None:
@@ -551,12 +490,10 @@ class TrackingSession:
         self._store_warm(t, est)
         good = self._fix_quality(est)
         self.health.on_fix(t, good)
-        self._count("fixes_accepted")
-        perf.count("service.fixes_accepted")
-        self._emit_provenance(t, est, good)
+        self._signal_fix(t, est, good)
         if not good:
-            self._count("fixes_degraded")
-            perf.count("service.fixes_degraded")
+            obs.signal("service.fixes_degraded", ledger=self.counters,
+                       severity="debug", beacon=self.beacon_id, t=t)
 
     # -- warm-start state -----------------------------------------------------
 
@@ -576,14 +513,14 @@ class TrackingSession:
         else:
             self._warm = dataclasses.replace(warm, stream_t=t)
 
-    def _emit_provenance(
+    def _signal_fix(
         self, t: float, est: LocationEstimate, good: bool
     ) -> None:
-        """Complete and emit the fix's provenance record (stream layer).
+        """Signal the accepted fix, its completed provenance as the fields.
 
-        Emitted at the same site as the ``service.fixes_accepted`` perf
-        counter, so event volume and counter stay exactly in step — the
-        soak harness asserts on that equality.
+        The ``service.fixes_accepted`` event carries the stream layer of
+        the fix's :class:`FixProvenance` on top of the solver and pipeline
+        layers.
         """
         prov = getattr(est.diagnostics, "provenance", None)
         if prov is None:
@@ -595,12 +532,8 @@ class TrackingSession:
             shed=self.rss.shed,
             degraded=not good,
         )
-        obs.emit(
-            "fix.provenance",
-            severity="info",
-            component="service",
-            **prov.to_fields(),
-        )
+        obs.signal("service.fixes_accepted", ledger=self.counters,
+                   **prov.to_fields())
 
     def _fix_quality(self, est: LocationEstimate) -> bool:
         """Is this accepted fix *good* (vs merely usable)?
@@ -661,9 +594,6 @@ class TrackingSession:
             buffered=len(self.rss),
             shed=self.rss.shed,
         )
-
-    def _count(self, name: str) -> None:
-        self.counters[name] = self.counters.get(name, 0) + 1
 
     # -- persistence ---------------------------------------------------------
 
@@ -744,13 +674,7 @@ class TrackingSession:
             session._warm = (
                 None if warm is None else WarmStartState.from_dict(warm)
             )
-        perf.count("service.restores")
-        obs.emit(
-            "session.restored",
-            severity="info",
-            component="service",
-            beacon=session.beacon_id,
-            buffered=len(session.rss),
-            last_solve_t=session.last_solve_t,
-        )
+        obs.signal("service.restores", beacon=session.beacon_id,
+                   buffered=len(session.rss),
+                   last_solve_t=session.last_solve_t)
         return session

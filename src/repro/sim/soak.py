@@ -15,7 +15,7 @@ faults injected, which is what this harness provides::
         fault=FaultModel(loss_rate=0.3, n_outages=2, outage_s=60.0),
         checkpoint_t=150.0,
     ))
-    assert result.untyped_errors == 0 and result.checkpoint_equal
+    assert result.passed
 
 The harness simulates one long multi-leg walk, degrades each beacon's trace
 through :class:`~repro.sim.faults.FaultModel`, and replays the stream into a
@@ -116,11 +116,19 @@ class SoakResult:
     #: from a run-scoped :class:`repro.obs.RingBufferSink`).
     events: Dict[str, int] = field(default_factory=dict)
     #: :mod:`repro.perf` counter deltas over the run — the cross-check
-    #: partner of :attr:`events` (e.g. ``fix.provenance`` events must equal
-    #: the ``service.fixes_accepted`` delta).
+    #: partner of :attr:`events`.
     perf_counters: Dict[str, int] = field(default_factory=dict)
+    #: Signals whose event volume differed from their perf counter delta
+    #: (:func:`repro.obs.signal_parity`; must be empty).
+    parity_failures: Tuple[str, ...] = ()
     #: Where the JSON-lines event log was written (None when not requested).
     events_jsonl: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        """No untyped error, no parity failure, no resume divergence."""
+        return (self.untyped_errors == 0 and not self.parity_failures
+                and self.checkpoint_equal is not False)
 
     def states_visited(self, beacon_id: str) -> List[str]:
         """Distinct session states in first-visit order (incl. the start)."""
@@ -219,13 +227,14 @@ def _build_stream(config: SoakConfig):
 def _drive(
     service: TrackingService,
     ticks,
-    errors: List[str],
+    errors: List[Tuple[str, bool]],
 ) -> Dict[str, List[SessionSnapshot]]:
     """Replay ingest batches into a service, capturing every exception.
 
     The service's contract is to *never* raise on data; anything caught
-    here is recorded as a soak failure rather than aborting the run, so a
-    single bug cannot hide later ones.
+    here is recorded as ``("ExcType: message", typed)`` rather than
+    aborting the run, so a single bug cannot hide later ones. ``typed``
+    means the exception is a :class:`~repro.errors.ReproError`.
     """
     out: Dict[str, List[SessionSnapshot]] = {}
     for t, scan_batch, imu_batch in ticks:
@@ -234,7 +243,8 @@ def _drive(
             service.ingest_imu(imu_batch)
             snaps = service.tick_batch(t)
         except Exception as exc:  # noqa: BLE001 — the whole point of a soak
-            errors.append(f"{type(exc).__name__}: {exc}")
+            errors.append((f"{type(exc).__name__}: {exc}",
+                           isinstance(exc, ReproError)))
             continue
         for beacon_id, snap in snaps.items():
             out.setdefault(beacon_id, []).append(snap)
@@ -254,7 +264,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """
     config = config or SoakConfig()
     ticks = _build_stream(config)
-    errors: List[str] = []
+    errors: List[Tuple[str, bool]] = []
 
     counting = obs.add_sink(obs.CountingSink())
     jsonl: Optional[obs.JsonLinesSink] = None
@@ -272,10 +282,10 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
 def _run_soak_observed(
     config: SoakConfig,
     ticks,
-    errors: List[str],
+    errors: List[Tuple[str, bool]],
     counting: "obs.CountingSink",
 ) -> SoakResult:
-    perf_before = dict(perf.snapshot()["counters"])
+    perf_before = perf.snapshot()["counters"]
     service = TrackingService(config.service)
     checkpoint_json: Optional[str] = None
     if config.checkpoint_t is not None:
@@ -341,27 +351,12 @@ def _run_soak_observed(
         dwell=dwell,
         counters=dict(stats["counters"]),
         stats=stats,
-        errors=tuple(errors),
-        untyped_errors=sum(
-            1 for e in errors
-            if not e.split(":", 1)[0] in _REPRO_ERROR_NAMES
-        ),
+        errors=tuple(message for message, _ in errors),
+        untyped_errors=sum(1 for _, typed in errors if not typed),
         checkpoint_equal=checkpoint_equal,
         divergence_t=divergence_t,
         events=dict(sorted(counting.by_name.items())),
         perf_counters=perf_delta,
+        parity_failures=tuple(obs.signal_parity(counting, perf_before)),
         events_jsonl=config.events_jsonl,
     )
-
-
-def _repro_error_names() -> frozenset:
-    names = set()
-    stack = [ReproError]
-    while stack:
-        cls = stack.pop()
-        names.add(cls.__name__)
-        stack.extend(cls.__subclasses__())
-    return frozenset(names)
-
-
-_REPRO_ERROR_NAMES = _repro_error_names()

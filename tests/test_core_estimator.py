@@ -178,7 +178,7 @@ class TestCovarianceConditioning:
     garbage std or a silent 25 m fallback with no record of which. Now the
     normal matrix is conditioning-checked, the fallback is a typed
     ``cov_status``, and the winning fit emits one counted
-    ``estimator.cov_fallback`` event.
+    ``estimator.cov_fallbacks`` signal.
     """
 
     def _fit_straight_walk(self):
@@ -212,7 +212,7 @@ class TestCovarianceConditioning:
         self._fit_straight_walk()
         after = perf.counter_value("estimator.cov_fallbacks")
         events = [e for e in obs.tail()
-                  if e.name == "estimator.cov_fallback"]
+                  if e.name == "estimator.cov_fallbacks"]
         assert after - before == 1
         assert len(events) == 1
         assert events[0].severity == "warning"
@@ -226,7 +226,7 @@ class TestCovarianceConditioning:
         p, q = _l_walk_displacements()
         EllipticalEstimator(gamma_prior=None).fit(
             p, q, _rss_for((4.0, 3.0), p, q))
-        assert all(e.name != "estimator.cov_fallback" for e in obs.tail())
+        assert all(e.name != "estimator.cov_fallbacks" for e in obs.tail())
         obs.reset()
 
 

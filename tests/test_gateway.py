@@ -287,16 +287,6 @@ class TestGatewayPolicing:
 
     def test_counter_event_parity_everywhere(self):
         # Every gateway counter must have an equal n-weighted event volume.
-        class VolumeSink:
-            def __init__(self):
-                self.volumes = {}
-
-            def write(self, event):
-                n = event.fields.get("n", 1)
-                self.volumes[event.name] = (
-                    self.volumes.get(event.name, 0)
-                    + (n if isinstance(n, int) else 1))
-
         async def go(gw, sink):
             client = SimulatedClient("c0", gw, ack_timeout_s=0.3)
             for seq, fate in enumerate([
@@ -310,8 +300,7 @@ class TestGatewayPolicing:
             await client.close()
             await gw.drain_clients()
 
-        sink = VolumeSink()
-        obs.add_sink(sink)
+        sink = obs.add_sink(obs.CountingSink())
         try:
             gw = small_gateway()
             run(go(gw, sink))
@@ -319,7 +308,7 @@ class TestGatewayPolicing:
             obs.remove_sink(sink)
         assert gw.counters  # the matrix above must have tripped some
         for name, count in gw.counters.items():
-            assert sink.volumes.get(f"gateway.{name}") == count, name
+            assert sink.volume.get(f"gateway.{name}") == count, name
 
 
 # -- trace record/replay ------------------------------------------------------
@@ -494,7 +483,7 @@ class TestBufferShedParity:
                 self.n = 0
 
             def write(self, event):
-                self.n += event.name == "buffer.shed"
+                self.n += event.name == "service.shed.evt"
 
         sink = Tally()
         obs.add_sink(sink)

@@ -3,8 +3,8 @@
 Marked ``gateway`` (excluded from tier-1): these drive real asyncio
 concurrency for seconds at a time. The acceptance criteria mirror the
 issue verbatim — the full transport fault matrix completes with zero
-untyped exceptions, every refusal/repair shows up as a paired obs event +
-perf counter, and a recorded trace replays through gateway→fleet with a
+untyped exceptions, every signal's event volume equals its perf counter
+delta, and a recorded trace replays through gateway→fleet with a
 bit-identical snapshot stream.
 """
 

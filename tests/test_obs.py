@@ -38,13 +38,13 @@ def clean_obs():
 
 
 class TestEvent:
-    def _event(self, **fields):
+    def _sample(self, **fields):
         return Event(seq=3, t_mono=1.5, wall=1700000000.0, severity="warning",
                      component="estimator", name="cov_fallback",
                      trace="t00000001", fields=fields)
 
     def test_as_dict_flattens_fields(self):
-        d = self._event(status="capped", cond=2.5e14).as_dict()
+        d = self._sample(status="capped", cond=2.5e14).as_dict()
         assert d["event"] == "cov_fallback"
         assert d["severity"] == "warning"
         assert d["trace"] == "t00000001"
@@ -52,17 +52,17 @@ class TestEvent:
         assert d["cond"] == 2.5e14
 
     def test_to_json_is_one_parseable_line(self):
-        line = self._event(k=1).to_json()
+        line = self._sample(k=1).to_json()
         assert "\n" not in line
         assert json.loads(line)["k"] == 1
 
     def test_numpy_scalars_become_plain_numbers(self):
-        d = self._event(std=np.float64(25.0), n=np.int64(7)).as_dict()
+        d = self._sample(std=np.float64(25.0), n=np.int64(7)).as_dict()
         assert d["std"] == 25.0 and isinstance(d["std"], float)
         assert d["n"] == 7 and isinstance(d["n"], int)
 
     def test_unserialisable_degrades_to_repr_not_crash(self):
-        line = self._event(obj=object()).to_json()
+        line = self._sample(obj=object()).to_json()
         assert "object object" in json.loads(line)["obj"]
 
 
@@ -221,10 +221,11 @@ class TestReport:
             log.add_sink(sink)
             with span_context(log, "session.solve",
                              perf_registry=PerfRegistry()):
-                log.emit("fix.provenance", component="service",
+                log.emit("service.fixes_accepted", component="service",
                          confidence=0.9, cov_fallback=True, env_restarts=1,
                          degraded=False)
-            log.emit("buffer.shed", severity="warning", component="service")
+            log.emit("service.shed.rss.b0", severity="warning",
+                     component="service")
 
     def test_summarize_counts_spans_and_provenance(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -233,7 +234,7 @@ class TestReport:
         assert malformed == 0
         summary = summarize_events(records)
         assert summary["n_events"] == 3
-        assert summary["by_name"]["fix.provenance"] == 1
+        assert summary["by_name"]["service.fixes_accepted"] == 1
         assert summary["spans"]["session.solve"]["count"] == 1
         assert summary["provenance"]["fixes"] == 1
         assert summary["provenance"]["cov_fallbacks"] == 1
@@ -270,24 +271,12 @@ class TestReport:
 
 
 class TestSoakEventCrossCheck:
-    """Every counted failure path must have produced exactly one event.
+    """Every signal of a soak run was counted exactly as often as evented.
 
-    The equality below is the tentpole's acceptance invariant: obs events
-    and :mod:`repro.perf` counters are incremented at the same call sites,
-    so any silent path (count without event, or event without count) breaks
-    it.
+    :func:`repro.obs.signal` writes the perf counter and the event under
+    one name, so any path that counts without an event (or the reverse)
+    breaks the equality for its name.
     """
-
-    #: (event name, perf counter name) pairs emitted at identical sites.
-    PAIRS = [
-        ("fix.provenance", "service.fixes_accepted"),
-        ("estimator.cov_fallback", "estimator.cov_fallbacks"),
-        ("pipeline.fallback", "pipeline.fallbacks"),
-        ("session.solve_skipped", "service.solves_skipped_nodata"),
-        ("session.solve_degenerate", "service.solves_degenerate"),
-        ("solver.warm_rejected", "estimator.warm_rejected"),
-        ("solver.warm_unusable", "estimator.warm_unusable"),
-    ]
 
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
@@ -304,21 +293,131 @@ class TestSoakEventCrossCheck:
 
     def test_runs_clean(self, result):
         assert result.untyped_errors == 0
-        assert result.events.get("fix.provenance", 0) > 0
+        assert result.passed
+        assert result.events.get("service.fixes_accepted", 0) > 0
 
     def test_event_volume_matches_perf_counters(self, result):
-        for event_name, counter_name in self.PAIRS:
-            assert (result.events.get(event_name, 0)
-                    == result.perf_counters.get(counter_name, 0)), (
-                f"{event_name} events != {counter_name} counter")
+        with open(result.events_jsonl, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        volume = {}
+        for r in records:
+            if r["event"] != "span":
+                volume[r["event"]] = volume.get(r["event"], 0) + r["n"]
+        assert set(volume) == set(result.events) - {"span"}
+        assert "service.solves_attempted" in volume
+        for name, n in volume.items():
+            assert n == result.perf_counters.get(name, 0), name
+        assert result.parity_failures == ()
 
     def test_jsonl_log_accounts_for_every_event(self, result):
         with open(result.events_jsonl, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
         assert len(lines) == sum(result.events.values())
         records = [json.loads(line) for line in lines]
-        prov = [r for r in records if r["event"] == "fix.provenance"]
-        assert len(prov) == result.events["fix.provenance"]
+        prov = [r for r in records if r["event"] == "service.fixes_accepted"]
+        assert len(prov) == result.events["service.fixes_accepted"]
         for r in prov:
             assert r["beacon_id"] == "b0"
             assert "cov_fallback" in r and "confidence" in r
+
+
+class TestSwitchesNeverChangeState:
+    """``perf.disable()`` / ``obs.disable()`` silence telemetry, not state."""
+
+    @staticmethod
+    def _run_session():
+        from repro.service import SessionConfig, TrackingSession
+        from repro.types import ImuSample, ImuTrace, RssiSample
+        from tests.stubs import ScriptedPipeline, step_session
+
+        session = TrackingSession(
+            "b0",
+            config=SessionConfig(rss_buffer=8, solve_period_s=1.0,
+                                 min_imu_samples=2),
+            pipeline_factory=lambda: ScriptedPipeline(
+                ("ok", "degenerate", "ok")),
+        )
+        for k in range(1, 7):
+            t = float(k)
+            scans = [RssiSample(t - 0.5 + 0.05 * i, -60.0 - i, "b0", 37)
+                     for i in range(6)]
+            session.ingest(scans + [
+                scans[-1],                                   # duplicate
+                RssiSample(t - 0.52, -70.0, "b0", 38),       # reordered
+                RssiSample(float("nan"), -60.0, "b0", 37),   # rejected
+            ])
+            imu = ImuTrace([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
+                            for i in range(4)])
+            step_session(session, t, imu)
+        return session
+
+    def test_counters_and_checkpoint_identical_with_switches_off(self):
+        from repro import perf
+
+        on = self._run_session()
+        perf.disable()
+        obs.disable()
+        try:
+            off = self._run_session()
+        finally:
+            perf.enable()
+            obs.enable()
+        for key in ("fixes_accepted", "solves_degenerate", "ingest_duplicate",
+                    "ingest_reordered", "ingest_rejected_nonfinite_t"):
+            assert on.counters[key] > 0, key
+        assert on.rss.shed > 0
+        assert off.counters == on.counters
+        assert (json.dumps(off.checkpoint(), sort_keys=True)
+                == json.dumps(on.checkpoint(), sort_keys=True))
+
+
+class TestSignalCatalog:
+    """``docs/observability.md`` lists exactly the signals ``src/`` emits."""
+
+    ROOT = __import__("pathlib").Path(__file__).resolve().parents[1]
+
+    @staticmethod
+    def _pattern(name):
+        import re
+
+        return re.sub(r"<[^<>]*>", "<>", name)
+
+    def _emitted(self):
+        import ast
+
+        names = set()
+        for path in sorted((self.ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "obs"):
+                    continue
+                assert node.func.attr != "emit", (
+                    f"{path}:{node.lineno}: obs.emit outside repro.obs")
+                if node.func.attr != "signal":
+                    continue
+                arg = node.args[0]
+                if isinstance(arg, ast.Constant):
+                    names.add(arg.value)
+                else:
+                    assert isinstance(arg, ast.JoinedStr), (
+                        f"{path}:{node.lineno}: signal name is not a literal")
+                    names.add("".join(
+                        v.value if isinstance(v, ast.Constant) else "<>"
+                        for v in arg.values))
+        return names
+
+    def _catalog(self):
+        import re
+
+        text = (self.ROOT / "docs" / "observability.md").read_text("utf-8")
+        section = text.split("## Signal catalog", 1)[1].split("\n## ", 1)[0]
+        return {self._pattern(m) for m in
+                re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)}
+
+    def test_catalog_rows_are_the_emitted_names(self):
+        emitted = self._emitted()
+        assert "service.fixes_accepted" in emitted
+        assert "service.transitions.<>-><>" in emitted
+        assert self._catalog() == emitted

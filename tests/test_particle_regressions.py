@@ -116,7 +116,7 @@ class TestPosteriorWipeRegression:
         with pytest.raises(EstimationError):
             pf.estimate()
         assert perf.counter_value("solver.particle_resets") == counter_before + 1
-        assert obs.counts().get("solver.particle_reset") == 1
+        assert obs.counts().get("solver.particle_resets") == 1
 
 
 class TestUpdateBatchTypedErrors:

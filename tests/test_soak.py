@@ -147,3 +147,22 @@ class TestSoakFull:
         ))
         assert r.untyped_errors == 0
         assert r.stats["sessions"] == 3
+
+
+class TestSoakErrorTyping:
+    def test_lookalike_class_name_counts_as_untyped(self, monkeypatch):
+        # Typed means "is a ReproError", not "shares a ReproError's name".
+        from repro.service import TrackingService
+
+        class EstimationError(RuntimeError):
+            pass
+
+        def boom(self, t):
+            raise EstimationError("not a repro error")
+
+        monkeypatch.setattr(TrackingService, "tick_batch", boom)
+        result = run_soak(smoke_config(duration_s=5.0, checkpoint_t=None))
+        assert len(result.errors) == 5
+        assert result.errors[0] == "EstimationError: not a repro error"
+        assert result.untyped_errors == 5
+        assert not result.passed

@@ -116,9 +116,9 @@ class TestWarmStartFastPath:
                                spike_rate=0.5, spike_db=25.0)
         rss_bad = spiked.values()
         obs.reset()
-        before = perf.counter_value("estimator.warm_rejected")
+        before = perf.counter_value("solver.warm_rejected")
         warm_res = est.fit(p, q, rss_bad, warm=cold.warm)
-        after = perf.counter_value("estimator.warm_rejected")
+        after = perf.counter_value("solver.warm_rejected")
         events = [e for e in obs.tail() if e.name == "solver.warm_rejected"]
         obs.reset()
         assert not warm_res.warm_started
@@ -257,9 +257,9 @@ class TestFitBatchBitIdentity:
                                rss_rmse=0.01)
         req = FitRequest(p=p, q=q, rss=rss2, warm=stale)
         obs.reset()
-        before = perf.counter_value("estimator.warm_rejected")
+        before = perf.counter_value("solver.warm_rejected")
         bat = fit_batch([req], default_estimator=est)
-        after = perf.counter_value("estimator.warm_rejected")
+        after = perf.counter_value("solver.warm_rejected")
         rejections = [e for e in obs.tail()
                       if e.name == "solver.warm_rejected"]
         obs.reset()
@@ -342,7 +342,7 @@ class TestMixedBatchBitIdentity:
                for r in requests]
         seq_events = {name: _event_count(name) for name in
                       ("solver.warm_unusable", "solver.warm_rejected",
-                       "estimator.cov_fallback")}
+                       "estimator.cov_fallbacks")}
         obs.reset()
         bat = fit_batch(requests, default_estimator=est)
         bat_events = {name: _event_count(name) for name in seq_events}
@@ -369,14 +369,14 @@ class TestWarmUnusableEvent:
                                                     warm=warm)] * 2,
                                         default_estimator=est)):
             obs.reset()
-            before = perf.counter_value("estimator.warm_unusable")
+            before = perf.counter_value("solver.warm_unusable")
             out = solve()
             n_req = len(out) if isinstance(out, list) else 1
             events = [e for e in obs.tail()
                       if e.name == "solver.warm_unusable"]
             obs.reset()
             assert len(events) == n_req
-            assert (perf.counter_value("estimator.warm_unusable")
+            assert (perf.counter_value("solver.warm_unusable")
                     - before) == n_req
             assert events[0].fields["reason"] == reason
             assert (events[0].fields["warm_n"] == warm.n
@@ -418,7 +418,7 @@ class TestColdKernelRegressions:
             before = perf.counter_value("estimator.cov_fallbacks")
             r = solve()
             events = [e for e in obs.tail()
-                      if e.name == "estimator.cov_fallback"]
+                      if e.name == "estimator.cov_fallbacks"]
             obs.reset()
             assert r.solver == "gauss-newton"
             assert r.cov_status == "rank-deficient"
