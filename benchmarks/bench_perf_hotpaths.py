@@ -4,6 +4,8 @@ Times the overhauled hot paths against the retained reference
 implementations and writes ``BENCH_perf.json`` at the repo root:
 
 * the estimator's exponent grid search (batched LS vs per-candidate loop);
+* the LM kernel's normal equations (row-major sums over a rows-first
+  Jacobian vs the batch-first sums they replaced);
 * the serving ANF (float-loop filters vs the NumPy-scalar reference loops
   retained in ``tests/test_filters.py``);
 * checkpoint saves (one long-lived store that remembers what it verified
@@ -36,7 +38,14 @@ import pytest
 from repro import perf
 from repro.core import anf as anf_module
 from repro.core.anf import AdaptiveNoiseFilter
-from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
+from repro.core.estimator import (
+    EllipticalEstimator,
+    FitRequest,
+    _lm_jacobian,
+    _lm_normal_equations,
+    _lm_residuals,
+    fit_batch,
+)
 from repro.durability import CheckpointStore
 from repro.dtw.dtw import _dtw_distance_reference, dtw_distance
 from repro.filters import butterworth
@@ -56,6 +65,7 @@ TARGET_WARM = 5.0
 TARGET_BATCH = 3.0
 TARGET_ANF = 3.0
 TARGET_CHECKPOINT = 3.0
+TARGET_LM_NORMAL = 2.0
 
 
 def _parallel_target(cpus: int) -> float:
@@ -83,10 +93,9 @@ def _best_of(fn: Callable[[], object], repeats: int = 7, number: int = 5) -> flo
 
 
 def _estimator_workload(seed: int = 7, beacon_x: float = 2.0,
-                        beacon_y: float = 2.5):
-    """A realistic L-walk regression input: 40 matched samples."""
+                        beacon_y: float = 2.5, n_samples: int = 40):
+    """A realistic L-walk regression input: ``n_samples`` matched samples."""
     rng = np.random.default_rng(seed)
-    n_samples = 40
     # Observer walks an L (2.8 m then 2.2 m); beacon 2.5 m off the path.
     frac = np.linspace(0.0, 1.0, n_samples)
     leg1 = frac < 0.56
@@ -189,6 +198,55 @@ def bench_fit_batch(n_sessions: int = 32) -> Dict[str, object]:
         "meets_target": before / after >= TARGET_BATCH,
         "note": f"{n_sessions}-session batch, 40-sample windows; one "
                 "stacked lockstep-LM kernel vs per-session warm fits; "
+                "results verified bit-identical",
+    }
+
+
+def bench_lm_normal_equations(n_sessions: int = 7,
+                              n_samples: int = 160) -> Dict[str, object]:
+    """JᵀJ and Jᵀr for one LM iteration at the serving shape: 7 sessions'
+    3 warm seeds each (B=21) over a 160-sample window. "Before" sums the
+    batch-first ``(B, N+2, 4)`` Jacobian over axis 1, "after" is the
+    kernel's row-major sum over the rows-first ``(N+2, 4, B)`` one; both
+    Jacobians come from ``_lm_jacobian`` outside the timed region."""
+    est = EllipticalEstimator()
+    thetas, ps, qs, rsss = [], [], [], []
+    for i in range(n_sessions):
+        p, q, rss = _estimator_workload(seed=200 + i, beacon_x=1.0 + 0.3 * i,
+                                        beacon_y=1.5 + 0.2 * i,
+                                        n_samples=n_samples)
+        warm = est.fit(p, q, rss).warm
+        seeds = est._warm_seeds(warm, True, ())
+        thetas += seeds
+        ps += [p] * len(seeds)
+        qs += [q] * len(seeds)
+        rsss += [rss] * len(seeds)
+    theta, p, q, rss = (np.asarray(a, dtype=float)
+                        for a in (thetas, ps, qs, rsss))
+    zeros = np.zeros(len(theta))
+    j = _lm_jacobian(theta, p, q, zeros, zeros)
+    r = _lm_residuals(theta, p, q, rss, zeros, zeros, zeros, zeros)
+    jb = np.ascontiguousarray(j.transpose(2, 0, 1))
+
+    def batch_first():
+        return (np.sum(jb[:, :, :, None] * jb[:, :, None, :], axis=1),
+                np.sum(jb * r[:, :, None], axis=1))
+
+    old_jtj, old_grad = batch_first()
+    jtj, grad = _lm_normal_equations(j, r)
+    assert np.array_equal(np.moveaxis(jtj, -1, 0), old_jtj), "JᵀJ differs"
+    assert np.array_equal(grad.T, old_grad), "Jᵀr differs"
+    before = _best_of(batch_first, number=20)
+    after = _best_of(lambda: _lm_normal_equations(j, r), number=20)
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "target_speedup": TARGET_LM_NORMAL,
+        "meets_target": before / after >= TARGET_LM_NORMAL,
+        "note": f"B={len(theta)} warm-seed rows ({n_sessions} sessions x 3) "
+                f"x N={n_samples} samples; row-major sums over the "
+                "rows-first Jacobian vs batch-first sums over axis 1; "
                 "results verified bit-identical",
     }
 
@@ -356,6 +414,7 @@ def build_report() -> Dict[str, object]:
         "estimator_grid_search": bench_estimator(),
         "estimator_warm_start": bench_warm_start(),
         "estimator_fit_batch": bench_fit_batch(),
+        "estimator_lm_normal_equations": bench_lm_normal_equations(),
         "anf_apply": bench_anf_apply(),
         "checkpoint_save": bench_checkpoint_save(),
         "dtw_distance_banded": bench_dtw(),
@@ -387,6 +446,7 @@ def test_perf_hotpaths():
     assert benches["estimator_grid_search"]["meets_target"], benches
     assert benches["estimator_warm_start"]["meets_target"], benches
     assert benches["estimator_fit_batch"]["meets_target"], benches
+    assert benches["estimator_lm_normal_equations"]["meets_target"], benches
     assert benches["anf_apply"]["meets_target"], benches
     assert benches["checkpoint_save"]["meets_target"], benches
     assert benches["dtw_distance_banded"]["meets_target"], benches

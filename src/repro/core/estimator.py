@@ -70,6 +70,12 @@ _LN10 = math.log(10.0)
 _GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
 _GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
 
+#: Upper-triangle ``(a, c)`` index pairs of the 4×4 normal matrix, and the
+#: ``(4, 4)`` map from each entry to its pair (both triangles share a pair).
+_TRIU_A, _TRIU_C = np.triu_indices(4)
+_TRIU_OF = np.empty((4, 4), dtype=np.intp)
+_TRIU_OF[_TRIU_A, _TRIU_C] = _TRIU_OF[_TRIU_C, _TRIU_A] = np.arange(10)
+
 #: One ``(x, h, Γ, n)`` starting point for the nonlinear refinement.
 Seed = Tuple[float, float, float, float]
 
@@ -859,25 +865,50 @@ def _lm_jacobian(
     theta: np.ndarray, p: np.ndarray, q: np.ndarray,
     wg: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
-    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(B, N+2, 4)``."""
+    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(N+2, 4, B)``.
+
+    Rows, then parameters, then batch, for :func:`_lm_normal_equations`;
+    ``p`` and ``q`` are the batch-first ``(B, N)`` windows, read through
+    their transposes.
+    """
     n_rows = p.shape[1]
-    x = theta[:, 0:1]
-    h = theta[:, 1:2]
-    n = theta[:, 3:4]
-    dx = x + p
-    dy = h + q
+    x, h, _gam, n = theta.T
+    dx = x + p.T
+    dy = h + q.T
     l = np.hypot(dx, dy)
     le = np.maximum(l, 0.1)
     # Inside the 0.1 m clamp the distance no longer responds to (x, h).
     coef = np.where(l > 0.1, (10.0 / _LN10) * n / (le * le), 0.0)
-    j = np.zeros((theta.shape[0], n_rows + 2, 4))
-    j[:, :n_rows, 0] = coef * dx
-    j[:, :n_rows, 1] = coef * dy
-    j[:, :n_rows, 2] = -1.0
-    j[:, :n_rows, 3] = 10.0 * np.log10(le)
-    j[:, n_rows, 2] = wg
-    j[:, n_rows + 1, 3] = wn
+    j = np.zeros((n_rows + 2, 4, theta.shape[0]))
+    j[:n_rows, 0] = coef * dx
+    j[:n_rows, 1] = coef * dy
+    j[:n_rows, 2] = -1.0
+    j[:n_rows, 3] = 10.0 * np.log10(le)
+    j[n_rows, 2] = wg
+    j[n_rows + 1, 3] = wn
     return j
+
+
+def _lm_normal_equations(
+    j: np.ndarray, r: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(JᵀJ, Jᵀr)`` as ``(4, 4, B)`` and ``(4, B)`` arrays.
+
+    ``j`` is :func:`_lm_jacobian`'s ``(N+2, 4, B)`` and ``r`` the
+    ``(B, N+2)`` residuals. Both sums reduce axis 0 of a C-contiguous
+    product, so every entry adds its N+2 row terms one at a time, in row
+    order, with 10·B- (JᵀJ) and 4·B-element (Jᵀr) inner loops. A
+    batch-first ``(B, N+2, 4)`` Jacobian's ``sum(axis=1)`` adds in that
+    same order with 16- and 4-element inner loops, so the results are
+    bit-identical to it, and each batch column to that column summed alone.
+    Only the 10 upper-triangle products of JᵀJ are formed: IEEE products
+    commute, so entry ``(c, a)`` is the same sum of the same terms as
+    ``(a, c)``.
+    """
+    pairs = np.take(j, _TRIU_A, axis=1) * np.take(j, _TRIU_C, axis=1)
+    jtj = np.sum(pairs, axis=0)[_TRIU_OF]
+    grad = np.sum(j * r.T[:, None, :], axis=0)
+    return jtj, grad
 
 
 def _lm_kernel(
@@ -891,7 +922,16 @@ def _lm_kernel(
     warm and batched fits all run through it. Every operation is either
     elementwise, a reduction along the row axis of a C-contiguous array, or
     a per-slice LAPACK call — the exact set of NumPy operations whose
-    batched results are bit-identical to running each slice alone.
+    batched results are bit-identical to running each slice alone. The two
+    row reductions run in different orders:
+
+    - the cost ``sum(r * r, axis=1)`` is NumPy's pairwise sum along the
+      contiguous row axis of the batch-first ``(B, N+2)`` residuals, which
+      is why the residuals (and the ``(B, N)`` windows) keep that layout;
+    - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add row by row, in row
+      order, over the leading axis of the rows-first ``(N+2, 4, B)``
+      Jacobian.
+
     Converged, stuck or failed rows freeze by being removed from the
     compacted working set and never change again, so a batch of B
     systems returns bit-identical ``(theta, residuals, cost)`` to B
@@ -903,7 +943,7 @@ def _lm_kernel(
     theta_out = theta0.copy()
     r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
     cost_out = np.sum(r_out * r_out, axis=1)
-    eye = np.eye(4)
+    eye = np.eye(4)[:, :, None]
 
     # Compacted working set: rows freeze by being *removed* (their state
     # scattered back into the full-size outputs), so per-iteration cost
@@ -919,21 +959,20 @@ def _lm_kernel(
     gpp, wgg, nprr, wnn = gp[idx], wg[idx], npr[idx], wn[idx]
     lam = np.full(idx.size, 1e-3)
 
-    for _ in range(max_iter):
-        if idx.size == 0:
-            break
-        j = _lm_jacobian(theta, pp, qq, wgg, wnn)
-        jtj = np.sum(j[:, :, :, None] * j[:, :, None, :], axis=1)
-        grad = np.sum(j * r[:, :, None], axis=1)
-        finite = (np.isfinite(jtj).all(axis=(1, 2))
-                  & np.isfinite(grad).all(axis=1))
+    n_iter = 0
+    while idx.size and n_iter < max_iter:
+        n_iter += 1
+        jtj, grad = _lm_normal_equations(
+            _lm_jacobian(theta, pp, qq, wgg, wnn), r)
+        finite = (np.isfinite(jtj).all(axis=(0, 1))
+                  & np.isfinite(grad).all(axis=0))
         # Non-finite rows solve an identity system (zero step), so one
         # LAPACK batch serves every row without a bad slice poisoning it.
-        lhs = np.where(finite[:, None, None],
-                       jtj + lam[:, None, None] * eye, eye)
-        rhs = np.where(finite[:, None], grad, 0.0)
+        lhs = np.where(finite, jtj + lam * eye, eye)
+        rhs = np.where(finite, grad, 0.0)
         try:
-            step = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+            step = np.linalg.solve(lhs.transpose(2, 0, 1),
+                                   rhs.T[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
@@ -962,6 +1001,9 @@ def _lm_kernel(
         theta_out[idx] = theta
         r_out[idx] = r
         cost_out[idx] = cost
+    perf.count("estimator.lm_iterations", n_iter)
+    if n_iter == max_iter:
+        perf.count("estimator.lm_max_iter_calls")
     return theta_out, r_out, cost_out
 
 
@@ -1018,7 +1060,10 @@ def _lockstep(
                 winners.append((i, k))
         if winners:
             ks = [k for _i, k in winners]
-            jac = _lm_jacobian(theta[ks], p[ks], q[ks], wg[ks], wn[ks])
+            # C-contiguous (N+2, 4) slices: the covariance's BLAS product
+            # may round differently on another layout.
+            jac = np.ascontiguousarray(_lm_jacobian(
+                theta[ks], p[ks], q[ks], wg[ks], wn[ks]).transpose(2, 0, 1))
             for (i, k), j_k in zip(winners, jac):
                 out[i] = (theta[k], r[k], j_k)
     return out

@@ -370,6 +370,42 @@ class TestSwitchesNeverChangeState:
         assert (json.dumps(off.checkpoint(), sort_keys=True)
                 == json.dumps(on.checkpoint(), sort_keys=True))
 
+    def test_kernel_counters_move_only_with_perf_on(self):
+        """The LM kernel's plain perf counters (no event, no ledger) count
+        iterations and ``max_iter`` calls; switching telemetry off freezes
+        them and leaves every fit bit-identical."""
+        from repro import perf
+        from repro.core.estimator import EllipticalEstimator
+
+        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls")
+        d = np.linspace(0.0, 4.5, 40)
+        p, q = -np.minimum(d, 2.5), -np.clip(d - 2.5, 0.0, 2.0)
+        rss = (-59.0 - 22.0 * np.log10(np.hypot(4.0 + p, 3.0 + q))
+               + np.random.default_rng(8).normal(0.0, 2.0, 40))
+        est = EllipticalEstimator()
+
+        def fit():
+            before = [perf.counter_value(n) for n in names]
+            res = est.fit(p, q, rss)
+            return res, [perf.counter_value(n) - b
+                         for n, b in zip(names, before)]
+
+        on, grew_on = fit()
+        perf.disable()
+        obs.disable()
+        try:
+            off, grew_off = fit()
+        finally:
+            perf.enable()
+            obs.enable()
+        assert grew_on[0] > 0 and 0 <= grew_on[1] <= 1
+        assert grew_off == [0, 0]
+        assert obs.counts().get("estimator.lm_iterations", 0) == 0
+        assert (off.position, off.n, off.gamma) == (on.position, on.n,
+                                                    on.gamma)
+        assert np.array_equal(off.residuals, on.residuals)
+        assert off.warm.to_dict() == on.warm.to_dict()
+
 
 class TestSignalCatalog:
     """``docs/observability.md`` lists exactly the signals ``src/`` emits."""

@@ -357,6 +357,36 @@ class TestMixedBatchBitIdentity:
             assert b.warm_started == (kind in ("warm", "straight-warm"))
             assert (b.mirror is None) == (not kind.startswith("straight"))
 
+    def test_serving_shape_batch_equals_sequential(self):
+        """20 requests at 158–162 rows (a 20 s window at 8 Hz), default,
+        LOS and NLOS priors, warm and cold: the 160-row group's lockstep
+        runs carry ~20 warm and ~100 cold seed rows, the shape the serving
+        path solves."""
+        base = EllipticalEstimator()
+        requests = []
+        for i in range(20):
+            n_rows = (158, 160, 160, 160, 162)[i % 5]
+            est = (base, base.with_environment("LOS"),
+                   base.with_environment("NLOS"))[i % 3]
+            rng = np.random.default_rng(3000 + i)
+            p, q = _l_walk(n=n_rows, leg1=3.0, leg2=2.5)
+            rss = _rss_for((3.0 + 0.2 * i, 2.0 - 0.3 * i), p, q, noise=2.0,
+                           rng=rng)
+            warm = None
+            if i % 2 == 0:
+                warm = est.fit(p, q, rss).warm
+                rss = rss + rng.normal(0.0, 0.5, rss.shape)
+            requests.append(FitRequest(p=p, q=q, rss=rss, warm=warm,
+                                       estimator=est))
+        seq = [r.estimator.fit(r.p, r.q, r.rss, warm=r.warm)
+               for r in requests]
+        bat = fit_batch(requests, default_estimator=base)
+        for s, b in zip(seq, bat):
+            _assert_fits_identical(s, b)
+            assert s.n_candidates == b.n_candidates
+        assert any(b.warm_started for b in bat)
+        assert not all(b.warm_started for b in bat)
+
 
 class TestWarmUnusableEvent:
     @pytest.mark.parametrize("reason", sorted(_UNUSABLE))
