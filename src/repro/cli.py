@@ -15,7 +15,7 @@ Usage examples::
         --record run.trace
     python -m repro gateway --replay run.trace
     python -m repro gateway --replay crashed.trace --allow-unsealed
-    python -m repro chaos --seed 1 --kills 2 --replay-check
+    python -m repro chaos --seed 1 --kills 2
 
 Every command is a thin wrapper over the public API, prints a small report
 and returns 0 on success, so the CLI doubles as living documentation of the
@@ -157,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-queue", type=int, default=1024,
                    help="per-beacon bounded queue capacity")
     p.add_argument("--record", type=str, default=None, metavar="PATH",
-                   help="record the committed tick stream to a trace file")
-    p.add_argument("--no-replay-check", action="store_true",
-                   help="skip the record->replay determinism check")
+                   help="record the committed tick stream to a trace file "
+                        "and check that it replays bit-identically")
     p.add_argument("--replay", type=str, default=None, metavar="PATH",
                    help="replay-only: verify an existing trace instead of "
                         "running a soak")
@@ -195,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", type=str, default=None, metavar="DIR",
                    help="keep traces and the checkpoint store here "
                         "(default: a fresh temp directory)")
-    p.add_argument("--replay-check", action="store_true",
-                   help="also replay the sealed baseline trace and check "
-                        "every crashed segment trace is readable")
     p.add_argument("--json", action="store_true",
                    help="print the machine-readable result instead")
 
@@ -415,6 +411,13 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
+def _print_errors(result) -> None:
+    print(f"errors    : {len(result.errors)} "
+          f"({result.untyped_errors} untyped)")
+    for line in result.errors[:5]:
+        print(f"  ! {line}")
+
+
 def _cmd_soak(args) -> int:
     from repro.sim.faults import FaultModel
     from repro.sim.soak import SoakConfig, run_soak
@@ -454,10 +457,7 @@ def _cmd_soak(args) -> int:
                    if result.checkpoint_equal
                    else f"DIVERGED at t={result.divergence_t}")
         print(f"checkpoint: t={args.checkpoint_t:.0f}s -> {verdict}")
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
+    _print_errors(result)
     if result.events:
         total = sum(result.events.values())
         top = sorted(result.events.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -519,7 +519,6 @@ def _cmd_gateway(args) -> int:
         n_clients=args.clients,
         seed=args.seed,
         record_path=args.record,
-        replay_check=not args.no_replay_check,
     ))
     print(f"gateway   : {args.clients} client(s) -> {args.shards} shard(s), "
           f"{result.ticks} ticks over {args.duration:.0f} s")
@@ -536,10 +535,7 @@ def _cmd_gateway(args) -> int:
             recovery[key] += stats[key]
     print(f"clients   : " + ", ".join(f"{k}={v}"
                                       for k, v in recovery.items()))
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
+    _print_errors(result)
     if result.parity_failures:
         print(f"parity    : FAILED for {result.parity_failures}")
     if result.trace_path:
@@ -572,7 +568,6 @@ def _cmd_chaos(args) -> int:
             torn_write_prob=args.torn_prob,
             bitflip_prob=args.bitflip_prob,
             durability=args.durability,
-            replay_check=args.replay_check,
         ),
         workdir=args.workdir,
     )

@@ -21,8 +21,9 @@ durability layer. One seeded workload is driven twice:
 
 The gates, each of which fails the run:
 
-1. **Zero untyped errors** — every exception that reaches the harness
-   must be a :class:`~repro.errors.ReproError`; anything else is a bug.
+1. **No errors** — the schedule is built so recovery always succeeds,
+   so any exception that reaches the harness fails it; one that is not a
+   :class:`~repro.errors.ReproError` is also counted as untyped, a bug.
 2. **Digest-identical recovery** — every re-driven tick inside
    :func:`recover` must reproduce the digest the dying process recorded,
    and the chaos run's final-tick snapshot digest must equal the
@@ -31,7 +32,9 @@ The gates, each of which fails the run:
    (the torn line) may be lost per kill, and each is re-driven anyway.
 4. **Signal parity** — every signal's obs event volume must equal its
    same-named :mod:`repro.perf` counter delta over the run, recovery
-   path included (:func:`repro.obs.signal_parity`).
+   path included (:class:`repro.sim.harness.Audit`).
+5. **Replayable artifacts** — the sealed baseline trace replays
+   digest-identically, and every crashed segment trace stays readable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
 from repro.errors import ConfigurationError, ReproError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
@@ -59,6 +61,7 @@ from repro.durability.supervisor import (
     RecoveryReport,
     recover,
 )
+from repro.sim.harness import Audit, ErrorLedger
 from repro.sim.load import LoadConfig, generate_load
 
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos"]
@@ -84,9 +87,6 @@ class ChaosConfig:
     bitflip_prob: float = 0.5
     #: Store/trace write policy; ``"flush"`` is faster for smoke tests.
     durability: str = "fsync"
-    #: Also verify the sealed baseline trace replays identically, and
-    #: that every crashed segment trace is still readable.
-    replay_check: bool = False
 
     def __post_init__(self) -> None:
         if self.ticks < 12:
@@ -121,11 +121,15 @@ class ChaosResult:
     baseline_final_digest: str = ""
     chaos_final_digest: str = ""
     lost_ticks: int = 0
-    untyped_errors: List[str] = field(default_factory=list)
+    #: ``"ExcType: message"`` per failure that reached the harness.
+    errors: List[str] = field(default_factory=list)
+    #: How many of those were not a :class:`~repro.errors.ReproError`.
+    untyped_errors: int = 0
     recoveries: List[RecoveryReport] = field(default_factory=list)
     quarantined_files: int = 0
     shard_restarts: int = 0
     parity_failures: List[str] = field(default_factory=list)
+    #: Artifact checks, run after an error-free run (None when skipped).
     replay_identical: Optional[bool] = None
     segment_traces_readable: Optional[bool] = None
 
@@ -141,13 +145,10 @@ class ChaosResult:
 
     @property
     def passed(self) -> bool:
-        gates = (not self.untyped_errors and self.digests_identical
-                 and self.loss_bounded and not self.parity_failures)
-        if self.replay_identical is not None:
-            gates = gates and self.replay_identical
-        if self.segment_traces_readable is not None:
-            gates = gates and self.segment_traces_readable
-        return bool(gates)
+        return (not self.errors and self.digests_identical
+                and self.loss_bounded and not self.parity_failures
+                and self.replay_identical is True
+                and self.segment_traces_readable is True)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -161,7 +162,8 @@ class ChaosResult:
             "digests_identical": self.digests_identical,
             "lost_ticks": self.lost_ticks,
             "loss_bounded": self.loss_bounded,
-            "untyped_errors": list(self.untyped_errors),
+            "errors": list(self.errors),
+            "untyped_errors": self.untyped_errors,
             "recoveries": [
                 {
                     "checkpoint_seq": r.checkpoint_seq,
@@ -315,12 +317,6 @@ def run_chaos(config: Optional[ChaosConfig] = None,
     ))
     ticks = list(stream.ticks)[:config.ticks]
 
-    sink = obs.add_sink(obs.CountingSink())
-    # Parity is judged on counter *deltas* over exactly the window the
-    # sink observes, so a prior run in the same process (e.g. earlier
-    # tests) cannot skew the audit.
-    perf_before = perf.snapshot()["counters"]
-
     baseline_path = os.path.join(workdir, "baseline.trace")
     store_root = os.path.join(workdir, "store")
     segment_path = (lambda i: os.path.join(workdir, f"chaos-{i}.trace"))
@@ -331,7 +327,8 @@ def run_chaos(config: Optional[ChaosConfig] = None,
         gateway.enqueue_imu(list(imu))
         return gateway.tick(float(t))
 
-    try:
+    errors = ErrorLedger()
+    with Audit() as audit, errors.capture():
         # ---- baseline: the uninterrupted ground truth --------------------
         gateway, _ = _build_stack(config, store=None)
         with TraceWriter(baseline_path, meta=trace_meta(gateway),
@@ -399,38 +396,27 @@ def run_chaos(config: Optional[ChaosConfig] = None,
         result.chaos_final_digest = snapshot_digest(snaps)
         result.shard_restarts = supervisor.restarts
         if supervisor.failed:
-            result.untyped_errors.append(
-                f"shards still failed at end of run: "
-                f"{sorted(supervisor.failed)}")
-    except ReproError as exc:
-        # Typed errors are refusals with provenance, but the chaos
-        # schedule is built so recovery always succeeds — reaching here
-        # still fails the run, just in the typed bucket.
-        result.untyped_errors.append(
-            f"typed-but-fatal: {type(exc).__name__}: {exc}")
-    except Exception as exc:  # noqa: BLE001 — the gate this harness exists for
-        result.untyped_errors.append(f"{type(exc).__name__}: {exc}")
-    finally:
-        obs.remove_sink(sink)
+            errors.fail(f"shards still failed at end of run: "
+                        f"{sorted(supervisor.failed)}")
+    result.errors = errors.errors
+    result.untyped_errors = errors.untyped
+    result.parity_failures = audit.parity_failures
 
-    # ---- gate 4: obs↔perf parity over every signal --------------------
-    result.parity_failures = obs.signal_parity(sink, perf_before)
-
-    # ---- optional replay check over the recorded artifacts ---------------
-    if config.replay_check and not result.untyped_errors:
-        replayed = replay(baseline_path)
-        result.replay_identical = replayed.identical
-        readable = True
-        for i in range(len(result.recoveries) + 1):
-            path = segment_path(i)
-            if not os.path.exists(path):
-                continue
-            try:
-                recover_trace(path)
-            except ReproError:
-                readable = False
-        result.segment_traces_readable = readable
+    # ---- the recorded artifacts replay and stay readable ------------------
+    if not result.errors:
+        result.replay_identical = replay(baseline_path).identical
+        segments = map(segment_path, range(len(result.recoveries) + 1))
+        result.segment_traces_readable = all(
+            _readable(p) for p in segments if os.path.exists(p))
     return result
+
+
+def _readable(trace_path: str) -> bool:
+    try:
+        recover_trace(trace_path)
+    except ReproError:
+        return False
+    return True
 
 
 def format_report(result: ChaosResult) -> str:
@@ -449,10 +435,11 @@ def format_report(result: ChaosResult) -> str:
         f"  digests identical: {result.digests_identical} "
         f"(baseline {result.baseline_final_digest[:12]}…, "
         f"chaos {result.chaos_final_digest[:12]}…)",
-        f"  untyped errors: {len(result.untyped_errors)}",
+        f"  errors: {len(result.errors)} "
+        f"({result.untyped_errors} untyped)",
         f"  parity failures: {len(result.parity_failures)}",
     ]
-    for err in result.untyped_errors:
+    for err in result.errors:
         lines.append(f"    ! {err}")
     for fail in result.parity_failures:
         lines.append(f"    ! parity {fail}")

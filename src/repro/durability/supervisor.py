@@ -54,9 +54,8 @@ from repro.gateway.gateway import IngestionGateway
 from repro.gateway.trace import (
     TraceRecovery,
     _gateway_from_meta,
-    _tick_samples,
+    _redrive,
     recover_trace,
-    snapshot_digest,
 )
 from repro.service.breaker import (
     BackoffConfig,
@@ -406,37 +405,24 @@ def recover(
             f"fleet snapshot is at tick {checkpoint_tick} but the trace "
             f"segment begins at tick {trace_start_tick}: the gap exists in "
             f"no readable trace, so point-in-time catch-up is impossible")
-    mismatches: List[Tuple[int, float, str, str]] = []
-    redriven = 0
-    for index, record in enumerate(tick_records):
-        if int(trace_start_tick) + index < checkpoint_tick:
-            continue  # already inside the snapshot
-        scans, imu = _tick_samples(record, trace_path, index)
-        gateway.enqueue_scans(scans)
-        gateway.enqueue_imu(imu)
-        snapshots = gateway.tick(float(record["t"]))
-        redriven += 1
-        replayed = snapshot_digest(snapshots)
-        recorded = record.get("snap")
-        if replayed != recorded:
-            mismatches.append((index, float(record["t"]),
-                               str(recorded), replayed))
+    replayed = _redrive(gateway, tick_records, trace_path,
+                        first=checkpoint_tick - int(trace_start_tick))
     report = RecoveryReport(
         checkpoint_seq=restored.info.seq,
         checkpoint_tick=checkpoint_tick,
         trace_ticks=len(tick_records),
-        redriven_ticks=redriven,
+        redriven_ticks=replayed.ticks,
         trace_recovery=trace_recovery,
         quarantined=restored.skipped,
-        digest_mismatches=tuple(mismatches),
+        digest_mismatches=tuple(replayed.mismatches),
     )
     obs.signal(
         "supervisor.recovered",
-        severity="error" if mismatches else "info",
+        severity="info" if report.identical else "error",
         checkpoint_seq=report.checkpoint_seq,
         checkpoint_tick=checkpoint_tick,
-        redriven=redriven,
+        redriven=report.redriven_ticks,
         torn_line=trace_recovery.torn_line,
-        mismatches=len(mismatches),
+        mismatches=len(report.digest_mismatches),
     )
     return gateway, report

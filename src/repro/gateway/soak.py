@@ -12,12 +12,12 @@ draining deterministically *at* the tick.
 The acceptance contract is measured, not asserted by hope:
 
 * **zero untyped exceptions** — anything a client or serve task leaks
-  outside ``DataQualityError``/``ConfigurationError`` lands in
-  ``errors`` and fails :meth:`GatewaySoakResult.passed`;
+  outside ``DataQualityError``/``ConfigurationError`` (even another
+  ``ReproError``) lands in ``errors`` and fails the run;
 * **signal parity** — every signal's ``n``-weighted event volume over
   the run must equal its perf counter delta
-  (:func:`repro.obs.signal_parity` over a run-scoped sink);
-* **record→replay bit-identity** — when recording, the trace is replayed
+  (:class:`repro.sim.harness.Audit`);
+* **record→replay bit-identity** — a recorded run is always replayed
   through a fresh gateway+fleet and each tick's snapshot digest must
   match both the trace and the live run.
 """
@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.client import SimulatedClient
@@ -43,6 +42,7 @@ from repro.gateway.trace import (
     trace_meta,
 )
 from repro.sim.faults import FrameFate, TransportFaultModel
+from repro.sim.harness import Audit, ErrorLedger, digest_mismatches
 from repro.sim.load import LoadConfig, generate_load
 
 __all__ = ["GatewaySoakConfig", "GatewaySoakResult", "run_gateway_soak"]
@@ -68,9 +68,9 @@ class GatewaySoakConfig:
     seed: int = 0
     #: IMU samples bundled per imu frame (client 0 carries the IMU feed).
     imu_chunk: int = 64
+    #: Record the committed ticks here; a recorded run is then replayed
+    #: and gated on per-tick digest identity.
     record_path: Optional[str] = None
-    #: Replay the recorded trace afterwards and compare digests.
-    replay_check: bool = True
     ack_timeout_s: float = 0.1
     max_attempts: int = 4
     #: Wall-sleep multiplier on client backoff (keeps soaks fast).
@@ -95,8 +95,6 @@ class GatewaySoakResult:
     queue_shed: int = 0
     gateway_counters: Dict[str, int] = field(default_factory=dict)
     client_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: ``n``-weighted obs event volume per event name over the run.
-    event_volumes: Dict[str, int] = field(default_factory=dict)
     #: Signals whose event volume disagreed with their perf counter delta
     #: (must be empty).
     parity_failures: List[str] = field(default_factory=list)
@@ -200,8 +198,10 @@ def _build_schedules(
 
 
 async def _drive(
-    config: GatewaySoakConfig, result: GatewaySoakResult
-) -> None:
+    config: GatewaySoakConfig, result: GatewaySoakResult,
+    errors: ErrorLedger,
+) -> List[float]:
+    """Run the live soak; returns the tick times."""
     tick_times, schedules, offered = _build_schedules(config)
     result.offered_samples = offered
 
@@ -232,10 +232,7 @@ async def _drive(
             )
             for outcome in outcomes:
                 if isinstance(outcome, BaseException):
-                    result.errors.append(
-                        f"{type(outcome).__name__}: {outcome}")
-                    if not isinstance(outcome, _TYPED):
-                        result.untyped_errors += 1
+                    errors.record(outcome)
             snapshots = gateway.tick(t)
             result.ticks += 1
             result.tick_digests.append(snapshot_digest(snapshots))
@@ -248,8 +245,7 @@ async def _drive(
             gateway.tap = None
 
     for name in sorted(gateway.task_errors):
-        result.errors.append(f"gateway task: {name}")
-        result.untyped_errors += 1
+        errors.fail(f"gateway task: {name}")
     result.delivered_samples = sum(c.stats.taken for c in clients)
     result.fleet_sessions = gateway.fleet.total_sessions
     stats = gateway.stats()
@@ -258,34 +254,25 @@ async def _drive(
     result.client_stats = {
         c.client_id: c.stats.as_dict() for c in clients
     }
+    return tick_times
 
 
 def run_gateway_soak(config: GatewaySoakConfig) -> GatewaySoakResult:
-    """Run one gateway soak to completion (drives its own event loop).
-
-    Signal parity is audited over a run-scoped sink; the
-    record→replay determinism check runs after the loop when a
-    ``record_path`` was given and ``replay_check`` is on.
-    """
+    """Run one gateway soak to completion (drives its own event loop)."""
     result = GatewaySoakResult()
-    sink = obs.add_sink(obs.CountingSink())
-    perf_before = perf.snapshot()["counters"]
-    try:
-        asyncio.run(_drive(config, result))
-    finally:
-        obs.remove_sink(sink)
-    result.event_volumes = dict(sink.volume)
-    result.parity_failures = obs.signal_parity(sink, perf_before)
+    errors = ErrorLedger(typed=_TYPED)
+    with Audit() as audit:
+        tick_times = asyncio.run(_drive(config, result, errors))
+    result.parity_failures = audit.parity_failures
+    result.errors = errors.errors
+    result.untyped_errors = errors.untyped
 
-    if config.record_path is not None and config.replay_check:
-        replay_result = replay(config.record_path)
-        # The trace's own per-tick digests were checked inside replay();
-        # cross-check the live run's digest stream too, so live, trace
-        # and replay all agree.
-        if (replay_result.identical
-                and replay_result.ticks != len(result.tick_digests)):
-            replay_result.mismatches.append(
-                (-1, float("nan"), f"{len(result.tick_digests)} live ticks",
-                 f"{replay_result.ticks} replayed"))
-        result.replay_result = replay_result
+    if config.record_path is not None:
+        replayed = replay(config.record_path)
+        # replay() checked the trace's own digests; the live stream must
+        # agree too, so live, trace and replay all match.
+        if replayed.identical:
+            replayed.mismatches = digest_mismatches(
+                result.tick_digests, replayed.digests, tick_times)
+        result.replay_result = replayed
     return result

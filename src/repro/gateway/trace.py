@@ -51,8 +51,9 @@ from repro.service.session import (
     SessionConfig,
     SessionSnapshot,
     default_pipeline_factory,
-    snapshot_key,
+    snapshot_digest,
 )
+from repro.sim.harness import Mismatch, digest_mismatches
 from repro.types import ImuSample, RssiSample
 
 __all__ = [
@@ -93,18 +94,6 @@ def _chain(prev_h: str, record: Dict[str, Any]) -> str:
     digest = blake2b((prev_h + _canonical(record)).encode("utf-8"),
                      digest_size=_HASH_LEN // 2)
     return digest.hexdigest()
-
-
-def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
-    """A deterministic digest of one tick's snapshot stream.
-
-    Built over the sorted :func:`~repro.service.session.snapshot_key`
-    tuples — the same bit-identity contract migration and checkpoint
-    equivalence are judged by (``estimate`` excluded; ``repr`` round-trips
-    floats exactly).
-    """
-    blob = repr([snapshot_key(snapshots[b]) for b in sorted(snapshots)])
-    return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def trace_meta(gateway: IngestionGateway) -> Dict[str, Any]:
@@ -442,15 +431,20 @@ def recover_trace(
 
 @dataclass
 class ReplayResult:
-    """Outcome of re-driving a trace through a fresh gateway+fleet."""
+    """Outcome of re-driving trace ticks through a gateway+fleet."""
 
-    ticks: int = 0
+    #: Replayed snapshot digest per re-driven tick.
+    digests: List[str] = field(default_factory=list)
     samples: int = 0
     imu_samples: int = 0
     #: ``(tick_index, t, recorded_digest, replayed_digest)`` per mismatch.
-    mismatches: List[Tuple[int, float, str, str]] = field(
-        default_factory=list)
+    mismatches: List[Mismatch] = field(default_factory=list)
     final_sessions: int = 0
+
+    @property
+    def ticks(self) -> int:
+        """How many ticks were re-driven."""
+        return len(self.digests)
 
     @property
     def identical(self) -> bool:
@@ -458,18 +452,36 @@ class ReplayResult:
         return not self.mismatches
 
 
-def _tick_samples(
-    record: Dict[str, Any], path: str, index: int
-) -> Tuple[List[RssiSample], List[ImuSample]]:
-    try:
-        scans = [RssiSample(float(t), float(rssi), str(beacon), int(ch))
-                 for t, rssi, beacon, ch in record.get("scans", [])]
-        imu = [ImuSample(float(t), float(a), float(g), float(m))
-               for t, a, g, m in record.get("imu", [])]
-    except (TypeError, ValueError) as exc:
-        raise DataQualityError(
-            f"trace {path!r} tick {index}: malformed sample row: {exc}")
-    return scans, imu
+def _redrive(
+    gateway: IngestionGateway,
+    tick_records: List[Dict[str, Any]],
+    path: str,
+    first: int = 0,
+) -> ReplayResult:
+    """Re-drive ``tick_records[first:]`` exactly as the original drain
+    committed them, gated tick by tick on the recorded snapshot digests."""
+    result = ReplayResult()
+    records = tick_records[first:]
+    for index, record in enumerate(records, start=first):
+        try:
+            scans = [RssiSample(float(t), float(rssi), str(beacon), int(ch))
+                     for t, rssi, beacon, ch in record.get("scans", [])]
+            imu = [ImuSample(float(t), float(a), float(g), float(m))
+                   for t, a, g, m in record.get("imu", [])]
+        except (TypeError, ValueError) as exc:
+            raise DataQualityError(
+                f"trace {path!r} tick {index}: malformed sample row: {exc}")
+        gateway.enqueue_scans(scans)
+        gateway.enqueue_imu(imu)
+        result.digests.append(
+            snapshot_digest(gateway.tick(float(record["t"]))))
+        result.samples += len(scans)
+        result.imu_samples += len(imu)
+    result.mismatches = digest_mismatches(
+        [str(r.get("snap")) for r in records], result.digests,
+        [float(r["t"]) for r in records], first_index=first)
+    result.final_sessions = gateway.fleet.total_sessions
+    return result
 
 
 def replay(
@@ -481,28 +493,11 @@ def replay(
 
     The topology is rebuilt from the trace header's recorded configs (a
     run recorded under a custom ``pipeline_factory`` must be replayed with
-    the same one — the trace stores configuration, not code). Each tick's
-    batches are enqueued and ticked exactly as the original drain
-    committed them; the resulting snapshot digest is compared against the
-    recorded one, so divergence is pinned to the first differing tick.
+    the same one — the trace stores configuration, not code), then every
+    tick is re-driven and digest-checked by :func:`_redrive`.
     ``allow_unsealed=True`` replays a crashed run's verified prefix (see
     :func:`recover_trace`).
     """
     meta, tick_records = read_trace(path, allow_unsealed=allow_unsealed)
-    gateway = _gateway_from_meta(meta, pipeline_factory)
-    result = ReplayResult()
-    for index, record in enumerate(tick_records):
-        scans, imu = _tick_samples(record, path, index)
-        gateway.enqueue_scans(scans)
-        gateway.enqueue_imu(imu)
-        snapshots = gateway.tick(float(record["t"]))
-        result.ticks += 1
-        result.samples += len(scans)
-        result.imu_samples += len(imu)
-        replayed = snapshot_digest(snapshots)
-        recorded = record.get("snap")
-        if replayed != recorded:
-            result.mismatches.append(
-                (index, float(record["t"]), str(recorded), replayed))
-    result.final_sessions = gateway.fleet.total_sessions
-    return result
+    return _redrive(_gateway_from_meta(meta, pipeline_factory),
+                    tick_records, path)

@@ -70,7 +70,7 @@ __all__ = [
 #: The process-wide event log every instrumented module emits into.
 log = EventLog()
 
-#: The always-attached in-memory tail (drained by the soak harness).
+#: The always-attached in-memory tail (``tail()``, ``counts()``, ``drain()``).
 ring: RingBufferSink = log.add_sink(RingBufferSink())
 
 

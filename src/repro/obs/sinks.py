@@ -3,8 +3,8 @@
 Three sinks cover the deployment shapes the ROADMAP cares about:
 
 * :class:`RingBufferSink` — the always-on in-memory tail. Bounded (so a
-  year-long service cannot leak), drainable (the soak harness empties it
-  into its acceptance report), and cheap enough to leave attached forever.
+  year-long service cannot leak), drainable (``obs.drain()``), and cheap
+  enough to leave attached forever.
 * :class:`JsonLinesSink` — the durable machine-readable log: one JSON
   object per line, flushed per event so a crash loses at most the record
   being written. This is the format ``python -m repro obs report`` reads.

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from bisect import bisect_left
+from hashlib import blake2b
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
@@ -62,7 +63,7 @@ from repro.service.health import HealthConfig, HealthMachine, SessionState
 from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve", "ImuTick", "snapshot_key"]
+           "PendingSolve", "ImuTick", "snapshot_key", "snapshot_digest"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -224,6 +225,13 @@ def snapshot_key(snap: SessionSnapshot) -> tuple:
         snap.beacon_id, snap.t, snap.state, snap.breaker_state,
         snap.fix_age_s, snap.track, snap.buffered, snap.shed,
     )
+
+
+def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
+    """A digest of one tick's snapshots over their sorted
+    :func:`snapshot_key` tuples (``repr`` round-trips floats exactly)."""
+    blob = repr([snapshot_key(snapshots[b]) for b in sorted(snapshots)])
+    return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class TrackingSession:

@@ -1,8 +1,8 @@
-"""Fleet-scale load generation: hundreds-to-thousands of beacon streams.
+"""Wide load generation: hundreds-to-thousands of beacon streams.
 
 The soak harness (:mod:`repro.sim.soak`) exercises *depth* — one or a few
-beacons over a long horizon. Load testing the sharded fleet needs *width*:
-hundreds to thousands of concurrent beacon streams with realistic arrival
+beacons over a long horizon. The gateway soak, crash chaos and the fleet
+tests need *width*: many concurrent beacon streams with realistic arrival
 statistics, which a full per-beacon radio simulation cannot deliver at an
 acceptable cost. This module gets both realism and scale with **template
 amplification**, the standard load-generator trick:
@@ -34,10 +34,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultModel
-from repro.sim.simulator import BeaconSpec, Simulator
-from repro.sim.soak import long_walk
-from repro.types import ImuSample, RssiSample, RssiTrace, Vec2
-from repro.world.scenarios import scenario
+from repro.sim.harness import Tick, slice_ticks
+from repro.sim.soak import simulate_walk
+from repro.types import RssiSample, RssiTrace
 
 __all__ = ["ARRIVALS", "LoadConfig", "LoadStream", "generate_load"]
 
@@ -100,8 +99,7 @@ class LoadStream:
     """A generated workload, sliced into per-tick ingest batches."""
 
     #: ``(t, scan_batch, imu_batch)`` per tick, ready to replay.
-    ticks: Tuple[Tuple[float, Tuple[RssiSample, ...],
-                       Tuple[ImuSample, ...]], ...]
+    ticks: Tuple[Tick, ...]
     #: Total scan samples offered across the whole stream.
     offered_samples: int
     #: Offered sample rate (samples/s over the stream duration).
@@ -144,38 +142,20 @@ def _arrival_times(
     return ts[phase < config.burst_duty * config.burst_period_s]
 
 
-def _simulate_templates(
-    config: LoadConfig, rng: np.random.Generator
-) -> Tuple[List[RssiTrace], List[ImuSample]]:
-    """One full-fidelity world: template beacon traces + the observer IMU."""
-    sc = scenario(config.scenario_index)
-    walk = long_walk(
-        sc.observer_start, rng,
-        bounds=(sc.floorplan.width, sc.floorplan.height),
-        duration_s=config.duration_s,
-    )
-    specs = []
-    for k in range(config.template_beacons):
-        offset = (Vec2(0.0, 0.0) if k == 0
-                  else Vec2.from_polar(
-                      0.6 + 0.2 * k,
-                      2.0 * math.pi * k / config.template_beacons))
-        specs.append(BeaconSpec(f"tpl{k}", position=sc.beacon_position + offset))
-    rec = Simulator(sc.floorplan, rng).simulate(walk, specs)
-    templates = [rec.rssi_traces[s.beacon_id] for s in specs]
+def generate_load(config: LoadConfig) -> LoadStream:
+    """Build the full per-tick ingest schedule for one load workload."""
+    # One full-fidelity world: the template beacon traces + observer IMU.
+    ids = [f"tpl{k}" for k in range(config.template_beacons)]
+    rec = simulate_walk(config.scenario_index,
+                        np.random.default_rng(config.seed),
+                        config.duration_s, ids)
+    templates = [rec.rssi_traces[b] for b in ids]
     for k, tpl in enumerate(templates):
         if len(tpl) < 2:
             raise ConfigurationError(
                 f"template beacon {k} produced <2 samples; "
                 "scenario/duration too hostile for load generation"
             )
-    return templates, list(rec.observer_imu.trace.samples)
-
-
-def generate_load(config: LoadConfig) -> LoadStream:
-    """Build the full per-tick ingest schedule for one load workload."""
-    world_rng = np.random.default_rng(config.seed)
-    templates, imu = _simulate_templates(config, world_rng)
 
     scans: List[RssiSample] = []
     for i in range(config.n_beacons):
@@ -197,22 +177,9 @@ def generate_load(config: LoadConfig) -> LoadStream:
             trace = config.fault.apply(trace, rng)
         scans.extend(trace.samples)
     scans.sort(key=lambda s: (s.timestamp, s.beacon_id))
-
-    ticks = []
-    n_ticks = int(math.ceil(config.duration_s / config.tick_s))
-    si = ii = 0
-    for k in range(1, n_ticks + 1):
-        t = k * config.tick_s
-        sj = si
-        while sj < len(scans) and scans[sj].timestamp < t:
-            sj += 1
-        ij = ii
-        while ij < len(imu) and imu[ij].timestamp < t:
-            ij += 1
-        ticks.append((t, tuple(scans[si:sj]), tuple(imu[ii:ij])))
-        si, ii = sj, ij
     return LoadStream(
-        ticks=tuple(ticks),
+        ticks=tuple(slice_ticks(scans, rec.observer_imu.trace.samples,
+                                config.duration_s, config.tick_s)),
         offered_samples=len(scans),
         offered_per_s=len(scans) / config.duration_s,
         n_beacons=config.n_beacons,

@@ -24,7 +24,8 @@ set it additionally performs a *kill-and-resume*: the service is
 checkpointed at that stream time (through a JSON round trip, i.e. exactly
 what a process restart would read back from disk), a fresh service is
 restored from it, and both the uninterrupted original and the resumed copy
-replay the remaining stream — their snapshot sequences must match exactly.
+replay the remaining stream — their per-tick snapshot digests must match
+exactly (:func:`repro.sim.harness.digest_mismatches`).
 
 Everything is seeded and deterministic; ``python -m repro soak`` wraps this
 module for the command line.
@@ -35,17 +36,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs, perf
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.service import ServiceConfig, TrackingService
-from repro.service.session import SessionSnapshot, snapshot_key
+from repro.service.session import SessionSnapshot, snapshot_digest
 from repro.sim.faults import FaultModel
-from repro.sim.simulator import BeaconSpec, Simulator
-from repro.types import ImuSample, RssiSample, Vec2
+from repro.sim.harness import (Audit, ErrorLedger, Tick, digest_mismatches,
+                               slice_ticks)
+from repro.sim.simulator import BeaconSpec, MeasurementRecord, Simulator
+from repro.types import RssiSample, Vec2
 from repro.world.scenarios import scenario
 from repro.world.trajectory import DEFAULT_WALK_SPEED, Trajectory
 
@@ -112,8 +114,8 @@ class SoakResult:
     checkpoint_equal: Optional[bool]
     #: First stream time at which the resumed run diverged (None if never).
     divergence_t: Optional[float]
-    #: Structured-event volume by event name over the whole run (drained
-    #: from a run-scoped :class:`repro.obs.RingBufferSink`).
+    #: Structured-event count by event name over the whole run (from the
+    #: run-scoped :class:`repro.sim.harness.Audit`'s counting sink).
     events: Dict[str, int] = field(default_factory=dict)
     #: :mod:`repro.perf` counter deltas over the run — the cross-check
     #: partner of :attr:`events`.
@@ -179,184 +181,118 @@ def long_walk(
     return Trajectory(pts, times)
 
 
-def _build_stream(config: SoakConfig):
-    """Simulate the world once and slice it into per-tick ingest batches."""
-    sc = scenario(config.scenario_index)
-    rng = np.random.default_rng(config.seed)
-    walk = long_walk(
-        sc.observer_start, rng,
-        bounds=(sc.floorplan.width, sc.floorplan.height),
-        duration_s=config.duration_s,
-    )
-    beacons = []
-    for k in range(config.n_beacons):
-        offset = (Vec2(0.0, 0.0) if k == 0
-                  else Vec2.from_polar(0.6 + 0.2 * k,
-                                       2.0 * math.pi * k / config.n_beacons))
-        beacons.append(
-            BeaconSpec(f"b{k}", position=sc.beacon_position + offset)
-        )
-    sim = Simulator(sc.floorplan, rng)
-    rec = sim.simulate(walk, beacons)
+def simulate_walk(
+    scenario_index: int,
+    rng: np.random.Generator,
+    duration_s: float,
+    beacon_ids: Sequence[str],
+) -> MeasurementRecord:
+    """The soak's and the load generator's world: one seeded
+    :func:`long_walk` past beacons ringed round the scenario's beacon."""
+    sc = scenario(scenario_index)
+    walk = long_walk(sc.observer_start, rng,
+                     bounds=(sc.floorplan.width, sc.floorplan.height),
+                     duration_s=duration_s)
+    n = len(beacon_ids)
+    specs = [
+        BeaconSpec(b, position=sc.beacon_position + (
+            Vec2(0.0, 0.0) if k == 0
+            else Vec2.from_polar(0.6 + 0.2 * k, 2.0 * math.pi * k / n)))
+        for k, b in enumerate(beacon_ids)
+    ]
+    return Simulator(sc.floorplan, rng).simulate(walk, specs)
 
+
+def _build_stream(config: SoakConfig) -> List[Tick]:
+    """Simulate the world once and slice it into per-tick ingest batches."""
+    beacon_ids = [f"b{k}" for k in range(config.n_beacons)]
+    rec = simulate_walk(config.scenario_index,
+                        np.random.default_rng(config.seed),
+                        config.duration_s, beacon_ids)
     fault_rng = np.random.default_rng(config.seed + 977)
     scans: List[RssiSample] = []
-    for spec in beacons:
-        degraded = config.fault.apply(rec.rssi_traces[spec.beacon_id],
-                                      fault_rng)
+    for beacon_id in beacon_ids:
+        degraded = config.fault.apply(rec.rssi_traces[beacon_id], fault_rng)
         scans.extend(degraded.samples)
     scans.sort(key=lambda s: (s.timestamp, s.beacon_id))
-    imu: List[ImuSample] = list(rec.observer_imu.trace.samples)
-
-    ticks: List[Tuple[float, List[RssiSample], List[ImuSample]]] = []
-    n_ticks = int(math.ceil(config.duration_s / config.tick_s))
-    si = ii = 0
-    for k in range(1, n_ticks + 1):
-        t = k * config.tick_s
-        sj = si
-        while sj < len(scans) and scans[sj].timestamp < t:
-            sj += 1
-        ij = ii
-        while ij < len(imu) and imu[ij].timestamp < t:
-            ij += 1
-        ticks.append((t, scans[si:sj], imu[ii:ij]))
-        si, ii = sj, ij
-    return ticks
+    return slice_ticks(scans, rec.observer_imu.trace.samples,
+                       config.duration_s, config.tick_s)
 
 
 def _drive(
     service: TrackingService,
-    ticks,
-    errors: List[Tuple[str, bool]],
-) -> Dict[str, List[SessionSnapshot]]:
-    """Replay ingest batches into a service, capturing every exception.
+    ticks: Sequence[Tick],
+    errors: ErrorLedger,
+) -> List[Dict[str, SessionSnapshot]]:
+    """Replay ingest batches into a service; one snapshot dict per tick.
 
-    The service's contract is to *never* raise on data; anything caught
-    here is recorded as ``("ExcType: message", typed)`` rather than
-    aborting the run, so a single bug cannot hide later ones. ``typed``
-    means the exception is a :class:`~repro.errors.ReproError`.
+    The service must *never* raise on data; anything caught is booked in
+    ``errors`` (that tick yields ``{}``), so one bug cannot hide the next.
     """
-    out: Dict[str, List[SessionSnapshot]] = {}
+    out: List[Dict[str, SessionSnapshot]] = []
     for t, scan_batch, imu_batch in ticks:
-        try:
+        snaps: Dict[str, SessionSnapshot] = {}
+        with errors.capture():
             service.ingest_scans(scan_batch)
             service.ingest_imu(imu_batch)
             snaps = service.tick_batch(t)
-        except Exception as exc:  # noqa: BLE001 — the whole point of a soak
-            errors.append((f"{type(exc).__name__}: {exc}",
-                           isinstance(exc, ReproError)))
-            continue
-        for beacon_id, snap in snaps.items():
-            out.setdefault(beacon_id, []).append(snap)
+        out.append(snaps)
     return out
 
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """Run one seeded soak experiment; see the module docstring.
 
-    The whole run is observed through run-scoped :mod:`repro.obs` sinks: a
-    counting sink whose per-event-name totals land in
-    :attr:`SoakResult.events`, and (with ``events_jsonl`` set) a durable
-    JSON-lines log for ``python -m repro obs report``. The
-    :mod:`repro.perf` counter deltas over the same interval are captured
-    alongside so acceptance tests can cross-check that every fix, shed,
-    breaker trip and covariance fallback is accounted for in both ledgers.
+    One :class:`~repro.sim.harness.Audit` observes the whole run, resume
+    included, and writes the ``events_jsonl`` log when one is set.
     """
     config = config or SoakConfig()
     ticks = _build_stream(config)
-    errors: List[Tuple[str, bool]] = []
+    errors = ErrorLedger()
+    mismatches = None
+    with Audit(config.events_jsonl) as audit:
+        service = TrackingService(config.service)
+        if config.checkpoint_t is None:
+            per_tick = _drive(service, ticks, errors)
+        else:
+            cut = next(
+                (i for i, (t, _, _) in enumerate(ticks)
+                 if t >= config.checkpoint_t),
+                len(ticks) - 1,
+            )
+            head, tail = ticks[: cut + 1], ticks[cut + 1:]
+            per_tick = _drive(service, head, errors)
+            # The kill: what a restarting process would read back from disk.
+            checkpoint_json = json.dumps(service.checkpoint())
+            original = _drive(service, tail, errors)
+            per_tick += original
+            resumed = TrackingService.restore(json.loads(checkpoint_json))
+            mismatches = digest_mismatches(
+                [snapshot_digest(s) for s in original],
+                [snapshot_digest(s) for s in _drive(resumed, tail, errors)],
+                [t for t, _, _ in tail])
 
-    counting = obs.add_sink(obs.CountingSink())
-    jsonl: Optional[obs.JsonLinesSink] = None
-    if config.events_jsonl is not None:
-        jsonl = obs.add_sink(obs.JsonLinesSink(config.events_jsonl))
-    try:
-        return _run_soak_observed(config, ticks, errors, counting)
-    finally:
-        obs.remove_sink(counting)
-        if jsonl is not None:
-            obs.remove_sink(jsonl)
-            jsonl.close()
-
-
-def _run_soak_observed(
-    config: SoakConfig,
-    ticks,
-    errors: List[Tuple[str, bool]],
-    counting: "obs.CountingSink",
-) -> SoakResult:
-    perf_before = perf.snapshot()["counters"]
-    service = TrackingService(config.service)
-    checkpoint_json: Optional[str] = None
-    if config.checkpoint_t is not None:
-        cut = next(
-            (i for i, (t, _, _) in enumerate(ticks)
-             if t >= config.checkpoint_t),
-            len(ticks) - 1,
-        )
-        head, tail = ticks[: cut + 1], ticks[cut + 1:]
-        snapshots = _drive(service, head, errors)
-        # The kill: what a restarting process would read back from disk.
-        checkpoint_json = json.dumps(service.checkpoint())
-        for beacon_id, snaps in _drive(service, tail, errors).items():
-            snapshots.setdefault(beacon_id, []).extend(snaps)
-        resumed = TrackingService.restore(json.loads(checkpoint_json))
-        resumed_snaps = _drive(resumed, tail, errors)
-    else:
-        tail = []
-        snapshots = _drive(service, ticks, errors)
-        resumed_snaps = None
-
-    checkpoint_equal: Optional[bool] = None
-    divergence_t: Optional[float] = None
-    if resumed_snaps is not None:
-        checkpoint_equal = True
-        n_tail = len(tail)
-        for beacon_id, full in sorted(snapshots.items()):
-            original = full[len(full) - n_tail:]
-            resumed_seq = resumed_snaps.get(beacon_id, [])
-            if len(original) != len(resumed_seq):
-                checkpoint_equal = False
-                divergence_t = original[0].t if original else None
-                break
-            for a, b in zip(original, resumed_seq):
-                if snapshot_key(a) != snapshot_key(b):
-                    checkpoint_equal = False
-                    divergence_t = a.t
-                    break
-            if not checkpoint_equal:
-                break
-
+    snapshots: Dict[str, List[SessionSnapshot]] = {}
+    for snaps in per_tick:
+        for beacon_id, snap in snaps.items():
+            snapshots.setdefault(beacon_id, []).append(snap)
     t_end = ticks[-1][0] if ticks else 0.0
-    transitions = {
-        beacon_id: list(sess.health.transitions)
-        for beacon_id, sess in sorted(service.sessions.items())
-    }
-    dwell = {
-        beacon_id: sess.health.dwell(t_end)
-        for beacon_id, sess in sorted(service.sessions.items())
-    }
+    sessions = sorted(service.sessions.items())
     stats = service.stats()
-    perf_after = perf.snapshot()["counters"]
-    perf_delta = {
-        name: int(count) - int(perf_before.get(name, 0))
-        for name, count in sorted(perf_after.items())
-        if int(count) - int(perf_before.get(name, 0)) > 0
-    }
     return SoakResult(
         duration_s=config.duration_s,
         ticks=len(ticks),
         snapshots=snapshots,
-        transitions=transitions,
-        dwell=dwell,
+        transitions={b: list(sess.health.transitions) for b, sess in sessions},
+        dwell={b: sess.health.dwell(t_end) for b, sess in sessions},
         counters=dict(stats["counters"]),
         stats=stats,
-        errors=tuple(message for message, _ in errors),
-        untyped_errors=sum(1 for _, typed in errors if not typed),
-        checkpoint_equal=checkpoint_equal,
-        divergence_t=divergence_t,
-        events=dict(sorted(counting.by_name.items())),
-        perf_counters=perf_delta,
-        parity_failures=tuple(obs.signal_parity(counting, perf_before)),
+        errors=tuple(errors.errors),
+        untyped_errors=errors.untyped,
+        checkpoint_equal=None if mismatches is None else not mismatches,
+        divergence_t=mismatches[0][1] if mismatches else None,
+        events=audit.events,
+        perf_counters=audit.perf_delta,
+        parity_failures=tuple(audit.parity_failures),
         events_jsonl=config.events_jsonl,
     )

@@ -332,6 +332,31 @@ class TestRecover:
         snaps = gateway.tick(11.0)
         assert snapshot_digest(snaps)  # live, consistent state
 
+    def test_second_segment_recovers_from_its_own_checkpoint(self, tmp_path):
+        # Segment 0 dies at tick 10; its recovery starts segment 1 at run
+        # tick 10, which dies at tick 15 after the tick-12 checkpoint.
+        _record_supervised_run(tmp_path)
+        gateway, first = recover(
+            str(tmp_path / "store"), str(tmp_path / "run.trace"),
+            pipeline_factory=ScriptedPipeline, checkpoint_every=4)
+        assert first.checkpoint_tick + first.redriven_ticks == 10
+        segment = str(tmp_path / "run-1.trace")
+        writer = TraceWriter(segment, meta=trace_meta(gateway))
+        gateway.tap = writer
+        for k in range(11, 16):
+            t = float(k)
+            gateway.enqueue_scans([_scan(t - 0.4, b) for b in BEACONS])
+            gateway.tick(t)
+        writer.abort()
+        _, report = recover(
+            str(tmp_path / "store"), segment,
+            pipeline_factory=ScriptedPipeline, checkpoint_every=4,
+            trace_start_tick=10)
+        assert report.checkpoint_tick == 12
+        assert report.trace_ticks == 5
+        assert report.redriven_ticks == 3  # run ticks 13..15
+        assert report.identical
+
     def test_trace_segment_newer_than_snapshot_refused(self, tmp_path):
         _record_supervised_run(tmp_path)
         with pytest.raises(DataQualityError, match="no readable trace"):
@@ -361,7 +386,7 @@ class TestChaosSmoke:
         result = run_chaos(
             ChaosConfig(seed=0, ticks=24, n_beacons=6, kills=1,
                         shard_crashes=1, checkpoint_every=4,
-                        durability="flush", replay_check=True),
+                        durability="flush"),
             workdir=str(tmp_path))
         assert result.passed, result.to_dict()
         assert result.kill_ticks and result.recoveries
