@@ -299,7 +299,7 @@ def bench_anf_apply() -> Dict[str, object]:
 
 
 def _fleet_checkpoint() -> Dict[str, object]:
-    """A serving-sized fleet checkpoint (~0.5 MB of canonical JSON): 48
+    """A serving-sized fleet checkpoint (~0.4 MB of canonical JSON): 48
     beacons through a 2-shard fleet for 20 s of generated load."""
     stream = generate_load(LoadConfig(duration_s=20.0, seed=3,
                                       n_beacons=48, template_beacons=2))

@@ -6,10 +6,16 @@ speaks the same contract the gateway expects of its ``fleet`` attribute
 ``total_sessions``), so it drops in transparently:
 ``IngestionGateway(cfg, FleetSupervisor(fleet, store))``. What it adds is
 the blast-radius rule a serving system needs: **a shard worker exception
-mid-tick fails that shard, not the fleet.** The failed shard is rebuilt
+mid-tick fails that shard, not the fleet.** The supervisor runs the
+fleet's phased tick (every shard prepares, one shared ``fit_batch``,
+every shard resolves and finishes) with each shard's own phases inside
+its containment boundary. An exception escaping the shared solve fails
+exactly the shards with requests in that batch; shards with none keep
+serving. The failed shard is rebuilt
 from the last good :class:`~repro.durability.store.CheckpointStore`
 snapshot, the ticks it missed are re-driven from the supervisor's
-in-memory ingest journal, and the healthy shards never stop serving.
+in-memory ingest journal against the fleet IMU ring rebuilt from the same
+snapshot, and the healthy shards never stop serving.
 Restart scheduling reuses the service layer's proven reflexes — a
 per-shard :class:`~repro.service.breaker.ExponentialBackoff` on the
 stream clock, and a :class:`~repro.service.breaker.CircuitBreaker` that
@@ -63,8 +69,9 @@ from repro.service.breaker import (
     CircuitBreaker,
     ExponentialBackoff,
 )
-from repro.service.session import PipelineFactory, SessionSnapshot, \
-    default_pipeline_factory
+from repro.service.service import Pending, solve_pending
+from repro.service.session import ImuRing, PipelineFactory, \
+    SessionSnapshot, default_pipeline_factory
 from repro.durability.store import CheckpointStore
 from repro.types import ImuSample, RssiSample
 
@@ -146,36 +153,53 @@ class FleetSupervisor:
     def tick(self, t: float) -> Dict[str, SessionSnapshot]:
         """Step every healthy shard; contain, restart, re-drive the rest.
 
-        Mirrors :meth:`~repro.fleet.TrackingFleet.tick` (shard order,
-        deterministic merge) with each worker stepped inside its own
-        containment boundary. A failing worker is marked failed and the
-        remaining shards still produce this tick's snapshots; the failed
-        shard rejoins via :meth:`_restart_shard` once its backoff and
-        breaker admit the attempt.
+        The fleet's phased tick (shard order, one shared ``fit_batch``,
+        deterministic merge) with each shard's phases run inside its own
+        containment boundary. A failing shard is marked failed and the
+        remaining shards still produce this tick's snapshots; an exception
+        escaping the shared solve fails every shard with a request in it.
+        A failed shard rejoins via :meth:`_restart_shard` once its backoff
+        and breaker admit the attempt, and then steps this tick with the
+        rest.
         """
         t = float(t)
+        imu = self.fleet.imu.tick(t)  # a non-finite t raises, unjournaled
         self._journal.append(
             (t, self._pending_scans, self._pending_imu))
         self._pending_scans, self._pending_imu = [], []
-        merged: Dict[str, SessionSnapshot] = {}
+        begun: Dict[int, Tuple[ShardWorker, Pending]] = {}
         for worker in list(self.fleet.workers):
-            shard = worker.shard_id
+            shard, fault = worker.shard_id, None
             if shard in self.failed:
-                if (self._backoffs[shard].ready(t)
+                if not (self._backoffs[shard].ready(t)
                         and self._breakers[shard].allow(t)):
-                    restarted = self._restart_shard(shard, t)
-                    if restarted is not None:
-                        merged.update(restarted.tick(t))
-                continue
-            try:
+                    continue
+                worker = self._restart_shard(shard, t)
+                if worker is None:
+                    continue
+            else:
                 fault = self._injected.pop(shard, None)
+            try:
                 if fault is not None:
                     raise fault
-                merged.update(worker.tick(t))
-            except ReproError as exc:
-                self._fail_shard(shard, t, exc, typed=True)
+                begun[shard] = (worker, worker.begin_tick(t, imu))
             except Exception as exc:  # noqa: BLE001 — containment boundary
-                self._fail_shard(shard, t, exc, typed=False)
+                self._fail_shard(shard, t, exc)
+        try:
+            fits = solve_pending([p for _, p in begun.values()])
+        except Exception as exc:  # noqa: BLE001 — containment boundary
+            for shard, (_, pending) in list(begun.items()):
+                if pending:
+                    self._fail_shard(shard, t, exc)
+                    del begun[shard]
+            fits = [[] for _ in begun]
+        merged: Dict[str, SessionSnapshot] = {}
+        for (shard, (worker, pending)), shard_fits in zip(begun.items(),
+                                                           fits):
+            try:
+                merged.update(worker.end_tick(t, pending, shard_fits))
+            except Exception as exc:  # noqa: BLE001 — containment boundary
+                self._fail_shard(shard, t, exc)
         self.ticks += 1
         perf.count("fleet.ticks")
         if self.ticks % self.checkpoint_every == 0:
@@ -205,8 +229,8 @@ class FleetSupervisor:
         self._injected[shard_id] = exc or RuntimeError(
             f"injected crash on shard {shard_id}")
 
-    def _fail_shard(self, shard: int, t: float, exc: BaseException,
-                    typed: bool) -> None:
+    def _fail_shard(self, shard: int, t: float, exc: BaseException) -> None:
+        typed = isinstance(exc, ReproError)
         reason = f"{type(exc).__name__}: {exc}"
         self.failed[shard] = reason
         self._backoffs[shard].on_failure(t)
@@ -221,7 +245,7 @@ class FleetSupervisor:
         """Rebuild one shard from the last snapshot and its missed ticks.
 
         Returns the restarted worker (installed, caught up to just before
-        ``t``, with this tick's ingest already delivered) ready for the
+        ``t``, with this tick's scans already delivered) ready for the
         caller to step — or ``None`` when the restart itself failed, in
         which case backoff/breaker schedule the next attempt.
         """
@@ -257,19 +281,26 @@ class FleetSupervisor:
         """Replay the journal into a freshly restored worker.
 
         Entries strictly before ``t`` are ingested *and* ticked (the
-        worker missed those steps entirely); the current tick's entry is
-        ingested only — the caller steps it together with the healthy
-        shards, keeping one shared tick cadence.
+        worker missed those steps entirely), each against an ``ImuTick``
+        of the fleet ring as it stood at that tick: the snapshot's ring
+        plus the journal's IMU rows. The current tick's scans are ingested
+        only — the caller steps it together with the healthy shards,
+        against the fleet's own ring, keeping one shared tick cadence.
         """
+        cfg = self.fleet.config.service
+        if self._last_cp is not None:
+            ring = ImuRing.restore(self._last_cp["fleet"], cfg.imu_buffer,
+                                   cfg.session.window_s)
+        else:
+            ring = ImuRing(cfg.imu_buffer, cfg.session.window_s)
         redriven = 0
         for jt, scans, imu in self._journal:
             mine = [s for s in scans if self._routes_here(worker, s)]
             if mine:
                 worker.ingest_scans(mine)
-            if imu:
-                worker.ingest_imu(imu)
             if jt < t:
-                worker.tick(jt)
+                ring.ingest(imu)
+                worker.tick(jt, ring.tick(jt))
                 redriven += 1
         return redriven
 

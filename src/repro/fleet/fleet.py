@@ -21,21 +21,27 @@ service and extended fleet-wide:
   **snapshot-identically**: the fleet's output stream is the same whether
   or not the migration happened. Rebalance, drain and rolling upgrades
   are all this one primitive.
-* **Shared observer IMU.** The observer's IMU stream is broadcast to every
-  shard, so each shard holds a replica ring; that replica equality is what
-  makes migration transparent to the solve.
+* **One observer.** One phone walks, so the fleet holds the one
+  observer-IMU ring (:class:`~repro.service.session.ImuRing`) and opens
+  one :class:`~repro.service.session.ImuTick` per tick for every shard:
+  each solve window is sliced and dead-reckoned once per tick, whichever
+  shard its session lives on. That is also why migration is transparent
+  to the solve — every shard reads the same ring.
 
-The fleet steps shards sequentially in-process (shard order, sessions in
-sorted beacon order within each shard — fully deterministic). Workers are
-isolated behind the :class:`~repro.fleet.worker.ShardWorker` contract so a
-process-pool execution model can be slotted in without touching routing,
-admission or migration.
+A tick is phased: every shard prepares its due solves against the shared
+``ImuTick`` (shard order, sessions in sorted beacon order within each
+shard), **one** :func:`~repro.core.estimator.fit_batch` call solves them
+all, and each shard then resolves its fits and finishes its sessions —
+fully deterministic, and bit-identical to stepping each shard alone,
+because ``fit_batch`` is per-slice bit-identical. Workers are isolated
+behind the :class:`~repro.fleet.worker.ShardWorker` contract, and
+:class:`~repro.durability.FleetSupervisor` wraps the per-shard phases in
+crash containment.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -45,8 +51,9 @@ from repro.fleet.router import ShardRouter
 from repro.fleet.worker import ShardWorker
 from repro.service import ServiceConfig
 from repro.service.checkpoint import restore_guard
-from repro.service.service import SHED_ID_MEMORY
+from repro.service.service import SHED_ID_MEMORY, solve_pending
 from repro.service.session import (
+    ImuRing,
     PipelineFactory,
     SessionSnapshot,
     TrackingSession,
@@ -57,7 +64,9 @@ from repro.types import ImuSample, RssiSample
 __all__ = ["FleetConfig", "TrackingFleet"]
 
 #: Checkpoint schema version written by :meth:`TrackingFleet.checkpoint`.
-FLEET_CHECKPOINT_FORMAT = 1
+#: Format 1 kept one replica IMU ring per shard; format 2 keeps the fleet's
+#: one ring at the top level.
+FLEET_CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,9 @@ class TrackingFleet:
             ShardWorker(i, self.config.service, pipeline_factory)
             for i in range(self.config.n_shards)
         ]
+        #: The observer-IMU ring every shard's sessions solve against.
+        self.imu = ImuRing(self.config.service.imu_buffer,
+                           self.config.service.session.window_s)
         #: Distinct beacons refused by fleet-wide admission control.
         self.admission_refused = 0
         #: Scan samples dropped with those refusals.
@@ -155,26 +167,25 @@ class TrackingFleet:
         return taken
 
     def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
-        """Broadcast observer IMU to every shard (replica rings)."""
-        samples = list(samples)
-        taken = 0
-        for worker in self.workers:
-            taken = worker.ingest_imu(samples)
-        return taken
+        """Buffer observer IMU in the fleet's one ring."""
+        return self.imu.ingest(samples)
 
     # -- stepping ------------------------------------------------------------
 
     def tick(self, t: float) -> Dict[str, SessionSnapshot]:
         """Advance every shard to stream time ``t``; merged snapshots.
 
-        Shards step in shard order, sessions in sorted beacon order within
-        each shard, so the fleet is as deterministic as one service.
+        Every shard prepares its solves against the tick's one
+        ``ImuTick``, one ``fit_batch`` solves them all, and each shard
+        resolves and finishes in shard order — as deterministic as one
+        service.
         """
-        if not math.isfinite(t):
-            raise ConfigurationError("tick time must be finite")
+        imu = self.imu.tick(t)  # a non-finite t raises ConfigurationError
+        pending = [w.begin_tick(t, imu) for w in self.workers]
+        fits = solve_pending(pending)
         merged: Dict[str, SessionSnapshot] = {}
-        for worker in self.workers:
-            merged.update(worker.tick(t))
+        for worker, p, f in zip(self.workers, pending, fits):
+            merged.update(worker.end_tick(t, p, f))
         perf.count("fleet.ticks")
         return merged
 
@@ -185,9 +196,10 @@ class TrackingFleet:
 
         The session travels as its JSON checkpoint — the identical bytes a
         process restart would read — and the router is pinned so future
-        traffic follows it. Because every shard holds the same IMU replica
-        and sessions are solved independently, the migrated session's
-        snapshot stream continues exactly as if it had never moved.
+        traffic follows it. Because every shard solves against the fleet's
+        one IMU ring and sessions are solved independently, the migrated
+        session's snapshot stream continues exactly as if it had never
+        moved.
         """
         if not 0 <= dst_shard < self.config.n_shards:
             raise ConfigurationError(
@@ -268,6 +280,7 @@ class TrackingFleet:
             "migrations": self.migrations,
             "pins": len(self.router.pins),
             "restores": self.restores,
+            "imu": self.imu.buffer.stats(),
             "counters": counters,
             "per_shard": per_shard,
         }
@@ -275,7 +288,8 @@ class TrackingFleet:
     # -- persistence ---------------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """The whole fleet as one JSON-safe dict (router, shards, admission)."""
+        """The whole fleet as one JSON-safe dict (router, shards, admission,
+        and the IMU rows once, under ``imu``/``imu_shed``)."""
         return {
             "format": FLEET_CHECKPOINT_FORMAT,
             "config": {
@@ -290,6 +304,7 @@ class TrackingFleet:
             "refused_beacon_ids": sorted(self._refused_beacons),
             "migrations": self.migrations,
             "restores": self.restores,
+            **self.imu.checkpoint(),
         }
 
     @classmethod
@@ -305,13 +320,21 @@ class TrackingFleet:
         shard count agreement between config, router and worker list;
         worker ids matching their positions; and every live session sitting
         on the shard the router would route it to.
+
+        A format-1 checkpoint carries one replica IMU ring per shard; it
+        restores from shard 0's ring and is refused when the replicas
+        differ.
         """
-        if not isinstance(cp, dict) or cp.get("format") != FLEET_CHECKPOINT_FORMAT:
+        if not isinstance(cp, dict) or cp.get("format") not in (
+                1, FLEET_CHECKPOINT_FORMAT):
             raise DataQualityError("unsupported fleet checkpoint")
         with restore_guard("fleet"):
             cfg = cp["config"]
             router = ShardRouter.restore(cp["router"])
             worker_cps = cp["workers"]
+            ring_cp = cp
+            if cp["format"] == 1:
+                ring_cp, worker_cps = _one_ring(worker_cps)
             n_shards = int(cfg["n_shards"])
             if not (router.n_shards == len(worker_cps) == n_shards):
                 raise DataQualityError(
@@ -345,6 +368,9 @@ class TrackingFleet:
             )
             fleet.router = router
             fleet.workers = workers
+            fleet.imu = ImuRing.restore(
+                ring_cp, fleet.config.service.imu_buffer,
+                fleet.config.service.session.window_s)
             for worker in workers:
                 for beacon_id in worker.service.sessions:
                     routed = router.shard_for(beacon_id)
@@ -364,3 +390,25 @@ class TrackingFleet:
         obs.signal("fleet.restores", shards=n_shards,
                    sessions=fleet.total_sessions, restores=fleet.restores)
         return fleet
+
+
+def _one_ring(
+    worker_cps: List[Dict[str, Any]]
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Split a format-1 fleet's replica IMU rings out of its workers.
+
+    Returns shard 0's ring and the worker checkpoints without theirs.
+    Every replica was fed the same broadcast stream, so replicas that
+    differ mean a corrupted checkpoint: refused, typed.
+    """
+    keys = ("imu", "imu_shed")
+    rings = [json.dumps([w["service"][k] for k in keys]) for w in worker_cps]
+    if any(ring != rings[0] for ring in rings[1:]):
+        raise DataQualityError(
+            "fleet checkpoint: the shards' IMU replica rings differ")
+    stripped = [
+        dict(w, service={k: v for k, v in w["service"].items()
+                         if k not in keys})
+        for w in worker_cps
+    ]
+    return {k: worker_cps[0]["service"][k] for k in keys}, stripped

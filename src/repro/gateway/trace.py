@@ -108,7 +108,6 @@ def trace_meta(gateway: IngestionGateway) -> Dict[str, Any]:
             "router_salt": fleet_cfg.router_salt,
             "service": {
                 "imu_buffer": service_cfg.imu_buffer,
-                "imu_window_s": service_cfg.imu_window_s,
                 "max_sessions": service_cfg.max_sessions,
                 "session": service_cfg.session.to_dict(),
             },
@@ -128,13 +127,14 @@ def _gateway_from_meta(
         service_cfg = ServiceConfig(
             session=SessionConfig.from_dict(svc["session"]),
             imu_buffer=int(svc["imu_buffer"]),
-            imu_window_s=float(svc["imu_window_s"]),
             max_sessions=int(svc["max_sessions"]),
         )
         max_total = f["max_total_sessions"]
         # Older headers also carry a key choosing the since-removed
-        # sequential tick; both tick paths were bit-identical, so the key
-        # is ignored.
+        # sequential tick, and the IMU ring's former age limit
+        # `imu_window_s`. The ticks were bit-identical, and no solve window
+        # reads past the session window the ring now ages by, so both keys
+        # are ignored.
         fleet_cfg = FleetConfig(
             n_shards=int(f["n_shards"]),
             service=service_cfg,

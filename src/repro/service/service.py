@@ -6,7 +6,7 @@ production system needs: many concurrent per-beacon
 ingest path, stepped on a shared stream clock, checkpointed and restored as
 a unit. Design rules:
 
-* **Bounded everything.** The shared IMU buffer and every per-beacon RSS
+* **Bounded everything.** The observer IMU ring and every per-beacon RSS
   buffer are fixed-capacity drop-oldest rings; the session table itself is
   capped (``max_sessions``) with counted shedding of surplus beacons, so a
   beacon-spam storm degrades predictably instead of exhausting memory.
@@ -16,30 +16,39 @@ a unit. Design rules:
 * **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on data;
   every failure mode is a supervised :func:`repro.obs.signal`, also
   reported through :meth:`stats`.
+
+A tick runs in three phases: :meth:`TrackingService.begin_tick` prepares
+every due session's solve against the tick's :class:`ImuTick`,
+:func:`solve_pending` runs one :func:`~repro.core.estimator.fit_batch`
+over all of them, and :meth:`TrackingService.end_tick` resolves the fits
+and finishes every session. :meth:`TrackingService.tick_batch` runs the
+three on one service; a :class:`~repro.fleet.TrackingFleet` runs phase 1
+and 3 on each shard's service around one phase 2 for all shards, and owns
+the one IMU ring its shards' services do without.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs, perf
 from repro.core.estimator import fit_batch
 from repro.errors import ConfigurationError, DataQualityError
-from repro.service.buffers import BoundedBuffer
 from repro.service.checkpoint import restore_guard
 from repro.service.session import (
+    ImuRing,
     ImuTick,
+    PendingSolve,
     PipelineFactory,
     SessionConfig,
     SessionSnapshot,
     TrackingSession,
     default_pipeline_factory,
 )
-from repro.types import ImuSample, ImuTrace, RssiSample
+from repro.types import ImuSample, RssiSample
 
-__all__ = ["ServiceConfig", "TrackingService"]
+__all__ = ["ServiceConfig", "TrackingService", "solve_pending"]
 
 #: Checkpoint schema version written by :meth:`TrackingService.checkpoint`.
 SERVICE_CHECKPOINT_FORMAT = 1
@@ -50,47 +59,51 @@ SERVICE_CHECKPOINT_FORMAT = 1
 #: set growing without bound — "bounded everything" wins over exactness.
 SHED_ID_MEMORY = 4096
 
+#: One tick's prepared solves on one service, in sorted beacon order.
+Pending = List[Tuple[TrackingSession, PendingSolve]]
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Capacity and supervision policy for the whole service.
 
-    ``imu_buffer`` caps the shared observer-IMU ring (at 50 Hz the default
-    holds ~5.5 minutes); ``imu_window_s`` ages IMU samples out once no
-    session's solve window can reach them. ``max_sessions`` bounds the
-    session table — scans for further beacons are shed (counted) rather
-    than growing without limit.
+    ``imu_buffer`` caps the observer-IMU ring (at 50 Hz the default holds
+    ~5.5 minutes); the ring ages samples out once they fall behind the
+    session window, where no solve window can reach them. ``max_sessions``
+    bounds the session table — scans for further beacons are shed
+    (counted) rather than growing without limit.
     """
 
     session: SessionConfig = field(default_factory=SessionConfig)
     imu_buffer: int = 16384
-    imu_window_s: float = 75.0
     max_sessions: int = 256
 
     def __post_init__(self) -> None:
         if self.imu_buffer < 2:
             raise ConfigurationError("imu_buffer must be >= 2")
-        if not (math.isfinite(self.imu_window_s)
-                and self.imu_window_s >= self.session.window_s):
-            raise ConfigurationError(
-                "imu_window_s must be finite and >= the session window"
-            )
         if self.max_sessions < 1:
             raise ConfigurationError("max_sessions must be >= 1")
 
 
 class TrackingService:
-    """Supervises many concurrent per-beacon tracking sessions."""
+    """Supervises many concurrent per-beacon tracking sessions.
+
+    ``own_imu=False`` builds a fleet shard's service: it holds no IMU ring,
+    and its fleet hands each tick's :class:`ImuTick` to :meth:`begin_tick`.
+    """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         pipeline_factory: PipelineFactory = default_pipeline_factory,
+        own_imu: bool = True,
     ):
         self.config = config or ServiceConfig()
         self._pipeline_factory = pipeline_factory
         self.sessions: Dict[str, TrackingSession] = {}
-        self.imu = BoundedBuffer[ImuSample](self.config.imu_buffer, name="imu")
+        self.imu: Optional[ImuRing] = (
+            ImuRing(self.config.imu_buffer, self.config.session.window_s)
+            if own_imu else None)
         #: Distinct beacons refused at the session cap (not samples — see
         #: :attr:`shed_samples` for the sample count).
         self.sessions_shed = 0
@@ -142,14 +155,13 @@ class TrackingService:
 
     def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
         """Buffer observer IMU samples shared by every session."""
-        taken = 0
-        for s in samples:
-            if not math.isfinite(s.timestamp):
-                obs.signal("service.imu_rejected", severity="warning")
-                continue
-            self.imu.append(s)
-            taken += 1
-        return taken
+        return self._ring().ingest(samples)
+
+    def _ring(self) -> ImuRing:
+        if self.imu is None:
+            raise ConfigurationError(
+                "this service's IMU ring is owned by its fleet")
+        return self.imu
 
     # -- stepping ------------------------------------------------------------
 
@@ -157,45 +169,39 @@ class TrackingService:
     def tick_batch(self, t: float) -> Dict[str, SessionSnapshot]:
         """Advance every session to stream time ``t``; per-beacon snapshots.
 
-        Each due session prepares its solve
-        (:meth:`TrackingSession.begin_step`), all prepared requests go
-        through a single :func:`repro.core.estimator.fit_batch` call — one
-        NumPy program for the whole tick instead of N Python solver loops —
-        and the results are resolved back per session. Sessions are stepped
-        in sorted beacon-id order (determinism), each against the shared
-        IMU window. A single due session is simply a batch of one.
+        The three phases of a tick on this service alone: every due
+        session prepares its solve against the tick's view of the IMU ring
+        (:meth:`begin_tick`), all prepared requests go through a single
+        :func:`repro.core.estimator.fit_batch` call — one NumPy program for
+        the whole tick instead of N Python solver loops — and the results
+        are resolved back per session (:meth:`end_tick`). A single due
+        session is simply a batch of one.
         """
-        imu = self._imu_tick(t)
-        pending = []
+        pending = self.begin_tick(t, self._ring().tick(t))
+        return self.end_tick(t, pending, solve_pending([pending])[0])
+
+    def begin_tick(self, t: float, imu: ImuTick) -> Pending:
+        """Phase 1: every due session prepares its solve against ``imu``.
+
+        Sessions go in sorted beacon-id order (determinism), each slicing
+        its window and taking its observer track from the one shared view.
+        """
+        pending: Pending = []
         for beacon_id in sorted(self.sessions):
-            p = self.sessions[beacon_id].begin_step(t, imu)
+            session = self.sessions[beacon_id]
+            p = session.begin_step(t, imu)
             if p is not None:
-                pending.append((self.sessions[beacon_id], p))
+                pending.append((session, p))
+        return pending
 
-        if pending:
-            fits = fit_batch([p.request for _, p in pending],
-                             return_exceptions=True)
-            perf.count("service.batch_solves", len(pending))
-            for (session, p), fit in zip(pending, fits):
-                session.resolve_solve(p, fit)
-
-        out: Dict[str, SessionSnapshot] = {}
-        for beacon_id in sorted(self.sessions):
-            out[beacon_id] = self.sessions[beacon_id].finish_step(t)
-        return out
-
-    def _imu_tick(self, t: float) -> ImuTick:
-        """Age the IMU buffer out to ``t`` and open the tick's shared view.
-
-        Every session of the tick slices its window and takes its observer
-        track from this one view, so both are computed once per distinct
-        window and tracker configuration, not once per session.
-        """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        horizon = t - self.config.imu_window_s
-        self.imu.drop_while(lambda s: s.timestamp < horizon)
-        return ImuTick(ImuTrace(self.imu.items()), t)
+    def end_tick(
+        self, t: float, pending: Pending, fits: Sequence[Any]
+    ) -> Dict[str, SessionSnapshot]:
+        """Phase 3: resolve each session's fit, then finish every session."""
+        for (session, p), fit in zip(pending, fits):
+            session.resolve_solve(p, fit)
+        return {beacon_id: self.sessions[beacon_id].finish_step(t)
+                for beacon_id in sorted(self.sessions)}
 
     # -- reporting -----------------------------------------------------------
 
@@ -210,7 +216,7 @@ class TrackingService:
             "sessions_shed": self.sessions_shed,
             "shed_samples": self.shed_samples,
             "restores": self.restores,
-            "imu": self.imu.stats(),
+            "imu": None if self.imu is None else self.imu.buffer.stats(),
             "rss_shed": sum(s.rss.shed for s in self.sessions.values()),
             "states": {
                 beacon_id: s.health.state
@@ -228,20 +234,16 @@ class TrackingService:
     def checkpoint(self) -> Dict[str, Any]:
         """Serialize the whole service — sessions, buffers, shed counts —
         as one JSON-safe dict (see ``docs/streaming.md`` for the format and
-        compatibility policy)."""
-        return {
+        compatibility policy). Only a service that owns its IMU ring writes
+        the ``imu``/``imu_shed`` keys; a shard's ring lives in its fleet's
+        checkpoint."""
+        cp = {
             "format": SERVICE_CHECKPOINT_FORMAT,
             "config": {
                 "imu_buffer": self.config.imu_buffer,
-                "imu_window_s": self.config.imu_window_s,
                 "max_sessions": self.config.max_sessions,
                 "session": self.config.session.to_dict(),
             },
-            "imu": [
-                [s.timestamp, s.accel, s.gyro_z, s.mag_heading]
-                for s in self.imu
-            ],
-            "imu_shed": self.imu.shed,
             "sessions_shed": self.sessions_shed,
             "shed_samples": self.shed_samples,
             "shed_beacon_ids": sorted(self._shed_beacons),
@@ -251,6 +253,9 @@ class TrackingService:
                 for beacon_id, session in sorted(self.sessions.items())
             },
         }
+        if self.imu is not None:
+            cp.update(self.imu.checkpoint())
+        return cp
 
     @classmethod
     def restore(
@@ -262,28 +267,26 @@ class TrackingService:
 
         A restored service continues bit-identically: feeding it the same
         future ingest/tick sequence yields the same snapshots an
-        uninterrupted service would have produced.
+        uninterrupted service would have produced. A checkpoint without
+        ``imu`` rows restores a shard's ringless service. Older checkpoints
+        also carry ``imu_window_s``, the ring's former separate age limit;
+        it is ignored, since no solve window reaches past the session
+        window.
         """
         if not isinstance(cp, dict) or cp.get("format") != SERVICE_CHECKPOINT_FORMAT:
             raise DataQualityError("unsupported service checkpoint")
         with restore_guard("service"):
             cfg = cp["config"]
-            service = cls(
-                ServiceConfig(
-                    session=SessionConfig.from_dict(cfg["session"]),
-                    imu_buffer=int(cfg["imu_buffer"]),
-                    imu_window_s=float(cfg["imu_window_s"]),
-                    max_sessions=int(cfg["max_sessions"]),
-                ),
-                pipeline_factory=pipeline_factory,
+            config = ServiceConfig(
+                session=SessionConfig.from_dict(cfg["session"]),
+                imu_buffer=int(cfg["imu_buffer"]),
+                max_sessions=int(cfg["max_sessions"]),
             )
-            for row in cp["imu"]:
-                t, accel, gyro_z, mag_heading = row
-                service.imu.append(
-                    ImuSample(float(t), float(accel), float(gyro_z),
-                              float(mag_heading))
-                )
-            service.imu.shed = int(cp["imu_shed"])
+            service = cls(config, pipeline_factory=pipeline_factory,
+                          own_imu=False)
+            if "imu" in cp:
+                service.imu = ImuRing.restore(cp, config.imu_buffer,
+                                              config.session.window_s)
             if "shed_samples" in cp:
                 service.sessions_shed = int(cp["sessions_shed"])
                 service.shed_samples = int(cp["shed_samples"])
@@ -303,3 +306,24 @@ class TrackingService:
         obs.signal("service.service_restores",
                    sessions=len(service.sessions), restores=service.restores)
         return service
+
+
+def solve_pending(batches: Sequence[Pending]) -> List[List[Any]]:
+    """Phase 2 of a tick: one ``fit_batch`` call for every batch's solves.
+
+    ``batches`` holds one :meth:`TrackingService.begin_tick` result per
+    service (a fleet passes one per shard); the fits come back split the
+    same way, each a :class:`~repro.core.estimator.FitResult` or the
+    exception its solve raised. ``fit_batch`` is per-slice bit-identical,
+    so how solves are grouped never changes a fix.
+    """
+    requests = [p.request for batch in batches for _, p in batch]
+    if not requests:
+        return [[] for _ in batches]
+    fits = fit_batch(requests, return_exceptions=True)
+    perf.count("service.batch_solves", len(requests))
+    out, lo = [], 0
+    for batch in batches:
+        out.append(fits[lo:lo + len(batch)])
+        lo += len(batch)
+    return out

@@ -60,10 +60,17 @@ from repro.service.checkpoint import restore_guard
 from repro.obs.provenance import FixProvenance
 from repro.motion.deadreckoning import TrackMemo
 from repro.service.health import HealthConfig, HealthMachine, SessionState
-from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
+from repro.types import (
+    ImuSample,
+    ImuTrace,
+    LocationEstimate,
+    RssiSample,
+    RssiTrace,
+)
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve", "ImuTick", "snapshot_key", "snapshot_digest"]
+           "PendingSolve", "ImuTick", "ImuRing", "snapshot_key",
+           "snapshot_digest"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -195,6 +202,63 @@ class ImuTick:
             hi = bisect_left(self._ts, self.t)
             out = self._windows[window_s] = ImuTrace(self.imu.samples[lo:hi])
         return out
+
+
+class ImuRing:
+    """The observer's bounded IMU ring: buffering, aging and the tick view.
+
+    One phone walks, so one ring serves every session solving against it:
+    a standalone :class:`~repro.service.TrackingService` owns one, and a
+    :class:`~repro.fleet.TrackingFleet` owns one for all of its shards.
+    :meth:`tick` ages out samples older than ``t - window_s`` (the session
+    window, the oldest row any solve window reads) and opens the tick's
+    :class:`ImuTick`. Non-finite timestamps are refused at the door
+    (``service.imu_rejected``); capacity overflow sheds the oldest sample
+    (``service.shed.imu``).
+    """
+
+    def __init__(self, maxlen: int, window_s: float):
+        self.window_s = float(window_s)
+        self.buffer = BoundedBuffer[ImuSample](maxlen, name="imu")
+
+    def ingest(self, samples: Iterable[ImuSample]) -> int:
+        """Buffer observer IMU samples; returns how many were taken."""
+        taken = 0
+        for s in samples:
+            if not math.isfinite(s.timestamp):
+                obs.signal("service.imu_rejected", severity="warning")
+                continue
+            self.buffer.append(s)
+            taken += 1
+        return taken
+
+    def tick(self, t: float) -> ImuTick:
+        """Age the ring out to ``t`` and open the tick's shared view."""
+        if not math.isfinite(t):
+            raise ConfigurationError("step time must be finite")
+        horizon = t - self.window_s
+        self.buffer.drop_while(lambda s: s.timestamp < horizon)
+        return ImuTick(ImuTrace(self.buffer.items()), t)
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """The ring's rows and shed count, as the ``imu``/``imu_shed`` keys
+        of its owner's checkpoint."""
+        return {
+            "imu": [[s.timestamp, s.accel, s.gyro_z, s.mag_heading]
+                    for s in self.buffer],
+            "imu_shed": self.buffer.shed,
+        }
+
+    @classmethod
+    def restore(cls, cp: Dict[str, Any], maxlen: int,
+                window_s: float) -> "ImuRing":
+        """Rebuild a ring from the ``imu``/``imu_shed`` keys of ``cp``."""
+        ring = cls(maxlen, window_s)
+        for t, accel, gyro_z, mag_heading in cp["imu"]:
+            ring.buffer.append(ImuSample(float(t), float(accel),
+                                         float(gyro_z), float(mag_heading)))
+        ring.buffer.shed = int(cp["imu_shed"])
+        return ring
 
 
 @dataclass(frozen=True)

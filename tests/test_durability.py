@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.durability import store as store_module
 from repro.durability import (
     ChaosConfig,
@@ -35,7 +35,7 @@ from repro.gateway import IngestionGateway, TraceWriter, trace_meta
 from repro.gateway.gateway import GatewayConfig
 from repro.gateway.trace import snapshot_digest
 from repro.service import BackoffConfig
-from repro.types import RssiSample
+from repro.types import ImuSample, RssiSample
 from tests.stubs import ScriptedPipeline
 
 
@@ -52,8 +52,8 @@ def _drive(target, t):
     return target.tick(t)
 
 
-def _supervised(store=None, checkpoint_every=4):
-    fleet = TrackingFleet(FleetConfig(n_shards=2),
+def _supervised(store=None, checkpoint_every=4, n_shards=2):
+    fleet = TrackingFleet(FleetConfig(n_shards=n_shards),
                           pipeline_factory=ScriptedPipeline)
     return FleetSupervisor(
         fleet, store=store, checkpoint_every=checkpoint_every,
@@ -297,6 +297,93 @@ class TestFleetSupervisor:
         assert block["ticks"] == 1
         assert block["failed_shards"] == []
         assert "counters" in block
+
+
+def _on_shard(router, shard, n):
+    """``n`` beacon ids the router places on ``shard``."""
+    ids = (f"s{shard}:{i:03d}" for i in range(10_000))
+    return [b for b in ids if router.shard_for(b) == shard][:n]
+
+
+def _drive_solving(target, t, beacons):
+    """One tick that feeds IMU too, so due sessions really solve."""
+    target.ingest_scans([RssiSample(t - off, -60.0, b, 37)
+                         for b in beacons for off in (0.3, 0.2, 0.1)])
+    target.ingest_imu([ImuSample(t - 1.0 + 0.05 * i, 0.5, 0.0, 0.0)
+                       for i in range(20)])
+    return target.tick(t)
+
+
+class TestSharedSolveContainment:
+    """One ``fit_batch`` serves every shard's solves each tick; a failure
+    of that shared call fails exactly the shards with requests in it."""
+
+    def _run(self, tmp_path, fault_tick, arm):
+        """Shards 0 and 1 solve at odd ticks, shard 2 (from t = 2) at even
+        ones. ``arm(sup)`` runs just before ``fault_tick``. Returns the
+        supervisor's and a fault-free twin fleet's snapshots per tick."""
+        sup = _supervised(CheckpointStore(str(tmp_path)), n_shards=3)
+        twin = TrackingFleet(FleetConfig(n_shards=3),
+                             pipeline_factory=ScriptedPipeline)
+        early = (_on_shard(sup.fleet.router, 0, 2)
+                 + _on_shard(sup.fleet.router, 1, 2))
+        late = _on_shard(sup.fleet.router, 2, 2)
+        got, want = [], []
+        for k in range(1, 13):
+            t = float(k)
+            beacons = early + (late if k >= 2 else [])
+            if k == fault_tick:
+                arm(sup)
+            got.append(_drive_solving(sup, t, beacons))
+            want.append(_drive_solving(twin, t, beacons))
+        return sup, got, want, set(early), set(late)
+
+    def test_shared_solve_failure_fails_only_requesting_shards(
+            self, tmp_path, monkeypatch):
+        import repro.service.service as service_module
+
+        raised = []
+
+        def fit_batch_once(requests, **kwargs):
+            monkeypatch.undo()  # the real fit_batch serves every later call
+            raised.append(len(requests))
+            raise RuntimeError("solver bug")
+
+        def arm(sup):
+            monkeypatch.setattr(service_module, "fit_batch", fit_batch_once)
+
+        ring = obs.add_sink(obs.RingBufferSink())
+        try:
+            sup, got, want, early, late = self._run(tmp_path, 5, arm)
+        finally:
+            obs.remove_sink(ring)
+        assert raised == [4]  # the four sessions of shards 0 and 1
+        failed = [e.fields for e in ring.tail()
+                  if e.name == "supervisor.shard_failed"]
+        assert [(f["shard"], f["typed"], f["error"]) for f in failed] == [
+            (0, False, "RuntimeError"), (1, False, "RuntimeError")]
+        # Shard 2 had no request in the failed batch and kept serving.
+        assert set(got[4]) == late
+        assert all(snapshot_digest({b: got[4][b]})
+                   == snapshot_digest({b: want[4][b]}) for b in late)
+        # The failed shards restart, re-drive, and match the twin.
+        assert not sup.failed and sup.restarts == 2
+        restarted = next(i for i in range(5, 12) if set(got[i]) >= early)
+        for i in range(restarted, 12):
+            assert snapshot_digest(got[i]) == snapshot_digest(want[i]), i
+
+    def test_injected_crash_leaves_other_shards_snapshots_unchanged(
+            self, tmp_path):
+        sup, got, want, early, late = self._run(
+            tmp_path, 5, lambda sup: sup.inject_crash(0))
+        shard0 = set(_on_shard(sup.fleet.router, 0, 2))
+        assert set(got[4]) == set(want[4]) - shard0
+        for beacon in got[4]:
+            assert (snapshot_digest({beacon: got[4][beacon]})
+                    == snapshot_digest({beacon: want[4][beacon]}))
+        assert not sup.failed and sup.restarts == 1
+        for i in range(5, 12):  # from the restart at t = 6 on
+            assert snapshot_digest(got[i]) == snapshot_digest(want[i]), i
 
 
 def _record_supervised_run(workdir, ticks=10, checkpoint_every=4):

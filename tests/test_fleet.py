@@ -105,12 +105,27 @@ class TestFleetRouting:
 
     def test_matches_single_service_bit_for_bit(self):
         # Sharding is pure partitioning: per-beacon snapshot streams must
-        # equal one unsharded service fed the same stream.
+        # equal one unsharded service fed the same stream. The same holds
+        # through the supervisor across a live migration and a shard
+        # crash: the crashed shard's beacons miss ticks until its restart,
+        # and from the restart on every tick matches the service again.
+        from repro.durability import FleetSupervisor
+
         fleet = make_fleet(n_shards=3)
+        sup = FleetSupervisor(make_fleet(n_shards=3),
+                              pipeline_factory=ScriptedPipeline)
         svc = TrackingService(ServiceConfig(), pipeline_factory=ScriptedPipeline)
-        for k in range(1, 6):
+        mover, dst, restart_tick = BEACONS[0], None, None
+        for k in range(1, 13):
             t = float(k)
+            if k == 4:
+                dst = (sup.fleet.shard_of(mover) + 1) % 3
+                sup.fleet.migrate(mover, dst)
+                sup.checkpoint_now(t)
+            if k == 7:
+                sup.inject_crash(dst)
             fleet_snaps = feed_fleet(fleet, t, BEACONS)
+            sup_snaps = feed_fleet(sup, t, BEACONS)
             svc.ingest_scans(scans_for(t, BEACONS))
             svc.ingest_imu(imu_for(t))
             svc_snaps = svc.tick_batch(t)
@@ -118,6 +133,17 @@ class TestFleetRouting:
             for bid in svc_snaps:
                 assert snapshot_key(fleet_snaps[bid]) == snapshot_key(
                     svc_snaps[bid])
+            if k > 7 and restart_tick is None and not sup.failed:
+                restart_tick = k
+            if k < 7 or restart_tick is not None:
+                assert sorted(sup_snaps) == sorted(svc_snaps), k
+            else:
+                assert mover not in sup_snaps
+            for bid in sup_snaps:
+                assert snapshot_key(sup_snaps[bid]) == snapshot_key(
+                    svc_snaps[bid]), (k, bid)
+        assert sup.restarts == 1 and restart_tick is not None
+        assert svc.stats()["counters"]["fixes_accepted"] > 0
 
     def test_fleet_admission_cap_refuses_new_beacons(self):
         fleet = make_fleet(n_shards=2, max_total=4)
@@ -131,6 +157,28 @@ class TestFleetRouting:
         feed_fleet(fleet, 3.0, BEACONS)
         assert fleet.admission_refused == 4  # distinct beacons, not samples
         assert fleet.refused_samples == 8 * 3
+
+    def test_shard_tick_time_leaves_out_the_shared_solve(self, monkeypatch):
+        # A shard's tick time is its own phases; the one fit_batch the
+        # fleet runs for every shard is no shard's time.
+        import time
+
+        import repro.service.service as service_module
+
+        real, calls = service_module.fit_batch, []
+
+        def slow_fit_batch(requests, **kwargs):
+            calls.append(len(requests))
+            time.sleep(0.2)
+            return real(requests, **kwargs)
+
+        monkeypatch.setattr(service_module, "fit_batch", slow_fit_batch)
+        fleet = make_fleet(n_shards=2)
+        for k in range(1, 5):
+            feed_fleet(fleet, float(k), BEACONS)
+        assert calls == [len(BEACONS)]  # one batch for both shards
+        assert all(0 < w.stats()["last_tick_wall_s"] < 0.2
+                   for w in fleet.workers)
 
     def test_per_shard_cap_still_applies(self):
         fleet = make_fleet(n_shards=2, max_sessions=1)
@@ -225,6 +273,9 @@ class TestFleetCheckpoint:
         part.migrate(BEACONS[0], (part.shard_of(BEACONS[0]) + 1) % 2)
         full.migrate(BEACONS[0], (full.shard_of(BEACONS[0]) + 1) % 2)
         cp = json.loads(json.dumps(part.checkpoint()))
+        # The IMU rows appear once, in the fleet's own ring.
+        assert len(cp["imu"]) == len(part.imu.buffer) > 0
+        assert not any("imu" in w["service"] for w in cp["workers"])
         resumed = TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
         assert resumed.restores == 1
         assert resumed.router.pins == full.router.pins
@@ -253,6 +304,11 @@ class TestFleetCheckpoint:
         cp = json.loads(json.dumps(good))
         cp["router"]["salt"] = "different"  # sessions no longer route home
         with pytest.raises(DataQualityError):
+            TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
+
+        cp = json.loads(json.dumps(good))
+        cp["workers"][1]["service"].update(imu=good["imu"], imu_shed=0)
+        with pytest.raises(DataQualityError):  # a shard with its own ring
             TrackingFleet.restore(cp, pipeline_factory=ScriptedPipeline)
 
         with pytest.raises(DataQualityError):
@@ -323,7 +379,6 @@ def _loaded_fleet():
             window_s=20.0,
             health=HealthConfig(stale_after_s=6.0, lost_after_s=60.0),
         ),
-        imu_window_s=25.0,
     )
     return TrackingFleet(FleetConfig(n_shards=2, service=service))
 
@@ -364,3 +419,31 @@ class TestFleetUnderLoad:
             assert stats["counters"]["fixes_accepted"] > 0
             assert stats["sessions"] == 8
         assert keys_plain == keys_moved
+
+    def test_shard_restart_under_real_load_is_bit_identical(self):
+        # A restarted shard re-drives its missed ticks against the fleet
+        # ring rebuilt from the last checkpoint plus the journal's IMU
+        # rows; from its restart on, the supervised fleet's ticks equal an
+        # uninterrupted fleet's.
+        from repro.durability import FleetSupervisor
+        from repro.service.session import snapshot_digest
+        from repro.sim.load import LoadConfig, generate_load
+
+        stream = generate_load(LoadConfig(
+            duration_s=25.0, n_beacons=8, template_beacons=2, seed=3))
+        plain = _loaded_fleet()
+        sup = FleetSupervisor(_loaded_fleet(), checkpoint_every=6)
+        restarted_at = None
+        for k, (t, scans, imu) in enumerate(stream.ticks, start=1):
+            if k == 15:
+                sup.inject_crash(1)
+            for target in (plain, sup):
+                target.ingest_scans(scans)
+                target.ingest_imu(imu)
+            want, got = plain.tick(t), sup.tick(t)
+            if k > 15 and restarted_at is None and not sup.failed:
+                restarted_at = k
+            if restarted_at is not None:
+                assert snapshot_digest(got) == snapshot_digest(want), k
+        assert sup.restarts == 1 and restarted_at is not None
+        assert plain.stats()["counters"]["fixes_accepted"] > 0

@@ -12,13 +12,20 @@ Fleet configs used to carry ``"batch_ticks"``, which chose between a
 sequential and a batched tick that were bit-identical by contract. Fleet
 checkpoints and trace headers that carry it restore and replay as before,
 whatever its value.
+
+Service configs used to carry ``"imu_window_s"``, the IMU ring's own age
+limit, and format-1 fleet checkpoints kept one replica IMU ring per shard.
+The committed fixtures in ``tests/data`` (see its README) were written
+then: they restore and replay with the digests recorded when they were
+written, and replicas that differ are refused.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway import (
     IngestionGateway,
@@ -30,6 +37,8 @@ from repro.gateway import (
 from repro.gateway.gateway import GatewayConfig
 from repro.service import ServiceConfig, SessionConfig, TrackingSession
 from repro.types import ImuSample, RssiSample
+
+DATA = Path(__file__).parent / "data"
 
 
 def _with_solver(node, solver):
@@ -142,3 +151,43 @@ class TestTraceHeader:
         self._record(path, "ekf")
         with pytest.raises(ConfigurationError, match="'ekf'"):
             replay(str(path))
+
+
+class TestReplicaRingCheckpoint:
+    def _fixture(self):
+        return json.loads((DATA / "fleet_format1.json").read_text())
+
+    def test_restores_and_continues_with_recorded_digests(self):
+        doc = self._fixture()
+        cp = doc["checkpoint"]
+        assert cp["format"] == 1
+        services = [w["service"] for w in cp["workers"]]
+        assert all("imu" in s and "imu_window_s" in s["config"]
+                   for s in services)
+        fleet = TrackingFleet.restore(cp)
+        assert len(fleet.imu.buffer) == len(services[0]["imu"])
+        assert all(w.service.imu is None for w in fleet.workers)
+        for (t, scans, imu), want in zip(doc["ticks"], doc["digests"]):
+            fleet.ingest_scans([RssiSample(*row) for row in scans])
+            fleet.ingest_imu([ImuSample(*row) for row in imu])
+            assert snapshot_digest(fleet.tick(t)) == want, t
+        assert fleet.stats()["counters"]["fixes_accepted"] > 0
+        again = fleet.checkpoint()
+        assert again["format"] == 2 and "imu" in again
+        assert not any("imu" in w["service"] for w in again["workers"])
+
+    def test_differing_replicas_refused(self):
+        cp = self._fixture()["checkpoint"]
+        cp["workers"][1]["service"]["imu"].pop()
+        with pytest.raises(DataQualityError, match="replica"):
+            TrackingFleet.restore(cp)
+
+
+class TestImuWindowTraceHeader:
+    def test_replays_with_recorded_digests(self):
+        path = DATA / "gateway_imu_window.trace"
+        header = json.loads(path.read_text().splitlines()[0])
+        assert "imu_window_s" in header["meta"]["fleet"]["service"]
+        result = replay(str(path))
+        assert result.ticks == 10 and result.identical
+

@@ -681,6 +681,25 @@ class TestTrackingService:
                                 ImuSample(1.0, 0.0, 0.0, 0.0)])
         assert taken == 1
 
+    def test_imu_ring_ages_by_the_session_window(self):
+        svc = TrackingService(ServiceConfig(
+            session=SessionConfig(window_s=2.0)))
+        svc.ingest_imu([ImuSample(0.5 * k, 0.0, 0.0, 0.0) for k in range(9)])
+        tick = svc.imu.tick(4.0)
+        assert [s.timestamp for s in svc.imu.buffer] == [2.0, 2.5, 3.0,
+                                                          3.5, 4.0]
+        assert len(tick.window(2.0)) == 4  # [t - window, t)
+        assert svc.stats()["imu"]["len"] == 5
+
+    def test_ringless_service_refuses_imu(self):
+        svc = TrackingService(own_imu=False)
+        assert svc.imu is None and "imu" not in svc.checkpoint()
+        with pytest.raises(ConfigurationError):
+            svc.ingest_imu([ImuSample(1.0, 0.0, 0.0, 0.0)])
+        with pytest.raises(ConfigurationError):
+            svc.tick_batch(1.0)
+        assert TrackingService.restore(svc.checkpoint()).imu is None
+
     def test_nonfinite_step_time_raises(self):
         svc = service_with_stub()
         with pytest.raises(ConfigurationError):
@@ -697,9 +716,11 @@ class TestTrackingService:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(imu_window_s=1.0)  # < session window
+            ServiceConfig(imu_buffer=1)
         with pytest.raises(ConfigurationError):
             ServiceConfig(max_sessions=0)
+        with pytest.raises(TypeError):  # the ring ages by the session window
+            ServiceConfig(imu_window_s=75.0)
 
     def test_checkpoint_roundtrip_bit_identical(self):
         script = ["ok", "transient", "ok"]

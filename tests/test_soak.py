@@ -64,7 +64,6 @@ def smoke_config(**kwargs):
                 window_s=20.0,
                 health=HealthConfig(stale_after_s=6.0, lost_after_s=60.0),
             ),
-            imu_window_s=25.0,
         ),
     )
     defaults.update(kwargs)
