@@ -216,7 +216,7 @@ def bench_lm_normal_equations(n_sessions: int = 7,
                                         beacon_y=1.5 + 0.2 * i,
                                         n_samples=n_samples)
         warm = est.fit(p, q, rss).warm
-        seeds = est._warm_seeds(warm, True, ())
+        seeds = est._warm_seeds(warm, True)
         thetas += seeds
         ps += [p] * len(seeds)
         qs += [q] * len(seeds)

@@ -12,7 +12,6 @@ from repro.core.estimator import (
     WarmStartState, fit_batch,
 )
 from repro.core.features import FEATURE_NAMES, feature_matrix, window_features
-from repro.core.incremental import SlidingWindowRegressor
 from repro.core.navigation import Instruction, Navigator
 from repro.core.pipeline import EstimationContext, LocBLE, PreparedEstimate
 from repro.core.reporting import SessionReport, session_report
@@ -25,8 +24,8 @@ __all__ = [
     "AdaptiveNoiseFilter", "CalibratedEstimate", "ClusteringCalibrator",
     "estimation_confidence", "EnvAwareClassifier", "EnvironmentMonitor",
     "trace_windows", "DEFAULT_N_GRID", "EllipticalEstimator", "FitRequest",
-    "FitResult", "WarmStartState", "fit_batch", "SlidingWindowRegressor",
-    "FEATURE_NAMES", "feature_matrix", "window_features", "Instruction",
+    "FitResult", "WarmStartState", "fit_batch", "FEATURE_NAMES",
+    "feature_matrix", "window_features", "Instruction",
     "Navigator", "EstimationContext", "LocBLE", "PreparedEstimate",
     "StraightWalkResolver",
     "SessionReport", "session_report",

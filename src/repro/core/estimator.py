@@ -250,7 +250,6 @@ class EllipticalEstimator:
         q: Sequence[float],
         rss: Sequence[float],
         warm: Optional[WarmStartState] = None,
-        extra_seeds: Sequence[Seed] = (),
     ) -> FitResult:
         """Joint fit over both axes (L-shaped or richer movement).
 
@@ -263,15 +262,13 @@ class EllipticalEstimator:
         exponent neighbourhood) instead of re-running the full cold grid;
         a warm fit whose residuals blow up is rejected — emitting
         ``solver.warm_rejected`` — and the cold path re-runs, so a stale
-        warm state can degrade latency but never accuracy. ``extra_seeds``
-        adds caller-provided ``(x, h, Γ, n)`` starting points (e.g. from an
-        incremental sliding-window regressor) to the warm seed set.
+        warm state can degrade latency but never accuracy.
 
         This is a batch of one through the same code :func:`fit_batch`
         runs, so a request returns bit-identical results either way.
         """
         p, q, rss = self._validate(p, q, rss)
-        job = _Job(self, p, q, rss, _uses_q(q), warm, tuple(extra_seeds))
+        job = _Job(self, p, q, rss, _uses_q(q), warm)
         return _solve_jobs([job], return_exceptions=False)[0]
 
     def fit_batch(
@@ -354,12 +351,7 @@ class EllipticalEstimator:
         obs.signal("solver.warm_unusable", reason=reason, warm_n=warm.n)
         return False
 
-    def _warm_seeds(
-        self,
-        warm: WarmStartState,
-        use_q: bool,
-        extra_seeds: Tuple[Seed, ...],
-    ) -> List[Seed]:
+    def _warm_seeds(self, warm: WarmStartState, use_q: bool) -> List[Seed]:
         """Seed set for a warm fit: previous optimum ± one exponent step.
 
         Three seeds bracket the previous exponent inside the clipped grid
@@ -372,16 +364,9 @@ class EllipticalEstimator:
         n0 = float(np.clip(warm.n, lo, hi))
         n_lo = float(np.clip(warm.n - self.warm_n_step, lo, hi))
         n_hi = float(np.clip(warm.n + self.warm_n_step, lo, hi))
-        seeds = [(warm.x, h0, warm.gamma, n0),
-                 (warm.x, h0, warm.gamma, n_lo),
-                 (warm.x, h0, warm.gamma, n_hi)]
-        for s in extra_seeds:
-            x0, hh, g0, nn = (float(v) for v in s)
-            if not all(math.isfinite(v) for v in (x0, hh, g0, nn)):
-                continue
-            seeds.append((x0, hh if use_q else abs(hh), g0,
-                          float(np.clip(nn, lo, hi))))
-        return seeds
+        return [(warm.x, h0, warm.gamma, n0),
+                (warm.x, h0, warm.gamma, n_lo),
+                (warm.x, h0, warm.gamma, n_hi)]
 
     def _warm_state_from(
         self, res: FitResult, use_q: bool, n_rows: int,
@@ -802,15 +787,14 @@ class FitRequest:
     """One session's solve inputs for :func:`fit_batch`.
 
     ``estimator`` overrides the batch's default estimator for this request
-    (e.g. an environment-resolved copy); ``warm``/``extra_seeds`` mirror the
-    corresponding :meth:`EllipticalEstimator.fit` arguments.
+    (e.g. an environment-resolved copy); ``warm`` mirrors the
+    :meth:`EllipticalEstimator.fit` argument.
     """
 
     p: Sequence[float]
     q: Sequence[float]
     rss: Sequence[float]
     warm: Optional[WarmStartState] = None
-    extra_seeds: Tuple[Seed, ...] = ()
     estimator: Optional[EllipticalEstimator] = None
 
 
@@ -824,7 +808,6 @@ class _Job:
     rss: np.ndarray
     use_q: bool
     warm: Optional[WarmStartState]
-    extra_seeds: Tuple[Seed, ...] = ()
 
 
 def _uses_q(q: np.ndarray) -> bool:
@@ -1162,7 +1145,7 @@ def _solve_jobs(
             cold_ids.append(i)
 
     warm_jobs = [jobs[i] for i in warm_ids]
-    warm_seeds = [job.est._warm_seeds(job.warm, job.use_q, job.extra_seeds)
+    warm_seeds = [job.est._warm_seeds(job.warm, job.use_q)
                   for job in warm_jobs]
     for i, job, seeds, best in zip(warm_ids, warm_jobs, warm_seeds,
                                    _lockstep(warm_jobs, warm_seeds)):
@@ -1220,8 +1203,7 @@ def fit_batch(
             continue
         slots.append(len(results))
         results.append(None)
-        jobs.append(_Job(est, p, q, rss, _uses_q(q), req.warm,
-                         tuple(req.extra_seeds)))
+        jobs.append(_Job(est, p, q, rss, _uses_q(q), req.warm))
     for slot, res in zip(slots, _solve_jobs(jobs, return_exceptions)):
         results[slot] = res
     return results

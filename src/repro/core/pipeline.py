@@ -32,7 +32,6 @@ from repro.core.estimator import (
     FitResult,
     WarmStartState,
 )
-from repro.core.incremental import SlidingWindowRegressor
 from repro.errors import (
     ConfigurationError,
     DataQualityError,
@@ -56,15 +55,15 @@ __all__ = ["LocBLE", "EstimationContext", "PreparedEstimate"]
 #: samples per data batch" at 8–9 Hz sampling.
 DEFAULT_BATCH_S = 2.0
 
-#: Matched rows younger than this are not cached across series batches —
-#: dead reckoning still refines the last moments of the walk, and a row
-#: that will change tomorrow only forces a full cache rebuild.
-_PQ_SETTLE_GUARD_S = 3.0
-
 
 @dataclass
 class EstimationContext:
-    """Intermediate pipeline state exposed for experiments and debugging."""
+    """Intermediate pipeline state exposed for experiments and debugging.
+
+    The matched rows cover the active regression segment only: everything
+    from ``segment_start_index`` (the last confirmed environment change, or
+    0) to the end of the sanitized trace, with the RSS ANF-filtered.
+    """
 
     matched_p: np.ndarray
     matched_q: np.ndarray
@@ -74,11 +73,6 @@ class EstimationContext:
     env_changes: List[float] = field(default_factory=list)
     fit: Optional[FitResult] = None
     sanitization: Optional[SanitizationReport] = None
-    #: Unfiltered RSS for the *whole* (sanitized) trace, index-aligned with
-    #: the series pq-cache — the incremental seeder regresses over raw
-    #: values because they are stable per timestamp, unlike ANF output
-    #: which changes as the window grows.
-    raw_rss: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -96,112 +90,29 @@ class PreparedEstimate:
     ctx: EstimationContext
     estimator: EllipticalEstimator
 
-    def request(
-        self,
-        warm: Optional[WarmStartState] = None,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
-    ) -> FitRequest:
+    def request(self, warm: Optional[WarmStartState] = None) -> FitRequest:
         return FitRequest(
             p=self.ctx.matched_p,
             q=self.ctx.matched_q,
             rss=self.ctx.matched_rss,
             warm=warm,
-            extra_seeds=tuple(extra_seeds),
             estimator=self.estimator,
         )
-
-
-@dataclass
-class _PqCache:
-    """Matched p/q rows carried across :meth:`LocBLE.estimate_series` steps.
-
-    Dead reckoning is append-mostly: feeding more IMU data extends the track
-    but normally leaves earlier positions untouched, so displacement rows
-    matched in previous batches can be reused and only the new RSS samples
-    matched. The checkpoint guards the "normally": before reusing, the
-    displacement at the last cached timestamp is recomputed on the current
-    track and compared bitwise — displacements are cumulative, so any
-    retroactive change to the walk perturbs the checkpoint and forces a full
-    rebuild.
-    """
-
-    n: int = 0
-    p: np.ndarray = field(default_factory=lambda: np.empty(0))
-    q: np.ndarray = field(default_factory=lambda: np.empty(0))
-    t_last: float = -math.inf
-    #: Whether the last :meth:`LocBLE._matched_pq` call reused the cached
-    #: rows (vs rebuilding them because the track changed retroactively).
-    #: The incremental seeder resets its regressor on a rebuild.
-    reused: bool = False
-
-
-class _IncrementalSeeder:
-    """Streams settled matched rows into a sliding-window regressor.
-
-    Maintains the paper's Eq. 4 linear system at one fixed seed exponent
-    ``n0`` over the *settled* rows of the series pq-cache — appending new
-    rows and evicting rows that fall before the active regression segment
-    as O(k²) rank-1 updates instead of per-step rebuilds. Its running
-    solution ``(x, h, g, ε)`` becomes one extra Gauss-Newton seed for the
-    next warm solve. Rows use raw RSS (stable per timestamp; ANF output
-    changes as the window grows) and only settled indices (below the
-    cache's settle guard), so a row entered once is never wrong later —
-    except when the dead-reckoned track changes retroactively, which the
-    pq-cache detects and the seeder answers by restarting its regressor.
-    """
-
-    def __init__(self, n0: float):
-        self.n0 = float(n0)
-        self.swr = SlidingWindowRegressor(4)
-        self.lo = 0  # global index of the oldest row in the regressor
-        self.hi = 0  # one past the newest
-
-    def update(
-        self, ctx: EstimationContext, cache: _PqCache
-    ) -> Tuple[Tuple[float, float, float, float], ...]:
-        """Sync the regressor to this step's rows; return seeds (or none)."""
-        if ctx.raw_rss is None:
-            return ()
-        seg_start = ctx.segment_start_index
-        settled = min(cache.n, len(ctx.raw_rss), len(cache.p))
-        if not cache.reused or seg_start < self.lo:
-            self.swr = SlidingWindowRegressor(4)
-            self.lo = self.hi = seg_start
-        while self.lo < seg_start and len(self.swr):
-            self.swr.evict_oldest()
-            self.lo += 1
-        self.lo = max(self.lo, seg_start)
-        self.hi = max(self.hi, self.lo)
-        while self.hi < settled:
-            i = self.hi
-            p_i, q_i = float(cache.p[i]), float(cache.q[i])
-            y_i = 10.0 ** (-float(ctx.raw_rss[i]) / (5.0 * self.n0))
-            row = (-2.0 * p_i, -2.0 * q_i, -1.0, y_i)
-            rhs = p_i * p_i + q_i * q_i
-            if not all(math.isfinite(v) for v in (*row, rhs)):
-                # Keep index alignment with the cache: a neutral all-zero
-                # row contributes nothing but still occupies slot i.
-                row, rhs = (0.0, 0.0, 0.0, 0.0), 0.0
-            self.swr.append(row, rhs)
-            self.hi = i + 1
-        theta = self.swr.solve()
-        if theta is None:
-            return ()
-        x, h, _g, eps = (float(v) for v in theta)
-        if not (eps > 0.0 and math.isfinite(eps)):
-            return ()
-        gamma = 5.0 * self.n0 * math.log10(eps)
-        if not all(math.isfinite(v) for v in (x, h, gamma)):
-            return ()
-        return ((x, h, gamma, self.n0),)
 
 
 @dataclass
 class LocBLE:
     """The LocBLE application core, configured per measurement session.
 
-    Feed a whole recorded session to :meth:`estimate`; use
-    :meth:`estimate_series` for navigation-style periodic re-estimation.
+    Feed a whole recorded session to :meth:`estimate`. Streaming serving
+    (the paper's per-batch refresh, Sec. 5.3) goes through
+    :meth:`prepare_estimate` / :meth:`complete_estimate`, one batched solve
+    per tick with warm state carried by the session;
+    :meth:`estimate_series` is :meth:`estimate` over growing prefixes.
+
+    EnvAware monitors ``batch_s``-second batches with the
+    :class:`~repro.core.envaware.EnvironmentMonitor` default hysteresis; a
+    confirmed environment change restarts the regression at that batch.
     """
 
     envaware: Optional[EnvAwareClassifier] = None
@@ -209,10 +120,8 @@ class LocBLE:
     estimator: EllipticalEstimator = field(default_factory=EllipticalEstimator)
     motion_tracker: MotionTracker = field(default_factory=MotionTracker)
     use_envaware: bool = True
-    restart_on_env_change: bool = True
     use_env_prior: bool = True
     batch_s: float = DEFAULT_BATCH_S
-    envaware_hysteresis: int = 2
     #: Input-trace policy: ``"strict"`` rejects malformed traces with a
     #: typed :class:`~repro.errors.DataQualityError`; ``"repair"`` routes
     #: them through :func:`repro.robustness.sanitize_trace` and carries the
@@ -225,6 +134,10 @@ class LocBLE:
             raise ConfigurationError(
                 f"sanitize must be 'strict' or 'repair', got {self.sanitize!r}"
             )
+        if not (math.isfinite(self.batch_s) and self.batch_s > 0):
+            raise ConfigurationError(
+                f"batch_s must be finite and > 0, got {self.batch_s!r}"
+            )
 
     # -- public API ---------------------------------------------------------
 
@@ -235,7 +148,6 @@ class LocBLE:
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace] = None,
         warm: Optional[WarmStartState] = None,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
         tracks: Optional[TrackMemo] = None,
     ) -> LocationEstimate:
         """Estimate the beacon's position in the measurement frame.
@@ -256,8 +168,7 @@ class LocBLE:
         """
         ctx = self._build_context(rssi_trace, observer_imu, target_imu,
                                   tracks=tracks)
-        return self._estimate_from_context(ctx, warm=warm,
-                                           extra_seeds=extra_seeds)
+        return self._estimate_from_context(ctx, warm=warm)
 
     def prepare_estimate(
         self,
@@ -314,50 +225,23 @@ class LocBLE:
         rssi_trace: RssiTrace,
         observer_imu: ImuTrace,
         times: List[float],
-        warm_chain: bool = False,
     ) -> List[Tuple[float, LocationEstimate]]:
         """Re-estimate at each requested time using only data seen so far.
 
         Powers the navigation experiments (Fig. 12b): the estimate sharpens
-        as the observer approaches and more data accumulates. Times where
-        too little data exists are skipped.
-
-        Work is shared across the series: displacement/RSS rows matched in
-        earlier batches are reused (appended to, not rebuilt) whenever the
-        dead-reckoned track did not change retroactively — each step then
-        costs only the new samples' matching plus the (vectorized) filter
-        and regression. With the default ``warm_chain=False``, results are
-        identical to calling :meth:`estimate` on each prefix.
-
-        ``warm_chain=True`` additionally carries each step's warm-start
-        state (and an incrementally maintained sliding-window linear system
-        over the settled rows) into the next step's solve, replacing the
-        full exponent-grid search with a few-seed refinement. Steps then
-        agree with the cold path to solver tolerance rather than bitwise —
-        the warm fit's acceptance guard re-runs cold whenever residuals
-        blow up, so accuracy is preserved.
+        as the observer approaches and more data accumulates. Each step is
+        exactly :meth:`estimate` on the RSS and IMU prefixes up to that
+        time. Times where too little data exists are skipped.
         """
         out: List[Tuple[float, LocationEstimate]] = []
         imu_ts = [s.timestamp for s in observer_imu.samples]
-        cache = _PqCache()
-        warm: Optional[WarmStartState] = None
-        seeder: Optional[_IncrementalSeeder] = None
-        if warm_chain:
-            n0 = self.estimator.n_prior
-            seeder = _IncrementalSeeder(float(n0) if n0 is not None else 2.2)
         for t in times:
             partial = rssi_trace.slice_time(-math.inf, t)
             imu_partial = ImuTrace(
                 observer_imu.samples[:bisect_right(imu_ts, t)]
             )
             try:
-                ctx = self._build_context(
-                    partial, imu_partial, None, _pq_cache=cache)
-                extra = seeder.update(ctx, cache) if seeder is not None else ()
-                out.append((t, self._estimate_from_context(
-                    ctx, warm=warm, extra_seeds=extra)))
-                if warm_chain and ctx.fit is not None:
-                    warm = ctx.fit.warm
+                out.append((t, self.estimate(partial, imu_partial)))
             except (InsufficientDataError, EstimationError):
                 # A prefix can be unobservable (standstill start, degenerate
                 # geometry) even when later prefixes estimate fine; skip it
@@ -465,7 +349,6 @@ class LocBLE:
         rssi_trace: RssiTrace,
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace],
-        _pq_cache: Optional[_PqCache] = None,
         tracks: Optional[TrackMemo] = None,
     ) -> EstimationContext:
         report: Optional[SanitizationReport] = None
@@ -490,13 +373,11 @@ class LocBLE:
             target_track = self.motion_tracker.track(target_imu)
             frame_rotation = self._frame_rotation(observer_imu, target_imu)
 
-        # Step 2 — match movement to RSS data by timestamp (vectorized; the
-        # series cache lets navigation-style re-estimation reuse the rows
-        # matched in earlier batches).
+        # Step 2 — match movement to RSS data by timestamp (vectorized).
         ts = rssi_trace.timestamps()
         raw_rss = rssi_trace.values()
-        p, q = self._matched_pq(
-            ts, observer_track, target_track, frame_rotation, _pq_cache)
+        p, q = self._matched_pq(ts, observer_track, target_track,
+                                frame_rotation)
 
         # Step 3a — environment classification over batches.
         env_class = EnvClass.LOS
@@ -506,8 +387,6 @@ class LocBLE:
             env_class, seg_start, changes = self._segment_by_environment(
                 ts, raw_rss
             )
-        if not self.restart_on_env_change:
-            seg_start = 0
         if seg_start > 0:
             # A regression needs movement, not just samples: if the walk was
             # essentially over by the time the change was confirmed, keep
@@ -543,7 +422,6 @@ class LocBLE:
             env_class=env_class,
             env_changes=changes,
             sanitization=report,
-            raw_rss=raw_rss,
         )
 
     @staticmethod
@@ -552,50 +430,16 @@ class LocBLE:
         observer_track,
         target_track,
         frame_rotation: float,
-        cache: Optional[_PqCache],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Relative beacon displacement (p, q) at each RSS timestamp."""
-
-        def compute(ts_part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            a = observer_track.displacements_at(ts_part)
-            if target_track is None:
-                return -a[:, 0], -a[:, 1]
-            b = target_track.displacements_at(ts_part)
-            c, s = math.cos(frame_rotation), math.sin(frame_rotation)
-            bx = c * b[:, 0] - s * b[:, 1]
-            by = s * b[:, 0] + c * b[:, 1]
-            return bx - a[:, 0], by - a[:, 1]
-
-        if cache is None:
-            return compute(ts)
-
-        n = len(ts)
-        reuse = 0 < cache.n <= n and float(ts[cache.n - 1]) == cache.t_last
-        if reuse:
-            # Checkpoint: the cached rows are only valid if the track still
-            # passes through the same point at the last cached timestamp.
-            chk_p, chk_q = compute(ts[cache.n - 1:cache.n])
-            reuse = (chk_p[0] == cache.p[cache.n - 1]
-                     and chk_q[0] == cache.q[cache.n - 1])
-        if reuse:
-            perf.count("pipeline.pq_cache_reuses")
-            new_p, new_q = compute(ts[cache.n:])
-            p = np.concatenate([cache.p[:cache.n], new_p])
-            q = np.concatenate([cache.q[:cache.n], new_q])
-        else:
-            perf.count("pipeline.pq_cache_rebuilds")
-            p, q = compute(ts)
-        cache.reused = reuse
-        # Cache only rows older than the settle guard: step/turn detection
-        # keeps refining the last couple of seconds of the walk as IMU data
-        # arrives, so rows near the prefix end would fail the checkpoint on
-        # the next batch and force a full rebuild every time.
-        n_keep = int(np.searchsorted(
-            ts, float(ts[-1]) - _PQ_SETTLE_GUARD_S, side="right")) if n else 0
-        cache.n = n_keep
-        cache.p, cache.q = p, q
-        cache.t_last = float(ts[n_keep - 1]) if n_keep else -math.inf
-        return p, q
+        a = observer_track.displacements_at(ts)
+        if target_track is None:
+            return -a[:, 0], -a[:, 1]
+        b = target_track.displacements_at(ts)
+        c, s = math.cos(frame_rotation), math.sin(frame_rotation)
+        bx = c * b[:, 0] - s * b[:, 1]
+        by = s * b[:, 0] + c * b[:, 1]
+        return bx - a[:, 0], by - a[:, 1]
 
     def _resolve_estimator(self, ctx: EstimationContext) -> EllipticalEstimator:
         """The estimator this context solves with (environment priors applied)."""
@@ -608,14 +452,13 @@ class LocBLE:
         self,
         ctx: EstimationContext,
         warm: Optional[WarmStartState] = None,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
     ) -> LocationEstimate:
         estimator = self._resolve_estimator(ctx)
         with obs.span(
             "estimator.solve", component="pipeline", env=ctx.env_class
         ) as sp:
             fit = estimator.fit(ctx.matched_p, ctx.matched_q, ctx.matched_rss,
-                                warm=warm, extra_seeds=extra_seeds)
+                                warm=warm)
             confidence = estimation_confidence(fit.residuals)
             sp.annotate(solver=fit.solver, cov_status=fit.cov_status,
                         confidence=confidence)
@@ -683,9 +526,7 @@ class LocBLE:
         so late that fewer than ``min_samples`` readings remain — a change
         in the final seconds cannot leave us with nothing to regress.
         """
-        monitor = EnvironmentMonitor(
-            self.envaware, hysteresis=self.envaware_hysteresis
-        )
+        monitor = EnvironmentMonitor(self.envaware)
         seg_start = 0
         changes: List[float] = []
         t = float(ts[0])

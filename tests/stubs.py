@@ -51,7 +51,7 @@ class _Prepared:
     action: str
     t: float
 
-    def request(self, warm=None, extra_seeds=()) -> FitRequest:
+    def request(self, warm=None) -> FitRequest:
         return _SHARED_REQUEST
 
 

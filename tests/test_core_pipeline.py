@@ -151,9 +151,7 @@ class TestLocBLEWithEnvAware(object):
         rec = _session(seed=4)
         full = LocBLE(envaware=trained_envaware)
         no_env = LocBLE(envaware=trained_envaware, use_envaware=False)
-        no_restart = LocBLE(envaware=trained_envaware,
-                            restart_on_env_change=False)
-        for loc in (full, no_env, no_restart):
+        for loc in (full, no_env):
             est = loc.estimate(rec.rssi_traces["b"], rec.observer_imu.trace)
             assert est.position.norm() < 30.0
 
@@ -193,9 +191,9 @@ class TestLocBLEMovingTarget:
         assert all(t1 >= t0 for (t0, _), (t1, _) in zip(series, series[1:]))
 
 
-class TestSeriesIncrementalCache:
+class TestSeriesEqualsPrefixEstimates:
     def test_series_matches_per_prefix_estimate(self):
-        """The cached series path must equal estimating each prefix afresh."""
+        """The series must equal estimating each prefix afresh."""
         for seed in (2, 7):
             rec = _session(seed=seed)
             trace = rec.rssi_traces["b"]
@@ -221,15 +219,3 @@ class TestSeriesIncrementalCache:
                 assert a.position.y == b.position.y
                 assert a.n == b.n and a.gamma == b.gamma
                 assert a.confidence == b.confidence
-
-    def test_cache_reused_across_batches(self):
-        from repro import perf
-
-        rec = _session(seed=3, leg1=6.0, leg2=5.0)
-        trace = rec.rssi_traces["b"]
-        ts = trace.timestamps()
-        times = list(np.arange(float(ts[0]) + 2.0, float(ts[-1]) + 2.0, 2.0))
-        perf.reset()
-        LocBLE().estimate_series(trace, rec.observer_imu.trace, times)
-        counters = perf.snapshot()["counters"]
-        assert counters.get("pipeline.pq_cache_reuses", 0) > 0

@@ -345,6 +345,13 @@ class TestPipelinePolicies:
         with pytest.raises(ConfigurationError, match="sanitize"):
             LocBLE(sanitize="yolo")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_batch_s(self, bad):
+        """`batch_s <= 0` made EnvAware's segmentation loop forever and
+        `nan` silently skipped it."""
+        with pytest.raises(ConfigurationError, match="batch_s"):
+            LocBLE(batch_s=bad)
+
     def test_strict_rejects_dirty_trace(self, session):
         tr = session.rssi_traces["b"]
         vals = tr.values()

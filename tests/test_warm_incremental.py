@@ -1,10 +1,9 @@
-"""Tests for the warm/incremental/batched solver stack.
+"""Tests for the warm-start and batched solver stack.
 
-Covers the three tiers of the incremental solving stack plus their
-integration points: warm-start acceptance and rejection at the estimator,
-the sliding-window incremental regressor, ``fit_batch``'s bit-identity
-contract with the sequential loop, warm chaining through
-``estimate_series``, and the service's batched tick dispatch.
+Covers warm-start acceptance and rejection at the estimator,
+``fit_batch``'s bit-identity contract with the sequential loop, and the
+service's batched tick dispatch with warm state carried across
+checkpoints.
 """
 
 import dataclasses
@@ -24,14 +23,7 @@ from repro.core.estimator import (
     WarmStartState,
     fit_batch,
 )
-from repro.core.incremental import SlidingWindowRegressor
-from repro.core.pipeline import LocBLE
-from repro.errors import (
-    ConfigurationError,
-    DegenerateGeometryError,
-    EstimationError,
-    ReproError,
-)
+from repro.errors import DegenerateGeometryError, ReproError
 from repro.sim.faults import inject_spikes
 from repro.types import RssiTrace, Vec2
 
@@ -471,146 +463,6 @@ class TestColdKernelRegressions:
         assert pos.mirror == neg.position and neg.mirror == pos.position
         assert pos.warm.h == -neg.warm.h
         assert pos.position.distance_to(Vec2(4.0, abs(side))) < 1.0
-
-
-class TestSlidingWindowRegressor:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    def test_windowed_solution_matches_lstsq(self, seed):
-        """After any run of appends+evictions the incremental solve must
-        match a from-scratch least squares over the windowed rows."""
-        rng = np.random.default_rng(seed)
-        swr = SlidingWindowRegressor(3, refactor_every=16)
-        rows = []
-        for _ in range(rng.integers(4, 40)):
-            a = rng.normal(0, 2, 3)
-            y = float(rng.normal(0, 5))
-            swr.append(a, y)
-            rows.append((a, y))
-            if len(rows) > 5 and rng.random() < 0.4:
-                swr.evict_oldest()
-                rows.pop(0)
-        theta = swr.solve()
-        design = np.stack([a for a, _ in rows])
-        ys = np.array([y for _, y in rows])
-        expect, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        if theta is None:
-            # The regressor may refuse an ill-conditioned window; the
-            # direct solve must then be fragile too.
-            s = np.linalg.svd(design, compute_uv=False)
-            assert s.min() <= s.max() * 1e-6 or len(rows) < 3
-        else:
-            assert np.allclose(theta, expect, rtol=1e-6, atol=1e-6)
-
-    def test_underdetermined_returns_none(self):
-        swr = SlidingWindowRegressor(4)
-        swr.append([1.0, 0.0, 0.0, 0.0], 1.0)
-        assert swr.solve() is None
-
-    def test_periodic_refactor_fires(self):
-        swr = SlidingWindowRegressor(2, refactor_every=8)
-        for i in range(20):
-            swr.append([1.0, float(i)], float(i))
-        assert swr.n_refactors >= 2
-        assert swr.ops_since_refactor < 8
-
-    def test_infeasible_downdate_falls_back_to_refactor(self):
-        swr = SlidingWindowRegressor(2, refactor_every=10 ** 6)
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            swr.append(rng.normal(0, 1, 2), float(rng.normal()))
-        # Corrupt the factor so the next downdate cannot be feasible; the
-        # row log must transparently rebuild instead of raising.
-        swr._r = np.zeros_like(swr._r)
-        before = swr.n_refactors
-        swr.evict_oldest()
-        assert swr.n_refactors == before + 1
-        theta = swr.solve()
-        design = np.stack([a for a, _ in swr._rows])
-        ys = np.array([y for _, y in swr._rows])
-        expect, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        assert np.allclose(theta, expect, rtol=1e-8)
-
-    def test_checkpoint_round_trip_bit_identical(self):
-        rng = np.random.default_rng(7)
-        swr = SlidingWindowRegressor(3, refactor_every=16)
-        for _ in range(12):
-            swr.append(rng.normal(0, 1, 3), float(rng.normal()))
-        cp = json.loads(json.dumps(swr.checkpoint()))
-        twin = SlidingWindowRegressor.restore(cp)
-        assert np.array_equal(twin.solve(), swr.solve())
-        # Divergence-free continuation: same future ops, same state.
-        for _ in range(5):
-            a, y = rng.normal(0, 1, 3), float(rng.normal())
-            swr.append(a, y)
-            twin.append(a, y)
-        swr.evict_oldest()
-        twin.evict_oldest()
-        assert np.array_equal(twin.solve(), swr.solve())
-        assert np.array_equal(twin._r, swr._r)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SlidingWindowRegressor(0)
-        swr = SlidingWindowRegressor(2)
-        with pytest.raises(ConfigurationError):
-            swr.append([1.0], 0.0)
-        with pytest.raises(EstimationError):
-            swr.append([math.nan, 1.0], 0.0)
-        with pytest.raises(EstimationError):
-            swr.evict_oldest()
-        with pytest.raises(EstimationError):
-            SlidingWindowRegressor.restore({"format": 99})
-
-
-class TestWarmChainedSeries:
-    def _session(self, seed=0):
-        from repro.sim.simulator import BeaconSpec, Simulator
-        from repro.world.scenarios import scenario
-        from repro.world.trajectory import l_shape
-
-        sc = scenario(1)
-        sim = Simulator(sc.floorplan, np.random.default_rng(seed))
-        walk = l_shape(sc.observer_start, sc.observer_heading_rad,
-                       leg1=2.8, leg2=2.2)
-        return sim.simulate(walk, [BeaconSpec("b",
-                                              position=sc.beacon_position)])
-
-    def test_warm_chain_agrees_with_cold_series(self):
-        rec = self._session()
-        trace = rec.rssi_traces["b"]
-        imu = rec.observer_imu.trace
-        t_end = trace.timestamps()[-1]
-        times = list(np.arange(2.0, t_end, 0.5))
-        cold = LocBLE().estimate_series(trace, imu, times)
-        warm = LocBLE().estimate_series(trace, imu, times, warm_chain=True)
-        assert [t for t, _ in warm] == [t for t, _ in cold]
-        assert len(warm) >= 3
-        compared = 0
-        for (_t, w), (_t2, c) in zip(warm, cold):
-            # Pre-turn prefixes are mirror-ambiguous single-leg fits whose
-            # position is ill-determined either way; compare only steps
-            # both paths solved with a trusted covariance.
-            if (c.diagnostics.provenance.cov_status != "ok"
-                    or w.diagnostics.provenance.cov_status != "ok"):
-                continue
-            assert w.position.distance_to(c.position) < 0.75
-            compared += 1
-        assert compared >= 3
-        # The chain must actually take the fast path once it is seeded.
-        warm_started = [w.diagnostics.provenance.warm_started
-                        for _t, w in warm]
-        assert any(warm_started[1:])
-
-    def test_default_series_is_unchanged(self):
-        """warm_chain stays opt-in: the default path must not thread warm
-        state (per-prefix equivalence is asserted in test_core_pipeline)."""
-        rec = self._session()
-        trace = rec.rssi_traces["b"]
-        imu = rec.observer_imu.trace
-        t_end = trace.timestamps()[-1]
-        series = LocBLE().estimate_series(trace, imu, [t_end])
-        assert not series[0][1].diagnostics.provenance.warm_started
 
 
 class TestServiceBatchTick:
