@@ -55,6 +55,16 @@ __all__ = ["LocBLE", "EstimationContext", "PreparedEstimate"]
 #: samples per data batch" at 8–9 Hz sampling.
 DEFAULT_BATCH_S = 2.0
 
+#: RSS samples an EnvAware batch needs before the monitor judges it.
+MONITOR_MIN_SAMPLES = 4
+
+#: The shortest ``batch_s`` accepted: four advertising intervals at BLE's
+#: 20 ms minimum, about the least time that holds the monitor's four
+#: samples at the fastest advertising rate. A far smaller value would not
+#: even advance the segmentation clock (``t += batch_s`` is lost below the
+#: float spacing at ``t``).
+MIN_BATCH_S = MONITOR_MIN_SAMPLES * 0.020
+
 
 @dataclass
 class EstimationContext:
@@ -134,9 +144,11 @@ class LocBLE:
             raise ConfigurationError(
                 f"sanitize must be 'strict' or 'repair', got {self.sanitize!r}"
             )
-        if not (math.isfinite(self.batch_s) and self.batch_s > 0):
+        if not (math.isfinite(self.batch_s)
+                and self.batch_s >= MIN_BATCH_S):
             raise ConfigurationError(
-                f"batch_s must be finite and > 0, got {self.batch_s!r}"
+                f"batch_s must be finite and >= {MIN_BATCH_S:g} s, "
+                f"got {self.batch_s!r}"
             )
 
     # -- public API ---------------------------------------------------------
@@ -534,7 +546,7 @@ class LocBLE:
         while t < t_end:
             mask = (ts >= t) & (ts < t + self.batch_s)
             idx = np.flatnonzero(mask)
-            if len(idx) >= 4:
+            if len(idx) >= MONITOR_MIN_SAMPLES:
                 changed = monitor.observe(rss[idx])
                 if changed:
                     candidate = int(idx[0])

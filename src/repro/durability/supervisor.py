@@ -2,8 +2,9 @@
 
 :class:`FleetSupervisor` wraps a :class:`~repro.fleet.TrackingFleet` and
 speaks the same contract the gateway expects of its ``fleet`` attribute
-(``config`` / ``ingest_scans`` / ``ingest_imu`` / ``tick`` / ``stats`` /
-``total_sessions``), so it drops in transparently:
+(``config`` / ``admits`` / ``book_refusals`` / ``ingest_scans`` /
+``ingest_imu`` / ``tick`` / ``stats`` / ``total_sessions``), so it drops
+in transparently:
 ``IngestionGateway(cfg, FleetSupervisor(fleet, store))``. What it adds is
 the blast-radius rule a serving system needs: **a shard worker exception
 mid-tick fails that shard, not the fleet.** The supervisor runs the
@@ -40,7 +41,11 @@ across shards without an entry in the ingest journal, so a shard crash in
 that window re-drives the mover's scans to its hash-home shard. Run
 ``rebalance()`` (or checkpoint) right after migrating; the whole-process
 :func:`recover` path does not share this limit because the trace re-drive
-recreates the pre-migration placement exactly.
+recreates the pre-migration placement exactly. Likewise, a beacon the
+``max_total_sessions`` cap refuses *during a drain* (several new beacons
+filled the fleet in one tick) is journaled as plain scans, so a restart
+of its routed shard may admit it; refusals made before the drain are
+journaled as bookings and re-drive exactly.
 
 Every action is a ``supervisor.<name>`` :func:`repro.obs.signal` that
 also writes the local ``counters`` ledger; the chaos harness audits
@@ -114,10 +119,13 @@ class FleetSupervisor:
                 failure_threshold=5, cooldown_s=30.0), key=f"shard:{i}")
             for i in range(n)
         ]
-        #: Ticks since the last checkpoint: ``(t, scans, imu)`` — the
-        #: re-drive source for a shard restart.
-        self._journal: List[Tuple[float, List[RssiSample],
-                                  List[ImuSample]]] = []
+        #: Ticks since the last checkpoint: ``(t, booked, scans, imu)``,
+        #: where ``booked`` holds each ``book_refusals`` call's shard
+        #: bookings, ``{shard: {beacon_id: samples}}`` — the re-drive
+        #: source for a shard restart.
+        self._journal: List[Tuple[float, List[Dict[int, Dict[str, int]]],
+                                  List[RssiSample], List[ImuSample]]] = []
+        self._pending_booked: List[Dict[int, Dict[str, int]]] = []
         self._pending_scans: List[RssiSample] = []
         self._pending_imu: List[ImuSample] = []
         #: The last checkpoint payload saved (or restored), in memory —
@@ -139,6 +147,14 @@ class FleetSupervisor:
     @property
     def total_sessions(self) -> int:
         return self.fleet.total_sessions
+
+    def admits(self, beacon_id: str) -> Optional[str]:
+        return self.fleet.admits(beacon_id)
+
+    def book_refusals(self, refused: Dict[str, int]) -> Dict[int, Dict[str, int]]:
+        booked = self.fleet.book_refusals(refused)
+        self._pending_booked.append(booked)
+        return booked
 
     def ingest_scans(self, samples) -> int:
         samples = list(samples)
@@ -165,8 +181,9 @@ class FleetSupervisor:
         t = float(t)
         imu = self.fleet.imu.tick(t)  # a non-finite t raises, unjournaled
         self._journal.append(
-            (t, self._pending_scans, self._pending_imu))
-        self._pending_scans, self._pending_imu = [], []
+            (t, self._pending_booked, self._pending_scans, self._pending_imu))
+        self._pending_booked, self._pending_scans, self._pending_imu = (
+            [], [], [])
         begun: Dict[int, Tuple[ShardWorker, Pending]] = {}
         for worker in list(self.fleet.workers):
             shard, fault = worker.shard_id, None
@@ -280,12 +297,14 @@ class FleetSupervisor:
     def _redrive(self, worker: ShardWorker, t: float) -> int:
         """Replay the journal into a freshly restored worker.
 
-        Entries strictly before ``t`` are ingested *and* ticked (the
-        worker missed those steps entirely), each against an ``ImuTick``
-        of the fleet ring as it stood at that tick: the snapshot's ring
-        plus the journal's IMU rows. The current tick's scans are ingested
-        only — the caller steps it together with the healthy shards,
-        against the fleet's own ring, keeping one shared tick cadence.
+        Each entry's refusals booked on this shard are booked again and
+        its scans routed here re-ingested. Entries strictly before ``t``
+        are also ticked (the worker missed those steps entirely), each
+        against an ``ImuTick`` of the fleet ring as it stood at that tick:
+        the snapshot's ring plus the journal's IMU rows. The current
+        tick's scans are ingested only — the caller steps it together
+        with the healthy shards, against the fleet's own ring, keeping one
+        shared tick cadence.
         """
         cfg = self.fleet.config.service
         if self._last_cp is not None:
@@ -294,7 +313,10 @@ class FleetSupervisor:
         else:
             ring = ImuRing(cfg.imu_buffer, cfg.session.window_s)
         redriven = 0
-        for jt, scans, imu in self._journal:
+        for jt, booked, scans, imu in self._journal:
+            for shards in booked:
+                if worker.shard_id in shards:
+                    worker.service.shed(shards[worker.shard_id])
             mine = [s for s in scans if self._routes_here(worker, s)]
             if mine:
                 worker.ingest_scans(mine)

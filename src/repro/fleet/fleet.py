@@ -11,10 +11,12 @@ service and extended fleet-wide:
 * **Deterministic placement.** beacon-id → shard is a salted BLAKE2b hash
   plus an explicit pin table for migrated sessions — every restart and
   every observer agrees on placement with zero coordination.
-* **Admission control in layers.** The fleet refuses *new* beacons beyond
-  ``max_total_sessions`` (counted, evented); each shard's service refuses
-  beyond its own ``max_sessions``; each session's circuit breaker and
-  bounded buffers shed work below that. Nothing grows without bound.
+* **One admission rule.** :meth:`TrackingFleet.admits` refuses *new*
+  beacons beyond ``max_total_sessions``, then beyond their routed shard's
+  ``max_sessions``; the gateway asks it before a frame's samples are
+  built, and the drain asks it again. Refusals are booked once per shard
+  per call (counted, evented); each session's circuit breaker and bounded
+  buffers shed work below that. Nothing grows without bound.
 * **Live migration via the checkpoint wire format.** A session moves
   between shards as ``json.dumps(session.checkpoint())`` — exactly the
   bytes a process restart would read — so a migrated session continues
@@ -133,38 +135,92 @@ class TrackingFleet:
 
     # -- ingestion -----------------------------------------------------------
 
+    def admits(self, beacon_id: str) -> Optional[str]:
+        """The fleet's one admission rule: ``None`` when scans for
+        ``beacon_id`` would be taken, else the refusal reason.
+
+        A beacon with a session on any shard is admitted; a new one is
+        refused once ``max_total_sessions`` sessions exist
+        (``"max_total_sessions"``), else its routed shard decides
+        (``"max_sessions"``). Pure and cheap, so the gateway asks it
+        before doing any per-sample work on a frame.
+        """
+        if self.shard_of(beacon_id) is not None:
+            return None
+        cap = self.config.max_total_sessions
+        if cap is not None and self.total_sessions >= cap:
+            return "max_total_sessions"
+        return self.workers[self.router.shard_for(beacon_id)].service.admits(
+            beacon_id)
+
     def ingest_scans(self, samples: Iterable[RssiSample]) -> int:
         """Route scans to their beacon's shard, admitting new beacons.
 
-        Admission is layered: an unknown beacon is refused fleet-wide once
-        ``max_total_sessions`` is reached (``fleet.admission_refused``),
-        and a shard's own ``max_sessions`` still applies below that. Both
-        refusals are counted and evented, never silent.
+        Each beacon is admitted by :meth:`admits`, in sorted order, so a
+        shard that fills during this drain refuses the beacons after it.
+        Refusals are booked as in :meth:`book_refusals`.
         """
         taken = 0
         by_beacon: Dict[str, list] = {}
         for s in samples:
             by_beacon.setdefault(s.beacon_id, []).append(s)
-        cap = self.config.max_total_sessions
+        at_cap: Dict[str, int] = {}
+        at_shard: Dict[str, int] = {}
         for beacon_id in sorted(by_beacon):
             batch = by_beacon[beacon_id]
+            reason = self.admits(beacon_id)
+            if reason is not None:
+                refused = at_cap if reason == "max_total_sessions" else at_shard
+                refused[beacon_id] = len(batch)
+                continue
             shard = self.shard_of(beacon_id)
             if shard is None:
-                if cap is not None and self.total_sessions >= cap:
-                    self.refused_samples += len(batch)
-                    obs.signal("fleet.refused_samples", len(batch),
-                               severity="warning", beacon=str(beacon_id),
-                               max_total_sessions=cap)
-                    if beacon_id not in self._refused_beacons:
-                        if len(self._refused_beacons) < SHED_ID_MEMORY:
-                            self._refused_beacons.add(beacon_id)
-                        self.admission_refused += 1
-                        obs.signal("fleet.admission_refused",
-                                   severity="warning", beacon=str(beacon_id))
-                    continue
                 shard = self.router.shard_for(beacon_id)
             taken += self.workers[shard].ingest_scans(batch)
+        self._book(at_cap, at_shard)
         return taken
+
+    def book_refusals(self, refused: Dict[str, int]) -> Dict[int, Dict[str, int]]:
+        """Book scans refused admission before the drain:
+        ``{beacon_id: samples}``.
+
+        No session was created since :meth:`admits` refused these
+        beacons, and sessions never leave the fleet, so the fleet cap
+        refused them all if it is full now; otherwise each beacon's routed
+        shard refused it. Returns the shard bookings, ``{shard:
+        {beacon_id: samples}}``, which a supervisor journals.
+        """
+        cap = self.config.max_total_sessions
+        if cap is not None and self.total_sessions >= cap:
+            return self._book(refused, {})
+        return self._book({}, refused)
+
+    def _book(self, at_cap: Dict[str, int],
+              at_shard: Dict[str, int]) -> Dict[int, Dict[str, int]]:
+        """The one refusal booking: the fleet books the beacons its cap
+        refused (``refused_samples``, ``admission_refused``), each routed
+        shard's service the rest (:meth:`TrackingService.shed`) — one
+        samples signal per shard per call."""
+        if at_cap:
+            n = sum(at_cap.values())
+            self.refused_samples += n
+            obs.signal("fleet.refused_samples", n, severity="warning",
+                       beacons=len(at_cap),
+                       max_total_sessions=self.config.max_total_sessions)
+            for beacon_id in sorted(at_cap):
+                if beacon_id not in self._refused_beacons:
+                    if len(self._refused_beacons) < SHED_ID_MEMORY:
+                        self._refused_beacons.add(beacon_id)
+                    self.admission_refused += 1
+                    obs.signal("fleet.admission_refused",
+                               severity="warning", beacon=str(beacon_id))
+        by_shard: Dict[int, Dict[str, int]] = {}
+        for beacon_id in sorted(at_shard):
+            shard = self.router.shard_for(beacon_id)
+            by_shard.setdefault(shard, {})[beacon_id] = at_shard[beacon_id]
+        for shard in sorted(by_shard):
+            self.workers[shard].service.shed(by_shard[shard])
+        return by_shard
 
     def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
         """Buffer observer IMU in the fleet's one ring."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DataQualityError
 from repro.types import ImuSample, RssiSample
@@ -51,6 +51,7 @@ __all__ = [
     "encode_frame",
     "validate_frame",
     "scan_samples",
+    "screen_scan_rows",
     "imu_samples",
 ]
 
@@ -63,6 +64,9 @@ PROTO_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024
 
 _LEN = struct.Struct(">I")
+
+#: The exact types a sample row's values may have (bool excluded).
+_NUMBER = (int, float)
 
 #: Client-originated frame types the gateway understands.
 CLIENT_FRAME_TYPES = ("hello", "scan", "imu", "bye")
@@ -223,9 +227,9 @@ def validate_frame(frame: Dict[str, Any]) -> str:
             raise DataQualityError("scan frame beacon id must be non-empty")
         samples = _require(frame, "samples", (list,), "scan")
         for row in samples:
+            # JSON decodes to exact int/float, and type(True) is bool.
             if (not isinstance(row, list) or len(row) != 3
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool) for v in row)):
+                    or not all(type(v) in _NUMBER for v in row)):
                 raise DataQualityError(
                     "scan frame samples must be [t, rssi, channel] "
                     "number triples"
@@ -237,8 +241,7 @@ def validate_frame(frame: Dict[str, Any]) -> str:
         samples = _require(frame, "samples", (list,), "imu")
         for row in samples:
             if (not isinstance(row, list) or len(row) != 4
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool) for v in row)):
+                    or not all(type(v) in _NUMBER for v in row)):
                 raise DataQualityError(
                     "imu frame samples must be "
                     "[t, accel, gyro_z, mag_heading] number quadruples"
@@ -268,6 +271,28 @@ def scan_samples(
             continue
         out.append(RssiSample(float(t), float(rssi), beacon_id, int(channel)))
     return out, rejected
+
+
+def screen_scan_rows(
+    frame: Dict[str, Any], horizon: Optional[float],
+) -> Tuple[int, int, int]:
+    """Screen a validated scan frame's rows without materializing them.
+
+    Returns ``(kept, rejected, late)``: ``rejected`` counts non-finite
+    timestamps, as :func:`scan_samples` does; ``late`` the finite rows
+    older than ``horizon`` (``None`` before the gateway's first tick);
+    ``kept`` the rest. The gateway books these counts for a frame whose
+    beacon the fleet refused.
+    """
+    kept = rejected = late = 0
+    for t, _rssi, _channel in frame["samples"]:
+        if not math.isfinite(t):
+            rejected += 1
+        elif horizon is not None and float(t) < horizon:
+            late += 1
+        else:
+            kept += 1
+    return kept, rejected, late
 
 
 def imu_samples(frame: Dict[str, Any]) -> Tuple[List[ImuSample], int]:

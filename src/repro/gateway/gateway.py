@@ -21,7 +21,12 @@ Degradation ladder, outermost first:
    ⇒ hang up. Every hangup is counted and evented.
 3. **Frame admission** — schema validation, per-client duplicate ``seq``
    suppression (idempotent ack, so at-least-once clients are safe),
-   reordered ``seq`` repair, fleet-level beacon admission.
+   reordered ``seq`` repair, then the fleet's one admission rule
+   (:meth:`~repro.fleet.TrackingFleet.admits`). A refused frame's rows
+   are only counted, never built into samples or queued: the frame is
+   acked ``{"taken": 0, "refused": <reason>}`` and its samples are booked
+   once per shard at the next tick. Last, the gateway's own
+   ``max_beacons`` queue cap.
 4. **Sample screening** — non-finite timestamps and samples older than
    the late horizon are refused per sample, counted per frame.
 5. **Queue shedding** — per-beacon :class:`~repro.service.BoundedBuffer`
@@ -51,6 +56,7 @@ from repro.gateway.frames import (
     encode_frame,
     imu_samples,
     scan_samples,
+    screen_scan_rows,
     validate_frame,
 )
 from repro.gateway.transport import (
@@ -187,11 +193,15 @@ class IngestionGateway:
             self.config.imu_queue, name="gateway.imu")
         #: The ``gateway.*`` signal ledger (refusals and repairs).
         self.counters: Dict[str, int] = {}
+        #: Scan samples the fleet refused admission since the last tick,
+        #: ``{beacon_id: samples}``; :meth:`tick` books them.
+        self.refused: Dict[str, int] = {}
         self.active_clients = 0
         self.ticks = 0
         self.last_tick_t: Optional[float] = None
         #: Optional trace tap: any object with
-        #: ``record_tick(t, scans, imu, snapshots)`` (see gateway.trace).
+        #: ``record_tick(t, scans, imu, snapshots, refused)`` (see
+        #: gateway.trace).
         self.tap: Optional[Any] = None
         #: Untyped exceptions that escaped a serve task — always a bug;
         #: soak/CI assert this stays empty.
@@ -360,13 +370,23 @@ class IngestionGateway:
             obs.signal("gateway.frame_reordered", ledger=self.counters,
                        severity="debug", client=state.client_id, seq=seq,
                        max_seq=state.memory.max_seq)
-        samples, rejected = scan_samples(frame)
-        if rejected:
-            obs.signal("gateway.sample_rejected", n=rejected,
-                       ledger=self.counters, severity="warning",
-                       client=state.client_id, seq=seq)
-        samples = self._screen_late(state, seq, samples)
         beacon = str(frame["beacon"])
+        reason = self.fleet.admits(beacon)
+        if reason is not None:
+            # Refused by the fleet's admission rule: count the rows the
+            # edge would have screened, build no samples, and book the
+            # rest once at the next tick. Acked, so the client stops
+            # resending (a retry cannot help), but says why.
+            n, rejected, late = screen_scan_rows(frame, self._horizon())
+            self._count_screened(state, seq, rejected, late)
+            if n:
+                self.refused[beacon] = self.refused.get(beacon, 0) + n
+            return await self._send(ep, state, {
+                "type": "ack", "seq": seq, "taken": 0, "refused": reason,
+            })
+        samples, rejected = scan_samples(frame)
+        self._count_screened(state, seq, rejected, 0)
+        samples = self._screen_late(state, seq, samples)
         taken = 0
         refused: Optional[str] = None
         if samples:
@@ -406,27 +426,38 @@ class IngestionGateway:
                        severity="debug", client=state.client_id, seq=seq,
                        max_seq=state.memory.max_seq)
         samples, rejected = imu_samples(frame)
-        if rejected:
-            obs.signal("gateway.sample_rejected", n=rejected,
-                       ledger=self.counters, severity="warning",
-                       client=state.client_id, seq=seq)
+        self._count_screened(state, seq, rejected, 0)
         samples = self._screen_late(state, seq, samples)
         taken = self.imu_queue.extend(samples) if samples else 0
         return await self._send(ep, state, {
             "type": "ack", "seq": seq, "taken": taken,
         })
 
+    def _horizon(self) -> Optional[float]:
+        """Samples older than this are late (``None`` before a tick)."""
+        if self.last_tick_t is None:
+            return None
+        return self.last_tick_t - self.config.late_horizon_s
+
+    def _count_screened(self, state: _ClientState, seq: int,
+                        rejected: int, late: int) -> None:
+        """Signal a frame's non-finite-timestamp and late rows."""
+        if rejected:
+            obs.signal("gateway.sample_rejected", n=rejected,
+                       ledger=self.counters, severity="warning",
+                       client=state.client_id, seq=seq)
+        if late:
+            obs.signal("gateway.sample_late", n=late, ledger=self.counters,
+                       severity="warning", client=state.client_id, seq=seq,
+                       horizon=self._horizon())
+
     def _screen_late(self, state: _ClientState, seq: int, samples: list) -> list:
         """Refuse stragglers older than the estimation horizon."""
-        if self.last_tick_t is None or not samples:
+        horizon = self._horizon()
+        if horizon is None or not samples:
             return samples
-        horizon = self.last_tick_t - self.config.late_horizon_s
         fresh = [s for s in samples if s.timestamp >= horizon]
-        n_late = len(samples) - len(fresh)
-        if n_late:
-            obs.signal("gateway.sample_late", n=n_late, ledger=self.counters,
-                       severity="warning", client=state.client_id, seq=seq,
-                       horizon=horizon)
+        self._count_screened(state, seq, 0, len(samples) - len(fresh))
         return fresh
 
     # -- the synchronous spine ----------------------------------------------
@@ -434,9 +465,10 @@ class IngestionGateway:
     def enqueue_scans(self, samples: List[RssiSample]) -> int:
         """Enqueue scans directly, bypassing the wire protocol.
 
-        Same queue semantics as the framed path — beacon admission applies
-        and overflow sheds exactly as on the framed path — minus the
-        per-connection layers (handshake, seq dedup, late screening). This
+        Same queue semantics as the framed path — the ``max_beacons`` cap
+        applies and overflow sheds exactly as on the framed path — minus
+        the per-connection layers (handshake, seq dedup, late screening)
+        and the edge admission query: the fleet's drain admits these. This
         is the replay entry point: :func:`repro.gateway.trace.replay`
         drives *already-committed* batches back through the queues, and
         those cleared every edge check when they were recorded.
@@ -461,16 +493,23 @@ class IngestionGateway:
         """Enqueue IMU samples directly (replay / in-process producers)."""
         return self.imu_queue.extend(samples)
 
-    def tick(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Drain all queues into the fleet and advance it to time ``t``.
+    def enqueue_refused(self, refused: Dict[str, int]) -> None:
+        """Add ``{beacon_id: samples}`` to this tick's refusals (replay)."""
+        for beacon, n in refused.items():
+            self.refused[beacon] = self.refused.get(beacon, 0) + n
 
-        The drain order is fully deterministic — beacons in sorted order,
-        FIFO within each queue, then the IMU queue — so a recorded tick
-        replays bit-identically regardless of the arrival interleaving
-        that filled the queues.
+    def tick(self, t: float) -> Dict[str, SessionSnapshot]:
+        """Book the tick's refusals, drain all queues into the fleet and
+        advance it to time ``t``.
+
+        The drain order is fully deterministic — refusals first, then
+        beacons in sorted order, FIFO within each queue, then the IMU
+        queue — so a recorded tick replays bit-identically regardless of
+        the arrival interleaving that filled the queues.
         """
         if not isinstance(t, (int, float)) or not math.isfinite(t):
             raise ConfigurationError("tick time must be finite")
+        refused, self.refused = self.refused, {}
         scans: List[RssiSample] = []
         for beacon in sorted(self.scan_queues):
             queue = self.scan_queues[beacon]
@@ -478,6 +517,8 @@ class IngestionGateway:
             queue.clear()
         imu = self.imu_queue.items()
         self.imu_queue.clear()
+        if refused:
+            self.fleet.book_refusals(refused)
         if scans:
             self.fleet.ingest_scans(scans)
         if imu:
@@ -487,7 +528,7 @@ class IngestionGateway:
         self.last_tick_t = float(t)
         perf.count("gateway.ticks")
         if self.tap is not None:
-            self.tap.record_tick(float(t), scans, imu, snapshots)
+            self.tap.record_tick(float(t), scans, imu, snapshots, refused)
         return snapshots
 
     def stats(self) -> Dict[str, Any]:

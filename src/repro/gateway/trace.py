@@ -3,10 +3,12 @@
 A **trace** is an append-only JSON-lines file capturing everything that
 crossed the gateway→fleet boundary, in commit order: one ``tick`` record
 per :meth:`~repro.gateway.IngestionGateway.tick` holding the drained scan
-and IMU batches plus a digest of the snapshots the fleet produced. Because
-the gateway's tick drain is deterministic (sorted beacons, FIFO queues),
-the recorded batches are sufficient to reproduce the run **bit-identically**
-— all the arrival-time chaos of the async edge happened *before* the tap.
+and IMU batches, the samples the fleet refused at the edge (``refused``,
+only when there were any) and a digest of the snapshots the fleet
+produced. Because the gateway's tick drain is deterministic (sorted
+beacons, FIFO queues), the recorded batches are sufficient to reproduce
+the run **bit-identically** — all the arrival-time chaos of the async
+edge happened *before* the tap.
 
 Integrity is a per-record `blake2b` hash chain: each record's ``h`` is
 ``blake2b(prev_h + canonical_json(record_minus_h))`` from a fixed genesis
@@ -206,11 +208,16 @@ class TraceWriter:
         scans: Iterable[RssiSample],
         imu: Iterable[ImuSample],
         snapshots: Dict[str, SessionSnapshot],
+        refused: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Append one committed tick (the gateway calls this via its tap)."""
+        """Append one committed tick (the gateway calls this via its tap).
+
+        ``refused`` is the tick's ``{beacon_id: samples}`` the fleet
+        refused before the drain; it is written only when non-empty.
+        """
         if self._closed:
             raise ConfigurationError("trace writer is closed")
-        self._write({
+        record: Dict[str, Any] = {
             "kind": "tick",
             "t": float(t),
             "scans": [[s.timestamp, s.rssi, s.beacon_id, s.channel]
@@ -218,7 +225,10 @@ class TraceWriter:
             "imu": [[s.timestamp, s.accel, s.gyro_z, s.mag_heading]
                     for s in imu],
             "snap": snapshot_digest(snapshots),
-        })
+        }
+        if refused:
+            record["refused"] = dict(refused)
+        self._write(record)
         self.ticks += 1
 
     def close(self) -> None:
@@ -468,9 +478,13 @@ def _redrive(
                      for t, rssi, beacon, ch in record.get("scans", [])]
             imu = [ImuSample(float(t), float(a), float(g), float(m))
                    for t, a, g, m in record.get("imu", [])]
-        except (TypeError, ValueError) as exc:
+            # Traces written before edge admission carry no refusals.
+            refused = {str(b): int(n)
+                       for b, n in record.get("refused", {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
             raise DataQualityError(
-                f"trace {path!r} tick {index}: malformed sample row: {exc}")
+                f"trace {path!r} tick {index}: malformed row: {exc}")
+        gateway.enqueue_refused(refused)
         gateway.enqueue_scans(scans)
         gateway.enqueue_imu(imu)
         result.digests.append(

@@ -114,35 +114,34 @@ class TrackingService:
 
     # -- ingestion -----------------------------------------------------------
 
+    def admits(self, beacon_id: str) -> Optional[str]:
+        """``None`` when scans for ``beacon_id`` would be taken, else the
+        refusal reason: a beacon with a session is always admitted, and
+        a new one only while the table is below ``max_sessions``."""
+        if (beacon_id in self.sessions
+                or len(self.sessions) < self.config.max_sessions):
+            return None
+        return "max_sessions"
+
     def ingest_scans(self, samples: Iterable[RssiSample]) -> int:
         """Route scan samples to their beacon's session; returns how many
         were buffered.
 
         Unknown beacons get a fresh session — up to ``max_sessions``, beyond
-        which their traffic is shed. ``sessions_shed`` counts *distinct*
-        refused beacons; ``shed_samples`` the samples dropped with them;
-        each is its own same-named ``service.*`` signal.
+        which their traffic is shed and booked by :meth:`shed`.
         """
         taken = 0
         by_beacon: Dict[str, list] = {}
         for s in samples:
             by_beacon.setdefault(s.beacon_id, []).append(s)
+        refused: Dict[str, int] = {}
         for beacon_id in sorted(by_beacon):
+            batch = by_beacon[beacon_id]
+            if self.admits(beacon_id) is not None:
+                refused[beacon_id] = len(batch)
+                continue
             session = self.sessions.get(beacon_id)
             if session is None:
-                if len(self.sessions) >= self.config.max_sessions:
-                    n = len(by_beacon[beacon_id])
-                    self.shed_samples += n
-                    obs.signal("service.shed_samples", n, severity="warning",
-                               beacon=str(beacon_id),
-                               max_sessions=self.config.max_sessions)
-                    if beacon_id not in self._shed_beacons:
-                        if len(self._shed_beacons) < SHED_ID_MEMORY:
-                            self._shed_beacons.add(beacon_id)
-                        self.sessions_shed += 1
-                        obs.signal("service.sessions_shed",
-                                   severity="warning", beacon=str(beacon_id))
-                    continue
                 session = TrackingSession(
                     beacon_id,
                     config=self.config.session,
@@ -150,8 +149,32 @@ class TrackingService:
                 )
                 self.sessions[beacon_id] = session
                 perf.count("service.sessions_created")
-            taken += session.ingest(by_beacon[beacon_id])
+            taken += session.ingest(batch)
+        if refused:
+            self.shed(refused)
         return taken
+
+    def shed(self, refused: Dict[str, int]) -> None:
+        """Book scans refused at the session cap: ``{beacon_id: samples}``.
+
+        ``shed_samples`` counts the samples, ``sessions_shed`` the
+        *distinct* refused beacons. One ``service.shed_samples`` signal
+        covers the whole map (``n`` samples over ``beacons`` beacons); a
+        beacon's first refusal also signals ``service.sessions_shed``,
+        naming it.
+        """
+        n = sum(refused.values())
+        self.shed_samples += n
+        obs.signal("service.shed_samples", n, severity="warning",
+                   beacons=len(refused),
+                   max_sessions=self.config.max_sessions)
+        for beacon_id in sorted(refused):
+            if beacon_id not in self._shed_beacons:
+                if len(self._shed_beacons) < SHED_ID_MEMORY:
+                    self._shed_beacons.add(beacon_id)
+                self.sessions_shed += 1
+                obs.signal("service.sessions_shed",
+                           severity="warning", beacon=str(beacon_id))
 
     def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
         """Buffer observer IMU samples shared by every session."""

@@ -467,6 +467,66 @@ class TestRecover:
                     pipeline_factory=ScriptedPipeline)
 
 
+def _without_restores(cp):
+    """A fleet checkpoint minus its restore counts (a restore bumps them)."""
+    if isinstance(cp, dict):
+        return {k: _without_restores(v) for k, v in cp.items()
+                if k != "restores"}
+    if isinstance(cp, list):
+        return [_without_restores(v) for v in cp]
+    return cp
+
+
+class TestRefusalRecovery:
+    """Refusals made at the gateway edge survive a shard restart and a
+    whole-process recovery: the counters come out as in a crash-free run."""
+
+    @pytest.mark.parametrize("max_total", [None, 3])
+    def test_shard_restart_rebooks_edge_refusals(self, max_total):
+        from tests.test_gateway import A, C, framed_run, overload_fleet, run
+
+        def supervised():
+            return IngestionGateway(GatewayConfig(), FleetSupervisor(
+                overload_fleet(max_total), checkpoint_every=3,
+                backoff=BackoffConfig(base_s=0.5, factor=2.0, max_s=8.0),
+                pipeline_factory=ScriptedPipeline))
+
+        def crash(sup, k):
+            if k == 5:
+                sup.inject_crash(0)
+        crashed, twin = supervised(), supervised()
+        got, edge = run(framed_run(crashed, lambda k: A + C, 9, crash))
+        want, _ = run(framed_run(twin, lambda k: A + C, 9))
+        assert edge[5]  # the restart tick had edge refusals to journal
+        assert crashed.fleet.restarts == 1 and not crashed.fleet.failed
+        assert got[-1] == want[-1]
+        assert (_without_restores(crashed.fleet.fleet.checkpoint())
+                == _without_restores(twin.fleet.fleet.checkpoint()))
+        shed = crashed.fleet.stats()
+        assert shed["shed_samples"] + shed["refused_samples"] > 0
+
+    def test_recover_rebooks_edge_refusals(self, tmp_path):
+        from tests.test_gateway import A, C, framed_run, overload_fleet, run
+
+        store = CheckpointStore(str(tmp_path / "store"))
+        sup = FleetSupervisor(overload_fleet(), store=store,
+                              checkpoint_every=4,
+                              pipeline_factory=ScriptedPipeline)
+        gateway = IngestionGateway(GatewayConfig(), sup)
+        writer = TraceWriter(str(tmp_path / "run.trace"),
+                             meta=trace_meta(gateway))
+        gateway.tap = writer
+        run(framed_run(gateway, lambda k: A + C, 10))
+        writer.abort()
+        recovered, report = recover(
+            str(tmp_path / "store"), str(tmp_path / "run.trace"),
+            pipeline_factory=ScriptedPipeline, checkpoint_every=4)
+        assert report.identical and report.redriven_ticks == 2
+        assert (_without_restores(recovered.fleet.fleet.checkpoint())
+                == _without_restores(sup.fleet.checkpoint()))
+        assert sup.fleet.stats()["shed_samples"] > 0
+
+
 @pytest.mark.chaos
 class TestChaosSmoke:
     def test_seeded_kill_and_recover_cycle_passes(self, tmp_path):

@@ -33,12 +33,14 @@ from repro.gateway import (
     trace_meta,
     validate_frame,
 )
-from repro.gateway.frames import scan_samples
+from repro.gateway.frames import scan_samples, screen_scan_rows
+from repro.gateway.trace import _gateway_from_meta, _redrive, snapshot_digest
 from repro.service import ServiceConfig, SessionConfig
 from repro.service.buffers import BoundedBuffer
 from repro.sim.faults import FrameFate, TransportFaultModel
-from repro.types import RssiSample
+from repro.types import ImuSample, RssiSample
 
+from tests.stubs import ScriptedPipeline
 from tests.test_service import scripted_session
 
 
@@ -309,6 +311,287 @@ class TestGatewayPolicing:
         assert gw.counters  # the matrix above must have tripped some
         for name, count in gw.counters.items():
             assert sink.volume.get(f"gateway.{name}") == count, name
+
+
+# -- edge admission -----------------------------------------------------------
+
+
+def overload_fleet(max_total=None):
+    """Two shards of two session slots each, on the scripted pipeline."""
+    return TrackingFleet(FleetConfig(
+        n_shards=2, service=ServiceConfig(max_sessions=2),
+        max_total_sessions=max_total), pipeline_factory=ScriptedPipeline)
+
+
+def on_shard(shard, n, tag):
+    """``n`` beacon ids the (unsalted, 2-shard) router places on ``shard``."""
+    router = overload_fleet().router
+    ids = (f"{tag}{i:02d}" for i in range(1000))
+    return [b for b in ids if router.shard_for(b) == shard][:n]
+
+
+A = on_shard(0, 4, "a")  # hash to shard 0
+C = on_shard(1, 4, "c")  # hash to shard 1
+
+
+def rows(k, beacon):
+    """Three scan rows of ``beacon`` for tick ``k``."""
+    i = int(beacon[1:])
+    return [[k - 0.6 + 0.2 * j, -60.0 - i - 0.5 * j, 37] for j in range(3)]
+
+
+def imu(k):
+    return [ImuSample(k - 1.0 + 0.05 * i, 0.5, 0.0, 0.0) for i in range(20)]
+
+
+async def framed_run(gw, beacons_at, ticks, before=None, window=None):
+    """Serve ``beacons_at(k)`` as scan frames, then tick; per tick the
+    snapshot digest and the refusals the edge made."""
+    client = SimulatedClient("c0", gw, ack_timeout_s=0.5)
+    seq, digests, edge = 0, [], []
+    for k in range(1, ticks + 1):
+        if before is not None:
+            before(gw.fleet, k)
+        for beacon in beacons_at(k):
+            assert await client.send_frame({
+                "type": "scan", "seq": seq, "beacon": beacon,
+                "samples": rows(k, beacon)})
+            seq += 1
+        if window is not None:
+            window(gw.fleet, k)
+        edge.append(dict(gw.refused))
+        gw.enqueue_imu(imu(k))
+        digests.append(snapshot_digest(gw.tick(float(k))))
+    await client.close()
+    await gw.drain_clients()
+    return digests, edge
+
+
+def direct_run(gw, beacons_at, ticks, before=None, window=None):
+    """The same samples through ``enqueue_scans``: the drain admits."""
+    digests = []
+    for k in range(1, ticks + 1):
+        if before is not None:
+            before(gw.fleet, k)
+        gw.enqueue_scans([RssiSample(float(t), float(r), b, int(c))
+                          for b in beacons_at(k) for t, r, c in rows(k, b)])
+        if window is not None:
+            window(gw.fleet, k)
+        gw.enqueue_imu(imu(k))
+        digests.append(snapshot_digest(gw.tick(float(k))))
+    return digests
+
+
+SHED_KEYS = ("sessions", "sessions_per_shard", "sessions_shed",
+             "shed_samples", "admission_refused", "refused_samples")
+
+
+def shed_stats(fleet):
+    stats = fleet.stats()
+    return {k: stats[k] for k in SHED_KEYS}
+
+
+def twin_runs(beacons_at, ticks, max_total=None, before=None, window=None):
+    framed = IngestionGateway(GatewayConfig(), overload_fleet(max_total))
+    direct = IngestionGateway(GatewayConfig(), overload_fleet(max_total))
+    digests, edge = run(framed_run(framed, beacons_at, ticks, before, window))
+    assert direct_run(direct, beacons_at, ticks, before, window) == digests
+    return framed, direct, edge
+
+
+class TestEdgeAdmission:
+    """The gateway asks the fleet's admission rule before building a
+    frame's samples; the fleet ends up exactly as when the drain refuses
+    the same samples."""
+
+    def test_admits_is_the_drain_rule(self):
+        fleet = overload_fleet(max_total=3)
+        fleet.ingest_scans([RssiSample(0.5, -60.0, b, 37)
+                            for b in (A[0], A[1], C[0])])
+        assert fleet.admits(A[0]) is None  # has a session
+        assert fleet.admits(A[2]) == "max_total_sessions"
+        fleet = overload_fleet()
+        fleet.ingest_scans([RssiSample(0.5, -60.0, b, 37)
+                            for b in (A[0], A[1], C[0])])
+        assert fleet.admits(A[2]) == "max_sessions"
+        assert fleet.admits(C[1]) is None  # shard 1 has room
+
+    @pytest.mark.parametrize("max_total", [None, 4, 3])
+    def test_edge_equals_drain(self, max_total):
+        # Tick 1: every beacon is new, so the edge admits them all and
+        # the drain refuses (each shard fills in that drain). Tick 2 adds
+        # A[2] and A[3] — both new on shard 0, which has one free slot
+        # under the shard cap: the edge admits both and the drain refuses
+        # A[3]. Later ticks are refused at the edge.
+        def beacons_at(k):
+            return (A[:2] + C if k == 1 else A[:4] + C) if k < 3 else A + C
+        framed, direct, edge = twin_runs(beacons_at, 5, max_total)
+        assert edge[0] == {} and edge[2]
+        assert shed_stats(framed.fleet) == shed_stats(direct.fleet)
+        assert framed.fleet.checkpoint() == direct.fleet.checkpoint()
+        stats = framed.fleet.stats()
+        assert stats["shed_samples"] + stats["refused_samples"] > 0
+        if max_total == 3:
+            assert stats["refused_samples"] > 0
+
+    def test_drain_fills_shard_then_edge_refuses(self):
+        # Tick 1 leaves shard 0 one slot; tick 2's two new shard-0
+        # beacons both pass the edge and the drain refuses the second.
+        def beacons_at(k):
+            return [A[0]] + C[:2] if k == 1 else A[:3] + C[:2]
+        framed, direct, edge = twin_runs(beacons_at, 4)
+        assert edge[1] == {}  # tick 2: both new beacons passed the edge
+        assert edge[2] == {A[2]: 3}  # tick 3: shard 0 is full
+        assert framed.fleet.shard_of(A[1]) == 0
+        assert framed.fleet.shard_of(A[2]) is None
+        assert shed_stats(framed.fleet) == shed_stats(direct.fleet)
+        assert framed.fleet.checkpoint() == direct.fleet.checkpoint()
+
+    def test_migrated_beacon_follows_its_pin(self):
+        # After tick 1, C[0] moves to shard 0, filling it: its own frames
+        # stay admitted (it has a session), the new shard-0 beacon A[1]
+        # is refused, and the slot C[0] left on shard 1 admits C[2].
+        def before(fleet, k):
+            if k == 2:
+                fleet.migrate(C[0], 0)
+
+        def beacons_at(k):
+            return [A[0]] + C[:2] if k == 1 else A[:2] + C[:3]
+        framed, direct, edge = twin_runs(beacons_at, 4, before=before)
+        assert framed.fleet.router.pins == {C[0]: 0}
+        assert edge[1] == {A[1]: 3}
+        assert framed.fleet.shard_of(C[0]) == 0
+        assert framed.fleet.shard_of(C[2]) == 1
+        assert shed_stats(framed.fleet) == shed_stats(direct.fleet)
+        assert framed.fleet.checkpoint() == direct.fleet.checkpoint()
+
+    def test_refused_frame_counts_rejected_and_late_rows(self):
+        async def go():
+            gw = IngestionGateway(GatewayConfig(late_horizon_s=1.5),
+                                  overload_fleet())
+            client = SimulatedClient("c0", gw, ack_timeout_s=0.5)
+            for seq, beacon in enumerate(A[:2]):
+                assert await client.send_frame({
+                    "type": "scan", "seq": seq, "beacon": beacon,
+                    "samples": rows(1, beacon)})
+            gw.tick(1.0)
+            gw.tick(2.0)  # horizon: 0.5
+            frame = {"type": "scan", "seq": 2, "beacon": A[2], "samples": [
+                [float("nan"), -60.0, 37], [0.2, -61.0, 37],
+                [1.9, -62.0, 37], [1.95, -63.0, 37]]}
+            assert screen_scan_rows(frame, 0.5) == (2, 1, 1)
+            assert await client.send_frame(frame)
+            assert gw.counters["sample_rejected"] == 1
+            assert gw.counters["sample_late"] == 1
+            assert gw.refused == {A[2]: 2}
+            assert A[2] not in gw.scan_queues  # nothing was built
+            assert client.stats.taken == 6
+            gw.tick(3.0)
+            await client.close()
+            await gw.drain_clients()
+            return gw
+        gw = run(go())
+        assert gw.fleet.workers[0].service.shed_samples == 2
+        assert gw.fleet.workers[0].service.sessions_shed == 1
+        assert gw.refused == {}
+
+    def test_refused_ack_names_the_reason(self):
+        async def go():
+            gw = IngestionGateway(GatewayConfig(), overload_fleet(1))
+            ep = gw.connect("c0")
+            replies = []
+            for frame in (
+                {"type": "hello", "client": "c0", "proto": 1},
+                {"type": "scan", "seq": 0, "beacon": A[0],
+                 "samples": rows(1, A[0])},
+            ):
+                await ep.send(encode_frame(frame))
+                replies += FrameDecoder().feed(await ep.recv())
+            gw.tick(1.0)
+            await ep.send(encode_frame(
+                {"type": "scan", "seq": 1, "beacon": C[0],
+                 "samples": rows(2, C[0])}))
+            replies += FrameDecoder().feed(await ep.recv())
+            ep.close()
+            await gw.drain_clients()
+            return replies
+        replies = run(go())
+        assert replies[1] == {"type": "ack", "seq": 0, "taken": 3}
+        assert replies[2] == {"type": "ack", "seq": 1, "taken": 0,
+                              "refused": "max_total_sessions"}
+
+    def test_one_shed_signal_per_shard_per_tick(self):
+        gw = IngestionGateway(GatewayConfig(), overload_fleet())
+        sink = obs.add_sink(obs.CountingSink())
+        try:
+            _, edge = run(framed_run(gw, lambda k: A + C, 3))
+        finally:
+            obs.remove_sink(sink)
+        # Tick 1 refuses A[2:] and C[2:] in the drain, ticks 2 and 3 at
+        # the edge: one signal per shard per tick, n-weighted by samples,
+        # and one per newly refused beacon.
+        assert edge[1] == {b: 3 for b in A[2:] + C[2:]}
+        assert sink.count("service.shed_samples") == 2 * 3
+        assert sink.volume["service.shed_samples"] == 4 * 3 * 3
+        assert sink.count("service.sessions_shed") == 4
+
+    def test_operator_migration_window(self):
+        # The one window where the edge and the drain decide differently:
+        # A[2]'s frame is refused while shard 0 is full, then an operator
+        # migration frees a slot before the tick. The edge refusal
+        # stands (booked on shard 0); the drain twin admits A[2] at once.
+        # A[2]'s next frame is admitted.
+        def window(fleet, k):
+            if k == 2:
+                fleet.migrate(A[1], 1)
+
+        def beacons_at(k):
+            return A[:2] if k == 1 else A[:3]
+
+        after_tick_2 = []
+
+        def before(fleet, k):
+            if k == 3:
+                after_tick_2.append((fleet.shard_of(A[2]),
+                                     fleet.stats()["shed_samples"]))
+        framed = IngestionGateway(GatewayConfig(), overload_fleet())
+        direct = IngestionGateway(GatewayConfig(), overload_fleet())
+        run(framed_run(framed, beacons_at, 3, before, window))
+        direct_run(direct, beacons_at, 3, before, window)
+        assert after_tick_2 == [(None, 3), (0, 0)]
+        assert framed.fleet.shard_of(A[2]) == 0  # the next frame passed
+
+
+class TestRefusalReplay:
+    def test_replay_restores_refusal_counters(self, tmp_path):
+        path = tmp_path / "overload.trace"
+        gw = IngestionGateway(GatewayConfig(), overload_fleet(3))
+        writer = TraceWriter(str(path), meta=trace_meta(gw))
+        gw.tap = writer
+        run(framed_run(gw, lambda k: A + C, 4))
+        writer.close()
+        meta, ticks = read_trace(str(path))
+        assert "refused" not in ticks[0] and "refused" in ticks[1]
+        again = _gateway_from_meta(meta, ScriptedPipeline)
+        assert _redrive(again, ticks, str(path)).identical
+        assert again.fleet.checkpoint() == gw.fleet.checkpoint()
+        assert again.fleet.stats()["refused_samples"] > 0
+
+    def test_trace_without_refusals_replays(self):
+        # Written before edge admission existed: no `refused` key at all.
+        from tests.test_legacy_solver_key import DATA
+        path = DATA / "gateway_imu_window.trace"
+        assert all("refused" not in r for r in read_trace(str(path))[1])
+        assert replay(str(path)).identical
+
+    def test_malformed_refusals_are_typed(self, tmp_path):
+        path = tmp_path / "run.trace"
+        record_small_run(path)
+        meta, ticks = read_trace(str(path))
+        ticks[0]["refused"] = ["b1", 3]
+        with pytest.raises(DataQualityError, match="malformed"):
+            _redrive(_gateway_from_meta(meta, ScriptedPipeline), ticks,
+                     str(path))
 
 
 # -- trace record/replay ------------------------------------------------------

@@ -345,10 +345,12 @@ class TestPipelinePolicies:
         with pytest.raises(ConfigurationError, match="sanitize"):
             LocBLE(sanitize="yolo")
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e-20, 1e-9])
     def test_invalid_batch_s(self, bad):
         """`batch_s <= 0` made EnvAware's segmentation loop forever and
-        `nan` silently skipped it."""
+        `nan` silently skipped it; a `batch_s` below the float spacing at
+        `t` could not advance the segmentation clock either."""
         with pytest.raises(ConfigurationError, match="batch_s"):
             LocBLE(batch_s=bad)
 
