@@ -92,6 +92,12 @@ class WarmStartState:
     environment changed and the warm basin is stale); ``stream_t`` lets
     streaming callers age warm states out.
 
+    ``(x, h)`` lives in its window's measurement frame, whose origin and
+    +x axis move with the walk from one window to the next. ``ref_t`` and
+    the observer pose ``(ref_x, ref_y, ref_heading)`` at that time, in the
+    same frame, let the next window carry the seed into its own frame
+    (:meth:`reanchored`); they are ``None`` when no pose was recorded.
+
     The state is JSON-serialisable (:meth:`to_dict`/:meth:`from_dict`) and
     round-trips bit-identically, so it survives session checkpoints.
     """
@@ -105,12 +111,45 @@ class WarmStartState:
     n_rows: int = 0
     use_q: bool = True
     stream_t: Optional[float] = None
+    ref_t: Optional[float] = None
+    ref_x: Optional[float] = None
+    ref_y: Optional[float] = None
+    ref_heading: Optional[float] = None
+
+    def at_pose(self, t: float, position: Vec2,
+                heading: float) -> "WarmStartState":
+        """This state with the observer's pose at time ``t`` recorded."""
+        return dataclasses.replace(
+            self, ref_t=float(t), ref_x=float(position.x),
+            ref_y=float(position.y), ref_heading=float(heading))
+
+    def reanchored(self, position: Vec2, heading: float) -> "WarmStartState":
+        """The state in a frame where the observer's pose at ``ref_t`` is
+        ``(position, heading)``.
+
+        ``(x, h)`` keeps its place in the observer's body frame at
+        ``ref_t``: it is rotated by the heading difference about the
+        recorded position and moved to the new one.
+        """
+        dx, dy = self.x - self.ref_x, self.h - self.ref_y
+        turn = heading - self.ref_heading
+        c, s = math.cos(turn), math.sin(turn)
+        return dataclasses.replace(
+            self.at_pose(self.ref_t, position, heading),
+            x=float(position.x) + c * dx - s * dy,
+            h=float(position.y) + s * dx + c * dy)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "WarmStartState":
+        """Rebuild a state; one written before the pose fields existed
+        restores without a pose."""
+
+        def opt(key: str) -> Optional[float]:
+            return None if d.get(key) is None else float(d[key])
+
         return cls(
             x=float(d["x"]),
             h=float(d["h"]),
@@ -120,7 +159,11 @@ class WarmStartState:
             cov_status=str(d["cov_status"]),
             n_rows=int(d["n_rows"]),
             use_q=bool(d["use_q"]),
-            stream_t=None if d.get("stream_t") is None else float(d["stream_t"]),
+            stream_t=opt("stream_t"),
+            ref_t=opt("ref_t"),
+            ref_x=opt("ref_x"),
+            ref_y=opt("ref_y"),
+            ref_heading=opt("ref_heading"),
         )
 
 
@@ -949,10 +992,16 @@ def _lm_kernel(
             _lm_jacobian(theta, pp, qq, wgg, wnn), r)
         finite = (np.isfinite(jtj).all(axis=(0, 1))
                   & np.isfinite(grad).all(axis=0))
-        # Non-finite rows solve an identity system (zero step), so one
-        # LAPACK batch serves every row without a bad slice poisoning it.
-        lhs = np.where(finite, jtj + lam * eye, eye)
-        rhs = np.where(finite, grad, 0.0)
+        # A parameter on its bound whose descent direction points out of
+        # the box is held: its row and column of the damped system become
+        # identity and its right-hand side 0, so the free parameters solve
+        # the reduced system instead of crawling along the bound. A
+        # non-finite row holds every parameter (zero step), so one LAPACK
+        # batch serves every row without a bad slice poisoning it.
+        free = finite & ~(((theta <= _GN_LO) & (grad.T > 0.0))
+                          | ((theta >= _GN_HI) & (grad.T < 0.0))).T
+        lhs = np.where(free[:, None] & free[None, :], jtj + lam * eye, eye)
+        rhs = np.where(free, grad, 0.0)
         try:
             step = np.linalg.solve(lhs.transpose(2, 0, 1),
                                    rhs.T[:, :, None])[:, :, 0]

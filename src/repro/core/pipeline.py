@@ -38,7 +38,7 @@ from repro.errors import (
     EstimationError,
     InsufficientDataError,
 )
-from repro.motion.deadreckoning import MotionTracker, TrackMemo
+from repro.motion.deadreckoning import MotionTrack, MotionTracker, TrackMemo
 from repro.obs.provenance import FixProvenance
 from repro.robustness.diagnostics import EstimateDiagnostics
 from repro.robustness.sanitize import (
@@ -73,6 +73,12 @@ class EstimationContext:
     The matched rows cover the active regression segment only: everything
     from ``segment_start_index`` (the last confirmed environment change, or
     0) to the end of the sanitized trace, with the RSS ANF-filtered.
+
+    ``observer_track`` is the dead-reckoned walk whose frame the rows live
+    in (``None`` in moving-target mode, where the frame also moves with
+    the target) and ``ref_t`` the newest matched RSS time: a fit's warm
+    state records the observer's pose at ``ref_t`` so the next window can
+    carry it into its own frame (:meth:`reanchor`).
     """
 
     matched_p: np.ndarray
@@ -83,6 +89,34 @@ class EstimationContext:
     env_changes: List[float] = field(default_factory=list)
     fit: Optional[FitResult] = None
     sanitization: Optional[SanitizationReport] = None
+    observer_track: Optional[MotionTrack] = None
+    ref_t: float = math.nan
+
+    def reanchor(self, warm: Optional[WarmStartState]
+                 ) -> Optional[WarmStartState]:
+        """``warm`` with its position seed moved into this window's frame.
+
+        The seed keeps its place relative to the observer's pose at the
+        state's ``ref_t``, read from this window's track. It is used
+        unshifted when the state carries no finite pose (older checkpoints)
+        or this window's track does not span its ``ref_t``.
+        """
+        track = self.observer_track
+        if warm is None or track is None:
+            return warm
+        pose = (warm.ref_t, warm.ref_x, warm.ref_y, warm.ref_heading)
+        if (not all(v is not None and math.isfinite(v) for v in pose)
+                or not track.times[0] <= warm.ref_t <= self.ref_t):
+            return warm
+        return warm.reanchored(*track.pose_at(warm.ref_t))
+
+    def posed(self, warm: Optional[WarmStartState]
+              ) -> Optional[WarmStartState]:
+        """A fit's warm state with the observer's pose at ``ref_t``."""
+        if warm is None or self.observer_track is None:
+            return warm
+        return warm.at_pose(self.ref_t,
+                            *self.observer_track.pose_at(self.ref_t))
 
 
 @dataclass
@@ -101,11 +135,13 @@ class PreparedEstimate:
     estimator: EllipticalEstimator
 
     def request(self, warm: Optional[WarmStartState] = None) -> FitRequest:
+        """The solve request, ``warm`` re-anchored into this window's frame
+        (:meth:`EstimationContext.reanchor`)."""
         return FitRequest(
             p=self.ctx.matched_p,
             q=self.ctx.matched_q,
             rss=self.ctx.matched_rss,
-            warm=warm,
+            warm=self.ctx.reanchor(warm),
             estimator=self.estimator,
         )
 
@@ -171,8 +207,9 @@ class LocBLE:
 
         ``warm`` (typically the previous overlapping window's
         ``diagnostics.warm``) routes the solve through the estimator's
-        warm-start fast path; a stale warm state is rejected and re-solved
-        cold, so it can only cost latency, never accuracy.
+        warm-start fast path, its seed re-anchored into this window's frame
+        (:meth:`EstimationContext.reanchor`); a stale warm state is rejected
+        and re-solved cold, so it can only cost latency, never accuracy.
 
         ``tracks`` lets callers that solve many beacons against one
         observer IMU window dead-reckon it once: the observer track comes
@@ -434,6 +471,8 @@ class LocBLE:
             env_class=env_class,
             env_changes=changes,
             sanitization=report,
+            observer_track=observer_track if target_track is None else None,
+            ref_t=float(ts[-1]),
         )
 
     @staticmethod
@@ -470,7 +509,7 @@ class LocBLE:
             "estimator.solve", component="pipeline", env=ctx.env_class
         ) as sp:
             fit = estimator.fit(ctx.matched_p, ctx.matched_q, ctx.matched_rss,
-                                warm=warm)
+                                warm=ctx.reanchor(warm))
             confidence = estimation_confidence(fit.residuals)
             sp.annotate(solver=fit.solver, cov_status=fit.cov_status,
                         confidence=confidence)
@@ -486,7 +525,7 @@ class LocBLE:
             n_samples_used=int(len(ctx.matched_rss)),
             env_changes=tuple(ctx.env_changes),
             provenance=self._provenance(ctx, fit, confidence),
-            warm=fit.warm,
+            warm=ctx.posed(fit.warm),
         )
         return LocationEstimate(
             position=fit.position,

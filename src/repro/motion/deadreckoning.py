@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +36,17 @@ __all__ = ["MotionTrack", "MotionTracker", "TrackMemo"]
 
 @dataclass
 class MotionTrack:
-    """The dead-reckoned path: positions keyed by time, plus raw detections."""
+    """The dead-reckoned path: positions keyed by time, plus raw detections.
+
+    ``headings[i]`` is the walking direction of the step that ended at
+    ``positions[i]``; the origin's is 0, the frame's +x axis.
+    """
 
     times: List[float]
     positions: List[Vec2]
     steps: List[DetectedStep]
     turns: List[DetectedTurn]
+    headings: List[float] = field(default_factory=list)
 
     def displacement_at(self, t: float) -> Vec2:
         """Measurement-frame displacement at time ``t`` (interpolated)."""
@@ -72,6 +77,17 @@ class MotionTrack:
         out[:, 0] = np.interp(ts, t, xs)
         out[:, 1] = np.interp(ts, t, ys)
         return out
+
+    def pose_at(self, t: float) -> Tuple[Vec2, float]:
+        """Position and heading of the last step at or before ``t``.
+
+        Before the first step that is the origin, heading 0; past the last
+        step it is the last step's pose.
+        """
+        if not self.positions:
+            return Vec2(0.0, 0.0), 0.0
+        i = max(bisect_right(self.times, t) - 1, 0)
+        return self.positions[i], self.headings[i]
 
     def total_distance(self) -> float:
         return sum(
@@ -112,6 +128,7 @@ class MotionTracker:
         times: List[float] = [t_start]
         positions: List[Vec2] = [Vec2(0.0, 0.0)]
         heading = 0.0
+        headings: List[float] = [heading]
         turn_idx = 0
         step_times = [s.time for s in steps]
         fused_heading = None
@@ -129,8 +146,10 @@ class MotionTracker:
                     turn_idx += 1
             length = self._step_length(step_times, i)
             positions.append(positions[-1] + Vec2.from_polar(length, heading))
+            headings.append(heading)
             times.append(step.time)
-        return MotionTrack(times=times, positions=positions, steps=steps, turns=turns)
+        return MotionTrack(times=times, positions=positions, steps=steps,
+                           turns=turns, headings=headings)
 
     def _step_length(self, step_times: List[float], i: int) -> float:
         """Local-frequency step length for the i-th step (cf. steplength.py)."""

@@ -40,7 +40,8 @@ class EstimateDiagnostics:
     ``service.fixes_accepted`` signal.
 
     ``warm`` is the :class:`repro.core.estimator.WarmStartState` the solver
-    derived from this fit (typed loosely to keep this module import-light):
+    derived from this fit, with the observer's pose at the window's newest
+    RSS time recorded (typed loosely to keep this module import-light):
     streaming callers carry it into the next overlapping-window solve to
     take the warm fast path.
     """

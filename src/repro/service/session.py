@@ -99,11 +99,16 @@ class SessionConfig:
 
     ``warm_start`` carries each accepted fix's solver state into the next
     solve so consecutive overlapping windows skip the cold exponent-grid
-    search; states older than ``warm_max_age_s`` are dropped. Once the
-    measurement frame's anchor starts sliding (stream time beyond
-    ``window_s``) the warm position seed is offset by the inter-tick walk;
-    the solver's acceptance guard rejects any warm fit whose residuals blow
-    up and re-runs cold, so warm-starting is latency-only, never accuracy.
+    search; states older than ``warm_max_age_s`` are dropped. Each window's
+    frame is anchored at the observer's pose at the window's first IMU
+    sample, so it moves with the walk. The state records the observer's
+    pose at its window's newest matched RSS time, and the next solve
+    re-anchors the position seed through the observer's body frame at that
+    time into its own frame. When the new window's track does not span that
+    time, or the state carries no pose (a checkpoint written before poses
+    were recorded), the seed goes in unshifted. The solver's acceptance
+    guard rejects any warm fit whose residuals blow up and re-runs cold, so
+    warm-starting is latency-only, never accuracy.
     """
 
     window_s: float = 60.0

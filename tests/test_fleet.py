@@ -447,3 +447,39 @@ class TestFleetUnderLoad:
                 assert snapshot_digest(got) == snapshot_digest(want), k
         assert sup.restarts == 1 and restarted_at is not None
         assert plain.stats()["counters"]["fixes_accepted"] > 0
+
+
+class TestSolverWorkUnderLoad:
+    """A regression guard on the warm path's solver work (tier-1).
+
+    One fixed LOS ``generate_load`` stream at 8 Hz through a 2-shard fleet
+    on the real pipeline. Both counts are deterministic. The bounds are the
+    values measured once the LM step held bound-pinned parameters and warm
+    seeds were re-anchored into each window's frame; before that the same
+    stream ran 20 kernel calls to ``max_iter`` and rejected 6 warm fits.
+    """
+
+    MAX_ITER_CALLS = 5
+    WARM_REJECTED = 1
+
+    def test_max_iter_calls_and_warm_rejections_bounded(self):
+        from repro import perf
+        from repro.sim.load import LoadConfig, generate_load
+
+        stream = generate_load(LoadConfig(
+            duration_s=40.0, n_beacons=6, template_beacons=3, seed=1,
+            scenario_index=1, arrival="periodic", rate_hz=8.0))
+        fleet = _loaded_fleet()
+        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
+                 "solver.warm_rejected")
+        before = {name: perf.counter_value(name) for name in names}
+        for t, scans, imu in stream.ticks:
+            fleet.ingest_scans(scans)
+            fleet.ingest_imu(imu)
+            fleet.tick(t)
+        grew = {name: perf.counter_value(name) - before[name]
+                for name in names}
+        assert fleet.stats()["counters"]["fixes_accepted"] == 120
+        assert grew["estimator.lm_iterations"] > 0
+        assert grew["estimator.lm_max_iter_calls"] <= self.MAX_ITER_CALLS
+        assert grew["solver.warm_rejected"] <= self.WARM_REJECTED

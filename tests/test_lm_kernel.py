@@ -123,7 +123,11 @@ class TestNormalEquationsOrder:
 
 
 def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
-    """One seed at a time, batch-first sums: ``(theta, r, cost, iters)``."""
+    """One seed at a time, batch-first sums: ``(theta, r, cost, iters)``.
+
+    Models the projected step independently of the kernel's masks: a
+    parameter on its bound whose gradient points out of the box is held.
+    """
     theta_out = theta0.copy()
     r_out, cost_out, iters = [], [], []
     eye = np.eye(4)
@@ -141,7 +145,14 @@ def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
             jtj, grad = _batch_first_sums(j, r)
             if not (np.isfinite(jtj).all() and np.isfinite(grad).all()):
                 break
-            step = np.linalg.solve(jtj + lam * eye, grad[:, :, None])[:, :, 0]
+            # Projected step: a parameter on its bound with an outward
+            # descent direction is held, the others solve the reduced system.
+            free = ~(((theta[0] <= _GN_LO) & (grad[0] > 0.0))
+                     | ((theta[0] >= _GN_HI) & (grad[0] < 0.0)))
+            both = free[:, None] & free[None, :]
+            lhs = np.where(both, jtj[0] + lam * eye, eye)
+            rhs = np.where(free, grad[0], 0.0)
+            step = np.linalg.solve(lhs[None], rhs[None, :, None])[:, :, 0]
             trial = np.clip(theta - step, _GN_LO, _GN_HI)
             r_t = _lm_residuals(trial, *data, *priors)
             cost_t = np.sum(r_t * r_t, axis=1)
@@ -232,3 +243,44 @@ def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
                              np.array([root_n / est.gamma_prior_sigma]),
                              np.array([root_n / est.n_prior_sigma]))
         _assert_bitwise(jac, alone[:, :, 0])
+
+
+class TestBoundPinnedParameter:
+    """A parameter on its bound whose gradient points out of the box is
+    held, and the others solve the reduced system instead of crawling
+    along the bound for every remaining iteration."""
+
+    def _pinned(self):
+        """One seed at the true position and Γ, with n on its lower bound
+        under RSS that falls off flatter (n = 0.7) than the box admits."""
+        d = np.linspace(0.0, 4.5, 40)
+        p = -np.minimum(d, 2.5)[None, :]
+        q = -np.clip(d - 2.5, 0.0, 2.0)[None, :]
+        rss = -59.0 - 7.0 * np.log10(np.hypot(4.0 + p, 3.0 + q))
+        theta0 = np.array([[4.0, 3.0, -59.0, _GN_LO[3]]])
+        zeros = np.zeros(1)
+        return theta0, p, q, rss, zeros, zeros, zeros, zeros
+
+    def test_outward_gradient_gets_exactly_zero_step(self):
+        theta0, p, q, rss, gp, wg, npr, wn = args = self._pinned()
+        jtj, grad = _lm_normal_equations(
+            _lm_jacobian(theta0, p, q, wg, wn),
+            _lm_residuals(theta0, p, q, rss, gp, wg, npr, wn))
+        assert grad[3, 0] > 0.0  # descent would push n below 1.0
+        theta, _r, _cost = _lm_kernel(*args, max_iter=1)
+        assert theta[0, 3] == _GN_LO[3]
+        reduced = np.linalg.solve(jtj[:3, :3, 0] + 1e-3 * np.eye(3),
+                                  grad[:3, 0])
+        np.testing.assert_allclose(theta[0, :3], theta0[0, :3] - reduced,
+                                   rtol=1e-12)
+
+    def test_freezes_before_max_iter(self):
+        args = self._pinned()
+        before = (perf.counter_value("estimator.lm_iterations"),
+                  perf.counter_value("estimator.lm_max_iter_calls"))
+        theta, _r, cost = _lm_kernel(*args, max_iter=60)
+        iters = perf.counter_value("estimator.lm_iterations") - before[0]
+        assert iters < 60
+        assert perf.counter_value("estimator.lm_max_iter_calls") == before[1]
+        assert theta[0, 3] == _GN_LO[3]
+        assert cost[0] < 1e-2

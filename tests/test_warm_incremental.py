@@ -6,7 +6,6 @@ service's batched tick dispatch with warm state carried across
 checkpoints.
 """
 
-import dataclasses
 import json
 import math
 
@@ -195,6 +194,13 @@ def _pooled_request(n_samples):
     return _WARM_POOL[n_samples]
 
 
+#: A warm state even a converged warm fit rejects as a residual blow-up:
+#: it sits near the optimum, but no noisy window's RMSE passes its 0.01 dB
+#: residual scale under :data:`_ZERO_FLOOR`'s zero acceptance floor.
+_STALE = WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=2.0, rss_rmse=0.01)
+_ZERO_FLOOR = EllipticalEstimator(warm_floor_db=0.0)
+
+
 class TestFitBatchBitIdentity:
     def test_batch_equals_sequential_loop(self):
         est, p, q, rss2, warm = _pooled_request(40)
@@ -244,9 +250,8 @@ class TestFitBatchBitIdentity:
             fit_batch([good, bad], default_estimator=est)
 
     def test_rejected_warm_in_batch_matches_sequential_rejection(self):
-        est, p, q, rss2, _warm = _pooled_request(40)
-        stale = WarmStartState(x=-9.0, h=14.0, gamma=-90.0, n=4.4,
-                               rss_rmse=0.01)
+        _est, p, q, rss2, _warm = _pooled_request(40)
+        est, stale = _ZERO_FLOOR, _STALE
         req = FitRequest(p=p, q=q, rss=rss2, warm=stale)
         obs.reset()
         before = perf.counter_value("solver.warm_rejected")
@@ -256,13 +261,11 @@ class TestFitBatchBitIdentity:
                       if e.name == "solver.warm_rejected"]
         obs.reset()
         assert after - before == len(rejections) == 1
+        assert rejections[0].fields["reason"] == "residual blow-up"
         seq = est.fit(p, q, rss2, warm=stale)
         assert not bat[0].warm_started
         _assert_fits_identical(bat[0], seq)
 
-
-#: A warm state the new window's residuals blow far past (rejected warm).
-_STALE = WarmStartState(x=-9.0, h=14.0, gamma=-90.0, n=4.4, rss_rmse=0.01)
 
 #: Warm states the estimator refuses to seed from, by refusal reason.
 _UNUSABLE = {
@@ -300,10 +303,7 @@ def _mixed_request(kind, n_samples):
         warm = est.fit(p, q, rss).warm
         rss = rss + rng.normal(0.0, 0.4, rss.shape)
     elif kind == "rejected":
-        # No residual scale passes a zero floor and a 0.01 dB previous
-        # RMSE, so this warm fit is always rejected.
-        warm = _STALE
-        estimator = dataclasses.replace(est, warm_floor_db=0.0)
+        warm, estimator = _STALE, _ZERO_FLOOR
     elif kind == "unusable":
         warm = list(_UNUSABLE.values())[n_samples % len(_UNUSABLE)]
     elif kind == "nlos-cold":
