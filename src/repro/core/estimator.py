@@ -363,6 +363,19 @@ class EllipticalEstimator:
             raise DataQualityError(
                 "p, q and rss must be finite; sanitize the trace first"
             )
+        self.check_sufficient(p, q)
+        return p, q, rss
+
+    def check_sufficient(self, p: np.ndarray, q: np.ndarray) -> None:
+        """The one sufficiency rule: ``min_samples`` matched rows, over
+        which the observer moved.
+
+        Raises :class:`~repro.errors.InsufficientDataError` naming the
+        part that failed. :class:`~repro.core.pipeline.LocBLE` applies it
+        before noise filtering, so a window without enough data fails
+        before it reaches a solve; :meth:`fit` and :func:`fit_batch` apply
+        it for direct callers.
+        """
         if len(p) < self.min_samples:
             raise InsufficientDataError(
                 f"need >= {self.min_samples} matched samples, got {len(p)}"
@@ -371,7 +384,6 @@ class EllipticalEstimator:
             raise InsufficientDataError(
                 "observer barely moved; the regression is unobservable"
             )
-        return p, q, rss
 
     # -- warm-start path ----------------------------------------------------
 

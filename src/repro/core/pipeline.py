@@ -234,7 +234,11 @@ class LocBLE:
         :class:`~repro.core.estimator.FitResult` comes back through
         :meth:`complete_estimate`. ``prepare + fit_batch + complete`` is
         numerically identical to :meth:`estimate` per session;
-        ``tracks`` is as in :meth:`estimate`.
+        ``tracks`` is as in :meth:`estimate`. A window without enough data
+        (too few samples after sanitizing, or failing
+        :meth:`~repro.core.estimator.EllipticalEstimator.check_sufficient`)
+        raises :class:`~repro.errors.InsufficientDataError` here, so its
+        request never joins a batch.
         """
         ctx = self._build_context(rssi_trace, observer_imu, target_imu,
                                   tracks=tracks)
@@ -451,6 +455,9 @@ class LocBLE:
                 obs.signal("pipeline.env_restarts", env=str(env_class),
                            segment_start=seg_start,
                            at=changes[-1] if changes else None)
+        # The fit's sufficiency rule on the rows it will get: a window
+        # without enough data fails here, before filtering and the solve.
+        self.estimator.check_sufficient(p[seg_start:], q[seg_start:])
 
         # Step 3b — adaptive noise filtering on the active regression
         # segment only: filtering across an environment change would smear

@@ -36,16 +36,18 @@ torn-tail), re-drives the trace suffix past the checkpoint, and verifies
 every re-driven tick's snapshot digest against the digest the original
 process recorded before dying.
 
+The journal records each drain as the fleet routed it: the scans, which
+beacons' scans each shard took, and which refusals each shard booked. A
+restarted shard re-takes and re-books exactly its own share, so a beacon
+the fleet refused (at its ``max_total_sessions`` cap, or at another
+shard) never reaches it.
+
 Known limitation: a live migration between checkpoints moves a session
 across shards without an entry in the ingest journal, so a shard crash in
-that window re-drives the mover's scans to its hash-home shard. Run
-``rebalance()`` (or checkpoint) right after migrating; the whole-process
-:func:`recover` path does not share this limit because the trace re-drive
-recreates the pre-migration placement exactly. Likewise, a beacon the
-``max_total_sessions`` cap refuses *during a drain* (several new beacons
-filled the fleet in one tick) is journaled as plain scans, so a restart
-of its routed shard may admit it; refusals made before the drain are
-journaled as bookings and re-drive exactly.
+that window restarts the mover from the wrong state. Run ``rebalance()``
+(or checkpoint) right after migrating; the whole-process :func:`recover`
+path does not share this limit because the trace re-drive recreates the
+pre-migration placement exactly.
 
 Every action is a ``supervisor.<name>`` :func:`repro.obs.signal` that
 also writes the local ``counters`` ledger; the chaos harness audits
@@ -60,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError, ReproError
 from repro.fleet import TrackingFleet
+from repro.fleet.fleet import Routes
 from repro.fleet.worker import ShardWorker
 from repro.gateway.gateway import IngestionGateway
 from repro.gateway.trace import (
@@ -84,6 +87,9 @@ __all__ = ["FleetSupervisor", "RecoveryReport", "recover"]
 
 #: The snapshot kind the supervisor saves fleet checkpoints under.
 FLEET_SNAPSHOT_KIND = "fleet"
+
+#: One journaled drain: its scans and the fleet's routing of them.
+_Drain = Tuple[List[RssiSample], Routes]
 
 
 class FleetSupervisor:
@@ -119,14 +125,12 @@ class FleetSupervisor:
                 failure_threshold=5, cooldown_s=30.0), key=f"shard:{i}")
             for i in range(n)
         ]
-        #: Ticks since the last checkpoint: ``(t, booked, scans, imu)``,
-        #: where ``booked`` holds each ``book_refusals`` call's shard
-        #: bookings, ``{shard: {beacon_id: samples}}`` — the re-drive
-        #: source for a shard restart.
-        self._journal: List[Tuple[float, List[Dict[int, Dict[str, int]]],
-                                  List[RssiSample], List[ImuSample]]] = []
-        self._pending_booked: List[Dict[int, Dict[str, int]]] = []
-        self._pending_scans: List[RssiSample] = []
+        #: Ticks since the last checkpoint: ``(t, drains, imu)`` — the
+        #: re-drive source for a shard restart. Each ``book_refusals`` or
+        #: ``ingest_scans`` call is one drain: its scans and the fleet's
+        #: ``(delivered, booked)`` routing of them.
+        self._journal: List[Tuple[float, List[_Drain], List[ImuSample]]] = []
+        self._pending_drains: List[_Drain] = []
         self._pending_imu: List[ImuSample] = []
         #: The last checkpoint payload saved (or restored), in memory —
         #: shard restart must not depend on disk being healthy.
@@ -153,13 +157,15 @@ class FleetSupervisor:
 
     def book_refusals(self, refused: Dict[str, int]) -> Dict[int, Dict[str, int]]:
         booked = self.fleet.book_refusals(refused)
-        self._pending_booked.append(booked)
+        self._pending_drains.append(([], ({}, booked)))
         return booked
 
     def ingest_scans(self, samples) -> int:
         samples = list(samples)
-        self._pending_scans.extend(samples)
-        return self.fleet.ingest_scans(samples)
+        routes: List[Routes] = []
+        taken = self.fleet.ingest_scans(samples, routes=routes)
+        self._pending_drains.append((samples, routes[0]))
+        return taken
 
     def ingest_imu(self, samples) -> int:
         samples = list(samples)
@@ -180,10 +186,8 @@ class FleetSupervisor:
         """
         t = float(t)
         imu = self.fleet.imu.tick(t)  # a non-finite t raises, unjournaled
-        self._journal.append(
-            (t, self._pending_booked, self._pending_scans, self._pending_imu))
-        self._pending_booked, self._pending_scans, self._pending_imu = (
-            [], [], [])
+        self._journal.append((t, self._pending_drains, self._pending_imu))
+        self._pending_drains, self._pending_imu = [], []
         begun: Dict[int, Tuple[ShardWorker, Pending]] = {}
         for worker in list(self.fleet.workers):
             shard, fault = worker.shard_id, None
@@ -297,14 +301,14 @@ class FleetSupervisor:
     def _redrive(self, worker: ShardWorker, t: float) -> int:
         """Replay the journal into a freshly restored worker.
 
-        Each entry's refusals booked on this shard are booked again and
-        its scans routed here re-ingested. Entries strictly before ``t``
-        are also ticked (the worker missed those steps entirely), each
-        against an ``ImuTick`` of the fleet ring as it stood at that tick:
-        the snapshot's ring plus the journal's IMU rows. The current
-        tick's scans are ingested only — the caller steps it together
-        with the healthy shards, against the fleet's own ring, keeping one
-        shared tick cadence.
+        Each drain's scans this shard took are re-ingested and its
+        bookings on this shard booked again, in the drain's order. Entries
+        strictly before ``t`` are also ticked (the worker missed those
+        steps entirely), each against an ``ImuTick`` of the fleet ring as
+        it stood at that tick: the snapshot's ring plus the journal's IMU
+        rows. The current tick's drains are replayed only — the caller
+        steps it together with the healthy shards, against the fleet's own
+        ring, keeping one shared tick cadence.
         """
         cfg = self.fleet.config.service
         if self._last_cp is not None:
@@ -312,36 +316,20 @@ class FleetSupervisor:
                                    cfg.session.window_s)
         else:
             ring = ImuRing(cfg.imu_buffer, cfg.session.window_s)
+        shard = worker.shard_id
         redriven = 0
-        for jt, booked, scans, imu in self._journal:
-            for shards in booked:
-                if worker.shard_id in shards:
-                    worker.service.shed(shards[worker.shard_id])
-            mine = [s for s in scans if self._routes_here(worker, s)]
-            if mine:
-                worker.ingest_scans(mine)
+        for jt, drains, imu in self._journal:
+            for scans, (delivered, booked) in drains:
+                if shard in delivered:
+                    worker.ingest_scans([s for s in scans
+                                         if s.beacon_id in delivered[shard]])
+                if shard in booked:
+                    worker.service.shed(booked[shard])
             if jt < t:
                 ring.ingest(imu)
                 worker.tick(jt, ring.tick(jt))
                 redriven += 1
         return redriven
-
-    def _routes_here(self, worker: ShardWorker, sample: RssiSample) -> bool:
-        """Would this scan have been routed to the restored shard?
-
-        A beacon already live in the restored snapshot belongs here; a
-        beacon live on *another* shard does not (it was served there all
-        along); an unknown beacon goes to its router shard — the same
-        decision :meth:`~repro.fleet.TrackingFleet.ingest_scans` made
-        when the sample first arrived.
-        """
-        beacon = sample.beacon_id
-        if beacon in worker.service.sessions:
-            return True
-        for other in self.fleet.workers:
-            if other is not worker and beacon in other.service.sessions:
-                return False
-        return self.fleet.router.shard_for(beacon) == worker.shard_id
 
     # -- checkpointing --------------------------------------------------------
 

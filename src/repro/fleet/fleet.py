@@ -65,6 +65,10 @@ from repro.types import ImuSample, RssiSample
 
 __all__ = ["FleetConfig", "TrackingFleet"]
 
+#: One drain's routing: per-shard deliveries and per-shard bookings, each
+#: ``{shard: {beacon_id: samples}}``.
+Routes = Tuple[Dict[int, Dict[str, int]], Dict[int, Dict[str, int]]]
+
 #: Checkpoint schema version written by :meth:`TrackingFleet.checkpoint`.
 #: Format 1 kept one replica IMU ring per shard; format 2 keeps the fleet's
 #: one ring at the top level.
@@ -153,12 +157,16 @@ class TrackingFleet:
         return self.workers[self.router.shard_for(beacon_id)].service.admits(
             beacon_id)
 
-    def ingest_scans(self, samples: Iterable[RssiSample]) -> int:
+    def ingest_scans(self, samples: Iterable[RssiSample],
+                     routes: Optional[List[Routes]] = None) -> int:
         """Route scans to their beacon's shard, admitting new beacons.
 
         Each beacon is admitted by :meth:`admits`, in sorted order, so a
         shard that fills during this drain refuses the beacons after it.
-        Refusals are booked as in :meth:`book_refusals`.
+        Refusals are booked as in :meth:`book_refusals`. When ``routes``
+        is given, the drain appends its per-shard deliveries and shard
+        bookings to it, both ``{shard: {beacon_id: samples}}``, which a
+        supervisor journals.
         """
         taken = 0
         by_beacon: Dict[str, list] = {}
@@ -166,6 +174,7 @@ class TrackingFleet:
             by_beacon.setdefault(s.beacon_id, []).append(s)
         at_cap: Dict[str, int] = {}
         at_shard: Dict[str, int] = {}
+        delivered: Dict[int, Dict[str, int]] = {}
         for beacon_id in sorted(by_beacon):
             batch = by_beacon[beacon_id]
             reason = self.admits(beacon_id)
@@ -176,8 +185,11 @@ class TrackingFleet:
             shard = self.shard_of(beacon_id)
             if shard is None:
                 shard = self.router.shard_for(beacon_id)
+            delivered.setdefault(shard, {})[beacon_id] = len(batch)
             taken += self.workers[shard].ingest_scans(batch)
-        self._book(at_cap, at_shard)
+        booked = self._book(at_cap, at_shard)
+        if routes is not None:
+            routes.append((delivered, booked))
         return taken
 
     def book_refusals(self, refused: Dict[str, int]) -> Dict[int, Dict[str, int]]:

@@ -3,7 +3,7 @@
 The temporal half of robustness (see ``docs/streaming.md``): long-lived
 per-beacon tracking sessions over incrementally arriving scan/IMU batches,
 each with a health state machine (``ACQUIRING → HEALTHY → DEGRADED → STALE
-→ LOST``), exponential-backoff retries, a per-beacon circuit breaker, and
+→ LOST``), a per-beacon circuit breaker over solve failures, and
 bit-identical checkpoint/restore. Drive it through
 :class:`~repro.sim.soak` / ``python -m repro soak`` for long-horizon fault
 testing.

@@ -1,23 +1,20 @@
-"""Circuit breaker and retry backoff for per-beacon solve supervision.
+"""Circuit breaker and retry backoff: the stream-clock hold-back reflexes.
 
-Two failure regimes need two different reflexes:
-
-* A *transient* solve failure (too few samples after a scan gap, a trace
-  the sanitizer could not save this batch) will usually fix itself once
-  more data arrives — retry, but back off exponentially so a session stuck
-  in a bad spot does not burn a solve attempt every step.
-* A *structural* failure (:class:`~repro.errors.DegenerateGeometryError`:
-  the observer stopped walking, the geometry cannot constrain a solution)
-  will fail the same way on every retry no matter how much data arrives —
-  repeating the full regression is pure waste. The
-  :class:`CircuitBreaker` trips after ``failure_threshold`` consecutive
-  structural failures, sheds all solve work while OPEN, and probes with a
-  single solve once per cooldown (HALF_OPEN) until one succeeds.
+* :class:`CircuitBreaker` is a tracking session's one hold-back. It trips
+  after ``failure_threshold`` consecutive solve failures, sheds all solve
+  work while OPEN, and probes with a single solve once per cooldown
+  (HALF_OPEN) until one succeeds. A window short of data is not a failure
+  (the session skips it without touching the breaker), so what trips it is
+  a solve that fails on data it had: degenerate geometry, a trace the
+  sanitizer could not save. The fleet supervisor keeps one per shard too.
+* :class:`ExponentialBackoff` spaces out retries of an operation that may
+  succeed on its own later: the supervisor's shard restarts and the
+  gateway client's send retries.
 
 Both are deterministic: the backoff's jitter is derived from a stable hash
-of ``(key, attempt)``, not a live RNG, so a checkpointed session resumes
+of ``(key, attempt)``, not a live RNG, so a checkpointed owner resumes
 with bit-identical retry scheduling. Clocks are the *stream* clock (the
-``t`` the service is stepped with), never wall time.
+``t`` the owner is stepped with), never wall time.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ BREAKER_CHECKPOINT_FORMAT = 1
 #: at ``max_s`` orders of magnitude earlier, so the clamp never changes a
 #: schedule that matters — it exists because ``factor ** attempt`` in float
 #: arithmetic raises :class:`OverflowError` past ``~2**1024`` (attempt
-#: ~1025 at the default factor 2.0), i.e. a session that never recovers
+#: ~1025 at the default factor 2.0), i.e. a shard that never recovers
 #: would crash its supervisor after a long soak. Past the clamp the delay
 #: (including its hash-derived jitter) is frozen at the clamp's value.
 MAX_BACKOFF_ATTEMPT = 10_000
@@ -70,7 +67,7 @@ class BackoffConfig:
 
     Delay after the ``k``-th consecutive failure is
     ``min(base_s * factor**(k-1), max_s)`` scaled by a jitter factor in
-    ``[1 - jitter_frac, 1 + jitter_frac)`` derived from the session key.
+    ``[1 - jitter_frac, 1 + jitter_frac)`` derived from the owner's key.
     """
 
     base_s: float = 1.0
@@ -90,7 +87,7 @@ class BackoffConfig:
 
 
 class ExponentialBackoff:
-    """Schedules retries after transient failures on the stream clock."""
+    """Schedules retries after failures on the stream clock."""
 
     def __init__(self, config: Optional[BackoffConfig] = None, key: str = ""):
         self.config = config or BackoffConfig()
@@ -129,7 +126,7 @@ class ExponentialBackoff:
         return raw * jitter
 
     def on_failure(self, t: float) -> float:
-        """Record a transient failure; returns the scheduled delay."""
+        """Record a failure; returns the scheduled delay."""
         self.attempt = min(self.attempt + 1, MAX_BACKOFF_ATTEMPT)
         delay = self.delay_for(self.attempt)
         self.next_ready_t = t + delay
@@ -172,10 +169,10 @@ class ExponentialBackoff:
 class BreakerConfig:
     """Trip/cooldown policy for the per-beacon solve circuit breaker.
 
-    ``failure_threshold`` consecutive structural failures open the circuit
+    ``failure_threshold`` consecutive failures open the circuit
     for ``cooldown_s``; every failed HALF_OPEN probe re-opens it with the
     cooldown escalated by ``cooldown_factor`` (capped at
-    ``max_cooldown_s``), so a persistently degenerate session converges to
+    ``max_cooldown_s``), so a persistently failing session converges to
     one probe solve per ``max_cooldown_s``.
     """
 
@@ -198,7 +195,7 @@ class BreakerConfig:
 
 
 class CircuitBreaker:
-    """CLOSED → OPEN → HALF_OPEN breaker over structural solve failures."""
+    """CLOSED → OPEN → HALF_OPEN breaker over consecutive failures."""
 
     CLOSED = "closed"
     OPEN = "open"
@@ -242,7 +239,7 @@ class CircuitBreaker:
         self._cooldown_s = self.config.cooldown_s
 
     def record_failure(self, t: float) -> bool:
-        """A structural failure at ``t``; returns True if the circuit opened."""
+        """A failure at ``t``; returns True if the circuit opened."""
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN:
             # The probe failed: re-open with an escalated cooldown.

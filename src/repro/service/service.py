@@ -11,8 +11,8 @@ a unit. Design rules:
   capped (``max_sessions``) with counted shedding of surplus beacons, so a
   beacon-spam storm degrades predictably instead of exhausting memory.
 * **Deterministic supervision.** Sessions are stepped in sorted beacon-id
-  order, retry jitter is hash-derived, and all clocks are stream time —
-  a checkpoint/restore cycle replays bit-identically.
+  order and all clocks are stream time — a checkpoint/restore cycle
+  replays bit-identically.
 * **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on data;
   every failure mode is a supervised :func:`repro.obs.signal`, also
   reported through :meth:`stats`.

@@ -9,9 +9,8 @@ after bursty loss. It owns:
 
 * a bounded, drop-oldest RSS buffer (:mod:`repro.service.buffers`);
 * the solve loop: periodic :class:`~repro.core.pipeline.LocBLE` regressions
-  over a sliding window, retried with exponential backoff on transient
-  errors and circuit-broken on repeated
-  :class:`~repro.errors.DegenerateGeometryError`
+  over a sliding window, skipped while the window lacks data and held back
+  by a circuit breaker after repeated solve failures
   (:mod:`repro.service.breaker`);
 * a :class:`~repro.core.tracking.BeaconTracker` Kalman filter fusing
   accepted fixes and coasting through gaps;
@@ -36,7 +35,7 @@ import math
 from bisect import bisect_left
 from hashlib import blake2b
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro import obs
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
@@ -49,12 +48,7 @@ from repro.errors import (
     EstimationError,
     InsufficientDataError,
 )
-from repro.service.breaker import (
-    BackoffConfig,
-    BreakerConfig,
-    CircuitBreaker,
-    ExponentialBackoff,
-)
+from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.buffers import BoundedBuffer
 from repro.service.checkpoint import restore_guard
 from repro.obs.provenance import FixProvenance
@@ -94,8 +88,9 @@ class SessionConfig:
     confidence below which an accepted fix still counts as *degraded*.
     ``rss_buffer`` caps buffered scans (drop-oldest beyond it).
     ``process_accel_std`` / ``default_fix_std`` parameterize the Kalman
-    tracker; nested configs drive the health machine, circuit breaker and
-    retry backoff.
+    tracker; nested configs drive the health machine and circuit breaker.
+    Whether a window has enough data to solve is the pipeline's rule, not
+    a setting here.
 
     ``warm_start`` carries each accepted fix's solver state into the next
     solve so consecutive overlapping windows skip the cold exponent-grid
@@ -115,14 +110,12 @@ class SessionConfig:
     solve_period_s: float = 2.0
     min_confidence: float = 0.1
     rss_buffer: int = 1024
-    min_imu_samples: int = 16
     process_accel_std: float = 0.5
     default_fix_std: float = 2.0
     warm_start: bool = True
     warm_max_age_s: float = 30.0
     health: HealthConfig = field(default_factory=HealthConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    backoff: BackoffConfig = field(default_factory=BackoffConfig)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.window_s) and self.window_s > 0):
@@ -133,8 +126,6 @@ class SessionConfig:
             raise ConfigurationError("min_confidence must be in [0, 1]")
         if self.rss_buffer < 8:
             raise ConfigurationError("rss_buffer must be >= 8")
-        if self.min_imu_samples < 2:
-            raise ConfigurationError("min_imu_samples must be >= 2")
         if not (math.isfinite(self.warm_max_age_s) and self.warm_max_age_s > 0):
             raise ConfigurationError("warm_max_age_s must be finite and > 0")
 
@@ -149,9 +140,13 @@ class SessionConfig:
         gateway trace headers. Those written while solver backends were
         selectable carry a ``"solver"`` key: ``"elliptical"``, the only
         solver left, is dropped; any other value names a removed backend
-        and raises :class:`~repro.errors.ConfigurationError`.
+        and raises :class:`~repro.errors.ConfigurationError`. Those written
+        while sessions had a retry backoff carry ``"backoff"`` and
+        ``"min_imu_samples"``, both dropped.
         """
         d = dict(d)
+        d.pop("backoff", None)
+        d.pop("min_imu_samples", None)
         solver = d.pop("solver", "elliptical")
         if solver != "elliptical":
             raise ConfigurationError(
@@ -161,7 +156,6 @@ class SessionConfig:
         return cls(
             health=HealthConfig(**d.pop("health")),
             breaker=BreakerConfig(**d.pop("breaker")),
-            backoff=BackoffConfig(**d.pop("backoff")),
             **d,
         )
 
@@ -319,7 +313,6 @@ class TrackingSession:
         self.tracker = self._new_tracker()
         self.health = HealthMachine(self.config.health)
         self.breaker = CircuitBreaker(self.config.breaker, key=beacon_id)
-        self.backoff = ExponentialBackoff(self.config.backoff, key=beacon_id)
         self.rss = BoundedBuffer[RssiSample](
             self.config.rss_buffer, name=f"rss.{beacon_id}"
         )
@@ -416,45 +409,57 @@ class TrackingSession:
 
     # -- the supervised solve loop ------------------------------------------
 
-    def begin_step(
-        self, t: float, imu: "ImuTrace | ImuTick"
-    ) -> Optional[PendingSolve]:
+    def begin_step(self, t: float, imu: ImuTick) -> Optional[PendingSolve]:
         """First third of a step: gating plus solve preparation.
 
-        Runs everything up to the solve itself — buffer aging, the
-        solve-period/breaker/backoff gates, window assembly, and the
-        pipeline's pre-solve stages. Returns ``None`` when no solve is due
-        this tick (or preparation failed, recorded exactly as a solve
-        failure would be); otherwise a :class:`PendingSolve` whose request
-        joins the service-wide :func:`~repro.core.estimator.fit_batch`. The
-        caller must finish the tick with :meth:`resolve_solve` (when
-        pending) and :meth:`finish_step`. Never raises on data; caller bugs
-        (non-finite ``t``) still raise. ``imu`` is the shared observer IMU,
-        or the tick's :class:`ImuTick` view of it.
+        Ages the buffer out, then decides whether this tick solves: not
+        before the solve period has passed, not while the breaker holds
+        solves back (``solves_shed``), and not when the pipeline finds the
+        window short of data (``solves_skipped_nodata``, with the failed
+        rule as ``reason``). A shed or a data shortage leaves the breaker
+        and the solve schedule untouched; any other preparation failure is
+        a solve failure. Otherwise returns a :class:`PendingSolve`, counted
+        in ``solves_attempted``, whose request joins the service-wide
+        :func:`~repro.core.estimator.fit_batch`. The caller must finish the
+        tick with :meth:`resolve_solve` (when pending) and
+        :meth:`finish_step`. Never raises on data; caller bugs (a
+        non-finite ``t``, or an ``imu`` tick opened for another time) still
+        raise.
         """
-        due = self._gate(t, imu)
-        if due is None:
+        if not math.isfinite(t):
+            raise ConfigurationError("step time must be finite")
+        if imu.t != t:
+            raise ConfigurationError(
+                f"IMU tick is for t={imu.t}, not the step time t={t}")
+        self._age_out(t)
+        if (self.last_solve_t is not None
+                and t - self.last_solve_t < self.config.solve_period_s):
             return None
-        window, imu_window, tracks = due
+        if not self.breaker.allow(t):
+            obs.signal("service.solves_shed", ledger=self.counters,
+                       beacon=self.beacon_id, t=t,
+                       breaker_state=self.breaker.state)
+            return None
         try:
             prepared = self.pipeline.prepare_estimate(
-                window, imu_window, tracks=tracks)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
-            self.last_solve_t = t
+                self._window(t), imu.window(self.config.window_s),
+                tracks=imu.tracks)
+        except InsufficientDataError as exc:
+            obs.signal("service.solves_skipped_nodata", ledger=self.counters,
+                       severity="debug", beacon=self.beacon_id, t=t,
+                       reason=str(exc))
             return None
-        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
+        except (DataQualityError, EstimationError) as exc:
+            self._solve_failed(t, exc)
             self.last_solve_t = t
             return None
         except BaseException:
             self.last_solve_t = t
             raise
-        return PendingSolve(
-            t=t,
-            prepared=prepared,
-            request=prepared.request(warm=self._usable_warm(t)),
-        )
+        request = prepared.request(warm=self._usable_warm(t))
+        obs.signal("service.solves_attempted", ledger=self.counters,
+                   severity="debug", beacon=self.beacon_id, t=t)
+        return PendingSolve(t=t, prepared=prepared, request=request)
 
     def resolve_solve(
         self, pending: PendingSolve, fit: "FitResult | BaseException"
@@ -464,8 +469,8 @@ class TrackingSession:
         ``fit`` is this session's slot from ``fit_batch(...,
         return_exceptions=True)`` — either a
         :class:`~repro.core.estimator.FitResult` or the exception its solve
-        raised. Classifies failures, books breaker/backoff state, and
-        accepts the fix into the tracker with its provenance.
+        raised. Books a failure on the breaker, or accepts the fix into the
+        tracker with its provenance.
         """
         t = pending.t
         try:
@@ -476,10 +481,8 @@ class TrackingSession:
                     raise fit
                 est = self.pipeline.complete_estimate(pending.prepared, fit)
                 self.tracker.update(t, est)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
         except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
+            self._solve_failed(t, exc)
         else:
             self._solve_succeeded(t, est)
         finally:
@@ -505,64 +508,24 @@ class TrackingSession:
 
         return self._snapshot(t)
 
-    def _gate(
-        self, t: float, imu: "ImuTrace | ImuTick"
-    ) -> Optional[Tuple[RssiTrace, ImuTrace, TrackMemo]]:
-        """The gate of :meth:`begin_step`.
-
-        Ages the buffer out, then decides whether this tick solves: not
-        before the solve period has passed, not without enough RSS and IMU
-        data (``solves_skipped_nodata``), and not while the breaker or the
-        backoff holds solves back (``solves_shed``). Returns the solve's
-        RSS window, IMU window and track memo, with the attempt counted,
-        or ``None``.
-        """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        tick = self._imu_tick(imu, t)
-
-        self._age_out(t)
-        due = (
-            self.last_solve_t is None
-            or t - self.last_solve_t >= self.config.solve_period_s
-        )
-        if not due:
-            return None
-        window = self._window(t)
-        imu_window = tick.window(self.config.window_s)
-        if (len(window) < self.pipeline.estimator.min_samples
-                or len(imu_window) < self.config.min_imu_samples):
-            obs.signal("service.solves_skipped_nodata", ledger=self.counters,
-                       severity="debug", beacon=self.beacon_id, t=t,
-                       rss_window=len(window), imu_window=len(imu_window))
-            return None
-        if not (self.breaker.allow(t) and self.backoff.ready(t)):
-            obs.signal("service.solves_shed", ledger=self.counters,
-                       beacon=self.beacon_id, t=t,
-                       breaker_state=self.breaker.state,
-                       backoff_attempt=self.backoff.attempt)
-            return None
-        obs.signal("service.solves_attempted", ledger=self.counters,
-                   severity="debug", beacon=self.beacon_id, t=t)
-        return window, imu_window, tick.tracks
-
     # -- solve outcome handlers -------------------------------------------------
 
-    def _solve_degenerate(self, t: float, exc: Exception) -> None:
-        obs.signal("service.solves_degenerate", ledger=self.counters,
-                   severity="warning", beacon=self.beacon_id, t=t,
-                   error=str(exc))
+    def _solve_failed(self, t: float, exc: Exception) -> None:
+        """Every solve failure is one breaker failure. Degenerate geometry
+        counts as ``solves_degenerate``, any other failure as
+        ``solves_transient_failures``. A data shortage that escapes
+        :meth:`begin_step` is a bug, still typed, and lands in the second."""
+        fields = dict(ledger=self.counters, severity="warning",
+                      beacon=self.beacon_id, t=t,
+                      error=f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, DegenerateGeometryError):
+            obs.signal("service.solves_degenerate", **fields)
+        else:
+            obs.signal("service.solves_transient_failures", **fields)
         self.breaker.record_failure(t)
-
-    def _solve_transient(self, t: float, exc: Exception) -> None:
-        obs.signal("service.solves_transient_failures", ledger=self.counters,
-                   severity="warning", beacon=self.beacon_id, t=t,
-                   error=type(exc).__name__)
-        self.backoff.on_failure(t)
 
     def _solve_succeeded(self, t: float, est: LocationEstimate) -> None:
         self.breaker.record_success(t)
-        self.backoff.reset()
         self.last_estimate = est
         self._store_warm(t, est)
         good = self._fix_quality(est)
@@ -644,15 +607,6 @@ class TrackingSession:
     def _window(self, t: float) -> RssiTrace:
         return RssiTrace([s for s in self.rss if s.timestamp <= t])
 
-    @staticmethod
-    def _imu_tick(imu: "ImuTrace | ImuTick", t: float) -> ImuTick:
-        if isinstance(imu, ImuTick):
-            if imu.t != t:
-                raise ConfigurationError(
-                    f"IMU tick is for t={imu.t}, not the step time t={t}")
-            return imu
-        return ImuTick(imu, t)
-
     # -- reporting -----------------------------------------------------------
 
     def _snapshot(self, t: float) -> SessionSnapshot:
@@ -677,9 +631,9 @@ class TrackingSession:
     def checkpoint(self) -> Dict[str, Any]:
         """The complete session state as a JSON-safe dict.
 
-        Covers the Kalman state/covariance, the RSS ring buffer, breaker and
-        backoff state, the health machine, counters, and the solve schedule
-        — everything needed for :meth:`restore` to continue bit-identically.
+        Covers the Kalman state/covariance, the RSS ring buffer, breaker
+        state, the health machine, counters, and the solve schedule —
+        everything needed for :meth:`restore` to continue bit-identically.
         """
         return {
             "format": SESSION_CHECKPOINT_FORMAT,
@@ -688,7 +642,6 @@ class TrackingSession:
             "tracker": self.tracker.checkpoint(),
             "health": self.health.checkpoint(),
             "breaker": self.breaker.checkpoint(),
-            "backoff": self.backoff.checkpoint(),
             "rss": [[s.timestamp, s.rssi, s.channel] for s in self.rss],
             "rss_shed": self.rss.shed,
             "last_solve_t": self.last_solve_t,
@@ -711,7 +664,10 @@ class TrackingSession:
         ``pipeline_factory`` must rebuild the same estimation pipeline the
         checkpointed session ran (pipelines hold trained models and are not
         serialized); the default repair-mode factory matches the default
-        construction path.
+        construction path. A checkpoint written while sessions had a retry
+        backoff carries its state under ``"backoff"``; it is ignored, so a
+        pending retry delay is dropped and the session solves at its next
+        due tick.
         """
         if not isinstance(cp, dict) or cp.get("format") != SESSION_CHECKPOINT_FORMAT:
             raise DataQualityError("unsupported session checkpoint")
@@ -727,9 +683,6 @@ class TrackingSession:
             )
             session.breaker = CircuitBreaker.restore(
                 cp["breaker"], session.config.breaker
-            )
-            session.backoff = ExponentialBackoff.restore(
-                cp["backoff"], session.config.backoff
             )
             for row in cp["rss"]:
                 t, rssi, channel = row

@@ -5,8 +5,10 @@ serves through — ``prepare_estimate`` → ``fit_batch`` →
 ``complete_estimate`` — so a stubbed test drives exactly the path real
 traffic takes. Each solve is one real warm :func:`fit_batch` call on a
 shared, well-posed L-walk window (solved cold once, at import); the fix the
-stub returns does not depend on it. Solve outcomes follow a script, and
-scripted failures are raised from ``complete_estimate``, so they reach
+stub returns does not depend on it. Solve outcomes follow a script. A data
+shortage is raised from ``prepare_estimate``, as the real pipeline's
+sufficiency rule does; scripted solve failures are raised from
+``complete_estimate``, so they reach
 :meth:`~repro.service.TrackingSession.resolve_solve` the same way real
 solver failures do.
 """
@@ -20,7 +22,12 @@ import numpy as np
 
 from repro.channel.pathloss import rss_at
 from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
-from repro.errors import DegenerateGeometryError, InsufficientDataError
+from repro.errors import (
+    DegenerateGeometryError,
+    EstimationError,
+    InsufficientDataError,
+)
+from repro.service.session import ImuTick
 from repro.types import LocationEstimate, Vec2
 
 
@@ -58,9 +65,14 @@ class _Prepared:
 class ScriptedPipeline:
     """A pipeline whose solve outcomes follow a script.
 
-    Entries are ``"ok"``, ``"degenerate"`` or ``"transient"``; the last
-    entry repeats forever. ``calls`` counts prepared solves. An ``"ok"``
-    solve returns a fix derived from the window's last stream time.
+    Like the real pipeline, ``prepare_estimate`` refuses a window short of
+    data with :class:`~repro.errors.InsufficientDataError`: fewer than
+    ``min_samples`` RSS rows or fewer than 2 IMU samples. Otherwise it
+    takes the next script entry: ``"ok"``, ``"nodata"`` (refused the same
+    way), ``"degenerate"`` or ``"failed"`` (a non-degenerate
+    :class:`~repro.errors.EstimationError`); the last entry repeats
+    forever. ``calls`` counts the entries taken. An ``"ok"`` solve returns
+    a fix derived from the window's last stream time.
     """
 
     def __init__(self, script: Sequence[str] = ("ok",)):
@@ -69,22 +81,30 @@ class ScriptedPipeline:
         self.calls = 0
 
     def prepare_estimate(self, trace, imu, target_imu=None, tracks=None):
+        if len(trace) < self.estimator.min_samples:
+            raise InsufficientDataError(
+                f"scripted: {len(trace)} RSS samples")
+        if len(imu) < 2:
+            raise InsufficientDataError(f"scripted: {len(imu)} IMU samples")
         action = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
+        if action == "nodata":
+            raise InsufficientDataError("scripted: no data")
         return _Prepared(action, trace.samples[-1].timestamp)
 
     def complete_estimate(self, prepared: _Prepared, fit) -> LocationEstimate:
         if prepared.action == "degenerate":
             raise DegenerateGeometryError("scripted: geometry degenerate")
-        if prepared.action == "transient":
-            raise InsufficientDataError("scripted: transient failure")
+        if prepared.action == "failed":
+            raise EstimationError("scripted: solve failed")
         return LocationEstimate(position=Vec2(0.1 * prepared.t, 1.0),
                                 confidence=0.9, position_std=0.5)
 
 
 def step_session(session, t, imu):
-    """One tick of a lone session: a batch of one through ``fit_batch``."""
-    pending = session.begin_step(t, imu)
+    """One tick of a lone session over the observer IMU ``imu``: a batch
+    of one through ``fit_batch``."""
+    pending = session.begin_step(t, ImuTick(imu, t))
     if pending is not None:
         fit = fit_batch([pending.request], return_exceptions=True)[0]
         session.resolve_solve(pending, fit)

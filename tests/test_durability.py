@@ -505,6 +505,33 @@ class TestRefusalRecovery:
         shed = crashed.fleet.stats()
         assert shed["shed_samples"] + shed["refused_samples"] > 0
 
+    def test_shard_restart_keeps_drain_refusals_refused(self):
+        # Four new beacons reach one drain under a fleet cap of three: the
+        # drain admits three and refuses the last at the cap. Its routed
+        # shard then crashes and re-drives the journal from the start; the
+        # refused beacon must stay refused, as in the crash-free twin.
+        from tests.test_gateway import A, C, framed_run, overload_fleet, run
+
+        beacons = A[:2] + C[:2]
+
+        def supervised():
+            return IngestionGateway(GatewayConfig(), FleetSupervisor(
+                overload_fleet(3), checkpoint_every=16,
+                pipeline_factory=ScriptedPipeline))
+
+        def crash(sup, k):
+            if k == 3:
+                sup.inject_crash(1)
+        crashed, twin = supervised(), supervised()
+        got, _ = run(framed_run(crashed, lambda k: beacons, 6, crash))
+        want, _ = run(framed_run(twin, lambda k: beacons, 6))
+        assert crashed.fleet.restarts == 1 and not crashed.fleet.failed
+        assert twin.fleet.fleet.shard_of(C[1]) is None
+        assert twin.fleet.fleet.refused_samples > 0
+        assert got[-1] == want[-1]
+        assert (_without_restores(crashed.fleet.fleet.checkpoint())
+                == _without_restores(twin.fleet.fleet.checkpoint()))
+
     def test_recover_rebooks_edge_refusals(self, tmp_path):
         from tests.test_gateway import A, C, framed_run, overload_fleet, run
 

@@ -176,9 +176,39 @@ class TestFleetRouting:
         fleet = make_fleet(n_shards=2)
         for k in range(1, 5):
             feed_fleet(fleet, float(k), BEACONS)
-        assert calls == [len(BEACONS)]  # one batch for both shards
+        # Solves are due at t = 1 and 3: one batch for both shards each.
+        assert calls == [len(BEACONS), len(BEACONS)]
         assert all(0 < w.stats()["last_tick_wall_s"] < 0.2
                    for w in fleet.workers)
+
+    def test_attempted_solves_are_the_submitted_requests(self, monkeypatch):
+        # Sessions short of data (scripted shortages, and beacons heard
+        # once a tick) are skipped before a request exists, so every
+        # attempted solve is one request in a fit_batch call.
+        import repro.service.service as service_module
+
+        real, submitted = service_module.fit_batch, []
+
+        def counting_fit_batch(requests, **kwargs):
+            submitted.append(len(requests))
+            return real(requests, **kwargs)
+
+        monkeypatch.setattr(service_module, "fit_batch", counting_fit_batch)
+        fleet = TrackingFleet(
+            FleetConfig(n_shards=2),
+            pipeline_factory=lambda: ScriptedPipeline(
+                ["nodata", "ok", "nodata", "ok"]))
+        sparse = BEACONS[:3]
+        for k in range(1, 9):
+            t = float(k)
+            fleet.ingest_scans(scans_for(t, BEACONS[3:]) + [
+                RssiSample(t - 0.1, -60.0, b, 37) for b in sparse])
+            fleet.ingest_imu(imu_for(t))
+            fleet.tick(t)
+        counters = fleet.stats()["counters"]
+        assert counters["solves_skipped_nodata"] >= 2 * len(BEACONS)
+        assert counters["fixes_accepted"] > 0
+        assert counters["solves_attempted"] == sum(submitted)
 
     def test_per_shard_cap_still_applies(self):
         fleet = make_fleet(n_shards=2, max_sessions=1)

@@ -332,8 +332,7 @@ class TestSwitchesNeverChangeState:
 
         session = TrackingSession(
             "b0",
-            config=SessionConfig(rss_buffer=8, solve_period_s=1.0,
-                                 min_imu_samples=2),
+            config=SessionConfig(rss_buffer=8, solve_period_s=1.0),
             pipeline_factory=lambda: ScriptedPipeline(
                 ("ok", "degenerate", "ok")),
         )

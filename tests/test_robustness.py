@@ -540,7 +540,7 @@ class TestNeverCrashUndiagnosed:
 # -- property tests: the streaming service layer -----------------------------
 
 service_fault_plan = st.lists(
-    st.sampled_from(["ok", "degenerate", "transient"]),
+    st.sampled_from(["ok", "degenerate", "failed", "nodata"]),
     min_size=1, max_size=12,
 )
 
@@ -548,13 +548,8 @@ service_fault_plan = st.lists(
 def _scripted_service(script):
     from tests.stubs import ScriptedPipeline
 
-    from repro.service import (
-        BackoffConfig, ServiceConfig, SessionConfig, TrackingService,
-    )
-    cfg = ServiceConfig(session=SessionConfig(
-        solve_period_s=1.0, min_imu_samples=2,
-        backoff=BackoffConfig(jitter_frac=0.0),
-    ))
+    from repro.service import ServiceConfig, SessionConfig, TrackingService
+    cfg = ServiceConfig(session=SessionConfig(solve_period_s=1.0))
     return TrackingService(
         cfg, pipeline_factory=lambda: ScriptedPipeline(list(script)))
 

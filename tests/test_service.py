@@ -27,6 +27,7 @@ from repro.service import (
     TrackingService,
     TrackingSession,
 )
+from repro.service.session import snapshot_key
 from repro.types import (
     ImuSample,
     ImuTrace,
@@ -477,11 +478,9 @@ class TestBoundedBuffer:
 
 def scripted_session(script, beacon_id="b", **config_kwargs):
     cfg = SessionConfig(
-        solve_period_s=1.0, min_imu_samples=2,
+        solve_period_s=1.0,
         breaker=BreakerConfig(failure_threshold=3, cooldown_s=5.0,
                               cooldown_factor=2.0, max_cooldown_s=20.0),
-        backoff=BackoffConfig(base_s=1.0, factor=2.0, max_s=8.0,
-                              jitter_frac=0.0),
         **config_kwargs,
     )
     return TrackingSession(
@@ -564,26 +563,70 @@ class TestTrackingSession:
         # After the trip, attempted solves stop accruing.
         assert counters["service.solves_attempted"] == 3
 
-    def test_transient_failures_back_off(self):
-        s = scripted_session(["transient"])
+    def test_non_degenerate_failures_trip_the_breaker(self):
+        # A failed solve that is not degenerate geometry books the same
+        # breaker failure: no retry delay, and three in a row open it.
+        s = scripted_session(["failed"])
         feed(s, 1.0)
         assert s.counters["solves_transient_failures"] == 1
-        assert not s.backoff.ready(1.5)
-        feed(s, 2.0)  # backoff delay 1 s has passed: retried
-        assert s.counters["solves_transient_failures"] == 2
-        # Second delay is 2 s: attempt at 3.0 is shed.
-        feed(s, 3.9)
-        assert s.counters["solves_transient_failures"] == 2
+        assert s.breaker.state == CircuitBreaker.CLOSED
+        feed(s, 2.0)  # the next due tick solves again
+        feed(s, 3.0)
+        assert s.counters["solves_transient_failures"] == 3
+        assert s.counters["solves_degenerate"] == 0
+        assert s.breaker.state == CircuitBreaker.OPEN
+        feed(s, 4.0)  # cooldown_s=5: shed
         assert s.counters["solves_shed"] == 1
+        assert s.counters["solves_attempted"] == 3 == s.pipeline.calls
+
+    def test_data_shortage_is_skipped_not_failed(self):
+        # A window the pipeline finds short of data is a skip with the
+        # rule's reason: no failure, no shed, no solve-period wait.
+        from repro import obs
+
+        ring = obs.add_sink(obs.RingBufferSink())
+        try:
+            s = scripted_session(["nodata", "nodata", "ok"])
+            feed(s, 1.0)
+            feed(s, 1.5)
+            snap = feed(s, 1.7)
+        finally:
+            obs.remove_sink(ring)
+        skips = [e for e in ring.tail()
+                 if e.name == "service.solves_skipped_nodata"]
+        assert [e.fields["reason"] for e in skips] == ["scripted: no data"] * 2
+        assert s.counters["solves_skipped_nodata"] == 2
+        assert s.counters["solves_attempted"] == 1
+        assert s.counters["fixes_accepted"] == 1
+        assert s.counters.get("solves_shed", 0) == 0
+        assert s.counters["solves_transient_failures"] == 0
+        assert snap.breaker_state == CircuitBreaker.CLOSED
+        assert s.breaker.consecutive_failures == 0
+
+    def test_short_windows_are_skipped_before_the_script(self):
+        # Too few RSS rows or IMU samples: the stub's sufficiency rule
+        # refuses before a script entry is taken, as the real one does.
+        s = scripted_session(["ok"])
+        imu = ImuTrace([ImuSample(0.5 + 0.1 * i, 0.5, 0.0, 0.0)
+                        for i in range(4)])
+        s.ingest([RssiSample(0.8, -60.0, "b", 37)])
+        step_session(s, 1.0, imu)  # one RSS row
+        s.ingest([RssiSample(1.2 + 0.1 * i, -60.0, "b", 37)
+                  for i in range(3)])
+        step_session(s, 2.0, ImuTrace(imu.samples[:1]))  # one IMU sample
+        assert s.pipeline.calls == 0
+        assert s.counters["solves_skipped_nodata"] == 2
+        feed(s, 3.0)
+        assert s.pipeline.calls == 1 == s.counters["fixes_accepted"]
 
     def test_goes_stale_then_lost_and_drops_track(self):
         s = scripted_session(
-            ["ok", "transient"],
+            ["ok", "failed"],
             health=HealthConfig(stale_after_s=3.0, lost_after_s=10.0),
         )
         feed(s, 1.0)
         assert s.tracker.initialized
-        # Solves keep failing transiently; fix age climbs.
+        # No IMU: every window is short of data; fix age climbs.
         snap = step_session(s, 5.0, ImuTrace([]))
         assert snap.state == SessionState.STALE
         assert snap.track is not None  # still coasting
@@ -608,7 +651,7 @@ class TestTrackingSession:
 
 class TestSessionCheckpoint:
     def test_roundtrip_resumes_bit_identical(self):
-        script = ["ok", "transient", "ok", "degenerate", "ok"]
+        script = ["ok", "failed", "ok", "degenerate", "ok"]
         full = scripted_session(script)
         part = scripted_session(script)
         for k in range(1, 5):
@@ -637,10 +680,7 @@ class TestSessionCheckpoint:
 
 def service_with_stub(script=("ok",), **kwargs):
     cfg = ServiceConfig(
-        session=SessionConfig(
-            solve_period_s=1.0, min_imu_samples=2,
-            backoff=BackoffConfig(jitter_frac=0.0),
-        ),
+        session=SessionConfig(solve_period_s=1.0),
         **kwargs,
     )
     return TrackingService(
@@ -723,7 +763,7 @@ class TestTrackingService:
             ServiceConfig(imu_window_s=75.0)
 
     def test_checkpoint_roundtrip_bit_identical(self):
-        script = ["ok", "transient", "ok"]
+        script = ["ok", "failed", "ok"]
         full = service_with_stub(script)
         part = service_with_stub(script)
         for k in range(1, 4):
@@ -787,6 +827,88 @@ class TestServiceRealPipeline:
         a = svc.tick_batch(float(t_end + 1))["b"]
         b = resumed.tick_batch(float(t_end + 1))["b"]
         assert (a.t, a.state, a.track) == (b.t, b.state, b.track)
+
+
+# -- one sufficiency rule ------------------------------------------------------
+
+
+class TestSufficiencyRule:
+    """A window short of data is the pipeline's call and a skip, not a
+    solve failure; the breaker is the session's one hold-back."""
+
+    def test_standstill_start_is_skipped_until_the_walk_moves(self):
+        from repro import obs
+        from repro.sim.simulator import BeaconSpec, Simulator
+        from repro.world.scenarios import scenario
+        from repro.world.trajectory import Trajectory, l_shape
+
+        still_s = 5.0
+        sc = scenario(1)
+        walk = l_shape(sc.observer_start, sc.observer_heading_rad,
+                       leg1=2.8, leg2=2.2, t0=still_s)
+        walk = Trajectory([sc.observer_start] + walk.waypoints,
+                          [0.0] + walk.times)
+        rec = Simulator(sc.floorplan, np.random.default_rng(5)).simulate(
+            walk, [BeaconSpec("b", position=sc.beacon_position)])
+        scans = rec.rssi_traces["b"].samples
+        imu = rec.observer_imu.trace.samples
+        svc = TrackingService(ServiceConfig(
+            session=SessionConfig(solve_period_s=1.0)))
+        ring = obs.add_sink(obs.RingBufferSink())
+        try:
+            snaps = []
+            for k in range(1, math.ceil(walk.times[-1]) + 1):
+                t = float(k)
+                svc.ingest_scans(
+                    [s for s in scans if t - 1.0 <= s.timestamp < t])
+                svc.ingest_imu(
+                    [s for s in imu if t - 1.0 <= s.timestamp < t])
+                snaps.append(svc.tick_batch(t)["b"])
+        finally:
+            obs.remove_sink(ring)
+        session = svc.sessions["b"]
+        skips = [e.fields for e in ring.tail()
+                 if e.name == "service.solves_skipped_nodata"]
+        assert [f["t"] for f in skips] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all("barely moved" in f["reason"] for f in skips)
+        assert session.counters["solves_transient_failures"] == 0
+        assert session.counters["solves_degenerate"] == 0
+        assert session.counters["solves_shed"] == 0
+        assert all(s.breaker_state == CircuitBreaker.CLOSED for s in snaps)
+        fixed = [s.t for s in snaps if s.estimate is not None]
+        assert fixed[0] == still_s + 1.0  # the first due tick after moving
+
+    def test_legacy_checkpoint_drops_the_pending_backoff(self):
+        # A checkpoint written while sessions had a retry backoff, mid
+        # delay: the delay is dropped and the session solves at its next
+        # due tick, exactly as a session that never had one.
+        script = ["ok", "failed", "failed", "ok"]
+        full = scripted_session(script)
+        part = scripted_session(script)
+        for k in range(1, 4):
+            feed(full, float(k))
+            feed(part, float(k))
+        cp = json.loads(json.dumps(part.checkpoint()))
+        cp["config"].update(
+            min_imu_samples=16,
+            backoff={"base_s": 1.0, "factor": 2.0, "max_s": 30.0,
+                     "jitter_frac": 0.1})
+        cp["backoff"] = {"format": 1, "key": "b", "attempt": 3,
+                         "next_ready_t": 3.0 + 4.0}
+        resumed = TrackingSession.restore(
+            cp, pipeline_factory=lambda: ScriptedPipeline(script[3:]))
+        assert resumed.config == full.config
+        assert "backoff" not in resumed.checkpoint()
+        a, b = feed(full, 4.0), feed(resumed, 4.0)
+        assert b.estimate is not None and b.t == 4.0
+        assert snapshot_key(a) == snapshot_key(b)
+        assert resumed.counters == full.counters
+
+    def test_config_from_dict_drops_the_retired_keys(self):
+        d = SessionConfig(window_s=30.0).to_dict()
+        assert "backoff" not in d and "min_imu_samples" not in d
+        legacy = dict(d, min_imu_samples=2, backoff={"base_s": 1.0})
+        assert SessionConfig.from_dict(legacy) == SessionConfig(window_s=30.0)
 
 
 # -- one observer track per tick ---------------------------------------------

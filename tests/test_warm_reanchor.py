@@ -22,6 +22,7 @@ from repro.core.pipeline import LocBLE
 from repro.imu.sensors import ImuSynthesizer
 from repro.motion.deadreckoning import MotionTracker
 from repro.service import SessionConfig, TrackingSession
+from repro.service.session import ImuTick
 from repro.types import ImuTrace, RssiSample, Vec2
 from repro.world.trajectory import Trajectory, l_shape, straight_walk
 
@@ -146,11 +147,15 @@ class _TurningSession:
         self.session.ingest(samples)
 
     def solve(self, t):
-        pending = self.session.begin_step(t, self.imu)
+        pending = self.session.begin_step(t, ImuTick(self.imu, t))
         fit = fit_batch([pending.request], return_exceptions=True)[0]
         self.session.resolve_solve(pending, fit)
         self.session.finish_step(t)
         return pending, fit
+
+    def tick2(self):
+        """The IMU as the second solve's tick sees it."""
+        return ImuTick(self.imu, self.t2)
 
     def truth_in_window(self, t):
         """The beacon in the frame of the window that ends at ``t``."""
@@ -182,7 +187,7 @@ class TestSlidingWindowSession:
         exact = run.truth_in_window(run.t1)
         run.session._warm = dataclasses.replace(
             run.session._warm, x=exact.x, h=exact.y)
-        pending = run.session.begin_step(run.t2, run.imu)
+        pending = run.session.begin_step(run.t2, run.tick2())
         seed = Vec2(pending.request.warm.x, pending.request.warm.h)
         truth = run.truth_in_window(run.t2)
         assert seed.distance_to(truth) < 0.5
@@ -194,7 +199,7 @@ class TestSlidingWindowSession:
         does not, and the warm fit is accepted."""
         run = _TurningSession(lag_s=2.0)
         _pending, first = run.solve(run.t1)
-        pending = run.session.begin_step(run.t2, run.imu)
+        pending = run.session.begin_step(run.t2, run.tick2())
         warm = pending.request.warm
         assert warm.ref_t == run.session._warm.ref_t
         cold = fit_batch([dataclasses.replace(pending.request, warm=None)])[0]
@@ -209,7 +214,7 @@ class TestSlidingWindowSession:
         run = _TurningSession(lag_s=3.0)
         run.solve(run.t1)
         stored = run.session._warm
-        pending = run.session.begin_step(run.t2, run.imu)
+        pending = run.session.begin_step(run.t2, run.tick2())
         assert pending.prepared.ctx.observer_track.times[0] > stored.ref_t
         assert pending.request.warm == stored
 
@@ -227,8 +232,8 @@ class TestCheckpoint:
         restored = TrackingSession.restore(
             cp, pipeline_factory=run.session._pipeline_factory)
         assert restored._warm == run.session._warm
-        want = run.session.begin_step(run.t2, run.imu).request.warm
-        got = restored.begin_step(run.t2, run.imu).request.warm
+        want = run.session.begin_step(run.t2, run.tick2()).request.warm
+        got = restored.begin_step(run.t2, run.tick2()).request.warm
         assert got == want and got != run.session._warm
 
     def test_checkpoint_without_pose_seeds_unshifted(self):
@@ -241,7 +246,7 @@ class TestCheckpoint:
         restored = TrackingSession.restore(
             cp, pipeline_factory=run.session._pipeline_factory)
         assert all(getattr(restored._warm, k) is None for k in _POSE_FIELDS)
-        pending = restored.begin_step(run.t2, run.imu)
+        pending = restored.begin_step(run.t2, run.tick2())
         assert pending.request.warm == restored._warm
 
     def test_non_finite_pose_seeds_unshifted(self):
@@ -250,5 +255,5 @@ class TestCheckpoint:
         cp["warm"]["ref_heading"] = math.inf
         restored = TrackingSession.restore(
             cp, pipeline_factory=run.session._pipeline_factory)
-        pending = restored.begin_step(run.t2, run.imu)
+        pending = restored.begin_step(run.t2, run.tick2())
         assert pending.request.warm == restored._warm
