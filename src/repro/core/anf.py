@@ -7,27 +7,102 @@ raw readings back in, riding the Butterworth trend while staying responsive
 (the "BF + AKF" curve hugging the theoretical one).
 
 Both stages can be disabled independently for the Fig. 4/5 ablations.
+
+The paper runs ANF over the phone's live RSS stream. A serving session does
+the same through :meth:`AdaptiveNoiseFilter.stream`: each sample is
+filtered once, when a solve window first holds it, and later windows reuse
+its filtered value; the filter state that carries over (:class:`AnfState`)
+lives in the session's checkpoint (:class:`AnfStream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import perf
+from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError
-from repro.filters.butterworth import ButterworthLowPass
-from repro.filters.kalman import adaptive_kalman_fuse
+from repro.filters.butterworth import ButterworthLowPass, sos_filter
+from repro.filters.kalman import AkfState, adaptive_kalman_fuse
 from repro.filters.smoothing import moving_average
 from repro.robustness.sanitize import check_trace, robust_rate_hz
 from repro.types import RssiTrace
 
-__all__ = ["AdaptiveNoiseFilter"]
+__all__ = ["AdaptiveNoiseFilter", "AnfState", "AnfStream", "RATE_BAND"]
 
 #: Below this many samples the Butterworth warm-up dominates; pass through.
 _MIN_FILTER_SAMPLES = 6
+
+#: A carried stream keeps its filter while the window's sampling rate stays
+#: within this fraction of the rate the filter was designed for.
+RATE_BAND = 0.05
+
+
+@dataclass(frozen=True)
+class AnfState:
+    """The ANF's filter state after the last sample it filtered.
+
+    ``zi`` holds the Butterworth sections' ``z1``/``z2`` (``None`` at rest
+    or without that stage), ``akf`` the fusion's :class:`AkfState`. The
+    default is rest.
+    """
+
+    zi: Optional[np.ndarray] = None
+    akf: AkfState = field(default_factory=AkfState)
+
+    @property
+    def at_rest(self) -> bool:
+        return self.zi is None and self.akf.x is None
+
+
+@dataclass(frozen=True)
+class AnfStream:
+    """One session's ANF stream over its newest solve window.
+
+    ``t``/``raw`` are the sanitized samples of the window's active segment,
+    ``out`` their filtered values, ``fs_hz`` the rate the filter was
+    designed for and ``state`` the filter state after ``t[-1]``. The next
+    window keeps ``out`` for the samples it shares and advances ``state``
+    over the newer ones only (:meth:`AdaptiveNoiseFilter.stream`).
+    """
+
+    fs_hz: float
+    t: np.ndarray
+    raw: np.ndarray
+    out: np.ndarray
+    state: AnfState
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe form; floats round-trip bit-exactly through JSON."""
+        akf = self.state.akf
+        return {
+            "fs_hz": self.fs_hz,
+            "t": self.t.tolist(),
+            "raw": self.raw.tolist(),
+            "out": self.out.tolist(),
+            "zi": None if self.state.zi is None else self.state.zi.tolist(),
+            "akf": None if akf.x is None else {
+                "x": akf.x, "p": akf.p, "r": akf.r,
+                "innovations": list(akf.innovations), "prev_s": akf.prev_s,
+            },
+        }
+
+
+def _finite(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataQualityError(f"ANF stream {what} is not a number: {value!r}")
+    out = float(value)
+    if not np.isfinite(out):
+        raise DataQualityError(f"ANF stream {what} must be finite, got {out!r}")
+    return out
+
+
+def _vector(value: Any, what: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise DataQualityError(f"ANF stream {what} must be a list")
+    return np.array([_finite(v, what) for v in value], dtype=float)
 
 
 @dataclass
@@ -45,8 +120,20 @@ class AdaptiveNoiseFilter:
         if not self.cutoff_hz > 0:  # also refuses NaN
             raise ConfigurationError("cutoff_hz must be positive")
 
+    def _butterworth_fits(self, n: int, fs_hz: float) -> bool:
+        """Does an ``n``-sample signal take the Butterworth path at
+        ``fs_hz``? The 6th-order design needs a few cutoff periods of
+        signal to be worth its group delay; on shorter segments (e.g. right
+        after a regression restart) a moving average stands in."""
+        return n >= 3.0 * fs_hz / min(self.cutoff_hz, 0.4 * fs_hz)
+
     @perf.profiled("anf.AdaptiveNoiseFilter.apply")
-    def apply(self, values: Sequence[float], fs_hz: float) -> np.ndarray:
+    def apply(
+        self,
+        values: Sequence[float],
+        fs_hz: float,
+        state: Optional[AnfState] = None,
+    ) -> Union[np.ndarray, Tuple[np.ndarray, Optional[AnfState]]]:
         """Filter one RSS value sequence sampled near ``fs_hz``.
 
         The Butterworth cutoff is capped below Nyquist for low sampling
@@ -54,10 +141,21 @@ class AdaptiveNoiseFilter:
         recursive, so one non-finite reading would poison every output
         after it; such input raises :class:`~repro.errors.DataQualityError`
         naming the first bad index instead.
+
+        With ``state`` the filter continues from that :class:`AnfState`
+        and returns ``(filtered, state_after)``; ``AnfState()`` is rest,
+        which filters exactly as the stateless call does. A started state
+        advances over any number of new samples at the rate it was
+        designed for, so ``fs_hz`` must be that rate; splitting a signal
+        into chunks, each chunk's state handed to the next, filters it
+        bit-identically. From rest, a signal too short for the Butterworth
+        path gets the moving-average fallback (or passes through), which
+        carries no state: ``state_after`` is ``None``.
         """
         values = np.asarray(values, dtype=float)
-        if values.size < _MIN_FILTER_SAMPLES:
-            return values.copy()
+        started = state is not None and not state.at_rest
+        if values.size < _MIN_FILTER_SAMPLES and not started:
+            return values.copy() if state is None else (values.copy(), None)
         finite = np.isfinite(values)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -68,36 +166,145 @@ class AdaptiveNoiseFilter:
         if not np.isfinite(fs_hz) or fs_hz <= 0:
             raise ConfigurationError("fs_hz must be positive and finite")
 
-        smoothed = values
+        stateful = state is not None
+        smoothed, zf, carries = values, None, True
         if self.use_butterworth:
             cutoff = min(self.cutoff_hz, 0.4 * fs_hz)
-            # The 6th-order design needs a few cutoff periods of signal to
-            # be worth its group delay; on shorter segments (e.g. right
-            # after a regression restart) fall back to a moving average.
-            if values.size >= 3.0 * fs_hz / cutoff:
+            if started or self._butterworth_fits(values.size, fs_hz):
                 bf = ButterworthLowPass(
                     order=self.order, cutoff_hz=cutoff, fs_hz=fs_hz
                 )
-                smoothed = bf.apply(values)
+                if not stateful:
+                    smoothed = bf.apply(values)
+                else:
+                    zi = state.zi if started else bf.rest_state(values[0])
+                    smoothed, zf = sos_filter(bf.sos, values, zi)
             else:
                 window = max(3, int(round(fs_hz / (2.0 * cutoff))))
                 smoothed = moving_average(values, window)
+                carries = False
+        akf = state.akf if stateful else None
         if self.use_akf:
-            if self.use_butterworth:
-                return adaptive_kalman_fuse(
-                    values,
-                    smoothed,
-                    process_var=self.akf_process_var,
-                    initial_measurement_var=self.akf_measurement_var,
-                )
             # AKF without a trend input degenerates to an adaptive scalar KF.
-            return adaptive_kalman_fuse(
-                values,
-                values * 0.0,
-                process_var=self.akf_process_var,
-                initial_measurement_var=self.akf_measurement_var,
-            )
-        return smoothed
+            trend = smoothed if self.use_butterworth else values * 0.0
+            variances = dict(process_var=self.akf_process_var,
+                             initial_measurement_var=self.akf_measurement_var)
+            if not stateful:
+                return adaptive_kalman_fuse(values, trend, **variances)
+            smoothed, akf = adaptive_kalman_fuse(values, trend, state=akf,
+                                                 **variances)
+        if not stateful:
+            return smoothed
+        return smoothed, AnfState(zi=zf, akf=akf) if carries else None
+
+    def stream(
+        self,
+        ts: np.ndarray,
+        values: np.ndarray,
+        fs_hz: float,
+        carried: Optional[AnfStream],
+        restart: bool = False,
+    ) -> Tuple[np.ndarray, Optional[AnfStream]]:
+        """Filter one solve window's active segment as part of a stream.
+
+        ``ts``/``values`` are the segment's sanitized samples and ``fs_hz``
+        the window's rate. Samples the window shares with ``carried`` keep
+        their filtered values, and :meth:`apply` advances the carried state
+        over the newer samples only. The segment is filtered from rest, and
+        the stream rebuilt from it, when ``restart`` is set (an environment
+        restart cut the window), when the segment is too short for the
+        Butterworth path, when nothing is carried, when ``fs_hz`` has left
+        :data:`RATE_BAND` around the carried design rate, or when the
+        window's already-filtered samples are not exactly the carried ones
+        from the window's first sample on (a straggler inserted behind the
+        frontier, or a sample sanitizing dropped or collapsed there). Each
+        reset is one ``pipeline.anf_resets`` signal with its ``reason``.
+        Returns the filtered segment and the advanced stream (``None`` when
+        the filter carries no state, see :meth:`apply`).
+        """
+        if restart:
+            reason = "env-restart"
+        elif values.size < _MIN_FILTER_SAMPLES or (
+                self.use_butterworth
+                and not self._butterworth_fits(values.size, fs_hz)):
+            reason = "short-window"
+        elif carried is None:
+            reason = "no-state"
+        elif abs(fs_hz - carried.fs_hz) > RATE_BAND * carried.fs_hz:
+            reason = "rate-band"
+        else:
+            # Carried samples before the window's first one have aged out.
+            first = int(np.searchsorted(carried.t, ts[0]))
+            shared = carried.t.size - first
+            reason = None if (
+                0 < shared <= ts.size
+                and np.array_equal(carried.t[first:], ts[:shared])
+                and np.array_equal(carried.raw[first:], values[:shared])
+            ) else "prefix"
+        if reason is None:
+            fs_hz = carried.fs_hz
+            new, state = self.apply(values[shared:], fs_hz,
+                                    state=carried.state)
+            out = np.concatenate([carried.out[first:], new])
+        else:
+            obs.signal("pipeline.anf_resets", severity="debug", reason=reason)
+            out, state = self.apply(values, fs_hz, state=AnfState())
+        if state is None:
+            return out, None
+        return out, AnfStream(fs_hz, ts, values, out, state)
+
+    def restore_stream(self, d: Any) -> Optional[AnfStream]:
+        """Rebuild a stream from :meth:`AnfStream.to_dict` output.
+
+        ``None`` restores as no stream. Anything else must match this
+        filter's stages (Butterworth section count, AKF present) or the
+        checkpoint is malformed: :class:`~repro.errors.DataQualityError`.
+        """
+        if d is None:
+            return None
+        if not isinstance(d, dict):
+            raise DataQualityError("ANF stream must be an object")
+        try:
+            fs_hz = _finite(d["fs_hz"], "fs_hz")
+            t, raw, out = (_vector(d[k], k) for k in ("t", "raw", "out"))
+            zi_rows, akf = d["zi"], d["akf"]
+        except KeyError as exc:
+            raise DataQualityError(f"ANF stream lacks {exc}") from exc
+        if fs_hz <= 0:
+            raise DataQualityError("ANF stream fs_hz must be positive")
+        if not (t.size == raw.size == out.size > 0) or np.any(np.diff(t) < 0):
+            raise DataQualityError(
+                "ANF stream t/raw/out must be equally long, non-empty and "
+                "sorted by t")
+        zi = None
+        if self.use_butterworth:
+            sections = (self.order + 1) // 2
+            if not (isinstance(zi_rows, list) and len(zi_rows) == sections):
+                raise DataQualityError(
+                    f"ANF stream zi must hold {sections} section states")
+            rows = [_vector(row, "zi") for row in zi_rows]
+            if any(row.size != 2 for row in rows):
+                raise DataQualityError("ANF stream zi rows must be pairs")
+            zi = np.array(rows)
+        elif zi_rows is not None:
+            raise DataQualityError("ANF stream has zi without a Butterworth stage")
+        akf_state = AkfState()
+        if self.use_akf:
+            if not isinstance(akf, dict):
+                raise DataQualityError("ANF stream akf must be an object")
+            try:
+                innovations = _vector(akf["innovations"], "innovations")
+                akf_state = AkfState(
+                    _finite(akf["x"], "x"), _finite(akf["p"], "p"),
+                    _finite(akf["r"], "r"), tuple(innovations.tolist()),
+                    _finite(akf["prev_s"], "prev_s"))
+            except KeyError as exc:
+                raise DataQualityError(f"ANF stream akf lacks {exc}") from exc
+            if akf_state.r <= 0:
+                raise DataQualityError("ANF stream akf r must be positive")
+        elif akf is not None:
+            raise DataQualityError("ANF stream has akf without an AKF stage")
+        return AnfStream(fs_hz, t, raw, out, AnfState(zi=zi, akf=akf_state))
 
     def apply_trace(self, trace: RssiTrace) -> RssiTrace:
         """Convenience: filter a trace in place of its RSSI values.

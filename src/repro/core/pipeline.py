@@ -23,7 +23,7 @@ import numpy as np
 
 from repro import obs, perf
 from repro.channel.pathloss import distance_for_rss
-from repro.core.anf import AdaptiveNoiseFilter
+from repro.core.anf import AdaptiveNoiseFilter, AnfStream
 from repro.core.confidence import estimation_confidence
 from repro.core.envaware import EnvAwareClassifier, EnvironmentMonitor
 from repro.core.estimator import (
@@ -74,6 +74,9 @@ class EstimationContext:
     from ``segment_start_index`` (the last confirmed environment change, or
     0) to the end of the sanitized trace, with the RSS ANF-filtered.
 
+    ``anf_stream`` is the session's ANF stream advanced over this window
+    (:meth:`LocBLE.prepare_estimate`; ``None`` for a stateless estimate).
+
     ``observer_track`` is the dead-reckoned walk whose frame the rows live
     in (``None`` in moving-target mode, where the frame also moves with
     the target) and ``ref_t`` the newest matched RSS time: a fit's warm
@@ -91,6 +94,7 @@ class EstimationContext:
     sanitization: Optional[SanitizationReport] = None
     observer_track: Optional[MotionTrack] = None
     ref_t: float = math.nan
+    anf_stream: Optional[AnfStream] = None
 
     def reanchor(self, warm: Optional[WarmStartState]
                  ) -> Optional[WarmStartState]:
@@ -128,11 +132,17 @@ class PreparedEstimate:
     :class:`~repro.core.estimator.FitResult` goes back through
     :meth:`LocBLE.complete_estimate`. ``estimator`` is already
     environment-resolved, so the batched solve applies exactly the priors a
-    sequential :meth:`LocBLE.estimate` would.
+    sequential :meth:`LocBLE.estimate` would. ``anf_stream`` is the
+    caller's ANF stream advanced over this window, for it to carry to the
+    next one.
     """
 
     ctx: EstimationContext
     estimator: EllipticalEstimator
+
+    @property
+    def anf_stream(self) -> Optional[AnfStream]:
+        return self.ctx.anf_stream
 
     def request(self, warm: Optional[WarmStartState] = None) -> FitRequest:
         """The solve request, ``warm`` re-anchored into this window's frame
@@ -225,6 +235,7 @@ class LocBLE:
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace] = None,
         tracks: Optional[TrackMemo] = None,
+        anf_stream: Optional[AnfStream] = None,
     ) -> PreparedEstimate:
         """Run every pipeline stage up to (but not including) the solve.
 
@@ -239,9 +250,17 @@ class LocBLE:
         :meth:`~repro.core.estimator.EllipticalEstimator.check_sufficient`)
         raises :class:`~repro.errors.InsufficientDataError` here, so its
         request never joins a batch.
+
+        Noise filtering runs as a stream (:meth:`AdaptiveNoiseFilter.stream
+        <repro.core.anf.AdaptiveNoiseFilter.stream>`): ``anf_stream``, the
+        one the caller carried from its previous window, is advanced over
+        this window's new samples and handed back as
+        :attr:`PreparedEstimate.anf_stream`. Without one the window is
+        filtered from rest, exactly as :meth:`estimate` filters it.
         """
         ctx = self._build_context(rssi_trace, observer_imu, target_imu,
-                                  tracks=tracks)
+                                  tracks=tracks, carry_anf=True,
+                                  anf_stream=anf_stream)
         return PreparedEstimate(ctx=ctx, estimator=self._resolve_estimator(ctx))
 
     def complete_estimate(
@@ -403,6 +422,8 @@ class LocBLE:
         observer_imu: ImuTrace,
         target_imu: Optional[ImuTrace],
         tracks: Optional[TrackMemo] = None,
+        carry_anf: bool = False,
+        anf_stream: Optional[AnfStream] = None,
     ) -> EstimationContext:
         report: Optional[SanitizationReport] = None
         if self.sanitize == "repair":
@@ -461,14 +482,20 @@ class LocBLE:
 
         # Step 3b — adaptive noise filtering on the active regression
         # segment only: filtering across an environment change would smear
-        # the pre-change RSS level into the fresh regression's data.
-        fs = robust_rate_hz(ts)
+        # the pre-change RSS level into the fresh regression's data. A
+        # repaired window's report already holds the same rate.
+        fs = robust_rate_hz(ts) if report is None else report.rate_hz
         if fs <= 0:
             raise DataQualityError(
                 "trace timestamps span zero duration; cannot derive a "
                 "sampling rate for noise filtering"
             )
-        filtered = self.anf.apply(raw_rss[seg_start:], fs)
+        if carry_anf:
+            filtered, anf_stream = self.anf.stream(
+                ts[seg_start:], raw_rss[seg_start:], fs, anf_stream,
+                restart=seg_start > 0)
+        else:
+            filtered = self.anf.apply(raw_rss[seg_start:], fs)
 
         return EstimationContext(
             matched_p=p[seg_start:],
@@ -480,6 +507,7 @@ class LocBLE:
             sanitization=report,
             observer_track=observer_track if target_track is None else None,
             ref_t=float(ts[-1]),
+            anf_stream=anf_stream,
         )
 
     @staticmethod

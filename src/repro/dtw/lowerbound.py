@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigurationError
 
@@ -23,7 +23,8 @@ __all__ = ["envelope", "lb_keogh"]
 def envelope(target: Sequence[float], window: int) -> Tuple[np.ndarray, np.ndarray]:
     """Upper/lower running min-max envelope with half-width ``window``.
 
-    Computed with C-level sliding min/max filters: the whole point of
+    A max/min over NumPy's sliding windows of the edge-padded target
+    (the edge value stands in beyond either end): the whole point of
     LB_Keogh is to be orders of magnitude cheaper than the DTW it guards.
     """
     target = np.asarray(target, dtype=float)
@@ -31,10 +32,9 @@ def envelope(target: Sequence[float], window: int) -> Tuple[np.ndarray, np.ndarr
         raise ConfigurationError("target must be a non-empty 1-D sequence")
     if window < 0:
         raise ConfigurationError("window must be non-negative")
-    size = 2 * window + 1
-    upper = maximum_filter1d(target, size=size, mode="nearest")
-    lower = minimum_filter1d(target, size=size, mode="nearest")
-    return upper, lower
+    windows = sliding_window_view(np.pad(target, window, mode="edge"),
+                                  2 * window + 1)
+    return windows.max(axis=1), windows.min(axis=1)
 
 
 def lb_keogh(

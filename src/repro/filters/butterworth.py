@@ -14,9 +14,10 @@ The design is validated against ``scipy.signal.butter`` in the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,20 +95,35 @@ def butter_lowpass_sos(order: int, cutoff_hz: float, fs_hz: float) -> np.ndarray
     return sos
 
 
-def sos_filter(sos: np.ndarray, x: Sequence[float]) -> np.ndarray:
+def sos_filter(
+    sos: np.ndarray, x: Sequence[float], zi: Optional[np.ndarray] = None
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Causal filtering through cascaded biquads (direct form II transposed).
 
     The recurrence runs over Python floats: the same IEEE operations in the
     same order as over NumPy scalars, without their per-operation overhead.
+
+    With ``zi`` (shape ``(n_sections, 2)``: each section's ``z1``/``z2``)
+    the cascade starts from that state instead of rest and returns
+    ``(y, zf)``, ``zf`` its state after the last sample. Feeding each
+    chunk's ``zf`` to the next chunk as ``zi`` filters a signal in pieces
+    bit-identically to filtering it whole; zero ``zi`` is rest.
     """
     sos = np.asarray(sos, dtype=float)
     if sos.ndim != 2 or sos.shape[1] != 6:
         raise ConfigurationError("sos must have shape (n_sections, 6)")
+    if zi is None:
+        states = [(0.0, 0.0)] * len(sos)
+    else:
+        zi = np.asarray(zi, dtype=float)
+        if zi.shape != (len(sos), 2):
+            raise ConfigurationError("zi must have shape (n_sections, 2)")
+        states = zi.tolist()
     y = np.asarray(x, dtype=float).tolist()
-    for b0, b1, b2, a0, a1, a2 in sos.tolist():
+    zf = []
+    for (b0, b1, b2, a0, a1, a2), (z1, z2) in zip(sos.tolist(), states):
         if abs(a0 - 1.0) > 1e-12:
             b0, b1, b2, a1, a2 = b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0
-        z1 = z2 = 0.0
         out = []
         for xi in y:
             yi = b0 * xi + z1
@@ -115,7 +131,19 @@ def sos_filter(sos: np.ndarray, x: Sequence[float]) -> np.ndarray:
             z2 = b2 * xi - a2 * yi
             out.append(yi)
         y = out
-    return np.array(y, dtype=float)
+        zf.append((z1, z2))
+    if zi is None:
+        return np.array(y, dtype=float)
+    return np.array(y, dtype=float), np.array(zf, dtype=float)
+
+
+@functools.lru_cache(maxsize=64)
+def _designed(order: int, cutoff_hz: float, fs_hz: float) -> np.ndarray:
+    """:func:`butter_lowpass_sos`, designed once per parameter set (a
+    stream's filter keeps its design across solves) and read-only."""
+    sos = butter_lowpass_sos(order, cutoff_hz, fs_hz)
+    sos.flags.writeable = False
+    return sos
 
 
 @dataclass
@@ -133,11 +161,16 @@ class ButterworthLowPass:
     fs_hz: float = 9.0
 
     def __post_init__(self) -> None:
-        self._sos = butter_lowpass_sos(self.order, self.cutoff_hz, self.fs_hz)
+        self._sos = _designed(self.order, self.cutoff_hz, self.fs_hz)
 
     @property
     def sos(self) -> np.ndarray:
         return self._sos.copy()
+
+    @property
+    def warmup(self) -> int:
+        """Samples of the first value :meth:`apply` runs in before a signal."""
+        return max(8 * self.order, int(round(8.0 * self.fs_hz / self.cutoff_hz)))
 
     def apply(self, x: Sequence[float]) -> np.ndarray:
         """Filter a whole signal causally, with step-free start-up.
@@ -149,6 +182,14 @@ class ButterworthLowPass:
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return x.copy()
-        warmup = max(8 * self.order, int(round(8.0 * self.fs_hz / self.cutoff_hz)))
-        padded = np.concatenate([np.full(warmup, x[0]), x])
-        return sos_filter(self._sos, padded)[warmup:]
+        padded = np.concatenate([np.full(self.warmup, x[0]), x])
+        return sos_filter(self._sos, padded)[self.warmup:]
+
+    def rest_state(self, x0: float) -> np.ndarray:
+        """The section states after :meth:`apply`'s warm-up run of ``x0``.
+
+        ``sos_filter(sos, x, rest_state(x[0]))`` is ``(apply(x), zf)``, bit
+        for bit: the stream form of :meth:`apply`.
+        """
+        run = np.full(self.warmup, float(x0))
+        return sos_filter(self._sos, run, np.zeros((len(self._sos), 2)))[1]

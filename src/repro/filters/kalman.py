@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ScalarKalman", "AdaptiveKalman", "adaptive_kalman_fuse"]
+__all__ = ["ScalarKalman", "AdaptiveKalman", "AkfState", "adaptive_kalman_fuse"]
 
 
 def _numpy_sum(xs: List[float]) -> float:
@@ -180,18 +180,40 @@ class AdaptiveKalman:
         return self.x
 
 
+@dataclass(frozen=True)
+class AkfState:
+    """The BF+AKF fusion's carried state after its last sample.
+
+    The filter's ``x``/``p``, its adapted ``r``, the innovation window
+    and the previous smoothed input (the next control is the smoothed
+    signal's increment from it). The default is rest: nothing seen yet.
+    """
+
+    x: Optional[float] = None
+    p: float = 0.0
+    r: float = 0.0
+    innovations: Tuple[float, ...] = ()
+    prev_s: Optional[float] = None
+
+
 def adaptive_kalman_fuse(
     raw: Sequence[float],
     smoothed: Sequence[float],
     process_var: float = 0.05,
     initial_measurement_var: float = 4.0,
     window: int = 12,
-) -> np.ndarray:
+    state: Optional[AkfState] = None,
+) -> Union[np.ndarray, Tuple[np.ndarray, AkfState]]:
     """Fuse raw RSS with a (delayed) smoothed version — the paper's BF+AKF.
 
     The control input at step i is the smoothed signal's increment, so the
     state rides the Butterworth trend while raw measurements pull it back to
     the present. Returns the fused signal, same length as the inputs.
+
+    With ``state`` the fusion continues from that :class:`AkfState`
+    (``AkfState()`` is rest) and returns ``(fused, state_after)``: fusing
+    a signal in chunks, each chunk's state handed to the next, is
+    bit-identical to fusing it whole.
     """
     raw = np.asarray(raw, dtype=float)
     smoothed = np.asarray(smoothed, dtype=float)
@@ -202,10 +224,21 @@ def adaptive_kalman_fuse(
         initial_measurement_var=initial_measurement_var,
         window=window,
     )
-    out = []
     prev_s: Optional[float] = None
+    if state is not None and state.x is not None:
+        akf.x, akf.p, akf._r = state.x, state.p, state.r
+        akf._innovations = list(state.innovations)
+        akf._initialized = True
+        prev_s = state.prev_s
+    out = []
     for z, s in zip(raw.tolist(), smoothed.tolist()):
         control = 0.0 if prev_s is None else s - prev_s
         out.append(akf.step(z, control=control))
         prev_s = s
-    return np.array(out, dtype=float)
+    fused = np.array(out, dtype=float)
+    if state is None:
+        return fused
+    if not akf._initialized:
+        return fused, state
+    return fused, AkfState(akf.x, akf.p, akf._r, tuple(akf._innovations),
+                           prev_s)

@@ -70,7 +70,15 @@ def robust_rate_hz(timestamps: np.ndarray) -> float:
     dt = dt[np.isfinite(dt) & (dt > 0.0)]
     if dt.size == 0:
         return 0.0
-    return float(1.0 / np.median(dt))
+    # np.median's value (its order statistics, the middle two averaged as
+    # np.mean adds them), without its per-call overhead.
+    k = dt.size // 2
+    if dt.size % 2:
+        median = float(np.partition(dt, k)[k])
+    else:
+        part = np.partition(dt, (k - 1, k))
+        median = (float(part[k - 1]) + float(part[k])) / 2.0
+    return 1.0 / median
 
 
 @dataclass(frozen=True)
@@ -141,13 +149,15 @@ def check_trace(
             return
         raise DataQualityError(f"{context} is empty; nothing to process")
     ts = trace.timestamps()
+    vals = trace.values()
+    if _clean_arrays(ts, vals, *RSSI_PLAUSIBLE_DBM):
+        return
     if not np.all(np.isfinite(ts)):
         bad = int(np.sum(~np.isfinite(ts)))
         raise DataQualityError(
             f"{context} contains {bad} non-finite timestamp(s); "
             "sanitize the log before processing"
         )
-    vals = trace.values()
     if not np.all(np.isfinite(vals)):
         bad = int(np.sum(~np.isfinite(vals)))
         raise DataQualityError(
@@ -159,6 +169,15 @@ def check_trace(
             f"{context} timestamps are not sorted; sort samples by time "
             "before estimation"
         )
+
+
+def _clean_arrays(ts: np.ndarray, vals: np.ndarray, lo: float,
+                  hi: float) -> bool:
+    """Does a window need no repair at all? One vectorized pass over its
+    arrays: finite timestamps, strictly increasing, and every reading
+    within ``[lo, hi]`` (which also makes it finite)."""
+    return bool(np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()
+                and ((vals >= lo) & (vals <= hi)).all())
 
 
 def sanitize_trace(
@@ -179,6 +198,10 @@ def sanitize_trace(
     5. detect dropout gaps (interval > ``gap_factor`` x median interval) and
        rate anomalies, recording them without altering the data.
 
+    A trace that needs none of steps 1–4 (one vectorized pass over its
+    arrays finds every value finite and plausible and the timestamps
+    strictly increasing) keeps its samples as they are; only step 5 runs.
+
     Returns the repaired trace and the :class:`SanitizationReport`. Never
     raises on dirty data — an unusably empty result is itself reported
     (``n_output == 0``) and left for the caller's policy to handle.
@@ -186,9 +209,15 @@ def sanitize_trace(
     if gap_factor <= 1.0:
         raise ConfigurationError("gap_factor must exceed 1.0")
     lo, hi = float(rssi_bounds[0]), float(rssi_bounds[1])
-    issues: List[str] = []
     n_input = len(trace)
     samples = list(trace.samples)
+    ts = trace.timestamps()
+    if _clean_arrays(ts, trace.values(), lo, hi):
+        # The common case: nothing to repair, so the samples pass as they
+        # are and only the observational findings remain to be made.
+        return RssiTrace(samples), _report(
+            ts, gap_factor, [], n_input=n_input, n_output=n_input)
+    issues: List[str] = []
 
     finite = [
         s for s in samples
@@ -232,7 +261,25 @@ def sanitize_trace(
         plausible = merged
 
     out = RssiTrace(plausible)
-    ts = out.timestamps()
+    report = _report(
+        out.timestamps(),
+        gap_factor,
+        issues,
+        n_input=n_input,
+        n_output=len(out),
+        n_nonfinite_dropped=n_nonfinite,
+        n_implausible_dropped=n_implausible,
+        n_duplicates_collapsed=n_duplicates,
+        was_sorted=was_sorted,
+    )
+    return out, report
+
+
+def _report(ts: np.ndarray, gap_factor: float, issues: List[str],
+            **repairs: object) -> SanitizationReport:
+    """The report on a sanitized window with timestamps ``ts``: the
+    ``repairs`` made and ``issues`` found so far, plus its dropout gaps
+    and sampling-rate findings."""
     gaps: List[Tuple[float, float]] = []
     rate = robust_rate_hz(ts)
     if ts.size >= 3 and rate > 0:
@@ -242,25 +289,18 @@ def sanitize_trace(
             gaps.append((float(ts[i]), float(ts[i + 1])))
         if gaps:
             issues.append(f"{len(gaps)} dropout gap(s) > {threshold:.2f} s")
-    rate_anomaly = len(out) >= 2 and not (
+    rate_anomaly = ts.size >= 2 and not (
         _PLAUSIBLE_RATE_HZ[0] <= rate <= _PLAUSIBLE_RATE_HZ[1]
     )
     if rate_anomaly:
         issues.append(f"anomalous sampling rate {rate:.2f} Hz")
-
-    report = SanitizationReport(
-        n_input=n_input,
-        n_output=len(out),
-        n_nonfinite_dropped=n_nonfinite,
-        n_implausible_dropped=n_implausible,
-        n_duplicates_collapsed=n_duplicates,
-        was_sorted=was_sorted,
+    return SanitizationReport(
         dropout_gaps=tuple(gaps),
         rate_hz=rate,
         rate_anomaly=rate_anomaly,
         issues=tuple(issues),
+        **repairs,
     )
-    return out, report
 
 
 def _collapse(group: List[RssiSample]) -> RssiSample:

@@ -7,7 +7,9 @@ against the stream-level pathologies real deployments exhibit — multi-minute
 scan gaps, standstill observers whose geometry cannot solve, solve storms
 after bursty loss. It owns:
 
-* a bounded, drop-oldest RSS buffer (:mod:`repro.service.buffers`);
+* a bounded, drop-oldest RSS buffer (:mod:`repro.service.buffers`), and
+  beside it the noise filter's stream over that buffer, so each sample is
+  filtered once (:class:`~repro.core.anf.AnfStream`);
 * the solve loop: periodic :class:`~repro.core.pipeline.LocBLE` regressions
   over a sliding window, skipped while the window lacks data and held back
   by a circuit breaker after repeated solve failures
@@ -38,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro import obs
+from repro.core.anf import AnfStream
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
 from repro.core.pipeline import LocBLE, PreparedEstimate
 from repro.core.tracking import BeaconTracker, TrackState
@@ -320,6 +323,7 @@ class TrackingSession:
         self.last_estimate: Optional[LocationEstimate] = None
         self._last_env_change_t: Optional[float] = None
         self._warm: Optional[WarmStartState] = None
+        self._anf: Optional[AnfStream] = None
         self.counters: Dict[str, int] = {
             "solves_attempted": 0,
             "solves_shed": 0,
@@ -443,7 +447,7 @@ class TrackingSession:
         try:
             prepared = self.pipeline.prepare_estimate(
                 self._window(t), imu.window(self.config.window_s),
-                tracks=imu.tracks)
+                tracks=imu.tracks, anf_stream=self._anf)
         except InsufficientDataError as exc:
             obs.signal("service.solves_skipped_nodata", ledger=self.counters,
                        severity="debug", beacon=self.beacon_id, t=t,
@@ -456,6 +460,7 @@ class TrackingSession:
         except BaseException:
             self.last_solve_t = t
             raise
+        self._anf = prepared.anf_stream
         request = prepared.request(warm=self._usable_warm(t))
         obs.signal("service.solves_attempted", ledger=self.counters,
                    severity="debug", beacon=self.beacon_id, t=t)
@@ -598,6 +603,16 @@ class TrackingSession:
             return False
         return est.confidence >= self.config.min_confidence
 
+    def _restore_anf(self, d: Any) -> Optional[AnfStream]:
+        if d is None:
+            return None
+        anf = getattr(self.pipeline, "anf", None)
+        if anf is None:
+            raise DataQualityError(
+                "session checkpoint carries a noise-filter stream, but its "
+                "pipeline has no noise filter")
+        return anf.restore_stream(d)
+
     # -- windows -------------------------------------------------------------
 
     def _age_out(self, t: float) -> None:
@@ -631,8 +646,9 @@ class TrackingSession:
     def checkpoint(self) -> Dict[str, Any]:
         """The complete session state as a JSON-safe dict.
 
-        Covers the Kalman state/covariance, the RSS ring buffer, breaker
-        state, the health machine, counters, and the solve schedule —
+        Covers the Kalman state/covariance, the RSS ring buffer and its ANF
+        stream, breaker state, the health machine, counters, and the solve
+        schedule —
         everything needed for :meth:`restore` to continue bit-identically.
         """
         return {
@@ -651,6 +667,9 @@ class TrackingSession:
             # (repr-based), so a restored session's next warm solve is
             # bit-identical to the uninterrupted one.
             "warm": None if self._warm is None else self._warm.to_dict(),
+            # The noise filter's stream: each RSS sample is filtered once,
+            # so a resumed session must carry on from the same state.
+            "anf": None if self._anf is None else self._anf.to_dict(),
         }
 
     @classmethod
@@ -667,7 +686,9 @@ class TrackingSession:
         construction path. A checkpoint written while sessions had a retry
         backoff carries its state under ``"backoff"``; it is ignored, so a
         pending retry delay is dropped and the session solves at its next
-        due tick.
+        due tick. One written before sessions carried their noise filter's
+        stream has no ``"anf"``; it restores with none, and the session's
+        next solve filters its window from rest.
         """
         if not isinstance(cp, dict) or cp.get("format") != SESSION_CHECKPOINT_FORMAT:
             raise DataQualityError("unsupported session checkpoint")
@@ -704,6 +725,7 @@ class TrackingSession:
             session._warm = (
                 None if warm is None else WarmStartState.from_dict(warm)
             )
+            session._anf = session._restore_anf(cp.get("anf"))
         obs.signal("service.restores", beacon=session.beacon_id,
                    buffered=len(session.rss),
                    last_solve_t=session.last_solve_t)

@@ -57,6 +57,7 @@ class _StubEstimator:
 class _Prepared:
     action: str
     t: float
+    anf_stream: None = None  # the stub filters nothing, so carries nothing
 
     def request(self, warm=None) -> FitRequest:
         return _SHARED_REQUEST
@@ -80,7 +81,8 @@ class ScriptedPipeline:
         self.script = list(script)
         self.calls = 0
 
-    def prepare_estimate(self, trace, imu, target_imu=None, tracks=None):
+    def prepare_estimate(self, trace, imu, target_imu=None, tracks=None,
+                         anf_stream=None):
         if len(trace) < self.estimator.min_samples:
             raise InsufficientDataError(
                 f"scripted: {len(trace)} RSS samples")

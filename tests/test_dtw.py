@@ -131,6 +131,22 @@ class TestLbKeogh:
         upper, lower = envelope(t, 0)
         assert np.array_equal(upper, t) and np.array_equal(lower, t)
 
+    @given(st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=70), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_envelope_matches_scipy_filters(self, n, window, seed):
+        """The NumPy envelope is scipy's sliding max/min with
+        ``mode="nearest"``, exactly, windows longer than the target too."""
+        from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+        t = np.random.default_rng(seed).normal(size=n)
+        upper, lower = envelope(t, window)
+        size = 2 * window + 1
+        assert np.array_equal(
+            upper, maximum_filter1d(t, size=size, mode="nearest"))
+        assert np.array_equal(
+            lower, minimum_filter1d(t, size=size, mode="nearest"))
+
     def test_inside_envelope_is_zero(self, rng):
         t = np.sin(np.linspace(0, 6, 40))
         assert lb_keogh(t, t, window=2) == 0.0

@@ -1,5 +1,6 @@
 """Tests for the signal-processing substrate (Butterworth, Kalman, smoothing)."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from repro import obs
+from repro.core.anf import AdaptiveNoiseFilter, AnfState
 from repro.errors import ConfigurationError
 from repro.filters.butterworth import (
     ButterworthLowPass,
@@ -16,6 +19,7 @@ from repro.filters.butterworth import (
 )
 from repro.filters.kalman import (
     AdaptiveKalman,
+    AkfState,
     ScalarKalman,
     _numpy_sum,
     adaptive_kalman_fuse,
@@ -312,3 +316,190 @@ class TestSmoothing:
         y = moving_average(xs, window)
         assert np.all(y >= min(xs) - 1e-9)
         assert np.all(y <= max(xs) + 1e-9)
+
+
+# -- ANF as a stream ----------------------------------------------------------
+
+ANF_CONFIGS = {
+    "butterworth+akf": {},
+    "butterworth-only": {"use_akf": False},
+    "akf-only": {"use_butterworth": False},
+}
+
+
+def _rss(n, seed):
+    rng = np.random.default_rng(seed)
+    level = np.where(np.arange(n) < n // 2, -62.0, -71.0)
+    return level + rng.normal(0.0, 3.0, n)
+
+
+class TestAnfStream:
+    """ANF advanced over a stream equals ANF over the whole signal."""
+
+    @pytest.mark.parametrize("config", sorted(ANF_CONFIGS))
+    @given(n=st.integers(min_value=0, max_value=240),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_from_rest_advance_is_apply(self, config, n, seed):
+        # Short n takes the moving-average fallback (or passes through).
+        anf = AdaptiveNoiseFilter(**ANF_CONFIGS[config])
+        values = _rss(n, seed)
+        out, state = anf.apply(values, 8.0, state=AnfState())
+        assert np.array_equal(out, anf.apply(values, 8.0))
+        fallback = n < 6 or (anf.use_butterworth and n < 30)
+        assert (state is None) == fallback
+
+    @pytest.mark.parametrize("config", sorted(ANF_CONFIGS))
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_any_split_is_one_advance(self, config, data, seed):
+        anf = AdaptiveNoiseFilter(**ANF_CONFIGS[config])
+        values = _rss(200, seed)
+        # The first chunk starts from rest, so it must take the full path.
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=30, max_value=200), max_size=6)))
+        whole, whole_state = anf.apply(values, 8.0, state=AnfState())
+        pieces, state = [], AnfState()
+        for lo, hi in zip([0] + cuts, cuts + [200]):
+            out, state = anf.apply(values[lo:hi], 8.0, state=state)
+            pieces.append(out)
+        assert np.array_equal(np.concatenate(pieces), whole)
+        assert state.akf == whole_state.akf
+        assert (state.zi is None and whole_state.zi is None) or \
+            np.array_equal(state.zi, whole_state.zi)
+
+    def test_chunked_filters_match_whole(self):
+        sos = butter_lowpass_sos(6, 0.8, 8.0)
+        x = _rss(90, 3)
+        zi = np.zeros((len(sos), 2))
+        y1, zi = sos_filter(sos, x[:41], zi)
+        y2, zi = sos_filter(sos, x[41:], zi)
+        assert np.array_equal(np.concatenate([y1, y2]), sos_filter(sos, x))
+        raw, smooth = x, sos_filter(sos, x)
+        f1, akf = adaptive_kalman_fuse(raw[:7], smooth[:7], state=AkfState())
+        f2, _ = adaptive_kalman_fuse(raw[7:], smooth[7:], state=akf)
+        assert np.array_equal(np.concatenate([f1, f2]),
+                              adaptive_kalman_fuse(raw, smooth))
+
+
+def _resets(fn):
+    """The ``pipeline.anf_resets`` reasons signalled while ``fn`` runs."""
+    ring = obs.add_sink(obs.RingBufferSink())
+    try:
+        result = fn()
+    finally:
+        obs.remove_sink(ring)
+    return result, [e.fields["reason"] for e in ring.tail()
+                    if e.name == "pipeline.anf_resets"]
+
+
+class TestAnfStreamResets:
+    """Each reset rule filters the window from rest, with one signal."""
+
+    ts = np.arange(200) / 8.0
+    values = _rss(200, 7)
+
+    def _carried(self):
+        anf = AdaptiveNoiseFilter()
+        (_, stream), reasons = _resets(lambda: anf.stream(
+            self.ts[:160], self.values[:160], 8.0, None))
+        assert reasons == ["no-state"]
+        return anf, stream
+
+    def test_window_sliding_on_continues_the_stream(self):
+        anf, stream = self._carried()
+        (out, nxt), reasons = _resets(lambda: anf.stream(
+            self.ts[16:176], self.values[16:176], 8.0, stream))
+        assert reasons == []
+        whole = anf.apply(self.values[:176], 8.0)
+        assert np.array_equal(out, whole[16:])
+        assert np.array_equal(nxt.t, self.ts[16:176])
+
+    def test_straggler_behind_the_frontier(self):
+        anf, stream = self._carried()
+        ts = np.insert(self.ts[16:176], 100, self.ts[115] + 0.01)
+        values = np.insert(self.values[16:176], 100, -65.0)
+        (out, _), reasons = _resets(lambda: anf.stream(
+            ts, values, 8.0, stream))
+        assert reasons == ["prefix"]
+        assert np.array_equal(out, anf.apply(values, 8.0))
+
+    def test_changed_reading_behind_the_frontier(self):
+        anf, stream = self._carried()
+        values = self.values[16:176].copy()
+        values[50] += 1.0  # a duplicate collapsed into it, say
+        (_, _), reasons = _resets(lambda: anf.stream(
+            self.ts[16:176], values, 8.0, stream))
+        assert reasons == ["prefix"]
+
+    def test_rate_band_exit(self):
+        anf, stream = self._carried()
+        # Within the band the carried design stays; outside it resets.
+        (_, kept), reasons = _resets(lambda: anf.stream(
+            self.ts[16:176], self.values[16:176], 8.3, stream))
+        assert reasons == [] and kept.fs_hz == 8.0
+        (out, moved), reasons = _resets(lambda: anf.stream(
+            self.ts[16:176], self.values[16:176], 8.5, stream))
+        assert reasons == ["rate-band"] and moved.fs_hz == 8.5
+        assert np.array_equal(out, anf.apply(self.values[16:176], 8.5))
+
+    def test_environment_restart(self):
+        anf, stream = self._carried()
+        (out, _), reasons = _resets(lambda: anf.stream(
+            self.ts[120:176], self.values[120:176], 8.0, stream,
+            restart=True))
+        assert reasons == ["env-restart"]
+        assert np.array_equal(out, anf.apply(self.values[120:176], 8.0))
+
+    def test_short_window_carries_nothing(self):
+        anf, stream = self._carried()
+        (out, nxt), reasons = _resets(lambda: anf.stream(
+            self.ts[150:170], self.values[150:170], 8.0, stream))
+        assert reasons == ["short-window"] and nxt is None
+        assert np.array_equal(out, anf.apply(self.values[150:170], 8.0))
+
+    def test_stream_round_trips_through_json(self):
+        anf, stream = self._carried()
+        back = anf.restore_stream(json.loads(json.dumps(stream.to_dict())))
+        assert back.to_dict() == stream.to_dict()
+        a, _ = anf.stream(self.ts[16:176], self.values[16:176], 8.0, stream)
+        b, _ = anf.stream(self.ts[16:176], self.values[16:176], 8.0, back)
+        assert np.array_equal(a, b)
+
+
+def test_session_window_is_one_stream_over_its_samples():
+    """After N solves, a session's filtered window equals one from-rest
+    pass over every sample its stream has seen since its first solve."""
+    from repro.core.estimator import fit_batch
+    from repro.service.session import ImuTick, SessionConfig, TrackingSession
+    from repro.sim.soak import simulate_walk
+    from repro.types import ImuTrace
+
+    rec = simulate_walk(1, np.random.default_rng(3), 40.0, ["a"])
+    scans = rec.rssi_traces["a"].samples
+    imu = ImuTrace(rec.observer_imu.trace.samples)
+    session = TrackingSession("a", SessionConfig(window_s=20.0))
+    windows = []
+
+    def run():
+        for k in range(1, 41):
+            t = float(k)
+            session.ingest([s for s in scans if t - 1.0 <= s.timestamp < t])
+            pending = session.begin_step(t, ImuTick(imu, t))
+            if pending is not None:
+                windows.append(pending.prepared.ctx)
+                fit = fit_batch([pending.request], return_exceptions=True)[0]
+                session.resolve_solve(pending, fit)
+            session.finish_step(t)
+
+    _, reasons = _resets(run)
+    # Windows too short for the Butterworth path carry no stream; the
+    # first long enough starts it, and nothing resets it after that.
+    assert set(reasons[:-1]) <= {"short-window"} and reasons[-1] == "no-state"
+    streamed = [w for w in windows if w.anf_stream is not None]
+    assert len(streamed) >= 10
+    first, last = streamed[0], streamed[-1]
+    t0, t1 = first.anf_stream.t[0], last.anf_stream.t[-1]
+    seen = np.array([s.rssi for s in scans if t0 <= s.timestamp <= t1])
+    once = AdaptiveNoiseFilter().apply(seen, first.anf_stream.fs_hz)
+    assert np.array_equal(last.matched_rss, once[-len(last.matched_rss):])

@@ -186,6 +186,81 @@ class TestSanitizeTrace:
             sanitize_trace(clean_trace(), gap_factor=1.0)
 
 
+@st.composite
+def fuzzed_traces(draw):
+    """Clean windows and windows with every flaw sanitizing repairs."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ts = np.cumsum(rng.exponential(0.125, n))
+    vals = rng.normal(-65.0, 8.0, n)
+    flaws = draw(st.sets(st.sampled_from(
+        ["nan_t", "inf_t", "nan_rssi", "implausible", "swap", "duplicate",
+         "bound"])))
+    if n >= 2:
+        i, j = rng.integers(0, n, 2)
+        if "nan_t" in flaws:
+            ts[i] = np.nan
+        if "inf_t" in flaws:
+            ts[j] = np.inf
+        if "nan_rssi" in flaws:
+            vals[j] = np.nan
+        if "implausible" in flaws:
+            vals[i] = 35.0
+        if "swap" in flaws:
+            ts[i], ts[j] = ts[j], ts[i]
+        if "duplicate" in flaws:
+            ts[j] = ts[i]
+        if "bound" in flaws:
+            vals[i] = -120.0  # on the closed bound: still plausible
+    return RssiTrace.from_arrays(ts, vals, beacon_id="fz")
+
+
+class TestCleanWindowFastPath:
+    """Clean windows skip the per-sample repair path; both paths agree."""
+
+    @given(fuzzed_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_both_paths_agree(self, trace):
+        import repro.robustness.sanitize as sanitize_module
+
+        out, rep = sanitize_trace(trace)
+        try:
+            check_trace(trace)
+            strict = None
+        except DataQualityError as exc:
+            strict = str(exc)
+        fast = sanitize_module._clean_arrays
+        sanitize_module._clean_arrays = lambda *args: False
+        try:
+            slow_out, slow_rep = sanitize_trace(trace)
+            try:
+                check_trace(trace)
+                slow_strict = None
+            except DataQualityError as exc:
+                slow_strict = str(exc)
+        finally:
+            sanitize_module._clean_arrays = fast
+        assert out.samples == slow_out.samples
+        assert rep == slow_rep
+        assert strict == slow_strict
+
+    def test_clean_window_keeps_its_samples(self):
+        tr = clean_trace()
+        out, rep = sanitize_trace(tr)
+        assert rep.clean and all(a is b for a, b in zip(out, tr))
+
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                    max_size=80),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rate_is_the_median_rate(self, ts, rounded):
+        ts = np.round(ts, 1) if rounded else np.asarray(ts, dtype=float)
+        dt = np.diff(np.sort(ts))
+        dt = dt[dt > 0.0]
+        want = float(1.0 / np.median(dt)) if dt.size else 0.0
+        assert robust_rate_hz(ts) == want
+
+
 class TestTraceWindowsRegression:
     """Satellite: `window_s <= 0` used to spin forever; single-sample traces
     silently vanished."""
