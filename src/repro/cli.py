@@ -112,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean loss burst length (samples)")
     p.add_argument("--outages", type=int, default=2,
                    help="number of full scanner outages")
-    p.add_argument("--outage-s", type=float, default=60.0)
+    p.add_argument("--outage-s", type=float, default=None,
+                   help="length of each outage (seconds; default: "
+                        "duration / 5)")
     p.add_argument("--nan-rate", type=float, default=0.0)
     p.add_argument("--checkpoint-t", type=float, default=None,
                    help="stream time of a mid-run kill-and-resume check")
@@ -422,6 +424,8 @@ def _cmd_soak(args) -> int:
     from repro.sim.faults import FaultModel
     from repro.sim.soak import SoakConfig, run_soak
 
+    if args.outage_s is None:
+        args.outage_s = args.duration / 5
     result = run_soak(SoakConfig(
         duration_s=args.duration,
         tick_s=args.tick,

@@ -39,6 +39,9 @@ _MIN_FILTER_SAMPLES = 6
 #: within this fraction of the rate the filter was designed for.
 RATE_BAND = 0.05
 
+#: A ``(timestamps, values)`` pair of rows.
+Rows = Tuple[np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class AnfState:
@@ -74,13 +77,25 @@ class AnfStream:
     out: np.ndarray
     state: AnfState
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form; floats round-trip bit-exactly through JSON."""
+    def to_dict(self, ring: Optional[Rows] = None) -> Dict[str, Any]:
+        """JSON-safe form; floats round-trip bit-exactly through JSON.
+
+        ``ring`` is the ``(timestamps, values)`` of the rows the owner
+        checkpoints beside the stream (a session's RSS ring). When ``t``
+        and ``raw`` are exactly a contiguous run of those rows, which they
+        are for a window sanitizing left as it was, the dict holds
+        ``"ring": [offset, count]`` in their place, and
+        :meth:`AdaptiveNoiseFilter.restore_stream` rebuilds them from the
+        same rows.
+        """
         akf = self.state.akf
+        span = None if ring is None else _ring_span(self.t, self.raw, ring)
+        rows: Dict[str, Any] = (
+            {"t": self.t.tolist(), "raw": self.raw.tolist()}
+            if span is None else {"ring": list(span)})
         return {
             "fs_hz": self.fs_hz,
-            "t": self.t.tolist(),
-            "raw": self.raw.tolist(),
+            **rows,
             "out": self.out.tolist(),
             "zi": None if self.state.zi is None else self.state.zi.tolist(),
             "akf": None if akf.x is None else {
@@ -88,6 +103,41 @@ class AnfStream:
                 "innovations": list(akf.innovations), "prev_s": akf.prev_s,
             },
         }
+
+
+def _ring_span(t: np.ndarray, raw: np.ndarray,
+               ring: Rows) -> Optional[Tuple[int, int]]:
+    """``(offset, count)`` when ``t``/``raw`` are exactly ring rows
+    ``offset:offset + count`` (the ring is sorted by time), else None."""
+    ring_t, ring_raw = ring
+    offset = int(np.searchsorted(ring_t, t[0]))
+    stop = offset + t.size
+    if (stop <= ring_t.size and np.array_equal(ring_t[offset:stop], t)
+            and np.array_equal(ring_raw[offset:stop], raw)):
+        return offset, t.size
+    return None
+
+
+def _ring_rows(span: Any, ring: Optional[Rows]) -> Rows:
+    """The ``t``/``raw`` a checkpoint's ``"ring": [offset, count]`` names."""
+    if ring is None:
+        raise DataQualityError(
+            "ANF stream refers to ring rows, but no ring was given")
+    if not (isinstance(span, list) and len(span) == 2
+            and all(type(v) is int and v >= 0 for v in span)):
+        raise DataQualityError(
+            "ANF stream ring must be [offset, count], two ints >= 0")
+    offset, count = span
+    ring_t, ring_raw = ring
+    if offset + count > ring_t.size:
+        raise DataQualityError(
+            f"ANF stream ring rows {offset}:{offset + count} overrun the "
+            f"{ring_t.size}-row ring")
+    t = ring_t[offset:offset + count].copy()
+    raw = ring_raw[offset:offset + count].copy()
+    if not (np.isfinite(t).all() and np.isfinite(raw).all()):
+        raise DataQualityError("ANF stream ring rows must be finite")
+    return t, raw
 
 
 def _finite(value: Any, what: str) -> float:
@@ -253,11 +303,15 @@ class AdaptiveNoiseFilter:
             return out, None
         return out, AnfStream(fs_hz, ts, values, out, state)
 
-    def restore_stream(self, d: Any) -> Optional[AnfStream]:
+    def restore_stream(self, d: Any,
+                       ring: Optional[Rows] = None) -> Optional[AnfStream]:
         """Rebuild a stream from :meth:`AnfStream.to_dict` output.
 
-        ``None`` restores as no stream. Anything else must match this
-        filter's stages (Butterworth section count, AKF present) or the
+        ``None`` restores as no stream. ``ring`` must be the rows the dict
+        was written beside when it names ring rows instead of ``t`` and
+        ``raw``. Anything else must match this filter's stages
+        (Butterworth section count, AKF present), and ring rows must lie
+        inside the ring, be finite and number as many as ``out``, or the
         checkpoint is malformed: :class:`~repro.errors.DataQualityError`.
         """
         if d is None:
@@ -266,7 +320,11 @@ class AdaptiveNoiseFilter:
             raise DataQualityError("ANF stream must be an object")
         try:
             fs_hz = _finite(d["fs_hz"], "fs_hz")
-            t, raw, out = (_vector(d[k], k) for k in ("t", "raw", "out"))
+            if "ring" in d:
+                t, raw = _ring_rows(d["ring"], ring)
+            else:
+                t, raw = (_vector(d[k], k) for k in ("t", "raw"))
+            out = _vector(d["out"], "out")
             zi_rows, akf = d["zi"], d["akf"]
         except KeyError as exc:
             raise DataQualityError(f"ANF stream lacks {exc}") from exc

@@ -2,8 +2,9 @@
 
 Layout:
 
-* :mod:`~repro.gateway.frames` — the length-prefixed JSON wire protocol
-  and its incremental, typed-error decoder.
+* :mod:`~repro.gateway.frames` — the length-prefixed wire protocol (JSON
+  frames, and binary data frames in protocol 2) and its incremental,
+  typed-error decoder.
 * :mod:`~repro.gateway.transport` — in-memory flow-controlled duplex
   byte pipes (the deterministic stand-in for sockets).
 * :mod:`~repro.gateway.gateway` — :class:`IngestionGateway`: concurrent
@@ -20,6 +21,7 @@ from repro.gateway.frames import (
     MAX_FRAME_BYTES,
     PROTO_VERSION,
     FrameDecoder,
+    encode_binary,
     encode_frame,
     imu_samples,
     scan_samples,
@@ -42,12 +44,7 @@ from repro.gateway.trace import (
     snapshot_digest,
     trace_meta,
 )
-from repro.gateway.transport import (
-    ConnectionClosed,
-    Endpoint,
-    connected_pair,
-    recv_with_timeout,
-)
+from repro.gateway.transport import ConnectionClosed, Endpoint, connected_pair
 
 __all__ = [
     "PROTO_VERSION",
@@ -55,13 +52,13 @@ __all__ = [
     "TRACE_FORMAT",
     "FrameDecoder",
     "encode_frame",
+    "encode_binary",
     "validate_frame",
     "scan_samples",
     "imu_samples",
     "ConnectionClosed",
     "Endpoint",
     "connected_pair",
-    "recv_with_timeout",
     "GatewayConfig",
     "IngestionGateway",
     "TraceRecovery",

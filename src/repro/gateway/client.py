@@ -1,8 +1,10 @@
 """A protocol-complete simulated client with scripted transport faults.
 
 :class:`SimulatedClient` is the gateway's sparring partner: it speaks the
-frame protocol correctly — hello handshake, at-least-once delivery with
-per-``seq`` acks, reconnect-and-resend after a dropped connection — while
+frame protocol correctly — hello handshake offering protocol 2 (binary
+data frames and acks) and falling back to protocol 1 (JSON) when the
+gateway welcomes 1, at-least-once delivery with per-``seq`` acks,
+reconnect-and-resend after a dropped connection — while
 a per-frame :class:`~repro.sim.faults.FrameFate` script makes it misbehave
 in every transport-level way the hostile-input matrix names:
 
@@ -10,8 +12,9 @@ in every transport-level way the hostile-input matrix names:
   the ack timeout expires and the retry path delivers for real.
 * **duplicate** — send the frame twice; the gateway's seq dedup must ack
   the second copy idempotently (``taken=0``).
-* **corrupt** — flip the first payload byte (a guaranteed UTF-8 break, so
-  the refusal is deterministic); the gateway hangs up with a typed
+* **corrupt** — flip the first payload byte, which then names no codec
+  (``{`` becomes 0x84, the binary version 0x02 becomes 0xFD), so the
+  refusal is deterministic; the gateway hangs up with a typed
   ``bad-frame`` error and the client reconnects and resends.
 * **truncate** — send half the wire bytes and slam the connection; the
   gateway counts a truncated frame, the client reconnects and resends.
@@ -33,11 +36,17 @@ can assert the fault matrix actually exercised each path.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DataQualityError
-from repro.gateway.frames import FrameDecoder, encode_frame
+from repro.gateway.frames import (
+    PROTO_VERSION,
+    FrameDecoder,
+    encode_for,
+    encode_frame,
+)
 from repro.gateway.transport import ConnectionClosed, Endpoint
 from repro.service.breaker import BackoffConfig, ExponentialBackoff
 from repro.sim.faults import FrameFate
@@ -119,7 +128,9 @@ class SimulatedClient:
         self._ep: Optional[Endpoint] = None
         self._connected_once = False
         self._decoder = FrameDecoder()
-        self._pending: List[Dict[str, Any]] = []
+        self._pending: Deque[Dict[str, Any]] = deque()
+        #: The protocol the last handshake negotiated.
+        self.proto = PROTO_VERSION
 
     # -- connection lifecycle ------------------------------------------------
 
@@ -132,18 +143,24 @@ class SimulatedClient:
         self._connected_once = True
         self._ep = self.gateway.connect(name=self.client_id)
         self._decoder = FrameDecoder()
-        self._pending = []
+        self._pending.clear()
         await self._ep.send(encode_frame({
-            "type": "hello", "client": self.client_id, "proto": 1,
+            "type": "hello", "client": self.client_id,
+            "proto": PROTO_VERSION,
         }))
-        reply = await asyncio.wait_for(self._read_reply(),
-                                       timeout=self.ack_timeout_s)
+        reply = await self._read_reply()
         if reply is None or reply.get("type") != "welcome":
             # "busy" refusal or a vanished gateway: surface as a typed
             # condition for the retry loop.
             raise ConnectionClosed(
                 f"client {self.client_id}: handshake answered with "
                 f"{(reply or {}).get('type')!r}")
+        proto = reply.get("proto")
+        if type(proto) is not int or not 1 <= proto <= PROTO_VERSION:
+            raise ConnectionClosed(
+                f"client {self.client_id}: welcomed with protocol "
+                f"{proto!r}, which it does not speak")
+        self.proto = proto
 
     def _drop_connection(self) -> None:
         if self._ep is not None:
@@ -219,11 +236,11 @@ class SimulatedClient:
         assert self._ep is not None
         if fate.drop:
             return
-        wire = encode_frame(frame)
+        wire = encode_for(frame, self.proto)
         if fate.corrupt:
             sabotaged = bytearray(wire)
-            # First payload byte: 0x7b ('{') ^ 0xff = 0x84, an invalid
-            # UTF-8 start byte — the refusal is deterministic.
+            # First payload byte: 0x7b ('{') ^ 0xff = 0x84 and 0x02 ^ 0xff
+            # = 0xfd name no codec — the refusal is deterministic.
             sabotaged[4] ^= 0xFF
             wire = bytes(sabotaged)
         if fate.truncate:
@@ -248,8 +265,7 @@ class SimulatedClient:
         """
         while True:
             try:
-                reply = await asyncio.wait_for(
-                    self._read_reply(), timeout=self.ack_timeout_s)
+                reply = await self._read_reply()
             except asyncio.TimeoutError:
                 self.stats.timeouts += 1
                 return "timeout"
@@ -275,12 +291,18 @@ class SimulatedClient:
             # welcome or unknown reply type: keep reading.
 
     async def _read_reply(self) -> Optional[Dict[str, Any]]:
-        """The next gateway frame (buffered or from the wire); None at EOF."""
+        """The next gateway frame (buffered or from the wire); None at EOF.
+
+        Raises :class:`asyncio.TimeoutError` when none completes within
+        ``ack_timeout_s``.
+        """
         if self._pending:
-            return self._pending.pop(0)
+            return self._pending.popleft()
         assert self._ep is not None
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.ack_timeout_s
         while True:
-            chunk = await self._ep.recv()
+            chunk = await self._ep.recv(deadline - loop.time())
             if chunk == b"":
                 self._drop_connection()
                 return None

@@ -1,12 +1,25 @@
-"""The gateway wire protocol: length-prefixed JSON frames.
+"""The gateway wire protocol: length-prefixed frames, JSON or packed binary.
 
 One frame on the wire is a 4-byte big-endian unsigned length followed by
-that many bytes of UTF-8 JSON encoding a single object. The format is
-deliberately the dumbest thing that works — a phone-side client can speak
-it from any language in ten lines — while still being *checkable* at every
-layer: the length prefix bounds memory before a byte of payload is parsed,
-the JSON layer rejects binary garbage, and :func:`validate_frame` pins the
-schema of every frame type before the gateway acts on it.
+that many bytes of payload. Two codecs share that prefix, and the decoder
+picks one per payload from its first byte:
+
+* ``{`` — UTF-8 JSON encoding a single object. Every frame type has a
+  JSON form, and protocol 1 speaks only this one: a phone-side client
+  can speak it from any language in ten lines.
+* :data:`BINARY_VERSION` (``0x02``) — a packed little-endian ``struct``:
+  the protocol-2 form of the high-volume ``scan``, ``imu`` and ``ack``
+  frames. Its rows are one block of ``<d`` values, so a frame is packed
+  and unpacked in one call, and its layout fixes every row's arity and
+  value type.
+* any other byte is a typed refusal.
+
+Every layer stays *checkable*: the length prefix bounds memory before a
+byte of payload is parsed, each codec rejects what does not parse, and
+:func:`validate_frame` pins the schema of every frame type before the
+gateway acts on it. Both codecs carry f64 values exactly (JSON floats
+round-trip through ``repr``), so a sample reaches the fleet bit-identical
+whichever codec carried it.
 
 Decoding is **incremental**: a :class:`FrameDecoder` accepts arbitrary
 chunkings of the byte stream (TCP segments, a slow-loris client dribbling
@@ -17,21 +30,49 @@ bytes are *data*, and the data-error contract of the rest of the library
 valid frame or a typed refusal it can count, event, and answer; never a
 ``KeyError`` out of a half-parsed dict.
 
-Frame schema (``proto`` version 1):
+The client offers its highest ``proto`` in ``hello`` and the gateway
+welcomes it when it speaks it (1 or 2; any other offer is refused). On a
+protocol-2 connection the client sends ``scan`` and ``imu`` frames binary
+and the gateway acks binary; ``hello``, ``welcome``, ``bye`` and
+``error`` stay JSON.
+
+JSON frame schema (protocol 1, and the control frames of protocol 2):
 
 ======== ==============================================================
 type     payload
 ======== ==============================================================
-hello    ``{"type":"hello","client":str,"proto":1}``
+hello    ``{"type":"hello","client":str,"proto":1|2}``
 scan     ``{"type":"scan","seq":int,"beacon":str,
          "samples":[[t,rssi,channel],...]}``
 imu      ``{"type":"imu","seq":int,
          "samples":[[t,accel,gyro_z,mag_heading],...]}``
 bye      ``{"type":"bye"}``
-welcome  ``{"type":"welcome","proto":1}``      (gateway → client)
-ack      ``{"type":"ack","seq":int,"taken":int}``  (gateway → client)
+welcome  ``{"type":"welcome","proto":1|2}``    (gateway → client)
+ack      ``{"type":"ack","seq":int,"taken":int}``, plus ``"dup":true``
+         or ``"refused":str`` when they apply   (gateway → client)
 error    ``{"type":"error","code":str,"detail":str}`` (gateway → client)
 ======== ==============================================================
+
+Binary frame layout (protocol 2, all little-endian; ``B`` u8, ``H`` u16,
+``I`` u32, ``Q`` u64, ``d`` f64):
+
+======== ==============================================================
+kind     payload
+======== ==============================================================
+scan (1) ``<BBQH`` version, kind, seq, beacon-id length; the beacon id
+         (UTF-8); rows of ``<3d`` (t, rssi, channel)
+imu (2)  ``<BBQ`` version, kind, seq; rows of ``<4d``
+         (t, accel, gyro_z, mag_heading)
+ack (3)  ``<BBQIBB`` version, kind, seq, taken, dup (0/1), refusal code
+         (0 none, 1 ``max_beacons``, 2 ``max_total_sessions``,
+         3 ``max_sessions``)
+======== ==============================================================
+
+A row block whose length is not a whole number of rows, a beacon id that
+overruns the payload or is not UTF-8, an unknown kind, dup flag or
+refusal code: each is a typed refusal that poisons the decoder, as a JSON
+syntax error does. An empty beacon id parses and is refused by
+:func:`validate_frame`, as in JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +80,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DataQualityError
@@ -46,17 +88,23 @@ from repro.types import ImuSample, RssiSample
 
 __all__ = [
     "PROTO_VERSION",
+    "BINARY_VERSION",
     "MAX_FRAME_BYTES",
     "FrameDecoder",
     "encode_frame",
+    "encode_binary",
+    "encode_for",
     "validate_frame",
     "scan_samples",
     "screen_scan_rows",
     "imu_samples",
 ]
 
-#: Protocol version spoken by this module (echoed in hello/welcome).
-PROTO_VERSION = 1
+#: Highest protocol version this module speaks (offered in hello).
+PROTO_VERSION = 2
+
+#: First payload byte of a binary (protocol-2) frame.
+BINARY_VERSION = 2
 
 #: Default ceiling on one frame's payload. A length prefix past this is
 #: refused before any allocation — the oversized-frame DoS is answered at
@@ -64,16 +112,41 @@ PROTO_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024
 
 _LEN = struct.Struct(">I")
+_JSON_START = ord("{")
 
-#: The exact types a sample row's values may have (bool excluded).
+_SCAN_HEAD = struct.Struct("<BBQH")
+_IMU_HEAD = struct.Struct("<BBQ")
+_ACK = struct.Struct("<BBQIBB")
+_SCAN, _IMU, _ACK_KIND = 1, 2, 3
+
+#: Values per row of a scan and of an imu frame.
+_WIDTH = {"scan": 3, "imu": 4}
+
+#: Frame types with a binary form.
+_BINARY_TYPES = ("scan", "imu", "ack")
+
+#: Ack refusal codes: index = code, 0 = not refused.
+_REFUSALS = (None, "max_beacons", "max_total_sessions", "max_sessions")
+_REFUSAL_CODE = {reason: code for code, reason in enumerate(_REFUSALS)}
+
+#: The exact types a JSON sample row's values may have (bool excluded).
 _NUMBER = (int, float)
 
 #: Client-originated frame types the gateway understands.
 CLIENT_FRAME_TYPES = ("hello", "scan", "imu", "bye")
 
 
+def _framed(payload: bytes) -> bytes:
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ConfigurationError(
+            f"frame payload {len(payload)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte wire limit"
+        )
+    return _LEN.pack(len(payload)) + payload
+
+
 def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """Serialize one frame object to its wire bytes.
+    """Serialize one frame object to its JSON wire bytes.
 
     Raises :class:`~repro.errors.ConfigurationError` when the object is not
     JSON-serializable or exceeds :data:`MAX_FRAME_BYTES` — encoding errors
@@ -85,24 +158,139 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"frame is not JSON-serializable: {exc}")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ConfigurationError(
-            f"frame payload {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte wire limit"
-        )
-    return _LEN.pack(len(payload)) + payload
+    return _framed(payload)
+
+
+def encode_binary(obj: Dict[str, Any]) -> bytes:
+    """Serialize a ``scan``, ``imu`` or ``ack`` frame object to its binary
+    (protocol-2) wire bytes.
+
+    Takes the same objects as :func:`encode_frame`. Raises
+    :class:`~repro.errors.ConfigurationError` for any other frame type, a
+    row of the wrong arity, a value that is not a number, a ``seq`` or
+    ``taken`` outside its unsigned field, an unknown refusal reason, or a
+    payload past :data:`MAX_FRAME_BYTES`.
+    """
+    ftype = obj.get("type")
+    try:
+        if ftype == "ack":
+            payload = _ACK.pack(
+                BINARY_VERSION, _ACK_KIND, obj["seq"], obj["taken"],
+                1 if obj.get("dup") else 0,
+                _REFUSAL_CODE[obj.get("refused")])
+        elif ftype in _WIDTH:
+            width = _WIDTH[ftype]
+            rows = obj["samples"]
+            if any(map(width.__ne__, map(len, rows))):
+                raise ConfigurationError(
+                    f"{ftype} frame rows must hold {width} values")
+            block = struct.pack(f"<{width * len(rows)}d",
+                                *chain.from_iterable(rows))
+            if ftype == "scan":
+                beacon = obj["beacon"].encode("utf-8")
+                head = _SCAN_HEAD.pack(BINARY_VERSION, _SCAN, obj["seq"],
+                                       len(beacon)) + beacon
+            else:
+                head = _IMU_HEAD.pack(BINARY_VERSION, _IMU, obj["seq"])
+            payload = head + block
+        else:
+            raise ConfigurationError(
+                f"frame type {ftype!r} has no binary form")
+    except (KeyError, TypeError, AttributeError, OverflowError,
+            struct.error) as exc:
+        raise ConfigurationError(f"frame is not binary-encodable: {exc!r}")
+    return _framed(payload)
+
+
+def encode_for(obj: Dict[str, Any], proto: int) -> bytes:
+    """Serialize a frame object for a connection speaking ``proto``:
+    protocol 2 sends ``scan``, ``imu`` and ``ack`` frames binary, every
+    other frame, and protocol 1 all of them, JSON."""
+    if proto == 2 and obj.get("type") in _BINARY_TYPES:
+        return encode_binary(obj)
+    return encode_frame(obj)
+
+
+def _decode_json(payload: bytes) -> Dict[str, Any]:
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataQualityError(f"frame payload is not UTF-8: {exc}")
+    try:
+        # A JSON text that starts with "{" is an object or a syntax error;
+        # nesting past the parser's recursion limit is refused the same way.
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataQualityError(f"frame payload is not JSON: {exc}")
+
+
+def _rows(payload: bytes, start: int, width: int,
+          what: str) -> Tuple[Tuple[float, ...], ...]:
+    """A binary frame's row block, as one tuple of ``width``-value rows."""
+    size = len(payload) - start
+    if size % (8 * width):
+        raise DataQualityError(
+            f"{what} frame row block of {size} bytes is not a whole "
+            f"number of {width}-value rows")
+    values = iter(struct.unpack_from(f"<{size // 8}d", payload, start))
+    return tuple(zip(*(values,) * width))
+
+
+def _decode_binary(payload: bytes) -> Dict[str, Any]:
+    if len(payload) < _IMU_HEAD.size:
+        raise DataQualityError(
+            f"binary frame of {len(payload)} bytes is shorter than its "
+            f"header")
+    _, kind, seq = _IMU_HEAD.unpack_from(payload)
+    if kind == _SCAN:
+        if len(payload) < _SCAN_HEAD.size:
+            raise DataQualityError("binary scan frame header is truncated")
+        n = _SCAN_HEAD.unpack_from(payload)[3]
+        start = _SCAN_HEAD.size + n
+        if start > len(payload):
+            raise DataQualityError(
+                f"binary scan frame beacon id of {n} bytes overruns the "
+                f"frame")
+        try:
+            beacon = payload[_SCAN_HEAD.size:start].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataQualityError(
+                f"binary scan frame beacon id is not UTF-8: {exc}")
+        return {"type": "scan", "seq": seq, "beacon": beacon,
+                "samples": _rows(payload, start, 3, "scan")}
+    if kind == _IMU:
+        return {"type": "imu", "seq": seq,
+                "samples": _rows(payload, _IMU_HEAD.size, 4, "imu")}
+    if kind == _ACK_KIND:
+        if len(payload) != _ACK.size:
+            raise DataQualityError(
+                f"binary ack frame must be {_ACK.size} bytes, got "
+                f"{len(payload)}")
+        _, _, seq, taken, dup, code = _ACK.unpack(payload)
+        if dup > 1:
+            raise DataQualityError(f"binary ack dup flag {dup} is not 0/1")
+        if code >= len(_REFUSALS):
+            raise DataQualityError(f"unknown ack refusal code {code}")
+        ack: Dict[str, Any] = {"type": "ack", "seq": seq, "taken": taken}
+        if dup:
+            ack["dup"] = True
+        if code:
+            ack["refused"] = _REFUSALS[code]
+        return ack
+    raise DataQualityError(f"unknown binary frame kind {kind}")
 
 
 class FrameDecoder:
     """Incremental wire-frame decoder with bounded buffering.
 
     Feed it byte chunks in any fragmentation; it returns the complete
-    frames each chunk closes. All failure modes raise
-    :class:`~repro.errors.DataQualityError`: an oversized length prefix, a
-    payload that is not UTF-8, not JSON, or not a JSON object, and a
-    stream that ends mid-frame (:meth:`eof`). After an error the decoder
-    is poisoned — framing on a corrupted stream cannot resynchronize, so
-    the connection must be dropped.
+    frames each chunk closes, JSON and binary payloads alike. All failure
+    modes raise :class:`~repro.errors.DataQualityError`: an oversized
+    length prefix, an empty payload or one whose first byte names no
+    codec, a JSON payload that is not UTF-8 or not JSON, a malformed
+    binary payload, and a stream that ends mid-frame (:meth:`eof`). After
+    an error the decoder is poisoned — framing on a corrupted stream
+    cannot resynchronize, so the connection must be dropped.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
@@ -125,43 +313,49 @@ class FrameDecoder:
             raise DataQualityError(
                 "frame stream already failed; connection must be reset"
             )
-        self._buf.extend(data)
+        # A chunk that starts on a frame boundary (the common case) is
+        # parsed in place; only a partial frame's bytes are buffered.
+        buf = data
+        if self._buf:
+            self._buf += data
+            buf = self._buf
         frames: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return frames
-            (length,) = _LEN.unpack_from(self._buf)
+        pos, end = 0, len(buf)
+        while end - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf, pos)
             if length > self.max_frame_bytes:
                 self._poisoned = True
                 raise DataQualityError(
                     f"frame length {length} exceeds the "
                     f"{self.max_frame_bytes}-byte limit"
                 )
-            if len(self._buf) < _LEN.size + length:
-                return frames
-            payload = bytes(self._buf[_LEN.size:_LEN.size + length])
-            del self._buf[:_LEN.size + length]
-            frames.append(self._parse(payload))
+            stop = pos + _LEN.size + length
+            if stop > end:
+                break
+            frames.append(self._parse(buf[pos + _LEN.size:stop]))
             self.frames_decoded += 1
+            pos = stop
+        if buf is self._buf:
+            del self._buf[:pos]
+        else:
+            self._buf += buf[pos:]
+        return frames
 
     def _parse(self, payload: bytes) -> Dict[str, Any]:
         try:
-            text = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            self._poisoned = True
-            raise DataQualityError(f"frame payload is not UTF-8: {exc}")
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            self._poisoned = True
-            raise DataQualityError(f"frame payload is not JSON: {exc}")
-        if not isinstance(obj, dict):
-            self._poisoned = True
+            if not payload:
+                raise DataQualityError("frame payload is empty")
+            first = payload[0]
+            if first == _JSON_START:
+                return _decode_json(payload)
+            if first == BINARY_VERSION:
+                return _decode_binary(payload)
             raise DataQualityError(
-                f"frame payload must be a JSON object, "
-                f"got {type(obj).__name__}"
-            )
-        return obj
+                f"frame payload starts with byte 0x{first:02x}: neither "
+                f"JSON ('{{') nor binary version {BINARY_VERSION}")
+        except DataQualityError:
+            self._poisoned = True
+            raise
 
     def eof(self) -> None:
         """Declare the stream closed; raises on a truncated final frame."""
@@ -192,8 +386,27 @@ def _require(frame: Dict[str, Any], key: str, types: tuple, what: str) -> Any:
     return value
 
 
+def _require_rows(frame: Dict[str, Any], what: str) -> None:
+    """Check a data frame's rows: a JSON list of number rows of the frame
+    type's arity. A binary frame's rows arrive as a tuple, whose arity and
+    value type its layout already fixed (JSON never decodes to a tuple)."""
+    if type(frame.get("samples")) is tuple:
+        return
+    width = _WIDTH[what]
+    for row in _require(frame, "samples", (list,), what):
+        # JSON decodes to exact int/float, and type(True) is bool.
+        if (not isinstance(row, list) or len(row) != width
+                or not all(type(v) in _NUMBER for v in row)):
+            raise DataQualityError(
+                "scan frame samples must be [t, rssi, channel] number "
+                "triples" if what == "scan" else
+                "imu frame samples must be "
+                "[t, accel, gyro_z, mag_heading] number quadruples"
+            )
+
+
 def validate_frame(frame: Dict[str, Any]) -> str:
-    """Check a decoded client frame against the proto-1 schema.
+    """Check a decoded client frame against its schema (either codec).
 
     Returns the frame type on success; raises
     :class:`~repro.errors.DataQualityError` naming the first violated
@@ -213,10 +426,10 @@ def validate_frame(frame: Dict[str, Any]) -> str:
     if ftype == "hello":
         _require(frame, "client", (str,), "hello")
         proto = _require(frame, "proto", (int,), "hello")
-        if proto != PROTO_VERSION:
+        if not 1 <= proto <= PROTO_VERSION:
             raise DataQualityError(
                 f"unsupported protocol version {proto} "
-                f"(this gateway speaks {PROTO_VERSION})"
+                f"(this gateway speaks 1 to {PROTO_VERSION})"
             )
     elif ftype == "scan":
         seq = _require(frame, "seq", (int,), "scan")
@@ -225,52 +438,59 @@ def validate_frame(frame: Dict[str, Any]) -> str:
         _require(frame, "beacon", (str,), "scan")
         if not frame["beacon"]:
             raise DataQualityError("scan frame beacon id must be non-empty")
-        samples = _require(frame, "samples", (list,), "scan")
-        for row in samples:
-            # JSON decodes to exact int/float, and type(True) is bool.
-            if (not isinstance(row, list) or len(row) != 3
-                    or not all(type(v) in _NUMBER for v in row)):
-                raise DataQualityError(
-                    "scan frame samples must be [t, rssi, channel] "
-                    "number triples"
-                )
+        _require_rows(frame, "scan")
     elif ftype == "imu":
         seq = _require(frame, "seq", (int,), "imu")
         if seq < 0:
             raise DataQualityError("imu frame seq must be >= 0")
-        samples = _require(frame, "samples", (list,), "imu")
-        for row in samples:
-            if (not isinstance(row, list) or len(row) != 4
-                    or not all(type(v) in _NUMBER for v in row)):
-                raise DataQualityError(
-                    "imu frame samples must be "
-                    "[t, accel, gyro_z, mag_heading] number quadruples"
-                )
+        _require_rows(frame, "imu")
     # "bye" carries no payload.
     return ftype
+
+
+def _scan_rows(
+    frame: Dict[str, Any],
+) -> Tuple[List[Tuple[float, float, int]], int]:
+    """The one screening rule for a validated scan frame's rows, whichever
+    codec carried them.
+
+    A row is rejected when its timestamp or channel is not finite, or
+    when one of its values does not fit a float (a JSON integer beyond
+    ±1.8e308): a poisoned timestamp would corrupt every later windowing
+    decision, and a channel must be an integer. Returns the kept rows as
+    ``(t, rssi, channel)`` and the rejected count. Non-finite RSSI is
+    *kept*: the repair-mode pipeline sanitizes values per solve, and
+    dropping them at the edge would hide the degradation from the
+    sanitization report.
+    """
+    kept = []
+    rejected = 0
+    isfinite = math.isfinite
+    for t, rssi, channel in frame["samples"]:
+        try:
+            row = (float(t), float(rssi), int(channel))
+        except (OverflowError, ValueError):  # inf, NaN or a huge integer
+            rejected += 1
+            continue
+        if isfinite(row[0]):
+            kept.append(row)
+        else:
+            rejected += 1
+    return kept, rejected
 
 
 def scan_samples(
     frame: Dict[str, Any],
 ) -> Tuple[List[RssiSample], int]:
-    """Materialize a validated scan frame's rows, screening non-finite times.
+    """Materialize a validated scan frame's rows.
 
-    Returns ``(samples, rejected)`` — rows whose timestamp is not finite
-    are dropped here (a poisoned timestamp would corrupt every later
-    windowing decision), counted in ``rejected`` for the gateway to event.
-    Non-finite RSSI is *kept*: the repair-mode pipeline sanitizes values
-    per solve, and dropping them at the edge would hide the degradation
-    from the sanitization report.
+    Returns ``(samples, rejected)``: the rows the screening rule keeps, as
+    samples, and the count it rejected, for the gateway to signal.
     """
     beacon_id = str(frame["beacon"])
-    out: List[RssiSample] = []
-    rejected = 0
-    for t, rssi, channel in frame["samples"]:
-        if not math.isfinite(t):
-            rejected += 1
-            continue
-        out.append(RssiSample(float(t), float(rssi), beacon_id, int(channel)))
-    return out, rejected
+    rows, rejected = _scan_rows(frame)
+    return [RssiSample(t, rssi, beacon_id, channel)
+            for t, rssi, channel in rows], rejected
 
 
 def screen_scan_rows(
@@ -278,31 +498,33 @@ def screen_scan_rows(
 ) -> Tuple[int, int, int]:
     """Screen a validated scan frame's rows without materializing them.
 
-    Returns ``(kept, rejected, late)``: ``rejected`` counts non-finite
-    timestamps, as :func:`scan_samples` does; ``late`` the finite rows
-    older than ``horizon`` (``None`` before the gateway's first tick);
-    ``kept`` the rest. The gateway books these counts for a frame whose
-    beacon the fleet refused.
+    Returns ``(kept, rejected, late)``: ``rejected`` counts what
+    :func:`scan_samples` rejects; ``late`` the other rows older than
+    ``horizon`` (``None`` before the gateway's first tick); ``kept`` the
+    rest. The gateway books these counts for a frame whose beacon the
+    fleet refused.
     """
-    kept = rejected = late = 0
-    for t, _rssi, _channel in frame["samples"]:
-        if not math.isfinite(t):
-            rejected += 1
-        elif horizon is not None and float(t) < horizon:
-            late += 1
-        else:
-            kept += 1
-    return kept, rejected, late
+    rows, rejected = _scan_rows(frame)
+    late = 0 if horizon is None else sum(t < horizon for t, _, _ in rows)
+    return len(rows) - late, rejected, late
 
 
 def imu_samples(frame: Dict[str, Any]) -> Tuple[List[ImuSample], int]:
-    """Materialize a validated imu frame's rows (same screening contract)."""
+    """Materialize a validated imu frame's rows: a row whose timestamp is
+    not finite, or one with a value beyond float range, is rejected (the
+    rule of :func:`scan_samples`); other non-finite values are the IMU
+    ring's to refuse."""
     out: List[ImuSample] = []
     rejected = 0
-    for t, accel, gyro_z, mag in frame["samples"]:
-        if not math.isfinite(t):
+    isfinite = math.isfinite
+    for row in frame["samples"]:
+        try:
+            t, accel, gyro_z, mag = map(float, row)
+        except OverflowError:
             rejected += 1
             continue
-        out.append(ImuSample(float(t), float(accel), float(gyro_z),
-                             float(mag)))
+        if isfinite(t):
+            out.append(ImuSample(t, accel, gyro_z, mag))
+        else:
+            rejected += 1
     return out, rejected

@@ -27,8 +27,9 @@ Degradation ladder, outermost first:
    acked ``{"taken": 0, "refused": <reason>}`` and its samples are booked
    once per shard at the next tick. Last, the gateway's own
    ``max_beacons`` queue cap.
-4. **Sample screening** — non-finite timestamps and samples older than
-   the late horizon are refused per sample, counted per frame.
+4. **Sample screening** — rows with a non-finite timestamp or channel
+   (one rule for both codecs, :mod:`repro.gateway.frames`) and samples
+   older than the late horizon are refused per sample, counted per frame.
 5. **Queue shedding** — per-beacon :class:`~repro.service.BoundedBuffer`
    drop-oldest, each shed a ``service.shed.gateway.scan`` signal.
 
@@ -43,28 +44,22 @@ import asyncio
 import logging
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro import obs, perf
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import TrackingFleet
 from repro.gateway.frames import (
     MAX_FRAME_BYTES,
-    PROTO_VERSION,
     FrameDecoder,
-    encode_frame,
+    encode_for,
     imu_samples,
     scan_samples,
     screen_scan_rows,
     validate_frame,
 )
-from repro.gateway.transport import (
-    ConnectionClosed,
-    Endpoint,
-    connected_pair,
-    recv_with_timeout,
-)
+from repro.gateway.transport import ConnectionClosed, Endpoint, connected_pair
 from repro.service.buffers import BoundedBuffer
 from repro.service.session import SessionSnapshot
 from repro.types import ImuSample, RssiSample
@@ -170,12 +165,14 @@ class _SeqMemory:
 class _ClientState:
     """Per-connection handshake/error bookkeeping."""
 
-    __slots__ = ("client_id", "memory", "errors")
+    __slots__ = ("client_id", "memory", "errors", "proto")
 
     def __init__(self) -> None:
         self.client_id: Optional[str] = None
         self.memory: Optional[_SeqMemory] = None
         self.errors = 0
+        #: The protocol the hello negotiated: 2 acks binary.
+        self.proto = 1
 
 
 class IngestionGateway:
@@ -261,8 +258,7 @@ class IngestionGateway:
         decoder = FrameDecoder(self.config.max_frame_bytes)
         while True:
             try:
-                chunk = await recv_with_timeout(
-                    ep, self.config.client_timeout_s)
+                chunk = await ep.recv(self.config.client_timeout_s)
             except asyncio.TimeoutError:
                 # Slow-loris / stalled client: refuse the connection, not
                 # the process. The client may reconnect and resend.
@@ -340,10 +336,11 @@ class IngestionGateway:
         if ftype == "hello":
             state.client_id = str(frame["client"])
             state.memory = self._memory_for(state.client_id)
+            state.proto = frame["proto"]
             obs.signal("gateway.client_connected", ledger=self.counters,
                        client=state.client_id)
             return await self._send(ep, state, {
-                "type": "welcome", "proto": PROTO_VERSION,
+                "type": "welcome", "proto": state.proto,
             })
         if ftype == "bye":
             obs.signal("gateway.client_bye", ledger=self.counters,
@@ -571,7 +568,7 @@ class IngestionGateway:
     ) -> bool:
         """Best-effort reply; a vanished peer is counted, not raised."""
         try:
-            await ep.send(encode_frame(obj))
+            await ep.send(encode_for(obj, state.proto))
             return True
         except ConnectionClosed:
             obs.signal("gateway.reply_dropped", ledger=self.counters,

@@ -20,7 +20,8 @@ deployment needs real sockets.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Tuple
+from collections import deque
+from typing import Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -28,7 +29,6 @@ __all__ = [
     "ConnectionClosed",
     "Endpoint",
     "connected_pair",
-    "recv_with_timeout",
 ]
 
 #: Sentinel queued to signal a peer-side close (EOF after draining).
@@ -44,6 +44,27 @@ class ConnectionClosed(ConfigurationError):
     """
 
 
+class _Inbox:
+    """One direction's queued chunks and the waiting reader's future."""
+
+    __slots__ = ("chunks", "waiter")
+
+    def __init__(self) -> None:
+        self.chunks: Deque[object] = deque()
+        self.waiter: Optional["asyncio.Future"] = None
+
+    def put(self, item: object) -> None:
+        self.chunks.append(item)
+        waiter = self.waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+
+def _expire(waiter: "asyncio.Future") -> None:
+    if not waiter.done():
+        waiter.set_exception(asyncio.TimeoutError())
+
+
 class Endpoint:
     """One end of an in-memory duplex byte pipe.
 
@@ -55,8 +76,8 @@ class Endpoint:
 
     def __init__(
         self,
-        inbox: "asyncio.Queue",
-        peer_inbox: "asyncio.Queue",
+        inbox: _Inbox,
+        peer_inbox: _Inbox,
         send_window: "asyncio.Semaphore",
         recv_window: "asyncio.Semaphore",
         name: str = "",
@@ -89,14 +110,39 @@ class Endpoint:
             raise ConnectionClosed(
                 f"endpoint {self.name or id(self)} closed while sending"
             )
-        self._peer_inbox.put_nowait(bytes(data))
+        self._peer_inbox.put(bytes(data))
         self.bytes_sent += len(data)
 
-    async def recv(self) -> bytes:
-        """The next chunk from the peer; ``b""`` exactly once at EOF."""
+    async def recv(self, timeout: Optional[float] = None) -> bytes:
+        """The next chunk from the peer; ``b""`` exactly once at EOF.
+
+        ``timeout`` bounds the wait in seconds (``None`` waits forever).
+        On expiry :class:`asyncio.TimeoutError` is raised and nothing is
+        consumed — the caller owns the slow-loris policy (count, event,
+        refuse), this method only enforces the clock. The wait is one
+        future plus, with a timeout, one ``loop.call_later`` timer: no
+        task per call. A cancellation from outside propagates as
+        :class:`asyncio.CancelledError`. One reader at a time.
+        """
         if self._peer_closed:
             return b""
-        item = await self._inbox.get()
+        inbox = self._inbox
+        if not inbox.chunks:
+            if inbox.waiter is not None:
+                raise RuntimeError(
+                    f"endpoint {self.name or id(self)} already has a "
+                    f"waiting reader")
+            loop = asyncio.get_running_loop()
+            inbox.waiter = loop.create_future()
+            timer = (None if timeout is None
+                     else loop.call_later(timeout, _expire, inbox.waiter))
+            try:
+                await inbox.waiter
+            finally:
+                inbox.waiter = None
+                if timer is not None:
+                    timer.cancel()
+        item = inbox.chunks.popleft()
         if item is _EOF:
             self._peer_closed = True
             return b""
@@ -109,7 +155,7 @@ class Endpoint:
         if self._closed:
             return
         self._closed = True
-        self._peer_inbox.put_nowait(_EOF)
+        self._peer_inbox.put(_EOF)
 
     @property
     def closed(self) -> bool:
@@ -130,8 +176,8 @@ def connected_pair(
     """
     if buffer_chunks < 1:
         raise ConfigurationError("buffer_chunks must be >= 1")
-    a_inbox: "asyncio.Queue" = asyncio.Queue()   # chunks flowing B -> A
-    b_inbox: "asyncio.Queue" = asyncio.Queue()   # chunks flowing A -> B
+    a_inbox = _Inbox()   # chunks flowing B -> A
+    b_inbox = _Inbox()   # chunks flowing A -> B
     window_ab = asyncio.Semaphore(buffer_chunks)
     window_ba = asyncio.Semaphore(buffer_chunks)
     client = Endpoint(a_inbox, b_inbox, window_ab, window_ba,
@@ -139,17 +185,3 @@ def connected_pair(
     server = Endpoint(b_inbox, a_inbox, window_ba, window_ab,
                       name=f"{name}:server")
     return client, server
-
-
-async def recv_with_timeout(
-    endpoint: Endpoint, timeout_s: Optional[float]
-) -> bytes:
-    """``endpoint.recv()`` bounded by ``timeout_s`` (None = wait forever).
-
-    Raises :class:`asyncio.TimeoutError` on expiry — the caller owns the
-    slow-loris policy (count, event, refuse), this helper only enforces
-    the clock.
-    """
-    if timeout_s is None:
-        return await endpoint.recv()
-    return await asyncio.wait_for(endpoint.recv(), timeout=timeout_s)

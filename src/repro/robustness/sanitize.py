@@ -23,7 +23,7 @@ Two entry styles share one implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -212,10 +212,13 @@ def sanitize_trace(
     n_input = len(trace)
     samples = list(trace.samples)
     ts = trace.timestamps()
-    if _clean_arrays(ts, trace.values(), lo, hi):
+    vals = trace.values()
+    if _clean_arrays(ts, vals, lo, hi):
         # The common case: nothing to repair, so the samples pass as they
-        # are and only the observational findings remain to be made.
-        return RssiTrace(samples), _report(
+        # are, with the arrays just built (read-only, as the trace hands
+        # them on), and only the observational findings remain to be made.
+        ts.flags.writeable = vals.flags.writeable = False
+        return RssiTrace(samples, arrays=(ts, vals)), _report(
             ts, gap_factor, [], n_input=n_input, n_output=n_input)
     issues: List[str] = []
 

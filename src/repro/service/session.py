@@ -37,7 +37,9 @@ import math
 from bisect import bisect_left
 from hashlib import blake2b
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.anf import AnfStream
@@ -276,6 +278,12 @@ class SessionSnapshot:
     estimate: Optional[LocationEstimate]
     buffered: int
     shed: int
+
+
+def _ring_arrays(samples: List[RssiSample]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(timestamps, values)`` of a session's RSS ring rows."""
+    return (np.array([s.timestamp for s in samples], dtype=float),
+            np.array([s.rssi for s in samples], dtype=float))
 
 
 def snapshot_key(snap: SessionSnapshot) -> tuple:
@@ -603,7 +611,7 @@ class TrackingSession:
             return False
         return est.confidence >= self.config.min_confidence
 
-    def _restore_anf(self, d: Any) -> Optional[AnfStream]:
+    def _restore_anf(self, d: Any, ring: Any) -> Optional[AnfStream]:
         if d is None:
             return None
         anf = getattr(self.pipeline, "anf", None)
@@ -611,7 +619,7 @@ class TrackingSession:
             raise DataQualityError(
                 "session checkpoint carries a noise-filter stream, but its "
                 "pipeline has no noise filter")
-        return anf.restore_stream(d)
+        return anf.restore_stream(d, ring)
 
     # -- windows -------------------------------------------------------------
 
@@ -651,6 +659,7 @@ class TrackingSession:
         schedule —
         everything needed for :meth:`restore` to continue bit-identically.
         """
+        rss = self.rss.items()
         return {
             "format": SESSION_CHECKPOINT_FORMAT,
             "beacon_id": self.beacon_id,
@@ -658,7 +667,7 @@ class TrackingSession:
             "tracker": self.tracker.checkpoint(),
             "health": self.health.checkpoint(),
             "breaker": self.breaker.checkpoint(),
-            "rss": [[s.timestamp, s.rssi, s.channel] for s in self.rss],
+            "rss": [[s.timestamp, s.rssi, s.channel] for s in rss],
             "rss_shed": self.rss.shed,
             "last_solve_t": self.last_solve_t,
             "last_env_change_t": self._last_env_change_t,
@@ -668,8 +677,10 @@ class TrackingSession:
             # bit-identical to the uninterrupted one.
             "warm": None if self._warm is None else self._warm.to_dict(),
             # The noise filter's stream: each RSS sample is filtered once,
-            # so a resumed session must carry on from the same state.
-            "anf": None if self._anf is None else self._anf.to_dict(),
+            # so a resumed session must carry on from the same state. Its
+            # samples are ring rows unless sanitizing changed them.
+            "anf": (None if self._anf is None
+                    else self._anf.to_dict(_ring_arrays(rss))),
         }
 
     @classmethod
@@ -725,7 +736,8 @@ class TrackingSession:
             session._warm = (
                 None if warm is None else WarmStartState.from_dict(warm)
             )
-            session._anf = session._restore_anf(cp.get("anf"))
+            session._anf = session._restore_anf(
+                cp.get("anf"), _ring_arrays(session.rss.items()))
         obs.signal("service.restores", beacon=session.beacon_id,
                    buffered=len(session.rss),
                    last_solve_t=session.last_solve_t)

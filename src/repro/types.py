@@ -129,9 +129,19 @@ class ImuSample:
 
 @dataclass
 class RssiTrace:
-    """A time-ordered RSSI sequence for a single beacon."""
+    """A time-ordered RSSI sequence for a single beacon.
+
+    ``arrays`` is an optional read-only ``(timestamps, values)`` pair of
+    ``samples``, handed over by a builder that already made it
+    (:func:`repro.robustness.sanitize_trace` does); :meth:`timestamps` and
+    :meth:`values` return it while ``samples`` keeps its length and build
+    fresh arrays otherwise, so a builder hands it over only for samples it
+    will not change.
+    """
 
     samples: List[RssiSample] = field(default_factory=list)
+    arrays: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -145,10 +155,21 @@ class RssiTrace:
             raise ValueError("empty trace has no beacon id")
         return self.samples[0].beacon_id
 
+    def _array(self, i: int) -> Optional[np.ndarray]:
+        if self.arrays is None or len(self.arrays[i]) != len(self.samples):
+            return None
+        return self.arrays[i]
+
     def timestamps(self) -> np.ndarray:
+        cached = self._array(0)
+        if cached is not None:
+            return cached
         return np.array([s.timestamp for s in self.samples], dtype=float)
 
     def values(self) -> np.ndarray:
+        cached = self._array(1)
+        if cached is not None:
+            return cached
         return np.array([s.rssi for s in self.samples], dtype=float)
 
     def duration(self) -> float:

@@ -16,6 +16,7 @@ swapping whole subtrees.
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,8 +159,12 @@ def test_uncorrupted_bases_restore_cleanly():
 # -- the session's noise-filter stream -----------------------------------------
 
 
-def _real_session():
-    """A default-pipeline session whose noise filter carries a stream."""
+def _real_session(nan_at=None):
+    """A default-pipeline session whose noise filter carries a stream.
+
+    ``nan_at`` blanks the RSSI of the scan nearest that time, so every
+    later window is repaired (the sample is dropped) before filtering.
+    """
     import numpy as np
 
     from repro.core.estimator import fit_batch
@@ -168,7 +173,12 @@ def _real_session():
     from repro.types import ImuTrace
 
     rec = simulate_walk(1, np.random.default_rng(3), 24.0, ["a"])
-    scans = rec.rssi_traces["a"].samples
+    scans = list(rec.rssi_traces["a"].samples)
+    if nan_at is not None:
+        i = min(range(len(scans)),
+                key=lambda j: abs(scans[j].timestamp - nan_at))
+        scans[i] = RssiSample(scans[i].timestamp, float("nan"), "a",
+                              scans[i].channel)
     imu = ImuTrace(rec.observer_imu.trace.samples)
     session = TrackingSession("a", SessionConfig(window_s=20.0))
 
@@ -264,3 +274,88 @@ def test_checkpoint_without_a_stream_refilters_from_rest():
     assert (ctx.matched_rss
             == AdaptiveNoiseFilter().apply(ctx.anf_stream.raw, fs)).all()
     assert outcomes["current"][0] == []
+
+
+# -- the stream's samples as rows of the session's RSS ring --------------------
+
+
+def test_clean_stream_names_ring_rows_instead_of_arrays():
+    anf = _ANF_BASE["anf"]
+    assert "t" not in anf and "raw" not in anf
+    offset, count = anf["ring"]
+    assert count == len(anf["out"])
+    rows = _ANF_BASE["rss"][offset:offset + count]
+    restored = TrackingSession.restore(json.loads(json.dumps(_ANF_BASE)))
+    assert restored._anf.t.tolist() == [r[0] for r in rows]
+    assert restored._anf.raw.tolist() == [r[1] for r in rows]
+
+
+def test_checkpoint_holding_the_arrays_still_restores():
+    """The layout written before ring rows (``t`` and ``raw`` in full)
+    restores to the same stream, which is then written as ring rows."""
+    cp = copy.deepcopy(_ANF_BASE)
+    offset, count = cp["anf"].pop("ring")
+    rows = cp["rss"][offset:offset + count]
+    cp["anf"]["t"] = [r[0] for r in rows]
+    cp["anf"]["raw"] = [r[1] for r in rows]
+    restored = TrackingSession.restore(json.loads(json.dumps(cp)))
+    assert restored.checkpoint() == _ANF_BASE
+
+
+def _bad_rings():
+    offset, count = _ANF_BASE["anf"]["ring"]
+    n = len(_ANF_BASE["rss"])
+    return [[offset, count + 1], [offset, count - 1], [n, count],
+            [n - count + 1, count], [-1, count], [offset, -count],
+            [True, count], [float(offset), count], [offset],
+            [offset, count, 0], f"{offset}:{count}", None, {}]
+
+
+@pytest.mark.parametrize("ring", _bad_rings())
+def test_bad_ring_rows_fail_typed(ring):
+    cp = copy.deepcopy(_ANF_BASE)
+    cp["anf"]["ring"] = ring
+    with pytest.raises(DataQualityError):
+        TrackingSession.restore(cp)
+
+
+def test_nonfinite_ring_rows_fail_typed():
+    cp = copy.deepcopy(_ANF_BASE)
+    offset, _ = cp["anf"]["ring"]
+    cp["rss"][offset][1] = float("nan")
+    with pytest.raises(DataQualityError, match="finite"):
+        TrackingSession.restore(cp)
+
+
+def test_ring_rows_without_a_ring_fail_typed():
+    from repro.core.anf import AdaptiveNoiseFilter
+
+    with pytest.raises(DataQualityError, match="no ring"):
+        AdaptiveNoiseFilter().restore_stream(_ANF_BASE["anf"])
+
+
+def test_repaired_window_keeps_its_arrays():
+    session, _ = _real_session(nan_at=8.0)
+    cp = session.checkpoint()
+    anf = cp["anf"]
+    assert "ring" not in anf
+    assert len(anf["t"]) == len(anf["raw"]) == len(anf["out"])
+    # The dropped sample is a ring row the stream skipped.
+    assert len(anf["t"]) < len(cp["rss"])
+    restored = TrackingSession.restore(json.loads(json.dumps(cp)))
+    assert json.dumps(restored.checkpoint()) == json.dumps(cp)  # NaN rssi
+
+
+@pytest.mark.parametrize("nan_at", [None, 8.0])
+def test_restored_session_fixes_match_its_uninterrupted_twin(nan_at):
+    from repro.service.session import snapshot_key
+
+    session, step = _real_session(nan_at)
+    twin = TrackingSession.restore(
+        json.loads(json.dumps(session.checkpoint())))
+    solved = 0
+    for t in map(float, range(13, 21)):
+        solved += sum(step(s, t) is not None for s in (session, twin))
+        assert (snapshot_key(twin.finish_step(t))
+                == snapshot_key(session.finish_step(t)))
+    assert solved >= 4 and session.last_estimate is not None

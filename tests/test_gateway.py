@@ -27,15 +27,20 @@ from repro.gateway import (
     TraceWriter,
     apply_reorder,
     connected_pair,
+    encode_binary,
     encode_frame,
     read_trace,
     replay,
     trace_meta,
     validate_frame,
 )
-from repro.gateway.frames import scan_samples, screen_scan_rows
+from repro.gateway.frames import (
+    BINARY_VERSION,
+    scan_samples,
+    screen_scan_rows,
+)
 from repro.gateway.trace import _gateway_from_meta, _redrive, snapshot_digest
-from repro.service import ServiceConfig, SessionConfig
+from repro.service import ServiceConfig
 from repro.service.buffers import BoundedBuffer
 from repro.sim.faults import FrameFate, TransportFaultModel
 from repro.types import ImuSample, RssiSample
@@ -156,6 +161,42 @@ class TestTransport:
             assert await b.recv() == b"1"
             await asyncio.sleep(0)
             assert blocked.done()
+        run(go())
+
+
+    def test_recv_timeout_expires_typed_and_consumes_nothing(self):
+        async def go():
+            a, b = connected_pair()
+            with pytest.raises(asyncio.TimeoutError):
+                await b.recv(timeout=0.01)
+            await a.send(b"late")
+            assert await b.recv(timeout=0.01) == b"late"
+            a.close()
+            assert await b.recv(timeout=0.01) == b""
+        run(go())
+
+    def test_recv_wait_starts_no_task(self):
+        async def go():
+            a, b = connected_pair()
+            reader = asyncio.ensure_future(b.recv(timeout=5.0))
+            await asyncio.sleep(0)
+            tasks = asyncio.all_tasks()
+            await a.send(b"x")
+            assert await reader == b"x"
+            return len(tasks)
+        assert run(go()) == 2  # the test's own task and the reader
+
+    def test_outside_cancellation_propagates(self):
+        async def go():
+            a, b = connected_pair()
+            reader = asyncio.ensure_future(b.recv(timeout=5.0))
+            await asyncio.sleep(0)
+            reader.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await reader
+            # The cancelled wait left no reader behind.
+            await a.send(b"after")
+            assert await b.recv() == b"after"
         run(go())
 
 
@@ -560,6 +601,200 @@ class TestEdgeAdmission:
         direct_run(direct, beacons_at, 3, before, window)
         assert after_tick_2 == [(None, 3), (0, 0)]
         assert framed.fleet.shard_of(A[2]) == 0  # the next frame passed
+
+
+# -- protocol 2 -----------------------------------------------------------------
+
+
+async def proto1_exchange(gw, frames, name="p"):
+    """``frames`` over a hand-driven protocol-1 connection; every reply."""
+    ep = gw.connect(name)
+    decoder = FrameDecoder()
+    replies = []
+    for frame in [{"type": "hello", "client": name, "proto": 1}, *frames]:
+        await ep.send(encode_frame(frame))
+        replies += decoder.feed(await ep.recv())
+    await ep.send(encode_frame({"type": "bye"}))
+    ep.close()
+    return replies
+
+
+async def proto2_exchange(gw, frames, name="p"):
+    """``frames`` through a :class:`SimulatedClient`; every reply."""
+    client = SimulatedClient(name, gw, ack_timeout_s=0.5)
+    replies = []
+    read = client._read_reply
+
+    async def spy():
+        reply = await read()
+        replies.append(reply)
+        return reply
+    client._read_reply = spy
+    for frame in frames:
+        assert await client.send_frame(frame)
+    assert client.proto == 2
+    await client.close()
+    return replies
+
+
+def imu_rows(k):
+    return [[s.timestamp, s.accel, s.gyro_z, s.mag_heading] for s in imu(k)]
+
+
+NAN = float("nan")
+
+#: Frames per tick: admitted, edge-refused and queue-capped beacons, rows
+#: with a non-finite time or channel, late rows and a duplicate seq.
+PHASES = [
+    [{"type": "scan", "seq": 0, "beacon": A[0], "samples": rows(1, "a0")},
+     {"type": "scan", "seq": 1, "beacon": A[1], "samples": rows(1, "a1")},
+     {"type": "scan", "seq": 2, "beacon": A[2], "samples": [
+         [NAN, -60.0, 37], [0.5, -61.0, NAN], [0.7, -62.0, 37]]},
+     {"type": "imu", "seq": 3, "samples": imu_rows(1)},
+     {"type": "scan", "seq": 0, "beacon": A[0], "samples": rows(1, "a0")}],
+    [{"type": "scan", "seq": 4, "beacon": A[3], "samples": rows(2, "a3")},
+     {"type": "scan", "seq": 5, "beacon": C[0], "samples": rows(2, "c0")},
+     {"type": "scan", "seq": 6, "beacon": A[0], "samples": rows(2, "a0")},
+     {"type": "imu", "seq": 7, "samples": imu_rows(2)}],
+    [{"type": "scan", "seq": 8, "beacon": A[0], "samples": [
+        [0.2, -60.0, 37], [2.5, -61.0, 38]]},
+     {"type": "scan", "seq": 9, "beacon": A[3], "samples": [
+         [0.2, -60.0, 37], [2.6, -61.0, 37], [NAN, -62.0, 37]]},
+     {"type": "imu", "seq": 10, "samples": [[NAN, 0.5, 0.0, 0.0]]
+      + imu_rows(3)}],
+]
+
+
+class TestProtocol2:
+    def test_proto1_and_proto2_leave_the_same_gateway(self):
+        async def go(exchange):
+            gw = IngestionGateway(
+                GatewayConfig(late_horizon_s=1.5, max_beacons=3),
+                overload_fleet())
+            acks, states = [], []
+            for k, frames in enumerate(PHASES, start=1):
+                acks += [r for r in await exchange(gw, frames)
+                         if r["type"] == "ack"]
+                await gw.drain_clients()
+                states.append((
+                    {b: q.items() for b, q in gw.scan_queues.items()},
+                    gw.imu_queue.items(), dict(gw.refused),
+                    dict(gw.counters)))
+                states.append(snapshot_digest(gw.tick(float(k))))
+            return acks, states, gw.fleet.checkpoint(), gw.task_errors
+        json_run = run(go(proto1_exchange))
+        binary_run = run(go(proto2_exchange))
+        assert binary_run == json_run
+        acks, states, _, errors = json_run
+        assert errors == []
+        assert {"type": "ack", "seq": 0, "taken": 0, "dup": True} in acks
+        assert {a.get("refused") for a in acks} == {
+            None, "max_sessions", "max_beacons"}
+        counters = states[-2][3]
+        assert counters["sample_rejected"] == 4
+        assert counters["sample_late"] == 2
+
+    def test_client_falls_back_to_proto1(self):
+        class Proto1Gateway:
+            """Welcomes protocol 1 and acks JSON, recording each frame."""
+
+            def __init__(self):
+                self.frames, self.first_bytes = [], []
+
+            def connect(self, name=""):
+                client_end, server_end = connected_pair(name=name)
+                asyncio.ensure_future(self.serve(server_end))
+                return client_end
+
+            async def serve(self, ep):
+                decoder = FrameDecoder()
+                while True:
+                    chunk = await ep.recv()
+                    if chunk == b"":
+                        return
+                    self.first_bytes.append(chunk[4])
+                    for frame in decoder.feed(chunk):
+                        self.frames.append(frame)
+                        if frame["type"] == "hello":
+                            reply = {"type": "welcome", "proto": 1}
+                        elif frame["type"] == "bye":
+                            return
+                        else:
+                            reply = {"type": "ack", "seq": frame["seq"],
+                                     "taken": len(frame["samples"])}
+                        await ep.send(encode_frame(reply))
+
+        async def go():
+            gw = Proto1Gateway()
+            client = SimulatedClient("c0", gw, ack_timeout_s=0.5)
+            assert await client.send_frame(PHASES[0][0])
+            assert await client.send_frame(PHASES[0][3])
+            await client.close()
+            await asyncio.sleep(0)
+            return gw, client
+        gw, client = run(go())
+        assert client.proto == 1
+        assert gw.frames[0]["proto"] == 2  # it offered 2
+        assert [f["type"] for f in gw.frames] == ["hello", "scan", "imu",
+                                                  "bye"]
+        assert set(gw.first_bytes) == {ord("{")}  # every frame JSON
+        assert gw.frames[1] == PHASES[0][0]
+        assert client.stats.taken == 3 + 20
+
+    def test_welcome_with_an_unspoken_proto_fails_the_handshake(self):
+        async def go():
+            gw = small_gateway()
+            client = SimulatedClient("c0", gw, ack_timeout_s=0.2,
+                                     max_attempts=1)
+
+            async def welcome_3():
+                return {"type": "welcome", "proto": 3}
+            client._read_reply = welcome_3
+            ok = await client.send_frame(PHASES[0][0])
+            await client.close()
+            await gw.drain_clients()
+            return ok, client
+        ok, client = run(go())
+        assert not ok and client.stats.gave_up == 1
+
+    def test_binary_acks_on_a_proto2_connection(self):
+        async def go():
+            gw = small_gateway()
+            ep = gw.connect("c0")
+            await ep.send(encode_frame(
+                {"type": "hello", "client": "c0", "proto": 2}))
+            welcome = FrameDecoder().feed(await ep.recv())
+            await ep.send(encode_binary(PHASES[0][0]))
+            ack = await ep.recv()
+            await ep.send(encode_frame({"type": "bye"}))
+            ep.close()
+            await gw.drain_clients()
+            return welcome, ack
+        welcome, ack = run(go())
+        assert welcome == [{"type": "welcome", "proto": 2}]
+        assert ack[4] == BINARY_VERSION and len(ack) == 4 + 16
+        assert FrameDecoder().feed(ack) == [
+            {"type": "ack", "seq": 0, "taken": 3}]
+
+    def test_nonfinite_channel_is_a_rejected_sample(self):
+        # A proto-1 row [t, rssi, NaN] used to reach int(nan) and escape
+        # the serve task untyped.
+        async def go():
+            gw = small_gateway()
+            replies = await proto1_exchange(gw, [
+                {"type": "scan", "seq": 0, "beacon": "b1",
+                 "samples": [[1.0, -60.0, NAN], [1.1, -61.0, 37],
+                             [1.2, -62.0, float("inf")]]}])
+            await gw.drain_clients()
+            return gw, replies
+        gw, replies = run(go())
+        assert gw.task_errors == []
+        assert "internal_error" not in gw.counters
+        assert gw.counters["sample_rejected"] == 2
+        assert replies[1] == {"type": "ack", "seq": 0, "taken": 1}
+        frame = {"type": "scan", "seq": 0, "beacon": "b",
+                 "samples": [[1.0, -60.0, NAN], [1.1, -61.0, 37]]}
+        assert screen_scan_rows(frame, None) == (1, 1, 0)
 
 
 class TestRefusalReplay:

@@ -9,19 +9,35 @@ either decodes to a valid object or raises
 ``UnicodeDecodeError``, ``struct.error`` or ``MemoryError`` from a
 hostile length prefix. Three generators attack three layers: raw junk
 bytes at the framing layer, structured junk objects at the schema layer,
-and corrupted *valid* wire traffic at the boundary between them.
+and corrupted *valid* wire traffic at the boundary between them. The
+protocol-2 binary codec gets the same treatment (junk after its version
+byte, partial rows, bad beacon ids, unknown kinds and codes), and
+well-formed frames of wild values (NaN, inf, huge) must materialize alike
+through both codecs.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataQualityError
-from repro.gateway import FrameDecoder, encode_frame, validate_frame
-from repro.gateway.frames import imu_samples, scan_samples
+from repro.gateway import (
+    FrameDecoder,
+    encode_binary,
+    encode_frame,
+    validate_frame,
+)
+from repro.gateway.frames import (
+    BINARY_VERSION,
+    imu_samples,
+    scan_samples,
+    screen_scan_rows,
+)
 
 ALLOWED = (DataQualityError, ConfigurationError)
 
@@ -139,3 +155,203 @@ def test_valid_frames_roundtrip_any_fragmentation(frames, cuts):
     assert len(decoded) == len(frames)
     for sent, got in zip(frames, decoded):
         assert sent["type"] == got["type"]
+
+
+# -- protocol 2: binary scan, imu and ack frames ------------------------------
+
+BINARY = (DataQualityError,)
+
+
+def framed(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def scan_head(seq: int, beacon: bytes) -> bytes:
+    return (struct.pack("<BBQH", BINARY_VERSION, 1, seq, len(beacon))
+            + beacon)
+
+
+def decode_one(payload: bytes):
+    frames = FrameDecoder(max_frame_bytes=1 << 20).feed(framed(payload))
+    assert len(frames) == 1
+    return frames[0]
+
+
+def materialize(frame) -> None:
+    """Validate a decoded client frame and build its samples; both may
+    refuse typed, neither may raise anything else."""
+    try:
+        ftype = validate_frame(frame)
+    except ALLOWED:
+        return
+    if ftype == "scan":
+        scan_samples(frame)
+        screen_scan_rows(frame, 0.5)
+    elif ftype == "imu":
+        imu_samples(frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.binary(max_size=120),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_random_bytes_after_the_version_byte_decode_or_fail_typed(body, cuts):
+    decoder = FrameDecoder(max_frame_bytes=4096)
+    try:
+        frames = []
+        for chunk in chunked(framed(bytes([BINARY_VERSION]) + body), cuts):
+            frames.extend(decoder.feed(chunk))
+        decoder.eof()
+    except BINARY:
+        return
+    for frame in frames:
+        materialize(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([1, 2]), extra=st.integers(1, 200),
+       seq=st.integers(0, 2 ** 64 - 1))
+def test_row_block_of_a_partial_row_is_refused(kind, extra, seq):
+    width = 3 if kind == 1 else 4
+    if extra % (8 * width) == 0:
+        extra += 1
+    head = (scan_head(seq, b"b") if kind == 1
+            else struct.pack("<BBQ", BINARY_VERSION, 2, seq))
+    with pytest.raises(DataQualityError, match="whole number"):
+        decode_one(head + bytes(extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(beacon=st.binary(min_size=1, max_size=12))
+def test_beacon_id_bytes_decode_as_utf8_or_fail_typed(beacon):
+    payload = scan_head(0, beacon) + struct.pack("<3d", 1.0, -60.0, 37.0)
+    try:
+        text = beacon.decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(DataQualityError, match="UTF-8"):
+            decode_one(payload)
+        return
+    frame = decode_one(payload)
+    assert frame["beacon"] == text
+    assert validate_frame(frame) == "scan"
+
+
+def test_beacon_id_overrunning_the_frame_and_short_headers_are_refused():
+    for payload in (scan_head(0, b"abc")[:-1],          # id cut short
+                    struct.pack("<BBQH", BINARY_VERSION, 1, 0, 9),
+                    bytes([BINARY_VERSION, 1, 0]),       # header cut short
+                    struct.pack("<BBQ", BINARY_VERSION, 1, 0)):
+        with pytest.raises(DataQualityError):
+            decode_one(payload)
+
+
+def test_deeply_nested_json_fails_typed():
+    # Well under the frame size limit, deep enough to exhaust the parser.
+    for payload in (b'{"a":' + b"[" * 30000, b'{"a":' * 10000):
+        with pytest.raises(DataQualityError, match="not JSON"):
+            FrameDecoder().feed(framed(payload))
+
+
+def test_empty_binary_beacon_id_is_a_schema_refusal():
+    frame = decode_one(scan_head(0, b""))
+    with pytest.raises(DataQualityError, match="non-empty"):
+        validate_frame(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.integers(0, 255), dup=st.integers(0, 255),
+       code=st.integers(0, 255), taken=st.integers(0, 2 ** 32 - 1))
+def test_unknown_kinds_dup_flags_and_reason_codes_are_refused(
+        kind, dup, code, taken):
+    ack = struct.pack("<BBQIBB", BINARY_VERSION, 3, 7, taken, dup, code)
+    if dup > 1 or code > 3:
+        with pytest.raises(DataQualityError):
+            decode_one(ack)
+    else:
+        got = decode_one(ack)
+        assert got["type"] == "ack" and got["taken"] == taken
+        assert encode_binary(got) == framed(ack)
+    if kind not in (1, 2, 3):
+        with pytest.raises(DataQualityError, match="kind"):
+            decode_one(struct.pack("<BBQ", BINARY_VERSION, kind, 0)
+                       + bytes(24))
+
+
+def test_ack_of_the_wrong_length_is_refused():
+    ack = struct.pack("<BBQIBB", BINARY_VERSION, 3, 7, 1, 0, 0)
+    for payload in (ack[:-1], ack + b"\x00"):
+        with pytest.raises(DataQualityError, match="ack"):
+            decode_one(payload)
+
+
+def test_unknown_first_byte_poisons_the_decoder():
+    for first in (0x00, 0x01, 0x03, 0x20, 0x5B, 0x84, 0xFD):
+        decoder = FrameDecoder()
+        with pytest.raises(DataQualityError, match="neither JSON"):
+            decoder.feed(framed(bytes([first, 1, 2])))
+        with pytest.raises(DataQualityError, match="already failed"):
+            decoder.feed(encode_frame({"type": "bye"}))
+    with pytest.raises(DataQualityError, match="empty"):
+        FrameDecoder().feed(framed(b""))
+
+
+#: Row values the wire may carry: ordinary, non-finite, huge and tiny.
+WILD = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308,
+                     -1e308, 5e-324, 0.0]),
+)
+#: JSON additionally carries integers, also past float range.
+WILD_JSON = st.one_of(WILD, st.integers(-10, 10),
+                      st.sampled_from([2 ** 70, 10 ** 400, -(10 ** 400)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.integers(0, 2 ** 40), beacon=st.text(min_size=1, max_size=6),
+       scan_rows=st.lists(st.lists(WILD, min_size=3, max_size=3),
+                          max_size=6),
+       imu_rows=st.lists(st.lists(WILD, min_size=4, max_size=4),
+                         max_size=6))
+def test_wild_values_materialize_alike_in_both_codecs(
+        seq, beacon, scan_rows, imu_rows):
+    scan = {"type": "scan", "seq": seq, "beacon": beacon,
+            "samples": scan_rows}
+    imu = {"type": "imu", "seq": seq, "samples": imu_rows}
+    for frame, build in ((scan, scan_samples), (imu, imu_samples)):
+        via_json = FrameDecoder().feed(encode_frame(frame))[0]
+        via_binary = FrameDecoder().feed(encode_binary(frame))[0]
+        assert validate_frame(via_json) == validate_frame(via_binary)
+        got_json, got_binary = build(via_json), build(via_binary)
+        # Same samples, bit for bit (repr tells NaN from NaN and 0.0
+        # from -0.0), and the same rejected count.
+        assert repr(got_json) == repr(got_binary)
+        if frame is scan:
+            assert (screen_scan_rows(via_json, 0.5)
+                    == screen_scan_rows(via_binary, 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_rows=st.lists(st.lists(WILD_JSON, min_size=3, max_size=3),
+                          max_size=6),
+       imu_rows=st.lists(st.lists(WILD_JSON, min_size=4, max_size=4),
+                         max_size=6))
+def test_wild_json_rows_never_raise_untyped(scan_rows, imu_rows):
+    for frame in ({"type": "scan", "seq": 0, "beacon": "b",
+                   "samples": scan_rows},
+                  {"type": "imu", "seq": 0, "samples": imu_rows}):
+        materialize(FrameDecoder().feed(encode_frame(frame))[0])
+
+
+def test_a_row_is_rejected_for_a_nonfinite_time_or_channel_only():
+    nan, inf = float("nan"), float("inf")
+    frame = {"type": "scan", "seq": 0, "beacon": "b", "samples": [
+        [1.0, -60.0, 37], [nan, -60.0, 37], [1.0, -60.0, nan],
+        [1.0, -60.0, inf], [1.0, nan, 37], [10 ** 400, -60.0, 37]]}
+    for wire in (encode_frame, encode_binary):
+        if wire is encode_binary:
+            frame["samples"].pop()  # no binary form: past float range
+        decoded = FrameDecoder().feed(wire(frame))[0]
+        samples, rejected = scan_samples(decoded)
+        assert [s.rssi for s in samples][0] == -60.0
+        assert len(samples) == 2 and samples[1].rssi != samples[1].rssi
+        assert rejected == len(frame["samples"]) - 2
+        assert screen_scan_rows(decoded, None) == (2, rejected, 0)

@@ -14,6 +14,31 @@ import numpy as np
 from repro.sim.soak import long_walk
 
 
+class TestSoakCliDefaults:
+    @pytest.mark.parametrize("argv, outage_s", [
+        ([], 60.0),                     # the 300 s acceptance soak
+        (["--duration", "60"], 12.0),   # CI's 60 s soaks
+        (["--duration", "60", "--outage-s", "20"], 20.0),
+    ])
+    def test_outage_length_scales_with_duration(self, monkeypatch, argv,
+                                                outage_s):
+        import repro.sim.soak as soak
+        from repro.cli import main
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def fake_run_soak(config):
+            seen.append(config.fault.outage_s)
+            raise Stop
+        monkeypatch.setattr(soak, "run_soak", fake_run_soak)
+        with pytest.raises(Stop):
+            main(["soak", *argv])
+        assert seen == [outage_s]
+
+
 class TestLongWalk:
     def test_covers_duration_within_bounds(self):
         sc = scenario(6)

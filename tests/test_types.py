@@ -124,6 +124,19 @@ class TestRssiTrace:
         t = self._trace(3)
         assert all(isinstance(s, RssiSample) for s in t)
 
+    def test_sanitized_clean_trace_hands_its_arrays_on(self):
+        from repro.robustness import sanitize_trace
+
+        clean, _ = sanitize_trace(self._trace(3))
+        ts, vals = clean.timestamps(), clean.values()
+        assert ts is clean.timestamps() and vals is clean.values()
+        assert not ts.flags.writeable and not vals.flags.writeable
+        assert vals.tolist() == [-60.0, -61.0, -62.0]
+        assert clean == self._trace(3)  # the arrays take no part
+        # Samples that no longer match the arrays' length get fresh ones.
+        clean.samples.append(RssiSample(0.3, -63.0))
+        assert clean.values().tolist() == [-60.0, -61.0, -62.0, -63.0]
+
 
 class TestImuTrace:
     def test_accessors(self):
