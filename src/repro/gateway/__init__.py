@@ -3,8 +3,8 @@
 Layout:
 
 * :mod:`~repro.gateway.frames` — the length-prefixed wire protocol (JSON
-  frames, and binary data frames in protocol 2) and its incremental,
-  typed-error decoder.
+  frames, binary data frames in protocol 2, and the held envelope of
+  protocol 3) and its incremental, typed-error decoder.
 * :mod:`~repro.gateway.transport` — in-memory flow-controlled duplex
   byte pipes (the deterministic stand-in for sockets).
 * :mod:`~repro.gateway.gateway` — :class:`IngestionGateway`: concurrent

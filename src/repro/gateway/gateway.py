@@ -26,7 +26,9 @@ Degradation ladder, outermost first:
    are only counted, never built into samples or queued: the frame is
    acked ``{"taken": 0, "refused": <reason>}`` and its samples are booked
    once per shard at the next tick. Last, the gateway's own
-   ``max_beacons`` queue cap.
+   ``max_beacons`` queue cap. A protocol-3 ``held`` envelope's folded
+   scan frames take this same path one by one
+   (:meth:`IngestionGateway._ingest_scan`), answered by one ack.
 4. **Sample screening** — rows with a non-finite timestamp or channel
    (one rule for both codecs, :mod:`repro.gateway.frames`) and samples
    older than the late horizon are refused per sample, counted per frame.
@@ -52,6 +54,7 @@ from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import TrackingFleet
 from repro.gateway.frames import (
     MAX_FRAME_BYTES,
+    PROTO_VERSION,
     FrameDecoder,
     encode_for,
     imu_samples,
@@ -150,29 +153,28 @@ class _SeqMemory:
     def seen(self, seq: int) -> bool:
         return seq in self._set
 
-    def record(self, seq: int) -> bool:
-        """Remember ``seq``; returns True when it arrived out of order."""
-        reordered = seq < self.max_seq
+    def record(self, seq: int) -> None:
+        """Remember ``seq``."""
         if seq > self.max_seq:
             self.max_seq = seq
         self._set.add(seq)
         self._fifo.append(seq)
         if len(self._fifo) > self.maxlen:
             self._set.discard(self._fifo.popleft())
-        return reordered
 
 
 class _ClientState:
     """Per-connection handshake/error bookkeeping."""
 
-    __slots__ = ("client_id", "memory", "errors", "proto")
+    __slots__ = ("client_id", "memory", "errors", "decoder")
 
-    def __init__(self) -> None:
+    def __init__(self, max_frame_bytes: int) -> None:
         self.client_id: Optional[str] = None
         self.memory: Optional[_SeqMemory] = None
         self.errors = 0
-        #: The protocol the hello negotiated: 2 acks binary.
-        self.proto = 1
+        #: The connection's decoder; its ``proto`` is what the hello
+        #: negotiated (2 acks binary, 3 also takes held envelopes).
+        self.decoder = FrameDecoder(max_frame_bytes)
 
 
 class IngestionGateway:
@@ -231,7 +233,7 @@ class IngestionGateway:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def _serve(self, ep: Endpoint, admitted: bool) -> None:
-        state = _ClientState()
+        state = _ClientState(self.config.max_frame_bytes)
         try:
             if not admitted:
                 obs.signal("gateway.client_rejected", ledger=self.counters,
@@ -255,7 +257,7 @@ class IngestionGateway:
                 self.active_clients -= 1
 
     async def _serve_admitted(self, ep: Endpoint, state: _ClientState) -> None:
-        decoder = FrameDecoder(self.config.max_frame_bytes)
+        decoder = state.decoder
         while True:
             try:
                 chunk = await ep.recv(self.config.client_timeout_s)
@@ -336,37 +338,75 @@ class IngestionGateway:
         if ftype == "hello":
             state.client_id = str(frame["client"])
             state.memory = self._memory_for(state.client_id)
-            state.proto = frame["proto"]
+            # An offer above what this gateway speaks negotiates down.
+            state.decoder.proto = min(frame["proto"], PROTO_VERSION)
             obs.signal("gateway.client_connected", ledger=self.counters,
                        client=state.client_id)
             return await self._send(ep, state, {
-                "type": "welcome", "proto": state.proto,
+                "type": "welcome", "proto": state.decoder.proto,
             })
         if ftype == "bye":
             obs.signal("gateway.client_bye", ledger=self.counters,
                        client=state.client_id)
             return False
+        assert state.memory is not None
         if ftype == "scan":
-            return await self._handle_scan(ep, state, frame)
+            return await self._send(ep, state, self._ingest_scan(
+                state, frame, state.memory.max_seq))
+        if ftype == "held":
+            return await self._handle_held(ep, state, frame)
         return await self._handle_imu(ep, state, frame)
 
-    async def _handle_scan(
-        self, ep: Endpoint, state: _ClientState, frame: Dict[str, Any]
-    ) -> bool:
-        seq = frame["seq"]
-        assert state.memory is not None
-        if state.memory.seen(seq):
-            # At-least-once delivery: the retry of an already-ingested
-            # frame is acked idempotently, never re-ingested.
+    def _fresh(self, state: _ClientState, seq: int, after: int) -> bool:
+        """Remember a data frame's ``seq``; False for a duplicate.
+
+        At-least-once delivery: the retry of an already-ingested frame is
+        acked idempotently, never re-ingested. A seq below ``after`` is
+        signalled as reordered.
+        """
+        memory = state.memory
+        assert memory is not None
+        if memory.seen(seq):
             obs.signal("gateway.frame_duplicate", ledger=self.counters,
                        severity="debug", client=state.client_id, seq=seq)
-            return await self._send(ep, state, {
-                "type": "ack", "seq": seq, "taken": 0, "dup": True,
-            })
-        if state.memory.record(seq):
+            return False
+        memory.record(seq)
+        if seq < after:
             obs.signal("gateway.frame_reordered", ledger=self.counters,
                        severity="debug", client=state.client_id, seq=seq,
-                       max_seq=state.memory.max_seq)
+                       max_seq=memory.max_seq)
+        return True
+
+    async def _handle_held(
+        self, ep: Endpoint, state: _ClientState, frame: Dict[str, Any]
+    ) -> bool:
+        """Ingest a held envelope's folded scan frames one by one, as if
+        each came alone, and answer them with one ack: the rows taken and
+        the folded beacons admitted. The client folds frames on purpose,
+        out of their seq order, so a folded frame counts as reordered only
+        against the envelope's own earlier frames."""
+        taken, after = 0, -1
+        admitted: Dict[str, None] = {}
+        for folded in frame["frames"]:
+            ack = self._ingest_scan(state, folded, after)
+            after = max(after, folded["seq"])
+            taken += ack["taken"]
+            if "refused" not in ack and "dup" not in ack:
+                admitted[folded["beacon"]] = None
+        return await self._send(ep, state, {
+            "type": "ack", "seq": frame["seq"], "taken": taken,
+            "admitted": list(admitted),
+        })
+
+    def _ingest_scan(self, state: _ClientState, frame: Dict[str, Any],
+                     after: int) -> Dict[str, Any]:
+        """Ingest one scan frame, alone or folded; returns its ack.
+
+        ``after`` is the seq below which the frame counts as reordered.
+        """
+        seq = frame["seq"]
+        if not self._fresh(state, seq, after):
+            return {"type": "ack", "seq": seq, "taken": 0, "dup": True}
         beacon = str(frame["beacon"])
         reason = self.fleet.admits(beacon)
         if reason is not None:
@@ -378,9 +418,7 @@ class IngestionGateway:
             self._count_screened(state, seq, rejected, late)
             if n:
                 self.refused[beacon] = self.refused.get(beacon, 0) + n
-            return await self._send(ep, state, {
-                "type": "ack", "seq": seq, "taken": 0, "refused": reason,
-            })
+            return {"type": "ack", "seq": seq, "taken": 0, "refused": reason}
         samples, rejected = scan_samples(frame)
         self._count_screened(state, seq, rejected, 0)
         samples = self._screen_late(state, seq, samples)
@@ -405,23 +443,17 @@ class IngestionGateway:
         ack: Dict[str, Any] = {"type": "ack", "seq": seq, "taken": taken}
         if refused is not None:
             ack["refused"] = refused
-        return await self._send(ep, state, ack)
+        return ack
 
     async def _handle_imu(
         self, ep: Endpoint, state: _ClientState, frame: Dict[str, Any]
     ) -> bool:
         seq = frame["seq"]
         assert state.memory is not None
-        if state.memory.seen(seq):
-            obs.signal("gateway.frame_duplicate", ledger=self.counters,
-                       severity="debug", client=state.client_id, seq=seq)
+        if not self._fresh(state, seq, state.memory.max_seq):
             return await self._send(ep, state, {
                 "type": "ack", "seq": seq, "taken": 0, "dup": True,
             })
-        if state.memory.record(seq):
-            obs.signal("gateway.frame_reordered", ledger=self.counters,
-                       severity="debug", client=state.client_id, seq=seq,
-                       max_seq=state.memory.max_seq)
         samples, rejected = imu_samples(frame)
         self._count_screened(state, seq, rejected, 0)
         samples = self._screen_late(state, seq, samples)
@@ -568,7 +600,7 @@ class IngestionGateway:
     ) -> bool:
         """Best-effort reply; a vanished peer is counted, not raised."""
         try:
-            await ep.send(encode_for(obj, state.proto))
+            await ep.send(encode_for(obj, state.decoder.proto))
             return True
         except ConnectionClosed:
             obs.signal("gateway.reply_dropped", ledger=self.counters,

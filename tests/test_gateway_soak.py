@@ -117,6 +117,31 @@ def test_backpressure_sheds_visibly_not_silently(tmp_path):
     assert result.replay_result.identical
 
 
+def test_capped_fleet_soak_holds_refused_beacons(tmp_path):
+    """More beacons than session slots: protocol-3 clients fold the
+    refused beacons' frames into held envelopes under drop, duplicate,
+    corrupt and stall faults, and the run still records and replays
+    bit-identically with full signal parity."""
+    result = run_gateway_soak(soak_config(
+        tmp_path,
+        transport=TransportFaultModel(
+            drop_rate=0.05, duplicate_rate=0.10, corrupt_rate=0.05,
+            stall_rate=0.05, stall_s=0.02),
+        load=LoadConfig(duration_s=12.0, n_beacons=12, template_beacons=3,
+                        rate_hz=4.0, seed=7),
+        fleet=FleetConfig(n_shards=2, service=ServiceConfig(max_sessions=2)),
+    ))
+    assert result.passed, result.summary()
+    assert result.untyped_errors == 0 and result.parity_failures == []
+    assert result.replay_result is not None
+    assert result.replay_result.identical
+    assert result.replay_result.ticks == result.ticks
+    assert result.fleet_sessions == 4
+    assert max(s["held_frames"] for s in result.client_stats.values()) > 0
+    for stats in result.client_stats.values():
+        assert stats["gave_up"] == 0
+
+
 def test_result_summary_is_json_safe(tmp_path):
     import json
 
