@@ -3,8 +3,8 @@
 Layout:
 
 * :mod:`~repro.gateway.frames` — the length-prefixed wire protocol (JSON
-  frames, binary data frames in protocol 2, and the held envelope of
-  protocol 3) and its incremental, typed-error decoder.
+  control frames; binary data frames, acks and held envelopes) and its
+  incremental, typed-error decoder.
 * :mod:`~repro.gateway.transport` — in-memory flow-controlled duplex
   byte pipes (the deterministic stand-in for sockets).
 * :mod:`~repro.gateway.gateway` — :class:`IngestionGateway`: concurrent
@@ -22,6 +22,7 @@ from repro.gateway.frames import (
     PROTO_VERSION,
     FrameDecoder,
     encode_binary,
+    encode_for,
     encode_frame,
     imu_samples,
     scan_samples,
@@ -53,6 +54,7 @@ __all__ = [
     "FrameDecoder",
     "encode_frame",
     "encode_binary",
+    "encode_for",
     "validate_frame",
     "scan_samples",
     "imu_samples",

@@ -1,21 +1,20 @@
 """A protocol-complete simulated client with scripted transport faults.
 
 :class:`SimulatedClient` is the gateway's sparring partner: it speaks the
-frame protocol correctly — hello handshake offering protocol 3 (binary
-data frames and acks, and held envelopes) and speaking whatever lower
-protocol the gateway welcomes, at-least-once delivery with per-``seq``
-acks, reconnect-and-resend after a dropped connection — while
-a per-frame :class:`~repro.sim.faults.FrameFate` script makes it misbehave
-in every transport-level way the hostile-input matrix names:
+frame protocol correctly — hello handshake offering the one protocol
+(binary data frames and acks, and held envelopes), at-least-once delivery
+with per-``seq`` acks, reconnect-and-resend after a dropped connection —
+while a per-frame :class:`~repro.sim.faults.FrameFate` script makes it
+misbehave in every transport-level way the hostile-input matrix names:
 
 * **drop** — pretend to send, then wait for the ack that never comes;
   the ack timeout expires and the retry path delivers for real.
 * **duplicate** — send the frame twice; the gateway's seq dedup must ack
   the second copy idempotently (``taken=0``).
-* **corrupt** — flip the first payload byte, which then names no codec
-  (``{`` becomes 0x84, the binary version 0x02 becomes 0xFD), so the
-  refusal is deterministic; the gateway hangs up with a typed
-  ``bad-frame`` error and the client reconnects and resends.
+* **corrupt** — flip the first payload byte: the binary version 0x02
+  becomes 0xFD, which names no codec, so the refusal is deterministic;
+  the gateway hangs up with a typed ``bad-frame`` error and the client
+  reconnects and resends.
 * **truncate** — send half the wire bytes and slam the connection; the
   gateway counts a truncated frame, the client reconnects and resends.
 * **disconnect** — close cleanly after the ack, reconnecting lazily on
@@ -27,10 +26,10 @@ in every transport-level way the hostile-input matrix names:
   adjacent frames in the schedule, since a sequential-ack client cannot
   reorder within a single in-flight window.
 
-On a protocol-3 connection, :meth:`SimulatedClient.run_schedule` holds
-the beacons the gateway refused: their scan frames are folded into held
-envelopes rather than sent alone, until an ack says the fleet admits
-them. Each fate above then applies to a whole envelope.
+:meth:`SimulatedClient.run_schedule` holds the beacons the gateway
+refused: their scan frames are folded into held envelopes rather than
+sent alone, until an ack says the fleet admits them. Each fate above then
+applies to a whole envelope.
 
 Retry pacing uses the deterministic jittered
 :class:`~repro.service.ExponentialBackoff` (scaled down so soaks stay
@@ -50,7 +49,6 @@ from repro.gateway.frames import (
     PROTO_VERSION,
     FrameDecoder,
     encode_for,
-    encode_frame,
     held_envelopes,
 )
 from repro.gateway.transport import ConnectionClosed, Endpoint
@@ -137,8 +135,6 @@ class SimulatedClient:
         self._connected_once = False
         self._decoder = FrameDecoder()
         self._pending: Deque[Dict[str, Any]] = deque()
-        #: The protocol the last handshake negotiated.
-        self.proto = PROTO_VERSION
         #: Beacons whose scans this connection folds into held envelopes.
         self._held: Set[str] = set()
 
@@ -155,7 +151,7 @@ class SimulatedClient:
         self._decoder = FrameDecoder()
         self._pending.clear()
         self._held.clear()
-        await self._ep.send(encode_frame({
+        await self._ep.send(encode_for({
             "type": "hello", "client": self.client_id,
             "proto": PROTO_VERSION,
         }))
@@ -167,11 +163,10 @@ class SimulatedClient:
                 f"client {self.client_id}: handshake answered with "
                 f"{(reply or {}).get('type')!r}")
         proto = reply.get("proto")
-        if type(proto) is not int or not 1 <= proto <= PROTO_VERSION:
+        if type(proto) is not int or proto != PROTO_VERSION:
             raise ConnectionClosed(
                 f"client {self.client_id}: welcomed with protocol "
                 f"{proto!r}, which it does not speak")
-        self.proto = self._decoder.proto = proto
 
     def _drop_connection(self) -> None:
         if self._ep is not None:
@@ -184,7 +179,7 @@ class SimulatedClient:
             self._ep = None
             return
         try:
-            await self._ep.send(encode_frame({"type": "bye"}))
+            await self._ep.send(encode_for({"type": "bye"}))
         except ConnectionClosed:
             pass
         self._drop_connection()
@@ -253,11 +248,11 @@ class SimulatedClient:
         assert self._ep is not None
         if fate.drop:
             return
-        wire = encode_for(frame, self.proto)
+        wire = encode_for(frame)
         if fate.corrupt:
             sabotaged = bytearray(wire)
-            # First payload byte: 0x7b ('{') ^ 0xff = 0x84 and 0x02 ^ 0xff
-            # = 0xfd name no codec — the refusal is deterministic.
+            # First payload byte: 0x02 ^ 0xff = 0xfd names no codec — the
+            # refusal is deterministic.
             sabotaged[4] ^= 0xFF
             wire = bytes(sabotaged)
         if fate.truncate:
@@ -337,14 +332,14 @@ class SimulatedClient:
     ) -> ClientStats:
         """Deliver a whole scripted schedule (reorder fates pre-applied).
 
-        On a protocol-3 connection a refusal ack puts the frame's beacon
-        on hold for the rest of the connection. A held beacon's scan
-        frames are not sent alone: they are folded, in schedule order,
-        into held envelopes (:func:`~repro.gateway.frames.held_envelopes`)
-        within the gateway's ``max_frame_bytes``, sent before the run
-        returns, each under the fate of its last folded frame; a frame
-        too large to fit in an envelope goes alone. An ack that names a
-        folded beacon admitted ends its hold.
+        A refusal ack puts the frame's beacon on hold for the rest of the
+        connection. A held beacon's scan frames are not sent alone: they
+        are folded, in schedule order, into held envelopes
+        (:func:`~repro.gateway.frames.held_envelopes`) within the gateway's
+        ``max_frame_bytes``, sent before the run returns, each under the
+        fate of its last folded frame; a frame too large to fit in an
+        envelope goes alone. An ack that names a folded beacon admitted
+        ends its hold.
         """
         folded: List[Dict[str, Any]] = []
         fates: List[FrameFate] = []
@@ -360,7 +355,7 @@ class SimulatedClient:
                 fates.append(fate)
                 continue
             ack = await self._deliver(frame, fate)
-            if ack is not None and "refused" in ack and self.proto >= 3:
+            if ack is not None and "refused" in ack:
                 self._held.add(frame["beacon"])
         self.stats.held_frames += len(folded)
         last = -1

@@ -4,22 +4,24 @@ One frame on the wire is a 4-byte big-endian unsigned length followed by
 that many bytes of payload. Two codecs share that prefix, and the decoder
 picks one per payload from its first byte:
 
-* ``{`` — UTF-8 JSON encoding a single object. Every frame type has a
-  JSON form, and protocol 1 speaks only this one: a phone-side client
-  can speak it from any language in ten lines.
+* ``{`` — UTF-8 JSON encoding a single object: the four control frames
+  ``hello``, ``welcome``, ``bye`` and ``error``.
 * :data:`BINARY_VERSION` (``0x02``) — a packed little-endian ``struct``:
-  the protocol-2 form of the high-volume ``scan``, ``imu`` and ``ack``
-  frames, and protocol 3's ``held`` envelope and its ack. Its rows are
-  one block of ``<d`` values, so a frame is packed and unpacked in one
-  call, and its layout fixes every row's arity and value type.
+  the data frames ``scan``, ``imu`` and ``ack``, the ``held`` envelope
+  and its ack. Its rows are one block of ``<d`` values, so a frame is
+  packed and unpacked in one call, and its layout fixes every row's arity
+  and value type.
 * any other byte is a typed refusal.
+
+:func:`encode_for` picks the codec from the frame type, so both ends
+encode every frame through the one call.
 
 Every layer stays *checkable*: the length prefix bounds memory before a
 byte of payload is parsed, each codec rejects what does not parse, and
 :func:`validate_frame` pins the schema of every frame type before the
-gateway acts on it. Both codecs carry f64 values exactly (JSON floats
-round-trip through ``repr``), so a sample reaches the fleet bit-identical
-whichever codec carried it.
+gateway acts on it, including the codec it came in: a data frame in JSON
+is refused. Binary rows carry f64 values exactly, so a sample reaches the
+fleet bit-identical.
 
 Decoding is **incremental**: a :class:`FrameDecoder` accepts arbitrary
 chunkings of the byte stream (TCP segments, a slow-loris client dribbling
@@ -30,35 +32,25 @@ bytes are *data*, and the data-error contract of the rest of the library
 valid frame or a typed refusal it can count, event, and answer; never a
 ``KeyError`` out of a half-parsed dict.
 
-The client offers its highest ``proto`` in ``hello`` and the gateway
-welcomes the lower of that offer and :data:`PROTO_VERSION` (an offer that
-is not an int >= 1 is refused). On a protocol-2 connection the client
-sends ``scan`` and ``imu`` frames binary and the gateway acks binary;
-``hello``, ``welcome``, ``bye`` and ``error`` stay JSON. Protocol 3 adds
-the ``held`` envelope: scan frames the client folds into one binary
-frame, each exactly as it would travel alone, answered by one ack. A
-:class:`FrameDecoder` refuses the envelope and its ack on a connection
-that did not negotiate protocol 3.
+There is one protocol, :data:`PROTO_VERSION`. The client offers it in
+``hello``; a hello offering less is refused, and one offering more is
+welcomed with :data:`PROTO_VERSION`. A client folds the scan frames of
+beacons the fleet refused into one ``held`` envelope, each frame exactly
+as it would travel alone, answered by one ack.
 
-JSON frame schema (protocol 1, and the control frames of protocols 2 and 3):
+JSON frame schema (the control frames):
 
 ======== ==============================================================
 type     payload
 ======== ==============================================================
-hello    ``{"type":"hello","client":str,"proto":int >= 1}``
-scan     ``{"type":"scan","seq":int,"beacon":str,
-         "samples":[[t,rssi,channel],...]}``
-imu      ``{"type":"imu","seq":int,
-         "samples":[[t,accel,gyro_z,mag_heading],...]}``
+hello    ``{"type":"hello","client":str,"proto":int >= 3}``
 bye      ``{"type":"bye"}``
-welcome  ``{"type":"welcome","proto":1|2|3}``  (gateway → client)
-ack      ``{"type":"ack","seq":int,"taken":int}``, plus ``"dup":true``
-         or ``"refused":str`` when they apply   (gateway → client)
+welcome  ``{"type":"welcome","proto":3}``  (gateway → client)
 error    ``{"type":"error","code":str,"detail":str}`` (gateway → client)
 ======== ==============================================================
 
-Binary frame layout (protocols 2 and 3, all little-endian; ``B`` u8, ``H`` u16,
-``I`` u32, ``Q`` u64, ``d`` f64):
+Binary frame layout (all little-endian; ``B`` u8, ``H`` u16, ``I`` u32,
+``Q`` u64, ``d`` f64):
 
 ======== ==============================================================
 kind     payload
@@ -71,21 +63,20 @@ ack (3)  ``<BBQIBB`` version, kind, seq, taken, dup (0/1), refusal code
          (0 none, 1 ``max_beacons``, 2 ``max_total_sessions``,
          3 ``max_sessions``)
 held (4) ``<BB`` version, kind; then one or more folded scan frames, each
-         its lone wire bytes (``>I`` length + a kind-1 payload).
-         Protocol 3 only; it travels under its last folded frame's seq
+         its lone wire bytes (``>I`` length + a kind-1 payload). It
+         travels under its last folded frame's seq
 ack (5)  the held envelope's ack: ``<BBQIH`` version, kind, seq, taken,
          admitted count; then per admitted beacon a ``<H`` length and
-         its UTF-8 id. Protocol 3 only; decodes to an ``ack`` with an
-         ``admitted`` list
+         its UTF-8 id. It decodes to an ``ack`` with an ``admitted``
+         list
 ======== ==============================================================
 
 A row block whose length is not a whole number of rows, a beacon id that
 overruns the payload or is not UTF-8, an unknown kind, dup flag or
-refusal code, an empty envelope, a folded frame that overruns its
-envelope or is not a scan (an envelope included), and an envelope or its
-ack below protocol 3: each is a typed refusal that poisons the decoder,
-as a JSON syntax error does. An empty beacon id parses and is refused by
-:func:`validate_frame`, as in JSON.
+refusal code, an empty envelope, and a folded frame that overruns its
+envelope or is not a scan (an envelope included): each is a typed refusal
+that poisons the decoder, as a JSON syntax error does. An empty beacon id
+parses and is refused by :func:`validate_frame`.
 """
 
 from __future__ import annotations
@@ -114,10 +105,10 @@ __all__ = [
     "imu_samples",
 ]
 
-#: Highest protocol version this module speaks (offered in hello).
+#: The protocol version this module speaks (offered in hello).
 PROTO_VERSION = 3
 
-#: First payload byte of a binary (protocol-2) frame.
+#: First payload byte of a binary frame.
 BINARY_VERSION = 2
 
 #: Default ceiling on one frame's payload. A length prefix past this is
@@ -145,9 +136,6 @@ _BINARY_TYPES = ("scan", "imu", "ack", "held")
 #: Ack refusal codes: index = code, 0 = not refused.
 _REFUSALS = (None, "max_beacons", "max_total_sessions", "max_sessions")
 _REFUSAL_CODE = {reason: code for code, reason in enumerate(_REFUSALS)}
-
-#: The exact types a JSON sample row's values may have (bool excluded).
-_NUMBER = (int, float)
 
 #: Client-originated frame types the gateway understands.
 CLIENT_FRAME_TYPES = ("hello", "scan", "imu", "held", "bye")
@@ -230,11 +218,10 @@ def _binary_payload(obj: Dict[str, Any]) -> bytes:
                            len(beacon)) + beacon + block
 
 
-def encode_for(obj: Dict[str, Any], proto: int) -> bytes:
-    """Serialize a frame object for a connection speaking ``proto``:
-    protocols 2 and 3 send ``scan``, ``imu``, ``ack`` and ``held`` frames
-    binary, every other frame, and protocol 1 all of them, JSON."""
-    if proto >= 2 and obj.get("type") in _BINARY_TYPES:
+def encode_for(obj: Dict[str, Any]) -> bytes:
+    """Serialize a frame object in its codec: ``scan``, ``imu``, ``ack``
+    and ``held`` frames binary, the control frames JSON."""
+    if obj.get("type") in _BINARY_TYPES:
         return encode_binary(obj)
     return encode_frame(obj)
 
@@ -318,7 +305,7 @@ def _decode_held(payload: bytes) -> Dict[str, Any]:
                 "held envelope nests another envelope" if kind == _HELD
                 else f"held envelope folds a frame of kind {kind}, not a "
                 f"scan")
-        frames.append(_decode_binary(payload[start:pos], 1))
+        frames.append(_decode_binary(payload[start:pos]))
     if not frames:
         raise DataQualityError("held envelope folds no frame")
     return {"type": "held", "seq": frames[-1]["seq"], "frames": tuple(frames)}
@@ -348,14 +335,10 @@ def _decode_held_ack(payload: bytes) -> Dict[str, Any]:
     return {"type": "ack", "seq": seq, "taken": taken, "admitted": admitted}
 
 
-def _decode_binary(payload: bytes, proto: int) -> Dict[str, Any]:
-    if len(payload) >= 2 and payload[1] in (_HELD, _HELD_ACK_KIND):
-        if proto < 3:
-            raise DataQualityError(
-                f"binary frame kind {payload[1]} needs protocol 3; this "
-                f"connection speaks {proto}")
-        if payload[1] == _HELD:
-            return _decode_held(payload)
+def _decode_binary(payload: bytes) -> Dict[str, Any]:
+    if len(payload) >= 2 and payload[1] == _HELD:
+        return _decode_held(payload)
+    if len(payload) >= 2 and payload[1] == _HELD_ACK_KIND:
         return _decode_held_ack(payload)
     if len(payload) < _IMU_HEAD.size:
         raise DataQualityError(
@@ -408,21 +391,16 @@ class FrameDecoder:
     modes raise :class:`~repro.errors.DataQualityError`: an oversized
     length prefix, an empty payload or one whose first byte names no
     codec, a JSON payload that is not UTF-8 or not JSON, a malformed
-    binary payload (a held envelope or its ack included, and either one
-    unless :attr:`proto` is 3), and a stream that ends mid-frame
-    (:meth:`eof`). After
-    an error the decoder is poisoned — framing on a corrupted stream
-    cannot resynchronize, so the connection must be dropped.
+    binary payload (a held envelope or its ack included), and a stream
+    that ends mid-frame (:meth:`eof`). After an error the decoder is
+    poisoned — framing on a corrupted stream cannot resynchronize, so the
+    connection must be dropped.
     """
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES,
-                 proto: int = 1):
+    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
         if max_frame_bytes < 2:
             raise ConfigurationError("max_frame_bytes must be >= 2")
         self.max_frame_bytes = int(max_frame_bytes)
-        #: The protocol the connection negotiated: below 3, a held
-        #: envelope or its ack is a refusal.
-        self.proto = proto
         self._buf = bytearray()
         self._poisoned = False
         #: Total frames decoded over the connection's lifetime.
@@ -475,7 +453,7 @@ class FrameDecoder:
             if first == _JSON_START:
                 return _decode_json(payload)
             if first == BINARY_VERSION:
-                return _decode_binary(payload, self.proto)
+                return _decode_binary(payload)
             raise DataQualityError(
                 f"frame payload starts with byte 0x{first:02x}: neither "
                 f"JSON ('{{') nor binary version {BINARY_VERSION}")
@@ -512,27 +490,17 @@ def _require(frame: Dict[str, Any], key: str, types: tuple, what: str) -> Any:
     return value
 
 
-def _require_rows(frame: Dict[str, Any], what: str) -> None:
-    """Check a data frame's rows: a JSON list of number rows of the frame
-    type's arity. A binary frame's rows arrive as a tuple, whose arity and
-    value type its layout already fixed (JSON never decodes to a tuple)."""
-    if type(frame.get("samples")) is tuple:
-        return
-    width = _WIDTH[what]
-    for row in _require(frame, "samples", (list,), what):
-        # JSON decodes to exact int/float, and type(True) is bool.
-        if (not isinstance(row, list) or len(row) != width
-                or not all(type(v) in _NUMBER for v in row)):
-            raise DataQualityError(
-                "scan frame samples must be [t, rssi, channel] number "
-                "triples" if what == "scan" else
-                "imu frame samples must be "
-                "[t, accel, gyro_z, mag_heading] number quadruples"
-            )
+def _require_binary(frame: Dict[str, Any], key: str, what: str) -> None:
+    """Refuse a data frame that did not come binary: the binary decoder
+    hands its rows (and an envelope its frames) over as a tuple, whose
+    layout fixed every row's arity and value type, and JSON never decodes
+    to a tuple."""
+    if type(frame.get(key)) is not tuple:
+        raise DataQualityError(f"{what} frame must come binary")
 
 
 def validate_frame(frame: Dict[str, Any]) -> str:
-    """Check a decoded client frame against its schema (either codec).
+    """Check a decoded client frame against its schema and codec.
 
     Returns the frame type on success; raises
     :class:`~repro.errors.DataQualityError` naming the first violated
@@ -551,8 +519,9 @@ def validate_frame(frame: Dict[str, Any]) -> str:
         )
     if ftype == "hello":
         _require(frame, "client", (str,), "hello")
-        if _require(frame, "proto", (int,), "hello") < 1:
-            raise DataQualityError("hello frame proto must be >= 1")
+        if _require(frame, "proto", (int,), "hello") < PROTO_VERSION:
+            raise DataQualityError(
+                f"hello frame proto must be >= {PROTO_VERSION}")
     elif ftype == "scan":
         seq = _require(frame, "seq", (int,), "scan")
         if seq < 0:
@@ -560,17 +529,14 @@ def validate_frame(frame: Dict[str, Any]) -> str:
         _require(frame, "beacon", (str,), "scan")
         if not frame["beacon"]:
             raise DataQualityError("scan frame beacon id must be non-empty")
-        _require_rows(frame, "scan")
+        _require_binary(frame, "samples", "scan")
     elif ftype == "imu":
         seq = _require(frame, "seq", (int,), "imu")
         if seq < 0:
             raise DataQualityError("imu frame seq must be >= 0")
-        _require_rows(frame, "imu")
+        _require_binary(frame, "samples", "imu")
     elif ftype == "held":
-        # Decoded envelopes carry a tuple, which JSON never decodes to.
-        if type(frame.get("frames")) is not tuple:
-            raise DataQualityError(
-                "held envelope must come binary, on protocol 3")
+        _require_binary(frame, "frames", "held")
         for folded in frame["frames"]:
             validate_frame(folded)
     # "bye" carries no payload.
@@ -580,13 +546,11 @@ def validate_frame(frame: Dict[str, Any]) -> str:
 def _scan_rows(
     frame: Dict[str, Any],
 ) -> Tuple[List[Tuple[float, float, int]], int]:
-    """The one screening rule for a validated scan frame's rows, whichever
-    codec carried them.
+    """The one screening rule for a validated scan frame's rows.
 
-    A row is rejected when its timestamp or channel is not finite, or
-    when one of its values does not fit a float (a JSON integer beyond
-    ±1.8e308): a poisoned timestamp would corrupt every later windowing
-    decision, and a channel must be an integer. Returns the kept rows as
+    A row is rejected when its timestamp or channel is not finite: a
+    poisoned timestamp would corrupt every later windowing decision, and
+    a channel must be an integer. Returns the kept rows as
     ``(t, rssi, channel)`` and the rejected count. Non-finite RSSI is
     *kept*: the repair-mode pipeline sanitizes values per solve, and
     dropping them at the edge would hide the degradation from the
@@ -596,13 +560,8 @@ def _scan_rows(
     rejected = 0
     isfinite = math.isfinite
     for t, rssi, channel in frame["samples"]:
-        try:
-            row = (float(t), float(rssi), int(channel))
-        except (OverflowError, ValueError):  # inf, NaN or a huge integer
-            rejected += 1
-            continue
-        if isfinite(row[0]):
-            kept.append(row)
+        if isfinite(t) and isfinite(channel):
+            kept.append((t, rssi, int(channel)))
         else:
             rejected += 1
     return kept, rejected
@@ -640,18 +599,12 @@ def screen_scan_rows(
 
 def imu_samples(frame: Dict[str, Any]) -> Tuple[List[ImuSample], int]:
     """Materialize a validated imu frame's rows: a row whose timestamp is
-    not finite, or one with a value beyond float range, is rejected (the
-    rule of :func:`scan_samples`); other non-finite values are the IMU
-    ring's to refuse."""
+    not finite is rejected (the rule of :func:`scan_samples`); other
+    non-finite values are the IMU ring's to refuse."""
     out: List[ImuSample] = []
     rejected = 0
     isfinite = math.isfinite
-    for row in frame["samples"]:
-        try:
-            t, accel, gyro_z, mag = map(float, row)
-        except OverflowError:
-            rejected += 1
-            continue
+    for t, accel, gyro_z, mag in frame["samples"]:
         if isfinite(t):
             out.append(ImuSample(t, accel, gyro_z, mag))
         else:

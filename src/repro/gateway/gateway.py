@@ -26,12 +26,12 @@ Degradation ladder, outermost first:
    are only counted, never built into samples or queued: the frame is
    acked ``{"taken": 0, "refused": <reason>}`` and its samples are booked
    once per shard at the next tick. Last, the gateway's own
-   ``max_beacons`` queue cap. A protocol-3 ``held`` envelope's folded
-   scan frames take this same path one by one
-   (:meth:`IngestionGateway._ingest_scan`), answered by one ack.
+   ``max_beacons`` queue cap. A ``held`` envelope's folded scan frames
+   take this same path one by one (:meth:`IngestionGateway._ingest_scan`),
+   answered by one ack.
 4. **Sample screening** — rows with a non-finite timestamp or channel
-   (one rule for both codecs, :mod:`repro.gateway.frames`) and samples
-   older than the late horizon are refused per sample, counted per frame.
+   (one rule, :mod:`repro.gateway.frames`) and samples older than the
+   late horizon are refused per sample, counted per frame.
 5. **Queue shedding** — per-beacon :class:`~repro.service.BoundedBuffer`
    drop-oldest, each shed a ``service.shed.gateway.scan`` signal.
 
@@ -166,15 +166,12 @@ class _SeqMemory:
 class _ClientState:
     """Per-connection handshake/error bookkeeping."""
 
-    __slots__ = ("client_id", "memory", "errors", "decoder")
+    __slots__ = ("client_id", "memory", "errors")
 
-    def __init__(self, max_frame_bytes: int) -> None:
+    def __init__(self) -> None:
         self.client_id: Optional[str] = None
         self.memory: Optional[_SeqMemory] = None
         self.errors = 0
-        #: The connection's decoder; its ``proto`` is what the hello
-        #: negotiated (2 acks binary, 3 also takes held envelopes).
-        self.decoder = FrameDecoder(max_frame_bytes)
 
 
 class IngestionGateway:
@@ -233,7 +230,7 @@ class IngestionGateway:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def _serve(self, ep: Endpoint, admitted: bool) -> None:
-        state = _ClientState(self.config.max_frame_bytes)
+        state = _ClientState()
         try:
             if not admitted:
                 obs.signal("gateway.client_rejected", ledger=self.counters,
@@ -257,7 +254,7 @@ class IngestionGateway:
                 self.active_clients -= 1
 
     async def _serve_admitted(self, ep: Endpoint, state: _ClientState) -> None:
-        decoder = state.decoder
+        decoder = FrameDecoder(self.config.max_frame_bytes)
         while True:
             try:
                 chunk = await ep.recv(self.config.client_timeout_s)
@@ -338,12 +335,11 @@ class IngestionGateway:
         if ftype == "hello":
             state.client_id = str(frame["client"])
             state.memory = self._memory_for(state.client_id)
-            # An offer above what this gateway speaks negotiates down.
-            state.decoder.proto = min(frame["proto"], PROTO_VERSION)
             obs.signal("gateway.client_connected", ledger=self.counters,
                        client=state.client_id)
+            # An offer above the one protocol is welcomed with it.
             return await self._send(ep, state, {
-                "type": "welcome", "proto": state.decoder.proto,
+                "type": "welcome", "proto": PROTO_VERSION,
             })
         if ftype == "bye":
             obs.signal("gateway.client_bye", ledger=self.counters,
@@ -600,7 +596,7 @@ class IngestionGateway:
     ) -> bool:
         """Best-effort reply; a vanished peer is counted, not raised."""
         try:
-            await ep.send(encode_for(obj, state.decoder.proto))
+            await ep.send(encode_for(obj))
             return True
         except ConnectionClosed:
             obs.signal("gateway.reply_dropped", ledger=self.counters,

@@ -27,7 +27,7 @@ from repro.gateway import (
     TraceWriter,
     apply_reorder,
     connected_pair,
-    encode_binary,
+    encode_for,
     encode_frame,
     read_trace,
     replay,
@@ -68,12 +68,13 @@ def small_gateway(**kw) -> IngestionGateway:
 class TestFrames:
     def test_roundtrip_any_fragmentation(self):
         frames = [
-            {"type": "hello", "client": "c", "proto": 1},
+            {"type": "hello", "client": "c", "proto": PROTO_VERSION},
             {"type": "scan", "seq": 0, "beacon": "b",
-             "samples": [[1.0, -60.0, 37]]},
+             "samples": ((1.0, -60.0, 37.0),)},
             {"type": "bye"},
         ]
-        wire = b"".join(encode_frame(f) for f in frames)
+        wire = b"".join(encode_for(f) for f in frames)
+        assert encode_for(frames[1])[4] == BINARY_VERSION
         decoder = FrameDecoder()
         out = []
         for i in range(len(wire)):  # worst case: one byte at a time
@@ -108,13 +109,16 @@ class TestFrames:
 
     def test_validate_schemas(self):
         validate_frame({"type": "scan", "seq": 0, "beacon": "b",
-                        "samples": [[1.0, -60.0, 37]]})
+                        "samples": ((1.0, -60.0, 37.0),)})
+        validate_frame({"type": "hello", "client": "c", "proto": 99})
         bad = [
             {"type": "warp"},
             {"type": "hello", "client": "c", "proto": 0},
+            {"type": "hello", "client": "c", "proto": 1},
+            {"type": "hello", "client": "c", "proto": 2},
             {"type": "hello", "client": "c", "proto": "3"},
             {"type": "hello", "client": "c", "proto": True},
-            {"type": "hello", "client": 3, "proto": 1},
+            {"type": "hello", "client": 3, "proto": 3},
             {"type": "scan", "seq": -1, "beacon": "b", "samples": []},
             {"type": "scan", "seq": True, "beacon": "b", "samples": []},
             {"type": "scan", "seq": 0, "beacon": "", "samples": []},
@@ -130,7 +134,7 @@ class TestFrames:
     def test_hello_above_proto_version_is_welcomed_with_it(self):
         async def go():
             gw = small_gateway()
-            replies = await proto1_exchange(gw, [], hello_proto=99)
+            replies = await wire_exchange(gw, [], hello_proto=99)
             await gw.drain_clients()
             return replies
         assert PROTO_VERSION == 3
@@ -552,23 +556,27 @@ class TestEdgeAdmission:
         async def go():
             gw = IngestionGateway(GatewayConfig(), overload_fleet(1))
             ep = gw.connect("c0")
-            replies = []
+            chunks = []
             for frame in (
-                {"type": "hello", "client": "c0", "proto": 1},
+                {"type": "hello", "client": "c0", "proto": PROTO_VERSION},
                 {"type": "scan", "seq": 0, "beacon": A[0],
                  "samples": rows(1, A[0])},
             ):
-                await ep.send(encode_frame(frame))
-                replies += FrameDecoder().feed(await ep.recv())
+                await ep.send(encode_for(frame))
+                chunks.append(await ep.recv())
             gw.tick(1.0)
-            await ep.send(encode_frame(
+            await ep.send(encode_for(
                 {"type": "scan", "seq": 1, "beacon": C[0],
                  "samples": rows(2, C[0])}))
-            replies += FrameDecoder().feed(await ep.recv())
+            chunks.append(await ep.recv())
             ep.close()
             await gw.drain_clients()
-            return replies
-        replies = run(go())
+            return chunks
+        chunks = run(go())
+        # Each ack is one 16-byte binary frame.
+        for ack in chunks[1:]:
+            assert ack[4] == BINARY_VERSION and len(ack) == 4 + 16
+        replies = [f for c in chunks for f in FrameDecoder().feed(c)]
         assert replies[1] == {"type": "ack", "seq": 0, "taken": 3}
         assert replies[2] == {"type": "ack", "seq": 1, "taken": 0,
                               "refused": "max_total_sessions"}
@@ -615,24 +623,24 @@ class TestEdgeAdmission:
         assert framed.fleet.shard_of(A[2]) == 0  # the next frame passed
 
 
-# -- protocol 2 -----------------------------------------------------------------
+# -- the wire protocol ---------------------------------------------------------
 
 
-async def proto1_exchange(gw, frames, name="p", hello_proto=1):
-    """``frames`` over a hand-driven protocol-1 connection; every reply."""
+async def wire_exchange(gw, frames, name="p", hello_proto=PROTO_VERSION):
+    """``frames`` over a hand-driven connection; every reply."""
     ep = gw.connect(name)
     decoder = FrameDecoder()
     replies = []
     for frame in [{"type": "hello", "client": name, "proto": hello_proto},
                   *frames]:
-        await ep.send(encode_frame(frame))
+        await ep.send(encode_for(frame))
         replies += decoder.feed(await ep.recv())
-    await ep.send(encode_frame({"type": "bye"}))
+    await ep.send(encode_for({"type": "bye"}))
     ep.close()
     return replies
 
 
-async def proto2_exchange(gw, frames, name="p"):
+async def client_exchange(gw, frames, name="p"):
     """``frames`` through a :class:`SimulatedClient`; every reply."""
     client = SimulatedClient(name, gw, ack_timeout_s=0.5)
     replies = []
@@ -645,7 +653,6 @@ async def proto2_exchange(gw, frames, name="p"):
     client._read_reply = spy
     for frame in frames:
         assert await client.send_frame(frame)
-    assert client.proto == PROTO_VERSION
     await client.close()
     return replies
 
@@ -679,7 +686,10 @@ PHASES = [
 
 
 class TestProtocol2:
-    def test_proto1_and_proto2_leave_the_same_gateway(self):
+    """The one wire protocol: JSON control frames around the binary data
+    frames and acks that protocol 2 introduced."""
+
+    def test_wire_bytes_and_client_leave_the_same_gateway(self):
         async def go(exchange):
             gw = IngestionGateway(
                 GatewayConfig(late_horizon_s=1.5, max_beacons=3),
@@ -695,10 +705,10 @@ class TestProtocol2:
                     dict(gw.counters)))
                 states.append(snapshot_digest(gw.tick(float(k))))
             return acks, states, gw.fleet.checkpoint(), gw.task_errors
-        json_run = run(go(proto1_exchange))
-        binary_run = run(go(proto2_exchange))
-        assert binary_run == json_run
-        acks, states, _, errors = json_run
+        wire_run = run(go(wire_exchange))
+        client_run = run(go(client_exchange))
+        assert client_run == wire_run
+        acks, states, _, errors = wire_run
         assert errors == []
         assert {"type": "ack", "seq": 0, "taken": 0, "dup": True} in acks
         assert {a.get("refused") for a in acks} == {
@@ -707,94 +717,78 @@ class TestProtocol2:
         assert counters["sample_rejected"] == 4
         assert counters["sample_late"] == 2
 
-    def test_client_falls_back_to_proto1(self):
-        class Proto1Gateway:
-            """Welcomes protocol 1 and acks JSON, recording each frame."""
-
-            def __init__(self):
-                self.frames, self.first_bytes = [], []
-
-            def connect(self, name=""):
-                client_end, server_end = connected_pair(name=name)
-                asyncio.ensure_future(self.serve(server_end))
-                return client_end
-
-            async def serve(self, ep):
-                decoder = FrameDecoder()
-                while True:
-                    chunk = await ep.recv()
-                    if chunk == b"":
-                        return
-                    self.first_bytes.append(chunk[4])
-                    for frame in decoder.feed(chunk):
-                        self.frames.append(frame)
-                        if frame["type"] == "hello":
-                            reply = {"type": "welcome", "proto": 1}
-                        elif frame["type"] == "bye":
-                            return
-                        else:
-                            reply = {"type": "ack", "seq": frame["seq"],
-                                     "taken": len(frame["samples"])}
-                        await ep.send(encode_frame(reply))
-
-        async def go():
-            gw = Proto1Gateway()
-            client = SimulatedClient("c0", gw, ack_timeout_s=0.5)
-            assert await client.send_frame(PHASES[0][0])
-            assert await client.send_frame(PHASES[0][3])
-            await client.close()
-            await asyncio.sleep(0)
-            return gw, client
-        gw, client = run(go())
-        assert client.proto == 1
-        assert gw.frames[0]["proto"] == PROTO_VERSION  # it offered 3
-        assert [f["type"] for f in gw.frames] == ["hello", "scan", "imu",
-                                                  "bye"]
-        assert set(gw.first_bytes) == {ord("{")}  # every frame JSON
-        assert gw.frames[1] == PHASES[0][0]
-        assert client.stats.taken == 3 + 20
-
-    def test_welcome_with_an_unspoken_proto_fails_the_handshake(self):
+    @pytest.mark.parametrize("proto", [1, 2, 4])
+    def test_welcome_with_an_unspoken_proto_fails_the_handshake(self, proto):
         async def go():
             gw = small_gateway()
             client = SimulatedClient("c0", gw, ack_timeout_s=0.2,
                                      max_attempts=1)
 
-            async def welcome_4():
-                return {"type": "welcome", "proto": 4}
-            client._read_reply = welcome_4
+            replies = iter([{"type": "welcome", "proto": proto}])
+
+            async def welcome():
+                return next(replies, None)
+            client._read_reply = welcome
             ok = await client.send_frame(PHASES[0][0])
             await client.close()
             await gw.drain_clients()
             return ok, client
         ok, client = run(go())
         assert not ok and client.stats.gave_up == 1
+        assert client.stats.frames_sent == 0  # the handshake failed
 
-    def test_binary_acks_on_a_proto2_connection(self):
+    @pytest.mark.parametrize("proto", [1, 2])
+    def test_hello_below_proto_version_is_refused(self, proto):
         async def go():
             gw = small_gateway()
             ep = gw.connect("c0")
-            await ep.send(encode_frame(
-                {"type": "hello", "client": "c0", "proto": 2}))
-            welcome = FrameDecoder().feed(await ep.recv())
-            await ep.send(encode_binary(PHASES[0][0]))
-            ack = await ep.recv()
-            await ep.send(encode_frame({"type": "bye"}))
-            ep.close()
+            decoder = FrameDecoder()
+            replies = []
+            for frame in ({"type": "hello", "client": "c0", "proto": proto},
+                          PHASES[0][0]):
+                await ep.send(encode_for(frame))
+                replies += decoder.feed(await ep.recv())
+            assert await ep.recv() == b""  # the gateway hung up
             await gw.drain_clients()
-            return welcome, ack
-        welcome, ack = run(go())
-        assert welcome == [{"type": "welcome", "proto": 2}]
-        assert ack[4] == BINARY_VERSION and len(ack) == 4 + 16
-        assert FrameDecoder().feed(ack) == [
-            {"type": "ack", "seq": 0, "taken": 3}]
+            return gw, replies
+        gw, replies = run(go())
+        assert [(r["type"], r["code"], r["retryable"]) for r in replies] == [
+            ("error", "invalid", False), ("error", "handshake", False)]
+        assert gw.counters["frame_invalid"] == 1
+        assert gw.counters["bad_handshake"] == 1
+        assert "client_connected" not in gw.counters
+        assert not gw.scan_queues
 
-    def test_nonfinite_channel_is_a_rejected_sample(self):
-        # A proto-1 row [t, rssi, NaN] used to reach int(nan) and escape
-        # the serve task untyped.
+    @pytest.mark.parametrize("frame", [PHASES[0][0], PHASES[0][3]],
+                             ids=["scan", "imu"])
+    def test_a_json_data_frame_is_refused(self, frame):
         async def go():
             gw = small_gateway()
-            replies = await proto1_exchange(gw, [
+            ep = gw.connect("c0")
+            decoder = FrameDecoder()
+            replies = []
+            for wire in (encode_for({"type": "hello", "client": "c0",
+                                     "proto": PROTO_VERSION}),
+                         encode_frame(frame)):
+                await ep.send(wire)
+                replies += decoder.feed(await ep.recv())
+            ep.close()
+            await gw.drain_clients()
+            return gw, replies
+        gw, replies = run(go())
+        assert replies[0] == {"type": "welcome", "proto": PROTO_VERSION}
+        assert replies[1]["code"] == "invalid"
+        assert "must come binary" in replies[1]["detail"]
+        assert gw.counters["frame_invalid"] == 1
+        assert not gw.scan_queues and len(gw.imu_queue) == 0
+        assert "sample_rejected" not in gw.counters
+
+    def test_nonfinite_channel_is_a_rejected_sample(self):
+        # A row [t, rssi, NaN] must not reach int(nan) and escape the
+        # serve task untyped.
+        async def go():
+            gw = small_gateway()
+            replies = await wire_exchange(gw, [
                 {"type": "scan", "seq": 0, "beacon": "b1",
                  "samples": [[1.0, -60.0, NAN], [1.1, -61.0, 37],
                              [1.2, -62.0, float("inf")]]}])

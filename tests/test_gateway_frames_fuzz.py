@@ -10,12 +10,12 @@ either decodes to a valid object or raises
 hostile length prefix. Three generators attack three layers: raw junk
 bytes at the framing layer, structured junk objects at the schema layer,
 and corrupted *valid* wire traffic at the boundary between them. The
-protocol-2 binary codec gets the same treatment (junk after its version
-byte, partial rows, bad beacon ids, unknown kinds and codes), and
-well-formed frames of wild values (NaN, inf, huge) must materialize alike
-through both codecs. Protocol 3's held envelope and its ack must refuse
-every malformation, and any protocol below 3, by poisoning the decoder,
-and a folded frame must decode exactly as it does alone.
+binary codec of the data frames gets the same treatment (junk after its
+version byte, partial rows, bad beacon ids, unknown kinds and codes), and
+well-formed frames of wild values (NaN, inf, huge) must cross it bit for
+bit, while a data frame in JSON is refused whatever its rows hold. The
+held envelope and its ack must refuse every malformation by poisoning the
+decoder, and a folded frame must decode exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataQualityError
 from repro.gateway import (
+    PROTO_VERSION,
     FrameDecoder,
     encode_binary,
+    encode_for,
     encode_frame,
     validate_frame,
 )
@@ -108,8 +110,8 @@ def test_any_json_payload_validates_or_fails_typed(obj):
        rssi=st.floats(allow_nan=True),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_corrupted_valid_traffic_fails_typed_or_decodes(pos, flip, rssi, cuts):
-    wire = b"".join(encode_frame(f) for f in [
-        {"type": "hello", "client": "c", "proto": 1},
+    wire = b"".join(encode_for(f) for f in [
+        {"type": "hello", "client": "c", "proto": PROTO_VERSION},
         {"type": "scan", "seq": 0, "beacon": "b",
          "samples": [[1.0, rssi, 37]]},
         {"type": "bye"},
@@ -124,19 +126,18 @@ def test_corrupted_valid_traffic_fails_typed_or_decodes(pos, flip, rssi, cuts):
         decoder.eof()
     except ALLOWED:
         return
-    # The flip may have landed inside a JSON string/number and produced a
-    # different-but-well-formed stream; schema checks stay typed too.
+    # The flip may have landed inside a JSON string/number or a binary
+    # value and produced a different-but-well-formed stream; schema checks
+    # and materialization stay typed too.
     for frame in decoded:
-        try:
-            validate_frame(frame)
-        except ALLOWED:
-            pass
+        materialize(frame)
 
 
 @settings(max_examples=100, deadline=None)
 @given(frames=st.lists(
     st.one_of(
-        st.builds(lambda c: {"type": "hello", "client": c, "proto": 1},
+        st.builds(lambda c: {"type": "hello", "client": c,
+                             "proto": PROTO_VERSION},
                   st.text(max_size=8)),
         st.builds(
             lambda seq, b, rows: {"type": "scan", "seq": seq, "beacon": b,
@@ -150,7 +151,7 @@ def test_corrupted_valid_traffic_fails_typed_or_decodes(pos, flip, rssi, cuts):
     max_size=5),
     cuts=st.lists(st.floats(0.0, 1.0), max_size=8))
 def test_valid_frames_roundtrip_any_fragmentation(frames, cuts):
-    wire = b"".join(encode_frame(f) for f in frames)
+    wire = b"".join(encode_for(f) for f in frames)
     decoder = FrameDecoder()
     decoded = []
     for chunk in chunked(wire, cuts):
@@ -158,10 +159,14 @@ def test_valid_frames_roundtrip_any_fragmentation(frames, cuts):
     decoder.eof()
     assert len(decoded) == len(frames)
     for sent, got in zip(frames, decoded):
-        assert sent["type"] == got["type"]
+        assert validate_frame(got) == sent["type"]
+        if sent["type"] == "scan":
+            # Bit for bit: repr tells NaN from NaN and 0.0 from -0.0.
+            assert repr(got["samples"]) == repr(
+                tuple(tuple(row) for row in sent["samples"]))
 
 
-# -- protocol 2: binary scan, imu and ack frames ------------------------------
+# -- binary scan, imu and ack frames ------------------------------------------
 
 BINARY = (DataQualityError,)
 
@@ -274,7 +279,7 @@ def test_unknown_kinds_dup_flags_and_reason_codes_are_refused(
         got = decode_one(ack)
         assert got["type"] == "ack" and got["taken"] == taken
         assert encode_binary(got) == framed(ack)
-    if kind not in (1, 2, 3):
+    if kind not in (1, 2, 3, 4, 5):
         with pytest.raises(DataQualityError, match="kind"):
             decode_one(struct.pack("<BBQ", BINARY_VERSION, kind, 0)
                        + bytes(24))
@@ -315,22 +320,21 @@ WILD_JSON = st.one_of(WILD, st.integers(-10, 10),
                           max_size=6),
        imu_rows=st.lists(st.lists(WILD, min_size=4, max_size=4),
                          max_size=6))
-def test_wild_values_materialize_alike_in_both_codecs(
+def test_wild_values_cross_the_wire_bit_exact(
         seq, beacon, scan_rows, imu_rows):
     scan = {"type": "scan", "seq": seq, "beacon": beacon,
             "samples": scan_rows}
     imu = {"type": "imu", "seq": seq, "samples": imu_rows}
     for frame, build in ((scan, scan_samples), (imu, imu_samples)):
-        via_json = FrameDecoder().feed(encode_frame(frame))[0]
-        via_binary = FrameDecoder().feed(encode_binary(frame))[0]
-        assert validate_frame(via_json) == validate_frame(via_binary)
-        got_json, got_binary = build(via_json), build(via_binary)
-        # Same samples, bit for bit (repr tells NaN from NaN and 0.0
-        # from -0.0), and the same rejected count.
-        assert repr(got_json) == repr(got_binary)
+        decoded = FrameDecoder().feed(encode_for(frame))[0]
+        assert validate_frame(decoded) == frame["type"]
+        # The samples built from the rows as sent, bit for bit (repr
+        # tells NaN from NaN and 0.0 from -0.0), and the same rejected
+        # count.
+        assert repr(build(decoded)) == repr(build(frame))
         if frame is scan:
-            assert (screen_scan_rows(via_json, 0.5)
-                    == screen_scan_rows(via_binary, 0.5))
+            assert (screen_scan_rows(decoded, 0.5)
+                    == screen_scan_rows(frame, 0.5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,29 +343,28 @@ def test_wild_values_materialize_alike_in_both_codecs(
        imu_rows=st.lists(st.lists(WILD_JSON, min_size=4, max_size=4),
                          max_size=6))
 def test_wild_json_rows_never_raise_untyped(scan_rows, imu_rows):
+    # A data frame in JSON is refused, whatever its rows hold.
     for frame in ({"type": "scan", "seq": 0, "beacon": "b",
                    "samples": scan_rows},
                   {"type": "imu", "seq": 0, "samples": imu_rows}):
-        materialize(FrameDecoder().feed(encode_frame(frame))[0])
+        with pytest.raises(DataQualityError, match="must come binary"):
+            validate_frame(FrameDecoder().feed(encode_frame(frame))[0])
 
 
 def test_a_row_is_rejected_for_a_nonfinite_time_or_channel_only():
     nan, inf = float("nan"), float("inf")
     frame = {"type": "scan", "seq": 0, "beacon": "b", "samples": [
         [1.0, -60.0, 37], [nan, -60.0, 37], [1.0, -60.0, nan],
-        [1.0, -60.0, inf], [1.0, nan, 37], [10 ** 400, -60.0, 37]]}
-    for wire in (encode_frame, encode_binary):
-        if wire is encode_binary:
-            frame["samples"].pop()  # no binary form: past float range
-        decoded = FrameDecoder().feed(wire(frame))[0]
-        samples, rejected = scan_samples(decoded)
-        assert [s.rssi for s in samples][0] == -60.0
-        assert len(samples) == 2 and samples[1].rssi != samples[1].rssi
-        assert rejected == len(frame["samples"]) - 2
-        assert screen_scan_rows(decoded, None) == (2, rejected, 0)
+        [1.0, -60.0, inf], [1.0, nan, 37], [-inf, -60.0, 37]]}
+    decoded = FrameDecoder().feed(encode_for(frame))[0]
+    samples, rejected = scan_samples(decoded)
+    assert [s.rssi for s in samples][0] == -60.0
+    assert len(samples) == 2 and samples[1].rssi != samples[1].rssi
+    assert rejected == 4
+    assert screen_scan_rows(decoded, None) == (2, rejected, 0)
 
 
-# -- protocol 3: the held envelope and its ack --------------------------------
+# -- the held envelope and its ack --------------------------------------------
 
 
 def scan_wire(seq: int, beacon: bytes, n_rows: int = 1) -> bytes:
@@ -375,8 +378,8 @@ def held(*folded: bytes) -> bytes:
     return bytes([BINARY_VERSION, 4]) + b"".join(folded)
 
 
-def refused_and_poisoned(payload: bytes, proto: int = 3, match=None):
-    decoder = FrameDecoder(max_frame_bytes=1 << 20, proto=proto)
+def refused_and_poisoned(payload: bytes, match=None):
+    decoder = FrameDecoder(max_frame_bytes=1 << 20)
     with pytest.raises(DataQualityError, match=match):
         decoder.feed(framed(payload))
     with pytest.raises(DataQualityError, match="already failed"):
@@ -402,22 +405,13 @@ def test_malformed_envelopes_poison_the_decoder():
         refused_and_poisoned(payload, match=match)
 
 
-def test_envelope_and_its_ack_below_protocol_3_poison_the_decoder():
-    envelope = held(scan_wire(0, b"a"), scan_wire(1, b"b"))
-    ack = encode_binary({"type": "ack", "seq": 1, "taken": 0,
-                         "admitted": ["a"]})[4:]
-    for proto in (1, 2):
-        for payload in (envelope, ack):
-            refused_and_poisoned(payload, proto, match="protocol 3")
-
-
 def test_a_json_envelope_is_a_schema_refusal():
     with pytest.raises(DataQualityError, match="binary"):
         validate_frame({"type": "held", "seq": 0, "frames": []})
 
 
 def test_an_envelope_of_an_empty_beacon_id_is_a_schema_refusal():
-    frame = FrameDecoder(proto=3).feed(framed(held(
+    frame = FrameDecoder().feed(framed(held(
         scan_wire(0, b"a"), scan_wire(1, b""))))[0]
     with pytest.raises(DataQualityError, match="non-empty"):
         validate_frame(frame)
@@ -436,7 +430,7 @@ SCAN_FRAMES = st.lists(
 def test_an_envelope_folds_each_frame_as_it_travels_alone(frames, cuts):
     (envelope,) = held_envelopes(frames, MAX_FRAME_BYTES)
     assert envelope["seq"] == frames[-1]["seq"]
-    decoder = FrameDecoder(proto=3)
+    decoder = FrameDecoder()
     decoded = []
     for chunk in chunked(encode_binary(envelope), cuts):
         decoded.extend(decoder.feed(chunk))
@@ -484,7 +478,7 @@ def test_envelopes_keep_within_a_smaller_receiver_limit():
     for o in out:
         wire = encode_binary(o)
         assert len(wire) - 4 <= 4096
-        assert FrameDecoder(4096, proto=3).feed(wire)
+        assert FrameDecoder(4096).feed(wire)
 
 
 @settings(max_examples=200, deadline=None)
@@ -492,7 +486,7 @@ def test_envelopes_keep_within_a_smaller_receiver_limit():
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_random_envelope_bytes_decode_or_fail_typed(body, cuts):
     for kind in (4, 5):
-        decoder = FrameDecoder(max_frame_bytes=4096, proto=3)
+        decoder = FrameDecoder(max_frame_bytes=4096)
         try:
             frames = []
             for chunk in chunked(framed(bytes([BINARY_VERSION, kind]) + body),
@@ -516,7 +510,7 @@ def test_random_envelope_bytes_decode_or_fail_typed(body, cuts):
 def test_held_ack_round_trips_and_refuses_junk(ids, taken, seq):
     ack = {"type": "ack", "seq": seq, "taken": taken, "admitted": ids}
     wire = encode_binary(ack)
-    assert FrameDecoder(proto=3).feed(wire) == [ack]
+    assert FrameDecoder().feed(wire) == [ack]
     payload = wire[4:]
     for bad, match in ((payload + b"\x00", "past its ids"),
                        (payload[:15], "truncated")):

@@ -1,10 +1,10 @@
-"""Protocol 3: a client holds the beacons the fleet refused.
+"""A client holds the beacons the fleet refused.
 
-On a protocol-3 connection :meth:`SimulatedClient.run_schedule` folds a
-held beacon's scan frames into one ``held`` envelope per run instead of
-sending them alone, and the gateway ingests each folded frame through the
-same code as a lone one. ``send_frame`` never holds, so a ``send_frame``
-loop over the same schedule is the protocol-2 traffic: every frame alone.
+:meth:`SimulatedClient.run_schedule` folds a held beacon's scan frames
+into one ``held`` envelope per run instead of sending them alone, and the
+gateway ingests each folded frame through the same code as a lone one.
+``send_frame`` never holds, so a ``send_frame`` loop over the same
+schedule sends every frame alone.
 These tests serve each schedule both ways and require the same per-tick
 snapshot digests, the same refusal bookings and the same fleet counters,
 also when a migration ends a hold, when a reconnect ends one in the
@@ -22,8 +22,7 @@ from repro.gateway import (
     IngestionGateway,
     SimulatedClient,
     apply_reorder,
-    encode_binary,
-    encode_frame,
+    encode_for,
 )
 from repro.gateway.trace import snapshot_digest
 from repro.sim.faults import FrameFate
@@ -110,7 +109,8 @@ def alone_and_held(schedules, config=None, max_total=None, before=None,
 
 
 class TestHoldEqualsProtocol2:
-    """TestEdgeAdmission's schedules, served through ``run_schedule``."""
+    """TestEdgeAdmission's schedules, served through ``run_schedule`` and
+    frame by frame, as protocol 2 sent them."""
 
     @pytest.mark.parametrize("max_total", [None, 4, 3])
     def test_edge_equals_drain(self, max_total):
@@ -184,19 +184,6 @@ class TestHoldEqualsProtocol2:
         assert client._held == set(A[2:] + C[2:])
 
 
-class CappedGateway(IngestionGateway):
-    """Welcomes at most protocol ``cap``, as an older gateway would."""
-
-    def __init__(self, cap, *args):
-        super().__init__(*args)
-        self.cap = cap
-
-    async def _handle_frame(self, ep, state, frame):
-        if frame.get("type") == "hello":
-            frame = {**frame, "proto": min(frame["proto"], self.cap)}
-        return await super()._handle_frame(ep, state, frame)
-
-
 class TestHoldEnds:
     def test_migration_frees_a_slot_for_a_held_beacon(self):
         # Both shards are full after tick 1; A[2] and C[2] are refused on
@@ -251,17 +238,6 @@ class TestHoldEnds:
         assert [f["seq"] for f in envelope["frames"]] == [90, a2["seq"]]
         assert client.stats.reconnects == 1
         assert not client._held
-
-    @pytest.mark.parametrize("cap", [1, 2])
-    def test_any_refusal_ack_holds_only_on_protocol_3(self, cap):
-        def beacons_at(k):
-            return A[:2] if k == 1 else A[:4]
-        gw = CappedGateway(cap, GatewayConfig(), overload_fleet())
-        _, edge, client = run(scheduled_run(
-            gw, schedules_of(beacons_at, 3), held=True))
-        assert client.proto == cap
-        assert edge[2] == {A[2]: 3, A[3]: 3}
-        assert client.stats.held_frames == 0 and not client._held
 
 
 # -- the transport mangles the envelope ---------------------------------------
@@ -325,11 +301,10 @@ def test_an_envelope_is_served_only_on_a_protocol_3_connection(proto):
         gw = IngestionGateway(GatewayConfig(), overload_fleet())
         ep = gw.connect("c0")
         decoder = FrameDecoder()
-        await ep.send(encode_frame(
+        await ep.send(encode_for(
             {"type": "hello", "client": "c0", "proto": proto}))
         replies = decoder.feed(await ep.recv())
-        decoder.proto = proto
-        await ep.send(encode_binary({"type": "held", "seq": 1, "frames": [
+        await ep.send(encode_for({"type": "held", "seq": 1, "frames": [
             {"type": "scan", "seq": i, "beacon": b, "samples": rows(1, b)}
             for i, b in enumerate(A[:2])]}))
         replies += decoder.feed(await ep.recv())
@@ -337,11 +312,12 @@ def test_an_envelope_is_served_only_on_a_protocol_3_connection(proto):
         await gw.drain_clients()
         return gw, replies
     gw, replies = run(go())
-    assert replies[0] == {"type": "welcome", "proto": proto}
     if proto == 3:
+        assert replies[0] == {"type": "welcome", "proto": 3}
         assert replies[1] == {"type": "ack", "seq": 1, "taken": 6,
                               "admitted": A[:2]}
         assert sorted(gw.scan_queues) == sorted(A[:2])
     else:
-        assert replies[1]["code"] == "bad-frame"
-        assert gw.counters["frame_malformed"] == 1 and not gw.scan_queues
+        # A protocol-2 hello is refused: no welcome, no connection.
+        assert [r["code"] for r in replies] == ["invalid", "handshake"]
+        assert gw.counters["bad_handshake"] == 1 and not gw.scan_queues

@@ -118,10 +118,10 @@ def test_backpressure_sheds_visibly_not_silently(tmp_path):
 
 
 def test_capped_fleet_soak_holds_refused_beacons(tmp_path):
-    """More beacons than session slots: protocol-3 clients fold the
-    refused beacons' frames into held envelopes under drop, duplicate,
-    corrupt and stall faults, and the run still records and replays
-    bit-identically with full signal parity."""
+    """More beacons than session slots: clients fold the refused
+    beacons' frames into held envelopes under drop, duplicate, corrupt and
+    stall faults, and the run still records and replays bit-identically
+    with full signal parity."""
     result = run_gateway_soak(soak_config(
         tmp_path,
         transport=TransportFaultModel(
