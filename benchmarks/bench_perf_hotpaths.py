@@ -6,6 +6,9 @@ implementations and writes ``BENCH_perf.json`` at the repo root:
 * the estimator's exponent grid search (batched LS vs per-candidate loop);
 * the LM kernel's normal equations (row-major sums over a rows-first
   Jacobian vs the batch-first sums they replaced);
+* the LM kernel at the serving shape (each trial evaluated once, normal
+  equations only for rows that moved, vs the kernel that recomputed every
+  live row every iteration, retained in ``tests/lm_kernel_recompute.py``);
 * the serving ANF (float-loop filters vs the NumPy-scalar reference loops
   retained in ``tests/test_filters.py``);
 * checkpoint saves (one long-lived store that remembers what it verified
@@ -39,11 +42,16 @@ from repro import perf
 from repro.core import anf as anf_module
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import (
+    _GN_HI,
+    _GN_LO,
     EllipticalEstimator,
     FitRequest,
     _lm_jacobian,
+    _lm_kernel,
     _lm_normal_equations,
     _lm_residuals,
+    _lm_terms,
+    _uses_q,
     fit_batch,
 )
 from repro.core.pipeline import LocBLE
@@ -69,6 +77,7 @@ TARGET_BATCH = 3.0
 TARGET_ANF = 3.0
 TARGET_CHECKPOINT = 3.0
 TARGET_LM_NORMAL = 2.0
+TARGET_LM_KERNEL = 1.0
 
 
 def _parallel_target(cpus: int) -> float:
@@ -257,8 +266,9 @@ def bench_lm_normal_equations(n_sessions: int = 7,
     theta, p, q, rss = (np.asarray(a, dtype=float)
                         for a in (thetas, ps, qs, rsss))
     zeros = np.zeros(len(theta))
-    j = _lm_jacobian(theta, p, q, zeros, zeros)
-    r = _lm_residuals(theta, p, q, rss, zeros, zeros, zeros, zeros)
+    terms = _lm_terms(theta, p, q)
+    j = _lm_jacobian(theta, terms, zeros, zeros)
+    r = _lm_residuals(theta, terms, rss, zeros, zeros, zeros, zeros)
     jb = np.ascontiguousarray(j.transpose(2, 0, 1))
 
     def batch_first():
@@ -284,6 +294,65 @@ def bench_lm_normal_equations(n_sessions: int = 7,
     }
 
 
+def _load_tests_module(name: str):
+    """A module under ``tests/`` loaded by path (benchmarks do not import
+    the tests package)."""
+    path = REPO_ROOT / "tests" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_lm_kernel(n_beacons: int = 12) -> Dict[str, object]:
+    """One warm kernel run at the ``steady_los`` serving shape: the
+    re-anchored warm seeds of 12 sessions' next windows
+    (:func:`_serving_windows`, 3 seeds each, B=36), every window cut to
+    the newest N samples of the shortest. "Before" is the kernel that
+    rebuilt every live row's Jacobian and normal equations each iteration
+    (``tests/lm_kernel_recompute.py``), "after" the one that evaluates
+    each trial once and forms normal equations only for rows that moved;
+    outputs verified bit-identical. The two are timed in alternation, so
+    host drift reaches both sides alike."""
+    est = EllipticalEstimator()
+    _cold, warm = _serving_windows(n_beacons=n_beacons)
+    n = min(len(req.p) for req in warm)
+    thetas, rows = [], []
+    for req in warm:
+        window = [np.asarray(a, dtype=float)[-n:]
+                  for a in (req.p, req.q, req.rss)]
+        seeds = est._warm_seeds(req.warm, _uses_q(np.asarray(req.q)))
+        thetas += seeds
+        rows += [window] * len(seeds)
+    theta0 = np.clip(np.asarray(thetas), _GN_LO + 1e-6, _GN_HI - 1e-6)
+    b = len(theta0)
+    p, q, rss = (np.asarray(a) for a in zip(*rows))
+    args = (theta0, p, q, rss, np.full(b, est.gamma_prior),
+            np.full(b, math.sqrt(n) / est.gamma_prior_sigma),
+            np.zeros(b), np.zeros(b))
+    kernels = {"before": _load_tests_module("lm_kernel_recompute")._lm_kernel,
+               "after": _lm_kernel}
+    for old, new in zip(*(kernel(*args) for kernel in kernels.values())):
+        assert np.array_equal(old, new, equal_nan=True), "kernel differs"
+    best = {name: math.inf for name in kernels}
+    for _ in range(7):
+        for name, kernel in kernels.items():
+            best[name] = min(best[name], _best_of(lambda: kernel(*args),
+                                                  repeats=1, number=5))
+    before, after = best["before"], best["after"]
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "target_speedup": TARGET_LM_KERNEL,
+        "meets_target": before / after >= TARGET_LM_KERNEL,
+        "note": f"B={b} warm-seed rows ({n_beacons} sessions x 3) x N={n} "
+                "samples (LOS soak world, seed 0); the kernel vs the one "
+                "that recomputed every live row every iteration; results "
+                "verified bit-identical",
+    }
+
+
 @contextlib.contextmanager
 def _reference_filters():
     """Route the ANF through the retained NumPy-scalar reference loops.
@@ -292,10 +361,7 @@ def _reference_filters():
     these two functions through their module globals, so swapping them
     times the reference with every other line of ``apply`` unchanged.
     """
-    path = REPO_ROOT / "tests" / "test_filters.py"
-    spec = importlib.util.spec_from_file_location("_filter_references", path)
-    ref = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ref)
+    ref = _load_tests_module("test_filters")
     saved = butterworth.sos_filter, anf_module.adaptive_kalman_fuse
     butterworth.sos_filter = ref.reference_sos_filter
     anf_module.adaptive_kalman_fuse = ref.reference_adaptive_kalman_fuse
@@ -448,6 +514,7 @@ def build_report() -> Dict[str, object]:
         "estimator_warm_start": bench_warm_start(),
         "estimator_fit_batch": bench_fit_batch(),
         "estimator_lm_normal_equations": bench_lm_normal_equations(),
+        "estimator_lm_kernel": bench_lm_kernel(),
         "anf_apply": bench_anf_apply(),
         "checkpoint_save": bench_checkpoint_save(),
         "dtw_distance_banded": bench_dtw(),
@@ -480,6 +547,7 @@ def test_perf_hotpaths():
     assert benches["estimator_warm_start"]["meets_target"], benches
     assert benches["estimator_fit_batch"]["meets_target"], benches
     assert benches["estimator_lm_normal_equations"]["meets_target"], benches
+    assert benches["estimator_lm_kernel"]["meets_target"], benches
     assert benches["anf_apply"]["meets_target"], benches
     assert benches["checkpoint_save"]["meets_target"], benches
     assert benches["dtw_distance_banded"]["meets_target"], benches

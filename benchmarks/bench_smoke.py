@@ -30,6 +30,7 @@ from bench_perf_hotpaths import (
     bench_dtw,
     bench_estimator,
     bench_fit_batch,
+    bench_lm_kernel,
     bench_lm_normal_equations,
     bench_warm_start,
 )
@@ -44,6 +45,7 @@ SMOKE_BENCHES: Dict[str, Callable[[], Dict[str, object]]] = {
     "estimator_warm_start": bench_warm_start,
     "estimator_fit_batch": bench_fit_batch,
     "estimator_lm_normal_equations": bench_lm_normal_equations,
+    "estimator_lm_kernel": bench_lm_kernel,
     "anf_apply": bench_anf_apply,
     "checkpoint_save": bench_checkpoint_save,
     "dtw_distance_banded": bench_dtw,

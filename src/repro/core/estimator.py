@@ -411,7 +411,10 @@ class EllipticalEstimator:
 
         Three seeds bracket the previous exponent inside the clipped grid
         (vs the cold path's ~18), so a drifting environment within one
-        class is tracked without the full grid.
+        class is tracked without the full grid. At a grid edge the clip
+        makes them coincide: two of them when the previous exponent lies
+        on or past the edge, all three when it lies a full step past it.
+        :func:`_lockstep` refines each distinct seed once.
         """
         grid = np.asarray(self.n_grid, dtype=float)
         lo, hi = float(grid.min()), float(grid.max())
@@ -870,8 +873,22 @@ def _uses_q(q: np.ndarray) -> bool:
     return float(np.ptp(q)) > 0.3
 
 
+#: Per-sample terms of one residual evaluation, each ``(B, N)``: the
+#: offsets ``x + p`` and ``h + q``, the distance clamped at 0.1 m, and its
+#: ``log10``. An accepted trial's Jacobian is built from them.
+_Terms = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _lm_terms(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> _Terms:
+    """:data:`_Terms` of ``theta`` over the batch-first ``(B, N)`` windows."""
+    dx = theta[:, 0:1] + p
+    dy = theta[:, 1:2] + q
+    le = np.maximum(np.hypot(dx, dy), 0.1)
+    return dx, dy, le, np.log10(le)
+
+
 def _lm_residuals(
-    theta: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
+    theta: np.ndarray, terms: _Terms, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
     """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
@@ -886,42 +903,37 @@ def _lm_residuals(
     The prior weights scale with ``sqrt(N)`` so the priors keep pace with
     the data term instead of washing out on long traces; an absent prior
     has weight 0, so every batch member has the same row count — a
-    requirement for per-slice bit-identical reductions.
+    requirement for per-slice bit-identical reductions. ``terms`` are
+    :func:`_lm_terms` of ``theta``.
     """
-    x = theta[:, 0:1]
-    h = theta[:, 1:2]
-    gam = theta[:, 2:3]
-    n = theta[:, 3:4]
-    le = np.maximum(np.hypot(x + p, h + q), 0.1)
-    r_data = rss - (gam - 10.0 * n * np.log10(le))
+    r_data = rss - (theta[:, 2:3] - 10.0 * theta[:, 3:4] * terms[3])
     r_pg = (wg * (theta[:, 2] - gp))[:, None]
     r_pn = (wn * (theta[:, 3] - npr))[:, None]
     return np.concatenate([r_data, r_pg, r_pn], axis=1)
 
 
 def _lm_jacobian(
-    theta: np.ndarray, p: np.ndarray, q: np.ndarray,
-    wg: np.ndarray, wn: np.ndarray,
+    theta: np.ndarray, terms: _Terms, wg: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
     """Analytic Jacobian of :func:`_lm_residuals`, shape ``(N+2, 4, B)``.
 
-    Rows, then parameters, then batch, for :func:`_lm_normal_equations`;
-    ``p`` and ``q`` are the batch-first ``(B, N)`` windows, read through
-    their transposes.
+    Rows, then parameters, then batch, for :func:`_lm_normal_equations`,
+    written through transposes from the batch-first ``terms`` of
+    ``theta``: ``hypot`` and ``log10`` run once, in :func:`_lm_terms`.
+    ``tests/test_lm_kernel.py`` checks that this gives the bits of a
+    rows-first evaluation of the two on the NumPy build in use.
     """
-    n_rows = p.shape[1]
-    x, h, _gam, n = theta.T
-    dx = x + p.T
-    dy = h + q.T
-    l = np.hypot(dx, dy)
-    le = np.maximum(l, 0.1)
-    # Inside the 0.1 m clamp the distance no longer responds to (x, h).
-    coef = np.where(l > 0.1, (10.0 / _LN10) * n / (le * le), 0.0)
+    dx, dy, le, log_le = terms
+    n_rows = dx.shape[1]
+    # Inside the 0.1 m clamp the distance no longer responds to (x, h);
+    # ``le > 0.1`` is ``hypot > 0.1``, NaN included.
+    coef = np.where(le > 0.1,
+                    (10.0 / _LN10) * theta[:, 3:4] / (le * le), 0.0)
     j = np.zeros((n_rows + 2, 4, theta.shape[0]))
-    j[:n_rows, 0] = coef * dx
-    j[:n_rows, 1] = coef * dy
+    j[:n_rows, 0] = (coef * dx).T
+    j[:n_rows, 1] = (coef * dy).T
     j[:n_rows, 2] = -1.0
-    j[:n_rows, 3] = 10.0 * np.log10(le)
+    j[:n_rows, 3] = (10.0 * log_le).T
     j[n_rows, 2] = wg
     j[n_rows + 1, 3] = wn
     return j
@@ -941,9 +953,11 @@ def _lm_normal_equations(
     bit-identical to it, and each batch column to that column summed alone.
     Only the 10 upper-triangle products of JᵀJ are formed: IEEE products
     commute, so entry ``(c, a)`` is the same sum of the same terms as
-    ``(a, c)``.
+    ``(a, c)``. They are multiplied in place into the first gathered
+    factor, so two ``(N+2, 10, B)`` arrays are alive at once, not three.
     """
-    pairs = np.take(j, _TRIU_A, axis=1) * np.take(j, _TRIU_C, axis=1)
+    pairs = np.take(j, _TRIU_A, axis=1)
+    pairs *= np.take(j, _TRIU_C, axis=1)
     jtj = np.sum(pairs, axis=0)[_TRIU_OF]
     grad = np.sum(j * r.T[:, None, :], axis=0)
     return jtj, grad
@@ -970,6 +984,13 @@ def _lm_kernel(
       order, over the leading axis of the rows-first ``(N+2, 4, B)``
       Jacobian.
 
+    Each unit of work is done once. A trial point is evaluated once: its
+    residuals come with the per-sample terms (:func:`_lm_terms`) that an
+    accepted trial's Jacobian is built from. JᵀJ and Jᵀr are carried per
+    live row and formed only for rows whose trial was accepted and that
+    stay live; a rejected step changes only λ, so the row's system is the
+    one it already holds. Both give the bits recomputing them would.
+
     Converged, stuck or failed rows freeze by being removed from the
     compacted working set and never change again, so a batch of B
     systems returns bit-identical ``(theta, residuals, cost)`` to B
@@ -979,7 +1000,8 @@ def _lm_kernel(
     batched forms are *not* per-slice bit-identical).
     """
     theta_out = theta0.copy()
-    r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
+    terms = _lm_terms(theta_out, p, q)
+    r_out = _lm_residuals(theta_out, terms, rss, gp, wg, npr, wn)
     cost_out = np.sum(r_out * r_out, axis=1)
     eye = np.eye(4)[:, :, None]
 
@@ -996,12 +1018,13 @@ def _lm_kernel(
     pp, qq, ss = p[idx], q[idx], rss[idx]
     gpp, wgg, nprr, wnn = gp[idx], wg[idx], npr[idx], wn[idx]
     lam = np.full(idx.size, 1e-3)
+    jtj, grad = _lm_normal_equations(
+        _lm_jacobian(theta, tuple(t[idx] for t in terms), wgg, wnn), r)
+    normal_rows = idx.size
 
     n_iter = 0
     while idx.size and n_iter < max_iter:
         n_iter += 1
-        jtj, grad = _lm_normal_equations(
-            _lm_jacobian(theta, pp, qq, wgg, wnn), r)
         finite = (np.isfinite(jtj).all(axis=(0, 1))
                   & np.isfinite(grad).all(axis=0))
         # A parameter on its bound whose descent direction points out of
@@ -1020,7 +1043,8 @@ def _lm_kernel(
         except np.linalg.LinAlgError:
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
-        r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
+        terms = _lm_terms(trial, pp, qq)
+        r_t = _lm_residuals(trial, terms, ss, gpp, wgg, nprr, wnn)
         cost_t = np.sum(r_t * r_t, axis=1)
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
         theta = np.where(better[:, None], trial, theta)
@@ -1032,12 +1056,21 @@ def _lm_kernel(
         done = better & (gain <= 1e-10 * np.maximum(cost, 1e-12))
         stuck = finite & ~better & (lam > 1e8)
         keep = finite & ~(done | stuck)
+        moved = np.flatnonzero(better & keep)
+        if moved.size and n_iter < max_iter:
+            # When every live row moved, views instead of gathered copies.
+            rows = moved if moved.size < better.size else slice(None)
+            jtj[:, :, rows], grad[:, rows] = _lm_normal_equations(
+                _lm_jacobian(trial[rows], tuple(t[rows] for t in terms),
+                             wgg[rows], wnn[rows]), r_t[rows])
+            normal_rows += moved.size
         if not np.all(keep):
             theta_out[idx] = theta
             r_out[idx] = r
             cost_out[idx] = cost
             idx = idx[keep]
             theta, r, cost, lam = theta[keep], r[keep], cost[keep], lam[keep]
+            jtj, grad = jtj[:, :, keep], grad[:, keep]
             pp, qq, ss = pp[keep], qq[keep], ss[keep]
             gpp, wgg = gpp[keep], wgg[keep]
             nprr, wnn = nprr[keep], wnn[keep]
@@ -1046,6 +1079,7 @@ def _lm_kernel(
         r_out[idx] = r
         cost_out[idx] = cost
     perf.count("estimator.lm_iterations", n_iter)
+    perf.count("estimator.lm_normal_rows", normal_rows)
     if n_iter == max_iter:
         perf.count("estimator.lm_max_iter_calls")
     return theta_out, r_out, cost_out
@@ -1053,6 +1087,18 @@ def _lm_kernel(
 
 #: A job's winning kernel row: ``(theta, residual row, Jacobian)``.
 _Best = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every bit-for-bit repeat of an earlier row dropped.
+
+    Compared on bit patterns, not with float ``==``, which would merge
+    ``-0.0`` with ``0.0`` and never match a NaN.
+    """
+    first: Dict[bytes, int] = {}
+    for k, row in enumerate(rows):
+        first.setdefault(row.tobytes(), k)
+    return rows[list(first.values())]
 
 
 def _lockstep(
@@ -1065,7 +1111,10 @@ def _lockstep(
     window length splits a group (the stacked arrays need one row count).
     Seed counts may differ: every kernel row is independent and each job's
     arg-min reads only its own rows, so a job's result does not depend on
-    what else shares the run.
+    what else shares the run. For the same reason a seed that repeats an
+    earlier one of its job bit for bit (after clipping into the box) gets
+    no kernel row: it would end bit-identical to its first occurrence,
+    which already wins every tie it could.
     """
     out: List[Optional[_Best]] = [None] * len(jobs)
     groups: Dict[int, List[int]] = {}
@@ -1073,7 +1122,10 @@ def _lockstep(
         groups.setdefault(len(job.p), []).append(i)
     for n_rows, members in groups.items():
         root_n = math.sqrt(n_rows)
-        counts = [len(seed_sets[i]) for i in members]
+        seeds = [_distinct_rows(np.clip(np.asarray(seed_sets[i], dtype=float),
+                                        _GN_LO + 1e-6, _GN_HI - 1e-6))
+                 for i in members]
+        counts = [len(s) for s in seeds]
         ests = [jobs[i].est for i in members]
 
         def stack(rows: List[Any]) -> np.ndarray:
@@ -1089,10 +1141,8 @@ def _lockstep(
         npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
         wn = stack([0.0 if e.n_prior is None else root_n / e.n_prior_sigma
                     for e in ests])
-        theta0 = np.clip(
-            np.concatenate([np.asarray(seed_sets[i], dtype=float)
-                            for i in members]),
-            _GN_LO + 1e-6, _GN_HI - 1e-6)
+        theta0 = np.concatenate(seeds)
+        perf.count("estimator.lm_rows", len(theta0))
 
         theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn)
         winners: List[Tuple[int, int]] = []
@@ -1107,7 +1157,8 @@ def _lockstep(
             # C-contiguous (N+2, 4) slices: the covariance's BLAS product
             # may round differently on another layout.
             jac = np.ascontiguousarray(_lm_jacobian(
-                theta[ks], p[ks], q[ks], wg[ks], wn[ks]).transpose(2, 0, 1))
+                theta[ks], _lm_terms(theta[ks], p[ks], q[ks]),
+                wg[ks], wn[ks]).transpose(2, 0, 1))
             for (i, k), j_k in zip(winners, jac):
                 out[i] = (theta[k], r[k], j_k)
     return out

@@ -271,16 +271,22 @@ class SimulatedClient:
     async def _await_ack(
         self, seq: int
     ) -> Tuple[str, Optional[Dict[str, Any]]]:
-        """Read replies until ``seq`` resolves.
+        """Read replies until ``seq`` resolves or ``ack_timeout_s`` passes.
 
         Returns the status and, for ``"ack"``, the ack. The other
         statuses are ``"refused"`` (non-retryable error), ``"error"``
         (retryable error — the gateway is about to hang up),
-        ``"timeout"`` and ``"eof"``.
+        ``"timeout"`` and ``"eof"``. The whole wait has one deadline:
+        replies that do not resolve ``seq`` (welcomes, unknown types,
+        straggler acks) do not extend it.
         """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.ack_timeout_s
         while True:
             try:
-                reply = await self._read_reply()
+                if loop.time() >= deadline:
+                    raise asyncio.TimeoutError
+                reply = await self._read_reply(deadline)
             except asyncio.TimeoutError:
                 self.stats.timeouts += 1
                 return "timeout", None
@@ -305,17 +311,20 @@ class SimulatedClient:
                 return "ack", reply
             # welcome or unknown reply type: keep reading.
 
-    async def _read_reply(self) -> Optional[Dict[str, Any]]:
+    async def _read_reply(
+        self, deadline: Optional[float] = None,
+    ) -> Optional[Dict[str, Any]]:
         """The next gateway frame (buffered or from the wire); None at EOF.
 
-        Raises :class:`asyncio.TimeoutError` when none completes within
-        ``ack_timeout_s``.
+        Raises :class:`asyncio.TimeoutError` when none completes by
+        ``deadline`` (event-loop time; default ``ack_timeout_s`` from now).
         """
         if self._pending:
             return self._pending.popleft()
         assert self._ep is not None
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.ack_timeout_s
+        if deadline is None:
+            deadline = loop.time() + self.ack_timeout_s
         while True:
             chunk = await self._ep.recv(deadline - loop.time())
             if chunk == b"":

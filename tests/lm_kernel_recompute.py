@@ -1,0 +1,205 @@
+"""The LM kernel that recomputes everything every iteration.
+
+This is ``repro.core.estimator``'s lockstep kernel as it stood before it
+reused a trial's per-sample terms for the accepted trial's Jacobian,
+carried each live row's normal equations across rejected steps, and before
+``_lockstep`` dropped repeated seeds. Its text is unchanged but for the
+kernel's two perf counters, removed so that running it here does not move
+the estimator's telemetry.
+
+``tests/test_lm_kernel.py`` requires the kernel to stay bit-identical to
+it, and ``benchmarks/bench_perf_hotpaths.py`` loads this file by path as
+the ``estimator_lm_kernel`` bench's "before". It imports nothing from the
+tests package, so it can be loaded alone.
+"""
+
+from typing import Tuple
+
+import numpy as np
+
+from repro.core.estimator import (
+    _GN_HI,
+    _GN_LO,
+    _LN10,
+    _TRIU_A,
+    _TRIU_C,
+    _TRIU_OF,
+)
+
+
+def _lm_residuals(
+    theta: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
+    gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
+) -> np.ndarray:
+    """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
+
+    The linearised solve of Eq. 4 puts the measurement noise inside the
+    regressor ``y = 10^(-RS/(5n))`` (an errors-in-variables setup that
+    shrinks the geometry), so it only seeds the refinement; the final
+    estimate minimises Eq. 5's objective — squared RSS-domain residuals —
+    directly, where the noise sits in the response.
+
+    Row layout: N data rows, then the Γ-prior row, then the n-prior row.
+    The prior weights scale with ``sqrt(N)`` so the priors keep pace with
+    the data term instead of washing out on long traces; an absent prior
+    has weight 0, so every batch member has the same row count — a
+    requirement for per-slice bit-identical reductions.
+    """
+    x = theta[:, 0:1]
+    h = theta[:, 1:2]
+    gam = theta[:, 2:3]
+    n = theta[:, 3:4]
+    le = np.maximum(np.hypot(x + p, h + q), 0.1)
+    r_data = rss - (gam - 10.0 * n * np.log10(le))
+    r_pg = (wg * (theta[:, 2] - gp))[:, None]
+    r_pn = (wn * (theta[:, 3] - npr))[:, None]
+    return np.concatenate([r_data, r_pg, r_pn], axis=1)
+
+
+def _lm_jacobian(
+    theta: np.ndarray, p: np.ndarray, q: np.ndarray,
+    wg: np.ndarray, wn: np.ndarray,
+) -> np.ndarray:
+    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(N+2, 4, B)``.
+
+    Rows, then parameters, then batch, for :func:`_lm_normal_equations`;
+    ``p`` and ``q`` are the batch-first ``(B, N)`` windows, read through
+    their transposes.
+    """
+    n_rows = p.shape[1]
+    x, h, _gam, n = theta.T
+    dx = x + p.T
+    dy = h + q.T
+    l = np.hypot(dx, dy)
+    le = np.maximum(l, 0.1)
+    # Inside the 0.1 m clamp the distance no longer responds to (x, h).
+    coef = np.where(l > 0.1, (10.0 / _LN10) * n / (le * le), 0.0)
+    j = np.zeros((n_rows + 2, 4, theta.shape[0]))
+    j[:n_rows, 0] = coef * dx
+    j[:n_rows, 1] = coef * dy
+    j[:n_rows, 2] = -1.0
+    j[:n_rows, 3] = 10.0 * np.log10(le)
+    j[n_rows, 2] = wg
+    j[n_rows + 1, 3] = wn
+    return j
+
+
+def _lm_normal_equations(
+    j: np.ndarray, r: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(JᵀJ, Jᵀr)`` as ``(4, 4, B)`` and ``(4, B)`` arrays.
+
+    ``j`` is :func:`_lm_jacobian`'s ``(N+2, 4, B)`` and ``r`` the
+    ``(B, N+2)`` residuals. Both sums reduce axis 0 of a C-contiguous
+    product, so every entry adds its N+2 row terms one at a time, in row
+    order, with 10·B- (JᵀJ) and 4·B-element (Jᵀr) inner loops. A
+    batch-first ``(B, N+2, 4)`` Jacobian's ``sum(axis=1)`` adds in that
+    same order with 16- and 4-element inner loops, so the results are
+    bit-identical to it, and each batch column to that column summed alone.
+    Only the 10 upper-triangle products of JᵀJ are formed: IEEE products
+    commute, so entry ``(c, a)`` is the same sum of the same terms as
+    ``(a, c)``.
+    """
+    pairs = np.take(j, _TRIU_A, axis=1) * np.take(j, _TRIU_C, axis=1)
+    jtj = np.sum(pairs, axis=0)[_TRIU_OF]
+    grad = np.sum(j * r.T[:, None, :], axis=0)
+    return jtj, grad
+
+
+def _lm_kernel(
+    theta0: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
+    gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
+    max_iter: int = 60,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep projected Levenberg-Marquardt over a batch of seeds.
+
+    This is the one nonlinear solver of the elliptical regression: cold,
+    warm and batched fits all run through it. Every operation is either
+    elementwise, a reduction along the row axis of a C-contiguous array, or
+    a per-slice LAPACK call — the exact set of NumPy operations whose
+    batched results are bit-identical to running each slice alone. The two
+    row reductions run in different orders:
+
+    - the cost ``sum(r * r, axis=1)`` is NumPy's pairwise sum along the
+      contiguous row axis of the batch-first ``(B, N+2)`` residuals, which
+      is why the residuals (and the ``(B, N)`` windows) keep that layout;
+    - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add row by row, in row
+      order, over the leading axis of the rows-first ``(N+2, 4, B)``
+      Jacobian.
+
+    Converged, stuck or failed rows freeze by being removed from the
+    compacted working set and never change again, so a batch of B
+    systems returns bit-identical ``(theta, residuals, cost)`` to B
+    separate batch-of-1 runs — while late iterations only pay for the rows
+    still moving. This is the property :func:`fit_batch` relies on;
+    ``einsum``/``matmul`` reductions are deliberately avoided (their
+    batched forms are *not* per-slice bit-identical).
+    """
+    theta_out = theta0.copy()
+    r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
+    cost_out = np.sum(r_out * r_out, axis=1)
+    eye = np.eye(4)[:, :, None]
+
+    # Compacted working set: rows freeze by being *removed* (their state
+    # scattered back into the full-size outputs), so per-iteration cost
+    # tracks the live count instead of the original batch size. Row-gather
+    # preserves per-slice bit-identity for every op used here — a gathered
+    # subset is a fresh C-contiguous array whose per-row reductions see the
+    # exact same operand layout.
+    idx = np.flatnonzero(np.isfinite(cost_out))
+    theta = theta_out[idx]
+    r = r_out[idx]
+    cost = cost_out[idx]
+    pp, qq, ss = p[idx], q[idx], rss[idx]
+    gpp, wgg, nprr, wnn = gp[idx], wg[idx], npr[idx], wn[idx]
+    lam = np.full(idx.size, 1e-3)
+
+    n_iter = 0
+    while idx.size and n_iter < max_iter:
+        n_iter += 1
+        jtj, grad = _lm_normal_equations(
+            _lm_jacobian(theta, pp, qq, wgg, wnn), r)
+        finite = (np.isfinite(jtj).all(axis=(0, 1))
+                  & np.isfinite(grad).all(axis=0))
+        # A parameter on its bound whose descent direction points out of
+        # the box is held: its row and column of the damped system become
+        # identity and its right-hand side 0, so the free parameters solve
+        # the reduced system instead of crawling along the bound. A
+        # non-finite row holds every parameter (zero step), so one LAPACK
+        # batch serves every row without a bad slice poisoning it.
+        free = finite & ~(((theta <= _GN_LO) & (grad.T > 0.0))
+                          | ((theta >= _GN_HI) & (grad.T < 0.0))).T
+        lhs = np.where(free[:, None] & free[None, :], jtj + lam * eye, eye)
+        rhs = np.where(free, grad, 0.0)
+        try:
+            step = np.linalg.solve(lhs.transpose(2, 0, 1),
+                                   rhs.T[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            break
+        trial = np.clip(theta - step, _GN_LO, _GN_HI)
+        r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
+        cost_t = np.sum(r_t * r_t, axis=1)
+        better = finite & np.isfinite(cost_t) & (cost_t < cost)
+        theta = np.where(better[:, None], trial, theta)
+        r = np.where(better[:, None], r_t, r)
+        gain = np.where(better, cost - cost_t, 0.0)
+        cost = np.where(better, cost_t, cost)
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
+                       np.where(finite, lam * 5.0, lam))
+        done = better & (gain <= 1e-10 * np.maximum(cost, 1e-12))
+        stuck = finite & ~better & (lam > 1e8)
+        keep = finite & ~(done | stuck)
+        if not np.all(keep):
+            theta_out[idx] = theta
+            r_out[idx] = r
+            cost_out[idx] = cost
+            idx = idx[keep]
+            theta, r, cost, lam = theta[keep], r[keep], cost[keep], lam[keep]
+            pp, qq, ss = pp[keep], qq[keep], ss[keep]
+            gpp, wgg = gpp[keep], wgg[keep]
+            nprr, wnn = nprr[keep], wnn[keep]
+    if idx.size:
+        theta_out[idx] = theta
+        r_out[idx] = r
+        cost_out[idx] = cost
+    return theta_out, r_out, cost_out

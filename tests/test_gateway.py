@@ -646,8 +646,8 @@ async def client_exchange(gw, frames, name="p"):
     replies = []
     read = client._read_reply
 
-    async def spy():
-        reply = await read()
+    async def spy(*deadline):
+        reply = await read(*deadline)
         replies.append(reply)
         return reply
     client._read_reply = spy
@@ -736,6 +736,28 @@ class TestProtocol2:
         ok, client = run(go())
         assert not ok and client.stats.gave_up == 1
         assert client.stats.frames_sent == 0  # the handshake failed
+
+    def test_replies_that_never_ack_do_not_extend_the_ack_wait(self):
+        """A peer that answers every read with a welcome never acks the
+        frame: each attempt's wait ends at one ``ack_timeout_s`` deadline
+        and ``send_frame`` gives up instead of reading forever."""
+        async def go():
+            gw = small_gateway()
+            client = SimulatedClient("c0", gw, ack_timeout_s=0.05,
+                                     max_attempts=2)
+
+            async def welcome(deadline=None):
+                await asyncio.sleep(0.001)
+                return {"type": "welcome", "proto": PROTO_VERSION}
+            client._read_reply = welcome
+            ok = await asyncio.wait_for(client.send_frame(PHASES[0][0]), 5)
+            await client.close()
+            await gw.drain_clients()
+            return ok, client
+        ok, client = run(go())
+        assert not ok and client.stats.gave_up == 1
+        assert client.stats.timeouts == 2
+        assert client.stats.frames_sent == 2
 
     @pytest.mark.parametrize("proto", [1, 2])
     def test_hello_below_proto_version_is_refused(self, proto):

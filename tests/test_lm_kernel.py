@@ -1,11 +1,16 @@
-"""The LM kernel's row-major normal equations equal the batch-first sums.
+"""The LM kernel: its summation orders, its reuse of work, and its judges.
 
 ``_lm_kernel`` builds its Jacobian rows-first, ``(N+2, 4, B)``, and sums
 JᵀJ and Jᵀr over the leading (row) axis. These properties pin that reduction
 order: the results must be bit-identical — signed zeros included — to the
-batch-first ``(B, N+2, 4)`` sums ``np.sum(..., axis=1)``, and a whole
-kernel run must equal the short one-seed-at-a-time reference loop below,
-which uses those batch-first sums.
+batch-first ``(B, N+2, 4)`` sums ``np.sum(..., axis=1)``. The kernel
+evaluates each trial point once and forms normal equations only for rows
+whose trial was accepted; two judges that recompute everything every
+iteration must agree with it bit for bit: the short one-seed-at-a-time
+reference loop below, which uses the batch-first sums, and the kernel that
+did so, retained in ``tests/lm_kernel_recompute.py``. ``_lockstep`` gives
+a seed that repeats an earlier one of its job no kernel row; the winner
+must not change.
 """
 
 import numpy as np
@@ -17,14 +22,19 @@ from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
     EllipticalEstimator,
+    FitRequest,
+    WarmStartState,
     _lm_jacobian,
     _lm_kernel,
     _lm_normal_equations,
     _lm_residuals,
+    _lm_terms,
     _lockstep,
     _Job,
     _uses_q,
+    fit_batch,
 )
+from tests import lm_kernel_recompute as recompute
 
 
 def _assert_bitwise(a, b):
@@ -34,6 +44,16 @@ def _assert_bitwise(a, b):
     assert np.array_equal(a, b, equal_nan=True)
     num = ~np.isnan(a)
     assert np.array_equal(np.signbit(a[num]), np.signbit(b[num]))
+
+
+def _jacobian(theta, p, q, wg, wn):
+    """The module's Jacobian of ``theta``, its terms evaluated afresh."""
+    return _lm_jacobian(theta, _lm_terms(theta, p, q), wg, wn)
+
+
+def _residuals(theta, p, q, rss, gp, wg, npr, wn):
+    """The module's residuals of ``theta``, its terms evaluated afresh."""
+    return _lm_residuals(theta, _lm_terms(theta, p, q), rss, gp, wg, npr, wn)
 
 
 def _batch_first_sums(j, r):
@@ -96,10 +116,16 @@ class TestNormalEquationsOrder:
         theta, p, q, rss, gp, wg, npr, wn = _system(
             seed, n_batch, n_rows, clamp, prior, nonfinite)
         with np.errstate(all="ignore"):
-            j = _lm_jacobian(theta, p, q, wg, wn)
-            r = _lm_residuals(theta, p, q, rss, gp, wg, npr, wn)
+            j = _jacobian(theta, p, q, wg, wn)
+            r = _residuals(theta, p, q, rss, gp, wg, npr, wn)
             jtj, grad = _lm_normal_equations(j, r)
             ref_jtj, ref_grad = _batch_first_sums(j, r)
+            # One batch-first evaluation feeds both the residuals and the
+            # rows-first Jacobian: it must give the bits a rows-first
+            # evaluation of hypot and log10 gives.
+            _assert_bitwise(j, recompute._lm_jacobian(theta, p, q, wg, wn))
+            _assert_bitwise(r, recompute._lm_residuals(
+                theta, p, q, rss, gp, wg, npr, wn))
         assert j.shape == (n_rows + 2, 4, n_batch)
         assert r.shape == (n_batch, n_rows + 2) and r.flags.c_contiguous
         _assert_bitwise(np.moveaxis(jtj, -1, 0), ref_jtj)
@@ -113,9 +139,10 @@ class TestNormalEquationsOrder:
         q = np.array([[1.0, 1.05, 0.98]])
         rss = np.full((1, 3), -90.0)
         zeros = np.zeros(1)
-        j = _lm_jacobian(theta, p, q, zeros, zeros)
+        j = _jacobian(theta, p, q, zeros, zeros)
         assert np.all(j[:, :2] == 0.0) and np.any(np.signbit(j[:, :2]))
-        r = _lm_residuals(theta, p, q, rss, zeros, zeros, zeros, zeros)
+        _assert_bitwise(j, recompute._lm_jacobian(theta, p, q, zeros, zeros))
+        r = _residuals(theta, p, q, rss, zeros, zeros, zeros, zeros)
         jtj, grad = _lm_normal_equations(j, r)
         ref_jtj, ref_grad = _batch_first_sums(j, r)
         _assert_bitwise(np.moveaxis(jtj, -1, 0), ref_jtj)
@@ -123,25 +150,31 @@ class TestNormalEquationsOrder:
 
 
 def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
-    """One seed at a time, batch-first sums: ``(theta, r, cost, iters)``.
+    """One seed at a time, batch-first sums, everything recomputed every
+    iteration: ``(theta, r, cost, iters, normal_rows)``.
 
     Models the projected step independently of the kernel's masks: a
     parameter on its bound whose gradient points out of the box is held.
+    ``normal_rows`` counts the normal equations the kernel must form: a
+    row's first, and one more after each accepted step that leaves the
+    row moving with iterations to spare.
     """
     theta_out = theta0.copy()
     r_out, cost_out, iters = [], [], []
     eye = np.eye(4)
+    normal_rows = 0
     for b in range(len(theta0)):
         one = slice(b, b + 1)
         data = (p[one], q[one], rss[one])
         priors = (gp[one], wg[one], npr[one], wn[one])
         theta = theta0[one]
-        r = _lm_residuals(theta, *data, *priors)
+        r = _residuals(theta, *data, *priors)
         cost = np.sum(r * r, axis=1)
         lam, k = 1e-3, 0
+        normal_rows += int(np.isfinite(cost[0]))
         while np.isfinite(cost[0]) and k < max_iter:
             k += 1
-            j = _lm_jacobian(theta, data[0], data[1], priors[1], priors[3])
+            j = _jacobian(theta, data[0], data[1], priors[1], priors[3])
             jtj, grad = _batch_first_sums(j, r)
             if not (np.isfinite(jtj).all() and np.isfinite(grad).all()):
                 break
@@ -154,7 +187,7 @@ def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
             rhs = np.where(free, grad[0], 0.0)
             step = np.linalg.solve(lhs[None], rhs[None, :, None])[:, :, 0]
             trial = np.clip(theta - step, _GN_LO, _GN_HI)
-            r_t = _lm_residuals(trial, *data, *priors)
+            r_t = _residuals(trial, *data, *priors)
             cost_t = np.sum(r_t * r_t, axis=1)
             if np.isfinite(cost_t[0]) and cost_t[0] < cost[0]:
                 gain = cost[0] - cost_t[0]
@@ -162,6 +195,7 @@ def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
                 lam = max(lam / 3.0, 1e-10)
                 if gain <= 1e-10 * max(cost[0], 1e-12):
                     break
+                normal_rows += int(k < max_iter)
             else:
                 lam *= 5.0
                 if lam > 1e8:
@@ -170,11 +204,18 @@ def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
         r_out.append(r[0])
         cost_out.append(cost[0])
         iters.append(k)
-    return theta_out, np.array(r_out), np.array(cost_out), iters
+    return (theta_out, np.array(r_out), np.array(cost_out), iters,
+            normal_rows)
 
 
-def _walk_system(seed, n_batch, n_rows, prior, nonfinite):
-    """A solvable batch: seeds around an L-walk's beacon, noisy RSS."""
+def _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup=False,
+                 far=False):
+    """A solvable batch: seeds around an L-walk's beacon, noisy RSS.
+
+    ``dup`` makes some rows bit-for-bit copies of earlier ones, as a
+    repeated seed of one job; ``far`` starts every seed anywhere in the
+    box, where most steps are rejected.
+    """
     rng = np.random.default_rng(seed)
     d = np.linspace(0.0, 4.5, n_rows)
     p0, q0 = -np.minimum(d, 2.5), -np.clip(d - 2.5, 0.0, 2.0)
@@ -189,6 +230,8 @@ def _walk_system(seed, n_batch, n_rows, prior, nonfinite):
         rng.uniform(-75.0, -45.0, n_batch),
         rng.uniform(1.2, 4.5, n_batch),
     ])
+    if far:
+        theta0 = rng.uniform(_GN_LO, _GN_HI, (n_batch, 4))
     on = rng.random((2, n_batch)) < (0.0 if prior == "none" else 0.5
                                       if prior == "mixed" else 1.0)
     root_n = np.sqrt(n_rows)
@@ -198,32 +241,85 @@ def _walk_system(seed, n_batch, n_rows, prior, nonfinite):
     wn = np.where(on[1], root_n / 0.6, 0.0)
     if nonfinite:
         rss[rng.integers(n_batch), rng.integers(n_rows)] = np.nan
+    if dup:
+        for b in range(1, n_batch):
+            if rng.random() < 0.5:
+                a = rng.integers(b)
+                for arr in (theta0, rss, gp, wg, npr, wn):
+                    arr[b] = arr[a]
     return theta0, p, q, rss, gp, wg, npr, wn
+
+
+_KERNEL_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 40),
+    n_rows=st.integers(8, 160),
+    prior=st.sampled_from(["none", "both", "mixed"]),
+    nonfinite=st.booleans(),
+    dup=st.booleans(),
+    far=st.booleans(),
+    max_iter=st.sampled_from([3, 60]),
+)
+
+
+def _kernel_examples(test):
+    """Serving-sized batches, repeated seed rows and reject-heavy starts."""
+    for seed, n_batch, n_rows, dup, far in ((2, 39, 160, True, False),
+                                            (3, 12, 120, True, True),
+                                            (4, 40, 100, False, True),
+                                            (5, 3, 160, True, False)):
+        test = example(seed=seed, n_batch=n_batch, n_rows=n_rows,
+                       prior="mixed", nonfinite=False, dup=dup, far=far,
+                       max_iter=60)(test)
+    return test
 
 
 class TestKernelEqualsReferenceLoop:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           n_batch=st.integers(1, 12),
-           n_rows=st.integers(8, 160),
-           prior=st.sampled_from(["none", "both", "mixed"]),
-           nonfinite=st.booleans(),
-           max_iter=st.sampled_from([3, 60]))
+    @given(**_KERNEL_CASES)
+    @_kernel_examples
     def test_kernel_equals_one_seed_reference(
-            self, seed, n_batch, n_rows, prior, nonfinite, max_iter):
-        args = _walk_system(seed, n_batch, n_rows, prior, nonfinite)
-        before = (perf.counter_value("estimator.lm_iterations"),
-                  perf.counter_value("estimator.lm_max_iter_calls"))
+            self, seed, n_batch, n_rows, prior, nonfinite, dup, far,
+            max_iter):
+        args = _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup,
+                            far)
+        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
+                 "estimator.lm_normal_rows")
+        before = [perf.counter_value(n) for n in names]
         theta, r, cost = _lm_kernel(*args, max_iter=max_iter)
-        grew = (perf.counter_value("estimator.lm_iterations") - before[0],
-                perf.counter_value("estimator.lm_max_iter_calls") - before[1])
-        ref_theta, ref_r, ref_cost, iters = _reference_kernel(
+        grew = tuple(perf.counter_value(n) - b
+                     for n, b in zip(names, before))
+        ref_theta, ref_r, ref_cost, iters, normal_rows = _reference_kernel(
             *args, max_iter=max_iter)
         _assert_bitwise(theta, ref_theta)
         _assert_bitwise(r, ref_r)
         _assert_bitwise(cost, ref_cost)
-        # The batch runs until its slowest row freezes.
-        assert grew == (max(iters), int(max(iters) == max_iter))
+        # The batch runs until its slowest row freezes, and forms normal
+        # equations only for rows whose step was accepted.
+        assert grew == (max(iters), int(max(iters) == max_iter), normal_rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_KERNEL_CASES)
+    @_kernel_examples
+    def test_kernel_equals_the_recomputing_kernel(
+            self, seed, n_batch, n_rows, prior, nonfinite, dup, far,
+            max_iter):
+        """Bit for bit the kernel that rebuilt every live row's Jacobian
+        and normal equations every iteration."""
+        args = _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup,
+                            far)
+        with np.errstate(all="ignore"):
+            ref = recompute._lm_kernel(*args, max_iter=max_iter)
+        for got, want in zip(_lm_kernel(*args, max_iter=max_iter), ref):
+            _assert_bitwise(got, want)
+
+    def test_far_starts_are_reject_heavy(self):
+        """The ``far`` examples exercise carried normal equations: over a
+        third of their row-iterations form none, more than on any serving
+        workload (a fifth to a third)."""
+        args = _walk_system(4, 40, 100, "mixed", False, far=True)
+        *_, iters, normal_rows = _reference_kernel(*args)
+        assert normal_rows < 0.65 * sum(iters)
 
 
 def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
@@ -239,10 +335,121 @@ def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
         theta, _r, jac = best
         assert jac.shape == (len(job.p) + 2, 4) and jac.flags.c_contiguous
         root_n = np.sqrt(len(job.p))
-        alone = _lm_jacobian(theta[None, :], job.p[None, :], job.q[None, :],
-                             np.array([root_n / est.gamma_prior_sigma]),
-                             np.array([root_n / est.n_prior_sigma]))
+        alone = _jacobian(theta[None, :], job.p[None, :], job.q[None, :],
+                          np.array([root_n / est.gamma_prior_sigma]),
+                          np.array([root_n / est.n_prior_sigma]))
         _assert_bitwise(jac, alone[:, :, 0])
+
+
+def _straight_leg_job(est, n_rows=60, seed=11):
+    """A cold straight-leg job: ``abs(h0)`` folds the heuristic seeds at
+    ±π/4 and ±π/2 into repeats."""
+    rng = np.random.default_rng(seed)
+    p = -np.linspace(0.0, 3.5, n_rows)
+    q = np.zeros(n_rows)
+    rss = (-59.0 - 22.0 * np.log10(np.hypot(4.0 + p, 3.0 + q))
+           + rng.normal(0.0, 1.0, n_rows))
+    return _Job(est, p, q, rss, _uses_q(q), None)
+
+
+def _distinct(seeds):
+    """Seeds clipped into the box as ``_lockstep`` does, repeats dropped."""
+    rows = np.clip(np.asarray(seeds, dtype=float), _GN_LO + 1e-6,
+                   _GN_HI - 1e-6)
+    return list({row.tobytes(): tuple(row) for row in rows}.values())
+
+
+class TestRepeatedSeeds:
+    """A seed that repeats an earlier one of its job bit for bit gets no
+    kernel row; each winner, and ``n_candidates``, stay what they were."""
+
+    def _lm_rows(self, jobs, seed_sets):
+        before = perf.counter_value("estimator.lm_rows")
+        best = _lockstep(jobs, seed_sets)
+        return best, perf.counter_value("estimator.lm_rows") - before
+
+    def test_repeats_give_the_winner_of_the_job_without_them(self):
+        est = EllipticalEstimator()
+        _theta0, p, q, rss, *_ = _walk_system(7, 1, 80, "none", False)
+        job = _Job(est, p[0], q[0], rss[0], _uses_q(q[0]), None)
+        seeds = est._initial_candidates(job.p, job.q, job.rss, job.use_q)
+        # Every seed twice, the copies interleaved and some moved ahead of
+        # later originals, plus one seed only the clip makes a repeat.
+        x, h, gam, n = seeds[3]
+        clipped = [(x, h, gam, n + 10.0)]
+        repeated = ([seeds[0], seeds[0]] + seeds[1:5] + seeds[2:4]
+                    + seeds[5:] + seeds[::-1] + clipped
+                    + [(x, h, gam, 6.0)])
+        other = _straight_leg_job(est, n_rows=80)  # shares the kernel run
+        other_seeds = est._initial_candidates(other.p, other.q, other.rss,
+                                              other.use_q)
+        (want,), n_want = self._lm_rows([job], [seeds + clipped])
+        got, n_got = self._lm_rows([job, other], [repeated, other_seeds])
+        assert n_want == len(seeds) + 1 == len(_distinct(repeated))
+        assert n_got == n_want + len(_distinct(other_seeds))
+        for a, b in zip(got[0], want):
+            _assert_bitwise(a, b)
+
+    def test_signed_zeros_are_not_repeats(self):
+        """``0.0 == -0.0``, but the two seeds are different kernel rows."""
+        est = EllipticalEstimator()
+        job = _straight_leg_job(est)
+        seeds = [(2.0, 0.0, -60.0, 2.0), (2.0, -0.0, -60.0, 2.0),
+                 (2.0, 0.0, -60.0, 2.0)]
+        _best, rows = self._lm_rows([job], [seeds])
+        assert rows == 2
+
+    def test_straight_leg_cold_fit_batch_equals_sequential(self):
+        est = EllipticalEstimator()
+        job = _straight_leg_job(est)
+        offered = est._initial_candidates(job.p, job.q, job.rss, job.use_q)
+        assert len(_distinct(offered)) < len(offered)
+        _theta0, p, q, rss, *_ = _walk_system(8, 1, 60, "none", False)
+        requests = [FitRequest(p=job.p, q=job.q, rss=job.rss),
+                    FitRequest(p=p[0], q=q[0], rss=rss[0])]
+        seq = [est.fit(r.p, r.q, r.rss) for r in requests]
+        bat = fit_batch(requests, default_estimator=est)
+        for s, b in zip(seq, bat):
+            _assert_fit_bitwise(s, b)
+        assert bat[0].mirror is not None
+        assert bat[0].n_candidates == len(offered)
+
+    def test_warm_n_beyond_the_grid_fit_batch_equals_sequential(self):
+        """A warm exponent one step past the grid maximum clips all three
+        warm seeds onto the grid edge: one kernel row, three candidates."""
+        est = EllipticalEstimator()
+        _theta0, p, q, rss, *_ = _walk_system(9, 2, 60, "none", False)
+        cold = est.fit(p[0], q[0], rss[0])
+        warm = WarmStartState(
+            x=cold.position.x, h=cold.position.y, gamma=cold.gamma,
+            n=float(np.max(est.n_grid)) + est.warm_n_step,
+            rss_rmse=cold.rss_rmse + 1.0)
+        assert est._warm_usable(warm)
+        seeds = est._warm_seeds(warm, True)
+        assert len(_distinct(seeds)) == 1
+        requests = [FitRequest(p=p[0], q=q[0], rss=rss[0], warm=warm),
+                    FitRequest(p=p[1], q=q[1], rss=rss[1], warm=cold.warm)]
+        before = perf.counter_value("estimator.lm_rows")
+        seq = [est.fit(r.p, r.q, r.rss, warm=r.warm) for r in requests[:1]]
+        assert perf.counter_value("estimator.lm_rows") - before == 1
+        seq.append(est.fit(p[1], q[1], rss[1], warm=cold.warm))
+        bat = fit_batch(requests, default_estimator=est)
+        for s, b in zip(seq, bat):
+            _assert_fit_bitwise(s, b)
+        assert bat[0].warm_started and bat[0].n_candidates == 3
+
+
+def _assert_fit_bitwise(a, b):
+    """Every number a fit reports, bit for bit."""
+    def numbers(fit):
+        return [fit.position.x, fit.position.y, fit.n, fit.gamma,
+                fit.epsilon, fit.g, fit.position_std,
+                np.nan if fit.cov_cond is None else fit.cov_cond]
+    _assert_bitwise(numbers(a), numbers(b))
+    _assert_bitwise(a.residuals, b.residuals)
+    assert (a.solver, a.cov_status, a.n_candidates, a.warm_started) == (
+        b.solver, b.cov_status, b.n_candidates, b.warm_started)
+    assert a.warm.to_dict() == b.warm.to_dict()
 
 
 class TestBoundPinnedParameter:
@@ -264,8 +471,8 @@ class TestBoundPinnedParameter:
     def test_outward_gradient_gets_exactly_zero_step(self):
         theta0, p, q, rss, gp, wg, npr, wn = args = self._pinned()
         jtj, grad = _lm_normal_equations(
-            _lm_jacobian(theta0, p, q, wg, wn),
-            _lm_residuals(theta0, p, q, rss, gp, wg, npr, wn))
+            _jacobian(theta0, p, q, wg, wn),
+            _residuals(theta0, p, q, rss, gp, wg, npr, wn))
         assert grad[3, 0] > 0.0  # descent would push n below 1.0
         theta, _r, _cost = _lm_kernel(*args, max_iter=1)
         assert theta[0, 3] == _GN_LO[3]

@@ -371,12 +371,14 @@ class TestSwitchesNeverChangeState:
 
     def test_kernel_counters_move_only_with_perf_on(self):
         """The LM kernel's plain perf counters (no event, no ledger) count
-        iterations and ``max_iter`` calls; switching telemetry off freezes
-        them and leaves every fit bit-identical."""
+        iterations, ``max_iter`` calls, seed rows and normal-equation
+        rows; switching telemetry off freezes them and leaves every fit
+        bit-identical."""
         from repro import perf
         from repro.core.estimator import EllipticalEstimator
 
-        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls")
+        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
+                 "estimator.lm_rows", "estimator.lm_normal_rows")
         d = np.linspace(0.0, 4.5, 40)
         p, q = -np.minimum(d, 2.5), -np.clip(d - 2.5, 0.0, 2.0)
         rss = (-59.0 - 22.0 * np.log10(np.hypot(4.0 + p, 3.0 + q))
@@ -398,7 +400,8 @@ class TestSwitchesNeverChangeState:
             perf.enable()
             obs.enable()
         assert grew_on[0] > 0 and 0 <= grew_on[1] <= 1
-        assert grew_off == [0, 0]
+        assert 0 < grew_on[2] <= grew_on[3]
+        assert grew_off == [0, 0, 0, 0]
         assert obs.counts().get("estimator.lm_iterations", 0) == 0
         assert (off.position, off.n, off.gamma) == (on.position, on.n,
                                                     on.gamma)
