@@ -2,6 +2,5 @@
 
 from repro.analysis.coverage import CoverageMap
 from repro.analysis.linkbudget import LinkBudget
-from repro.analysis.placement import PlacementPlan, greedy_placement
 
-__all__ = ["CoverageMap", "LinkBudget", "PlacementPlan", "greedy_placement"]
+__all__ = ["CoverageMap", "LinkBudget"]

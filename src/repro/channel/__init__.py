@@ -10,8 +10,6 @@ from repro.channel.fading import (
     RicianFading,
 )
 from repro.channel.link import LinkObservation, RadioLink
-from repro.channel.multipath import RayTracedMultipath, reflect_point
-from repro.channel.noise import ReceiverNoise
 from repro.channel.pathloss import (
     DEFAULT_GAMMA_DBM,
     ENV_EXPONENTS,
@@ -24,8 +22,7 @@ from repro.channel.shadowing import ShadowingProcess
 __all__ = [
     "ENV_PROFILES", "EnvProfile", "EnvRealization", "realize_env",
     "ADVERTISING_CHANNELS", "ENV_K_FACTOR_DB", "FrequencySelectiveFading",
-    "RicianFading", "LinkObservation", "RadioLink", "ReceiverNoise",
-    "RayTracedMultipath", "reflect_point",
+    "RicianFading", "LinkObservation", "RadioLink",
     "DEFAULT_GAMMA_DBM", "ENV_EXPONENTS", "PathLossModel",
     "distance_for_rss", "rss_at", "ShadowingProcess",
 ]

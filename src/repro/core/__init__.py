@@ -1,8 +1,5 @@
 """The paper's contribution: EnvAware, ANF, estimation, calibration, navigation."""
 
-from repro.core.ambiguity import (
-    DisambiguationResult, LegMeasurement, TwoLegDisambiguator,
-)
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.calibration import CalibratedEstimate, ClusteringCalibrator
 from repro.core.confidence import estimation_confidence
@@ -20,7 +17,6 @@ from repro.core.three_d import Estimator3D, Fit3DResult, Vec3
 from repro.core.tracking import BeaconTracker, TrackState
 
 __all__ = [
-    "DisambiguationResult", "LegMeasurement", "TwoLegDisambiguator",
     "AdaptiveNoiseFilter", "CalibratedEstimate", "ClusteringCalibrator",
     "estimation_confidence", "EnvAwareClassifier", "EnvironmentMonitor",
     "trace_windows", "DEFAULT_N_GRID", "EllipticalEstimator", "FitRequest",

@@ -607,13 +607,6 @@ class EllipticalEstimator:
                 x[idx], h[idx], g[idx], eps[idx] = sol
         return valid, x, h, g, eps
 
-    def _rss_residuals(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
-        x: float, h: float, n: float, gamma: float,
-    ) -> np.ndarray:
-        l = np.hypot(x + p, h + q)
-        return rss - rss_at(l, gamma, n)
-
     def _rss_residuals_reference(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
         x: float, h: float, n: float, gamma: float,

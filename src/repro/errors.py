@@ -52,10 +52,6 @@ class DegenerateGeometryError(EstimationError):
     """
 
 
-class PacketError(ReproError):
-    """A BLE advertising PDU could not be encoded or decoded."""
-
-
 class NotFittedError(ReproError):
     """A learning component was used before :meth:`fit` was called."""
 

@@ -1,8 +1,5 @@
-"""Inertial sensor substrate: gait, gyro, magnetometer synthesis + alignment."""
+"""Inertial sensor substrate: gait, gyro, magnetometer, barometer synthesis."""
 
-from repro.imu.alignment import (
-    Posture, align_to_earth, euler_from_matrix, rotation_matrix,
-)
 from repro.imu.barometer import (
     BarometerModel, altitude_from_pressure, pressure_at_altitude,
 )
@@ -14,7 +11,6 @@ from repro.imu.magnetometer import MagnetometerModel, smooth_heading_through_tur
 from repro.imu.sensors import ImuSynthesizer, SynthesizedImu
 
 __all__ = [
-    "Posture", "align_to_earth", "euler_from_matrix", "rotation_matrix",
     "GaitModel", "step_frequency_for_speed", "step_length_for_frequency",
     "GyroModel", "TurnEvent", "MagnetometerModel",
     "smooth_heading_through_turns", "ImuSynthesizer", "SynthesizedImu",

@@ -1,7 +1,6 @@
-"""Learning substrate: SVMs, trees, forests, scaling, metrics, CV."""
+"""Learning substrate: SVMs, trees, forests, scaling, metrics."""
 
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.gridsearch import GridSearch
 from repro.ml.kernels import (
     KernelSVM,
     MultiClassKernelSVM,
@@ -10,17 +9,13 @@ from repro.ml.kernels import (
     rbf_kernel,
 )
 from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
-from repro.ml.model_selection import (
-    cross_val_accuracy, k_fold_indices, train_test_split,
-)
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.svm import LinearSVM, MultiClassSVM
 from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
-    "RandomForestClassifier", "GridSearch", "KernelSVM", "MultiClassKernelSVM",
+    "RandomForestClassifier", "KernelSVM", "MultiClassKernelSVM",
     "linear_kernel", "poly_kernel", "rbf_kernel", "accuracy",
-    "confusion_matrix", "precision_recall_f1", "cross_val_accuracy",
-    "k_fold_indices", "train_test_split", "StandardScaler", "LinearSVM",
+    "confusion_matrix", "precision_recall_f1", "StandardScaler", "LinearSVM",
     "MultiClassSVM", "DecisionTreeClassifier",
 ]

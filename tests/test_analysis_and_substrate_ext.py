@@ -1,4 +1,4 @@
-"""Tests for the analysis tools, ray-traced multipath and activity detection."""
+"""Tests for the analysis tools: link budgets and coverage maps."""
 
 
 import numpy as np
@@ -7,16 +7,10 @@ import pytest
 from repro.analysis.coverage import CoverageMap
 from repro.analysis.linkbudget import LinkBudget
 from repro.ble.devices import BEACONS
-from repro.channel.multipath import RayTracedMultipath, reflect_point
 from repro.errors import ConfigurationError
-from repro.imu.sensors import ImuSynthesizer
-from repro.motion.activity import Activity, ActivityDetector
-from repro.types import EnvClass, ImuSample, ImuTrace, Vec2
+from repro.types import EnvClass, Vec2
 from repro.world.floorplan import Floorplan
-from repro.world.geometry import Segment
-from repro.world.obstacles import wall
 from repro.world.scenarios import scenario
-from repro.world.trajectory import straight_walk
 
 
 class TestLinkBudget:
@@ -119,96 +113,3 @@ class TestCoverageMap:
             CoverageMap(sc.floorplan, Vec2(99.0, 99.0))
         with pytest.raises(ConfigurationError):
             CoverageMap(sc.floorplan, sc.beacon_position, cell_m=0.0)
-
-
-class TestRayTracedMultipath:
-    def _setup(self):
-        plan = Floorplan("r", 10, 10,
-                         obstacles=[wall(0, 8, 10, 8, "concrete_wall")])
-        return RayTracedMultipath(plan)
-
-    def test_reflect_point_geometry(self):
-        seg = Segment(Vec2(0, 8), Vec2(10, 8))
-        mirrored = reflect_point(Vec2(3, 2), seg)
-        assert mirrored.x == pytest.approx(3.0)
-        assert mirrored.y == pytest.approx(14.0)
-
-    def test_no_walls_means_unity_gain(self):
-        mp = RayTracedMultipath(Floorplan("empty", 10, 10))
-        assert mp.gain_db(Vec2(1, 1), Vec2(7, 3), 37) == pytest.approx(0.0)
-
-    def test_fringes_appear_near_a_wall(self):
-        mp = self._setup()
-        gains = [mp.gain_db(Vec2(2, 2), Vec2(6 + 0.01 * i, 2.0), 37)
-                 for i in range(120)]
-        assert max(gains) - min(gains) > 1.0  # constructive/destructive
-
-    def test_channels_see_different_patterns(self):
-        mp = self._setup()
-        rx = Vec2(6.37, 2.0)
-        g = {ch: mp.gain_db(Vec2(2, 2), rx, ch) for ch in (37, 38, 39)}
-        assert len({round(v, 3) for v in g.values()}) >= 2
-
-    def test_opposite_side_pair_has_no_reflection(self):
-        mp = self._setup()
-        # tx above the wall, rx below: the mirror path never lands on it.
-        assert mp.gain_db(Vec2(5, 9.5), Vec2(5, 2.0), 37) == pytest.approx(0.0)
-
-    def test_fringe_spacing_half_wavelength(self):
-        mp = self._setup()
-        lam = 299792458.0 / 2402e6
-        assert mp.fringe_spacing_m(37) == pytest.approx(lam / 2.0)
-
-    def test_unknown_channel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._setup().gain_db(Vec2(1, 1), Vec2(2, 2), 40)
-
-
-class TestActivityDetector:
-    def test_walking_trace_detected(self, rng):
-        out = ImuSynthesizer(rng).synthesize(
-            straight_walk(Vec2(0, 0), 0.0, 5.0), t_pad_s=0.2)
-        assert ActivityDetector().is_moving(out.trace)
-
-    def test_stationary_trace_detected(self, rng):
-        ts = np.arange(300) / 50.0
-        trace = ImuTrace([
-            ImuSample(t, float(rng.normal(0, 0.02)), 0.0, 0.0) for t in ts
-        ])
-        det = ActivityDetector()
-        assert not det.is_moving(trace)
-        assert all(lab == Activity.STATIONARY
-                   for _, _, lab in det.segments(trace))
-
-    def test_segments_cover_pause(self, rng):
-        """Walk, then stand still: the pause must appear as stationary."""
-        out = ImuSynthesizer(rng).synthesize(
-            straight_walk(Vec2(0, 0), 0.0, 4.0), t_pad_s=3.0)
-        segs = ActivityDetector().segments(out.trace)
-        labels = {lab for _, _, lab in segs}
-        assert Activity.WALKING in labels
-        assert Activity.STATIONARY in labels
-        # Time-ordered, non-overlapping runs.
-        for (a0, a1, _), (b0, b1, _) in zip(segs, segs[1:]):
-            assert a1 <= b0 + 1e-9
-
-    def test_aperiodic_shaking_not_walking(self, rng):
-        # Strong but aperiodic noise: fails the gait-band test.
-        ts = np.arange(400) / 50.0
-        accel = rng.normal(0, 0.3, len(ts))
-        trace = ImuTrace([ImuSample(t, float(a), 0.0, 0.0)
-                          for t, a in zip(ts, accel)])
-        det = ActivityDetector(periodicity_ratio=0.35)
-        walking_time = sum(
-            t1 - t0 for t0, t1, lab in det.segments(trace)
-            if lab == Activity.WALKING)
-        total = ts[-1] - ts[0]
-        assert walking_time < 0.5 * total
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ActivityDetector(window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ActivityDetector(periodicity_ratio=1.5)
-        with pytest.raises(ConfigurationError):
-            ActivityDetector(gait_band_hz=(3.0, 1.0))

@@ -1,4 +1,4 @@
-"""Public-API surface and small remaining units: errors, postures, exports."""
+"""Public-API surface and small remaining units: errors, exports."""
 
 
 import numpy as np
@@ -11,17 +11,15 @@ from repro.errors import (
     GeometryError,
     InsufficientDataError,
     NotFittedError,
-    PacketError,
     ReproError,
 )
-from repro.imu.alignment import Posture
 from repro.types import MotionSegment, Vec2
 
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
         ConfigurationError, EstimationError, GeometryError,
-        InsufficientDataError, NotFittedError, PacketError,
+        InsufficientDataError, NotFittedError,
     ])
     def test_all_derive_from_base(self, exc):
         assert issubclass(exc, ReproError)
@@ -37,17 +35,6 @@ class TestErrorHierarchy:
             assert isinstance(exc, InsufficientDataError)
         else:  # pragma: no cover - defensive
             pytest.fail("expected a ReproError")
-
-
-class TestPosture:
-    def test_round_trip_rotation(self):
-        posture = Posture(roll=0.3, pitch=-0.4, yaw=1.0)
-        v = np.array([1.0, 2.0, 3.0])
-        back = posture.phone_to_earth() @ (posture.earth_to_phone() @ v)
-        assert np.allclose(back, v)
-
-    def test_identity_posture(self):
-        assert np.allclose(Posture().phone_to_earth(), np.eye(3))
 
 
 class TestMotionSegment:

@@ -14,7 +14,6 @@ from repro.channel.fading import (
     RicianFading,
 )
 from repro.channel.link import RadioLink
-from repro.channel.noise import ReceiverNoise
 from repro.channel.pathloss import (
     PathLossModel,
     distance_for_rss,
@@ -175,28 +174,6 @@ class TestFrequencySelectiveFading:
         grid = [f.offset_db(37, Vec2(x * 0.37, x * 0.11)) for x in range(500)]
         rms = float(np.sqrt(np.mean(np.square(grid))))
         assert 1.0 < rms < 3.5
-
-
-class TestReceiverNoise:
-    def test_offset_applied(self):
-        rng = np.random.default_rng(0)
-        noise = ReceiverNoise(offset_db=4.0, jitter_std_db=0.0, rng=rng,
-                              quantise=False)
-        assert noise.apply(-70.0) == pytest.approx(-66.0)
-
-    def test_quantisation(self):
-        rng = np.random.default_rng(0)
-        noise = ReceiverNoise(offset_db=0.3, jitter_std_db=0.0, rng=rng)
-        assert noise.apply(-70.0) == float(round(-69.7))
-
-    def test_offset_sampling_within_spec(self, rng):
-        offsets = [ReceiverNoise.sample_offset(rng, 5.0) for _ in range(200)]
-        assert all(-5.0 <= o <= 5.0 for o in offsets)
-        assert np.std(offsets) > 1.0  # actually spread, not constant
-
-    def test_negative_jitter_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            ReceiverNoise(0.0, -1.0, rng)
 
 
 class TestEnvRealization:

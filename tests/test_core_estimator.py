@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs, perf
 from repro.channel.pathloss import rss_at
-from repro.core.ambiguity import LegMeasurement, TwoLegDisambiguator
 from repro.core.confidence import estimation_confidence
 from repro.core.estimator import EllipticalEstimator
 from repro.errors import EstimationError, InsufficientDataError
@@ -230,45 +229,6 @@ class TestCovarianceConditioning:
         obs.reset()
 
 
-class TestTwoLegDisambiguation:
-    def _legs(self, true=Vec2(4.0, 3.0), noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        # Leg 1: +x from origin. Leg 2: +y from (2.5, 0).
-        a1 = np.linspace(0, 2.5, 25)
-        l1 = np.array([Vec2(a, 0.0).distance_to(true) for a in a1])
-        rss1 = np.array([rss_at(d, -59.0, 2.0) for d in l1])
-        a2 = np.linspace(0, 2.0, 20)
-        l2 = np.array([Vec2(2.5, a).distance_to(true) for a in a2])
-        rss2 = np.array([rss_at(d, -59.0, 2.0) for d in l2])
-        if noise > 0:
-            rss1 = rss1 + rng.normal(0, noise, len(rss1))
-            rss2 = rss2 + rng.normal(0, noise, len(rss2))
-        leg1 = LegMeasurement(Vec2(0, 0), 0.0, a1, rss1)
-        leg2 = LegMeasurement(Vec2(2.5, 0.0), math.pi / 2, a2, rss2)
-        return leg1, leg2
-
-    def test_noiseless_overlap_exact(self):
-        d = TwoLegDisambiguator(EllipticalEstimator(gamma_prior=None))
-        result = d.resolve(*self._legs())
-        assert result.position.distance_to(Vec2(4, 3)) < 0.2
-        assert result.separation < 0.2
-
-    def test_candidate_sets_are_mirror_pairs(self):
-        d = TwoLegDisambiguator(EllipticalEstimator(gamma_prior=None))
-        result = d.resolve(*self._legs())
-        c1a, c1b = result.candidates_leg1
-        # Mirrors across the leg-1 line (the x-axis): same x, opposite y.
-        assert c1a.x == pytest.approx(c1b.x, abs=1e-6)
-        assert c1a.y == pytest.approx(-c1b.y, abs=1e-6)
-
-    def test_noisy_still_disambiguates(self):
-        d = TwoLegDisambiguator(EllipticalEstimator())
-        result = d.resolve(*self._legs(noise=1.0, seed=3))
-        # Must land on the correct (positive-y) side.
-        assert result.position.y > 0
-        assert result.position.distance_to(Vec2(4, 3)) < 2.5
-
-
 class TestVectorizedGridSearch:
     """The batched grid solver must reproduce the per-candidate loop."""
 
@@ -303,13 +263,3 @@ class TestVectorizedGridSearch:
         p, q, rss = self._workload(42)
         fit = est.fit(p, q, rss)
         assert math.isfinite(fit.position.x) and math.isfinite(fit.gamma)
-
-    def test_vectorized_residuals_match_reference(self):
-        est = EllipticalEstimator()
-        rng = np.random.default_rng(0)
-        p, q = rng.normal(size=20), rng.normal(size=20)
-        rss = rng.normal(-65, 4, size=20)
-        fast = est._rss_residuals(p, q, rss, x=1.0, h=0.5, gamma=-59.0, n=2.1)
-        slow = est._rss_residuals_reference(
-            p, q, rss, x=1.0, h=0.5, gamma=-59.0, n=2.1)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.ble.devices import BEACONS
 from repro.ble.interference import CrowdInterference, crowding_loss_probability
-from repro.ble.packet import AdvertisingPdu, PduType
 from repro.channel.pathloss import rss_at
 from repro.cli import main as cli_main
 from repro.core.estimator import EllipticalEstimator, FitResult
@@ -133,12 +132,6 @@ class TestBluetooth5:
         b5 = BEACONS["ble5_longrange"]
         assert b5.ble_version == 5 and b5.coded_phy
         assert b5.gamma_dbm > BEACONS["estimote"].gamma_dbm + 5.0
-
-    def test_extended_advertising_pdu(self):
-        pdu = AdvertisingPdu(PduType.ADV_EXT_IND, bytes(6), b"\x01")
-        decoded = AdvertisingPdu.decode(pdu.encode())
-        assert decoded.pdu_type == PduType.ADV_EXT_IND
-        assert not decoded.connectable
 
     def test_long_range_survives_deep_blockage(self):
         plan = Floorplan("deep", 20, 8, obstacles=[

@@ -1,13 +1,12 @@
-"""Tests for the complementary heading filter, estimate_all, and GAP iter."""
+"""Tests for the complementary heading filter and estimate_all."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.ble.packet import IBeaconPayload, iter_ad_structures
 from repro.core.pipeline import LocBLE
-from repro.errors import ConfigurationError, PacketError
+from repro.errors import ConfigurationError
 from repro.imu.sensors import ImuSynthesizer
 from repro.motion.headingfusion import ComplementaryHeadingFilter
 from repro.sim.simulator import BeaconSpec, Simulator
@@ -15,10 +14,6 @@ from repro.types import ImuSample, ImuTrace, RssiTrace, Vec2
 from repro.world.geometry import wrap_angle
 from repro.world.scenarios import scenario
 from repro.world.trajectory import l_shape, straight_walk
-
-import uuid as uuid_mod
-
-_UUID = uuid_mod.UUID("f7826da6-4fa2-4e98-8024-bc5b71e0893e")
 
 
 class TestComplementaryHeadingFilter:
@@ -90,20 +85,3 @@ class TestEstimateAll:
         results = LocBLE().estimate_all(traces, rec.observer_imu.trace)
         assert "good" in results
         assert "stray" not in results
-
-
-class TestIterAdStructures:
-    def test_walks_all_structures(self):
-        payload = IBeaconPayload(_UUID, 1, 2, -59).encode()
-        structures = list(iter_ad_structures(payload))
-        types = [t for t, _ in structures]
-        assert 0x01 in types  # flags
-        assert 0xFF in types  # manufacturer data
-
-    def test_zero_length_terminates(self):
-        data = bytes([0x02, 0x01, 0x06, 0x00, 0xFF, 0xFF])
-        assert [t for t, _ in iter_ad_structures(data)] == [0x01]
-
-    def test_truncated_raises(self):
-        with pytest.raises(PacketError):
-            list(iter_ad_structures(bytes([0x05, 0x01, 0x06])))

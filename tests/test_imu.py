@@ -4,17 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, GeometryError
-from repro.imu.alignment import (
-    Posture,
-    align_to_earth,
-    euler_from_matrix,
-    gravity_direction,
-    rotation_matrix,
-)
+from repro.errors import ConfigurationError
 from repro.imu.gait import (
     GaitModel,
     step_frequency_for_speed,
@@ -25,50 +16,6 @@ from repro.imu.magnetometer import MagnetometerModel, smooth_heading_through_tur
 from repro.imu.sensors import ImuSynthesizer
 from repro.types import Vec2
 from repro.world.trajectory import l_shape, straight_walk
-
-angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
-
-
-class TestAlignment:
-    def test_identity(self):
-        assert np.allclose(rotation_matrix(0, 0, 0), np.eye(3))
-
-    def test_rotation_is_orthonormal(self):
-        r = rotation_matrix(0.3, -0.5, 1.1)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0)
-
-    @given(st.floats(min_value=-1.5, max_value=1.5),
-           st.floats(min_value=-1.4, max_value=1.4), angles)
-    @settings(max_examples=60)
-    def test_euler_roundtrip(self, roll, pitch, yaw):
-        r = rotation_matrix(roll, pitch, yaw)
-        rr, pp, yy = euler_from_matrix(r)
-        assert np.allclose(rotation_matrix(rr, pp, yy), r, atol=1e-9)
-
-    def test_gravity_direction_normalises(self):
-        g = gravity_direction(np.array([0.0, 0.0, 19.6]))
-        assert np.allclose(g, [0, 0, 1])
-        with pytest.raises(GeometryError):
-            gravity_direction(np.zeros(3))
-
-    def test_align_recovers_earth_vector(self):
-        # Phone held at an arbitrary posture; a purely-east acceleration in
-        # the earth frame must come back as east after alignment.
-        posture = Posture(roll=0.4, pitch=-0.2, yaw=0.9)
-        to_phone = posture.earth_to_phone()
-        accel_earth = np.array([1.0, 0.0, 0.0])  # east
-        gravity_earth = np.array([0.0, 0.0, 1.0])
-        mag_earth = np.array([0.0, 1.0, 0.3])  # northish with dip
-        recovered = align_to_earth(
-            to_phone @ accel_earth, to_phone @ gravity_earth, to_phone @ mag_earth
-        )
-        assert np.allclose(recovered, accel_earth, atol=1e-9)
-
-    def test_align_rejects_mag_parallel_gravity(self):
-        with pytest.raises(GeometryError):
-            align_to_earth(np.ones(3), np.array([0, 0, 1.0]),
-                           np.array([0, 0, 2.0]))
 
 
 class TestGaitRelations:

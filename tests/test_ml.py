@@ -13,11 +13,6 @@ from repro.ml.kernels import (
     rbf_kernel,
 )
 from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
-from repro.ml.model_selection import (
-    cross_val_accuracy,
-    k_fold_indices,
-    train_test_split,
-)
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.svm import LinearSVM, MultiClassSVM
 from repro.ml.tree import DecisionTreeClassifier
@@ -234,32 +229,3 @@ class TestMetrics:
     def test_average_validation(self):
         with pytest.raises(ConfigurationError):
             precision_recall_f1(["a"], ["a"], average="weighted")
-
-
-class TestModelSelection:
-    def test_split_sizes(self, rng):
-        x = np.arange(40).reshape(-1, 1)
-        y = np.arange(40)
-        xtr, xte, ytr, yte = train_test_split(x, y, 0.25, rng)
-        assert len(xte) == 10 and len(xtr) == 30
-        assert set(yte.tolist()) | set(ytr.tolist()) == set(range(40))
-
-    def test_split_validation(self, rng):
-        with pytest.raises(ConfigurationError):
-            train_test_split(np.ones((4, 1)), np.ones(4), 1.5, rng)
-
-    def test_kfold_partitions(self, rng):
-        folds = list(k_fold_indices(20, 4, rng))
-        assert len(folds) == 4
-        all_test = np.concatenate([te for _, te in folds])
-        assert sorted(all_test.tolist()) == list(range(20))
-        for tr, te in folds:
-            assert set(tr.tolist()).isdisjoint(te.tolist())
-
-    def test_cross_val_accuracy(self, rng):
-        x, y = _blobs(rng, n_per=30)
-        scores = cross_val_accuracy(
-            lambda: DecisionTreeClassifier(), x, y, k=3, rng=rng
-        )
-        assert len(scores) == 3
-        assert all(s > 0.8 for s in scores)

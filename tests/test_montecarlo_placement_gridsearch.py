@@ -1,20 +1,14 @@
-"""Tests for Monte-Carlo orchestration, beacon placement and grid search."""
+"""Tests for Monte-Carlo orchestration."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.placement import greedy_placement
-from repro.errors import ConfigurationError, NotFittedError
-from repro.ml.gridsearch import GridSearch
-from repro.ml.svm import MultiClassSVM
-from repro.ml.tree import DecisionTreeClassifier
+from repro.errors import ConfigurationError
 from repro.sim.montecarlo import (
     empirical_cdf,
     stationary_trials,
     summarize,
 )
-from repro.world.builder import store_layout
-from repro.world.floorplan import Floorplan
 from repro.world.scenarios import scenario
 
 
@@ -73,89 +67,3 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             empirical_cdf([])
-
-
-class TestGreedyPlacement:
-    def test_open_room_one_beacon_suffices(self):
-        plan = Floorplan("open", 8.0, 8.0)
-        result = greedy_placement(plan, 1, cell_m=1.0, candidate_step_m=2.0)
-        assert result.coverage_fraction == pytest.approx(1.0)
-        assert len(result.positions) == 1
-
-    def test_coverage_monotone_in_beacon_count(self):
-        plan = store_layout(width=14.0, depth=12.0, n_aisles=4)
-        one = greedy_placement(plan, 1, cell_m=1.0, candidate_step_m=2.5)
-        three = greedy_placement(plan, 3, cell_m=1.0, candidate_step_m=2.5)
-        assert three.coverage_fraction >= one.coverage_fraction
-
-    def test_per_step_monotone(self):
-        plan = store_layout(width=16.0, depth=14.0, n_aisles=4)
-        result = greedy_placement(plan, 3, cell_m=1.0, candidate_step_m=2.5)
-        assert result.per_step_coverage == sorted(result.per_step_coverage)
-
-    def test_stops_early_when_covered(self):
-        plan = Floorplan("tiny", 4.0, 4.0)
-        result = greedy_placement(plan, 5, cell_m=1.0, candidate_step_m=2.0)
-        # Full coverage achieved with far fewer beacons; extras not placed.
-        assert len(result.positions) < 5
-        assert result.coverage_fraction == pytest.approx(1.0)
-
-    def test_validation(self):
-        plan = Floorplan("open", 8.0, 8.0)
-        with pytest.raises(ConfigurationError):
-            greedy_placement(plan, 0)
-
-    def test_str_render(self):
-        plan = Floorplan("open", 6.0, 6.0)
-        result = greedy_placement(plan, 1, cell_m=1.0, candidate_step_m=3.0)
-        assert "coverage" in str(result)
-
-
-class TestGridSearch:
-    def _blobs(self, rng, n_per=40):
-        centers = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 3.5]])
-        x = np.vstack([rng.normal(c, 0.7, size=(n_per, 2)) for c in centers])
-        y = np.array(["a"] * n_per + ["b"] * n_per + ["c"] * n_per)
-        return x, y
-
-    def test_finds_reasonable_tree_depth(self, rng):
-        x, y = self._blobs(rng)
-        gs = GridSearch(
-            factory=lambda max_depth: DecisionTreeClassifier(
-                max_depth=max_depth),
-            grid={"max_depth": [1, 6]},
-        )
-        gs.fit(x, y, rng)
-        assert gs.best_params_["max_depth"] == 6
-        assert gs.best_score_ > 0.8
-        assert len(gs.results_) == 2
-
-    def test_multi_axis_grid(self, rng):
-        x, y = self._blobs(rng, n_per=30)
-        gs = GridSearch(
-            factory=lambda lam, epochs: MultiClassSVM(lam=lam, epochs=epochs),
-            grid={"lam": [1e-3, 1e-1], "epochs": [5, 30]},
-        )
-        gs.fit(x, y, rng)
-        assert len(gs.results_) == 4
-        assert set(gs.best_params_) == {"lam", "epochs"}
-
-    def test_best_model_unfitted_fresh(self, rng):
-        x, y = self._blobs(rng, n_per=20)
-        gs = GridSearch(
-            factory=lambda max_depth: DecisionTreeClassifier(
-                max_depth=max_depth),
-            grid={"max_depth": [3]},
-        ).fit(x, y, rng)
-        model = gs.best_model()
-        with pytest.raises(Exception):
-            model.predict(x)  # not fitted yet
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GridSearch(factory=lambda: None, grid={})
-        with pytest.raises(ConfigurationError):
-            GridSearch(factory=lambda: None, grid={"a": []})
-        gs = GridSearch(factory=lambda a: None, grid={"a": [1]})
-        with pytest.raises(NotFittedError):
-            gs.best_model()
