@@ -15,8 +15,11 @@ the paper's elliptical regression, the one solver — and writes
 Run directly (``python benchmarks/bench_solvers.py``), as the CI gate
 (``python benchmarks/bench_solvers.py --smoke`` — one scenario, asserts
 the solver estimates with zero untyped errors, does not rewrite the
-committed report), or via pytest (``pytest benchmarks/bench_solvers.py -m
-solvers``). EXPERIMENTS.md summarizes the committed numbers.
+committed report), as the staleness check (``--check`` — the full grid,
+about a second; fails on an untyped error or on a median or p90 error more
+than 2% from the committed report, which it does not rewrite), or via
+pytest (``pytest benchmarks/bench_solvers.py -m solvers``).
+EXPERIMENTS.md summarizes the committed numbers.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ REPORT_PATH = REPO_ROOT / "BENCH_solvers.json"
 
 SCENARIOS = tuple(range(1, 10))
 SEEDS = tuple(range(6))
+
+#: ``--check`` fails when the median or p90 error is further than this
+#: share from the committed report's.
+CHECK_TOLERANCE = 0.02
 
 
 def run_solver(
@@ -120,6 +127,26 @@ def _ok(row: Dict[str, object]) -> bool:
     return row["untyped_errors"] == 0 and row["n_estimates"] > 0
 
 
+def check_report(report: Dict[str, object],
+                 committed: Dict[str, object]) -> List[str]:
+    """Why a fresh full run disagrees with the committed report (empty
+    when it agrees): another grid, an untyped error, or a median or p90
+    error more than :data:`CHECK_TOLERANCE` away."""
+    if report["config"] != committed["config"]:
+        return [f"config {report['config']} != committed "
+                f"{committed['config']}"]
+    row, want = report["elliptical"], committed["elliptical"]
+    problems = [] if _ok(row) else [
+        f"{row['untyped_errors']} untyped errors, "
+        f"{row['n_estimates']} estimates"]
+    for key in ("error_median_m", "error_p90_m"):
+        got, ref = row[key], want[key]
+        if got is None or abs(got - ref) > CHECK_TOLERANCE * ref:
+            problems.append(f"{key} {got} vs committed {ref:.4f} "
+                            f"(tolerance {CHECK_TOLERANCE:.0%})")
+    return problems
+
+
 # -- pytest entry point (excluded from tier-1 via the solvers marker) ---------
 
 
@@ -136,6 +163,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="tiny CI gate: the solver estimates, zero "
                              "untyped errors; does not rewrite "
                              "BENCH_solvers.json")
+    parser.add_argument("--check", action="store_true",
+                        help="run the full grid and fail when it disagrees "
+                             "with the committed BENCH_solvers.json; does "
+                             "not rewrite it")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -146,6 +177,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if ok else 1
 
     report = run_full()
+    if args.check:
+        problems = check_report(report, json.loads(REPORT_PATH.read_text()))
+        for problem in problems:
+            print(problem)
+        print("check:", "FAILED" if problems else "OK")
+        return 1 if problems else 0
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     row = report["elliptical"]
     print(f"{'median':>7s} {'mean':>6s} {'p90':>6s} "

@@ -70,6 +70,12 @@ _LN10 = math.log(10.0)
 _GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
 _GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
 
+#: Two LM rows of one job whose ``(x, h, Γ, n)`` differ by at most this
+#: much (metres, metres, dB, exponent) have met: the higher-cost one
+#: freezes, since it would only retrace the other's path to the same
+#: optimum. Looser tolerances move warm winners by metres.
+_MERGE_TOL = np.array([0.01, 0.01, 0.1, 0.005])
+
 #: Upper-triangle ``(a, c)`` index pairs of the 4×4 normal matrix, and the
 #: ``(4, 4)`` map from each entry to its pair (both triangles share a pair).
 _TRIU_A, _TRIU_C = np.triu_indices(4)
@@ -883,6 +889,7 @@ def _lm_terms(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> _Terms:
 def _lm_residuals(
     theta: np.ndarray, terms: _Terms, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
+    pad: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
 
@@ -893,13 +900,16 @@ def _lm_residuals(
     directly, where the noise sits in the response.
 
     Row layout: N data rows, then the Γ-prior row, then the n-prior row.
-    The prior weights scale with ``sqrt(N)`` so the priors keep pace with
-    the data term instead of washing out on long traces; an absent prior
-    has weight 0, so every batch member has the same row count — a
-    requirement for per-slice bit-identical reductions. ``terms`` are
+    The prior weights scale with ``sqrt(N)`` of the row's own window so
+    the priors keep pace with the data term instead of washing out on long
+    traces; an absent prior has weight 0. ``pad`` (``(B, N)``, True past a
+    shorter window's end) makes those samples' residuals ``-0.0``, the one
+    IEEE value whose addition changes no sum. ``terms`` are
     :func:`_lm_terms` of ``theta``.
     """
     r_data = rss - (theta[:, 2:3] - 10.0 * theta[:, 3:4] * terms[3])
+    if pad is not None:
+        np.copyto(r_data, -0.0, where=pad)
     r_pg = (wg * (theta[:, 2] - gp))[:, None]
     r_pn = (wn * (theta[:, 3] - npr))[:, None]
     return np.concatenate([r_data, r_pg, r_pn], axis=1)
@@ -907,6 +917,7 @@ def _lm_residuals(
 
 def _lm_jacobian(
     theta: np.ndarray, terms: _Terms, wg: np.ndarray, wn: np.ndarray,
+    pad: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Analytic Jacobian of :func:`_lm_residuals`, shape ``(N+2, 4, B)``.
 
@@ -914,7 +925,9 @@ def _lm_jacobian(
     written through transposes from the batch-first ``terms`` of
     ``theta``: ``hypot`` and ``log10`` run once, in :func:`_lm_terms`.
     ``tests/test_lm_kernel.py`` checks that this gives the bits of a
-    rows-first evaluation of the two on the NumPy build in use.
+    rows-first evaluation of the two on the NumPy build in use. Padded
+    samples (``pad``) get all-``+0.0`` rows: their JᵀJ terms are ``+0.0``
+    and their Jᵀr terms ``+0.0 * -0.0 = -0.0``, so neither sum moves.
     """
     dx, dy, le, log_le = terms
     n_rows = dx.shape[1]
@@ -927,6 +940,8 @@ def _lm_jacobian(
     j[:n_rows, 1] = (coef * dy).T
     j[:n_rows, 2] = -1.0
     j[:n_rows, 3] = (10.0 * log_le).T
+    if pad is not None:
+        np.copyto(j[:n_rows], 0.0, where=pad.T[:, None, :])
     j[n_rows, 2] = wg
     j[n_rows + 1, 3] = wn
     return j
@@ -956,9 +971,31 @@ def _lm_normal_equations(
     return jtj, grad
 
 
+def _lm_cost(r: np.ndarray) -> np.ndarray:
+    """Each row's ``sum(r * r)``, its terms added one at a time in order.
+
+    ``cumsum`` along the contiguous row axis accumulates sequentially for
+    any batch size, so the ``-0.0`` residuals of a padded window leave a
+    row's cost bit for bit what its own window gives. ``np.sum`` adds
+    pairwise in blocks that depend on the row length — and on a
+    ``(M, 1)`` array along axis 0 too.
+    """
+    return np.cumsum(r * r, axis=1)[:, -1]
+
+
+def _job_pairs(job: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair ``(a, b)``, ``a != b``, of rows of one job."""
+    if job is None:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    same = job[:, None] == job[None, :]
+    np.fill_diagonal(same, False)
+    return np.nonzero(same)
+
+
 def _lm_kernel(
     theta0: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
+    job: Optional[np.ndarray] = None, pad: Optional[np.ndarray] = None,
     max_iter: int = 60,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep projected Levenberg-Marquardt over a batch of seeds.
@@ -967,15 +1004,19 @@ def _lm_kernel(
     warm and batched fits all run through it. Every operation is either
     elementwise, a reduction along the row axis of a C-contiguous array, or
     a per-slice LAPACK call — the exact set of NumPy operations whose
-    batched results are bit-identical to running each slice alone. The two
-    row reductions run in different orders:
+    batched results are bit-identical to running each slice alone. Every
+    row reduction adds its terms one at a time, in row order:
 
-    - the cost ``sum(r * r, axis=1)`` is NumPy's pairwise sum along the
-      contiguous row axis of the batch-first ``(B, N+2)`` residuals, which
-      is why the residuals (and the ``(B, N)`` windows) keep that layout;
-    - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add row by row, in row
-      order, over the leading axis of the rows-first ``(N+2, 4, B)``
-      Jacobian.
+    - the cost (:func:`_lm_cost`) is a ``cumsum`` along the contiguous row
+      axis of the batch-first ``(B, N+2)`` residuals;
+    - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add over the leading
+      axis of the rows-first ``(N+2, 4, B)`` Jacobian.
+
+    So windows of different lengths share one run: each is padded to the
+    longest, and ``pad`` (``(B, N)``, True on the padding, ``None`` when
+    every window is full) makes the padded samples add exactly nothing to
+    the residual row's cost, JᵀJ or Jᵀr. The prior rows follow the
+    padding, so a row's sums are its own window's, bit for bit.
 
     Each unit of work is done once. A trial point is evaluated once: its
     residuals come with the per-sample terms (:func:`_lm_terms`) that an
@@ -984,18 +1025,23 @@ def _lm_kernel(
     stay live; a rejected step changes only λ, so the row's system is the
     one it already holds. Both give the bits recomputing them would.
 
-    Converged, stuck or failed rows freeze by being removed from the
-    compacted working set and never change again, so a batch of B
-    systems returns bit-identical ``(theta, residuals, cost)`` to B
-    separate batch-of-1 runs — while late iterations only pay for the rows
-    still moving. This is the property :func:`fit_batch` relies on;
+    Rows of one ``job`` (``(B,)`` ids; ``None`` puts every row in a job
+    of its own) are seeds of one problem. After each iteration but the
+    last, a live row that lies within :data:`_MERGE_TOL` of a lower-cost
+    row of its job, live or frozen, freezes (on equal costs the later row
+    does): it has met a basin another row already holds. Every other row
+    freezes when it converges, gets stuck or fails. A frozen row is
+    removed from the compacted working set and never changes again, so a
+    job's rows return bit-identical ``(theta, residuals, cost)`` whatever
+    other jobs share the run — the property :func:`fit_batch` relies on —
+    while late iterations only pay for the rows still moving.
     ``einsum``/``matmul`` reductions are deliberately avoided (their
     batched forms are *not* per-slice bit-identical).
     """
     theta_out = theta0.copy()
     terms = _lm_terms(theta_out, p, q)
-    r_out = _lm_residuals(theta_out, terms, rss, gp, wg, npr, wn)
-    cost_out = np.sum(r_out * r_out, axis=1)
+    r = _lm_residuals(theta_out, terms, rss, gp, wg, npr, wn, pad)
+    cost_out = _lm_cost(r)
     eye = np.eye(4)[:, :, None]
 
     # Compacted working set: rows freeze by being *removed* (their state
@@ -1006,14 +1052,22 @@ def _lm_kernel(
     # exact same operand layout.
     idx = np.flatnonzero(np.isfinite(cost_out))
     theta = theta_out[idx]
-    r = r_out[idx]
     cost = cost_out[idx]
     pp, qq, ss = p[idx], q[idx], rss[idx]
     gpp, wgg, nprr, wnn = gp[idx], wg[idx], npr[idx], wn[idx]
+    padd = None if pad is None else pad[idx]
     lam = np.full(idx.size, 1e-3)
     jtj, grad = _lm_normal_equations(
-        _lm_jacobian(theta, tuple(t[idx] for t in terms), wgg, wnn), r)
+        _lm_jacobian(theta, tuple(t[idx] for t in terms), wgg, wnn, padd),
+        r[idx])
     normal_rows = idx.size
+    # Merge candidates: ordered (a, b) pairs of one job whose row a is live.
+    pair_a, pair_b = _job_pairs(job)
+    live = np.zeros(len(theta_out), dtype=bool)
+    live[idx] = True
+    keep_pair = live[pair_a]
+    pair_a, pair_b = pair_a[keep_pair], pair_b[keep_pair]
+    merged_rows = 0
 
     n_iter = 0
     while idx.size and n_iter < max_iter:
@@ -1037,11 +1091,10 @@ def _lm_kernel(
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
         terms = _lm_terms(trial, pp, qq)
-        r_t = _lm_residuals(trial, terms, ss, gpp, wgg, nprr, wnn)
-        cost_t = np.sum(r_t * r_t, axis=1)
+        r_t = _lm_residuals(trial, terms, ss, gpp, wgg, nprr, wnn, padd)
+        cost_t = _lm_cost(r_t)
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
         theta = np.where(better[:, None], trial, theta)
-        r = np.where(better[:, None], r_t, r)
         gain = np.where(better, cost - cost_t, 0.0)
         cost = np.where(better, cost_t, cost)
         lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
@@ -1049,30 +1102,56 @@ def _lm_kernel(
         done = better & (gain <= 1e-10 * np.maximum(cost, 1e-12))
         stuck = finite & ~better & (lam > 1e8)
         keep = finite & ~(done | stuck)
+        if pair_a.size and n_iter < max_iter:
+            theta_out[idx] = theta
+            cost_out[idx] = cost
+            live[idx] = keep
+            a, b = pair_a, pair_b
+            met = (live[a]
+                   & ((cost_out[b] < cost_out[a])
+                      | ((cost_out[b] == cost_out[a]) & (b < a)))
+                   & (np.abs(theta_out[a] - theta_out[b])
+                      <= _MERGE_TOL).all(axis=1))
+            if met.any():
+                live[a[met]] = False
+                merged = ~live[idx] & keep
+                merged_rows += int(np.count_nonzero(merged))
+                keep &= ~merged
         moved = np.flatnonzero(better & keep)
         if moved.size and n_iter < max_iter:
             # When every live row moved, views instead of gathered copies.
             rows = moved if moved.size < better.size else slice(None)
             jtj[:, :, rows], grad[:, rows] = _lm_normal_equations(
                 _lm_jacobian(trial[rows], tuple(t[rows] for t in terms),
-                             wgg[rows], wnn[rows]), r_t[rows])
+                             wgg[rows], wnn[rows],
+                             None if padd is None else padd[rows]),
+                r_t[rows])
             normal_rows += moved.size
         if not np.all(keep):
             theta_out[idx] = theta
-            r_out[idx] = r
             cost_out[idx] = cost
             idx = idx[keep]
-            theta, r, cost, lam = theta[keep], r[keep], cost[keep], lam[keep]
+            theta, cost, lam = theta[keep], cost[keep], lam[keep]
             jtj, grad = jtj[:, :, keep], grad[:, keep]
             pp, qq, ss = pp[keep], qq[keep], ss[keep]
             gpp, wgg = gpp[keep], wgg[keep]
             nprr, wnn = nprr[keep], wnn[keep]
+            if padd is not None:
+                padd = padd[keep]
+            if pair_a.size:
+                keep_pair = live[pair_a]
+                pair_a, pair_b = pair_a[keep_pair], pair_b[keep_pair]
     if idx.size:
         theta_out[idx] = theta
-        r_out[idx] = r
         cost_out[idx] = cost
+    # A row's residuals are a function of its theta alone: evaluated again
+    # here, from the final thetas, instead of carried through the loop.
+    r_out = _lm_residuals(theta_out, _lm_terms(theta_out, p, q), rss,
+                          gp, wg, npr, wn, pad)
+    perf.count("estimator.lm_kernel_calls")
     perf.count("estimator.lm_iterations", n_iter)
     perf.count("estimator.lm_normal_rows", normal_rows)
+    perf.count("estimator.lm_rows_merged", merged_rows)
     if n_iter == max_iter:
         perf.count("estimator.lm_max_iter_calls")
     return theta_out, r_out, cost_out
@@ -1097,63 +1176,76 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
 def _lockstep(
     jobs: Sequence[_Job], seed_sets: Sequence[List[Seed]],
 ) -> List[Optional[_Best]]:
-    """Refine every job's seed set, one kernel run per window length.
+    """Refine every job's seed set in one kernel run.
 
     Returns, per job, its winning seed — lowest total cost, the first seed
-    on ties — or ``None`` when no seed reached a finite cost. Only the
-    window length splits a group (the stacked arrays need one row count).
-    Seed counts may differ: every kernel row is independent and each job's
-    arg-min reads only its own rows, so a job's result does not depend on
-    what else shares the run. For the same reason a seed that repeats an
-    earlier one of its job bit for bit (after clipping into the box) gets
-    no kernel row: it would end bit-identical to its first occurrence,
-    which already wins every tie it could.
+    on ties — or ``None`` when no seed reached a finite cost. Windows of
+    different lengths are padded to the longest (:func:`_lm_kernel`'s
+    ``pad``); a winner's residual row and Jacobian are cut back to its own
+    N samples and two prior rows. Seed counts may differ. Rows interact
+    only within their job (the merge rule) and each job's arg-min reads
+    only its own rows, so a job's result does not depend on what else
+    shares the run. For the same reason a seed that repeats an earlier one
+    of its job bit for bit (after clipping into the box) gets no kernel
+    row: it would end bit-identical to its first occurrence, which already
+    wins every tie it could.
     """
     out: List[Optional[_Best]] = [None] * len(jobs)
-    groups: Dict[int, List[int]] = {}
-    for i, job in enumerate(jobs):
-        groups.setdefault(len(job.p), []).append(i)
-    for n_rows, members in groups.items():
-        root_n = math.sqrt(n_rows)
-        seeds = [_distinct_rows(np.clip(np.asarray(seed_sets[i], dtype=float),
-                                        _GN_LO + 1e-6, _GN_HI - 1e-6))
-                 for i in members]
-        counts = [len(s) for s in seeds]
-        ests = [jobs[i].est for i in members]
+    if not jobs:
+        return out
+    seeds = [_distinct_rows(np.clip(np.asarray(s, dtype=float),
+                                    _GN_LO + 1e-6, _GN_HI - 1e-6))
+             for s in seed_sets]
+    counts = [len(s) for s in seeds]
+    lengths = [len(job.p) for job in jobs]
+    n_max = max(lengths)
 
-        def stack(rows: List[Any]) -> np.ndarray:
-            return np.repeat(np.asarray(rows, dtype=float), counts, axis=0)
+    def stack(rows: List[Any]) -> np.ndarray:
+        return np.repeat(np.asarray(rows, dtype=float), counts, axis=0)
 
-        p = stack([jobs[i].p for i in members])
-        q = stack([jobs[i].q for i in members])
-        rss = stack([jobs[i].rss for i in members])
-        gp = stack([0.0 if e.gamma_prior is None else e.gamma_prior
-                    for e in ests])
-        wg = stack([0.0 if e.gamma_prior is None
-                    else root_n / e.gamma_prior_sigma for e in ests])
-        npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
-        wn = stack([0.0 if e.n_prior is None else root_n / e.n_prior_sigma
-                    for e in ests])
-        theta0 = np.concatenate(seeds)
-        perf.count("estimator.lm_rows", len(theta0))
+    def windows(attr: str) -> np.ndarray:
+        w = np.zeros((len(jobs), n_max))
+        for k, job in enumerate(jobs):
+            w[k, :lengths[k]] = getattr(job, attr)
+        return np.repeat(w, counts, axis=0)
 
-        theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn)
-        winners: List[Tuple[int, int]] = []
-        start = 0
-        for i, count in zip(members, counts):
-            k = start + int(np.argmin(cost[start:start + count]))
-            start += count
-            if math.isfinite(float(cost[k])):
-                winners.append((i, k))
-        if winners:
-            ks = [k for _i, k in winners]
-            # C-contiguous (N+2, 4) slices: the covariance's BLAS product
-            # may round differently on another layout.
-            jac = np.ascontiguousarray(_lm_jacobian(
-                theta[ks], _lm_terms(theta[ks], p[ks], q[ks]),
-                wg[ks], wn[ks]).transpose(2, 0, 1))
-            for (i, k), j_k in zip(winners, jac):
-                out[i] = (theta[k], r[k], j_k)
+    ests = [job.est for job in jobs]
+    root_n = [math.sqrt(n) for n in lengths]
+    p, q, rss = windows("p"), windows("q"), windows("rss")
+    gp = stack([0.0 if e.gamma_prior is None else e.gamma_prior
+                for e in ests])
+    wg = stack([0.0 if e.gamma_prior is None else rn / e.gamma_prior_sigma
+                for e, rn in zip(ests, root_n)])
+    npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
+    wn = stack([0.0 if e.n_prior is None else rn / e.n_prior_sigma
+                for e, rn in zip(ests, root_n)])
+    job_of = np.repeat(np.arange(len(jobs)), counts)
+    pad = None
+    if min(lengths) < n_max:
+        pad = np.arange(n_max) >= np.repeat(lengths, counts)[:, None]
+    theta0 = np.concatenate(seeds)
+    perf.count("estimator.lm_rows", len(theta0))
+
+    theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn,
+                                job_of, pad)
+    winners: List[Tuple[int, int]] = []
+    start = 0
+    for i, count in enumerate(counts):
+        k = start + int(np.argmin(cost[start:start + count]))
+        start += count
+        if math.isfinite(float(cost[k])):
+            winners.append((i, k))
+    if winners:
+        ks = [k for _i, k in winners]
+        jac = _lm_jacobian(theta[ks], _lm_terms(theta[ks], p[ks], q[ks]),
+                           wg[ks], wn[ks]).transpose(2, 0, 1)
+        for (i, k), j_k in zip(winners, jac):
+            # The job's own rows, as C-contiguous (N+2, 4) and (N+2,)
+            # copies: the covariance's BLAS product may round differently
+            # on another layout.
+            n = lengths[i]
+            out[i] = (theta[k], np.concatenate((r[k, :n], r[k, n_max:])),
+                      np.concatenate((j_k[:n], j_k[n_max:])))
     return out
 
 
@@ -1281,12 +1373,13 @@ def fit_batch(
     """Solve N independent elliptical regressions as one batched program.
 
     Warm fits, first fixes and rejected warm fits alike run through the
-    lockstep LM kernel, one NumPy program per window length and phase
-    instead of N Python solver loops. Results are **bit-identical** to the
-    sequential loop ``[est.fit(r.p, r.q, r.rss, warm=r.warm) for r in
-    requests]``: a sequential fit is itself a batch of one through the same
-    code, and grouping by window length (rather than ragged padding) keeps
-    every per-slice reduction bit-exact.
+    lockstep LM kernel, one NumPy program per phase, whatever the window
+    lengths, instead of N Python solver loops. Results are
+    **bit-identical** to the sequential loop ``[est.fit(r.p, r.q, r.rss,
+    warm=r.warm) for r in requests]``: a sequential fit is itself a batch
+    of one through the same code, every row reduction adds its terms in
+    row order, and the padding that stacks a shorter window adds exactly
+    nothing to any of them.
 
     With ``return_exceptions`` the failure of one request (e.g. degenerate
     geometry) becomes the exception object in its slot instead of

@@ -5,12 +5,15 @@ reused a trial's per-sample terms for the accepted trial's Jacobian,
 carried each live row's normal equations across rejected steps, and before
 ``_lockstep`` dropped repeated seeds. Its text is unchanged but for the
 kernel's two perf counters, removed so that running it here does not move
-the estimator's telemetry.
+the estimator's telemetry, and for its cost, which adds each row's
+squared residuals one at a time in row order, as the estimator's does
+since it pads windows of different lengths into one run.
 
-``tests/test_lm_kernel.py`` requires the kernel to stay bit-identical to
-it, and ``benchmarks/bench_perf_hotpaths.py`` loads this file by path as
-the ``estimator_lm_kernel`` bench's "before". It imports nothing from the
-tests package, so it can be loaded alone.
+It has no padding and no merge rule, so ``tests/test_lm_kernel.py``
+requires the kernel to stay bit-identical to it on full windows when
+every row is a job of its own, and ``benchmarks/bench_perf_hotpaths.py``
+loads this file by path as the ``estimator_lm_kernel`` bench's "before".
+It imports nothing from the tests package, so it can be loaded alone.
 """
 
 from typing import Tuple
@@ -117,12 +120,13 @@ def _lm_kernel(
     warm and batched fits all run through it. Every operation is either
     elementwise, a reduction along the row axis of a C-contiguous array, or
     a per-slice LAPACK call — the exact set of NumPy operations whose
-    batched results are bit-identical to running each slice alone. The two
-    row reductions run in different orders:
+    batched results are bit-identical to running each slice alone. Both
+    row reductions add their terms one at a time, in row order:
 
-    - the cost ``sum(r * r, axis=1)`` is NumPy's pairwise sum along the
-      contiguous row axis of the batch-first ``(B, N+2)`` residuals, which
-      is why the residuals (and the ``(B, N)`` windows) keep that layout;
+    - the cost ``cumsum(r * r, axis=1)[:, -1]`` adds along the contiguous
+      row axis of the batch-first ``(B, N+2)`` residuals one term at a
+      time, which is why the residuals (and the ``(B, N)`` windows) keep
+      that layout;
     - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add row by row, in row
       order, over the leading axis of the rows-first ``(N+2, 4, B)``
       Jacobian.
@@ -137,7 +141,7 @@ def _lm_kernel(
     """
     theta_out = theta0.copy()
     r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
-    cost_out = np.sum(r_out * r_out, axis=1)
+    cost_out = np.cumsum(r_out * r_out, axis=1)[:, -1]
     eye = np.eye(4)[:, :, None]
 
     # Compacted working set: rows freeze by being *removed* (their state
@@ -178,7 +182,7 @@ def _lm_kernel(
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
         r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
-        cost_t = np.sum(r_t * r_t, axis=1)
+        cost_t = np.cumsum(r_t * r_t, axis=1)[:, -1]
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
         theta = np.where(better[:, None], trial, theta)
         r = np.where(better[:, None], r_t, r)

@@ -1,17 +1,25 @@
-"""The LM kernel: its summation orders, its reuse of work, and its judges.
+"""The LM kernel: its summation orders, its reuse of work, its merge rule
+and its judges.
 
 ``_lm_kernel`` builds its Jacobian rows-first, ``(N+2, 4, B)``, and sums
 JᵀJ and Jᵀr over the leading (row) axis. These properties pin that reduction
 order: the results must be bit-identical — signed zeros included — to the
 batch-first ``(B, N+2, 4)`` sums ``np.sum(..., axis=1)``. The kernel
-evaluates each trial point once and forms normal equations only for rows
-whose trial was accepted; two judges that recompute everything every
-iteration must agree with it bit for bit: the short one-seed-at-a-time
-reference loop below, which uses the batch-first sums, and the kernel that
-did so, retained in ``tests/lm_kernel_recompute.py``. ``_lockstep`` gives
-a seed that repeats an earlier one of its job no kernel row; the winner
-must not change.
+evaluates each trial point once, forms normal equations only for rows
+whose trial was accepted, pads shorter windows into the batch and freezes
+a row that meets a better row of its job. Two judges that recompute
+everything every iteration must agree with it bit for bit: the
+one-seed-at-a-time reference below, which uses the batch-first sums, runs
+each row on its own window and replays the merge rule over the recorded
+paths; and, on full windows with every row a job of its own, the kernel
+that did so, retained in ``tests/lm_kernel_recompute.py``. A short window
+must give the same bits alone and padded beside a longer one.
+``_lockstep`` gives a seed that repeats an earlier one of its job no
+kernel row; the winner must not change.
 """
+
+import operator
+from functools import reduce
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,6 +29,7 @@ from repro import perf
 from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
+    _MERGE_TOL,
     EllipticalEstimator,
     FitRequest,
     WarmStartState,
@@ -149,63 +158,117 @@ class TestNormalEquationsOrder:
         _assert_bitwise(grad.T, ref_grad)
 
 
-def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, max_iter=60):
-    """One seed at a time, batch-first sums, everything recomputed every
-    iteration: ``(theta, r, cost, iters, normal_rows)``.
+def _sequential_cost(r):
+    """Each row's squared residuals added one at a time, in row order."""
+    return np.array([reduce(operator.add, (row * row).tolist())
+                     for row in r])
+
+
+def _reference_path(theta0, data, priors, max_iter):
+    """One seed refined alone, batch-first sums, everything recomputed
+    every iteration: its ``(theta, r, cost)`` after 0, 1, ... iterations,
+    whether each iteration's step was accepted, and the iteration at which
+    it stops by itself (converged, stuck, non-finite or ``max_iter``).
 
     Models the projected step independently of the kernel's masks: a
     parameter on its bound whose gradient points out of the box is held.
-    ``normal_rows`` counts the normal equations the kernel must form: a
-    row's first, and one more after each accepted step that leaves the
-    row moving with iterations to spare.
     """
-    theta_out = theta0.copy()
-    r_out, cost_out, iters = [], [], []
+    theta = theta0[None, :]
+    r = _residuals(theta, *data, *priors)
+    cost = _sequential_cost(r)
+    states, accepted = [(theta[0], r[0], cost[0])], [False]
     eye = np.eye(4)
-    normal_rows = 0
-    for b in range(len(theta0)):
-        one = slice(b, b + 1)
-        data = (p[one], q[one], rss[one])
-        priors = (gp[one], wg[one], npr[one], wn[one])
-        theta = theta0[one]
-        r = _residuals(theta, *data, *priors)
-        cost = np.sum(r * r, axis=1)
-        lam, k = 1e-3, 0
-        normal_rows += int(np.isfinite(cost[0]))
-        while np.isfinite(cost[0]) and k < max_iter:
-            k += 1
-            j = _jacobian(theta, data[0], data[1], priors[1], priors[3])
-            jtj, grad = _batch_first_sums(j, r)
-            if not (np.isfinite(jtj).all() and np.isfinite(grad).all()):
+    lam, k = 1e-3, 0
+    while np.isfinite(cost[0]) and k < max_iter:
+        k += 1
+        j = _jacobian(theta, data[0], data[1], priors[1], priors[3])
+        jtj, grad = _batch_first_sums(j, r)
+        if not (np.isfinite(jtj).all() and np.isfinite(grad).all()):
+            states.append(states[-1])
+            accepted.append(False)
+            break
+        # Projected step: a parameter on its bound with an outward
+        # descent direction is held, the others solve the reduced system.
+        free = ~(((theta[0] <= _GN_LO) & (grad[0] > 0.0))
+                 | ((theta[0] >= _GN_HI) & (grad[0] < 0.0)))
+        both = free[:, None] & free[None, :]
+        lhs = np.where(both, jtj[0] + lam * eye, eye)
+        rhs = np.where(free, grad[0], 0.0)
+        step = np.linalg.solve(lhs[None], rhs[None, :, None])[:, :, 0]
+        trial = np.clip(theta - step, _GN_LO, _GN_HI)
+        r_t = _residuals(trial, *data, *priors)
+        cost_t = _sequential_cost(r_t)
+        if np.isfinite(cost_t[0]) and cost_t[0] < cost[0]:
+            gain = cost[0] - cost_t[0]
+            theta, r, cost = trial, r_t, cost_t
+            lam = max(lam / 3.0, 1e-10)
+            states.append((theta[0], r[0], cost[0]))
+            accepted.append(True)
+            if gain <= 1e-10 * max(cost[0], 1e-12):
                 break
-            # Projected step: a parameter on its bound with an outward
-            # descent direction is held, the others solve the reduced system.
-            free = ~(((theta[0] <= _GN_LO) & (grad[0] > 0.0))
-                     | ((theta[0] >= _GN_HI) & (grad[0] < 0.0)))
-            both = free[:, None] & free[None, :]
-            lhs = np.where(both, jtj[0] + lam * eye, eye)
-            rhs = np.where(free, grad[0], 0.0)
-            step = np.linalg.solve(lhs[None], rhs[None, :, None])[:, :, 0]
-            trial = np.clip(theta - step, _GN_LO, _GN_HI)
-            r_t = _residuals(trial, *data, *priors)
-            cost_t = np.sum(r_t * r_t, axis=1)
-            if np.isfinite(cost_t[0]) and cost_t[0] < cost[0]:
-                gain = cost[0] - cost_t[0]
-                theta, r, cost = trial, r_t, cost_t
-                lam = max(lam / 3.0, 1e-10)
-                if gain <= 1e-10 * max(cost[0], 1e-12):
+        else:
+            states.append(states[-1])
+            accepted.append(False)
+            lam *= 5.0
+            if lam > 1e8:
+                break
+    return states, accepted, k
+
+
+def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, job=None,
+                      n_data=None, max_iter=60):
+    """Each seed refined alone on its own window (:func:`_reference_path`),
+    then the merge rule replayed over the recorded paths:
+    ``(theta, r, cost, stops, normal_rows, merged)``.
+
+    After iteration k (k < ``max_iter``), a row that is still moving
+    stops if its state lies within ``_MERGE_TOL`` of the state of another
+    row of its ``job`` with a lower cost, or an equal cost and a lower
+    index; a row that stopped earlier is compared at the state it stopped
+    in. ``r`` is padded to the longest window with ``-0.0``. ``stops``
+    holds each row's last iteration; ``normal_rows`` counts the normal
+    equations the kernel must form: a row's first, and one more after
+    each accepted step that leaves the row moving.
+    """
+    n_batch, n_max = p.shape
+    job = list(range(n_batch)) if job is None else list(job)
+    n_data = [n_max] * n_batch if n_data is None else list(n_data)
+    paths, stops = [], []
+    for b in range(n_batch):
+        n = n_data[b]
+        data = (p[b:b + 1, :n], q[b:b + 1, :n], rss[b:b + 1, :n])
+        priors = (gp[b:b + 1], wg[b:b + 1], npr[b:b + 1], wn[b:b + 1])
+        states, accepted, stop = _reference_path(theta0[b], data, priors,
+                                                 max_iter)
+        paths.append((states, accepted))
+        stops.append(stop)
+    merged = [False] * n_batch
+    for k in range(1, max_iter):
+        now = [paths[b][0][min(k, stops[b])] for b in range(n_batch)]
+        for a in range(n_batch):
+            if stops[a] <= k:
+                continue
+            for b in range(n_batch):
+                if b == a or job[b] != job[a]:
+                    continue
+                if ((now[b][2] < now[a][2]
+                     or (now[b][2] == now[a][2] and b < a))
+                        and np.all(np.abs(now[a][0] - now[b][0])
+                                   <= _MERGE_TOL)):
+                    stops[a], merged[a] = k, True
                     break
-                normal_rows += int(k < max_iter)
-            else:
-                lam *= 5.0
-                if lam > 1e8:
-                    break
-        theta_out[b] = theta[0]
-        r_out.append(r[0])
-        cost_out.append(cost[0])
-        iters.append(k)
-    return (theta_out, np.array(r_out), np.array(cost_out), iters,
-            normal_rows)
+    theta_out = theta0.copy()
+    r_out, cost_out, normal_rows = [], [], 0
+    for b, ((states, accepted), stop) in enumerate(zip(paths, stops)):
+        theta, r, cost = states[stop]
+        n = n_data[b]
+        theta_out[b] = theta
+        r_out.append(np.concatenate([r[:n], np.full(n_max - n, -0.0),
+                                     r[n:]]))
+        cost_out.append(cost)
+        normal_rows += int(np.isfinite(states[0][2])) + sum(accepted[1:stop])
+    return (theta_out, np.array(r_out), np.array(cost_out), stops,
+            normal_rows, sum(merged))
 
 
 def _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup=False,
@@ -250,6 +313,44 @@ def _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup=False,
     return theta0, p, q, rss, gp, wg, npr, wn
 
 
+def _job_system(seed, n_jobs, n_rows, prior, nonfinite, dup, far, seeds,
+                ragged):
+    """Jobs of 1 to ``seeds`` seed rows that share one window each:
+    ``(args, job, n_data, pad)`` for :func:`_lm_kernel` and
+    :func:`_reference_kernel`.
+
+    Each job is one row of :func:`_walk_system` (its own beacon, window,
+    priors and first seed); its other seeds start near or far around the
+    first, so many of them meet. ``dup`` repeats an earlier seed of the
+    job bit for bit, an exact tie; ``ragged`` cuts each job's window to a
+    length of its own and fills the rest with junk that ``pad`` must hide.
+    """
+    theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
+        seed, n_jobs, n_rows, prior, nonfinite, far=far)
+    rng = np.random.default_rng([seed, 1])
+    counts = rng.integers(1, seeds + 1, n_jobs)
+    job = np.repeat(np.arange(n_jobs), counts)
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    near = rng.random(len(job))[:, None] < 0.5
+    spread = np.where(near, [0.3, 0.3, 1.0, 0.1], [3.0, 3.0, 8.0, 0.8])
+    theta = np.clip(theta0[job] + spread * rng.normal(size=(len(job), 4)),
+                    _GN_LO, _GN_HI)
+    theta[first] = theta0
+    if dup:
+        for b in range(len(job)):
+            if b not in first and rng.random() < 0.4:
+                theta[b] = theta[rng.integers(first[job[b]], b)]
+    n_data = np.full(n_jobs, n_rows)
+    if ragged:
+        n_data = rng.integers(8, n_rows + 1, n_jobs)
+    pad = np.arange(n_rows) >= n_data[job][:, None]
+    junk = rng.uniform(-50.0, 50.0, (3,) + pad.shape)
+    p, q, rss = (np.where(pad, j, a[job])
+                 for j, a in zip(junk, (p, q, rss)))
+    args = (theta, p, q, rss, gp[job], wg[job], npr[job], wn[job])
+    return args, job, n_data[job], pad if ragged else None
+
+
 _KERNEL_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n_batch=st.integers(1, 40),
@@ -259,6 +360,13 @@ _KERNEL_CASES = dict(
     dup=st.booleans(),
     far=st.booleans(),
     max_iter=st.sampled_from([3, 60]),
+)
+
+_JOB_CASES = dict(
+    _KERNEL_CASES,
+    n_batch=st.integers(1, 12),
+    seeds=st.integers(1, 6),
+    ragged=st.booleans(),
 )
 
 
@@ -274,29 +382,50 @@ def _kernel_examples(test):
     return test
 
 
+def _job_examples(test):
+    """A warm-phase tick (3 seeds a job), a cold one (up to 6), ragged and
+    reject-heavy batches, and one job alone."""
+    for seed, n_batch, n_rows, seeds, dup, far, ragged in (
+            (2, 12, 160, 3, False, False, False),
+            (3, 4, 160, 6, True, False, True),
+            (4, 8, 100, 5, False, True, True),
+            (5, 1, 160, 6, True, False, False)):
+        test = example(seed=seed, n_batch=n_batch, n_rows=n_rows,
+                       prior="mixed", nonfinite=False, dup=dup, far=far,
+                       seeds=seeds, ragged=ragged, max_iter=60)(test)
+    return test
+
+
+#: The kernel's perf counters, in :func:`_reference_kernel`'s terms.
+_KERNEL_COUNTERS = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
+                    "estimator.lm_normal_rows", "estimator.lm_rows_merged",
+                    "estimator.lm_kernel_calls")
+
+
 class TestKernelEqualsReferenceLoop:
     @settings(max_examples=40, deadline=None)
-    @given(**_KERNEL_CASES)
-    @_kernel_examples
+    @given(**_JOB_CASES)
+    @_job_examples
     def test_kernel_equals_one_seed_reference(
-            self, seed, n_batch, n_rows, prior, nonfinite, dup, far,
-            max_iter):
-        args = _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup,
-                            far)
-        names = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
-                 "estimator.lm_normal_rows")
-        before = [perf.counter_value(n) for n in names]
-        theta, r, cost = _lm_kernel(*args, max_iter=max_iter)
+            self, seed, n_batch, n_rows, prior, nonfinite, dup, far, seeds,
+            ragged, max_iter):
+        args, job, n_data, pad = _job_system(
+            seed, n_batch, n_rows, prior, nonfinite, dup, far, seeds, ragged)
+        before = [perf.counter_value(n) for n in _KERNEL_COUNTERS]
+        theta, r, cost = _lm_kernel(*args, job=job, pad=pad,
+                                    max_iter=max_iter)
         grew = tuple(perf.counter_value(n) - b
-                     for n, b in zip(names, before))
-        ref_theta, ref_r, ref_cost, iters, normal_rows = _reference_kernel(
-            *args, max_iter=max_iter)
+                     for n, b in zip(_KERNEL_COUNTERS, before))
+        ref_theta, ref_r, ref_cost, stops, normal_rows, merged = (
+            _reference_kernel(*args, job=job, n_data=n_data,
+                              max_iter=max_iter))
         _assert_bitwise(theta, ref_theta)
         _assert_bitwise(r, ref_r)
         _assert_bitwise(cost, ref_cost)
         # The batch runs until its slowest row freezes, and forms normal
         # equations only for rows whose step was accepted.
-        assert grew == (max(iters), int(max(iters) == max_iter), normal_rows)
+        assert grew == (max(stops), int(max(stops) == max_iter),
+                        normal_rows, merged, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(**_KERNEL_CASES)
@@ -305,7 +434,8 @@ class TestKernelEqualsReferenceLoop:
             self, seed, n_batch, n_rows, prior, nonfinite, dup, far,
             max_iter):
         """Bit for bit the kernel that rebuilt every live row's Jacobian
-        and normal equations every iteration."""
+        and normal equations every iteration, on full windows with every
+        row a job of its own."""
         args = _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup,
                             far)
         with np.errstate(all="ignore"):
@@ -318,8 +448,122 @@ class TestKernelEqualsReferenceLoop:
         third of their row-iterations form none, more than on any serving
         workload (a fifth to a third)."""
         args = _walk_system(4, 40, 100, "mixed", False, far=True)
-        *_, iters, normal_rows = _reference_kernel(*args)
-        assert normal_rows < 0.65 * sum(iters)
+        _theta, _r, _cost, stops, normal_rows, _merged = (
+            _reference_kernel(*args))
+        assert normal_rows < 0.65 * sum(stops)
+
+
+class TestMergeRule:
+    """A live row within ``_MERGE_TOL`` of a lower-cost row of its job
+    freezes; rows of other jobs never stop it."""
+
+    def _one_job(self, seeds):
+        """One L-walk window (:func:`_walk_system`), one row per seed."""
+        theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
+            21, 1, 120, "both", False)
+        rows = np.zeros(len(seeds), dtype=np.intp)
+        return (np.asarray(seeds, dtype=float), p[rows], q[rows], rss[rows],
+                gp[rows], wg[rows], npr[rows], wn[rows]), theta0[0]
+
+    def _merged(self, args, job, max_iter=60):
+        before = perf.counter_value("estimator.lm_rows_merged")
+        out = _lm_kernel(*args, job=job, max_iter=max_iter)
+        return out, perf.counter_value("estimator.lm_rows_merged") - before
+
+    def test_rows_that_meet_freeze(self):
+        """Five seeds around one beacon reach one optimum: rows freeze on
+        meeting a better one, as the reference replay says, and the job's
+        winner lands within the tolerance of the unmerged winner."""
+        _args, start = self._one_job([])
+        seeds = start + np.array([[0.0, 0.0, 0.0, 0.0],
+                                  [0.4, -0.3, 2.0, 0.1],
+                                  [-0.5, 0.2, -3.0, -0.2],
+                                  [0.2, 0.6, 1.0, 0.3],
+                                  [-0.3, -0.4, -1.5, 0.15]])
+        args, _start = self._one_job(seeds)
+        job = np.zeros(len(seeds), dtype=np.intp)
+        (theta, r, cost), merged = self._merged(args, job)
+        ref = _reference_kernel(*args, job=job)
+        for got, want in zip((theta, r, cost), ref):
+            _assert_bitwise(got, want)
+        assert merged == ref[5] >= 2
+        apart, _r, apart_cost = _lm_kernel(*args)
+        win, apart_win = int(np.argmin(cost)), int(np.argmin(apart_cost))
+        assert np.all(np.abs(theta[win] - apart[apart_win]) <= _MERGE_TOL)
+
+    def test_equal_costs_freeze_the_later_row(self):
+        """Two copies of one seed tie after the first iteration: the later
+        freezes there, the earlier runs on as if alone. Copies in two jobs
+        both run on."""
+        _args, start = self._one_job([])
+        args, _start = self._one_job([start, start])
+        (theta, r, cost), merged = self._merged(args, np.array([0, 0]))
+        assert merged == 1
+        alone = _lm_kernel(*(a[:1] for a in args))
+        first = _lm_kernel(*(a[:1] for a in args), max_iter=1)
+        for got, want, step in zip((theta, r, cost), alone, first):
+            _assert_bitwise(got[0], want[0])
+            _assert_bitwise(got[1], step[0])
+        assert not np.array_equal(alone[0], first[0])
+        (theta, r, cost), merged = self._merged(args, np.array([0, 1]))
+        assert merged == 0
+        for got, want in zip((theta, r, cost), alone):
+            _assert_bitwise(got[1], want[0])
+
+
+class TestShortWindowAloneAndPadded:
+    """A short window refined alone — B = 1 — and padded beside a longer
+    window gives the same bits. A pairwise cost (``np.sum`` along the row
+    axis, or along axis 0 of a rows-first ``(M, 1)`` array when B = 1)
+    adds the two in different blocks and fails this."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 159))
+    @example(seed=0, n=37)
+    @example(seed=1, n=129)
+    def test_kernel_row_alone_equals_padded(self, seed, n):
+        theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
+            seed, 2, 160, "both", False)
+        one = slice(0, 1)
+        alone = _lm_kernel(theta0[one], p[one, :n], q[one, :n],
+                           rss[one, :n], gp[one], wg[one], npr[one], wn[one],
+                           max_iter=1)
+        pad = np.arange(160) >= np.array([[n], [160]])
+        padded = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn,
+                            job=np.array([0, 1]), pad=pad, max_iter=1)
+        _assert_bitwise(padded[2][:1], alone[2])
+        _assert_bitwise(padded[0][:1], alone[0])
+        _assert_bitwise(np.delete(padded[1][0], np.s_[n:160]), alone[1][0])
+
+    def test_fits_alone_equal_fits_padded(self):
+        """Through ``_lockstep`` and ``fit_batch``, cold and warm: one
+        kernel run per phase, and each fit what it is alone."""
+        est = EllipticalEstimator().with_environment("LOS")
+        _theta0, p, q, rss, *_ = _walk_system(12, 2, 160, "none", False)
+        short = _Job(est, p[0, 23:60], q[0, 23:60], rss[0, 23:60],
+                     _uses_q(q[0, 23:60]), None)
+        long = _Job(est, p[1], q[1], rss[1], _uses_q(q[1]), None)
+        seeds = [est._initial_candidates(job.p, job.q, job.rss, job.use_q)
+                 for job in (short, long)]
+        before = perf.counter_value("estimator.lm_kernel_calls")
+        (alone,) = _lockstep([short], [seeds[0][:1]])
+        padded, _long = _lockstep([short, long], [seeds[0][:1], seeds[1]])
+        assert perf.counter_value("estimator.lm_kernel_calls") - before == 2
+        for a, b in zip(alone, padded):
+            _assert_bitwise(a, b)
+        assert padded[2].shape == (len(short.p) + 2, 4)
+        requests = [FitRequest(p=job.p, q=job.q, rss=job.rss)
+                    for job in (short, long)]
+        seq = [est.fit(r.p, r.q, r.rss) for r in requests]
+        warm = [FitRequest(p=r.p, q=r.q, rss=r.rss, warm=s.warm)
+                for r, s in zip(requests, seq)]
+        seq += [est.fit(r.p, r.q, r.rss, warm=r.warm) for r in warm]
+        before = perf.counter_value("estimator.lm_kernel_calls")
+        bat = fit_batch(requests[::-1] + warm, default_estimator=est)
+        # One kernel run per phase: the warm jobs', then the cold jobs'.
+        assert perf.counter_value("estimator.lm_kernel_calls") - before == 2
+        for s, b in zip(seq, bat[1::-1] + bat[2:]):
+            _assert_fit_bitwise(s, b)
 
 
 def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
