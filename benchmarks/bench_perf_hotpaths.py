@@ -48,6 +48,7 @@ from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
+    DEFAULT_N_GRID,
     EllipticalEstimator,
     FitRequest,
     _lm_jacobian,
@@ -141,7 +142,7 @@ def bench_estimator() -> Dict[str, object]:
         "speedup": before / after,
         "target_speedup": TARGET_ESTIMATOR,
         "meets_target": before / after >= TARGET_ESTIMATOR,
-        "note": f"{len(est.n_grid)}-point exponent grid, {len(p)} samples, "
+        "note": f"{len(DEFAULT_N_GRID)}-point exponent grid, {len(p)} samples, "
                 "batched QR vs per-candidate lstsq loop",
     }
 

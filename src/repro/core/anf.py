@@ -35,6 +35,14 @@ __all__ = ["AdaptiveNoiseFilter", "AnfState", "AnfStream", "RATE_BAND"]
 #: Below this many samples the Butterworth warm-up dominates; pass through.
 _MIN_FILTER_SAMPLES = 6
 
+#: The paper's fixed design (Sec. 4.2): a 6th-order Butterworth low-pass
+#: at 0.8 Hz (capped below Nyquist at low sampling rates), then the AKF
+#: with this process variance and initial measurement variance.
+BUTTERWORTH_ORDER = 6
+CUTOFF_HZ = 0.8
+AKF_PROCESS_VAR = 0.05
+AKF_MEASUREMENT_VAR = 9.0
+
 #: A carried stream keeps its filter while the window's sampling rate stays
 #: within this fraction of the rate the filter was designed for.
 RATE_BAND = 0.05
@@ -157,25 +165,22 @@ def _vector(value: Any, what: str) -> np.ndarray:
 
 @dataclass
 class AdaptiveNoiseFilter:
-    """The paper's ANF: a fixed design applied per measurement trace."""
+    """The paper's ANF: a fixed design applied per measurement trace.
 
-    order: int = 6
-    cutoff_hz: float = 0.8
+    The design is :data:`BUTTERWORTH_ORDER`, :data:`CUTOFF_HZ`,
+    :data:`AKF_PROCESS_VAR` and :data:`AKF_MEASUREMENT_VAR`; only the two
+    stages switch off, for the Fig. 4/5 ablations.
+    """
+
     use_butterworth: bool = True
     use_akf: bool = True
-    akf_process_var: float = 0.05
-    akf_measurement_var: float = 9.0
-
-    def __post_init__(self) -> None:
-        if not self.cutoff_hz > 0:  # also refuses NaN
-            raise ConfigurationError("cutoff_hz must be positive")
 
     def _butterworth_fits(self, n: int, fs_hz: float) -> bool:
         """Does an ``n``-sample signal take the Butterworth path at
         ``fs_hz``? The 6th-order design needs a few cutoff periods of
         signal to be worth its group delay; on shorter segments (e.g. right
         after a regression restart) a moving average stands in."""
-        return n >= 3.0 * fs_hz / min(self.cutoff_hz, 0.4 * fs_hz)
+        return n >= 3.0 * fs_hz / min(CUTOFF_HZ, 0.4 * fs_hz)
 
     @perf.profiled("anf.AdaptiveNoiseFilter.apply")
     def apply(
@@ -219,10 +224,10 @@ class AdaptiveNoiseFilter:
         stateful = state is not None
         smoothed, zf, carries = values, None, True
         if self.use_butterworth:
-            cutoff = min(self.cutoff_hz, 0.4 * fs_hz)
+            cutoff = min(CUTOFF_HZ, 0.4 * fs_hz)
             if started or self._butterworth_fits(values.size, fs_hz):
                 bf = ButterworthLowPass(
-                    order=self.order, cutoff_hz=cutoff, fs_hz=fs_hz
+                    order=BUTTERWORTH_ORDER, cutoff_hz=cutoff, fs_hz=fs_hz
                 )
                 if not stateful:
                     smoothed = bf.apply(values)
@@ -237,8 +242,8 @@ class AdaptiveNoiseFilter:
         if self.use_akf:
             # AKF without a trend input degenerates to an adaptive scalar KF.
             trend = smoothed if self.use_butterworth else values * 0.0
-            variances = dict(process_var=self.akf_process_var,
-                             initial_measurement_var=self.akf_measurement_var)
+            variances = dict(process_var=AKF_PROCESS_VAR,
+                             initial_measurement_var=AKF_MEASUREMENT_VAR)
             if not stateful:
                 return adaptive_kalman_fuse(values, trend, **variances)
             smoothed, akf = adaptive_kalman_fuse(values, trend, state=akf,
@@ -336,7 +341,7 @@ class AdaptiveNoiseFilter:
                 "sorted by t")
         zi = None
         if self.use_butterworth:
-            sections = (self.order + 1) // 2
+            sections = (BUTTERWORTH_ORDER + 1) // 2
             if not (isinstance(zi_rows, list) and len(zi_rows) == sections):
                 raise DataQualityError(
                     f"ANF stream zi must hold {sections} section states")

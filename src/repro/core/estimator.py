@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,11 +54,35 @@ __all__ = [
 
 #: Candidate path-loss exponents searched by Eq. 5's arg-min. Spans every
 #: class in :data:`repro.channel.pathloss.ENV_EXPONENTS` with margin.
+#: Read-only: every estimator shares it.
 DEFAULT_N_GRID: np.ndarray = np.arange(1.2, 4.51, 0.05)
+DEFAULT_N_GRID.flags.writeable = False
 
 #: Fewer matched (displacement, RSS) points than this is refused: the linear
 #: system has 4 unknowns and noise demands real redundancy.
 MIN_SAMPLES = 8
+
+#: Strength (one standard deviation) of the per-environment exponent prior.
+N_PRIOR_SIGMA = 0.5
+
+#: Warm-start acceptance: a warm fit whose RSS-domain RMSE exceeds
+#: ``max(WARM_BLOWUP * previous_rmse, WARM_FLOOR_DB)`` is rejected (the
+#: environment likely changed under the tracker) and the cold full-grid
+#: path re-runs, emitting a ``solver.warm_rejected`` event.
+WARM_BLOWUP = 2.0
+WARM_FLOOR_DB = 4.0
+
+#: Half-width of the exponent neighbourhood searched by a warm fit —
+#: roughly one environment class (the LOS/P_LOS/NLOS prior centres sit
+#: ~0.3 apart), vs the full 67-point cold grid.
+WARM_N_STEP = 0.3
+
+#: The exponent grid's ends, which clip the warm seeds' exponents.
+_N_LO = float(DEFAULT_N_GRID.min())
+_N_HI = float(DEFAULT_N_GRID.max())
+
+#: The spread of exponents whose linearised solutions seed a cold fit.
+_SEED_N_GRID = DEFAULT_N_GRID[::len(DEFAULT_N_GRID) // 8]
 
 #: Natural log of 10, shared by the analytic Jacobian.
 _LN10 = math.log(10.0)
@@ -225,7 +249,8 @@ class EllipticalEstimator:
     estimation"):
 
     * ``n_prior`` (per environment class: LOS links fit exponents near free
-      space, NLOS links fit steeper ones) with strength ``n_prior_sigma``;
+      space, NLOS links fit steeper ones) with strength
+      :data:`N_PRIOR_SIGMA`;
     * ``gamma_prior``: beacons advertise their calibrated 1 m power in the
       packet (iBeacon "measured power", Eddystone tx-at-0m), so Γ is known
       up to the receiving chipset's offset — ``gamma_prior_sigma`` defaults
@@ -235,12 +260,9 @@ class EllipticalEstimator:
     bend — they never clamp — the estimate.
     """
 
-    n_grid: np.ndarray = field(default_factory=lambda: DEFAULT_N_GRID.copy())
-    min_samples: int = MIN_SAMPLES
     gamma_prior: Optional[float] = -59.0
     gamma_prior_sigma: float = 5.0
     n_prior: Optional[float] = None
-    n_prior_sigma: float = 0.5
     #: With ``refine=False`` the estimator stops at the paper's linearised
     #: grid + least-squares solve (Eq. 4/5) — no Gauss-Newton polish, no
     #: priors. That solver carries the measurement noise inside its
@@ -248,16 +270,6 @@ class EllipticalEstimator:
     #: why the paper's ANF smoothing is critical for it; see the Fig. 5
     #: bench's two-solver comparison.
     refine: bool = True
-    #: Warm-start acceptance: a warm fit whose RSS-domain RMSE exceeds
-    #: ``max(warm_blowup * previous_rmse, warm_floor_db)`` is rejected (the
-    #: environment likely changed under the tracker) and the cold full-grid
-    #: path re-runs, emitting a ``solver.warm_rejected`` event.
-    warm_blowup: float = 2.0
-    warm_floor_db: float = 4.0
-    #: Half-width of the exponent neighbourhood searched by a warm fit —
-    #: roughly one environment class (the LOS/P_LOS/NLOS prior centres sit
-    #: ~0.3 apart), vs the full 67-point cold grid.
-    warm_n_step: float = 0.3
 
     #: Per-environment exponent priors (centres of the class ranges in
     #: :data:`repro.channel.pathloss.ENV_EXPONENTS`).
@@ -307,7 +319,7 @@ class EllipticalEstimator:
         ``rss`` the time-aligned filtered RSS readings.
 
         When ``warm`` carries a usable previous solution the fast path
-        refines it directly (a handful of seeds in a ±``warm_n_step``
+        refines it directly (a handful of seeds in a ±:data:`WARM_N_STEP`
         exponent neighbourhood) instead of re-running the full cold grid;
         a warm fit whose residuals blow up is rejected — emitting
         ``solver.warm_rejected`` — and the cold path re-runs, so a stale
@@ -373,7 +385,7 @@ class EllipticalEstimator:
         return p, q, rss
 
     def check_sufficient(self, p: np.ndarray, q: np.ndarray) -> None:
-        """The one sufficiency rule: ``min_samples`` matched rows, over
+        """The one sufficiency rule: :data:`MIN_SAMPLES` matched rows, over
         which the observer moved.
 
         Raises :class:`~repro.errors.InsufficientDataError` naming the
@@ -382,9 +394,9 @@ class EllipticalEstimator:
         before it reaches a solve; :meth:`fit` and :func:`fit_batch` apply
         it for direct callers.
         """
-        if len(p) < self.min_samples:
+        if len(p) < MIN_SAMPLES:
             raise InsufficientDataError(
-                f"need >= {self.min_samples} matched samples, got {len(p)}"
+                f"need >= {MIN_SAMPLES} matched samples, got {len(p)}"
             )
         if float(np.ptp(p)) < 0.2 and float(np.ptp(q)) < 0.2:
             raise InsufficientDataError(
@@ -398,14 +410,12 @@ class EllipticalEstimator:
 
         A refused state is one ``solver.warm_unusable`` signal.
         """
-        grid = np.asarray(self.n_grid, dtype=float)
-        lo, hi = float(grid.min()), float(grid.max())
         vals = (warm.x, warm.h, warm.gamma, warm.n, warm.rss_rmse)
         if not all(math.isfinite(v) for v in vals):
             reason = "non-finite"
         elif warm.rss_rmse < 0.0:
             reason = "negative-rmse"
-        elif not lo - self.warm_n_step <= warm.n <= hi + self.warm_n_step:
+        elif not _N_LO - WARM_N_STEP <= warm.n <= _N_HI + WARM_N_STEP:
             reason = "n-outside-window"
         else:
             return True
@@ -422,12 +432,10 @@ class EllipticalEstimator:
         on or past the edge, all three when it lies a full step past it.
         :func:`_lockstep` refines each distinct seed once.
         """
-        grid = np.asarray(self.n_grid, dtype=float)
-        lo, hi = float(grid.min()), float(grid.max())
         h0 = warm.h if use_q else abs(warm.h)
-        n0 = float(np.clip(warm.n, lo, hi))
-        n_lo = float(np.clip(warm.n - self.warm_n_step, lo, hi))
-        n_hi = float(np.clip(warm.n + self.warm_n_step, lo, hi))
+        n0 = float(np.clip(warm.n, _N_LO, _N_HI))
+        n_lo = float(np.clip(warm.n - WARM_N_STEP, _N_LO, _N_HI))
+        n_hi = float(np.clip(warm.n + WARM_N_STEP, _N_LO, _N_HI))
         return [(warm.x, h0, warm.gamma, n0),
                 (warm.x, h0, warm.gamma, n_lo),
                 (warm.x, h0, warm.gamma, n_hi)]
@@ -460,39 +468,6 @@ class EllipticalEstimator:
     ) -> None:
         obs.signal("solver.warm_rejected", severity="warning", reason=reason,
                    warm_n=warm.n, warm_rmse=warm.rss_rmse, n_rows=n_rows)
-
-    def _fit_warm_linearized(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
-        use_q: bool, warm: WarmStartState,
-    ) -> Tuple[Optional[FitResult], str]:
-        """Warm path for the ``refine=False`` pure Eq. 4/5 solver: restrict
-        the grid arg-min to the exponent neighbourhood of the previous fix."""
-        grid = np.asarray(self.n_grid, dtype=float)
-        mask = np.abs(grid - warm.n) <= self.warm_n_step + 1e-9
-        if not np.any(mask):
-            return None, "no exponent neighbourhood"
-        try:
-            res = self._fit_linearized(p, q, rss, use_q, n_values=grid[mask])
-        except DegenerateGeometryError:
-            return None, "degenerate"
-        limit = max(self.warm_blowup * warm.rss_rmse, self.warm_floor_db)
-        rmse = res.rss_rmse
-        if not math.isfinite(rmse) or rmse > limit:
-            return None, "residual blow-up"
-        res.solver = "warm-linearized"
-        res.warm_started = True
-        perf.count("estimator.warm_fits")
-        return res, ""
-
-    def _fit_linearized_job(self, job: "_Job", warm_ok: bool) -> FitResult:
-        """``refine=False`` solve: warm neighbourhood first, full grid after."""
-        if warm_ok:
-            res, reason = self._fit_warm_linearized(
-                job.p, job.q, job.rss, job.use_q, job.warm)
-            if res is not None:
-                return res
-            self._warm_reject(reason, job.warm, len(job.p))
-        return self._fit_linearized(job.p, job.q, job.rss, job.use_q)
 
     def _solve_for_n(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, n: float,
@@ -694,12 +669,10 @@ class EllipticalEstimator:
         ``h >= 0``, the canonical side of the mirror ambiguity.
         """
         seeds: List[Seed] = []
-        n_subset = np.asarray(self.n_grid, dtype=float)[
-            :: max(1, len(self.n_grid) // 8)
-        ]
-        valid, xs, hs, gs, epss = self._solve_grid(p, q, rss, n_subset, use_q)
+        valid, xs, hs, gs, epss = self._solve_grid(p, q, rss, _SEED_N_GRID,
+                                                   use_q)
         for k in np.flatnonzero(valid):
-            x, h, g, eps, n = xs[k], hs[k], gs[k], epss[k], n_subset[k]
+            x, h, g, eps, n = xs[k], hs[k], gs[k], epss[k], _SEED_N_GRID[k]
             if eps <= 0:
                 continue
             if not use_q or not math.isfinite(h):
@@ -730,7 +703,6 @@ class EllipticalEstimator:
 
     def _fit_linearized(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, use_q: bool,
-        n_values: Optional[np.ndarray] = None,
     ) -> FitResult:
         """The paper's pure Eq. 4/5 solver: LS per exponent, grid arg-min.
 
@@ -738,12 +710,10 @@ class EllipticalEstimator:
         (:meth:`_solve_grid`), then one pass of array ops for the RSS-domain
         residual of each candidate and the Eq. 5 arg-min. Numerically
         equivalent to :meth:`_fit_linearized_reference` (the original
-        per-candidate loop, kept for tests and benchmarks). ``n_values``
-        restricts the searched exponents (the warm path passes the
-        neighbourhood of the previous fix); default is the full grid.
+        per-candidate loop, kept for tests and benchmarks). It searches
+        the whole :data:`DEFAULT_N_GRID`.
         """
-        n_values = np.asarray(
-            self.n_grid if n_values is None else n_values, dtype=float)
+        n_values = DEFAULT_N_GRID
         valid, x, h, g, eps = self._solve_grid(p, q, rss, n_values, use_q)
         if not np.any(valid):
             raise DegenerateGeometryError(
@@ -806,7 +776,7 @@ class EllipticalEstimator:
         """
         best: Optional[FitResult] = None
         best_cost = math.inf
-        for n in self.n_grid:
+        for n in DEFAULT_N_GRID:
             sol = self._solve_for_n(p, q, rss, float(n), use_q=use_q)
             if sol is None:
                 continue
@@ -1217,7 +1187,7 @@ def _lockstep(
     wg = stack([0.0 if e.gamma_prior is None else rn / e.gamma_prior_sigma
                 for e, rn in zip(ests, root_n)])
     npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
-    wn = stack([0.0 if e.n_prior is None else rn / e.n_prior_sigma
+    wn = stack([0.0 if e.n_prior is None else rn / N_PRIOR_SIGMA
                 for e, rn in zip(ests, root_n)])
     job_of = np.repeat(np.arange(len(jobs)), counts)
     pad = None
@@ -1282,7 +1252,7 @@ def _warm_gate(job: _Job, best: Optional[_Best]) -> str:
     """Why a warm fit must be rejected (``""`` when it is accepted).
 
     The warm basin is stale when no seed converged or the RSS-domain RMSE
-    blew past ``max(warm_blowup * previous_rmse, warm_floor_db)``.
+    blew past ``max(WARM_BLOWUP * previous_rmse, WARM_FLOOR_DB)``.
     """
     if best is None:
         return "diverged"
@@ -1290,8 +1260,7 @@ def _warm_gate(job: _Job, best: Optional[_Best]) -> str:
     rmse = float(np.sqrt(np.mean(resid * resid)))
     if not math.isfinite(rmse):
         return "diverged"
-    est, warm = job.est, job.warm
-    if rmse > max(est.warm_blowup * warm.rss_rmse, est.warm_floor_db):
+    if rmse > max(WARM_BLOWUP * job.warm.rss_rmse, WARM_FLOOR_DB):
         return "residual blow-up"
     return ""
 
@@ -1314,7 +1283,8 @@ def _solve_jobs(
     the full :meth:`EllipticalEstimator._initial_candidates` seed set and
     no blow-up gate. Each phase is one :func:`_lockstep` run, so a job's
     result does not depend on the other jobs. ``refine=False`` jobs take
-    the linearised Eq. 4/5 path instead.
+    the linearised Eq. 4/5 path over the full grid instead and ignore
+    their warm state.
     """
     out: List[Any] = [None] * len(jobs)
 
@@ -1333,10 +1303,10 @@ def _solve_jobs(
     warm_ids: List[int] = []
     cold_ids: List[int] = []
     for i, job in enumerate(jobs):
-        warm_ok = job.warm is not None and job.est._warm_usable(job.warm)
         if not job.est.refine:
-            settle(i, job.est._fit_linearized_job, job, warm_ok)
-        elif warm_ok:
+            settle(i, job.est._fit_linearized, job.p, job.q, job.rss,
+                   job.use_q)
+        elif job.warm is not None and job.est._warm_usable(job.warm):
             warm_ids.append(i)
         else:
             cold_ids.append(i)

@@ -7,9 +7,10 @@ the noise, (4) append to the running regression — or start a new one if the
 environment changed abruptly — and (5) refresh the location estimate and
 its probability.
 
-All three of the paper's design elements are independently removable for the
-ablation experiments: ``use_envaware`` (Fig. 5), ``anf`` stages (Fig. 4/5),
-and the environment-informed exponent prior.
+The paper's design elements are removable for the ablation experiments:
+EnvAware and its environment-informed priors run exactly when an
+``envaware`` classifier is given (Fig. 5 passes none), and the ``anf``
+stages switch off one by one (Fig. 4/5).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.anf import AdaptiveNoiseFilter, AnfStream
 from repro.core.confidence import estimation_confidence
 from repro.core.envaware import EnvAwareClassifier, EnvironmentMonitor
 from repro.core.estimator import (
+    MIN_SAMPLES,
     EllipticalEstimator,
     FitRequest,
     FitResult,
@@ -166,17 +168,18 @@ class LocBLE:
     per tick with warm state carried by the session;
     :meth:`estimate_series` is :meth:`estimate` over growing prefixes.
 
-    EnvAware monitors ``batch_s``-second batches with the
-    :class:`~repro.core.envaware.EnvironmentMonitor` default hysteresis; a
-    confirmed environment change restarts the regression at that batch.
+    With an ``envaware`` classifier, EnvAware monitors ``batch_s``-second
+    batches with the :class:`~repro.core.envaware.EnvironmentMonitor`
+    default hysteresis, a confirmed environment change restarts the
+    regression at that batch, and the fit takes the recognised class's
+    priors. Without one the whole window is one LOS-labelled regression
+    under the estimator's own priors.
     """
 
     envaware: Optional[EnvAwareClassifier] = None
     anf: AdaptiveNoiseFilter = field(default_factory=AdaptiveNoiseFilter)
     estimator: EllipticalEstimator = field(default_factory=EllipticalEstimator)
     motion_tracker: MotionTracker = field(default_factory=MotionTracker)
-    use_envaware: bool = True
-    use_env_prior: bool = True
     batch_s: float = DEFAULT_BATCH_S
     #: Input-trace policy: ``"strict"`` rejects malformed traces with a
     #: typed :class:`~repro.errors.DataQualityError`; ``"repair"`` routes
@@ -367,15 +370,12 @@ class LocBLE:
         failure = f"{type(exc).__name__}: {exc}"
 
         def fallback_provenance(tag: str, n_used: int) -> FixProvenance:
-            dropped = (report.n_nonfinite_dropped
-                       + report.n_implausible_dropped
-                       + report.n_duplicates_collapsed)
             obs.signal("pipeline.fallbacks", severity="warning", fallback=tag,
                        failure=failure, n_samples=n_used)
             return FixProvenance(
                 solver="fallback",
                 n_samples=n_used,
-                sanitized_dropped=int(dropped),
+                sanitized_dropped=report.n_dropped,
                 sanitized_repaired=not report.clean,
                 confidence=0.0,
                 fallback=tag,
@@ -428,10 +428,10 @@ class LocBLE:
         report: Optional[SanitizationReport] = None
         if self.sanitize == "repair":
             rssi_trace, report = sanitize_trace(rssi_trace)
-        if len(rssi_trace) < self.estimator.min_samples:
+        if len(rssi_trace) < MIN_SAMPLES:
             raise InsufficientDataError(
                 f"trace has {len(rssi_trace)} samples; "
-                f"need >= {self.estimator.min_samples}"
+                f"need >= {MIN_SAMPLES}"
             )
         if report is None:
             check_trace(rssi_trace, context="trace")
@@ -457,7 +457,7 @@ class LocBLE:
         env_class = EnvClass.LOS
         seg_start = 0
         changes: List[float] = []
-        if self.use_envaware and self.envaware is not None:
+        if self.envaware is not None:
             env_class, seg_start, changes = self._segment_by_environment(
                 ts, raw_rss
             )
@@ -530,7 +530,7 @@ class LocBLE:
     def _resolve_estimator(self, ctx: EstimationContext) -> EllipticalEstimator:
         """The estimator this context solves with (environment priors applied)."""
         estimator = self.estimator
-        if self.use_env_prior and self.use_envaware and self.envaware is not None:
+        if self.envaware is not None:
             estimator = estimator.with_environment(ctx.env_class)
         return estimator
 
@@ -581,9 +581,7 @@ class LocBLE:
         report = ctx.sanitization
         dropped = repaired = 0
         if report is not None:
-            dropped = (report.n_nonfinite_dropped
-                       + report.n_implausible_dropped
-                       + report.n_duplicates_collapsed)
+            dropped = report.n_dropped
             repaired = not report.clean
         pos_std = float(fit.position_std)
         return FixProvenance(
@@ -609,8 +607,9 @@ class LocBLE:
 
         The regression restarts at the *last* abrupt environment change
         (Sec. 5.3 step: "start a new regression with the data"), but never
-        so late that fewer than ``min_samples`` readings remain — a change
-        in the final seconds cannot leave us with nothing to regress.
+        so late that fewer than :data:`~repro.core.estimator.MIN_SAMPLES`
+        readings remain — a change in the final seconds cannot leave us
+        with nothing to regress.
         """
         monitor = EnvironmentMonitor(self.envaware)
         seg_start = 0
@@ -624,7 +623,7 @@ class LocBLE:
                 changed = monitor.observe(rss[idx])
                 if changed:
                     candidate = int(idx[0])
-                    if len(ts) - candidate >= self.estimator.min_samples:
+                    if len(ts) - candidate >= MIN_SAMPLES:
                         seg_start = candidate
                         changes.append(float(ts[candidate]))
             t += self.batch_s

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import EllipticalEstimator
+from repro.core.estimator import N_PRIOR_SIGMA, EllipticalEstimator
 from repro.errors import EstimationError, InsufficientDataError
 
 __all__ = ["Fit3DResult", "Estimator3D", "Vec3"]
@@ -161,7 +161,7 @@ class Estimator3D:
                 ]))
             if planar.n_prior is not None:
                 rows.append(np.array([
-                    root_n * (n - planar.n_prior) / planar.n_prior_sigma
+                    root_n * (n - planar.n_prior) / N_PRIOR_SIGMA
                 ]))
             if self.z_prior is not None:
                 rows.append(np.array([

@@ -114,18 +114,17 @@ class AdaptiveKalman:
     * ``R`` is re-estimated as ``mean(innovation²) − P_prior`` (clamped) —
       no hand-tuned measurement variance survives a change in channel
       conditions;
-    * with ``bias_gating`` on, the Kalman gain is additionally scaled by
-      the *significance of the innovation mean*: zero-mean innovations mean
-      the trend input is already tracking (ride it, stay smooth), while
-      persistently one-sided innovations mean the smoothed trend is lagging
-      a real level change — exactly the Butterworth-delay failure the
+    * the Kalman gain is additionally scaled by the *significance of the
+      innovation mean*: zero-mean innovations mean the trend input is
+      already tracking (ride it, stay smooth), while persistently
+      one-sided innovations mean the smoothed trend is lagging a real
+      level change — exactly the Butterworth-delay failure the
       paper's AKF exists to fix — so the raw correction opens up.
     """
 
     process_var: float = 0.05
     initial_measurement_var: float = 4.0
     window: int = 12
-    bias_gating: bool = True
     x: float = 0.0
     p: float = 1.0
     _r: float = field(default=0.0, init=False)
@@ -166,7 +165,7 @@ class AdaptiveKalman:
             hi = 25.0 * self.initial_measurement_var
             self._r = min(max(est, lo), hi)
         k = p_prior / (p_prior + self._r)
-        if self.bias_gating and n >= 4:
+        if n >= 4:
             mean = _numpy_sum(inn) / n
             spread = math.sqrt(
                 _numpy_sum([(v - mean) * (v - mean) for v in inn]) / n

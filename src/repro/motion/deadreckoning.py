@@ -33,6 +33,10 @@ from repro.types import ImuTrace, Vec2
 
 __all__ = ["MotionTrack", "MotionTracker", "TrackMemo"]
 
+#: A step's length comes from the local step frequency over this many
+#: inter-step intervals around it.
+FREQ_WINDOW = 3
+
 
 @dataclass
 class MotionTrack:
@@ -110,7 +114,6 @@ class MotionTracker:
     use_heading_fusion: bool = False
     heading_filter: ComplementaryHeadingFilter = field(
         default_factory=ComplementaryHeadingFilter)
-    freq_window: int = 3
 
     def track(self, trace: ImuTrace) -> MotionTrack:
         """Dead-reckon the walk recorded in ``trace``."""
@@ -155,9 +158,9 @@ class MotionTracker:
         """Local-frequency step length for the i-th step (cf. steplength.py)."""
         if len(step_times) < 2:
             return self.step_length_model.length_for_frequency(1.8)
-        lo = max(0, i - self.freq_window)
+        lo = max(0, i - FREQ_WINDOW)
         if i == lo:  # first step: look forwards instead
-            hi = min(len(step_times) - 1, i + self.freq_window)
+            hi = min(len(step_times) - 1, i + FREQ_WINDOW)
             span = step_times[hi] - step_times[i]
             n = hi - i
         else:

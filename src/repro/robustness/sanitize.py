@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataQualityError
+from repro.errors import DataQualityError
 from repro.types import RssiSample, RssiTrace
 
 __all__ = [
@@ -132,25 +132,19 @@ class SanitizationReport:
         )
 
 
-def check_trace(
-    trace: RssiTrace,
-    context: str = "trace",
-    allow_empty: bool = True,
-) -> None:
+def check_trace(trace: RssiTrace, context: str = "trace") -> None:
     """Strict validation: raise :class:`DataQualityError` on the first flaw.
 
-    Checks, in order: emptiness (when disallowed), non-finite timestamps,
-    non-finite RSSI values, timestamp ordering. Messages name the count and
-    the remedy so a failing batch job points straight at its bad input.
-    Duplicate timestamps are legal (coalesced scan reports) and pass.
+    Checks, in order: non-finite timestamps, non-finite RSSI values,
+    timestamp ordering. Messages name the count and the remedy so a failing
+    batch job points straight at its bad input. An empty trace passes, and
+    so do duplicate timestamps (coalesced scan reports).
     """
     if len(trace) == 0:
-        if allow_empty:
-            return
-        raise DataQualityError(f"{context} is empty; nothing to process")
+        return
     ts = trace.timestamps()
     vals = trace.values()
-    if _clean_arrays(ts, vals, *RSSI_PLAUSIBLE_DBM):
+    if _clean_arrays(ts, vals):
         return
     if not np.all(np.isfinite(ts)):
         bad = int(np.sum(~np.isfinite(ts)))
@@ -171,32 +165,29 @@ def check_trace(
         )
 
 
-def _clean_arrays(ts: np.ndarray, vals: np.ndarray, lo: float,
-                  hi: float) -> bool:
+def _clean_arrays(ts: np.ndarray, vals: np.ndarray) -> bool:
     """Does a window need no repair at all? One vectorized pass over its
     arrays: finite timestamps, strictly increasing, and every reading
-    within ``[lo, hi]`` (which also makes it finite)."""
+    within :data:`RSSI_PLAUSIBLE_DBM` (which also makes it finite)."""
+    lo, hi = RSSI_PLAUSIBLE_DBM
     return bool(np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()
                 and ((vals >= lo) & (vals <= hi)).all())
 
 
-def sanitize_trace(
-    trace: RssiTrace,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
-    rssi_bounds: Tuple[float, float] = RSSI_PLAUSIBLE_DBM,
-    collapse_duplicates: bool = True,
-) -> Tuple[RssiTrace, SanitizationReport]:
+def sanitize_trace(trace: RssiTrace) -> Tuple[RssiTrace, SanitizationReport]:
     """Repair a trace and report everything found along the way.
 
     The repair pipeline, in order:
 
     1. drop samples with non-finite timestamps or RSSI;
-    2. drop samples whose RSSI lies outside ``rssi_bounds`` (glitches);
+    2. drop samples whose RSSI lies outside :data:`RSSI_PLAUSIBLE_DBM`
+       (glitches);
     3. stable-sort the survivors by timestamp;
     4. collapse exact duplicate timestamps to one sample holding the median
        of the coalesced readings (keeping the first sample's metadata);
-    5. detect dropout gaps (interval > ``gap_factor`` x median interval) and
-       rate anomalies, recording them without altering the data.
+    5. detect dropout gaps (interval > :data:`DEFAULT_GAP_FACTOR` x median
+       interval) and rate anomalies, recording them without altering the
+       data.
 
     A trace that needs none of steps 1–4 (one vectorized pass over its
     arrays finds every value finite and plausible and the timestamps
@@ -206,20 +197,17 @@ def sanitize_trace(
     raises on dirty data — an unusably empty result is itself reported
     (``n_output == 0``) and left for the caller's policy to handle.
     """
-    if gap_factor <= 1.0:
-        raise ConfigurationError("gap_factor must exceed 1.0")
-    lo, hi = float(rssi_bounds[0]), float(rssi_bounds[1])
     n_input = len(trace)
     samples = list(trace.samples)
     ts = trace.timestamps()
     vals = trace.values()
-    if _clean_arrays(ts, vals, lo, hi):
+    if _clean_arrays(ts, vals):
         # The common case: nothing to repair, so the samples pass as they
         # are, with the arrays just built (read-only, as the trace hands
         # them on), and only the observational findings remain to be made.
         ts.flags.writeable = vals.flags.writeable = False
         return RssiTrace(samples, arrays=(ts, vals)), _report(
-            ts, gap_factor, [], n_input=n_input, n_output=n_input)
+            ts, [], n_input=n_input, n_output=n_input)
     issues: List[str] = []
 
     finite = [
@@ -230,6 +218,7 @@ def sanitize_trace(
     if n_nonfinite:
         issues.append(f"dropped {n_nonfinite} non-finite sample(s)")
 
+    lo, hi = RSSI_PLAUSIBLE_DBM
     plausible = [s for s in finite if lo <= s.rssi <= hi]
     n_implausible = len(finite) - len(plausible)
     if n_implausible:
@@ -247,7 +236,7 @@ def sanitize_trace(
         issues.append("re-sorted out-of-order timestamps")
 
     n_duplicates = 0
-    if collapse_duplicates and plausible:
+    if plausible:
         merged: List[RssiSample] = []
         group: List[RssiSample] = [plausible[0]]
         for s in plausible[1:]:
@@ -266,7 +255,6 @@ def sanitize_trace(
     out = RssiTrace(plausible)
     report = _report(
         out.timestamps(),
-        gap_factor,
         issues,
         n_input=n_input,
         n_output=len(out),
@@ -278,7 +266,7 @@ def sanitize_trace(
     return out, report
 
 
-def _report(ts: np.ndarray, gap_factor: float, issues: List[str],
+def _report(ts: np.ndarray, issues: List[str],
             **repairs: object) -> SanitizationReport:
     """The report on a sanitized window with timestamps ``ts``: the
     ``repairs`` made and ``issues`` found so far, plus its dropout gaps
@@ -287,7 +275,7 @@ def _report(ts: np.ndarray, gap_factor: float, issues: List[str],
     rate = robust_rate_hz(ts)
     if ts.size >= 3 and rate > 0:
         dt = np.diff(ts)
-        threshold = gap_factor / rate
+        threshold = DEFAULT_GAP_FACTOR / rate
         for i in np.flatnonzero(dt > threshold):
             gaps.append((float(ts[i]), float(ts[i + 1])))
         if gaps:

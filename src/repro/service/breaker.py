@@ -12,9 +12,10 @@
   gateway client's send retries.
 
 Both are deterministic: the backoff's jitter is derived from a stable hash
-of ``(key, attempt)``, not a live RNG, so a checkpointed owner resumes
-with bit-identical retry scheduling. Clocks are the *stream* clock (the
-``t`` the owner is stepped with), never wall time.
+of ``(key, attempt)``, not a live RNG, so the same failures give the same
+retry schedule in every run and process. The breaker checkpoints; a
+backoff lives in its owner's memory only. Clocks are the *stream* clock
+(the ``t`` the owner is stepped with), never wall time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "MAX_BACKOFF_ATTEMPT",
 ]
 
-#: Checkpoint schema version for both classes in this module.
+#: Checkpoint schema version of :class:`CircuitBreaker`.
 BREAKER_CHECKPOINT_FORMAT = 1
 
 #: Failure streaks are clamped here. Every sane config saturates its delay
@@ -136,33 +137,6 @@ class ExponentialBackoff:
         """A success clears the failure streak and any pending delay."""
         self.attempt = 0
         self.next_ready_t = None
-
-    def checkpoint(self) -> Dict[str, Any]:
-        return {
-            "format": BREAKER_CHECKPOINT_FORMAT,
-            "key": self.key,
-            "attempt": self.attempt,
-            "next_ready_t": self.next_ready_t,
-        }
-
-    @classmethod
-    def restore(
-        cls, cp: Dict[str, Any], config: Optional[BackoffConfig] = None
-    ) -> "ExponentialBackoff":
-        if not isinstance(cp, dict) or cp.get("format") != BREAKER_CHECKPOINT_FORMAT:
-            raise DataQualityError("unsupported backoff checkpoint")
-        with restore_guard("backoff"):
-            backoff = cls(config, key=str(cp["key"]))
-            attempt = int(cp["attempt"])
-            if attempt < 0:
-                raise DataQualityError(
-                    f"backoff checkpoint: attempt must be >= 0, got {attempt}"
-                )
-            backoff.attempt = min(attempt, MAX_BACKOFF_ATTEMPT)
-            backoff.next_ready_t = require_finite(
-                "backoff", "next_ready_t", cp["next_ready_t"], allow_none=True
-            )
-        return backoff
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,15 @@ __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
 
+#: A carried warm-start state older than this (stream seconds) is dropped
+#: and the next solve runs cold.
+WARM_MAX_AGE_S = 30.0
+
+#: Keys that session configs carried while these values were settable,
+#: with the one value each may still hold (see
+#: :meth:`SessionConfig.from_dict`).
+_FIXED_KEYS = (("warm_start", True), ("warm_max_age_s", WARM_MAX_AGE_S))
+
 #: A pipeline factory builds the (stateless-per-solve) estimation pipeline a
 #: restored session runs on; it must be deterministic for bit-identical
 #: resume. The default is repair-mode LocBLE — streams are dirty by nature.
@@ -97,16 +106,16 @@ class SessionConfig:
     Whether a window has enough data to solve is the pipeline's rule, not
     a setting here.
 
-    ``warm_start`` carries each accepted fix's solver state into the next
+    A session carries each accepted fix's solver state into the next
     solve so consecutive overlapping windows skip the cold exponent-grid
-    search; states older than ``warm_max_age_s`` are dropped. Each window's
-    frame is anchored at the observer's pose at the window's first IMU
-    sample, so it moves with the walk. The state records the observer's
-    pose at its window's newest matched RSS time, and the next solve
-    re-anchors the position seed through the observer's body frame at that
-    time into its own frame. When the new window's track does not span that
-    time, or the state carries no pose (a checkpoint written before poses
-    were recorded), the seed goes in unshifted. The solver's acceptance
+    search; states older than :data:`WARM_MAX_AGE_S` are dropped. Each
+    window's frame is anchored at the observer's pose at the window's
+    first IMU sample, so it moves with the walk. The state records the
+    observer's pose at its window's newest matched RSS time, and the next
+    solve re-anchors the position seed through the observer's body frame
+    at that time into its own frame. When the new window's track does not
+    span that time, or the state carries no pose (a checkpoint written
+    before poses were recorded), the seed goes in unshifted. The solver's acceptance
     guard rejects any warm fit whose residuals blow up and re-runs cold, so
     warm-starting is latency-only, never accuracy.
     """
@@ -117,8 +126,6 @@ class SessionConfig:
     rss_buffer: int = 1024
     process_accel_std: float = 0.5
     default_fix_std: float = 2.0
-    warm_start: bool = True
-    warm_max_age_s: float = 30.0
     health: HealthConfig = field(default_factory=HealthConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
 
@@ -131,8 +138,6 @@ class SessionConfig:
             raise ConfigurationError("min_confidence must be in [0, 1]")
         if self.rss_buffer < 8:
             raise ConfigurationError("rss_buffer must be >= 8")
-        if not (math.isfinite(self.warm_max_age_s) and self.warm_max_age_s > 0):
-            raise ConfigurationError("warm_max_age_s must be finite and > 0")
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -147,11 +152,23 @@ class SessionConfig:
         solver left, is dropped; any other value names a removed backend
         and raises :class:`~repro.errors.ConfigurationError`. Those written
         while sessions had a retry backoff carry ``"backoff"`` and
-        ``"min_imu_samples"``, both dropped.
+        ``"min_imu_samples"``, both dropped. Those written while the warm
+        start was settable carry ``"warm_start"`` and ``"warm_max_age_s"``:
+        ``true`` and ``30.0``, what every session now does, are dropped;
+        any other value asks for a behaviour that is gone and raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         d = dict(d)
         d.pop("backoff", None)
         d.pop("min_imu_samples", None)
+        for key, fixed in _FIXED_KEYS:
+            value = d.pop(key, fixed)
+            if (value != fixed
+                    or isinstance(value, bool) != isinstance(fixed, bool)):
+                raise ConfigurationError(
+                    f"session config sets {key}={value!r}, but it is fixed "
+                    f"at {fixed!r} and no longer settable"
+                )
         solver = d.pop("solver", "elliptical")
         if solver != "elliptical":
             raise ConfigurationError(
@@ -551,11 +568,11 @@ class TrackingSession:
     # -- warm-start state -----------------------------------------------------
 
     def _usable_warm(self, t: float) -> Optional[WarmStartState]:
-        """The carried warm state, unless disabled or aged out."""
-        if not self.config.warm_start or self._warm is None:
+        """The carried warm state, unless aged out."""
+        if self._warm is None:
             return None
         born = self._warm.stream_t
-        if born is not None and t - born > self.config.warm_max_age_s:
+        if born is not None and t - born > WARM_MAX_AGE_S:
             return None
         return self._warm
 

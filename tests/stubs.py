@@ -49,8 +49,8 @@ def _shared_request() -> FitRequest:
 _SHARED_REQUEST = _shared_request()
 
 
-class _StubEstimator:
-    min_samples = 3
+#: The fewest RSS rows a scripted window may hold.
+_MIN_RSS_ROWS = 3
 
 
 @dataclass
@@ -68,7 +68,7 @@ class ScriptedPipeline:
 
     Like the real pipeline, ``prepare_estimate`` refuses a window short of
     data with :class:`~repro.errors.InsufficientDataError`: fewer than
-    ``min_samples`` RSS rows or fewer than 2 IMU samples. Otherwise it
+    :data:`_MIN_RSS_ROWS` RSS rows or fewer than 2 IMU samples. Otherwise it
     takes the next script entry: ``"ok"``, ``"nodata"`` (refused the same
     way), ``"degenerate"`` or ``"failed"`` (a non-degenerate
     :class:`~repro.errors.EstimationError`); the last entry repeats
@@ -77,13 +77,12 @@ class ScriptedPipeline:
     """
 
     def __init__(self, script: Sequence[str] = ("ok",)):
-        self.estimator = _StubEstimator()
         self.script = list(script)
         self.calls = 0
 
     def prepare_estimate(self, trace, imu, target_imu=None, tracks=None,
                          anf_stream=None):
-        if len(trace) < self.estimator.min_samples:
+        if len(trace) < _MIN_RSS_ROWS:
             raise InsufficientDataError(
                 f"scripted: {len(trace)} RSS samples")
         if len(imu) < 2:

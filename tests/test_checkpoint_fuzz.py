@@ -1,7 +1,7 @@
 """Property fuzz: corrupted checkpoints must fail typed, never crash.
 
 A checkpoint is data read off a disk or a wire, so ``restore`` at every
-layer (backoff, breaker, session, service, fleet) owes the caller the
+layer (breaker, session, service, fleet) owes the caller the
 data-error contract: for *any* mangled input it either restores something
 valid or raises :class:`~repro.errors.DataQualityError` /
 :class:`~repro.errors.ConfigurationError` — never a bare ``KeyError``,
@@ -22,10 +22,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service import (
-    BackoffConfig,
     BreakerConfig,
     CircuitBreaker,
-    ExponentialBackoff,
     ServiceConfig,
     TrackingService,
     TrackingSession,
@@ -62,22 +60,13 @@ def _breaker_cp():
     return br.checkpoint()
 
 
-def _backoff_cp():
-    bo = ExponentialBackoff(BackoffConfig(), key="fz")
-    bo.on_failure(3.0)
-    bo.on_failure(5.0)
-    return bo.checkpoint()
-
-
 _SERVICE = _live_service()
 BASES = {
-    "backoff": _backoff_cp(),
     "breaker": _breaker_cp(),
     "session": _SERVICE.sessions["a"].checkpoint(),
     "service": _SERVICE.checkpoint(),
 }
 RESTORERS = {
-    "backoff": lambda cp: ExponentialBackoff.restore(cp),
     "breaker": lambda cp: CircuitBreaker.restore(cp),
     "session": lambda cp: TrackingSession.restore(
         cp, pipeline_factory=ScriptedPipeline),

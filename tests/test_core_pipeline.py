@@ -39,9 +39,10 @@ class TestANF:
         assert np.array_equal(AdaptiveNoiseFilter().apply(x, 9.0), x)
 
     def test_low_sampling_rate_cutoff_capped(self, rng):
-        # Must not blow up at 5.5 Hz (Fig. 13a's lowest rate).
+        # Below 2 Hz the 0.8 Hz cutoff would reach Nyquist (0.4 * fs caps
+        # it); the filter must not blow up there.
         x = -70 + rng.normal(0, 2, 60)
-        out = AdaptiveNoiseFilter(cutoff_hz=3.0).apply(x, 5.5)
+        out = AdaptiveNoiseFilter().apply(x, 1.5)
         assert np.all(np.isfinite(out))
 
     def test_stage_ablation(self, rng):
@@ -65,8 +66,6 @@ class TestANF:
         assert np.array_equal(out.timestamps(), trace.timestamps())
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveNoiseFilter(cutoff_hz=0.0)
         with pytest.raises(ConfigurationError):
             AdaptiveNoiseFilter().apply(np.zeros(20), 0.0)
 
@@ -150,7 +149,7 @@ class TestLocBLEWithEnvAware(object):
     def test_ablation_flags(self, trained_envaware):
         rec = _session(seed=4)
         full = LocBLE(envaware=trained_envaware)
-        no_env = LocBLE(envaware=trained_envaware, use_envaware=False)
+        no_env = LocBLE(envaware=None)
         for loc in (full, no_env):
             est = loc.estimate(rec.rssi_traces["b"], rec.observer_imu.trace)
             assert est.position.norm() < 30.0

@@ -75,7 +75,7 @@ class ReferenceAdaptiveKalman(AdaptiveKalman):
             hi = 25.0 * self.initial_measurement_var
             self._r = min(max(est, lo), hi)
         k = p_prior / (p_prior + self._r)
-        if self.bias_gating and len(self._innovations) >= 4:
+        if len(self._innovations) >= 4:
             inn = np.asarray(self._innovations)
             spread = float(np.std(inn)) + 1e-9
             significance = abs(float(np.mean(inn))) / (

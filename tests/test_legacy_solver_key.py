@@ -8,6 +8,12 @@ the one reader of all of them, with one rule: ``"elliptical"`` is dropped
 rule is checked on each carrier: a session checkpoint, a fleet checkpoint
 and a gateway trace header.
 
+Session configs also carried ``"warm_start"`` and ``"warm_max_age_s"``
+while the warm start could be switched off or aged differently. ``true``
+and ``30.0``, what every session now does, are dropped; any other value
+raises a typed :class:`~repro.errors.ConfigurationError` naming the key,
+on each carrier too.
+
 Fleet configs used to carry ``"batch_ticks"``, which chose between a
 sequential and a batched tick that were bit-identical by contract. Fleet
 checkpoints and trace headers that carry it restore and replay as before,
@@ -41,16 +47,26 @@ from repro.types import ImuSample, RssiSample
 DATA = Path(__file__).parent / "data"
 
 
-def _with_solver(node, solver):
-    """A deep copy of ``node`` with ``solver`` set on every session config."""
+def _with_session_keys(node, **keys):
+    """A deep copy of ``node`` with ``keys`` set on every session config."""
     if isinstance(node, list):
-        return [_with_solver(v, solver) for v in node]
+        return [_with_session_keys(v, **keys) for v in node]
     if not isinstance(node, dict):
         return node
-    out = {k: _with_solver(v, solver) for k, v in node.items()}
+    out = {k: _with_session_keys(v, **keys) for k, v in node.items()}
     if "window_s" in out and "solve_period_s" in out:
-        out["solver"] = solver
+        out.update(keys)
     return out
+
+
+#: The warm-start keys as configs carried them while they were settable,
+#: at the values every session now has.
+_FIXED_WARM = {"warm_start": True, "warm_max_age_s": 30.0}
+
+#: Values of those keys that ask for a behaviour sessions no longer have.
+_OTHER_WARM = [("warm_start", False), ("warm_start", 1),
+               ("warm_max_age_s", 10.0), ("warm_max_age_s", float("inf")),
+               ("warm_max_age_s", True)]
 
 
 def _scans(t, beacons=("b1", "b2", "b3")):
@@ -81,6 +97,17 @@ class TestSessionConfigRule:
         with pytest.raises(ConfigurationError, match=repr(backend)):
             SessionConfig.from_dict(d)
 
+    def test_fixed_warm_keys_are_dropped(self):
+        d = SessionConfig().to_dict()
+        assert not set(_FIXED_WARM) & set(d)
+        assert SessionConfig.from_dict(dict(d, **_FIXED_WARM)) == SessionConfig()
+
+    @pytest.mark.parametrize("key, value", _OTHER_WARM)
+    def test_other_warm_values_raise_typed(self, key, value):
+        d = dict(SessionConfig().to_dict(), **{key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            SessionConfig.from_dict(d)
+
 
 class TestSessionCheckpoint:
     def _checkpoint(self):
@@ -90,14 +117,25 @@ class TestSessionCheckpoint:
 
     def test_elliptical_key_restores(self):
         s, cp = self._checkpoint()
-        restored = TrackingSession.restore(_with_solver(cp, "elliptical"))
+        restored = TrackingSession.restore(_with_session_keys(cp, solver="elliptical"))
         assert restored.config == s.config
         assert restored.checkpoint() == s.checkpoint()
 
     def test_removed_backend_raises_typed(self):
         _, cp = self._checkpoint()
         with pytest.raises(ConfigurationError, match="'particle'"):
-            TrackingSession.restore(_with_solver(cp, "particle"))
+            TrackingSession.restore(_with_session_keys(cp, solver="particle"))
+
+    def test_fixed_warm_keys_restore(self):
+        s, cp = self._checkpoint()
+        restored = TrackingSession.restore(
+            _with_session_keys(cp, **_FIXED_WARM))
+        assert restored.checkpoint() == s.checkpoint()
+
+    def test_other_warm_value_raises_typed(self):
+        _, cp = self._checkpoint()
+        with pytest.raises(ConfigurationError, match="warm_start"):
+            TrackingSession.restore(_with_session_keys(cp, warm_start=False))
 
 
 class TestFleetCheckpoint:
@@ -110,7 +148,7 @@ class TestFleetCheckpoint:
         for k in range(1, 4):
             _feed(fleet, float(k))
         cp = json.loads(json.dumps(fleet.checkpoint()))
-        legacy = _with_solver(cp, "elliptical")
+        legacy = _with_session_keys(cp, solver="elliptical")
         legacy["config"]["batch_ticks"] = True
         assert legacy != cp
         restored = TrackingFleet.restore(legacy)
@@ -123,13 +161,32 @@ class TestFleetCheckpoint:
         _feed(fleet, 1.0)
         cp = json.loads(json.dumps(fleet.checkpoint()))
         with pytest.raises(ConfigurationError, match="'ekf'"):
-            TrackingFleet.restore(_with_solver(cp, "ekf"))
+            TrackingFleet.restore(_with_session_keys(cp, solver="ekf"))
+
+    def test_fixed_warm_keys_restore_and_continue_identically(self):
+        fleet = self._fleet()
+        for k in range(1, 4):
+            _feed(fleet, float(k))
+        cp = json.loads(json.dumps(fleet.checkpoint()))
+        restored = TrackingFleet.restore(_with_session_keys(cp, **_FIXED_WARM))
+        resumed = TrackingFleet.restore(cp)
+        for k in range(4, 7):
+            assert _feed(restored, float(k)) == _feed(resumed, float(k))
+
+    def test_other_warm_value_raises_typed(self):
+        fleet = self._fleet()
+        _feed(fleet, 1.0)
+        cp = json.loads(json.dumps(fleet.checkpoint()))
+        with pytest.raises(ConfigurationError, match="warm_max_age_s"):
+            TrackingFleet.restore(
+                _with_session_keys(cp, warm_max_age_s=10.0))
 
 
 class TestTraceHeader:
-    def _record(self, path, solver, **fleet_keys):
+    def _record(self, path, solver, session_keys=None, **fleet_keys):
         gw = IngestionGateway(GatewayConfig())
-        meta = _with_solver(trace_meta(gw), solver)
+        meta = _with_session_keys(trace_meta(gw), solver=solver,
+                                  **(session_keys or {}))
         assert meta["fleet"]["service"]["session"]["solver"] == solver
         meta["fleet"].update(fleet_keys)
         with TraceWriter(str(path), meta=meta) as writer:
@@ -150,6 +207,19 @@ class TestTraceHeader:
         path = tmp_path / "ekf.trace"
         self._record(path, "ekf")
         with pytest.raises(ConfigurationError, match="'ekf'"):
+            replay(str(path))
+
+    def test_fixed_warm_keys_replay_identically(self, tmp_path):
+        path = tmp_path / "warm.trace"
+        self._record(path, "elliptical", session_keys=_FIXED_WARM)
+        result = replay(str(path))
+        assert result.ticks == 4 and result.identical
+
+    def test_other_warm_value_raises_typed(self, tmp_path):
+        path = tmp_path / "cold.trace"
+        self._record(path, "elliptical",
+                     session_keys={"warm_start": False})
+        with pytest.raises(ConfigurationError, match="warm_start"):
             replay(str(path))
 
 

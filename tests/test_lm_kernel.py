@@ -30,6 +30,9 @@ from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
     _MERGE_TOL,
+    DEFAULT_N_GRID,
+    N_PRIOR_SIGMA,
+    WARM_N_STEP,
     EllipticalEstimator,
     FitRequest,
     WarmStartState,
@@ -581,7 +584,7 @@ def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
         root_n = np.sqrt(len(job.p))
         alone = _jacobian(theta[None, :], job.p[None, :], job.q[None, :],
                           np.array([root_n / est.gamma_prior_sigma]),
-                          np.array([root_n / est.n_prior_sigma]))
+                          np.array([root_n / N_PRIOR_SIGMA]))
         _assert_bitwise(jac, alone[:, :, 0])
 
 
@@ -666,7 +669,7 @@ class TestRepeatedSeeds:
         cold = est.fit(p[0], q[0], rss[0])
         warm = WarmStartState(
             x=cold.position.x, h=cold.position.y, gamma=cold.gamma,
-            n=float(np.max(est.n_grid)) + est.warm_n_step,
+            n=float(np.max(DEFAULT_N_GRID)) + WARM_N_STEP,
             rss_rmse=cold.rss_rmse + 1.0)
         assert est._warm_usable(warm)
         seeds = est._warm_seeds(warm, True)

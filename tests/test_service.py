@@ -369,17 +369,6 @@ class TestExponentialBackoff:
         bo.reset()
         assert bo.attempt == 0 and bo.ready(0.0)
 
-    def test_checkpoint_roundtrip(self):
-        bo = ExponentialBackoff(BackoffConfig(), key="b")
-        bo.on_failure(5.0)
-        bo.on_failure(7.0)
-        restored = ExponentialBackoff.restore(
-            json.loads(json.dumps(bo.checkpoint())), bo.config)
-        assert restored.attempt == bo.attempt
-        assert restored.next_ready_t == bo.next_ready_t
-        # Future schedules stay identical (same hash key).
-        assert restored.on_failure(9.0) == bo.on_failure(9.0)
-
     def test_no_overflow_past_two_thousand_attempts(self):
         # Regression: factor ** (attempt - 1) raised OverflowError past
         # attempt ~1025 before the min(..., max_s) cap could apply.
@@ -405,25 +394,6 @@ class TestExponentialBackoff:
             raw = min(cfg.base_s * cfg.factor ** (k - 1), cfg.max_s)
             jitter = bo.delay_for(k) / raw
             assert 1.0 - cfg.jitter_frac <= jitter <= 1.0 + cfg.jitter_frac
-
-    def test_restore_rejects_bad_attempt_and_nonfinite_ready(self):
-        bo = ExponentialBackoff(BackoffConfig(), key="b")
-        bo.on_failure(5.0)
-        good = bo.checkpoint()
-        for corrupt in (
-            {"attempt": -1},
-            {"attempt": "many"},
-            {"next_ready_t": float("nan")},
-            {"next_ready_t": float("inf")},
-            {"next_ready_t": "soon"},
-        ):
-            with pytest.raises(DataQualityError):
-                ExponentialBackoff.restore(dict(good, **corrupt), bo.config)
-        # Absurd attempt counts restore clamped, not crashed.
-        restored = ExponentialBackoff.restore(
-            dict(good, attempt=10 ** 9), bo.config)
-        assert restored.attempt == 10_000
-        assert math.isfinite(restored.on_failure(0.0))
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

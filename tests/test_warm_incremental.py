@@ -6,6 +6,7 @@ service's batched tick dispatch with warm state carried across
 checkpoints.
 """
 
+import contextlib
 import json
 import math
 
@@ -16,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro import obs, perf
 from repro.channel.pathloss import rss_at
+from repro.core import estimator
 from repro.core.estimator import (
+    DEFAULT_N_GRID,
+    WARM_BLOWUP,
+    WARM_FLOOR_DB,
     EllipticalEstimator,
     FitRequest,
     WarmStartState,
@@ -48,7 +53,9 @@ def _assert_fits_identical(a, b):
     assert a.position.x == b.position.x and a.position.y == b.position.y
     assert a.n == b.n and a.gamma == b.gamma and a.epsilon == b.epsilon
     assert np.array_equal(a.residuals, b.residuals)
-    assert a.position_std == b.position_std
+    # A linearised fit computes no covariance: its std is NaN.
+    assert (a.position_std == b.position_std
+            or math.isnan(a.position_std) and math.isnan(b.position_std))
     assert a.cov_status == b.cov_status
     assert a.solver == b.solver
     assert a.warm_started == b.warm_started
@@ -127,8 +134,8 @@ class TestWarmStartFastPath:
                            noise=0.5, rng=rng)
         moved = est.fit(p, q, rss_new, warm=cold.warm)
         assert moved.warm_started
-        assert moved.rss_rmse < max(est.warm_blowup * cold.warm.rss_rmse,
-                                    est.warm_floor_db)
+        assert moved.rss_rmse < max(WARM_BLOWUP * cold.warm.rss_rmse,
+                                    WARM_FLOOR_DB)
 
     def test_recovers_after_rejection(self):
         """Diverge-and-recover: the rejected tick's cold re-fit re-seeds
@@ -166,15 +173,23 @@ class TestWarmStartFastPath:
             _assert_fits_identical(res, est.fit(p, q, rss))
 
     def test_refine_false_uses_linearized_neighbourhood(self):
+        """A linearised fit has no warm neighbourhood: given a warm state
+        it searches the whole exponent grid, bit for bit the fit without
+        one, and judges no warm state."""
         est = EllipticalEstimator(refine=False, gamma_prior=None)
         p, q = _l_walk()
         rss = _rss_for(self.TRUE, p, q, noise=0.3,
                        rng=np.random.default_rng(11))
         cold = est.fit(p, q, rss)
+        obs.reset()
         warm_res = est.fit(p, q, rss, warm=cold.warm)
-        assert warm_res.warm_started
-        assert warm_res.solver == "warm-linearized"
-        assert warm_res.n == pytest.approx(cold.n, abs=est.warm_n_step)
+        judged = [e for e in obs.tail() if e.name.startswith("solver.warm")]
+        obs.reset()
+        assert cold.solver == "linearized"
+        assert cold.n_candidates == len(DEFAULT_N_GRID)
+        _assert_fits_identical(warm_res, cold)
+        assert warm_res.n_candidates == cold.n_candidates
+        assert not judged
 
 
 #: Cold-fit cache for the ragged-batch property: one cold solve per window
@@ -196,9 +211,17 @@ def _pooled_request(n_samples):
 
 #: A warm state even a converged warm fit rejects as a residual blow-up:
 #: it sits near the optimum, but no noisy window's RMSE passes its 0.01 dB
-#: residual scale under :data:`_ZERO_FLOOR`'s zero acceptance floor.
+#: residual scale under :func:`_zero_floor`'s zero acceptance floor.
 _STALE = WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=2.0, rss_rmse=0.01)
-_ZERO_FLOOR = EllipticalEstimator(warm_floor_db=0.0)
+
+
+@contextlib.contextmanager
+def _zero_floor():
+    """Warm fits judged against a 0 dB floor
+    (:data:`~repro.core.estimator.WARM_FLOOR_DB`) instead of 4 dB."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "WARM_FLOOR_DB", 0.0)
+        yield
 
 
 class TestFitBatchBitIdentity:
@@ -250,19 +273,20 @@ class TestFitBatchBitIdentity:
             fit_batch([good, bad], default_estimator=est)
 
     def test_rejected_warm_in_batch_matches_sequential_rejection(self):
-        _est, p, q, rss2, _warm = _pooled_request(40)
-        est, stale = _ZERO_FLOOR, _STALE
+        est, p, q, rss2, _warm = _pooled_request(40)
+        stale = _STALE
         req = FitRequest(p=p, q=q, rss=rss2, warm=stale)
-        obs.reset()
-        before = perf.counter_value("solver.warm_rejected")
-        bat = fit_batch([req], default_estimator=est)
-        after = perf.counter_value("solver.warm_rejected")
-        rejections = [e for e in obs.tail()
-                      if e.name == "solver.warm_rejected"]
-        obs.reset()
+        with _zero_floor():
+            obs.reset()
+            before = perf.counter_value("solver.warm_rejected")
+            bat = fit_batch([req], default_estimator=est)
+            after = perf.counter_value("solver.warm_rejected")
+            rejections = [e for e in obs.tail()
+                          if e.name == "solver.warm_rejected"]
+            obs.reset()
+            seq = est.fit(p, q, rss2, warm=stale)
         assert after - before == len(rejections) == 1
         assert rejections[0].fields["reason"] == "residual blow-up"
-        seq = est.fit(p, q, rss2, warm=stale)
         assert not bat[0].warm_started
         _assert_fits_identical(bat[0], seq)
 
@@ -298,17 +322,17 @@ def _mixed_request(kind, n_samples):
         p, q = _l_walk(n=n_samples)
     rss = _rss_for((4.0, -3.0), p, q, noise=1.0, rng=rng)
     warm = None
-    estimator = None
+    override = None
     if kind in ("warm", "straight-warm"):
         warm = est.fit(p, q, rss).warm
         rss = rss + rng.normal(0.0, 0.4, rss.shape)
     elif kind == "rejected":
-        warm, estimator = _STALE, _ZERO_FLOOR
+        warm = _STALE
     elif kind == "unusable":
         warm = list(_UNUSABLE.values())[n_samples % len(_UNUSABLE)]
     elif kind == "nlos-cold":
-        estimator = est.with_environment("NLOS")
-    req = FitRequest(p=p, q=q, rss=rss, warm=warm, estimator=estimator)
+        override = est.with_environment("NLOS")
+    req = FitRequest(p=p, q=q, rss=rss, warm=warm, estimator=override)
     _MIXED_POOL[key] = req
     return req
 
@@ -320,7 +344,9 @@ def _event_count(name):
 class TestMixedBatchBitIdentity:
     """fit_batch ≡ the sequential fit loop for every request kind: cold,
     warm, rejected-warm, unusable-warm, straight-leg (``use_q=False``)
-    and per-request estimator overrides, with ragged window lengths."""
+    and per-request estimator overrides, with ragged window lengths. Warm
+    fits are judged against :func:`_zero_floor`, so :data:`_STALE` is
+    rejected."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_KINDS),
@@ -329,16 +355,17 @@ class TestMixedBatchBitIdentity:
     def test_mixed_kinds_property(self, draws):
         est = EllipticalEstimator()
         requests = [_mixed_request(kind, n) for kind, n in draws]
-        obs.reset()
-        seq = [(r.estimator or est).fit(r.p, r.q, r.rss, warm=r.warm)
-               for r in requests]
-        seq_events = {name: _event_count(name) for name in
-                      ("solver.warm_unusable", "solver.warm_rejected",
-                       "estimator.cov_fallbacks")}
-        obs.reset()
-        bat = fit_batch(requests, default_estimator=est)
-        bat_events = {name: _event_count(name) for name in seq_events}
-        obs.reset()
+        with _zero_floor():
+            obs.reset()
+            seq = [(r.estimator or est).fit(r.p, r.q, r.rss, warm=r.warm)
+                   for r in requests]
+            seq_events = {name: _event_count(name) for name in
+                          ("solver.warm_unusable", "solver.warm_rejected",
+                           "estimator.cov_fallbacks")}
+            obs.reset()
+            bat = fit_batch(requests, default_estimator=est)
+            bat_events = {name: _event_count(name) for name in seq_events}
+            obs.reset()
         for s, b in zip(seq, bat):
             _assert_fits_identical(s, b)
             assert s.n_candidates == b.n_candidates
