@@ -27,8 +27,6 @@ from repro.errors import ConfigurationError, DataQualityError
 from repro.filters.butterworth import ButterworthLowPass, sos_filter
 from repro.filters.kalman import AkfState, adaptive_kalman_fuse
 from repro.filters.smoothing import moving_average
-from repro.robustness.sanitize import check_trace, robust_rate_hz
-from repro.types import RssiTrace
 
 __all__ = ["AdaptiveNoiseFilter", "AnfState", "AnfStream", "RATE_BAND"]
 
@@ -369,31 +367,3 @@ class AdaptiveNoiseFilter:
             raise DataQualityError("ANF stream has akf without an AKF stage")
         return AnfStream(fs_hz, t, raw, out, AnfState(zi=zi, akf=akf_state))
 
-    def apply_trace(self, trace: RssiTrace) -> RssiTrace:
-        """Convenience: filter a trace in place of its RSSI values.
-
-        The filter design needs the trace's sampling rate, derived from the
-        median inter-arrival time (:func:`repro.robustness.robust_rate_hz`)
-        so dropout gaps and coalesced duplicates cannot skew it. A trace
-        from which no rate can be derived (all timestamps identical), or one
-        with unsorted/non-finite data, raises a
-        :class:`~repro.errors.DataQualityError` instead of being filtered
-        with a made-up rate.
-        """
-        if len(trace) < _MIN_FILTER_SAMPLES:
-            return RssiTrace(list(trace.samples))
-        check_trace(trace, context="filter input trace")
-        fs = robust_rate_hz(trace.timestamps())
-        if fs <= 0:
-            raise DataQualityError(
-                "cannot derive a sampling rate: trace timestamps span zero "
-                "duration; sanitize the log or pass values to apply() with "
-                "an explicit fs_hz"
-            )
-        filtered = self.apply(trace.values(), fs)
-        return RssiTrace.from_arrays(
-            trace.timestamps(),
-            filtered,
-            beacon_id=trace.beacon_id,
-            channels=[s.channel for s in trace.samples],
-        )

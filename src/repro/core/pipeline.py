@@ -273,27 +273,6 @@ class LocBLE:
         confidence = estimation_confidence(fit.residuals)
         return self._finish_estimate(prepared.ctx, fit, confidence)
 
-    def estimate_all(
-        self,
-        rssi_traces: "dict[str, RssiTrace]",
-        observer_imu: ImuTrace,
-    ) -> "dict[str, LocationEstimate]":
-        """Estimate every audible beacon from one session's traces.
-
-        Beacons whose trace is too poor to estimate are simply omitted —
-        a multi-beacon scan routinely contains marginal strays.
-        """
-        out: "dict[str, LocationEstimate]" = {}
-        for beacon_id, trace in rssi_traces.items():
-            try:
-                out[beacon_id] = self.estimate(trace, observer_imu)
-            except (ConfigurationError, InsufficientDataError,
-                    EstimationError) as exc:
-                obs.signal("pipeline.beacons_skipped", beacon=str(beacon_id),
-                           reason=type(exc).__name__)
-                continue
-        return out
-
     @perf.profiled("pipeline.LocBLE.estimate_series")
     def estimate_series(
         self,
@@ -540,14 +519,9 @@ class LocBLE:
         warm: Optional[WarmStartState] = None,
     ) -> LocationEstimate:
         estimator = self._resolve_estimator(ctx)
-        with obs.span(
-            "estimator.solve", component="pipeline", env=ctx.env_class
-        ) as sp:
-            fit = estimator.fit(ctx.matched_p, ctx.matched_q, ctx.matched_rss,
-                                warm=ctx.reanchor(warm))
-            confidence = estimation_confidence(fit.residuals)
-            sp.annotate(solver=fit.solver, cov_status=fit.cov_status,
-                        confidence=confidence)
+        fit = estimator.fit(ctx.matched_p, ctx.matched_q, ctx.matched_rss,
+                            warm=ctx.reanchor(warm))
+        confidence = estimation_confidence(fit.residuals)
         return self._finish_estimate(ctx, fit, confidence)
 
     def _finish_estimate(

@@ -61,6 +61,7 @@ from repro.durability.supervisor import (
     RecoveryReport,
     recover,
 )
+from repro.obs.sinks import DURABILITY_POLICIES
 from repro.sim.harness import Audit, ErrorLedger
 from repro.sim.load import LoadConfig, generate_load
 
@@ -99,7 +100,7 @@ class ChaosConfig:
             raise ConfigurationError("torn_write_prob must be in [0, 1]")
         if not 0.0 <= self.bitflip_prob <= 1.0:
             raise ConfigurationError("bitflip_prob must be in [0, 1]")
-        if self.durability not in ("flush", "fsync"):
+        if self.durability not in DURABILITY_POLICIES:
             raise ConfigurationError(
                 "durability must be 'flush' or 'fsync'")
         third = self.ticks // 3

@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
+from repro.obs.sinks import DURABILITY_POLICIES
 
 __all__ = ["CheckpointStore", "SnapshotInfo", "RestoredSnapshot"]
 
@@ -136,7 +137,7 @@ class CheckpointStore:
                  durability: str = "fsync"):
         if retain < 1:
             raise ConfigurationError("retain must be >= 1")
-        if durability not in ("flush", "fsync"):
+        if durability not in DURABILITY_POLICIES:
             raise ConfigurationError(
                 f"durability must be 'flush' or 'fsync', got {durability!r}")
         self.root = Path(root)

@@ -47,6 +47,7 @@ from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
+from repro.obs.sinks import DURABILITY_POLICIES
 from repro.service import ServiceConfig
 from repro.service.session import (
     PipelineFactory,
@@ -69,10 +70,6 @@ __all__ = [
     "snapshot_digest",
     "trace_meta",
 ]
-
-#: Durability policies a :class:`TraceWriter` (and
-#: :class:`~repro.obs.sinks.JsonLinesSink`) can write under.
-DURABILITY_POLICIES = ("flush", "fsync")
 
 #: Schema version written in the trace header.
 TRACE_FORMAT = 1

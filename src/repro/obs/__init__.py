@@ -11,57 +11,43 @@ Like :mod:`repro.perf`, the module doubles as a process-wide facade::
 
     from repro import obs
 
+    sink = obs.add_sink(obs.CountingSink())
     obs.signal("estimator.cov_fallbacks", severity="warning",
                status="rank-deficient", cond=3.2e17)
-
-    with obs.span("pipeline.estimate", beacon="b0") as sp:
-        result = locble.estimate(trace)
-        sp.annotate(confidence=result.confidence)
-
-A bounded :class:`~repro.obs.sinks.RingBufferSink` is always attached, so
-the most recent events are inspectable (``obs.tail()``) even when nothing
-was configured; extra sinks (a :class:`~repro.obs.sinks.JsonLinesSink`
-file, a :class:`~repro.obs.sinks.CountingSink` for tests) attach and detach
-freely. See ``docs/observability.md`` for the event schema and the list of
-signals each component emits.
+    obs.remove_sink(sink)
 
 Every counted occurrence goes through :func:`signal`, the one call that
 writes the owner's checkpointed ledger, the :mod:`repro.perf` counter and
-the event under one name. :func:`emit` is the primitive beneath it and
-beneath spans; nothing outside this package calls it.
+the event under one name; it is the only way an event is made. Events go
+only to the sinks a caller attached (a
+:class:`~repro.obs.sinks.JsonLinesSink` file, a
+:class:`~repro.obs.sinks.CountingSink`, or anything with a
+``write(event)`` method); with none attached, a signal builds no event.
+See ``docs/observability.md`` for the event schema and the list of
+signals each component emits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro import perf
 from repro.obs.events import SEVERITIES, Event, EventLog
 from repro.obs.provenance import FixProvenance
-from repro.obs.sinks import CountingSink, JsonLinesSink, RingBufferSink
-from repro.obs.spans import SpanHandle, current_trace_id, span_context
+from repro.obs.sinks import CountingSink, JsonLinesSink
 
 __all__ = [
     "SEVERITIES",
     "Event",
     "EventLog",
     "FixProvenance",
-    "RingBufferSink",
     "JsonLinesSink",
     "CountingSink",
-    "SpanHandle",
     "log",
-    "ring",
-    "emit",
     "signal",
     "signal_parity",
-    "span",
-    "current_trace_id",
     "add_sink",
     "remove_sink",
-    "tail",
-    "counts",
-    "drain",
     "reset",
     "enable",
     "disable",
@@ -69,30 +55,6 @@ __all__ = [
 
 #: The process-wide event log every instrumented module emits into.
 log = EventLog()
-
-#: The always-attached in-memory tail (``tail()``, ``counts()``, ``drain()``).
-ring: RingBufferSink = log.add_sink(RingBufferSink())
-
-
-def emit(
-    name: str,
-    *,
-    severity: str = "info",
-    component: str = "repro",
-    trace: Optional[str] = None,
-    **fields: Any,
-) -> Optional[Event]:
-    """Emit one event on the default log.
-
-    When no ``trace`` is given, the correlation id of the innermost open
-    :func:`span` (if any) is attached automatically, so leaf emissions
-    inside a solve inherit the solve's id for free.
-    """
-    if trace is None:
-        trace = current_trace_id()
-    return log.emit(
-        name, severity=severity, component=component, trace=trace, **fields
-    )
 
 
 def signal(
@@ -116,8 +78,7 @@ def signal(
     if ledger is not None:
         ledger[key] = ledger.get(key, 0) + n
     perf.count(name, n)
-    if log.enabled:
-        emit(name, severity=severity, component=family, n=n, **fields)
+    log.emit(name, severity=severity, component=family, n=n, **fields)
 
 
 def signal_parity(
@@ -126,26 +87,16 @@ def signal_parity(
     """Every signal in ``sink`` whose volume differs from its perf delta.
 
     ``perf_before`` is ``perf.snapshot()["counters"]`` taken when ``sink``
-    was attached. Each event but ``span`` comes from :func:`signal`, so
-    over a window with both switches on the n-weighted event volume of a
-    name equals the growth of its perf counter; the harnesses gate on an
-    empty result.
+    was attached. Every event comes from :func:`signal`, so over a window
+    with both switches on the n-weighted event volume of a name equals the
+    growth of its perf counter; the harnesses gate on an empty result.
     """
     failures = []
     for name, volume in sorted(sink.volume.items()):
-        if name == "span":
-            continue
         delta = perf.counter_value(name) - perf_before.get(name, 0)
         if volume != delta:
             failures.append(f"{name}: events {volume} != counter {delta}")
     return failures
-
-
-def span(
-    name: str, *, component: str = "repro", **fields: Any
-) -> Iterator[SpanHandle]:
-    """Open a timed, nesting span on the default log (see :mod:`.spans`)."""
-    return span_context(log, name, component=component, **fields)
 
 
 def add_sink(sink: Any) -> Any:
@@ -158,30 +109,13 @@ def remove_sink(sink: Any) -> bool:
     return log.remove_sink(sink)
 
 
-def tail(n: Optional[int] = None) -> List[Event]:
-    """The newest ``n`` events in the default ring (all when ``n`` is None)."""
-    return ring.tail(n)
-
-
-def counts() -> Dict[str, int]:
-    """Event volume per name currently buffered in the default ring."""
-    return ring.counts()
-
-
-def drain() -> List[Event]:
-    """Remove and return everything buffered in the default ring."""
-    return ring.drain()
-
-
 def reset() -> None:
-    """Detach every sink, restart numbering, re-attach a fresh default ring.
+    """Detach every sink, restart numbering and switch events back on.
 
     Test isolation helper — mirrors :func:`repro.perf.reset`.
     """
-    global ring
     log.reset()
     log.enabled = True
-    ring = log.add_sink(RingBufferSink())
 
 
 def enable() -> None:
@@ -189,5 +123,5 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Stop emitting (sinks stay attached; spans still time into perf)."""
+    """Stop emitting (sinks stay attached)."""
     log.disable()

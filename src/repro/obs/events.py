@@ -2,15 +2,15 @@
 
 An :class:`Event` is one JSON-serialisable fact about the running system:
 what happened (``name``), where (``component``), how bad (``severity``),
-when (a monotonic timestamp plus a process-wide sequence number), inside
-which operation (``trace`` — the correlation id of the enclosing span tree)
-and every structured detail the emitter attached (``fields``).
+when (a monotonic timestamp plus a process-wide sequence number) and every
+structured detail the emitter attached (``fields``).
 
 The :class:`EventLog` is deliberately tiny and dependency-free: a lock, a
-sequence counter, and a list of sinks. Emission cost while enabled is one
-dataclass construction plus one fan-out loop; while disabled it is a single
-boolean check, so the instrumented hot paths can keep their events in
-production builds the same way :mod:`repro.perf` keeps its timers.
+sequence counter, and a list of sinks. Emission cost with a sink attached
+is one dataclass construction plus one fan-out loop; while disabled or with
+no sink attached it is a check that builds nothing, so the instrumented hot
+paths can keep their events in production builds the same way
+:mod:`repro.perf` keeps its timers.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Event:
     severity: str
     component: str
     name: str
-    trace: Optional[str] = None
     fields: Mapping[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -80,8 +79,6 @@ class Event:
             "component": self.component,
             "event": self.name,
         }
-        if self.trace is not None:
-            out["trace"] = self.trace
         for key, value in self.fields.items():
             out[str(key)] = _jsonable(value)
         return out
@@ -96,9 +93,8 @@ class EventLog:
     """Thread-safe fan-out of :class:`Event` records to attached sinks.
 
     Sinks are anything with a ``write(event)`` method (see
-    :mod:`repro.obs.sinks`). A sink that raises is detached after counting
-    the failure — observability must degrade, never take the solve path
-    down with it.
+    :mod:`repro.obs.sinks`). A sink that raises is detached — observability
+    must degrade, never take the solve path down with it.
     """
 
     def __init__(self, enabled: bool = True):
@@ -106,7 +102,6 @@ class EventLog:
         self._lock = threading.Lock()
         self._seq = 0
         self._sinks: List[Any] = []
-        self._dropped_sinks = 0
 
     # -- sink management -----------------------------------------------------
 
@@ -129,11 +124,6 @@ class EventLog:
         with self._lock:
             return list(self._sinks)
 
-    @property
-    def dropped_sinks(self) -> int:
-        """How many sinks were detached because their ``write`` raised."""
-        return self._dropped_sinks
-
     # -- emission ------------------------------------------------------------
 
     def emit(
@@ -142,11 +132,13 @@ class EventLog:
         *,
         severity: str = "info",
         component: str = "repro",
-        trace: Optional[str] = None,
         **fields: Any,
     ) -> Optional[Event]:
-        """Record one event; returns it, or ``None`` while disabled."""
-        if not self.enabled:
+        """Record one event; returns it, or ``None`` while disabled or
+        while no sink is attached (no event is built then)."""
+        # Read without the lock: an event racing ``add_sink`` may miss the
+        # new sink, which taking the lock here would not prevent either.
+        if not (self.enabled and self._sinks):
             return None
         if severity not in SEVERITIES:
             severity = "info"
@@ -161,7 +153,6 @@ class EventLog:
             severity=severity,
             component=component,
             name=name,
-            trace=trace,
             fields=fields,
         )
         for sink in sinks:
@@ -171,14 +162,7 @@ class EventLog:
                 with self._lock:
                     if sink in self._sinks:
                         self._sinks.remove(sink)
-                        self._dropped_sinks += 1
         return event
-
-    def next_trace_id(self) -> str:
-        """A fresh correlation id (monotone, process-unique)."""
-        with self._lock:
-            self._seq += 1
-            return f"t{self._seq:08d}"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -193,4 +177,3 @@ class EventLog:
         with self._lock:
             self._sinks.clear()
             self._seq = 0
-            self._dropped_sinks = 0

@@ -3,8 +3,8 @@
 Reads a JSON-lines event log (written by
 :class:`~repro.obs.sinks.JsonLinesSink`, e.g. via
 ``python -m repro soak --events-log events.jsonl``) and prints a summary —
-event volume by name and severity, per-fix provenance statistics, span
-timing aggregates — followed by a tail of the newest records. Malformed
+event volume by name and severity and per-fix provenance statistics —
+followed by a tail of the newest records. Malformed
 lines are counted, never fatal: a report over a partially-written log from
 a crashed process is exactly when this tool is needed most.
 """
@@ -44,7 +44,6 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate a record list into the report's summary structure."""
     by_name: Dict[str, int] = {}
     by_severity: Dict[str, int] = {}
-    spans: Dict[str, Dict[str, float]] = {}
     provenance = {
         "fixes": 0,
         "degraded": 0,
@@ -57,14 +56,6 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         by_name[name] = by_name.get(name, 0) + 1
         severity = str(r.get("severity", "?"))
         by_severity[severity] = by_severity.get(severity, 0) + 1
-        if name == "span" and "span" in r:
-            agg = spans.setdefault(
-                str(r["span"]), {"count": 0, "total_s": 0.0, "errors": 0}
-            )
-            agg["count"] += 1
-            agg["total_s"] += float(r.get("duration_s", 0.0) or 0.0)
-            if r.get("status") == "error":
-                agg["errors"] += 1
         if name == "service.fixes_accepted":
             provenance["fixes"] += 1
             if r.get("degraded"):
@@ -77,17 +68,8 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         "n_events": len(records),
         "by_name": by_name,
         "by_severity": by_severity,
-        "spans": spans,
         "provenance": provenance,
     }
-
-
-def _fmt_seconds(s: float) -> str:
-    if s >= 1.0:
-        return f"{s:.2f} s"
-    if s >= 1e-3:
-        return f"{s * 1e3:.2f} ms"
-    return f"{s * 1e6:.1f} us"
 
 
 def format_summary(
@@ -124,29 +106,13 @@ def format_summary(
                      f"  env restarts: {prov['env_restarts']}")
         lines.append(f"  mean confidence: {mean_conf:.3f}")
 
-    spans = summary["spans"]
-    if spans:
-        lines.append("")
-        lines.append("  -- spans --")
-        name_w = max(len(n) for n in spans) + 2
-        lines.append(f"  {'span'.ljust(name_w)}{'calls':>8}{'total':>12}"
-                     f"{'mean':>12}{'errors':>8}")
-        for name in sorted(spans):
-            agg = spans[name]
-            mean = agg["total_s"] / agg["count"] if agg["count"] else 0.0
-            lines.append(
-                f"  {name.ljust(name_w)}{int(agg['count']):>8}"
-                f"{_fmt_seconds(agg['total_s']):>12}"
-                f"{_fmt_seconds(mean):>12}{int(agg['errors']):>8}"
-            )
-
     if tail:
         lines.append("")
         lines.append(f"  -- last {len(tail)} events --")
         for r in tail:
             fields = {k: v for k, v in r.items()
                       if k not in ("seq", "t_mono", "wall", "severity",
-                                   "component", "event", "trace")}
+                                   "component", "event")}
             detail = " ".join(f"{k}={v}" for k, v in fields.items())
             lines.append(
                 f"  #{r.get('seq', '?')} [{r.get('severity', '?')}] "

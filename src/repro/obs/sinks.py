@@ -1,10 +1,8 @@
 """Event sinks: where :class:`~repro.obs.events.Event` records go.
 
-Three sinks cover the deployment shapes the ROADMAP cares about:
+A sink is anything with a ``write(event)`` method; events reach only the
+sinks a caller attached (``obs.add_sink``). Two ship with the package:
 
-* :class:`RingBufferSink` — the always-on in-memory tail. Bounded (so a
-  year-long service cannot leak), drainable (``obs.drain()``), and cheap
-  enough to leave attached forever.
 * :class:`JsonLinesSink` — the durable machine-readable log: one JSON
   object per line, flushed per event so a crash loses at most the record
   being written. This is the format ``python -m repro obs report`` reads.
@@ -17,60 +15,18 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import Counter, deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Union
+from typing import Dict, Union
 
 from repro.obs.events import Event
 
-__all__ = ["RingBufferSink", "JsonLinesSink", "CountingSink"]
+__all__ = ["DURABILITY_POLICIES", "JsonLinesSink", "CountingSink"]
 
-#: Durability policies for :class:`JsonLinesSink` (mirrors
-#: :class:`repro.gateway.TraceWriter`): ``"flush"`` survives a process
-#: crash, ``"fsync"`` additionally survives an OS/power crash.
+#: Write-durability policies shared by :class:`JsonLinesSink`,
+#: :class:`repro.gateway.TraceWriter` and
+#: :class:`repro.durability.CheckpointStore`: ``"flush"`` survives a
+#: process crash, ``"fsync"`` additionally survives an OS/power crash.
 DURABILITY_POLICIES = ("flush", "fsync")
-
-
-class RingBufferSink:
-    """Keeps the most recent ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int = 8192):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._events: Deque[Event] = deque(maxlen=self.capacity)
-        self.total = 0  # every event ever written, including evicted ones
-
-    def write(self, event: Event) -> None:
-        with self._lock:
-            self._events.append(event)
-            self.total += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def tail(self, n: Optional[int] = None) -> List[Event]:
-        """The newest ``n`` events, oldest first (all when ``n`` is None)."""
-        with self._lock:
-            events = list(self._events)
-        return events if n is None else events[-n:]
-
-    def drain(self) -> List[Event]:
-        """Remove and return every buffered event, oldest first."""
-        with self._lock:
-            events = list(self._events)
-            self._events.clear()
-        return events
-
-    def counts(self) -> Dict[str, int]:
-        """Buffered event volume per event name."""
-        return dict(Counter(e.name for e in self.tail()))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
 
 
 class JsonLinesSink:

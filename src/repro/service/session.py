@@ -504,13 +504,10 @@ class TrackingSession:
         """
         t = pending.t
         try:
-            with obs.span(
-                "session.solve", component="service", beacon=self.beacon_id
-            ):
-                if isinstance(fit, BaseException):
-                    raise fit
-                est = self.pipeline.complete_estimate(pending.prepared, fit)
-                self.tracker.update(t, est)
+            if isinstance(fit, BaseException):
+                raise fit
+            est = self.pipeline.complete_estimate(pending.prepared, fit)
+            self.tracker.update(t, est)
         except (DataQualityError, InsufficientDataError, EstimationError) as exc:
             self._solve_failed(t, exc)
         else:

@@ -51,7 +51,6 @@ class _StationaryTrial:
 
     scenario: Scenario
     pipeline_factory: Optional[Callable[[], LocBLE]]
-    use_env_prior: bool
     env: str
     legs: Tuple[float, float]
     fault_model: Optional[FaultModel] = None
@@ -71,11 +70,9 @@ class _StationaryTrial:
             trace = self.fault_model.apply(trace, rng)
         if self.pipeline_factory is not None:
             pipeline = self.pipeline_factory()
-        elif self.use_env_prior:
+        else:
             pipeline = LocBLE(
                 estimator=EllipticalEstimator().with_environment(self.env))
-        else:
-            pipeline = LocBLE()
         truth = rec.true_position_in_frame("target")
         if faulted:
             # Degraded inputs go through the graceful path: sanitization plus
@@ -114,7 +111,6 @@ def stationary_trials(
     scenario: Scenario,
     seeds: Iterable[int],
     pipeline_factory: Optional[Callable[[], LocBLE]] = None,
-    use_env_prior: bool = True,
     legs: Tuple[float, float] = (2.8, 2.2),
     failure_value: Optional[float] = None,
     max_workers: Optional[int] = None,
@@ -124,9 +120,9 @@ def stationary_trials(
     """Run seeded stationary-target measurements; return per-trial errors.
 
     ``failure_value`` replaces trials where the pipeline refuses to estimate
-    (None drops them). With ``use_env_prior`` the estimator is configured
-    with the scenario's true dominant environment class — what EnvAware
-    would supply at runtime.
+    (None drops them). Without a ``pipeline_factory`` the estimator is
+    configured with the scenario's true dominant environment class — what
+    EnvAware would supply at runtime.
 
     ``fault_model`` (a :class:`repro.sim.faults.FaultModel`) degrades each
     trial's trace — bursty loss, outages, clock faults, spikes — before
@@ -146,7 +142,6 @@ def stationary_trials(
     trial = _StationaryTrial(
         scenario=scenario,
         pipeline_factory=pipeline_factory,
-        use_env_prior=use_env_prior,
         env=env,
         legs=(float(legs[0]), float(legs[1])),
         fault_model=fault_model,

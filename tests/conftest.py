@@ -1,12 +1,16 @@
-"""Shared fixtures: deterministic RNGs and an expensive-to-train EnvAware."""
+"""Shared fixtures: deterministic RNGs, an expensive-to-train EnvAware and
+a recording event sink."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from repro.core.envaware import EnvAwareClassifier
 from repro.sim.datasets import EnvDatasetBuilder
+from tests.stubs import RecordingSink, recording
 
 
 @pytest.fixture
@@ -21,3 +25,10 @@ def trained_envaware() -> EnvAwareClassifier:
     builder = EnvDatasetBuilder(np.random.default_rng(99))
     windows, labels = builder.build(sessions_per_class=6)
     return EnvAwareClassifier().fit(windows, labels)
+
+
+@pytest.fixture
+def recorded() -> Iterator[RecordingSink]:
+    """Every event emitted while the test runs."""
+    with recording() as sink:
+        yield sink

@@ -11,15 +11,21 @@ sufficiency rule does; scripted solve failures are raised from
 ``complete_estimate``, so they reach
 :meth:`~repro.service.TrackingSession.resolve_solve` the same way real
 solver failures do.
+
+:class:`RecordingSink` is the one event sink the tests read events from;
+the ``recorded`` fixture in ``conftest.py`` attaches one for a test, and
+:func:`recording` attaches one for a block.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterator, List, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.channel.pathloss import rss_at
 from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
 from repro.errors import (
@@ -110,3 +116,32 @@ def step_session(session, t, imu):
         fit = fit_batch([pending.request], return_exceptions=True)[0]
         session.resolve_solve(pending, fit)
     return session.finish_step(t)
+
+
+class RecordingSink:
+    """Keeps every event the process event log sends it, oldest first."""
+
+    def __init__(self) -> None:
+        self.events: List[Any] = []
+
+    def write(self, event) -> None:
+        self.events.append(event)
+
+    def named(self, name: str) -> List[Any]:
+        """The recorded events called ``name``, oldest first."""
+        return [e for e in self.events if e.name == name]
+
+    def drain(self) -> List[Any]:
+        """Remove and return every recorded event, oldest first."""
+        events, self.events = self.events, []
+        return events
+
+
+@contextmanager
+def recording() -> Iterator[RecordingSink]:
+    """A :class:`RecordingSink` attached to the process log for a block."""
+    sink = obs.add_sink(RecordingSink())
+    try:
+        yield sink
+    finally:
+        obs.remove_sink(sink)

@@ -29,7 +29,7 @@ from repro.service import (
     TrackingSession,
 )
 from repro.types import ImuSample, RssiSample
-from tests.stubs import ScriptedPipeline
+from tests.stubs import ScriptedPipeline, recording
 
 ALLOWED = (DataQualityError, ConfigurationError)
 
@@ -237,7 +237,6 @@ def test_checkpoint_without_a_stream_refilters_from_rest():
     noise filter's stream restores with none, and the next solve filters
     its window from rest (one ``no-state`` reset); the twin restored with
     its stream carries on without one."""
-    from repro import obs
     from repro.core.anf import AdaptiveNoiseFilter
 
     session, step = _real_session()
@@ -247,15 +246,12 @@ def test_checkpoint_without_a_stream_refilters_from_rest():
     outcomes = {}
     for name, cp in (("legacy", legacy), ("current", current)):
         restored = TrackingSession.restore(json.loads(json.dumps(cp)))
-        ring = obs.add_sink(obs.RingBufferSink())
-        try:
+        with recording() as sink:
             pending = next(p for p in (step(restored, t)
                                        for t in (13.0, 14.0, 15.0))
                            if p is not None)
-        finally:
-            obs.remove_sink(ring)
-        reasons = [e.fields["reason"] for e in ring.tail()
-                   if e.name == "pipeline.anf_resets"]
+        reasons = [e.fields["reason"]
+                   for e in sink.named("pipeline.anf_resets")]
         outcomes[name] = (reasons, pending.prepared.ctx)
     reasons, ctx = outcomes["legacy"]
     assert reasons == ["no-state"]

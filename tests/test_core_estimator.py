@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import perf
 from repro.channel.pathloss import rss_at
 from repro.core.confidence import estimation_confidence
 from repro.core.estimator import EllipticalEstimator
@@ -205,28 +205,23 @@ class TestCovarianceConditioning:
         assert r.cov_status in ("rank-deficient", "capped")
         assert r.position_std == EllipticalEstimator.POS_STD_CAP
 
-    def test_collinear_fallback_is_evented_and_counted(self):
-        obs.reset()
+    def test_collinear_fallback_is_evented_and_counted(self, recorded):
         before = perf.counter_value("estimator.cov_fallbacks")
         self._fit_straight_walk()
         after = perf.counter_value("estimator.cov_fallbacks")
-        events = [e for e in obs.tail()
-                  if e.name == "estimator.cov_fallbacks"]
+        events = recorded.named("estimator.cov_fallbacks")
         assert after - before == 1
         assert len(events) == 1
         assert events[0].severity == "warning"
         assert events[0].fields["status"] in ("rank-deficient", "capped")
         assert events[0].fields["position_std"] == (
             EllipticalEstimator.POS_STD_CAP)
-        obs.reset()
 
-    def test_healthy_walk_emits_no_fallback_event(self):
-        obs.reset()
+    def test_healthy_walk_emits_no_fallback_event(self, recorded):
         p, q = _l_walk_displacements()
         EllipticalEstimator(gamma_prior=None).fit(
             p, q, _rss_for((4.0, 3.0), p, q))
-        assert all(e.name != "estimator.cov_fallbacks" for e in obs.tail())
-        obs.reset()
+        assert recorded.named("estimator.cov_fallbacks") == []
 
 
 class TestVectorizedGridSearch:

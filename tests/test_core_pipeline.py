@@ -56,15 +56,6 @@ class TestANF:
         for out in (bf_only, akf_only, both):
             assert np.std(out[50:]) < np.std(x[50:])
 
-    def test_apply_trace_preserves_metadata(self, rng):
-        ts = np.arange(30) / 9.0
-        trace = RssiTrace.from_arrays(ts, rng.normal(-70, 2, 30), "bx",
-                                      channels=[38] * 30)
-        out = AdaptiveNoiseFilter().apply_trace(trace)
-        assert out.beacon_id == "bx"
-        assert [s.channel for s in out.samples] == [38] * 30
-        assert np.array_equal(out.timestamps(), trace.timestamps())
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             AdaptiveNoiseFilter().apply(np.zeros(20), 0.0)

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro import obs, perf
+from repro import perf
 from repro.durability import store as store_module
 from repro.durability import (
     ChaosConfig,
@@ -339,7 +339,7 @@ class TestSharedSolveContainment:
         return sup, got, want, set(early), set(late)
 
     def test_shared_solve_failure_fails_only_requesting_shards(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, recorded):
         import repro.service.service as service_module
 
         raised = []
@@ -352,14 +352,9 @@ class TestSharedSolveContainment:
         def arm(sup):
             monkeypatch.setattr(service_module, "fit_batch", fit_batch_once)
 
-        ring = obs.add_sink(obs.RingBufferSink())
-        try:
-            sup, got, want, early, late = self._run(tmp_path, 5, arm)
-        finally:
-            obs.remove_sink(ring)
+        sup, got, want, early, late = self._run(tmp_path, 5, arm)
         assert raised == [4]  # the four sessions of shards 0 and 1
-        failed = [e.fields for e in ring.tail()
-                  if e.name == "supervisor.shard_failed"]
+        failed = [e.fields for e in recorded.named("supervisor.shard_failed")]
         assert [(f["shard"], f["typed"], f["error"]) for f in failed] == [
             (0, False, "RuntimeError"), (1, False, "RuntimeError")]
         # Shard 2 had no request in the failed batch and kept serving.

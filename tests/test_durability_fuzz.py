@@ -26,13 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.durability import CheckpointStore
 from repro.errors import ConfigurationError, DataQualityError
 from repro.gateway import IngestionGateway, TraceWriter, trace_meta
 from repro.gateway.gateway import GatewayConfig
 from repro.gateway.trace import recover_trace
 from repro.types import RssiSample
+from tests.stubs import recording
 
 ALLOWED = (DataQualityError, ConfigurationError)
 
@@ -140,24 +140,21 @@ class TestStoreCorruptionFuzz:
         twin_root = tmp_path_factory.mktemp("twin")
         live = CheckpointStore(str(live_root), retain=N_GENERATIONS,
                                durability="flush")
-        ring = obs.add_sink(obs.RingBufferSink())
-        try:
+        with recording() as sink:
             for step in range(len(ops) + N_GENERATIONS):
                 if step >= N_GENERATIONS:
                     op = ops[step - N_GENERATIONS]
                     _apply(str(live_root), op)
                     _apply(str(twin_root), op)
                 payload = {"generation": step}
-                ring.drain()
+                sink.drain()
                 live.save("fleet", payload, tick=step)
-                live_events = _durability_events(ring.drain())
+                live_events = _durability_events(sink.drain())
                 CheckpointStore(str(twin_root), retain=N_GENERATIONS,
                                 durability="flush").save(
                                     "fleet", payload, tick=step)
-                assert _durability_events(ring.drain()) == live_events
+                assert _durability_events(sink.drain()) == live_events
                 assert _tree(live_root) == _tree(twin_root), step
-        finally:
-            obs.remove_sink(ring)
 
 
 def _durability_events(events):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from repro import obs
 from repro.core.anf import AdaptiveNoiseFilter, AnfState
 from repro.errors import ConfigurationError
 from repro.filters.butterworth import (
@@ -25,6 +24,7 @@ from repro.filters.kalman import (
     adaptive_kalman_fuse,
 )
 from repro.filters.smoothing import differentiate, moving_average, moving_median
+from tests.stubs import recording
 
 
 # -- retained references ------------------------------------------------------
@@ -384,13 +384,10 @@ class TestAnfStream:
 
 def _resets(fn):
     """The ``pipeline.anf_resets`` reasons signalled while ``fn`` runs."""
-    ring = obs.add_sink(obs.RingBufferSink())
-    try:
+    with recording() as sink:
         result = fn()
-    finally:
-        obs.remove_sink(ring)
-    return result, [e.fields["reason"] for e in ring.tail()
-                    if e.name == "pipeline.anf_resets"]
+    return result, [e.fields["reason"]
+                    for e in sink.named("pipeline.anf_resets")]
 
 
 class TestAnfStreamResets:

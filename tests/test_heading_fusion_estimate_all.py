@@ -1,18 +1,15 @@
-"""Tests for the complementary heading filter and estimate_all."""
+"""Tests for the complementary heading filter."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import LocBLE
 from repro.errors import ConfigurationError
 from repro.imu.sensors import ImuSynthesizer
 from repro.motion.headingfusion import ComplementaryHeadingFilter
-from repro.sim.simulator import BeaconSpec, Simulator
-from repro.types import ImuSample, ImuTrace, RssiTrace, Vec2
+from repro.types import ImuSample, ImuTrace, Vec2
 from repro.world.geometry import wrap_angle
-from repro.world.scenarios import scenario
 from repro.world.trajectory import l_shape, straight_walk
 
 
@@ -55,33 +52,3 @@ class TestComplementaryHeadingFilter:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ComplementaryHeadingFilter(mag_time_constant_s=0.0)
-
-
-class TestEstimateAll:
-    def test_estimates_every_good_beacon(self):
-        rng = np.random.default_rng(5)
-        sc = scenario(1)
-        sim = Simulator(sc.floorplan, rng)
-        walk = l_shape(sc.observer_start, sc.observer_heading_rad)
-        rec = sim.simulate(walk, [
-            BeaconSpec("a", position=sc.beacon_position),
-            BeaconSpec("b", position=sc.beacon_position + Vec2(0.5, -0.4)),
-        ])
-        results = LocBLE().estimate_all(rec.rssi_traces,
-                                        rec.observer_imu.trace)
-        assert set(results) == {"a", "b"}
-        for bid, est in results.items():
-            assert est.error_to(rec.true_position_in_frame(bid)) < 6.0
-
-    def test_marginal_beacons_omitted_not_fatal(self):
-        rng = np.random.default_rng(6)
-        sc = scenario(1)
-        sim = Simulator(sc.floorplan, rng)
-        walk = l_shape(sc.observer_start, sc.observer_heading_rad)
-        rec = sim.simulate(walk, [
-            BeaconSpec("good", position=sc.beacon_position)])
-        traces = dict(rec.rssi_traces)
-        traces["stray"] = RssiTrace(rec.rssi_traces["good"].samples[:3])
-        results = LocBLE().estimate_all(traces, rec.observer_imu.trace)
-        assert "good" in results
-        assert "stray" not in results

@@ -1,8 +1,8 @@
 """Tests for the structured observability layer (:mod:`repro.obs`).
 
-Covers the event log core, the three sinks, nesting spans, per-fix
-provenance records, the report renderer — and the soak-level cross-check
-that every counted failure path also produced exactly one event.
+Covers the event log core, the sinks, per-fix provenance records, the
+report renderer — and the soak-level cross-check that every counted
+failure path also produced exactly one event.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.obs import (
     EventLog,
     FixProvenance,
     JsonLinesSink,
-    RingBufferSink,
 )
 from repro.obs.report import (
     format_summary,
@@ -25,13 +24,11 @@ from repro.obs.report import (
     main as report_main,
     summarize_events,
 )
-from repro.obs.spans import span_context
-from repro.perf import PerfRegistry
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    """Isolate every test from the process-global log and ring."""
+    """Isolate every test from the process-global log."""
     obs.reset()
     yield
     obs.reset()
@@ -41,13 +38,12 @@ class TestEvent:
     def _sample(self, **fields):
         return Event(seq=3, t_mono=1.5, wall=1700000000.0, severity="warning",
                      component="estimator", name="cov_fallback",
-                     trace="t00000001", fields=fields)
+                     fields=fields)
 
     def test_as_dict_flattens_fields(self):
         d = self._sample(status="capped", cond=2.5e14).as_dict()
         assert d["event"] == "cov_fallback"
         assert d["severity"] == "warning"
-        assert d["trace"] == "t00000001"
         assert d["status"] == "capped"
         assert d["cond"] == 2.5e14
 
@@ -69,6 +65,7 @@ class TestEvent:
 class TestEventLog:
     def test_emit_returns_event_and_numbers_monotonically(self):
         log = EventLog()
+        log.add_sink(CountingSink())
         a = log.emit("first")
         b = log.emit("second")
         assert a.name == "first" and b.seq > a.seq
@@ -83,7 +80,25 @@ class TestEventLog:
         assert sink.by_name == {"loud": 1}
 
     def test_unknown_severity_coerced_to_info(self):
-        assert EventLog().emit("e", severity="catastrophic").severity == "info"
+        log = EventLog()
+        log.add_sink(CountingSink())
+        assert log.emit("e", severity="catastrophic").severity == "info"
+
+    def test_no_event_is_built_without_a_sink(self, monkeypatch):
+        from repro.obs import events
+
+        def no_event(*args, **kwargs):
+            raise AssertionError("built an Event with no sink attached")
+
+        monkeypatch.setattr(events, "Event", no_event)
+        log = EventLog()
+        assert log.emit("unheard", k=1) is None
+        obs.signal("test.unheard", beacon="b0")
+        sink = log.add_sink(CountingSink())
+        with pytest.raises(AssertionError):  # a listening sink gets one
+            log.emit("heard")
+        log.remove_sink(sink)
+        assert log.emit("unheard-again") is None
 
     def test_raising_sink_is_detached_not_fatal(self):
         class Broken:
@@ -96,37 +111,8 @@ class TestEventLog:
         event = log.emit("survives")
         assert event is not None
         assert broken not in log.sinks()
-        assert log.dropped_sinks == 1
         log.emit("still-works")
         assert good.count("survives") == 1 and good.count("still-works") == 1
-
-    def test_trace_ids_are_unique(self):
-        log = EventLog()
-        ids = {log.next_trace_id() for _ in range(50)}
-        assert len(ids) == 50
-
-
-class TestRingBufferSink:
-    def test_bounded_eviction_keeps_newest(self):
-        log = EventLog()
-        ring = log.add_sink(RingBufferSink(capacity=3))
-        for i in range(5):
-            log.emit(f"e{i}")
-        assert [e.name for e in ring.tail()] == ["e2", "e3", "e4"]
-        assert ring.total == 5
-
-    def test_drain_empties_the_ring(self):
-        log = EventLog()
-        ring = log.add_sink(RingBufferSink())
-        log.emit("a")
-        log.emit("a")
-        assert ring.counts() == {"a": 2}
-        assert [e.name for e in ring.drain()] == ["a", "a"]
-        assert len(ring) == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
 
 
 class TestJsonLinesSink:
@@ -147,45 +133,6 @@ class TestJsonLinesSink:
         sink.close()
         sink.close()
         assert not (tmp_path / "never.jsonl").exists()
-
-
-class TestSpans:
-    def test_events_inside_span_inherit_its_trace(self):
-        with obs.span("outer", component="test"):
-            inner = obs.emit("leaf")
-        closing = obs.tail()[-1]
-        assert closing.name == "span"
-        assert inner.trace == closing.trace is not None
-
-    def test_nested_spans_share_trace_and_report_depth(self):
-        with obs.span("outer") as sp_out:
-            with obs.span("inner") as sp_in:
-                assert sp_in.trace_id == sp_out.trace_id
-        inner_ev, outer_ev = obs.tail()[-2:]
-        assert inner_ev.fields["span"] == "inner"
-        assert inner_ev.fields["depth"] == 1
-        assert outer_ev.fields["depth"] == 0
-
-    def test_duration_recorded_into_perf_registry(self):
-        registry = PerfRegistry()
-        log = EventLog()
-        with span_context(log, "timed.op", perf_registry=registry):
-            pass
-        assert registry.snapshot()["timers"]["timed.op"]["count"] == 1
-
-    def test_annotate_lands_on_closing_event(self):
-        with obs.span("solve") as sp:
-            sp.annotate(confidence=0.93)
-        assert obs.tail()[-1].fields["confidence"] == 0.93
-
-    def test_exception_propagates_and_span_reports_error(self):
-        with pytest.raises(ValueError):
-            with obs.span("doomed"):
-                raise ValueError("boom")
-        closing = obs.tail()[-1]
-        assert closing.severity == "warning"
-        assert closing.fields["status"] == "error"
-        assert closing.fields["error"] == "ValueError"
 
 
 class TestFixProvenance:
@@ -214,18 +161,25 @@ class TestFixProvenance:
         json.dumps(fields)
 
 
+#: An event log in the format written before spans were retired: a fix
+#: and a ``span`` record sharing a ``trace`` id, then a shed.
+_SPAN_ERA_LOG = "\n".join([
+    '{"seq":2,"t_mono":10.5,"wall":1700000000.0,"severity":"info",'
+    '"component":"service","event":"service.fixes_accepted",'
+    '"trace":"t00000001","n":1,"confidence":0.9,"cov_fallback":true,'
+    '"env_restarts":1,"degraded":false}',
+    '{"seq":3,"t_mono":10.6,"wall":1700000000.1,"severity":"info",'
+    '"component":"service","event":"span","trace":"t00000001",'
+    '"span":"session.solve","beacon":"b0","duration_s":0.0012,"depth":0,'
+    '"status":"ok"}',
+    '{"seq":4,"t_mono":10.7,"wall":1700000000.2,"severity":"warning",'
+    '"component":"service","event":"service.shed.rss","n":1}',
+]) + "\n"
+
+
 class TestReport:
     def _write_log(self, path):
-        log = EventLog()
-        with JsonLinesSink(path) as sink:
-            log.add_sink(sink)
-            with span_context(log, "session.solve",
-                             perf_registry=PerfRegistry()):
-                log.emit("service.fixes_accepted", component="service",
-                         confidence=0.9, cov_fallback=True, env_restarts=1,
-                         degraded=False)
-            log.emit("service.shed.rss.b0", severity="warning",
-                     component="service")
+        path.write_text(_SPAN_ERA_LOG, encoding="utf-8")
 
     def test_summarize_counts_spans_and_provenance(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -235,7 +189,7 @@ class TestReport:
         summary = summarize_events(records)
         assert summary["n_events"] == 3
         assert summary["by_name"]["service.fixes_accepted"] == 1
-        assert summary["spans"]["session.solve"]["count"] == 1
+        assert summary["by_name"]["span"] == 1
         assert summary["provenance"]["fixes"] == 1
         assert summary["provenance"]["cov_fallbacks"] == 1
         assert summary["provenance"]["env_restarts"] == 1
@@ -257,7 +211,6 @@ class TestReport:
                               malformed=malformed)
         assert "events by name" in text
         assert "fix provenance" in text
-        assert "spans" in text
         assert "last 2 events" in text
 
     def test_main_exit_codes(self, tmp_path, capsys):
@@ -268,6 +221,31 @@ class TestReport:
         assert report_main([str(path), "--tail", "1"]) == 0
         out = capsys.readouterr().out
         assert "repro obs event-log report" in out
+
+    def test_cli_renders_a_span_era_log(self, tmp_path):
+        """``python -m repro obs report`` still reads a log with ``span``
+        records and ``trace`` keys: it counts them by name."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        path = tmp_path / "ev.jsonl"
+        self._write_log(path)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "obs", "report", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == 0, out.stderr[-800:]
+        section = out.stdout.split("-- events by name --\n", 1)[1]
+        counts = dict(line.split() for line in
+                      section.split("\n\n", 1)[0].splitlines())
+        assert counts == {"service.fixes_accepted": "1", "span": "1",
+                          "service.shed.rss": "1"}
+        assert "fixes: 1" in out.stdout
 
 
 class TestSoakEventCrossCheck:
@@ -301,9 +279,8 @@ class TestSoakEventCrossCheck:
             records = [json.loads(line) for line in fh if line.strip()]
         volume = {}
         for r in records:
-            if r["event"] != "span":
-                volume[r["event"]] = volume.get(r["event"], 0) + r["n"]
-        assert set(volume) == set(result.events) - {"span"}
+            volume[r["event"]] = volume.get(r["event"], 0) + r.get("n", 1)
+        assert set(volume) == set(result.events)
         assert "service.solves_attempted" in volume
         for name, n in volume.items():
             assert n == result.perf_counters.get(name, 0), name
@@ -319,6 +296,29 @@ class TestSoakEventCrossCheck:
         for r in prov:
             assert r["beacon_id"] == "b0"
             assert "cov_fallback" in r and "confidence" in r
+
+
+class TestEveryEventIsASignal:
+    """No event bypasses :func:`repro.obs.signal`: over a seeded fleet
+    replay on the real pipeline, each event name's n-weighted volume is
+    exactly its perf counter's growth, with no name exempt."""
+
+    def test_fleet_replay_volume_equals_perf_delta(self):
+        from repro.fleet import FleetConfig, TrackingFleet
+        from repro.sim.harness import Audit
+        from repro.sim.load import LoadConfig, generate_load
+
+        stream = generate_load(LoadConfig(
+            duration_s=12.0, n_beacons=3, template_beacons=2, seed=5))
+        fleet = TrackingFleet(FleetConfig(n_shards=2))
+        with Audit() as audit:
+            for t, scans, imu in stream.ticks:
+                fleet.ingest_scans(scans)
+                fleet.ingest_imu(imu)
+                fleet.tick(t)
+        assert audit.volume["service.solves_attempted"] > 0
+        assert {name: audit.perf_delta.get(name, 0)
+                for name in audit.volume} == audit.volume
 
 
 class TestSwitchesNeverChangeState:
@@ -369,7 +369,7 @@ class TestSwitchesNeverChangeState:
         assert (json.dumps(off.checkpoint(), sort_keys=True)
                 == json.dumps(on.checkpoint(), sort_keys=True))
 
-    def test_kernel_counters_move_only_with_perf_on(self):
+    def test_kernel_counters_move_only_with_perf_on(self, recorded):
         """The LM kernel's plain perf counters (no event, no ledger) count
         iterations, ``max_iter`` calls, seed rows and normal-equation
         rows; switching telemetry off freezes them and leaves every fit
@@ -402,7 +402,7 @@ class TestSwitchesNeverChangeState:
         assert grew_on[0] > 0 and 0 <= grew_on[1] <= 1
         assert 0 < grew_on[2] <= grew_on[3]
         assert grew_off == [0, 0, 0, 0]
-        assert obs.counts().get("estimator.lm_iterations", 0) == 0
+        assert recorded.named("estimator.lm_iterations") == []
         assert (off.position, off.n, off.gamma) == (on.position, on.n,
                                                     on.gamma)
         assert np.array_equal(off.residuals, on.residuals)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, perf
+from repro import perf
 from repro.channel.pathloss import rss_at
 from repro.baselines.particle import ParticleEstimator
 from repro.errors import DataQualityError, EstimationError
@@ -43,13 +43,6 @@ def _converged(seed=0, sanitize="strict") -> ParticleEstimator:
     return pf
 
 
-@pytest.fixture(autouse=True)
-def clean_obs():
-    obs.reset()
-    yield
-    obs.reset()
-
-
 class TestPosteriorWipeRegression:
     def test_junk_reading_does_not_wipe_history(self):
         """The headline regression: the old code wiped the posterior and
@@ -64,7 +57,8 @@ class TestPosteriorWipeRegression:
         assert after.position.x == before.position.x
         assert after.position.y == before.position.y
 
-    def test_degenerate_weights_keep_pre_update_posterior(self, monkeypatch):
+    def test_degenerate_weights_keep_pre_update_posterior(self, monkeypatch,
+                                                          recorded):
         """Force the degenerate-weight branch itself (screening normally
         stops anything that could reach it) and check it drops only the
         offending reading — evented and counted, posterior intact."""
@@ -82,7 +76,7 @@ class TestPosteriorWipeRegression:
         assert after.position.y == before.position.y
         assert (perf.counter_value("solver.particle_degenerate")
                 == counter_before + 1)
-        assert obs.counts().get("solver.particle_degenerate") == 1
+        assert len(recorded.named("solver.particle_degenerate")) == 1
 
     def test_strict_mode_raises_typed_on_junk(self):
         pf = _converged(sanitize="strict")
@@ -94,7 +88,7 @@ class TestPosteriorWipeRegression:
             pf.update(0.0, 0.0, -1.0e200)  # implausible RSS band
         pf.estimate()  # posterior untouched by the refused readings
 
-    def test_repair_mode_skips_and_counts(self):
+    def test_repair_mode_skips_and_counts(self, recorded):
         pf = _converged(sanitize="repair")
         counter_before = perf.counter_value("solver.particle_skipped")
         taken = pf.update_batch(
@@ -104,9 +98,9 @@ class TestPosteriorWipeRegression:
         assert pf.n_skipped == 2
         assert (perf.counter_value("solver.particle_skipped")
                 == counter_before + 2)
-        assert obs.counts().get("solver.particle_skipped") == 2
+        assert len(recorded.named("solver.particle_skipped")) == 2
 
-    def test_explicit_reset_is_still_a_full_restart(self):
+    def test_explicit_reset_is_still_a_full_restart(self, recorded):
         """reset() remains the deliberate start-over: counter zeroed,
         estimate refused until new data — but now evented and counted."""
         pf = _converged(sanitize="repair")
@@ -116,7 +110,7 @@ class TestPosteriorWipeRegression:
         with pytest.raises(EstimationError):
             pf.estimate()
         assert perf.counter_value("solver.particle_resets") == counter_before + 1
-        assert obs.counts().get("solver.particle_resets") == 1
+        assert len(recorded.named("solver.particle_resets")) == 1
 
 
 class TestUpdateBatchTypedErrors:

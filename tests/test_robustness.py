@@ -309,41 +309,6 @@ class TestTraceWindowsRegression:
 class TestAnfRateRegression:
     """Satellite: `fs > 0 else 9.0` could design a filter from a made-up rate."""
 
-    def test_zero_duration_trace_raises(self):
-        tr = RssiTrace([RssiSample(0.5, -60.0 - k) for k in range(10)])
-        with pytest.raises(DataQualityError, match="zero duration"):
-            AdaptiveNoiseFilter().apply_trace(tr)
-
-    def test_unsorted_trace_raises(self):
-        ts = np.arange(20) / 9.0
-        ts[3], ts[12] = ts[12], ts[3]
-        tr = RssiTrace.from_arrays(ts, np.linspace(-55, -70, 20))
-        with pytest.raises(DataQualityError, match="not sorted"):
-            AdaptiveNoiseFilter().apply_trace(tr)
-
-    def test_nan_values_raise(self):
-        vals = np.linspace(-55, -70, 20)
-        vals[5] = np.nan
-        tr = RssiTrace.from_arrays(np.arange(20) / 9.0, vals)
-        with pytest.raises(DataQualityError, match="non-finite"):
-            AdaptiveNoiseFilter().apply_trace(tr)
-
-    def test_rate_from_median_interval_not_duration(self):
-        # A long scan pause must not halve the design rate: the output should
-        # match filtering at the burst rate, not the duration-averaged rate.
-        ts = np.concatenate([np.arange(30) / 10.0, 10.0 + np.arange(30) / 10.0])
-        vals = np.linspace(-55.0, -75.0, 60)
-        tr = RssiTrace.from_arrays(ts, vals)
-        anf = AdaptiveNoiseFilter()
-        out = anf.apply_trace(tr)
-        expected = anf.apply(vals, 10.0)
-        assert np.allclose(out.values(), expected)
-
-    def test_short_trace_passthrough(self):
-        tr = RssiTrace([RssiSample(0.5, -60.0)] * 3)
-        out = AdaptiveNoiseFilter().apply_trace(tr)
-        assert len(out) == 3
-
     def test_nonfinite_fs_rejected_by_apply(self):
         with pytest.raises(ConfigurationError):
             AdaptiveNoiseFilter().apply(np.zeros(10), float("nan"))
@@ -554,16 +519,6 @@ class TestNeverCrashUndiagnosed:
         except ReproError:
             return
         assert all(isinstance(w, np.ndarray) for w in wins)
-
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(trace_strategy)
-    def test_anf_apply_trace_diagnosed(self, trace):
-        try:
-            out = AdaptiveNoiseFilter().apply_trace(trace)
-        except ReproError:
-            return
-        assert len(out) == len(trace)
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

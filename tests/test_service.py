@@ -549,21 +549,14 @@ class TestTrackingSession:
         assert s.counters["solves_shed"] == 1
         assert s.counters["solves_attempted"] == 3 == s.pipeline.calls
 
-    def test_data_shortage_is_skipped_not_failed(self):
+    def test_data_shortage_is_skipped_not_failed(self, recorded):
         # A window the pipeline finds short of data is a skip with the
         # rule's reason: no failure, no shed, no solve-period wait.
-        from repro import obs
-
-        ring = obs.add_sink(obs.RingBufferSink())
-        try:
-            s = scripted_session(["nodata", "nodata", "ok"])
-            feed(s, 1.0)
-            feed(s, 1.5)
-            snap = feed(s, 1.7)
-        finally:
-            obs.remove_sink(ring)
-        skips = [e for e in ring.tail()
-                 if e.name == "service.solves_skipped_nodata"]
+        s = scripted_session(["nodata", "nodata", "ok"])
+        feed(s, 1.0)
+        feed(s, 1.5)
+        snap = feed(s, 1.7)
+        skips = recorded.named("service.solves_skipped_nodata")
         assert [e.fields["reason"] for e in skips] == ["scripted: no data"] * 2
         assert s.counters["solves_skipped_nodata"] == 2
         assert s.counters["solves_attempted"] == 1
@@ -806,8 +799,8 @@ class TestSufficiencyRule:
     """A window short of data is the pipeline's call and a skip, not a
     solve failure; the breaker is the session's one hold-back."""
 
-    def test_standstill_start_is_skipped_until_the_walk_moves(self):
-        from repro import obs
+    def test_standstill_start_is_skipped_until_the_walk_moves(self,
+                                                               recorded):
         from repro.sim.simulator import BeaconSpec, Simulator
         from repro.world.scenarios import scenario
         from repro.world.trajectory import Trajectory, l_shape
@@ -824,21 +817,17 @@ class TestSufficiencyRule:
         imu = rec.observer_imu.trace.samples
         svc = TrackingService(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)))
-        ring = obs.add_sink(obs.RingBufferSink())
-        try:
-            snaps = []
-            for k in range(1, math.ceil(walk.times[-1]) + 1):
-                t = float(k)
-                svc.ingest_scans(
-                    [s for s in scans if t - 1.0 <= s.timestamp < t])
-                svc.ingest_imu(
-                    [s for s in imu if t - 1.0 <= s.timestamp < t])
-                snaps.append(svc.tick_batch(t)["b"])
-        finally:
-            obs.remove_sink(ring)
+        snaps = []
+        for k in range(1, math.ceil(walk.times[-1]) + 1):
+            t = float(k)
+            svc.ingest_scans(
+                [s for s in scans if t - 1.0 <= s.timestamp < t])
+            svc.ingest_imu(
+                [s for s in imu if t - 1.0 <= s.timestamp < t])
+            snaps.append(svc.tick_batch(t)["b"])
         session = svc.sessions["b"]
-        skips = [e.fields for e in ring.tail()
-                 if e.name == "service.solves_skipped_nodata"]
+        skips = [e.fields
+                 for e in recorded.named("service.solves_skipped_nodata")]
         assert [f["t"] for f in skips] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert all("barely moved" in f["reason"] for f in skips)
         assert session.counters["solves_transient_failures"] == 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, perf
+from repro import perf
 from repro.channel.pathloss import rss_at
 from repro.core import estimator
 from repro.core.estimator import (
@@ -30,6 +30,7 @@ from repro.core.estimator import (
 from repro.errors import DegenerateGeometryError, ReproError
 from repro.sim.faults import inject_spikes
 from repro.types import RssiTrace, Vec2
+from tests.stubs import recording
 
 
 def _l_walk(n=40, leg1=2.5, leg2=2.0):
@@ -113,12 +114,11 @@ class TestWarmStartFastPath:
         spiked = inject_spikes(trace, np.random.default_rng(5),
                                spike_rate=0.5, spike_db=25.0)
         rss_bad = spiked.values()
-        obs.reset()
         before = perf.counter_value("solver.warm_rejected")
-        warm_res = est.fit(p, q, rss_bad, warm=cold.warm)
+        with recording() as sink:
+            warm_res = est.fit(p, q, rss_bad, warm=cold.warm)
         after = perf.counter_value("solver.warm_rejected")
-        events = [e for e in obs.tail() if e.name == "solver.warm_rejected"]
-        obs.reset()
+        events = sink.named("solver.warm_rejected")
         assert not warm_res.warm_started
         assert after - before == 1
         assert len(events) == 1  # counter and event at the same site
@@ -181,10 +181,9 @@ class TestWarmStartFastPath:
         rss = _rss_for(self.TRUE, p, q, noise=0.3,
                        rng=np.random.default_rng(11))
         cold = est.fit(p, q, rss)
-        obs.reset()
-        warm_res = est.fit(p, q, rss, warm=cold.warm)
-        judged = [e for e in obs.tail() if e.name.startswith("solver.warm")]
-        obs.reset()
+        with recording() as sink:
+            warm_res = est.fit(p, q, rss, warm=cold.warm)
+        judged = [e for e in sink.events if e.name.startswith("solver.warm")]
         assert cold.solver == "linearized"
         assert cold.n_candidates == len(DEFAULT_N_GRID)
         _assert_fits_identical(warm_res, cold)
@@ -277,13 +276,11 @@ class TestFitBatchBitIdentity:
         stale = _STALE
         req = FitRequest(p=p, q=q, rss=rss2, warm=stale)
         with _zero_floor():
-            obs.reset()
             before = perf.counter_value("solver.warm_rejected")
-            bat = fit_batch([req], default_estimator=est)
+            with recording() as sink:
+                bat = fit_batch([req], default_estimator=est)
             after = perf.counter_value("solver.warm_rejected")
-            rejections = [e for e in obs.tail()
-                          if e.name == "solver.warm_rejected"]
-            obs.reset()
+            rejections = sink.named("solver.warm_rejected")
             seq = est.fit(p, q, rss2, warm=stale)
         assert after - before == len(rejections) == 1
         assert rejections[0].fields["reason"] == "residual blow-up"
@@ -337,8 +334,11 @@ def _mixed_request(kind, n_samples):
     return req
 
 
-def _event_count(name):
-    return sum(1 for e in obs.tail() if e.name == name)
+def _event_counts(sink):
+    """How many of each judged-fit event ``sink`` recorded."""
+    return {name: len(sink.named(name)) for name in
+            ("solver.warm_unusable", "solver.warm_rejected",
+             "estimator.cov_fallbacks")}
 
 
 class TestMixedBatchBitIdentity:
@@ -356,16 +356,13 @@ class TestMixedBatchBitIdentity:
         est = EllipticalEstimator()
         requests = [_mixed_request(kind, n) for kind, n in draws]
         with _zero_floor():
-            obs.reset()
-            seq = [(r.estimator or est).fit(r.p, r.q, r.rss, warm=r.warm)
-                   for r in requests]
-            seq_events = {name: _event_count(name) for name in
-                          ("solver.warm_unusable", "solver.warm_rejected",
-                           "estimator.cov_fallbacks")}
-            obs.reset()
-            bat = fit_batch(requests, default_estimator=est)
-            bat_events = {name: _event_count(name) for name in seq_events}
-            obs.reset()
+            with recording() as sink:
+                seq = [(r.estimator or est).fit(r.p, r.q, r.rss, warm=r.warm)
+                       for r in requests]
+            seq_events = _event_counts(sink)
+            with recording() as sink:
+                bat = fit_batch(requests, default_estimator=est)
+            bat_events = _event_counts(sink)
         for s, b in zip(seq, bat):
             _assert_fits_identical(s, b)
             assert s.n_candidates == b.n_candidates
@@ -417,13 +414,11 @@ class TestWarmUnusableEvent:
                       lambda: fit_batch([FitRequest(req.p, req.q, req.rss,
                                                     warm=warm)] * 2,
                                         default_estimator=est)):
-            obs.reset()
             before = perf.counter_value("solver.warm_unusable")
-            out = solve()
+            with recording() as sink:
+                out = solve()
             n_req = len(out) if isinstance(out, list) else 1
-            events = [e for e in obs.tail()
-                      if e.name == "solver.warm_unusable"]
-            obs.reset()
+            events = sink.named("solver.warm_unusable")
             assert len(events) == n_req
             assert (perf.counter_value("solver.warm_unusable")
                     - before) == n_req
@@ -433,10 +428,9 @@ class TestWarmUnusableEvent:
 
     def test_usable_warm_emits_nothing(self):
         req = _mixed_request("warm", 30)
-        obs.reset()
-        EllipticalEstimator().fit(req.p, req.q, req.rss, warm=req.warm)
-        assert _event_count("solver.warm_unusable") == 0
-        obs.reset()
+        with recording() as sink:
+            EllipticalEstimator().fit(req.p, req.q, req.rss, warm=req.warm)
+        assert sink.named("solver.warm_unusable") == []
 
 
 class TestColdKernelRegressions:
@@ -463,12 +457,10 @@ class TestColdKernelRegressions:
         for solve in (lambda: est.fit(-ox, np.zeros(30), rss),
                       lambda: fit_batch([FitRequest(-ox, np.zeros(30), rss)],
                                         default_estimator=est)[0]):
-            obs.reset()
             before = perf.counter_value("estimator.cov_fallbacks")
-            r = solve()
-            events = [e for e in obs.tail()
-                      if e.name == "estimator.cov_fallbacks"]
-            obs.reset()
+            with recording() as sink:
+                r = solve()
+            events = sink.named("estimator.cov_fallbacks")
             assert r.solver == "gauss-newton"
             assert r.cov_status == "rank-deficient"
             assert r.position_std == EllipticalEstimator.POS_STD_CAP
