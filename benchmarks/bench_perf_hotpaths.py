@@ -10,7 +10,7 @@ implementations and writes ``BENCH_perf.json`` at the repo root:
   equations only for rows that moved, vs the kernel that recomputed every
   live row every iteration, retained in ``tests/lm_kernel_recompute.py``);
 * a churn-like tick of cold and warm windows of distinct lengths (one
-  ``fit_batch`` whose kernel pads the windows into one run per phase, vs
+  ``fit_batch`` whose kernel pads the windows into one run, vs
   one ``fit_batch`` per window length, the runs the kernel made when it
   grouped by length); reported only, with no target;
 * the serving ANF (float-loop filters vs the NumPy-scalar reference loops
@@ -34,6 +34,7 @@ import importlib.util
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -301,7 +302,12 @@ def bench_lm_normal_equations(n_sessions: int = 7,
 
 def _load_tests_module(name: str):
     """A module under ``tests/`` loaded by path (benchmarks do not import
-    the tests package)."""
+    the tests package). A test module may import helpers from the
+    ``tests`` package, so the repository root is put on ``sys.path``:
+    run as a script, only ``benchmarks/`` and the installed package are
+    importable."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
     path = REPO_ROOT / "tests" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"_{name}", path)
     module = importlib.util.module_from_spec(spec)
@@ -363,7 +369,7 @@ def bench_ragged_tick(n_beacons: int = 6) -> Dict[str, object]:
     distinct window lengths, three jobs cold and three warm. "Before"
     solves each window length with its own ``fit_batch``, the kernel runs
     that grouping by length made; "after" is one ``fit_batch`` over the
-    tick, one kernel run per phase. Results verified bit-identical; timed
+    tick, one kernel run. Results verified bit-identical; timed
     in alternation."""
     cold, warm = _serving_windows(n_beacons=n_beacons)
     requests = []

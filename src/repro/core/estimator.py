@@ -100,11 +100,23 @@ _GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
 #: optimum. Looser tolerances move warm winners by metres.
 _MERGE_TOL = np.array([0.01, 0.01, 0.1, 0.005])
 
+#: An accepted LM step that moves a row by at most this much in every
+#: parameter (metres, metres, dB, exponent) ends the row: it has stopped
+#: moving, although along the flat Γ–n valley its cost can keep falling by
+#: more than the relative-gain rule's 1e-10 for dozens of iterations.
+_STEP_TOL = np.array([1e-3, 1e-3, 0.01, 1e-4])
+
 #: Upper-triangle ``(a, c)`` index pairs of the 4×4 normal matrix, and the
 #: ``(4, 4)`` map from each entry to its pair (both triangles share a pair).
 _TRIU_A, _TRIU_C = np.triu_indices(4)
 _TRIU_OF = np.empty((4, 4), dtype=np.intp)
 _TRIU_OF[_TRIU_A, _TRIU_C] = _TRIU_OF[_TRIU_C, _TRIU_A] = np.arange(10)
+
+#: The least distance (metres) a straight-leg seed starts off the walk
+#: line, the kernel's distance clamp. On a straight leg the residuals are
+#: symmetric in h, so at h = 0 their h-derivative is exactly 0 and the LM
+#: step could never leave the line.
+_H_MIN = 0.1
 
 #: One ``(x, h, Γ, n)`` starting point for the nonlinear refinement.
 Seed = Tuple[float, float, float, float]
@@ -430,9 +442,10 @@ class EllipticalEstimator:
         class is tracked without the full grid. At a grid edge the clip
         makes them coincide: two of them when the previous exponent lies
         on or past the edge, all three when it lies a full step past it.
-        :func:`_lockstep` refines each distinct seed once.
+        :func:`_lockstep` refines each distinct seed once. A straight-leg
+        seed keeps at least :data:`_H_MIN` off the walk line.
         """
-        h0 = warm.h if use_q else abs(warm.h)
+        h0 = warm.h if use_q else max(abs(warm.h), _H_MIN)
         n0 = float(np.clip(warm.n, _N_LO, _N_HI))
         n_lo = float(np.clip(warm.n - WARM_N_STEP, _N_LO, _N_HI))
         n_hi = float(np.clip(warm.n + WARM_N_STEP, _N_LO, _N_HI))
@@ -666,7 +679,11 @@ class EllipticalEstimator:
         range-heuristic seed (median RSS inverted at nominal parameters,
         beacon assumed broadside of the walk) so at least one initial point
         sits in the right basin. Straight-leg seeds (``use_q`` False) keep
-        ``h >= 0``, the canonical side of the mirror ambiguity.
+        ``h >= 0``, the canonical side of the mirror ambiguity, and the
+        heuristic ones start off the walk line (:data:`_H_MIN`). A
+        linearised seed keeps the lateral offset its own solve found, 0
+        included: there the solve put the beacon on the walk line, where
+        such a seed is the optimum when the beacon really is on it.
         """
         seeds: List[Seed] = []
         valid, xs, hs, gs, epss = self._solve_grid(p, q, rss, _SEED_N_GRID,
@@ -697,7 +714,7 @@ class EllipticalEstimator:
                           -math.pi / 2):
                 h0 = d0 * scale * math.sin(angle)
                 seeds.append((d0 * scale * math.cos(angle),
-                              h0 if use_q else abs(h0),
+                              h0 if use_q else max(abs(h0), _H_MIN),
                               nominal_gamma, nominal_n))
         return seeds
 
@@ -1000,7 +1017,9 @@ def _lm_kernel(
     last, a live row that lies within :data:`_MERGE_TOL` of a lower-cost
     row of its job, live or frozen, freezes (on equal costs the later row
     does): it has met a basin another row already holds. Every other row
-    freezes when it converges, gets stuck or fails. A frozen row is
+    freezes when it converges (an accepted step that gains at most 1e-10
+    of the cost, or moves the row by at most :data:`_STEP_TOL`), gets
+    stuck or fails. A frozen row is
     removed from the compacted working set and never changes again, so a
     job's rows return bit-identical ``(theta, residuals, cost)`` whatever
     other jobs share the run — the property :func:`fit_batch` relies on —
@@ -1064,12 +1083,13 @@ def _lm_kernel(
         r_t = _lm_residuals(trial, terms, ss, gpp, wgg, nprr, wnn, padd)
         cost_t = _lm_cost(r_t)
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
+        still = (np.abs(trial - theta) <= _STEP_TOL).all(axis=1)
         theta = np.where(better[:, None], trial, theta)
         gain = np.where(better, cost - cost_t, 0.0)
         cost = np.where(better, cost_t, cost)
         lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
                        np.where(finite, lam * 5.0, lam))
-        done = better & (gain <= 1e-10 * np.maximum(cost, 1e-12))
+        done = better & (still | (gain <= 1e-10 * np.maximum(cost, 1e-12)))
         stuck = finite & ~better & (lam > 1e8)
         keep = finite & ~(done | stuck)
         if pair_a.size and n_iter < max_iter:
@@ -1276,15 +1296,19 @@ def _cold_result(job: _Job, best: Optional[_Best], n_seeds: int) -> FitResult:
 def _solve_jobs(
     jobs: Sequence[_Job], return_exceptions: bool,
 ) -> List[Union[FitResult, BaseException]]:
-    """Solve validated jobs: a warm kernel phase, then a cold kernel phase.
+    """Solve validated jobs in one kernel run, plus one after a warm rejection.
 
-    A job whose warm state is usable first refines its few warm seeds; a
-    rejected warm fit joins the cold phase exactly like a first fix, with
-    the full :meth:`EllipticalEstimator._initial_candidates` seed set and
-    no blow-up gate. Each phase is one :func:`_lockstep` run, so a job's
-    result does not depend on the other jobs. ``refine=False`` jobs take
-    the linearised Eq. 4/5 path over the full grid instead and ignore
-    their warm state.
+    A job whose warm state is usable refines its few warm seeds; every
+    other job (a first fix, or a warm state that is unusable) refines the
+    full :meth:`EllipticalEstimator._initial_candidates` seed set. Both
+    kinds share one :func:`_lockstep` run. A rejected warm fit then
+    re-runs cold, exactly like a first fix and with no blow-up gate, in a
+    second run of the rejected jobs alone. Rows interact only within
+    their job, so a job's result does not depend on what else shares a
+    run. Jobs settle in a fixed order (warm, then cold, then rejected), so
+    the events they emit do not depend on the grouping either.
+    ``refine=False`` jobs take the linearised Eq. 4/5 path over the full
+    grid instead and ignore their warm state.
     """
     out: List[Any] = [None] * len(jobs)
 
@@ -1311,26 +1335,33 @@ def _solve_jobs(
         else:
             cold_ids.append(i)
 
-    warm_jobs = [jobs[i] for i in warm_ids]
-    warm_seeds = [job.est._warm_seeds(job.warm, job.use_q)
-                  for job in warm_jobs]
-    for i, job, seeds, best in zip(warm_ids, warm_jobs, warm_seeds,
-                                   _lockstep(warm_jobs, warm_seeds)):
+    def cold_seeds(ids: List[int]) -> List[List[Seed]]:
+        return [jobs[i].est._initial_candidates(jobs[i].p, jobs[i].q,
+                                                jobs[i].rss, jobs[i].use_q)
+                for i in ids]
+
+    seeds = ([jobs[i].est._warm_seeds(jobs[i].warm, jobs[i].use_q)
+              for i in warm_ids] + cold_seeds(cold_ids))
+    bests = _lockstep([jobs[i] for i in warm_ids + cold_ids], seeds)
+    n_warm = len(warm_ids)
+    rejected: List[int] = []
+    for i, job_seeds, best in zip(warm_ids, seeds, bests):
+        job = jobs[i]
         reason = _warm_gate(job, best)
         if reason:
             job.est._warm_reject(reason, job.warm, len(job.p))
-            cold_ids.append(i)
+            rejected.append(i)
             continue
-        settle(i, _fit_result, job, best, "warm-start", len(seeds))
+        settle(i, _fit_result, job, best, "warm-start", len(job_seeds))
         perf.count("estimator.warm_fits")
+    for i, job_seeds, best in zip(cold_ids, seeds[n_warm:], bests[n_warm:]):
+        settle(i, _cold_result, jobs[i], best, len(job_seeds))
 
-    cold_jobs = [jobs[i] for i in cold_ids]
-    cold_seeds = [job.est._initial_candidates(job.p, job.q, job.rss,
-                                              job.use_q)
-                  for job in cold_jobs]
-    for i, job, seeds, best in zip(cold_ids, cold_jobs, cold_seeds,
-                                   _lockstep(cold_jobs, cold_seeds)):
-        settle(i, _cold_result, job, best, len(seeds))
+    seeds = cold_seeds(rejected)
+    for i, job_seeds, best in zip(rejected, seeds,
+                                  _lockstep([jobs[i] for i in rejected],
+                                            seeds)):
+        settle(i, _cold_result, jobs[i], best, len(job_seeds))
     return out
 
 
@@ -1343,8 +1374,9 @@ def fit_batch(
     """Solve N independent elliptical regressions as one batched program.
 
     Warm fits, first fixes and rejected warm fits alike run through the
-    lockstep LM kernel, one NumPy program per phase, whatever the window
-    lengths, instead of N Python solver loops. Results are
+    lockstep LM kernel, one NumPy program for the batch (and one more for
+    any rejected warm fits), whatever the window lengths, instead of N
+    Python solver loops. Results are
     **bit-identical** to the sequential loop ``[est.fit(r.p, r.q, r.rss,
     warm=r.warm) for r in requests]``: a sequential fit is itself a batch
     of one through the same code, every row reduction adds its terms in

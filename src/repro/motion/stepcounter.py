@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigurationError
 from repro.filters.smoothing import moving_average
@@ -66,20 +67,23 @@ class StepDetector:
             self.threshold_fraction * float(np.percentile(positive, 90)),
         )
 
+        # The vote over every ±r neighbourhood at once: the centre must be
+        # the neighbourhood max, first index on ties. Written as negated
+        # ``<`` tests, a NaN centre passes the gate and the max (which a
+        # NaN anywhere in the neighbourhood makes NaN), and ``argmax``
+        # picks the first NaN, exactly as the per-sample scan did.
+        r = self.vote_radius
+        hoods = sliding_window_view(smoothed, 2 * r + 1)
+        centre = smoothed[r:len(smoothed) - r]
+        voted = (~(centre < gate) & ~(centre < hoods.max(axis=1))
+                 & (hoods.argmax(axis=1) == r))
+
         steps: List[DetectedStep] = []
         last_t = -np.inf
-        r = self.vote_radius
-        for i in range(r, len(smoothed) - r):
-            v = smoothed[i]
-            if v < gate:
-                continue
-            neighbourhood = smoothed[i - r : i + r + 1]
-            # The vote: strictly the neighbourhood max, first index on ties.
-            if v < neighbourhood.max() or int(np.argmax(neighbourhood)) != r:
-                continue
+        for i in np.flatnonzero(voted) + r:
             if ts[i] - last_t < self.min_step_interval_s:
                 continue
-            steps.append(DetectedStep(float(ts[i]), float(v)))
+            steps.append(DetectedStep(float(ts[i]), float(smoothed[i])))
             last_t = ts[i]
         return steps
 

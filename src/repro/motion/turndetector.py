@@ -64,18 +64,24 @@ class TurnDetector:
         rate = moving_average(trace.gyro_z(), self.smooth_window)
         heading = trace.mag_heading()
 
+        # A bump opens at the first onset sample and closes at the first
+        # release sample after it; the next one opens after that. A NaN
+        # rate is neither (both tests are False), and a bump still open at
+        # the end closes on the last sample.
+        speed = np.abs(rate)
+        onsets = np.flatnonzero(speed >= self.rate_threshold_rad_s)
+        releases = np.flatnonzero(speed < self.release_threshold_rad_s)
         turns: List[DetectedTurn] = []
-        in_bump = False
-        start_idx = 0
-        for i, r in enumerate(np.abs(rate)):
-            if not in_bump and r >= self.rate_threshold_rad_s:
-                in_bump = True
-                start_idx = i
-            elif in_bump and r < self.release_threshold_rad_s:
-                in_bump = False
-                self._finish_bump(ts, heading, start_idx, i, turns)
-        if in_bump:
-            self._finish_bump(ts, heading, start_idx, len(ts) - 1, turns)
+        k = 0
+        while k < onsets.size:
+            start_idx = int(onsets[k])
+            j = np.searchsorted(releases, start_idx, side="right")
+            if j == releases.size:
+                self._finish_bump(ts, heading, start_idx, len(ts) - 1, turns)
+                break
+            end_idx = int(releases[j])
+            self._finish_bump(ts, heading, start_idx, end_idx, turns)
+            k = np.searchsorted(onsets, end_idx, side="right")
         return turns
 
     def _finish_bump(
@@ -100,5 +106,10 @@ class TurnDetector:
 
 
 def _circular_mean(angles: np.ndarray) -> float:
-    """Mean of angles, safe at the ±pi wrap point."""
-    return float(math.atan2(np.mean(np.sin(angles)), np.mean(np.cos(angles))))
+    """Mean of angles, safe at the ±pi wrap point.
+
+    ``sum() / size`` is ``np.mean``'s own arithmetic on a 1-D array,
+    without its per-call overhead.
+    """
+    return float(math.atan2(np.sin(angles).sum() / angles.size,
+                            np.cos(angles).sum() / angles.size))

@@ -5,9 +5,11 @@ reused a trial's per-sample terms for the accepted trial's Jacobian,
 carried each live row's normal equations across rejected steps, and before
 ``_lockstep`` dropped repeated seeds. Its text is unchanged but for the
 kernel's two perf counters, removed so that running it here does not move
-the estimator's telemetry, and for its cost, which adds each row's
-squared residuals one at a time in row order, as the estimator's does
-since it pads windows of different lengths into one run.
+the estimator's telemetry, for its cost, which adds each row's squared
+residuals one at a time in row order, as the estimator's does since it
+pads windows of different lengths into one run, and for its stop rule,
+which also ends a row on an accepted step that moves it by at most
+``_STEP_TOL``, as the estimator's does.
 
 It has no padding and no merge rule, so ``tests/test_lm_kernel.py``
 requires the kernel to stay bit-identical to it on full windows when
@@ -24,6 +26,7 @@ from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
     _LN10,
+    _STEP_TOL,
     _TRIU_A,
     _TRIU_C,
     _TRIU_OF,
@@ -184,13 +187,14 @@ def _lm_kernel(
         r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
         cost_t = np.cumsum(r_t * r_t, axis=1)[:, -1]
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
+        still = (np.abs(trial - theta) <= _STEP_TOL).all(axis=1)
         theta = np.where(better[:, None], trial, theta)
         r = np.where(better[:, None], r_t, r)
         gain = np.where(better, cost - cost_t, 0.0)
         cost = np.where(better, cost_t, cost)
         lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
                        np.where(finite, lam * 5.0, lam))
-        done = better & (gain <= 1e-10 * np.maximum(cost, 1e-12))
+        done = better & (still | (gain <= 1e-10 * np.maximum(cost, 1e-12)))
         stuck = finite & ~better & (lam > 1e8)
         keep = finite & ~(done | stuck)
         if not np.all(keep):

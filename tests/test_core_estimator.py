@@ -8,7 +8,7 @@ import pytest
 from repro import perf
 from repro.channel.pathloss import rss_at
 from repro.core.confidence import estimation_confidence
-from repro.core.estimator import EllipticalEstimator
+from repro.core.estimator import EllipticalEstimator, WarmStartState
 from repro.errors import EstimationError, InsufficientDataError
 from repro.types import Vec2
 
@@ -106,6 +106,25 @@ class TestSingleLegAmbiguity:
         est = EllipticalEstimator(gamma_prior=None)
         r = est.fit(-a, np.zeros_like(a), rss)
         assert r.mirror is not None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_state_on_the_walk_line_leaves_it(self, seed):
+        """On a straight walk the residuals are symmetric in h, so their
+        h-derivative is 0 at h = 0: a seed there could never leave the
+        line, and the warm fit came back at h = 0 with a rank-deficient
+        covariance. Seeds now start off the line and find the beacon."""
+        rng = np.random.default_rng(seed)
+        a = np.linspace(0.0, 3.5, 60)
+        rss = (np.array([rss_at(d, -59.0, 2.2) for d in np.hypot(4.0 - a, 3.0)])
+               + rng.normal(0.0, 1.0, a.size))
+        est = EllipticalEstimator()
+        cold = est.fit(-a, np.zeros_like(a), rss)
+        warm = WarmStartState(x=4.0, h=0.0, gamma=-59.0, n=2.2,
+                              rss_rmse=cold.rss_rmse, use_q=False)
+        fit = est.fit(-a, np.zeros_like(a), rss, warm=warm)
+        assert fit.warm_started and fit.cov_status == "ok"
+        assert fit.position.distance_to(cold.position) < 0.01
+        assert fit.position.distance_to(Vec2(4.0, 3.0)) < 0.8
 
     def test_l_walk_has_no_mirror(self):
         p, q = _l_walk_displacements()

@@ -1,6 +1,7 @@
 """Tests for the remaining Sec. 9 extensions: straight-walk mode, crowding,
 Bluetooth 5 profiles, the beacon tracker and the CLI."""
 
+import argparse
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from repro.ble.devices import BEACONS
 from repro.ble.interference import CrowdInterference, crowding_loss_probability
 from repro.channel.pathloss import rss_at
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.core.estimator import EllipticalEstimator, FitResult
 from repro.core.straightwalk import StraightWalkResolver
 from repro.core.tracking import BeaconTracker
 from repro.errors import ConfigurationError, EstimationError, InsufficientDataError
+from repro.obs.sinks import DURABILITY_POLICIES
 from repro.sim.simulator import BeaconSpec, Simulator
 from repro.types import LocationEstimate, Vec2
 from repro.world.floorplan import Floorplan
@@ -250,3 +253,13 @@ class TestCli:
     def test_bad_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["warp-drive"])
+
+    def test_chaos_durability_choices_are_the_write_policies(self):
+        """``chaos --durability`` offers exactly the policies the sinks,
+        the trace writer and the store accept (the parser spells them out
+        rather than import them)."""
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        (durability,) = [a for a in commands.choices["chaos"]._actions
+                         if a.dest == "durability"]
+        assert tuple(durability.choices) == DURABILITY_POLICIES

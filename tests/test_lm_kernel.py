@@ -18,6 +18,7 @@ must give the same bits alone and padded beside a longer one.
 kernel row; the winner must not change.
 """
 
+import dataclasses
 import operator
 from functools import reduce
 
@@ -30,6 +31,7 @@ from repro.core.estimator import (
     _GN_HI,
     _GN_LO,
     _MERGE_TOL,
+    _STEP_TOL,
     DEFAULT_N_GRID,
     N_PRIOR_SIGMA,
     WARM_N_STEP,
@@ -203,11 +205,13 @@ def _reference_path(theta0, data, priors, max_iter):
         cost_t = _sequential_cost(r_t)
         if np.isfinite(cost_t[0]) and cost_t[0] < cost[0]:
             gain = cost[0] - cost_t[0]
+            still = bool(np.all(np.abs(trial[0] - theta[0]) <= _STEP_TOL))
             theta, r, cost = trial, r_t, cost_t
             lam = max(lam / 3.0, 1e-10)
             states.append((theta[0], r[0], cost[0]))
             accepted.append(True)
-            if gain <= 1e-10 * max(cost[0], 1e-12):
+            # Converged: the step gained next to nothing, or barely moved.
+            if still or gain <= 1e-10 * max(cost[0], 1e-12):
                 break
         else:
             states.append(states[-1])
@@ -540,7 +544,7 @@ class TestShortWindowAloneAndPadded:
 
     def test_fits_alone_equal_fits_padded(self):
         """Through ``_lockstep`` and ``fit_batch``, cold and warm: one
-        kernel run per phase, and each fit what it is alone."""
+        kernel run for the batch, and each fit what it is alone."""
         est = EllipticalEstimator().with_environment("LOS")
         _theta0, p, q, rss, *_ = _walk_system(12, 2, 160, "none", False)
         short = _Job(est, p[0, 23:60], q[0, 23:60], rss[0, 23:60],
@@ -563,10 +567,61 @@ class TestShortWindowAloneAndPadded:
         seq += [est.fit(r.p, r.q, r.rss, warm=r.warm) for r in warm]
         before = perf.counter_value("estimator.lm_kernel_calls")
         bat = fit_batch(requests[::-1] + warm, default_estimator=est)
-        # One kernel run per phase: the warm jobs', then the cold jobs'.
-        assert perf.counter_value("estimator.lm_kernel_calls") - before == 2
+        # Warm and cold jobs share one kernel run.
+        assert perf.counter_value("estimator.lm_kernel_calls") - before == 1
         for s, b in zip(seq, bat[1::-1] + bat[2:]):
             _assert_fit_bitwise(s, b)
+
+
+class TestOneKernelRunPerBatch:
+    """Warm jobs, first fixes and jobs whose warm state is unusable share
+    one kernel run; only a rejected warm fit takes a second, cold run.
+    Every fit is bit for bit the sequential ``fit``."""
+
+    def _requests(self):
+        """Four ragged windows: a usable warm state, none, an unusable
+        one (exponent far outside the grid), and one whose warm fit blows
+        up (8 dB of extra noise against a 0.5 dB warm RMSE)."""
+        est = EllipticalEstimator().with_environment("LOS")
+        _theta0, p, q, rss, *_ = _walk_system(31, 4, 120, "none", False)
+        rss[3] += np.random.default_rng(31).normal(0.0, 8.0, 120)
+        cut = (120, 90, 105, 120)
+        p, q, rss = ([a[b, :n] for b, n in enumerate(cut)]
+                     for a in (p, q, rss))
+        cold = [est.fit(*args) for args in zip(p, q, rss)]
+        warm = [cold[0].warm, None,
+                dataclasses.replace(cold[2].warm, n=9.0),
+                dataclasses.replace(cold[3].warm, rss_rmse=0.5)]
+        return est, [FitRequest(p=a, q=b, rss=c, warm=w)
+                     for a, b, c, w in zip(p, q, rss, warm)]
+
+    def _runs(self, est, requests):
+        """The batch's fits, kernel runs and warm rejections."""
+        names = ("estimator.lm_kernel_calls", "solver.warm_rejected")
+        before = [perf.counter_value(n) for n in names]
+        fits = fit_batch(requests, default_estimator=est)
+        runs, rejected = (perf.counter_value(n) - b
+                          for n, b in zip(names, before))
+        return fits, runs, rejected
+
+    def test_mixed_batch_equals_sequential_fits(self):
+        est, requests = self._requests()
+        seq = [est.fit(r.p, r.q, r.rss, warm=r.warm) for r in requests]
+        assert [f.solver for f in seq] == ["warm-start"] + 3 * ["gauss-newton"]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            fits, runs, rejected = self._runs(
+                est, [requests[k] for k in order])
+            assert (runs, rejected) == (2, 1)
+            for k, fit in zip(order, fits):
+                _assert_fit_bitwise(seq[k], fit)
+
+    def test_second_run_only_after_a_rejection(self):
+        est, requests = self._requests()
+        fits, runs, rejected = self._runs(est, requests[:3])
+        assert (runs, rejected) == (1, 0)
+        assert [f.warm_started for f in fits] == [True, False, False]
+        _fits, runs, rejected = self._runs(est, requests[3:])
+        assert (runs, rejected) == (2, 1)
 
 
 def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
