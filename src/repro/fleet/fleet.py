@@ -1,12 +1,12 @@
 """A horizontally sharded tracking fleet over many ``TrackingService``\\ s.
 
-:class:`TrackingFleet` is the millions-of-users layer of the ROADMAP: the
-single-process :class:`~repro.service.TrackingService` already bounds,
-supervises and checkpoints a few hundred sessions; the fleet composes
-``n_shards`` of them behind a deterministic
-:class:`~repro.fleet.router.ShardRouter` so capacity scales by adding
-shards, not by growing one session table. Design rules, inherited from the
-service and extended fleet-wide:
+:class:`TrackingFleet` composes ``n_shards`` per-shard
+:class:`~repro.service.TrackingService` session tables behind a
+deterministic :class:`~repro.fleet.router.ShardRouter`, so capacity scales
+by adding shards, not by growing one session table. The fleet owns the
+observer IMU, so a standalone service is a one-shard fleet
+(``FleetConfig(n_shards=1)``; the service soak runs one). Design rules,
+inherited from the service and extended fleet-wide:
 
 * **Deterministic placement.** beacon-id → shard is a salted BLAKE2b hash
   plus an explicit pin table for migrated sessions — every restart and

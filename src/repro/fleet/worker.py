@@ -1,15 +1,16 @@
 """One shard of the tracking fleet: a supervised ``TrackingService``.
 
-A :class:`ShardWorker` owns exactly one ringless
-:class:`~repro.service.TrackingService` plus the shard-level bookkeeping
-the fleet needs: tick counts, the time of the shard's own tick phases
-(into :mod:`repro.perf` under ``fleet.shard_tick``; the fleet's one shared
-solve is not any shard's time), and checkpoint/restore that carries the
-shard id. Workers are in-process multi-instance by design — every service is
-already bounded, deterministic and checkpointable, so a worker can be
-lifted into a separate process later without changing its contract; on
-this repo's single-CPU reference host the in-process form is also the
-faster one (no serialization of scan batches across a process boundary).
+A :class:`ShardWorker` owns exactly one
+:class:`~repro.service.TrackingService` (the fleet owns the IMU ring) plus
+the shard-level bookkeeping the fleet needs: tick counts, the time of the
+shard's own tick phases (into :mod:`repro.perf` under
+``fleet.shard_tick``; the fleet's one shared solve is not any shard's
+time), and checkpoint/restore that carries the shard id. Workers are
+in-process multi-instance by design — every service is already bounded,
+deterministic and checkpointable, so a worker can be lifted into a
+separate process later without changing its contract; on this repo's
+single-CPU reference host the in-process form is also the faster one (no
+serialization of scan batches across a process boundary).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro import obs, perf
 from repro.errors import DataQualityError
 from repro.service import ServiceConfig, TrackingService
 from repro.service.checkpoint import restore_guard
-from repro.service.service import Pending, solve_pending
+from repro.service.service import Pending
 from repro.service.session import ImuTick, PipelineFactory, \
     SessionSnapshot, default_pipeline_factory
 from repro.types import RssiSample
@@ -42,8 +43,7 @@ class ShardWorker:
         pipeline_factory: PipelineFactory = default_pipeline_factory,
     ):
         self.shard_id = int(shard_id)
-        self.service = TrackingService(config, pipeline_factory,
-                                       own_imu=False)
+        self.service = TrackingService(config, pipeline_factory)
         self.ticks = 0
         self.last_tick_wall_s = 0.0
         self._begin_s = 0.0
@@ -66,17 +66,24 @@ class ShardWorker:
         time as its own two phases."""
         start = time.perf_counter()
         snaps = self.service.end_tick(t, pending, fits)
-        self.last_tick_wall_s = self._begin_s + time.perf_counter() - start
-        self.ticks += 1
-        perf.record("fleet.shard_tick", self.last_tick_wall_s)
-        perf.count(f"fleet.shard.{self.shard_id}.ticks")
+        self._book(self._begin_s + time.perf_counter() - start)
         return snaps
 
     def tick(self, t: float, imu: ImuTick) -> Dict[str, SessionSnapshot]:
         """All three phases on this shard alone, with its own solve batch
-        (a restarted shard catching up on the ticks it missed)."""
-        pending = self.begin_tick(t, imu)
-        return self.end_tick(t, pending, solve_pending([pending])[0])
+        (a restarted shard catching up on the ticks it missed); that solve
+        is the shard's own, so it counts as the shard's tick time."""
+        start = time.perf_counter()
+        snaps = self.service.tick_batch(t, imu)
+        self._book(time.perf_counter() - start)
+        return snaps
+
+    def _book(self, wall_s: float) -> None:
+        """Count one tick of this shard and record its time."""
+        self.last_tick_wall_s = wall_s
+        self.ticks += 1
+        perf.record("fleet.shard_tick", wall_s)
+        perf.count(f"fleet.shard.{self.shard_id}.ticks")
 
     # -- reporting -----------------------------------------------------------
 
@@ -116,10 +123,6 @@ class ShardWorker:
             worker.service = TrackingService.restore(
                 cp["service"], pipeline_factory=pipeline_factory
             )
-            if worker.service.imu is not None:
-                raise DataQualityError(
-                    "shard-worker checkpoint carries its own IMU ring; "
-                    "a shard's ring lives in its fleet's checkpoint")
         obs.signal("fleet.shard_restored", shard=worker.shard_id,
                    sessions=worker.n_sessions)
         return worker

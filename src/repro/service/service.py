@@ -1,30 +1,34 @@
-"""The multi-beacon supervised streaming tracking service.
+"""The per-shard session table of the tracking fleet.
 
-:class:`TrackingService` is the process-level entry point the ROADMAP's
-production system needs: many concurrent per-beacon
-:class:`~repro.service.session.TrackingSession`\\ s fed from one scan/IMU
-ingest path, stepped on a shared stream clock, checkpointed and restored as
-a unit. Design rules:
+:class:`TrackingService` holds one shard's concurrent per-beacon
+:class:`~repro.service.session.TrackingSession`\\ s: it routes scan samples
+to them, steps them on the shared stream clock, and checkpoints and
+restores them as a unit. It owns no IMU: one phone walks, so the
+:class:`~repro.fleet.TrackingFleet` holds the one observer-IMU ring and
+hands every shard's service the tick's :class:`ImuTick`. A standalone
+service is a one-shard fleet. Design rules:
 
-* **Bounded everything.** The observer IMU ring and every per-beacon RSS
-  buffer are fixed-capacity drop-oldest rings; the session table itself is
-  capped (``max_sessions``) with counted shedding of surplus beacons, so a
-  beacon-spam storm degrades predictably instead of exhausting memory.
+* **Bounded everything.** Every per-beacon RSS buffer is a fixed-capacity
+  drop-oldest ring; the session table itself is capped (``max_sessions``)
+  and the fleet asks :meth:`TrackingService.admits` before delivering a
+  new beacon's scans, booking refusals through
+  :meth:`TrackingService.shed`, so a beacon-spam storm degrades
+  predictably instead of exhausting memory.
 * **Deterministic supervision.** Sessions are stepped in sorted beacon-id
   order and all clocks are stream time — a checkpoint/restore cycle
   replays bit-identically.
-* **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on data;
-  every failure mode is a supervised :func:`repro.obs.signal`, also
-  reported through :meth:`stats`.
+* **Typed failure only.** ``ingest_scans`` and the tick phases never raise
+  on data; every failure mode is a supervised :func:`repro.obs.signal`,
+  also reported through :meth:`stats`.
 
 A tick runs in three phases: :meth:`TrackingService.begin_tick` prepares
 every due session's solve against the tick's :class:`ImuTick`,
 :func:`solve_pending` runs one :func:`~repro.core.estimator.fit_batch`
 over all of them, and :meth:`TrackingService.end_tick` resolves the fits
-and finishes every session. :meth:`TrackingService.tick_batch` runs the
-three on one service; a :class:`~repro.fleet.TrackingFleet` runs phase 1
-and 3 on each shard's service around one phase 2 for all shards, and owns
-the one IMU ring its shards' services do without.
+and finishes every session. A :class:`~repro.fleet.TrackingFleet` runs
+phases 1 and 3 on each shard's service around one phase 2 for all shards;
+:meth:`TrackingService.tick_batch` runs the three on one service, for a
+restarted shard catching up on the ticks it missed.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from repro.core.estimator import fit_batch
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service.checkpoint import restore_guard
 from repro.service.session import (
-    ImuRing,
     ImuTick,
     PendingSolve,
     PipelineFactory,
@@ -46,7 +49,7 @@ from repro.service.session import (
     TrackingSession,
     default_pipeline_factory,
 )
-from repro.types import ImuSample, RssiSample
+from repro.types import RssiSample
 
 __all__ = ["ServiceConfig", "TrackingService", "solve_pending"]
 
@@ -65,13 +68,13 @@ Pending = List[Tuple[TrackingSession, PendingSolve]]
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Capacity and supervision policy for the whole service.
+    """Capacity and supervision policy for one shard's service.
 
-    ``imu_buffer`` caps the observer-IMU ring (at 50 Hz the default holds
-    ~5.5 minutes); the ring ages samples out once they fall behind the
-    session window, where no solve window can reach them. ``max_sessions``
-    bounds the session table — scans for further beacons are shed
-    (counted) rather than growing without limit.
+    ``imu_buffer`` caps the fleet's observer-IMU ring (at 50 Hz the
+    default holds ~5.5 minutes); the ring ages samples out once they fall
+    behind the session window, where no solve window can reach them.
+    ``max_sessions`` bounds the session table — scans for further beacons
+    are shed (counted) rather than growing without limit.
     """
 
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -86,24 +89,16 @@ class ServiceConfig:
 
 
 class TrackingService:
-    """Supervises many concurrent per-beacon tracking sessions.
-
-    ``own_imu=False`` builds a fleet shard's service: it holds no IMU ring,
-    and its fleet hands each tick's :class:`ImuTick` to :meth:`begin_tick`.
-    """
+    """Supervises one shard's concurrent per-beacon tracking sessions."""
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         pipeline_factory: PipelineFactory = default_pipeline_factory,
-        own_imu: bool = True,
     ):
         self.config = config or ServiceConfig()
         self._pipeline_factory = pipeline_factory
         self.sessions: Dict[str, TrackingSession] = {}
-        self.imu: Optional[ImuRing] = (
-            ImuRing(self.config.imu_buffer, self.config.session.window_s)
-            if own_imu else None)
         #: Distinct beacons refused at the session cap (not samples — see
         #: :attr:`shed_samples` for the sample count).
         self.sessions_shed = 0
@@ -127,19 +122,14 @@ class TrackingService:
         """Route scan samples to their beacon's session; returns how many
         were buffered.
 
-        Unknown beacons get a fresh session — up to ``max_sessions``, beyond
-        which their traffic is shed and booked by :meth:`shed`.
+        Unknown beacons get a fresh session. The fleet delivers only
+        beacons :meth:`admits` took, so the cap is already applied.
         """
         taken = 0
         by_beacon: Dict[str, list] = {}
         for s in samples:
             by_beacon.setdefault(s.beacon_id, []).append(s)
-        refused: Dict[str, int] = {}
         for beacon_id in sorted(by_beacon):
-            batch = by_beacon[beacon_id]
-            if self.admits(beacon_id) is not None:
-                refused[beacon_id] = len(batch)
-                continue
             session = self.sessions.get(beacon_id)
             if session is None:
                 session = TrackingSession(
@@ -149,9 +139,7 @@ class TrackingService:
                 )
                 self.sessions[beacon_id] = session
                 perf.count("service.sessions_created")
-            taken += session.ingest(batch)
-        if refused:
-            self.shed(refused)
+            taken += session.ingest(by_beacon[beacon_id])
         return taken
 
     def shed(self, refused: Dict[str, int]) -> None:
@@ -176,31 +164,19 @@ class TrackingService:
                 obs.signal("service.sessions_shed",
                            severity="warning", beacon=str(beacon_id))
 
-    def ingest_imu(self, samples: Iterable[ImuSample]) -> int:
-        """Buffer observer IMU samples shared by every session."""
-        return self._ring().ingest(samples)
-
-    def _ring(self) -> ImuRing:
-        if self.imu is None:
-            raise ConfigurationError(
-                "this service's IMU ring is owned by its fleet")
-        return self.imu
-
     # -- stepping ------------------------------------------------------------
 
-    @perf.profiled("service.TrackingService.tick_batch")
-    def tick_batch(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Advance every session to stream time ``t``; per-beacon snapshots.
+    def tick_batch(self, t: float, imu: ImuTick) -> Dict[str, SessionSnapshot]:
+        """Advance every session to stream time ``t`` against ``imu``;
+        per-beacon snapshots.
 
         The three phases of a tick on this service alone: every due
-        session prepares its solve against the tick's view of the IMU ring
-        (:meth:`begin_tick`), all prepared requests go through a single
-        :func:`repro.core.estimator.fit_batch` call — one NumPy program for
-        the whole tick instead of N Python solver loops — and the results
-        are resolved back per session (:meth:`end_tick`). A single due
-        session is simply a batch of one.
+        session prepares its solve (:meth:`begin_tick`), all prepared
+        requests go through one :func:`repro.core.estimator.fit_batch`
+        call, and the results are resolved back per session
+        (:meth:`end_tick`). A single due session is a batch of one.
         """
-        pending = self.begin_tick(t, self._ring().tick(t))
+        pending = self.begin_tick(t, imu)
         return self.end_tick(t, pending, solve_pending([pending])[0])
 
     def begin_tick(self, t: float, imu: ImuTick) -> Pending:
@@ -239,7 +215,6 @@ class TrackingService:
             "sessions_shed": self.sessions_shed,
             "shed_samples": self.shed_samples,
             "restores": self.restores,
-            "imu": None if self.imu is None else self.imu.buffer.stats(),
             "rss_shed": sum(s.rss.shed for s in self.sessions.values()),
             "states": {
                 beacon_id: s.health.state
@@ -257,10 +232,9 @@ class TrackingService:
     def checkpoint(self) -> Dict[str, Any]:
         """Serialize the whole service — sessions, buffers, shed counts —
         as one JSON-safe dict (see ``docs/streaming.md`` for the format and
-        compatibility policy). Only a service that owns its IMU ring writes
-        the ``imu``/``imu_shed`` keys; a shard's ring lives in its fleet's
+        compatibility policy). The IMU ring lives in the fleet's
         checkpoint."""
-        cp = {
+        return {
             "format": SERVICE_CHECKPOINT_FORMAT,
             "config": {
                 "imu_buffer": self.config.imu_buffer,
@@ -276,9 +250,6 @@ class TrackingService:
                 for beacon_id, session in sorted(self.sessions.items())
             },
         }
-        if self.imu is not None:
-            cp.update(self.imu.checkpoint())
-        return cp
 
     @classmethod
     def restore(
@@ -290,14 +261,18 @@ class TrackingService:
 
         A restored service continues bit-identically: feeding it the same
         future ingest/tick sequence yields the same snapshots an
-        uninterrupted service would have produced. A checkpoint without
-        ``imu`` rows restores a shard's ringless service. Older checkpoints
-        also carry ``imu_window_s``, the ring's former separate age limit;
-        it is ignored, since no solve window reaches past the session
-        window.
+        uninterrupted service would have produced. A checkpoint that
+        carries its own ``imu`` ring is refused: the ring lives in the
+        fleet's checkpoint. Older checkpoints also carry ``imu_window_s``,
+        the ring's former separate age limit; it is ignored, since no solve
+        window reaches past the session window.
         """
         if not isinstance(cp, dict) or cp.get("format") != SERVICE_CHECKPOINT_FORMAT:
             raise DataQualityError("unsupported service checkpoint")
+        if "imu" in cp:
+            raise DataQualityError(
+                "service checkpoint carries its own IMU ring; the ring "
+                "lives in its fleet's checkpoint")
         with restore_guard("service"):
             cfg = cp["config"]
             config = ServiceConfig(
@@ -305,11 +280,7 @@ class TrackingService:
                 imu_buffer=int(cfg["imu_buffer"]),
                 max_sessions=int(cfg["max_sessions"]),
             )
-            service = cls(config, pipeline_factory=pipeline_factory,
-                          own_imu=False)
-            if "imu" in cp:
-                service.imu = ImuRing.restore(cp, config.imu_buffer,
-                                              config.session.window_s)
+            service = cls(config, pipeline_factory=pipeline_factory)
             if "shed_samples" in cp:
                 service.sessions_shed = int(cp["sessions_shed"])
                 service.shed_samples = int(cp["shed_samples"])

@@ -19,13 +19,14 @@ faults injected, which is what this harness provides::
 
 The harness simulates one long multi-leg walk, degrades each beacon's trace
 through :class:`~repro.sim.faults.FaultModel`, and replays the stream into a
-:class:`~repro.service.TrackingService` tick by tick. With ``checkpoint_t``
-set it additionally performs a *kill-and-resume*: the service is
-checkpointed at that stream time (through a JSON round trip, i.e. exactly
-what a process restart would read back from disk), a fresh service is
-restored from it, and both the uninterrupted original and the resumed copy
-replay the remaining stream — their per-tick snapshot digests must match
-exactly (:func:`repro.sim.harness.digest_mismatches`).
+one-shard :class:`~repro.fleet.TrackingFleet` (a standalone service) tick
+by tick. With ``checkpoint_t`` set it additionally performs a
+*kill-and-resume*: the fleet is checkpointed at that stream time (through a
+JSON round trip, i.e. exactly what a process restart would read back from
+disk), a fresh fleet is restored from it, and both the uninterrupted
+original and the resumed copy replay the remaining stream — their per-tick
+snapshot digests must match exactly
+(:func:`repro.sim.harness.digest_mismatches`).
 
 Everything is seeded and deterministic; ``python -m repro soak`` wraps this
 module for the command line.
@@ -41,7 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.service import ServiceConfig, TrackingService
+from repro.fleet import FleetConfig, TrackingFleet
+from repro.service import ServiceConfig
 from repro.service.session import SessionSnapshot, snapshot_digest
 from repro.sim.faults import FaultModel
 from repro.sim.harness import (Audit, ErrorLedger, Tick, digest_mismatches,
@@ -102,7 +104,7 @@ class SoakResult:
     dwell: Dict[str, Dict[str, float]]
     #: Service-aggregated event counters (solves, fixes, sheds, trips...).
     counters: Dict[str, int]
-    #: Final :meth:`TrackingService.stats` of the uninterrupted run.
+    #: Final :meth:`TrackingFleet.stats` of the uninterrupted run.
     stats: Dict[str, object]
     #: ``"ExcType: message"`` for every exception the stream driver caught.
     errors: Tuple[str, ...]
@@ -220,22 +222,22 @@ def _build_stream(config: SoakConfig) -> List[Tick]:
 
 
 def _drive(
-    service: TrackingService,
+    fleet: TrackingFleet,
     ticks: Sequence[Tick],
     errors: ErrorLedger,
 ) -> List[Dict[str, SessionSnapshot]]:
-    """Replay ingest batches into a service; one snapshot dict per tick.
+    """Replay ingest batches into a fleet; one snapshot dict per tick.
 
-    The service must *never* raise on data; anything caught is booked in
+    The fleet must *never* raise on data; anything caught is booked in
     ``errors`` (that tick yields ``{}``), so one bug cannot hide the next.
     """
     out: List[Dict[str, SessionSnapshot]] = []
     for t, scan_batch, imu_batch in ticks:
         snaps: Dict[str, SessionSnapshot] = {}
         with errors.capture():
-            service.ingest_scans(scan_batch)
-            service.ingest_imu(imu_batch)
-            snaps = service.tick_batch(t)
+            fleet.ingest_scans(scan_batch)
+            fleet.ingest_imu(imu_batch)
+            snaps = fleet.tick(t)
         out.append(snaps)
     return out
 
@@ -251,9 +253,10 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     errors = ErrorLedger()
     mismatches = None
     with Audit(config.events_jsonl) as audit:
-        service = TrackingService(config.service)
+        fleet = TrackingFleet(FleetConfig(n_shards=1,
+                                          service=config.service))
         if config.checkpoint_t is None:
-            per_tick = _drive(service, ticks, errors)
+            per_tick = _drive(fleet, ticks, errors)
         else:
             cut = next(
                 (i for i, (t, _, _) in enumerate(ticks)
@@ -261,12 +264,12 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
                 len(ticks) - 1,
             )
             head, tail = ticks[: cut + 1], ticks[cut + 1:]
-            per_tick = _drive(service, head, errors)
+            per_tick = _drive(fleet, head, errors)
             # The kill: what a restarting process would read back from disk.
-            checkpoint_json = json.dumps(service.checkpoint())
-            original = _drive(service, tail, errors)
+            checkpoint_json = json.dumps(fleet.checkpoint())
+            original = _drive(fleet, tail, errors)
             per_tick += original
-            resumed = TrackingService.restore(json.loads(checkpoint_json))
+            resumed = TrackingFleet.restore(json.loads(checkpoint_json))
             mismatches = digest_mismatches(
                 [snapshot_digest(s) for s in original],
                 [snapshot_digest(s) for s in _drive(resumed, tail, errors)],
@@ -277,8 +280,8 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
         for beacon_id, snap in snaps.items():
             snapshots.setdefault(beacon_id, []).append(snap)
     t_end = ticks[-1][0] if ticks else 0.0
-    sessions = sorted(service.sessions.items())
-    stats = service.stats()
+    sessions = sorted(fleet.workers[0].service.sessions.items())
+    stats = fleet.stats()
     return SoakResult(
         duration_s=config.duration_s,
         ticks=len(ticks),

@@ -12,6 +12,9 @@ sufficiency rule does; scripted solve failures are raised from
 :meth:`~repro.service.TrackingSession.resolve_solve` the same way real
 solver failures do.
 
+:func:`one_shard` builds a standalone service: a one-shard fleet, the
+composition that owns the observer-IMU ring.
+
 :class:`RecordingSink` is the one event sink the tests read events from;
 the ``recorded`` fixture in ``conftest.py`` attaches one for a test, and
 :func:`recording` attaches one for a block.
@@ -33,7 +36,10 @@ from repro.errors import (
     EstimationError,
     InsufficientDataError,
 )
-from repro.service.session import ImuTick
+from repro.fleet import FleetConfig, TrackingFleet
+from repro.service import ServiceConfig
+from repro.service.session import (ImuTick, PipelineFactory,
+                                   default_pipeline_factory)
 from repro.types import LocationEstimate, Vec2
 
 
@@ -116,6 +122,15 @@ def step_session(session, t, imu):
         fit = fit_batch([pending.request], return_exceptions=True)[0]
         session.resolve_solve(pending, fit)
     return session.finish_step(t)
+
+
+def one_shard(
+    config: ServiceConfig = ServiceConfig(),
+    pipeline_factory: PipelineFactory = default_pipeline_factory,
+) -> TrackingFleet:
+    """A standalone tracking service: a one-shard fleet over ``config``."""
+    return TrackingFleet(FleetConfig(n_shards=1, service=config),
+                         pipeline_factory)
 
 
 class RecordingSink:

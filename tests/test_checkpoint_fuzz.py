@@ -21,15 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataQualityError
+from repro.fleet import TrackingFleet
 from repro.service import (
     BreakerConfig,
     CircuitBreaker,
-    ServiceConfig,
     TrackingService,
     TrackingSession,
 )
 from repro.types import ImuSample, RssiSample
-from tests.stubs import ScriptedPipeline, recording
+from tests.stubs import ScriptedPipeline, one_shard, recording
 
 ALLOWED = (DataQualityError, ConfigurationError)
 
@@ -39,8 +39,8 @@ JUNK = st.sampled_from([
 ])
 
 
-def _live_service() -> TrackingService:
-    svc = TrackingService(ServiceConfig(), pipeline_factory=ScriptedPipeline)
+def _live_fleet() -> TrackingFleet:
+    svc = one_shard(pipeline_factory=ScriptedPipeline)
     for k in range(1, 4):
         t = float(k)
         svc.ingest_scans([
@@ -49,7 +49,7 @@ def _live_service() -> TrackingService:
         ])
         svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                         for i in range(4)])
-        svc.tick_batch(t)
+        svc.tick(t)
     return svc
 
 
@@ -60,7 +60,8 @@ def _breaker_cp():
     return br.checkpoint()
 
 
-_SERVICE = _live_service()
+_FLEET = _live_fleet()
+_SERVICE = _FLEET.workers[0].service
 BASES = {
     "breaker": _breaker_cp(),
     "session": _SERVICE.sessions["a"].checkpoint(),
@@ -137,6 +138,16 @@ def test_truncated_checkpoints_fail_typed(name, data):
         RESTORERS[name](cp)
     except ALLOWED:
         pass
+
+
+@given(st.one_of(JUNK, st.just(_FLEET.checkpoint()["imu"])))
+@settings(max_examples=40, deadline=None)
+def test_service_checkpoint_carrying_a_ring_refused(imu):
+    # The observer-IMU ring lives in the fleet's checkpoint: a service
+    # checkpoint with an `imu` key is refused typed, whatever it holds.
+    cp = dict(copy.deepcopy(BASES["service"]), imu=imu)
+    with pytest.raises(DataQualityError, match="IMU ring"):
+        RESTORERS["service"](cp)
 
 
 def test_uncorrupted_bases_restore_cleanly():

@@ -236,7 +236,6 @@ class TestReplicaRingCheckpoint:
                    for s in services)
         fleet = TrackingFleet.restore(cp)
         assert len(fleet.imu.buffer) == len(services[0]["imu"])
-        assert all(w.service.imu is None for w in fleet.workers)
         for (t, scans, imu), want in zip(doc["ticks"], doc["digests"]):
             fleet.ingest_scans([RssiSample(*row) for row in scans])
             fleet.ingest_imu([ImuSample(*row) for row in imu])

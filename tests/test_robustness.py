@@ -578,12 +578,11 @@ service_fault_plan = st.lists(
 
 
 def _scripted_service(script):
-    from tests.stubs import ScriptedPipeline
+    from tests.stubs import ScriptedPipeline, one_shard
 
-    from repro.service import ServiceConfig, SessionConfig, TrackingService
+    from repro.service import ServiceConfig, SessionConfig
     cfg = ServiceConfig(session=SessionConfig(solve_period_s=1.0))
-    return TrackingService(
-        cfg, pipeline_factory=lambda: ScriptedPipeline(list(script)))
+    return one_shard(cfg, lambda: ScriptedPipeline(list(script)))
 
 
 class TestServiceNeverCrashUndiagnosed:
@@ -593,9 +592,9 @@ class TestServiceNeverCrashUndiagnosed:
     def test_service_never_raises_untyped_on_dirty_scans(self, trace, steps):
         # Arbitrary dirty scans through the REAL repair-mode pipeline: the
         # service must absorb every composition without an untyped escape.
-        from repro.service import TrackingService
+        from tests.stubs import one_shard
 
-        svc = TrackingService()
+        svc = one_shard()
         imu = walking_imu()
         try:
             svc.ingest_scans(
@@ -604,7 +603,7 @@ class TestServiceNeverCrashUndiagnosed:
             )
             svc.ingest_imu(imu.samples)
             for k in range(1, steps + 1):
-                svc.tick_batch(float(k))
+                svc.tick(float(k))
         except ReproError as exc:  # typed escapes are also forbidden here
             raise AssertionError(
                 f"service raised on data: {type(exc).__name__}: {exc}"
@@ -624,7 +623,7 @@ class TestServiceNeverCrashUndiagnosed:
         from tests.stubs import ScriptedPipeline
         from tests.test_service import feed_service
 
-        from repro.service import TrackingService
+        from repro.fleet import TrackingFleet
 
         steps = len(plan) + 4
         cut = min(cut, steps - 1)
@@ -633,9 +632,10 @@ class TestServiceNeverCrashUndiagnosed:
         for k in range(1, cut + 1):
             feed_service(full, float(k))
             feed_service(part, float(k))
-        calls = part.sessions["a"].pipeline.calls if part.sessions else 0
+        sessions = part.workers[0].service.sessions
+        calls = sessions["a"].pipeline.calls if sessions else 0
         rest = plan[min(calls, len(plan) - 1):] or plan[-1:]
-        resumed = TrackingService.restore(
+        resumed = TrackingFleet.restore(
             json.loads(json.dumps(part.checkpoint())),
             pipeline_factory=lambda: ScriptedPipeline(rest),
         )

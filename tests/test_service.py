@@ -13,6 +13,7 @@ from repro.errors import (
     DataQualityError,
     EstimationError,
 )
+from repro.fleet import TrackingFleet
 from repro.service import (
     BackoffConfig,
     BoundedBuffer,
@@ -36,7 +37,7 @@ from repro.types import (
     RssiTrace,
     Vec2,
 )
-from tests.stubs import ScriptedPipeline, step_session
+from tests.stubs import ScriptedPipeline, one_shard, step_session
 
 
 def fix(x=1.0, y=2.0, std=0.5, confidence=0.9):
@@ -646,8 +647,7 @@ def service_with_stub(script=("ok",), **kwargs):
         session=SessionConfig(solve_period_s=1.0),
         **kwargs,
     )
-    return TrackingService(
-        cfg, pipeline_factory=lambda: ScriptedPipeline(list(script)))
+    return one_shard(cfg, lambda: ScriptedPipeline(list(script)))
 
 
 def feed_service(svc, t, beacon_ids=("a", "b")):
@@ -657,7 +657,7 @@ def feed_service(svc, t, beacon_ids=("a", "b")):
     ])
     svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                     for i in range(4)])
-    return svc.tick_batch(t)
+    return svc.tick(t)
 
 
 class TestTrackingService:
@@ -670,13 +670,15 @@ class TestTrackingService:
     def test_session_cap_sheds_new_beacons(self):
         svc = service_with_stub(max_sessions=1)
         feed_service(svc, 1.0, beacon_ids=("a", "b", "c"))
-        assert len(svc.sessions) == 1
-        assert svc.sessions_shed == 2  # beacons b and c refused
-        assert svc.shed_samples == 6  # 3 scans each for b and c
+        stats = svc.stats()
+        assert stats["sessions"] == 1
+        assert stats["sessions_shed"] == 2  # beacons b and c refused
+        assert stats["shed_samples"] == 6  # 3 scans each for b and c
         feed_service(svc, 2.0, beacon_ids=("a", "b", "c"))
-        assert svc.sessions_shed == 2  # still the same two beacons
-        assert svc.shed_samples == 12
-        assert "a" in svc.sessions
+        stats = svc.stats()
+        assert stats["sessions_shed"] == 2  # still the same two beacons
+        assert stats["shed_samples"] == 12
+        assert svc.shard_of("a") == 0
 
     def test_nonfinite_imu_rejected(self):
         svc = service_with_stub()
@@ -685,8 +687,7 @@ class TestTrackingService:
         assert taken == 1
 
     def test_imu_ring_ages_by_the_session_window(self):
-        svc = TrackingService(ServiceConfig(
-            session=SessionConfig(window_s=2.0)))
+        svc = one_shard(ServiceConfig(session=SessionConfig(window_s=2.0)))
         svc.ingest_imu([ImuSample(0.5 * k, 0.0, 0.0, 0.0) for k in range(9)])
         tick = svc.imu.tick(4.0)
         assert [s.timestamp for s in svc.imu.buffer] == [2.0, 2.5, 3.0,
@@ -694,19 +695,10 @@ class TestTrackingService:
         assert len(tick.window(2.0)) == 4  # [t - window, t)
         assert svc.stats()["imu"]["len"] == 5
 
-    def test_ringless_service_refuses_imu(self):
-        svc = TrackingService(own_imu=False)
-        assert svc.imu is None and "imu" not in svc.checkpoint()
-        with pytest.raises(ConfigurationError):
-            svc.ingest_imu([ImuSample(1.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(ConfigurationError):
-            svc.tick_batch(1.0)
-        assert TrackingService.restore(svc.checkpoint()).imu is None
-
     def test_nonfinite_step_time_raises(self):
         svc = service_with_stub()
         with pytest.raises(ConfigurationError):
-            svc.tick_batch(float("inf"))
+            svc.tick(float("inf"))
 
     def test_stats_aggregates_sessions(self):
         svc = service_with_stub()
@@ -715,7 +707,7 @@ class TestTrackingService:
         stats = svc.stats()
         assert stats["sessions"] == 2
         assert stats["counters"]["fixes_accepted"] == 4
-        assert set(stats["states"]) == {"a", "b"}
+        assert set(stats["per_shard"][0]["states"]) == {"a", "b"}
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -733,7 +725,7 @@ class TestTrackingService:
             feed_service(full, float(k))
             feed_service(part, float(k))
         cp = json.loads(json.dumps(part.checkpoint()))
-        resumed = TrackingService.restore(
+        resumed = TrackingFleet.restore(
             cp, pipeline_factory=lambda: ScriptedPipeline(script[2:]))
         assert resumed.restores == 1
         for k in range(4, 8):
@@ -748,6 +740,20 @@ class TestTrackingService:
     def test_bad_checkpoint_rejected(self):
         with pytest.raises(DataQualityError):
             TrackingService.restore({"format": -1})
+
+    def test_checkpoint_carrying_its_own_ring_refused(self):
+        # The observer-IMU ring lives in the fleet's checkpoint; a service
+        # checkpoint that carries one (the former standalone form) is
+        # refused typed rather than restored with the ring dropped.
+        fleet = service_with_stub()
+        feed_service(fleet, 1.0)
+        cp = json.loads(json.dumps(fleet.checkpoint()))
+        service_cp = cp["workers"][0]["service"]
+        assert "imu" not in service_cp
+        TrackingService.restore(service_cp)
+        with pytest.raises(DataQualityError, match="IMU ring"):
+            TrackingService.restore(dict(service_cp, imu=cp["imu"],
+                                         imu_shed=cp["imu_shed"]))
 
 
 # -- end-to-end with the real pipeline ---------------------------------------
@@ -772,7 +778,7 @@ class TestServiceRealPipeline:
         imu = rec.observer_imu.trace.samples
         t_end = math.ceil(max(s.timestamp for s in imu))
 
-        svc = TrackingService(ServiceConfig(
+        svc = one_shard(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)))
         snaps = []
         for k in range(1, t_end + 1):
@@ -781,14 +787,14 @@ class TestServiceRealPipeline:
                 [s for s in scans if t - 1.0 <= s.timestamp < t])
             svc.ingest_imu(
                 [s for s in imu if t - 1.0 <= s.timestamp < t])
-            snaps.append(svc.tick_batch(t)["b"])
+            snaps.append(svc.tick(t)["b"])
         assert snaps[-1].state == SessionState.HEALTHY
         assert snaps[-1].track is not None
         # And the whole thing survives a JSON kill-and-resume.
-        resumed = TrackingService.restore(
+        resumed = TrackingFleet.restore(
             json.loads(json.dumps(svc.checkpoint())))
-        a = svc.tick_batch(float(t_end + 1))["b"]
-        b = resumed.tick_batch(float(t_end + 1))["b"]
+        a = svc.tick(float(t_end + 1))["b"]
+        b = resumed.tick(float(t_end + 1))["b"]
         assert (a.t, a.state, a.track) == (b.t, b.state, b.track)
 
 
@@ -815,7 +821,7 @@ class TestSufficiencyRule:
             walk, [BeaconSpec("b", position=sc.beacon_position)])
         scans = rec.rssi_traces["b"].samples
         imu = rec.observer_imu.trace.samples
-        svc = TrackingService(ServiceConfig(
+        svc = one_shard(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)))
         snaps = []
         for k in range(1, math.ceil(walk.times[-1]) + 1):
@@ -824,8 +830,8 @@ class TestSufficiencyRule:
                 [s for s in scans if t - 1.0 <= s.timestamp < t])
             svc.ingest_imu(
                 [s for s in imu if t - 1.0 <= s.timestamp < t])
-            snaps.append(svc.tick_batch(t)["b"])
-        session = svc.sessions["b"]
+            snaps.append(svc.tick(t)["b"])
+        session = svc.workers[0].service.sessions["b"]
         skips = [e.fields
                  for e in recorded.named("service.solves_skipped_nodata")]
         assert [f["t"] for f in skips] == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -922,7 +928,7 @@ def _run_walk(svc, per_tick=None, calls=None):
         svc.ingest_imu([s for s in imu if t - 1.0 <= s.timestamp < t])
         before = svc.stats()["counters"].get("fixes_accepted", 0)
         n_calls = len(calls) if calls is not None else 0
-        snaps.append(svc.tick_batch(t))
+        snaps.append(svc.tick(t))
         if per_tick is not None:
             per_tick.append((
                 svc.stats()["counters"].get("fixes_accepted", 0) - before,
@@ -935,7 +941,7 @@ class TestOneObserverTrackPerTick:
     """Sessions sharing an IMU window and tracker config share one track."""
 
     def test_one_track_call_per_tick(self, track_calls):
-        svc = TrackingService(ServiceConfig(
+        svc = one_shard(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)))
         per_tick = []
         _run_walk(svc, per_tick, track_calls)
@@ -961,7 +967,7 @@ class TestOneObserverTrackPerTick:
             return LocBLE(sanitize="repair", motion_tracker=MotionTracker(
                 assume_right_angle=right_angle))
 
-        svc = TrackingService(ServiceConfig(
+        svc = one_shard(ServiceConfig(
             session=SessionConfig(solve_period_s=1.0)), factory)
         per_tick = []
         _run_walk(svc, per_tick, track_calls)

@@ -201,7 +201,7 @@ class TestSoakResumeGate:
 class TestSoakErrorTyping:
     def test_lookalike_class_name_counts_as_untyped(self, monkeypatch):
         # Typed means "is a ReproError", not "shares a ReproError's name".
-        from repro.service import TrackingService
+        from repro.fleet import TrackingFleet
 
         class EstimationError(RuntimeError):
             pass
@@ -209,7 +209,7 @@ class TestSoakErrorTyping:
         def boom(self, t):
             raise EstimationError("not a repro error")
 
-        monkeypatch.setattr(TrackingService, "tick_batch", boom)
+        monkeypatch.setattr(TrackingFleet, "tick", boom)
         result = run_soak(smoke_config(duration_s=5.0, checkpoint_t=None))
         assert len(result.errors) == 5
         assert result.errors[0] == "EstimationError: not a repro error"
