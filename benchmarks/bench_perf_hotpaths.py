@@ -4,13 +4,11 @@ Times the overhauled hot paths against the retained reference
 implementations and writes ``BENCH_perf.json`` at the repo root:
 
 * the estimator's exponent grid search (batched LS vs per-candidate loop);
-* the LM kernel's normal equations (row-major sums over a rows-first
-  Jacobian vs the batch-first sums they replaced);
-* the LM kernel at the serving shape (each trial evaluated once, normal
-  equations only for rows that moved, vs the kernel that recomputed every
-  live row every iteration, retained in ``tests/lm_kernel_recompute.py``);
+* the LM kernel at the serving shape (the separable kernel on one
+  ``(x, h)`` row per warm job vs the four-parameter kernel it replaced on
+  that job's three warm seeds, retained in ``tests/lm_kernel_recompute.py``);
 * a churn-like tick of cold and warm windows of distinct lengths (one
-  ``fit_batch`` whose kernel pads the windows into one run, vs
+  ``fit_batch`` whose kernel takes the windows in one run, vs
   one ``fit_batch`` per window length, the runs the kernel made when it
   grouped by length); reported only, with no target;
 * the serving ANF (float-loop filters vs the NumPy-scalar reference loops
@@ -47,17 +45,14 @@ from repro import perf
 from repro.core import anf as anf_module
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import (
-    _GN_HI,
-    _GN_LO,
+    _COST,
     DEFAULT_N_GRID,
     EllipticalEstimator,
     FitRequest,
-    _lm_jacobian,
-    _lm_kernel,
-    _lm_normal_equations,
-    _lm_residuals,
-    _lm_terms,
+    _Job,
+    _kernel_inputs,
     _uses_q,
+    _vp_kernel,
     fit_batch,
 )
 from repro.core.pipeline import LocBLE
@@ -82,7 +77,6 @@ TARGET_WARM = 5.0
 TARGET_BATCH = 3.0
 TARGET_ANF = 3.0
 TARGET_CHECKPOINT = 3.0
-TARGET_LM_NORMAL = 2.0
 TARGET_LM_KERNEL = 1.0
 
 
@@ -250,56 +244,6 @@ def bench_fit_batch(n_sessions: int = 32) -> Dict[str, object]:
     }
 
 
-def bench_lm_normal_equations(n_sessions: int = 7,
-                              n_samples: int = 160) -> Dict[str, object]:
-    """JᵀJ and Jᵀr for one LM iteration at the serving shape: 7 sessions'
-    3 warm seeds each (B=21) over a 160-sample window. "Before" sums the
-    batch-first ``(B, N+2, 4)`` Jacobian over axis 1, "after" is the
-    kernel's row-major sum over the rows-first ``(N+2, 4, B)`` one; both
-    Jacobians come from ``_lm_jacobian`` outside the timed region."""
-    est = EllipticalEstimator()
-    thetas, ps, qs, rsss = [], [], [], []
-    for i in range(n_sessions):
-        p, q, rss = _estimator_workload(seed=200 + i, beacon_x=1.0 + 0.3 * i,
-                                        beacon_y=1.5 + 0.2 * i,
-                                        n_samples=n_samples)
-        warm = est.fit(p, q, rss).warm
-        seeds = est._warm_seeds(warm, True)
-        thetas += seeds
-        ps += [p] * len(seeds)
-        qs += [q] * len(seeds)
-        rsss += [rss] * len(seeds)
-    theta, p, q, rss = (np.asarray(a, dtype=float)
-                        for a in (thetas, ps, qs, rsss))
-    zeros = np.zeros(len(theta))
-    terms = _lm_terms(theta, p, q)
-    j = _lm_jacobian(theta, terms, zeros, zeros)
-    r = _lm_residuals(theta, terms, rss, zeros, zeros, zeros, zeros)
-    jb = np.ascontiguousarray(j.transpose(2, 0, 1))
-
-    def batch_first():
-        return (np.sum(jb[:, :, :, None] * jb[:, :, None, :], axis=1),
-                np.sum(jb * r[:, :, None], axis=1))
-
-    old_jtj, old_grad = batch_first()
-    jtj, grad = _lm_normal_equations(j, r)
-    assert np.array_equal(np.moveaxis(jtj, -1, 0), old_jtj), "JᵀJ differs"
-    assert np.array_equal(grad.T, old_grad), "Jᵀr differs"
-    before = _best_of(batch_first, number=20)
-    after = _best_of(lambda: _lm_normal_equations(j, r), number=20)
-    return {
-        "before_s": before,
-        "after_s": after,
-        "speedup": before / after,
-        "target_speedup": TARGET_LM_NORMAL,
-        "meets_target": before / after >= TARGET_LM_NORMAL,
-        "note": f"B={len(theta)} warm-seed rows ({n_sessions} sessions x 3) "
-                f"x N={n_samples} samples; row-major sums over the "
-                "rows-first Jacobian vs batch-first sums over axis 1; "
-                "results verified bit-identical",
-    }
-
-
 def _load_tests_module(name: str):
     """A module under ``tests/`` loaded by path (benchmarks do not import
     the tests package). A test module may import helpers from the
@@ -317,39 +261,47 @@ def _load_tests_module(name: str):
 
 def bench_lm_kernel(n_beacons: int = 12) -> Dict[str, object]:
     """One warm kernel run at the ``steady_los`` serving shape: the
-    re-anchored warm seeds of 12 sessions' next windows
-    (:func:`_serving_windows`, 3 seeds each, B=36), every window cut to
-    the newest N samples of the shortest. "Before" is the kernel that
-    rebuilt every live row's Jacobian and normal equations each iteration
-    (``tests/lm_kernel_recompute.py``), "after" the one that evaluates
-    each trial once and forms normal equations only for rows that moved;
-    outputs verified bit-identical. The two are timed in alternation, so
-    host drift reaches both sides alike."""
+    re-anchored warm states of 12 sessions' next windows
+    (:func:`_serving_windows`), every window cut to the newest N samples
+    of the shortest. "Before" is the four-parameter kernel the separable
+    solve replaced (``tests/lm_kernel_recompute.py``) on the three seeds
+    it refined per warm job (the previous exponent and that exponent
+    ± 0.3), B=36; "after" the separable kernel on the one ``(x, h)`` row
+    per job it refines now, B=12. Each job's best cost is verified to
+    match or beat the four-parameter kernel's. The two are timed in
+    alternation, so host drift reaches both sides alike."""
     est = EllipticalEstimator()
+    ref = _load_tests_module("lm_kernel_recompute")
     _cold, warm = _serving_windows(n_beacons=n_beacons)
     n = min(len(req.p) for req in warm)
-    thetas, rows = [], []
+    jobs, thetas = [], []
     for req in warm:
-        window = [np.asarray(a, dtype=float)[-n:]
-                  for a in (req.p, req.q, req.rss)]
-        seeds = est._warm_seeds(req.warm, _uses_q(np.asarray(req.q)))
-        thetas += seeds
-        rows += [window] * len(seeds)
-    theta0 = np.clip(np.asarray(thetas), _GN_LO + 1e-6, _GN_HI - 1e-6)
+        p, q, rss = (np.asarray(a, dtype=float)[-n:]
+                     for a in (req.p, req.q, req.rss))
+        job = _Job(est, p, q, rss, _uses_q(q), req.warm)
+        x, h = est._warm_seed(req.warm, job.use_q)
+        jobs.append(job)
+        thetas.append(ref.warm_seeds(x, h, req.warm.gamma, req.warm.n))
+    theta0 = np.clip(np.concatenate(thetas), ref._GN_LO + 1e-6,
+                     ref._GN_HI - 1e-6)
     b = len(theta0)
-    p, q, rss = (np.asarray(a) for a in zip(*rows))
-    args = (theta0, p, q, rss, np.full(b, est.gamma_prior),
+    args = (theta0, *(np.repeat([getattr(j, a) for j in jobs], 3, axis=0)
+                      for a in ("p", "q", "rss")),
+            np.full(b, est.gamma_prior),
             np.full(b, math.sqrt(n) / est.gamma_prior_sigma),
             np.zeros(b), np.zeros(b))
-    kernels = {"before": _load_tests_module("lm_kernel_recompute")._lm_kernel,
-               "after": _lm_kernel}
-    for old, new in zip(*(kernel(*args) for kernel in kernels.values())):
-        assert np.array_equal(old, new, equal_nan=True), "kernel differs"
+    inputs = _kernel_inputs(jobs, [[est._warm_seed(j.warm, j.use_q)]
+                                   for j in jobs])
+    kernels = {"before": lambda: ref._lm_kernel(*args),
+               "after": lambda: _vp_kernel(*inputs)}
+    old_cost = kernels["before"]()[2].reshape(-1, 3).min(axis=1)
+    new_cost = kernels["after"]()[_COST]
+    assert np.all(new_cost <= old_cost * (1.0 + 1e-6)), "separable worse"
     best = {name: math.inf for name in kernels}
     for _ in range(7):
         for name, kernel in kernels.items():
-            best[name] = min(best[name], _best_of(lambda: kernel(*args),
-                                                  repeats=1, number=5))
+            best[name] = min(best[name], _best_of(kernel, repeats=1,
+                                                  number=5))
     before, after = best["before"], best["after"]
     return {
         "before_s": before,
@@ -357,10 +309,11 @@ def bench_lm_kernel(n_beacons: int = 12) -> Dict[str, object]:
         "speedup": before / after,
         "target_speedup": TARGET_LM_KERNEL,
         "meets_target": before / after >= TARGET_LM_KERNEL,
-        "note": f"B={b} warm-seed rows ({n_beacons} sessions x 3) x N={n} "
-                "samples (LOS soak world, seed 0); the kernel vs the one "
-                "that recomputed every live row every iteration; results "
-                "verified bit-identical",
+        "note": f"{n_beacons} warm jobs x N={n} samples (LOS soak world, "
+                f"seed 0): the separable kernel on one (x, h) row per job "
+                f"vs the four-parameter kernel on its three warm seeds "
+                f"(B={b}); every job's best cost matches or beats the "
+                "four-parameter kernel's",
     }
 
 
@@ -567,7 +520,6 @@ def build_report() -> Dict[str, object]:
         "estimator_grid_search": bench_estimator(),
         "estimator_warm_start": bench_warm_start(),
         "estimator_fit_batch": bench_fit_batch(),
-        "estimator_lm_normal_equations": bench_lm_normal_equations(),
         "estimator_lm_kernel": bench_lm_kernel(),
         "estimator_ragged_tick": bench_ragged_tick(),
         "anf_apply": bench_anf_apply(),
@@ -601,7 +553,6 @@ def test_perf_hotpaths():
     assert benches["estimator_grid_search"]["meets_target"], benches
     assert benches["estimator_warm_start"]["meets_target"], benches
     assert benches["estimator_fit_batch"]["meets_target"], benches
-    assert benches["estimator_lm_normal_equations"]["meets_target"], benches
     assert benches["estimator_lm_kernel"]["meets_target"], benches
     assert benches["anf_apply"]["meets_target"], benches
     assert benches["checkpoint_save"]["meets_target"], benches

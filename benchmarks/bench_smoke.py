@@ -31,7 +31,6 @@ from bench_perf_hotpaths import (
     bench_estimator,
     bench_fit_batch,
     bench_lm_kernel,
-    bench_lm_normal_equations,
     bench_warm_start,
 )
 
@@ -44,7 +43,6 @@ SMOKE_BENCHES: Dict[str, Callable[[], Dict[str, object]]] = {
     "estimator_grid_search": bench_estimator,
     "estimator_warm_start": bench_warm_start,
     "estimator_fit_batch": bench_fit_batch,
-    "estimator_lm_normal_equations": bench_lm_normal_equations,
     "estimator_lm_kernel": bench_lm_kernel,
     "anf_apply": bench_anf_apply,
     "checkpoint_save": bench_checkpoint_save,

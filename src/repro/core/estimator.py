@@ -21,6 +21,11 @@ paper's Eq. 5 — we search a grid of candidate exponents and keep the one
 minimising the RSS-domain residual. No constant (Γ, n) is ever assumed:
 both are estimated per regression, which is the paper's key departure from
 fixed-parameter rangers.
+
+The linearised solve only seeds the refinement (:func:`_vp_kernel`),
+which minimises the RSS-domain residuals of the model directly. The
+model is linear in ``(Γ, n)``, so the refinement iterates only ``(x, h)``
+and solves ``(Γ, n)`` in closed form at every trial position.
 """
 
 from __future__ import annotations
@@ -72,45 +77,31 @@ N_PRIOR_SIGMA = 0.5
 WARM_BLOWUP = 2.0
 WARM_FLOOR_DB = 4.0
 
-#: Half-width of the exponent neighbourhood searched by a warm fit —
-#: roughly one environment class (the LOS/P_LOS/NLOS prior centres sit
-#: ~0.3 apart), vs the full 67-point cold grid.
-WARM_N_STEP = 0.3
-
-#: The exponent grid's ends, which clip the warm seeds' exponents.
-_N_LO = float(DEFAULT_N_GRID.min())
-_N_HI = float(DEFAULT_N_GRID.max())
-
 #: The spread of exponents whose linearised solutions seed a cold fit.
 _SEED_N_GRID = DEFAULT_N_GRID[::len(DEFAULT_N_GRID) // 8]
 
 #: Natural log of 10, shared by the analytic Jacobian.
 _LN10 = math.log(10.0)
 
-#: Levenberg-Marquardt parameter bounds (x, h, Γ, n). The position bounds
-#: reflect BLE's usable sensing range (~15 m, Sec. 7.5): beyond it the
-#: advertisements would not decode, so a solution out there is an artefact
-#: of a flat likelihood.
-_GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
-_GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
+#: Bound on |x| and |h| (metres). BLE's usable sensing range is ~15 m
+#: (Sec. 7.5): beyond it the advertisements would not decode, so a
+#: solution out there is an artefact of a flat likelihood.
+_XY_MAX = 18.0
 
-#: Two LM rows of one job whose ``(x, h, Γ, n)`` differ by at most this
-#: much (metres, metres, dB, exponent) have met: the higher-cost one
-#: freezes, since it would only retrace the other's path to the same
-#: optimum. Looser tolerances move warm winners by metres.
-_MERGE_TOL = np.array([0.01, 0.01, 0.1, 0.005])
+#: The box of the path-loss parameters, ``(low, high)`` of Γ (dBm) in row
+#: 0 and of the exponent n in row 1.
+_GN_BOX = np.array([[-95.0, -25.0], [1.0, 5.0]])
+_GN_BOX.flags.writeable = False
 
-#: An accepted LM step that moves a row by at most this much in every
-#: parameter (metres, metres, dB, exponent) ends the row: it has stopped
-#: moving, although along the flat Γ–n valley its cost can keep falling by
-#: more than the relative-gain rule's 1e-10 for dozens of iterations.
-_STEP_TOL = np.array([1e-3, 1e-3, 0.01, 1e-4])
+#: Two LM rows of one job whose ``(x, h)`` differ by at most this much
+#: (metres) in each coordinate have met: the higher-cost one freezes,
+#: since it would only retrace the other's path to the same optimum.
+_MERGE_TOL = 0.01
 
-#: Upper-triangle ``(a, c)`` index pairs of the 4×4 normal matrix, and the
-#: ``(4, 4)`` map from each entry to its pair (both triangles share a pair).
-_TRIU_A, _TRIU_C = np.triu_indices(4)
-_TRIU_OF = np.empty((4, 4), dtype=np.intp)
-_TRIU_OF[_TRIU_A, _TRIU_C] = _TRIU_OF[_TRIU_C, _TRIU_A] = np.arange(10)
+#: An accepted LM step that moves a row by at most this much (metres) in
+#: each coordinate ends the row: it has stopped moving, although its cost
+#: can keep falling by more than the relative-gain rule's 1e-10.
+_STEP_TOL = 1e-3
 
 #: The least distance (metres) a straight-leg seed starts off the walk
 #: line, the kernel's distance clamp. On a straight leg the residuals are
@@ -118,7 +109,8 @@ _TRIU_OF[_TRIU_A, _TRIU_C] = _TRIU_OF[_TRIU_C, _TRIU_A] = np.arange(10)
 #: step could never leave the line.
 _H_MIN = 0.1
 
-#: One ``(x, h, Γ, n)`` starting point for the nonlinear refinement.
+#: One ``(x, h, Γ, n)`` starting point. The planar solve refines only
+#: its ``(x, h)``; the 3-D one (:mod:`repro.core.three_d`) all four.
 Seed = Tuple[float, float, float, float]
 
 
@@ -127,12 +119,12 @@ class WarmStartState:
     """The previous fix's solution, carried forward to warm-start the next.
 
     Consecutive tracking windows overlap almost entirely, so the previous
-    window's ``(x, h, Γ, n)`` is an excellent Gauss-Newton seed for the next
-    solve — the warm path refines a handful of near-optimum seeds instead
-    of re-running the full exponent-grid cold start. ``rss_rmse`` is the
-    residual scale the warm fit is judged against (a blow-up means the
-    environment changed and the warm basin is stale); ``stream_t`` lets
-    streaming callers age warm states out.
+    window's ``(x, h)`` is an excellent seed for the next solve — the warm
+    path refines that one point instead of re-running the full
+    exponent-grid cold start; ``(Γ, n)`` follow from the position in
+    closed form. ``rss_rmse`` is the residual scale the warm fit is judged
+    against (a blow-up means the environment changed and the warm basin
+    is stale); ``stream_t`` lets streaming callers age warm states out.
 
     ``(x, h)`` lives in its window's measurement frame, whose origin and
     +x axis move with the walk from one window to the next. ``ref_t`` and
@@ -331,9 +323,9 @@ class EllipticalEstimator:
         ``rss`` the time-aligned filtered RSS readings.
 
         When ``warm`` carries a usable previous solution the fast path
-        refines it directly (a handful of seeds in a ±:data:`WARM_N_STEP`
-        exponent neighbourhood) instead of re-running the full cold grid;
-        a warm fit whose residuals blow up is rejected — emitting
+        refines its position directly (one seed) instead of re-running
+        the full cold grid; a warm fit whose residuals blow up or that
+        ends on the ±18 m position bound is rejected — emitting
         ``solver.warm_rejected`` — and the cold path re-runs, so a stale
         warm state can degrade latency but never accuracy.
 
@@ -418,7 +410,10 @@ class EllipticalEstimator:
     # -- warm-start path ----------------------------------------------------
 
     def _warm_usable(self, warm: WarmStartState) -> bool:
-        """A warm state worth seeding from: finite, with an in-grid exponent.
+        """A warm state worth seeding from: finite, with a non-negative
+        residual scale. Any exponent will do — the warm fit seeds only the
+        position and solves ``(Γ, n)`` afresh — so a checkpointed state
+        whose exponent lies anywhere, the box edges included, warm-starts.
 
         A refused state is one ``solver.warm_unusable`` signal.
         """
@@ -427,31 +422,16 @@ class EllipticalEstimator:
             reason = "non-finite"
         elif warm.rss_rmse < 0.0:
             reason = "negative-rmse"
-        elif not _N_LO - WARM_N_STEP <= warm.n <= _N_HI + WARM_N_STEP:
-            reason = "n-outside-window"
         else:
             return True
         obs.signal("solver.warm_unusable", reason=reason, warm_n=warm.n)
         return False
 
-    def _warm_seeds(self, warm: WarmStartState, use_q: bool) -> List[Seed]:
-        """Seed set for a warm fit: previous optimum ± one exponent step.
-
-        Three seeds bracket the previous exponent inside the clipped grid
-        (vs the cold path's ~18), so a drifting environment within one
-        class is tracked without the full grid. At a grid edge the clip
-        makes them coincide: two of them when the previous exponent lies
-        on or past the edge, all three when it lies a full step past it.
-        :func:`_lockstep` refines each distinct seed once. A straight-leg
-        seed keeps at least :data:`_H_MIN` off the walk line.
-        """
-        h0 = warm.h if use_q else max(abs(warm.h), _H_MIN)
-        n0 = float(np.clip(warm.n, _N_LO, _N_HI))
-        n_lo = float(np.clip(warm.n - WARM_N_STEP, _N_LO, _N_HI))
-        n_hi = float(np.clip(warm.n + WARM_N_STEP, _N_LO, _N_HI))
-        return [(warm.x, h0, warm.gamma, n0),
-                (warm.x, h0, warm.gamma, n_lo),
-                (warm.x, h0, warm.gamma, n_hi)]
+    def _warm_seed(self, warm: WarmStartState,
+                   use_q: bool) -> Tuple[float, float]:
+        """A warm fit's one seed: the previous optimum's ``(x, h)``. A
+        straight-leg seed keeps at least :data:`_H_MIN` off the walk line."""
+        return warm.x, warm.h if use_q else max(abs(warm.h), _H_MIN)
 
     def _warm_state_from(
         self, res: FitResult, use_q: bool, n_rows: int,
@@ -860,8 +840,9 @@ def _uses_q(q: np.ndarray) -> bool:
 
 
 #: Per-sample terms of one residual evaluation, each ``(B, N)``: the
-#: offsets ``x + p`` and ``h + q``, the distance clamped at 0.1 m, and its
-#: ``log10``. An accepted trial's Jacobian is built from them.
+#: offsets ``x + p`` and ``h + q``, the squared distance clamped at
+#: (0.1 m)², and its ``log10`` (twice the ``log10`` of the distance). A
+#: winner's residuals and Jacobian are built from them.
 _Terms = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -869,16 +850,16 @@ def _lm_terms(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> _Terms:
     """:data:`_Terms` of ``theta`` over the batch-first ``(B, N)`` windows."""
     dx = theta[:, 0:1] + p
     dy = theta[:, 1:2] + q
-    le = np.maximum(np.hypot(dx, dy), 0.1)
-    return dx, dy, le, np.log10(le)
+    d2 = np.maximum(dx * dx + dy * dy, 0.01)
+    return dx, dy, d2, np.log10(d2)
 
 
 def _lm_residuals(
     theta: np.ndarray, terms: _Terms, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
-    pad: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
+    """Stacked RSS-domain + prior residuals of ``(x, h, Γ, n)``, shape
+    ``(B, N + 2)``.
 
     The linearised solve of Eq. 4 puts the measurement noise inside the
     regressor ``y = 10^(-RS/(5n))`` (an errors-in-variables setup that
@@ -889,14 +870,10 @@ def _lm_residuals(
     Row layout: N data rows, then the Γ-prior row, then the n-prior row.
     The prior weights scale with ``sqrt(N)`` of the row's own window so
     the priors keep pace with the data term instead of washing out on long
-    traces; an absent prior has weight 0. ``pad`` (``(B, N)``, True past a
-    shorter window's end) makes those samples' residuals ``-0.0``, the one
-    IEEE value whose addition changes no sum. ``terms`` are
-    :func:`_lm_terms` of ``theta``.
+    traces; an absent prior has weight 0. ``terms`` are :func:`_lm_terms`
+    of ``theta``; ``10·n·log10(d)`` is ``5·n·log10(d²)``.
     """
-    r_data = rss - (theta[:, 2:3] - 10.0 * theta[:, 3:4] * terms[3])
-    if pad is not None:
-        np.copyto(r_data, -0.0, where=pad)
+    r_data = rss - (theta[:, 2:3] - 5.0 * theta[:, 3:4] * terms[3])
     r_pg = (wg * (theta[:, 2] - gp))[:, None]
     r_pn = (wn * (theta[:, 3] - npr))[:, None]
     return np.concatenate([r_data, r_pg, r_pn], axis=1)
@@ -904,70 +881,195 @@ def _lm_residuals(
 
 def _lm_jacobian(
     theta: np.ndarray, terms: _Terms, wg: np.ndarray, wn: np.ndarray,
-    pad: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(N+2, 4, B)``.
+    """Analytic Jacobian of :func:`_lm_residuals` in all four of
+    ``(x, h, Γ, n)``, shape ``(N+2, 4, B)``.
 
-    Rows, then parameters, then batch, for :func:`_lm_normal_equations`,
-    written through transposes from the batch-first ``terms`` of
-    ``theta``: ``hypot`` and ``log10`` run once, in :func:`_lm_terms`.
-    ``tests/test_lm_kernel.py`` checks that this gives the bits of a
-    rows-first evaluation of the two on the NumPy build in use. Padded
-    samples (``pad``) get all-``+0.0`` rows: their JᵀJ terms are ``+0.0``
-    and their Jᵀr terms ``+0.0 * -0.0 = -0.0``, so neither sum moves.
+    A winner's covariance (:meth:`EllipticalEstimator._covariance_from`)
+    is taken from it once, at the optimum the separable solve found.
     """
-    dx, dy, le, log_le = terms
+    dx, dy, d2, log_d2 = terms
     n_rows = dx.shape[1]
     # Inside the 0.1 m clamp the distance no longer responds to (x, h);
-    # ``le > 0.1`` is ``hypot > 0.1``, NaN included.
-    coef = np.where(le > 0.1,
-                    (10.0 / _LN10) * theta[:, 3:4] / (le * le), 0.0)
+    # ``d2 > 0.01`` is False on NaN too.
+    coef = np.where(d2 > 0.01, (10.0 / _LN10) * theta[:, 3:4] / d2, 0.0)
     j = np.zeros((n_rows + 2, 4, theta.shape[0]))
     j[:n_rows, 0] = (coef * dx).T
     j[:n_rows, 1] = (coef * dy).T
     j[:n_rows, 2] = -1.0
-    j[:n_rows, 3] = (10.0 * log_le).T
-    if pad is not None:
-        np.copyto(j[:n_rows], 0.0, where=pad.T[:, None, :])
+    j[:n_rows, 3] = (5.0 * log_d2).T
     j[n_rows, 2] = wg
     j[n_rows + 1, 3] = wn
     return j
 
 
-def _lm_normal_equations(
-    j: np.ndarray, r: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(JᵀJ, Jᵀr)`` as ``(4, 4, B)`` and ``(4, B)`` arrays.
+#: Rows of the packed per-row state :func:`_vp_eval` returns and
+#: :func:`_vp_kernel` carries: the position, the path-loss parameters
+#: that solve the inner problem there, the cost, Kaufman's projected 2×2
+#: Hessian (row-major, four entries) and the gradient in ``(x, h)``.
+_X, _H, _GAMMA, _N, _COST, _HESS, _GRAD, _STATE = 0, 1, 2, 3, 4, 5, 9, 11
 
-    ``j`` is :func:`_lm_jacobian`'s ``(N+2, 4, B)`` and ``r`` the
-    ``(B, N+2)`` residuals. Both sums reduce axis 0 of a C-contiguous
-    product, so every entry adds its N+2 row terms one at a time, in row
-    order, with 10·B- (JᵀJ) and 4·B-element (Jᵀr) inner loops. A
-    batch-first ``(B, N+2, 4)`` Jacobian's ``sum(axis=1)`` adds in that
-    same order with 16- and 4-element inner loops, so the results are
-    bit-identical to it, and each batch column to that column summed alone.
-    Only the 10 upper-triangle products of JᵀJ are formed: IEEE products
-    commute, so entry ``(c, a)`` is the same sum of the same terms as
-    ``(a, c)``. They are multiplied in place into the first gathered
-    factor, so two ``(N+2, 10, B)`` arrays are alive at once, not three.
+#: Planes of the ``(8, S)`` work array of :func:`_vp_eval`, whose S
+#: columns are the live rows' windows laid end to end: the window's ``p``
+#: and ``q``; the residual's (x, h) derivatives ``jx`` and ``jh``, the
+#: residual ``r`` and ``L``, the ``log10`` of the clamped squared
+#: distance, which each evaluation overwrites; a plane of ones; and the
+#: window's ``rss``. The order makes each stack of products one product
+#: of two plane ranges.
+_P, _Q, _JX, _JH, _R, _L, _ONES, _RSS = range(8)
+
+#: Rows of the per-row constants :func:`_kernel_inputs` packs: the Γ
+#: entries of the inner normal equations (``N + wg²`` and
+#: ``Σrss + wg²·gp``), the n-prior's ``wn²`` and ``wn²·npr``, and the
+#: prior weights and centres the cost's two prior rows take.
+_A11, _B1, _WN2, _WN2NPR, _WG, _WN, _GP, _NPR = range(8)
+
+
+def _job_constants(job: "_Job") -> Tuple[float, ...]:
+    """One job's row of :data:`_A11` ... :data:`_NPR` constants.
+
+    Its window's ``Σrss`` is summed from that window alone, so a job gets
+    the same bits whatever else shares its kernel run.
     """
-    pairs = np.take(j, _TRIU_A, axis=1)
-    pairs *= np.take(j, _TRIU_C, axis=1)
-    jtj = np.sum(pairs, axis=0)[_TRIU_OF]
-    grad = np.sum(j * r.T[:, None, :], axis=0)
-    return jtj, grad
+    est, root_n = job.est, math.sqrt(len(job.p))
+    wg = gp = wn = npr = 0.0
+    if est.gamma_prior is not None:
+        wg, gp = root_n / est.gamma_prior_sigma, est.gamma_prior
+    if est.n_prior is not None:
+        wn, npr = root_n / N_PRIOR_SIGMA, est.n_prior
+    return (len(job.p) + wg * wg, float(np.sum(job.rss)) + wg * wg * gp,
+            wn * wn, wn * wn * npr, wg, wn, gp, npr)
 
 
-def _lm_cost(r: np.ndarray) -> np.ndarray:
-    """Each row's ``sum(r * r)``, its terms added one at a time in order.
+def _inner_solve(
+    sums: np.ndarray, c: np.ndarray,
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray,
+           np.ndarray]:
+    """The ``(Γ, n)`` in the box that minimise each row's cost at its
+    fixed ``(x, h)``.
 
-    ``cumsum`` along the contiguous row axis accumulates sequentially for
-    any batch size, so the ``-0.0`` residuals of a padded window leave a
-    row's cost bit for bit what its own window gives. ``np.sum`` adds
-    pairwise in blocks that depend on the row length — and on a
-    ``(M, 1)`` array along axis 0 too.
+    The residual ``rss − Γ + 10·n·log10(d)`` is linear in ``(Γ, n)``, so
+    with the prior rows the cost is a convex quadratic whose 2×2 normal
+    equations take ``sums`` = ``(ΣL², ΣL, Σrss·L)`` over the window (``L``
+    the ``log10`` of the squared distance, twice the model's, hence the
+    5s and 25) and the row's constants ``c``. A solution outside the box is replaced by the
+    best of the four box edges, each a 1-D solve clamped to its edge; that
+    edge also says which of Γ and n stays free. Returns ``(gn, free, a12,
+    a22, det)``: ``(Γ, n)`` as a ``(2, B)`` array, which of them are free
+    (``None`` when both are, on every row), and the rest of the normal
+    matrix and its determinant, for :func:`_vp_eval`'s projection.
     """
-    return np.cumsum(r * r, axis=1)[:, -1]
+    a11, b1 = c[_A11], c[_B1]
+    a22 = 25.0 * sums[0] + c[_WN2]
+    a12 = -5.0 * sums[1]
+    b2 = c[_WN2NPR] - 5.0 * sums[2]
+    det = a11 * a22 - a12 * a12
+    gn = np.empty((2, len(det)))
+    np.subtract(a22 * b1, a12 * b2, out=gn[0])
+    np.subtract(a11 * b2, a12 * b1, out=gn[1])
+    gn /= det
+    inside = (gn >= _GN_BOX[:, :1]) & (gn <= _GN_BOX[:, 1:])
+    inside = inside[0] & inside[1]
+    if np.count_nonzero(inside) == len(inside):
+        return gn, None, a12, a22, det
+    # Edges 0-1 hold Γ on its bounds, edges 2-3 hold n on its bounds.
+    edges = np.empty((2, 4, len(det)))
+    edges[0, :2] = _GN_BOX[0, :, None]
+    edges[1, 2:] = _GN_BOX[1, :, None]
+    np.clip((b2 - a12 * edges[0, :2]) / a22, *_GN_BOX[1], out=edges[1, :2])
+    np.clip((b1 - a12 * edges[1, 2:]) / a11, *_GN_BOX[0], out=edges[0, 2:])
+    g_e, n_e = edges
+    # The quadratic less its constant: βᵀAβ − 2bᵀβ.
+    f = (g_e * (a11 * g_e + 2.0 * (a12 * n_e - b1))
+         + n_e * (a22 * n_e - 2.0 * b2))
+    k = np.argmin(np.where(np.isfinite(f), f, np.inf), axis=0)
+    best = edges[:, k, np.arange(len(k))]
+    free = (np.array([k >= 2, k < 2]) & (best > _GN_BOX[:, :1])
+            & (best < _GN_BOX[:, 1:]) | inside)
+    return np.where(inside, gn, best), free, a12, a22, det
+
+
+def _vp_eval(
+    xy: np.ndarray, w: np.ndarray, c: np.ndarray, lengths: np.ndarray,
+    starts: np.ndarray,
+) -> np.ndarray:
+    """The separable problem at each row's ``(x, h)``: the packed
+    ``(11, B)`` state of :data:`_X` ... :data:`_GRAD`.
+
+    ``xy`` is ``(2, B)``, ``w`` the ``(8, S)`` work array of :data:`_P`
+    ... :data:`_RSS`, ``c`` the ``(8, B)`` constants, ``lengths`` each
+    row's sample count and ``starts`` its first sample.
+    ``(Γ, n)`` come from :func:`_inner_solve`. The gradient is ``Jᵀr`` over
+    the (x, h) columns ``J`` of the residuals' Jacobian; at the inner
+    optimum it is the exact gradient of the projected cost. The Hessian
+    is Kaufman's: ``JᵀJ − (JᵀΦ)(ΦᵀΦ)⁻¹(ΦᵀJ)`` over the free columns ``Φ``
+    of the linear design ``(1, −10·log10 d)`` and its prior rows.
+
+    Every row sum is an ``np.add.reduceat`` over the row's own samples,
+    whose result depends on those samples alone: a row's sums are the
+    same bits whatever other rows, and windows of whatever lengths, share
+    the work array.
+    """
+    dxy = np.repeat(xy, lengths, axis=1)
+    dxy += w[_P:_Q + 1]
+    d2 = dxy * dxy
+    d2 = np.add(d2[0], d2[1], out=d2[0])
+    near = d2 <= 0.01
+    np.maximum(d2, 0.01, out=d2)
+    log_d2 = np.log10(d2, out=w[_L])
+    # L · (L, 1, rss): the inner solve's ΣL², ΣL and Σrss·L.
+    gn, free, a12, a22, det = _inner_solve(
+        np.add.reduceat(log_d2 * w[_L:], starts, axis=1), c)
+
+    # Γ, 5·n and the distance derivative's 10·n/ln 10, per sample.
+    per_row = np.empty((3, len(det)))
+    per_row[:2] = gn
+    per_row[1] *= 5.0
+    np.multiply(10.0 / _LN10, gn[1], out=per_row[2])
+    gam, n5, kn = np.repeat(per_row, lengths, axis=1)
+    r = np.multiply(n5, log_d2, out=w[_R])
+    np.subtract(gam, r, out=r)
+    np.subtract(w[_RSS], r, out=r)
+    # Inside the 0.1 m clamp the distance no longer responds to (x, h).
+    kn /= d2
+    kn[near] = 0.0
+    np.multiply(kn, dxy, out=w[_JX:_JH + 1])
+    # (jx, jh, r) · (jx, jh, r, L, 1): every other row sum.
+    t = w[_JX:_R + 1, None] * w[None, _JX:_ONES + 1]
+    sums = np.add.reduceat(t.reshape(15, -1), starts, axis=1).reshape(
+        3, 5, -1)
+
+    # (ΦᵀΦ)⁻¹ over the free columns, zero where a column is held, with
+    # the −5 of the n column (−10·log10 d = −5·L) folded in.
+    m_gg = a22 / det
+    m_gn = 5.0 * a12 / det
+    m_nn = 25.0 * c[_A11] / det
+    if free is not None:
+        both = free[0] & free[1]
+        m_gg = np.where(both, m_gg, np.where(free[0], 1.0 / c[_A11], 0.0))
+        m_gn = np.where(both, m_gn, 0.0)
+        m_nn = np.where(both, m_nn, np.where(free[1], 25.0 / a22, 0.0))
+    # Rows x and h of Σj and Σj·L, against the Γ and the n column.
+    u_g, u_n = sums[:2, 4], sums[:2, 3]
+    v_g = m_gg * u_g + m_gn * u_n
+    v_n = m_gn * u_g + m_nn * u_n
+    st = np.empty((_STATE, len(det)))
+    st[_X:_GAMMA] = xy
+    st[_GAMMA:_COST] = gn
+    prior = c[_WG:_GP] * (gn - c[_GP:])
+    prior *= prior
+    np.add(sums[2, 2] + prior[0], prior[1], out=st[_COST])
+    np.subtract(sums[:2, :2], u_g[:, None] * v_g + u_n[:, None] * v_n,
+                out=st[_HESS:_GRAD].reshape(2, 2, -1))
+    st[_GRAD:] = sums[:2, 2]
+    return st
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """The first sample of each row, its windows laid end to end."""
+    starts = np.zeros(len(lengths), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
 def _job_pairs(job: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -979,80 +1081,56 @@ def _job_pairs(job: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return np.nonzero(same)
 
 
-def _lm_kernel(
-    theta0: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
-    gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
-    job: Optional[np.ndarray] = None, pad: Optional[np.ndarray] = None,
-    max_iter: int = 60,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep projected Levenberg-Marquardt over a batch of seeds.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _vp_kernel(
+    xy0: np.ndarray, w: np.ndarray, c: np.ndarray, lengths: np.ndarray,
+    job: Optional[np.ndarray] = None, max_iter: int = 60,
+) -> np.ndarray:
+    """Lockstep separable Levenberg-Marquardt over a batch of ``(x, h)``
+    seeds; returns the final packed ``(11, B)`` states (:func:`_vp_eval`).
+
+    ``xy0`` is ``(2, B)``, ``w`` the ``(8, S)`` work array with the B
+    windows laid end to end and the ones in place (:data:`_P` ...
+    :data:`_RSS`), ``c`` the ``(8, B)`` constants (:func:`_job_constants`)
+    and ``lengths`` the ``(B,)`` window lengths.
 
     This is the one nonlinear solver of the elliptical regression: cold,
-    warm and batched fits all run through it. Every operation is either
-    elementwise, a reduction along the row axis of a C-contiguous array, or
-    a per-slice LAPACK call — the exact set of NumPy operations whose
-    batched results are bit-identical to running each slice alone. Every
-    row reduction adds its terms one at a time, in row order:
+    warm and batched fits all run through it. The model is linear in
+    ``(Γ, n)``, so only ``(x, h)`` is iterated (variable projection,
+    Golub and Pereyra 1973, with Kaufman's 1975 Hessian): each trial
+    position gets its own best ``(Γ, n)`` in closed form. The damped 2×2
+    system is solved elementwise. A position on its ±18 m bound whose
+    descent direction points out of the box is held, so the other one
+    solves alone instead of crawling along the bound; a row whose Hessian
+    or gradient is not finite holds both (zero step) and then leaves.
 
-    - the cost (:func:`_lm_cost`) is a ``cumsum`` along the contiguous row
-      axis of the batch-first ``(B, N+2)`` residuals;
-    - JᵀJ and Jᵀr (:func:`_lm_normal_equations`) add over the leading
-      axis of the rows-first ``(N+2, 4, B)`` Jacobian.
+    A step is accepted when it lowers the cost; λ then shrinks by 3,
+    otherwise it grows by 5. A row freezes when it converges (an
+    accepted step that gains at most 1e-10 of the cost, or moves each
+    coordinate by at most :data:`_STEP_TOL`), gets stuck (λ past 1e8)
+    or fails. Rows of one ``job`` (``(B,)`` ids; ``None`` puts every row
+    in a job of its own) are seeds of one problem: after each iteration
+    but the last, a live row within :data:`_MERGE_TOL` of a lower-cost row
+    of its job, live or frozen, freezes (on equal costs the later row
+    does), since it has met a basin another row already holds.
 
-    So windows of different lengths share one run: each is padded to the
-    longest, and ``pad`` (``(B, N)``, True on the padding, ``None`` when
-    every window is full) makes the padded samples add exactly nothing to
-    the residual row's cost, JᵀJ or Jᵀr. The prior rows follow the
-    padding, so a row's sums are its own window's, bit for bit.
-
-    Each unit of work is done once. A trial point is evaluated once: its
-    residuals come with the per-sample terms (:func:`_lm_terms`) that an
-    accepted trial's Jacobian is built from. JᵀJ and Jᵀr are carried per
-    live row and formed only for rows whose trial was accepted and that
-    stay live; a rejected step changes only λ, so the row's system is the
-    one it already holds. Both give the bits recomputing them would.
-
-    Rows of one ``job`` (``(B,)`` ids; ``None`` puts every row in a job
-    of its own) are seeds of one problem. After each iteration but the
-    last, a live row that lies within :data:`_MERGE_TOL` of a lower-cost
-    row of its job, live or frozen, freezes (on equal costs the later row
-    does): it has met a basin another row already holds. Every other row
-    freezes when it converges (an accepted step that gains at most 1e-10
-    of the cost, or moves the row by at most :data:`_STEP_TOL`), gets
-    stuck or fails. A frozen row is
-    removed from the compacted working set and never changes again, so a
-    job's rows return bit-identical ``(theta, residuals, cost)`` whatever
-    other jobs share the run — the property :func:`fit_batch` relies on —
-    while late iterations only pay for the rows still moving.
-    ``einsum``/``matmul`` reductions are deliberately avoided (their
-    batched forms are *not* per-slice bit-identical).
+    A frozen row is removed from the compacted working set — a handful of
+    gathers of the packed state, samples and constants — and never
+    changes again. Every operation is elementwise or one of
+    :func:`_vp_eval`'s per-row sums, so a job's rows end bit-identical
+    whatever other jobs share the run, as :func:`fit_batch` relies on.
     """
-    theta_out = theta0.copy()
-    terms = _lm_terms(theta_out, p, q)
-    r = _lm_residuals(theta_out, terms, rss, gp, wg, npr, wn, pad)
-    cost_out = _lm_cost(r)
-    eye = np.eye(4)[:, :, None]
-
-    # Compacted working set: rows freeze by being *removed* (their state
-    # scattered back into the full-size outputs), so per-iteration cost
-    # tracks the live count instead of the original batch size. Row-gather
-    # preserves per-slice bit-identity for every op used here — a gathered
-    # subset is a fresh C-contiguous array whose per-row reductions see the
-    # exact same operand layout.
-    idx = np.flatnonzero(np.isfinite(cost_out))
-    theta = theta_out[idx]
-    cost = cost_out[idx]
-    pp, qq, ss = p[idx], q[idx], rss[idx]
-    gpp, wgg, nprr, wnn = gp[idx], wg[idx], npr[idx], wn[idx]
-    padd = None if pad is None else pad[idx]
+    out = _vp_eval(xy0, w, c, lengths, _starts(lengths))
+    keep = np.isfinite(out[_COST])
+    idx = np.flatnonzero(keep)
+    w = np.compress(np.repeat(keep, lengths), w, axis=1)
+    s, c, lengths = out[:, idx], c[:, idx], lengths[idx]
+    starts = _starts(lengths)
     lam = np.full(idx.size, 1e-3)
-    jtj, grad = _lm_normal_equations(
-        _lm_jacobian(theta, tuple(t[idx] for t in terms), wgg, wnn, padd),
-        r[idx])
-    normal_rows = idx.size
+    evals = idx.size
     # Merge candidates: ordered (a, b) pairs of one job whose row a is live.
     pair_a, pair_b = _job_pairs(job)
-    live = np.zeros(len(theta_out), dtype=bool)
+    live = np.zeros(out.shape[1], dtype=bool)
     live[idx] = True
     keep_pair = live[pair_a]
     pair_a, pair_b = pair_a[keep_pair], pair_b[keep_pair]
@@ -1061,94 +1139,78 @@ def _lm_kernel(
     n_iter = 0
     while idx.size and n_iter < max_iter:
         n_iter += 1
-        finite = (np.isfinite(jtj).all(axis=(0, 1))
-                  & np.isfinite(grad).all(axis=0))
-        # A parameter on its bound whose descent direction points out of
-        # the box is held: its row and column of the damped system become
-        # identity and its right-hand side 0, so the free parameters solve
-        # the reduced system instead of crawling along the bound. A
-        # non-finite row holds every parameter (zero step), so one LAPACK
-        # batch serves every row without a bad slice poisoning it.
-        free = finite & ~(((theta <= _GN_LO) & (grad.T > 0.0))
-                          | ((theta >= _GN_HI) & (grad.T < 0.0))).T
-        lhs = np.where(free[:, None] & free[None, :], jtj + lam * eye, eye)
-        rhs = np.where(free, grad, 0.0)
-        try:
-            step = np.linalg.solve(lhs.transpose(2, 0, 1),
-                                   rhs.T[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            break
-        trial = np.clip(theta - step, _GN_LO, _GN_HI)
-        terms = _lm_terms(trial, pp, qq)
-        r_t = _lm_residuals(trial, terms, ss, gpp, wgg, nprr, wnn, padd)
-        cost_t = _lm_cost(r_t)
-        better = finite & np.isfinite(cost_t) & (cost_t < cost)
-        still = (np.abs(trial - theta) <= _STEP_TOL).all(axis=1)
-        theta = np.where(better[:, None], trial, theta)
-        gain = np.where(better, cost - cost_t, 0.0)
-        cost = np.where(better, cost_t, cost)
+        xy, grad = s[:_GAMMA], s[_GRAD:]
+        finite = np.logical_and.reduce(np.isfinite(s[_HESS:]), axis=0)
+        a = s[_HESS] + lam
+        d = s[_HESS + 3] + lam
+        b = s[_HESS + 1]
+        if (np.count_nonzero(finite) < finite.size
+                or np.count_nonzero(np.abs(xy) >= _XY_MAX)):
+            free = finite & ~(((xy <= -_XY_MAX) & (grad > 0.0))
+                              | ((xy >= _XY_MAX) & (grad < 0.0)))
+            a = np.where(free[0], a, 1.0)
+            d = np.where(free[1], d, 1.0)
+            b = np.where(free[0] & free[1], b, 0.0)
+            grad = np.where(free, grad, 0.0)
+        step = np.empty_like(xy)
+        np.subtract(d * grad[0], b * grad[1], out=step[0])
+        np.subtract(a * grad[1], b * grad[0], out=step[1])
+        step /= a * d - b * b
+        trial = np.minimum(np.maximum(xy - step, -_XY_MAX), _XY_MAX)
+        t = _vp_eval(trial, w, c, lengths, starts)
+        evals += idx.size
+        gain = s[_COST] - t[_COST]
+        better = finite & (t[_COST] < s[_COST])
+        moved = np.abs(trial - xy) <= _STEP_TOL
+        s = np.where(better, t, s)
         lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
                        np.where(finite, lam * 5.0, lam))
-        done = better & (still | (gain <= 1e-10 * np.maximum(cost, 1e-12)))
-        stuck = finite & ~better & (lam > 1e8)
-        keep = finite & ~(done | stuck)
+        done = better & ((moved[0] & moved[1])
+                         | (gain <= 1e-10 * np.maximum(s[_COST], 1e-12)))
+        keep = finite & ~(done | (finite & ~better & (lam > 1e8)))
         if pair_a.size and n_iter < max_iter:
-            theta_out[idx] = theta
-            cost_out[idx] = cost
+            out[:, idx] = s
             live[idx] = keep
             a, b = pair_a, pair_b
             met = (live[a]
-                   & ((cost_out[b] < cost_out[a])
-                      | ((cost_out[b] == cost_out[a]) & (b < a)))
-                   & (np.abs(theta_out[a] - theta_out[b])
-                      <= _MERGE_TOL).all(axis=1))
-            if met.any():
+                   & ((out[_COST, b] < out[_COST, a])
+                      | ((out[_COST, b] == out[_COST, a]) & (b < a)))
+                   & np.logical_and.reduce(
+                       np.abs(out[:_GAMMA, a] - out[:_GAMMA, b])
+                       <= _MERGE_TOL, axis=0))
+            if np.count_nonzero(met):
                 live[a[met]] = False
                 merged = ~live[idx] & keep
                 merged_rows += int(np.count_nonzero(merged))
                 keep &= ~merged
-        moved = np.flatnonzero(better & keep)
-        if moved.size and n_iter < max_iter:
-            # When every live row moved, views instead of gathered copies.
-            rows = moved if moved.size < better.size else slice(None)
-            jtj[:, :, rows], grad[:, rows] = _lm_normal_equations(
-                _lm_jacobian(trial[rows], tuple(t[rows] for t in terms),
-                             wgg[rows], wnn[rows],
-                             None if padd is None else padd[rows]),
-                r_t[rows])
-            normal_rows += moved.size
-        if not np.all(keep):
-            theta_out[idx] = theta
-            cost_out[idx] = cost
-            idx = idx[keep]
-            theta, cost, lam = theta[keep], cost[keep], lam[keep]
-            jtj, grad = jtj[:, :, keep], grad[:, keep]
-            pp, qq, ss = pp[keep], qq[keep], ss[keep]
-            gpp, wgg = gpp[keep], wgg[keep]
-            nprr, wnn = nprr[keep], wnn[keep]
-            if padd is not None:
-                padd = padd[keep]
+        if np.count_nonzero(keep) < keep.size:
+            out[:, idx] = s
+            idx, s, lam = idx[keep], s[:, keep], lam[keep]
+            w = np.compress(np.repeat(keep, lengths), w, axis=1)
+            c, lengths = c[:, keep], lengths[keep]
+            starts = _starts(lengths)
             if pair_a.size:
                 keep_pair = live[pair_a]
                 pair_a, pair_b = pair_a[keep_pair], pair_b[keep_pair]
     if idx.size:
-        theta_out[idx] = theta
-        cost_out[idx] = cost
-    # A row's residuals are a function of its theta alone: evaluated again
-    # here, from the final thetas, instead of carried through the loop.
-    r_out = _lm_residuals(theta_out, _lm_terms(theta_out, p, q), rss,
-                          gp, wg, npr, wn, pad)
+        out[:, idx] = s
     perf.count("estimator.lm_kernel_calls")
     perf.count("estimator.lm_iterations", n_iter)
-    perf.count("estimator.lm_normal_rows", normal_rows)
+    perf.count("estimator.lm_normal_rows", evals)
     perf.count("estimator.lm_rows_merged", merged_rows)
     if n_iter == max_iter:
         perf.count("estimator.lm_max_iter_calls")
-    return theta_out, r_out, cost_out
+    return out
 
 
-#: A job's winning kernel row: ``(theta, residual row, Jacobian)``.
+#: A job's winning kernel row: ``(theta, residual row, Jacobian)``, with
+#: ``theta`` the four ``(x, h, Γ, n)``.
 _Best = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Costs within this fraction of a job's least cost tie: the first such
+#: row in seed order wins. Distinct basins can cost the same to about
+#: 1e-9, where rounding alone would pick one.
+_TIE_RTOL = 1e-6
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -1163,79 +1225,87 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[list(first.values())]
 
 
+def _kernel_inputs(
+    jobs: Sequence[_Job], seed_sets: Sequence[Sequence[Sequence[float]]],
+) -> Tuple[np.ndarray, ...]:
+    """:func:`_vp_kernel`'s ``(xy0, w, c, lengths, job)`` for the jobs'
+    seed sets, one row per distinct seed ``(x, h)`` (its first two
+    entries), clipped into the box."""
+    seeds = [_distinct_rows(np.clip(np.asarray(s, dtype=float)[:, :2],
+                                    -_XY_MAX + 1e-6, _XY_MAX - 1e-6))
+             for s in seed_sets]
+    counts = [len(s) for s in seeds]
+    lengths = np.repeat([len(job.p) for job in jobs], counts)
+    w = np.ones((8, int(lengths.sum())))
+    start = 0
+    for job, count in zip(jobs, counts):
+        for _ in range(count):
+            cols = slice(start, start + len(job.p))
+            w[_P, cols], w[_Q, cols], w[_RSS, cols] = job.p, job.q, job.rss
+            start = cols.stop
+    c = np.repeat(np.array([_job_constants(job) for job in jobs]).T, counts,
+                  axis=1)
+    return (np.concatenate(seeds).T.copy(), w, c, lengths,
+            np.repeat(np.arange(len(jobs)), counts))
+
+
 def _lockstep(
-    jobs: Sequence[_Job], seed_sets: Sequence[List[Seed]],
+    jobs: Sequence[_Job], seed_sets: Sequence[Sequence[Sequence[float]]],
 ) -> List[Optional[_Best]]:
     """Refine every job's seed set in one kernel run.
 
-    Returns, per job, its winning seed — lowest total cost, the first seed
-    on ties — or ``None`` when no seed reached a finite cost. Windows of
-    different lengths are padded to the longest (:func:`_lm_kernel`'s
-    ``pad``); a winner's residual row and Jacobian are cut back to its own
-    N samples and two prior rows. Seed counts may differ. Rows interact
+    A seed's first two entries are its ``(x, h)``; :func:`_vp_kernel`
+    finds ``(Γ, n)`` itself. Returns, per job, its winning seed — the
+    first in seed order whose cost is within :data:`_TIE_RTOL` of the
+    job's least — or ``None`` when no seed reached a finite cost. A
+    winner's residual row and Jacobian cover its own N samples and two
+    prior rows. Seed counts and window lengths may differ. Rows interact
     only within their job (the merge rule) and each job's arg-min reads
     only its own rows, so a job's result does not depend on what else
-    shares the run. For the same reason a seed that repeats an earlier one
-    of its job bit for bit (after clipping into the box) gets no kernel
-    row: it would end bit-identical to its first occurrence, which already
-    wins every tie it could.
+    shares the run. For the same reason a seed whose ``(x, h)`` repeats
+    an earlier one of its job bit for bit (after clipping into the box)
+    gets no kernel row: it would end bit-identical to its first
+    occurrence, which already wins every tie it could.
     """
     out: List[Optional[_Best]] = [None] * len(jobs)
     if not jobs:
         return out
-    seeds = [_distinct_rows(np.clip(np.asarray(s, dtype=float),
-                                    _GN_LO + 1e-6, _GN_HI - 1e-6))
-             for s in seed_sets]
-    counts = [len(s) for s in seeds]
-    lengths = [len(job.p) for job in jobs]
-    n_max = max(lengths)
-
-    def stack(rows: List[Any]) -> np.ndarray:
-        return np.repeat(np.asarray(rows, dtype=float), counts, axis=0)
+    xy0, w, c, lengths, job_of = _kernel_inputs(jobs, seed_sets)
+    perf.count("estimator.lm_rows", xy0.shape[1])
+    state = _vp_kernel(xy0, w, c, lengths, job_of)
+    winners: List[Tuple[int, int]] = []
+    for i in range(len(jobs)):
+        ks = np.flatnonzero(job_of == i)
+        cost = state[_COST, ks]
+        least = float(np.min(cost, where=np.isfinite(cost), initial=np.inf))
+        if math.isfinite(least):
+            near = cost <= least + _TIE_RTOL * abs(least)
+            winners.append((i, int(ks[np.argmax(near)])))
+    if not winners:
+        return out
+    n_max = max(len(jobs[i].p) for i, _k in winners)
 
     def windows(attr: str) -> np.ndarray:
-        w = np.zeros((len(jobs), n_max))
-        for k, job in enumerate(jobs):
-            w[k, :lengths[k]] = getattr(job, attr)
-        return np.repeat(w, counts, axis=0)
+        win = np.zeros((len(winners), n_max))
+        for row, (i, _k) in zip(win, winners):
+            values = getattr(jobs[i], attr)
+            row[:len(values)] = values
+        return win
 
-    ests = [job.est for job in jobs]
-    root_n = [math.sqrt(n) for n in lengths]
-    p, q, rss = windows("p"), windows("q"), windows("rss")
-    gp = stack([0.0 if e.gamma_prior is None else e.gamma_prior
-                for e in ests])
-    wg = stack([0.0 if e.gamma_prior is None else rn / e.gamma_prior_sigma
-                for e, rn in zip(ests, root_n)])
-    npr = stack([0.0 if e.n_prior is None else e.n_prior for e in ests])
-    wn = stack([0.0 if e.n_prior is None else rn / N_PRIOR_SIGMA
-                for e, rn in zip(ests, root_n)])
-    job_of = np.repeat(np.arange(len(jobs)), counts)
-    pad = None
-    if min(lengths) < n_max:
-        pad = np.arange(n_max) >= np.repeat(lengths, counts)[:, None]
-    theta0 = np.concatenate(seeds)
-    perf.count("estimator.lm_rows", len(theta0))
-
-    theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn,
-                                job_of, pad)
-    winners: List[Tuple[int, int]] = []
-    start = 0
-    for i, count in enumerate(counts):
-        k = start + int(np.argmin(cost[start:start + count]))
-        start += count
-        if math.isfinite(float(cost[k])):
-            winners.append((i, k))
-    if winners:
-        ks = [k for _i, k in winners]
-        jac = _lm_jacobian(theta[ks], _lm_terms(theta[ks], p[ks], q[ks]),
-                           wg[ks], wn[ks]).transpose(2, 0, 1)
-        for (i, k), j_k in zip(winners, jac):
-            # The job's own rows, as C-contiguous (N+2, 4) and (N+2,)
-            # copies: the covariance's BLAS product may round differently
-            # on another layout.
-            n = lengths[i]
-            out[i] = (theta[k], np.concatenate((r[k, :n], r[k, n_max:])),
-                      np.concatenate((j_k[:n], j_k[n_max:])))
+    ks = [k for _i, k in winners]
+    theta = state[:_COST, ks].T.copy()
+    terms = _lm_terms(theta, windows("p"), windows("q"))
+    r = _lm_residuals(theta, terms, windows("rss"), c[_GP, ks], c[_WG, ks],
+                      c[_NPR, ks], c[_WN, ks])
+    jac = _lm_jacobian(theta, terms, c[_WG, ks],
+                       c[_WN, ks]).transpose(2, 0, 1)
+    for (i, _k), th, r_k, j_k in zip(winners, theta, r, jac):
+        # The job's own rows, as C-contiguous (N+2, 4) and (N+2,) copies:
+        # the covariance's BLAS product may round differently on another
+        # layout.
+        n = len(jobs[i].p)
+        out[i] = (th, np.concatenate((r_k[:n], r_k[n_max:])),
+                  np.concatenate((j_k[:n], j_k[n_max:])))
     return out
 
 
@@ -1271,11 +1341,16 @@ def _fit_result(
 def _warm_gate(job: _Job, best: Optional[_Best]) -> str:
     """Why a warm fit must be rejected (``""`` when it is accepted).
 
-    The warm basin is stale when no seed converged or the RSS-domain RMSE
-    blew past ``max(WARM_BLOWUP * previous_rmse, WARM_FLOOR_DB)``.
+    The warm basin is stale when its seed did not converge, when it ran
+    to the ±18 m position bound (a lone warm row can slide down a flat
+    likelihood to a box corner, where the cold seeds would not go), or
+    when the RSS-domain RMSE blew past ``max(WARM_BLOWUP * previous_rmse,
+    WARM_FLOOR_DB)``.
     """
     if best is None:
         return "diverged"
+    if np.any(np.abs(best[0][:2]) >= _XY_MAX):
+        return "at-bound"
     resid = best[1][:len(job.p)]
     rmse = float(np.sqrt(np.mean(resid * resid)))
     if not math.isfinite(rmse):
@@ -1298,7 +1373,7 @@ def _solve_jobs(
 ) -> List[Union[FitResult, BaseException]]:
     """Solve validated jobs in one kernel run, plus one after a warm rejection.
 
-    A job whose warm state is usable refines its few warm seeds; every
+    A job whose warm state is usable refines its one warm seed; every
     other job (a first fix, or a warm state that is unusable) refines the
     full :meth:`EllipticalEstimator._initial_candidates` seed set. Both
     kinds share one :func:`_lockstep` run. A rejected warm fit then
@@ -1340,7 +1415,7 @@ def _solve_jobs(
                                                 jobs[i].rss, jobs[i].use_q)
                 for i in ids]
 
-    seeds = ([jobs[i].est._warm_seeds(jobs[i].warm, jobs[i].use_q)
+    seeds = ([[jobs[i].est._warm_seed(jobs[i].warm, jobs[i].use_q)]
               for i in warm_ids] + cold_seeds(cold_ids))
     bests = _lockstep([jobs[i] for i in warm_ids + cold_ids], seeds)
     n_warm = len(warm_ids)
@@ -1374,14 +1449,13 @@ def fit_batch(
     """Solve N independent elliptical regressions as one batched program.
 
     Warm fits, first fixes and rejected warm fits alike run through the
-    lockstep LM kernel, one NumPy program for the batch (and one more for
-    any rejected warm fits), whatever the window lengths, instead of N
-    Python solver loops. Results are
-    **bit-identical** to the sequential loop ``[est.fit(r.p, r.q, r.rss,
-    warm=r.warm) for r in requests]``: a sequential fit is itself a batch
-    of one through the same code, every row reduction adds its terms in
-    row order, and the padding that stacks a shorter window adds exactly
-    nothing to any of them.
+    lockstep separable LM kernel, one NumPy program for the batch (and one
+    more for any rejected warm fits), whatever the window lengths, instead
+    of N Python solver loops. Results are **bit-identical** to the
+    sequential loop ``[est.fit(r.p, r.q, r.rss, warm=r.warm) for r in
+    requests]``: a sequential fit is itself a batch of one through the
+    same code, and every row sum covers the row's own samples alone,
+    whatever else shares the run.
 
     With ``return_exceptions`` the failure of one request (e.g. degenerate
     geometry) becomes the exception object in its slot instead of

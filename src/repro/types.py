@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,9 +218,17 @@ class RssiTrace:
 
 @dataclass
 class ImuTrace:
-    """A time-ordered IMU sequence."""
+    """A time-ordered IMU sequence.
+
+    Each column (:meth:`timestamps`, :meth:`accel`, :meth:`gyro_z`,
+    :meth:`mag_heading`) is built from ``samples`` once, on first use, and
+    returned read-only while ``samples`` keeps its length, as
+    :class:`RssiTrace` keeps the arrays a builder hands over.
+    """
 
     samples: List[ImuSample] = field(default_factory=list)
+    _columns: Dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -227,17 +236,26 @@ class ImuTrace:
     def __iter__(self):
         return iter(self.samples)
 
+    def _column(self, name: str) -> np.ndarray:
+        col = self._columns.get(name)
+        if col is None or len(col) != len(self.samples):
+            col = np.fromiter(map(attrgetter(name), self.samples),
+                              dtype=float, count=len(self.samples))
+            col.flags.writeable = False
+            self._columns[name] = col
+        return col
+
     def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.samples], dtype=float)
+        return self._column("timestamp")
 
     def accel(self) -> np.ndarray:
-        return np.array([s.accel for s in self.samples], dtype=float)
+        return self._column("accel")
 
     def gyro_z(self) -> np.ndarray:
-        return np.array([s.gyro_z for s in self.samples], dtype=float)
+        return self._column("gyro_z")
 
     def mag_heading(self) -> np.ndarray:
-        return np.array([s.mag_heading for s in self.samples], dtype=float)
+        return self._column("mag_heading")
 
     def rate_hz(self) -> float:
         if len(self.samples) < 2:

@@ -1,36 +1,52 @@
-"""The LM kernel that recomputes everything every iteration.
+"""The four-parameter LM kernel the separable solve replaced.
 
-This is ``repro.core.estimator``'s lockstep kernel as it stood before it
-reused a trial's per-sample terms for the accepted trial's Jacobian,
-carried each live row's normal equations across rejected steps, and before
-``_lockstep`` dropped repeated seeds. Its text is unchanged but for the
-kernel's two perf counters, removed so that running it here does not move
-the estimator's telemetry, for its cost, which adds each row's squared
-residuals one at a time in row order, as the estimator's does since it
-pads windows of different lengths into one run, and for its stop rule,
-which also ends a row on an accepted step that moves it by at most
-``_STEP_TOL``, as the estimator's does.
+This is ``repro.core.estimator``'s lockstep Levenberg-Marquardt kernel as
+it stood when it refined all four of ``(x, h, Γ, n)`` and rebuilt every
+live row's Jacobian and normal equations every iteration: no padding, no
+merge rule. Its text is unchanged but for the kernel's perf counters,
+removed so that running it does not move the estimator's telemetry, and
+for the constants it used to import, which now live here.
 
-It has no padding and no merge rule, so ``tests/test_lm_kernel.py``
-requires the kernel to stay bit-identical to it on full windows when
-every row is a job of its own, and ``benchmarks/bench_perf_hotpaths.py``
-loads this file by path as the ``estimator_lm_kernel`` bench's "before".
+``tests/test_lm_kernel.py`` checks that the separable kernel, started
+from the same ``(x, h)``, reaches this kernel's optimum, and
+``benchmarks/bench_perf_hotpaths.py`` loads this file by path as the
+``estimator_lm_kernel`` and ``estimator_warm_start`` benches' "before".
 It imports nothing from the tests package, so it can be loaded alone.
 """
 
+import math
 from typing import Tuple
 
 import numpy as np
 
-from repro.core.estimator import (
-    _GN_HI,
-    _GN_LO,
-    _LN10,
-    _STEP_TOL,
-    _TRIU_A,
-    _TRIU_C,
-    _TRIU_OF,
-)
+#: Natural log of 10, shared by the analytic Jacobian.
+_LN10 = math.log(10.0)
+
+#: Parameter bounds (x, h, Γ, n).
+_GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
+_GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
+
+#: An accepted step that moves a row by at most this much in every
+#: parameter (metres, metres, dB, exponent) ends the row.
+_STEP_TOL = np.array([1e-3, 1e-3, 0.01, 1e-4])
+
+#: Upper-triangle ``(a, c)`` index pairs of the 4×4 normal matrix, and the
+#: ``(4, 4)`` map from each entry to its pair (both triangles share a pair).
+_TRIU_A, _TRIU_C = np.triu_indices(4)
+_TRIU_OF = np.empty((4, 4), dtype=np.intp)
+_TRIU_OF[_TRIU_A, _TRIU_C] = _TRIU_OF[_TRIU_C, _TRIU_A] = np.arange(10)
+
+#: The exponent half-step between the three seeds of a warm fit: the
+#: previous optimum's exponent and that exponent ± this step.
+WARM_N_STEP = 0.3
+
+
+def warm_seeds(x: float, h: float, gamma: float, n: float) -> np.ndarray:
+    """The three warm seeds this kernel refined for one job, ``(3, 4)``:
+    the previous optimum with its exponent and the exponent ± one step,
+    each clipped to the cold exponent grid ``[1.2, 4.5]``."""
+    ns = np.clip([n, n - WARM_N_STEP, n + WARM_N_STEP], 1.2, 4.5)
+    return np.array([[x, h, gamma, n_k] for n_k in ns])
 
 
 def _lm_residuals(

@@ -1,54 +1,64 @@
-"""The LM kernel: its summation orders, its reuse of work, its merge rule
-and its judges.
+"""The separable LM kernel: its per-row sums, its inner solve, its merge
+and tie rules, and its judges.
 
-``_lm_kernel`` builds its Jacobian rows-first, ``(N+2, 4, B)``, and sums
-JᵀJ and Jᵀr over the leading (row) axis. These properties pin that reduction
-order: the results must be bit-identical — signed zeros included — to the
-batch-first ``(B, N+2, 4)`` sums ``np.sum(..., axis=1)``. The kernel
-evaluates each trial point once, forms normal equations only for rows
-whose trial was accepted, pads shorter windows into the batch and freezes
-a row that meets a better row of its job. Two judges that recompute
-everything every iteration must agree with it bit for bit: the
-one-seed-at-a-time reference below, which uses the batch-first sums, runs
-each row on its own window and replays the merge rule over the recorded
-paths; and, on full windows with every row a job of its own, the kernel
-that did so, retained in ``tests/lm_kernel_recompute.py``. A short window
-must give the same bits alone and padded beside a longer one.
-``_lockstep`` gives a seed that repeats an earlier one of its job no
-kernel row; the winner must not change.
+``_vp_kernel`` iterates only ``(x, h)``; at each trial position
+``_inner_solve`` gives the box-constrained ``(Γ, n)`` in closed form
+(variable projection) and ``_vp_eval`` the cost, Kaufman's projected
+Hessian and the gradient. Every row sum is an ``np.add.reduceat`` over the
+row's own samples, so a row gets the same bits alone (B = 1) and in any
+batch, whatever the other windows' lengths. The judges:
+
+- a one-seed-at-a-time reference that refines each row alone, in plain
+  floats, and replays the merge rule over the recorded paths must agree
+  with the kernel bit for bit, iteration counters included;
+- the inner solve must match a bounded least-squares solver, box edges
+  included, and the Hessian an explicit projection of the four-parameter
+  Jacobian;
+- the separable optimum must be the optimum of the four-parameter kernel
+  it replaced (``tests/lm_kernel_recompute.py``) started from the same
+  ``(x, h)``.
+
+``_lockstep`` gives a seed whose ``(x, h)`` repeats an earlier one of its
+job no kernel row, and picks a job's first seed among near-equal costs.
 """
 
 import dataclasses
-import operator
-from functools import reduce
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 from repro import perf
 from repro.core.estimator import (
-    _GN_HI,
-    _GN_LO,
+    _COST,
+    _GAMMA,
+    _GN_BOX,
+    _GRAD,
+    _H,
+    _HESS,
     _MERGE_TOL,
+    _N,
     _STEP_TOL,
+    _X,
+    _XY_MAX,
     DEFAULT_N_GRID,
     N_PRIOR_SIGMA,
-    WARM_N_STEP,
     EllipticalEstimator,
     FitRequest,
     WarmStartState,
+    _Job,
+    _kernel_inputs,
     _lm_jacobian,
-    _lm_kernel,
-    _lm_normal_equations,
-    _lm_residuals,
     _lm_terms,
     _lockstep,
-    _Job,
     _uses_q,
+    _vp_eval,
+    _vp_kernel,
     fit_batch,
 )
-from tests import lm_kernel_recompute as recompute
+from tests import lm_kernel_recompute as four_param
+from tests.stubs import recording
 
 
 def _assert_bitwise(a, b):
@@ -61,160 +71,121 @@ def _assert_bitwise(a, b):
 
 
 def _jacobian(theta, p, q, wg, wn):
-    """The module's Jacobian of ``theta``, its terms evaluated afresh."""
+    """The module's four-parameter Jacobian of ``theta``."""
     return _lm_jacobian(theta, _lm_terms(theta, p, q), wg, wn)
 
 
-def _residuals(theta, p, q, rss, gp, wg, npr, wn):
-    """The module's residuals of ``theta``, its terms evaluated afresh."""
-    return _lm_residuals(theta, _lm_terms(theta, p, q), rss, gp, wg, npr, wn)
+def _walk(n_rows):
+    """Observer displacements ``(p, q)`` along an L-walk."""
+    d = np.linspace(0.0, 4.5, n_rows)
+    return -np.minimum(d, 2.5), -np.clip(d - 2.5, 0.0, 2.0)
 
 
-def _batch_first_sums(j, r):
-    """JᵀJ ``(B, 4, 4)`` and Jᵀr ``(B, 4)`` from a batch-first Jacobian."""
-    jb = np.ascontiguousarray(j.transpose(2, 0, 1))
-    jtj = np.sum(jb[:, :, :, None] * jb[:, :, None, :], axis=1)
-    grad = np.sum(jb * r[:, :, None], axis=1)
-    return jtj, grad
+#: Estimators by prior: none, the default Γ prior, and both priors.
+_PRIORS = {"none": EllipticalEstimator(gamma_prior=None),
+           "gamma": EllipticalEstimator(),
+           "both": EllipticalEstimator().with_environment("NLOS")}
 
 
-def _system(seed, n_batch, n_rows, clamp, prior, nonfinite):
-    """Kernel inputs: ``theta`` ``(B, 4)``, ``p``/``q``/``rss`` ``(B, N)``
-    and per-seed priors, with optional clamped and non-finite entries."""
+def _jobs(seed, n_jobs, n_rows, prior, nonfinite=False, ragged=False):
+    """L-walk jobs, each with its own beacon, noisy RSS and window length
+    (all ``n_rows`` unless ``ragged``): ``(jobs, beacons)``. ``prior``
+    names a :data:`_PRIORS` entry or ``"mixed"``, a random one per job;
+    ``nonfinite`` puts a NaN into the first job's RSS."""
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(_GN_LO, _GN_HI, (n_batch, 4))
-    p = rng.uniform(-10.0, 10.0, (n_batch, n_rows))
-    q = rng.uniform(-10.0, 10.0, (n_batch, n_rows))
-    rss = rng.uniform(-100.0, -40.0, (n_batch, n_rows))
-    if clamp != "none":
-        # Rows within the 0.1 m distance clamp (exactly on the beacon, or
-        # a few cm off it on either side); "seed" clamps every row of one
-        # seed so its (x, h) Jacobian entries are all signed zeros.
-        hit = rng.random((n_batch, n_rows)) < 0.3
-        if clamp == "seed":
-            hit[rng.integers(n_batch)] = True
-        off = rng.choice([0.0, 0.03, -0.05, 0.07], size=(2, n_batch, n_rows))
-        p = np.where(hit, off[0] - theta[:, :1], p)
-        q = np.where(hit, off[1] - theta[:, 1:2], q)
-    gp = rng.uniform(-70.0, -50.0, n_batch)
-    npr = rng.uniform(1.5, 3.5, n_batch)
-    on = {"none": np.zeros((2, n_batch), bool),
-          "both": np.ones((2, n_batch), bool),
-          "mixed": rng.random((2, n_batch)) < 0.5}[prior]
-    wg = np.where(on[0], rng.uniform(0.5, 5.0, n_batch), 0.0)
-    wn = np.where(on[1], rng.uniform(0.5, 5.0, n_batch), 0.0)
-    gp, npr = np.where(on[0], gp, 0.0), np.where(on[1], npr, 0.0)
-    if nonfinite:
-        bad = (np.nan, np.inf, -np.inf)
-        for arr in (p, q, rss):
-            k = rng.integers(arr.size)
-            arr.flat[k] = bad[k % 3]
-        theta[rng.integers(n_batch), rng.integers(4)] = np.nan
-    return theta, p, q, rss, gp, wg, npr, wn
+    jobs, beacons = [], []
+    for i in range(n_jobs):
+        n = int(rng.integers(8, n_rows + 1)) if ragged else n_rows
+        p, q = _walk(n)
+        beacon = rng.uniform(-6.0, 6.0, 2)
+        rss = (-59.0 - 22.0 * np.log10(np.maximum(
+            np.hypot(beacon[0] + p, beacon[1] + q), 0.1))
+            + rng.normal(0.0, 2.0, n))
+        if nonfinite and i == 0:
+            rss[rng.integers(n)] = np.nan
+        name = prior if prior != "mixed" else str(
+            rng.choice(sorted(_PRIORS)))
+        jobs.append(_Job(_PRIORS[name], p, q, rss, _uses_q(q), None))
+        beacons.append(beacon)
+    return jobs, beacons
 
 
-class TestNormalEquationsOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           n_batch=st.integers(1, 70),
-           n_rows=st.integers(2, 200),
-           clamp=st.sampled_from(["none", "rows", "seed"]),
-           prior=st.sampled_from(["none", "both", "mixed"]),
-           nonfinite=st.booleans())
-    @example(seed=0, n_batch=1, n_rows=2, clamp="seed", prior="none",
-             nonfinite=False)
-    @example(seed=1, n_batch=70, n_rows=200, clamp="rows", prior="both",
-             nonfinite=True)
-    def test_row_major_sums_equal_batch_first_sums(
-            self, seed, n_batch, n_rows, clamp, prior, nonfinite):
-        theta, p, q, rss, gp, wg, npr, wn = _system(
-            seed, n_batch, n_rows, clamp, prior, nonfinite)
-        with np.errstate(all="ignore"):
-            j = _jacobian(theta, p, q, wg, wn)
-            r = _residuals(theta, p, q, rss, gp, wg, npr, wn)
-            jtj, grad = _lm_normal_equations(j, r)
-            ref_jtj, ref_grad = _batch_first_sums(j, r)
-            # One batch-first evaluation feeds both the residuals and the
-            # rows-first Jacobian: it must give the bits a rows-first
-            # evaluation of hypot and log10 gives.
-            _assert_bitwise(j, recompute._lm_jacobian(theta, p, q, wg, wn))
-            _assert_bitwise(r, recompute._lm_residuals(
-                theta, p, q, rss, gp, wg, npr, wn))
-        assert j.shape == (n_rows + 2, 4, n_batch)
-        assert r.shape == (n_batch, n_rows + 2) and r.flags.c_contiguous
-        _assert_bitwise(np.moveaxis(jtj, -1, 0), ref_jtj)
-        _assert_bitwise(grad.T, ref_grad)
-
-    def test_seed_on_the_beacon_keeps_signed_zero_terms(self):
-        """A seed on the beacon has ±0 in its (x, h) Jacobian entries;
-        both orders must agree on every such entry's sign."""
-        theta = np.array([[2.0, -1.0, -60.0, 2.0]])
-        p = np.array([[-2.03, -2.0, -1.95]])
-        q = np.array([[1.0, 1.05, 0.98]])
-        rss = np.full((1, 3), -90.0)
-        zeros = np.zeros(1)
-        j = _jacobian(theta, p, q, zeros, zeros)
-        assert np.all(j[:, :2] == 0.0) and np.any(np.signbit(j[:, :2]))
-        _assert_bitwise(j, recompute._lm_jacobian(theta, p, q, zeros, zeros))
-        r = _residuals(theta, p, q, rss, zeros, zeros, zeros, zeros)
-        jtj, grad = _lm_normal_equations(j, r)
-        ref_jtj, ref_grad = _batch_first_sums(j, r)
-        _assert_bitwise(np.moveaxis(jtj, -1, 0), ref_jtj)
-        _assert_bitwise(grad.T, ref_grad)
+def _seed_sets(seed, beacons, seeds, dup=False, far=False):
+    """1 to ``seeds`` ``(x, h)`` seeds per job, within 2 m of its beacon
+    (anywhere in the box when ``far``); ``dup`` repeats earlier seeds of
+    a job bit for bit."""
+    rng = np.random.default_rng([seed, 1])
+    sets = []
+    for beacon in beacons:
+        count = int(rng.integers(1, seeds + 1))
+        xy = beacon + rng.normal(0.0, 2.0, (count, 2))
+        if far:
+            xy = rng.uniform(-_XY_MAX, _XY_MAX, (count, 2))
+        rows = [tuple(row) for row in xy]
+        if dup:
+            rows = [rows[rng.integers(k + 1)] if rng.random() < 0.4 else row
+                    for k, row in enumerate(rows)]
+        sets.append(rows)
+    return sets
 
 
-def _sequential_cost(r):
-    """Each row's squared residuals added one at a time, in row order."""
-    return np.array([reduce(operator.add, (row * row).tolist())
-                     for row in r])
+def _row_alone(inputs, b):
+    """Row ``b`` of :func:`_kernel_inputs`' output as a batch of one."""
+    xy0, w, c, lengths, _job = inputs
+    start = int(np.sum(lengths[:b]))
+    cols = slice(start, start + int(lengths[b]))
+    return xy0[:, b:b + 1], w[:, cols].copy(), c[:, b:b + 1], lengths[b:b + 1]
 
 
-def _reference_path(theta0, data, priors, max_iter):
-    """One seed refined alone, batch-first sums, everything recomputed
-    every iteration: its ``(theta, r, cost)`` after 0, 1, ... iterations,
-    whether each iteration's step was accepted, and the iteration at which
-    it stops by itself (converged, stuck, non-finite or ``max_iter``).
+def _evaluate(xy, w, c, lengths):
+    """:func:`_vp_eval` of one row at ``xy``, as a ``(11,)`` state."""
+    with np.errstate(all="ignore"):
+        return _vp_eval(np.array(xy, dtype=float).reshape(2, 1), w, c,
+                        lengths, np.zeros(1, np.intp))[:, 0]
 
-    Models the projected step independently of the kernel's masks: a
-    parameter on its bound whose gradient points out of the box is held.
+
+def _reference_path(xy0, w, c, lengths, max_iter):
+    """One seed refined alone, its step rules in plain floats: its states
+    after 0, 1, ... iterations, whether each step was accepted, and the
+    iteration at which it stops by itself (converged, stuck, non-finite
+    or ``max_iter``).
+
+    Models the bound hold independently of the kernel's masks: a
+    coordinate on its bound whose gradient points out of the box is held.
     """
-    theta = theta0[None, :]
-    r = _residuals(theta, *data, *priors)
-    cost = _sequential_cost(r)
-    states, accepted = [(theta[0], r[0], cost[0])], [False]
-    eye = np.eye(4)
+    s = _evaluate(xy0[:, 0], w, c, lengths)
+    states, accepted = [s], [False]
+    if not np.isfinite(s[_COST]):
+        return states, accepted, 0
     lam, k = 1e-3, 0
-    while np.isfinite(cost[0]) and k < max_iter:
+    while k < max_iter:
         k += 1
-        j = _jacobian(theta, data[0], data[1], priors[1], priors[3])
-        jtj, grad = _batch_first_sums(j, r)
-        if not (np.isfinite(jtj).all() and np.isfinite(grad).all()):
-            states.append(states[-1])
+        if not np.all(np.isfinite(s[_HESS:])):
+            states.append(s)
             accepted.append(False)
             break
-        # Projected step: a parameter on its bound with an outward
-        # descent direction is held, the others solve the reduced system.
-        free = ~(((theta[0] <= _GN_LO) & (grad[0] > 0.0))
-                 | ((theta[0] >= _GN_HI) & (grad[0] < 0.0)))
-        both = free[:, None] & free[None, :]
-        lhs = np.where(both, jtj[0] + lam * eye, eye)
-        rhs = np.where(free, grad[0], 0.0)
-        step = np.linalg.solve(lhs[None], rhs[None, :, None])[:, :, 0]
-        trial = np.clip(theta - step, _GN_LO, _GN_HI)
-        r_t = _residuals(trial, *data, *priors)
-        cost_t = _sequential_cost(r_t)
-        if np.isfinite(cost_t[0]) and cost_t[0] < cost[0]:
-            gain = cost[0] - cost_t[0]
-            still = bool(np.all(np.abs(trial[0] - theta[0]) <= _STEP_TOL))
-            theta, r, cost = trial, r_t, cost_t
-            lam = max(lam / 3.0, 1e-10)
-            states.append((theta[0], r[0], cost[0]))
+        xy = [float(s[_X]), float(s[_H])]
+        g = [float(s[_GRAD]), float(s[_GRAD + 1])]
+        free = [not ((xy[i] <= -_XY_MAX and g[i] > 0.0)
+                     or (xy[i] >= _XY_MAX and g[i] < 0.0)) for i in (0, 1)]
+        a = float(s[_HESS]) + lam if free[0] else 1.0
+        d = float(s[_HESS + 3]) + lam if free[1] else 1.0
+        b = float(s[_HESS + 1]) if free[0] and free[1] else 0.0
+        g = [gi if fi else 0.0 for gi, fi in zip(g, free)]
+        den = a * d - b * b
+        step = [(d * g[0] - b * g[1]) / den, (a * g[1] - b * g[0]) / den]
+        trial = [min(max(xy[i] - step[i], -_XY_MAX), _XY_MAX) for i in (0, 1)]
+        t = _evaluate(trial, w, c, lengths)
+        gain = float(s[_COST]) - float(t[_COST])
+        if float(t[_COST]) < float(s[_COST]):
+            still = all(abs(trial[i] - xy[i]) <= _STEP_TOL for i in (0, 1))
+            s, lam = t, max(lam / 3.0, 1e-10)
+            states.append(s)
             accepted.append(True)
-            # Converged: the step gained next to nothing, or barely moved.
-            if still or gain <= 1e-10 * max(cost[0], 1e-12):
+            if still or gain <= 1e-10 * max(float(s[_COST]), 1e-12):
                 break
         else:
-            states.append(states[-1])
+            states.append(s)
             accepted.append(False)
             lam *= 5.0
             if lam > 1e8:
@@ -222,185 +193,46 @@ def _reference_path(theta0, data, priors, max_iter):
     return states, accepted, k
 
 
-def _reference_kernel(theta0, p, q, rss, gp, wg, npr, wn, job=None,
-                      n_data=None, max_iter=60):
-    """Each seed refined alone on its own window (:func:`_reference_path`),
-    then the merge rule replayed over the recorded paths:
-    ``(theta, r, cost, stops, normal_rows, merged)``.
+def _reference_kernel(inputs, max_iter=60):
+    """Each row refined alone (:func:`_reference_path`), then the merge
+    rule replayed over the recorded paths: ``(states, stops, evals,
+    merged)``.
 
     After iteration k (k < ``max_iter``), a row that is still moving
-    stops if its state lies within ``_MERGE_TOL`` of the state of another
-    row of its ``job`` with a lower cost, or an equal cost and a lower
-    index; a row that stopped earlier is compared at the state it stopped
-    in. ``r`` is padded to the longest window with ``-0.0``. ``stops``
-    holds each row's last iteration; ``normal_rows`` counts the normal
-    equations the kernel must form: a row's first, and one more after
-    each accepted step that leaves the row moving.
+    stops if its ``(x, h)`` lies within ``_MERGE_TOL`` of another row of
+    its job with a lower cost, or an equal cost and a lower index; a row
+    that stopped earlier is compared at the state it stopped in.
+    ``evals`` counts the row evaluations the kernel must make: each
+    finite row's first, and one per iteration it takes part in.
     """
-    n_batch, n_max = p.shape
-    job = list(range(n_batch)) if job is None else list(job)
-    n_data = [n_max] * n_batch if n_data is None else list(n_data)
+    job = inputs[4]
+    n_rows = len(job)
     paths, stops = [], []
-    for b in range(n_batch):
-        n = n_data[b]
-        data = (p[b:b + 1, :n], q[b:b + 1, :n], rss[b:b + 1, :n])
-        priors = (gp[b:b + 1], wg[b:b + 1], npr[b:b + 1], wn[b:b + 1])
-        states, accepted, stop = _reference_path(theta0[b], data, priors,
-                                                 max_iter)
-        paths.append((states, accepted))
+    for b in range(n_rows):
+        states, _accepted, stop = _reference_path(*_row_alone(inputs, b),
+                                                  max_iter)
+        paths.append(states)
         stops.append(stop)
-    merged = [False] * n_batch
+    merged = [False] * n_rows
     for k in range(1, max_iter):
-        now = [paths[b][0][min(k, stops[b])] for b in range(n_batch)]
-        for a in range(n_batch):
+        now = [paths[b][min(k, stops[b])] for b in range(n_rows)]
+        for a in range(n_rows):
             if stops[a] <= k:
                 continue
-            for b in range(n_batch):
+            for b in range(n_rows):
                 if b == a or job[b] != job[a]:
                     continue
-                if ((now[b][2] < now[a][2]
-                     or (now[b][2] == now[a][2] and b < a))
-                        and np.all(np.abs(now[a][0] - now[b][0])
+                if ((now[b][_COST] < now[a][_COST]
+                     or (now[b][_COST] == now[a][_COST] and b < a))
+                        and np.all(np.abs(now[a][:_GAMMA] - now[b][:_GAMMA])
                                    <= _MERGE_TOL)):
                     stops[a], merged[a] = k, True
                     break
-    theta_out = theta0.copy()
-    r_out, cost_out, normal_rows = [], [], 0
-    for b, ((states, accepted), stop) in enumerate(zip(paths, stops)):
-        theta, r, cost = states[stop]
-        n = n_data[b]
-        theta_out[b] = theta
-        r_out.append(np.concatenate([r[:n], np.full(n_max - n, -0.0),
-                                     r[n:]]))
-        cost_out.append(cost)
-        normal_rows += int(np.isfinite(states[0][2])) + sum(accepted[1:stop])
-    return (theta_out, np.array(r_out), np.array(cost_out), stops,
-            normal_rows, sum(merged))
-
-
-def _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup=False,
-                 far=False):
-    """A solvable batch: seeds around an L-walk's beacon, noisy RSS.
-
-    ``dup`` makes some rows bit-for-bit copies of earlier ones, as a
-    repeated seed of one job; ``far`` starts every seed anywhere in the
-    box, where most steps are rejected.
-    """
-    rng = np.random.default_rng(seed)
-    d = np.linspace(0.0, 4.5, n_rows)
-    p0, q0 = -np.minimum(d, 2.5), -np.clip(d - 2.5, 0.0, 2.0)
-    beacon = rng.uniform(-6.0, 6.0, (n_batch, 2))
-    dist = np.hypot(beacon[:, :1] + p0, beacon[:, 1:] + q0)
-    rss = (-59.0 - 22.0 * np.log10(np.maximum(dist, 0.1))
-           + rng.normal(0.0, 2.0, (n_batch, n_rows)))
-    p = np.repeat(p0[None, :], n_batch, axis=0)
-    q = np.repeat(q0[None, :], n_batch, axis=0)
-    theta0 = np.column_stack([
-        beacon + rng.normal(0.0, 2.0, (n_batch, 2)),
-        rng.uniform(-75.0, -45.0, n_batch),
-        rng.uniform(1.2, 4.5, n_batch),
-    ])
-    if far:
-        theta0 = rng.uniform(_GN_LO, _GN_HI, (n_batch, 4))
-    on = rng.random((2, n_batch)) < (0.0 if prior == "none" else 0.5
-                                      if prior == "mixed" else 1.0)
-    root_n = np.sqrt(n_rows)
-    gp = np.where(on[0], -59.0, 0.0)
-    wg = np.where(on[0], root_n / 6.0, 0.0)
-    npr = np.where(on[1], 2.2, 0.0)
-    wn = np.where(on[1], root_n / 0.6, 0.0)
-    if nonfinite:
-        rss[rng.integers(n_batch), rng.integers(n_rows)] = np.nan
-    if dup:
-        for b in range(1, n_batch):
-            if rng.random() < 0.5:
-                a = rng.integers(b)
-                for arr in (theta0, rss, gp, wg, npr, wn):
-                    arr[b] = arr[a]
-    return theta0, p, q, rss, gp, wg, npr, wn
-
-
-def _job_system(seed, n_jobs, n_rows, prior, nonfinite, dup, far, seeds,
-                ragged):
-    """Jobs of 1 to ``seeds`` seed rows that share one window each:
-    ``(args, job, n_data, pad)`` for :func:`_lm_kernel` and
-    :func:`_reference_kernel`.
-
-    Each job is one row of :func:`_walk_system` (its own beacon, window,
-    priors and first seed); its other seeds start near or far around the
-    first, so many of them meet. ``dup`` repeats an earlier seed of the
-    job bit for bit, an exact tie; ``ragged`` cuts each job's window to a
-    length of its own and fills the rest with junk that ``pad`` must hide.
-    """
-    theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
-        seed, n_jobs, n_rows, prior, nonfinite, far=far)
-    rng = np.random.default_rng([seed, 1])
-    counts = rng.integers(1, seeds + 1, n_jobs)
-    job = np.repeat(np.arange(n_jobs), counts)
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    near = rng.random(len(job))[:, None] < 0.5
-    spread = np.where(near, [0.3, 0.3, 1.0, 0.1], [3.0, 3.0, 8.0, 0.8])
-    theta = np.clip(theta0[job] + spread * rng.normal(size=(len(job), 4)),
-                    _GN_LO, _GN_HI)
-    theta[first] = theta0
-    if dup:
-        for b in range(len(job)):
-            if b not in first and rng.random() < 0.4:
-                theta[b] = theta[rng.integers(first[job[b]], b)]
-    n_data = np.full(n_jobs, n_rows)
-    if ragged:
-        n_data = rng.integers(8, n_rows + 1, n_jobs)
-    pad = np.arange(n_rows) >= n_data[job][:, None]
-    junk = rng.uniform(-50.0, 50.0, (3,) + pad.shape)
-    p, q, rss = (np.where(pad, j, a[job])
-                 for j, a in zip(junk, (p, q, rss)))
-    args = (theta, p, q, rss, gp[job], wg[job], npr[job], wn[job])
-    return args, job, n_data[job], pad if ragged else None
-
-
-_KERNEL_CASES = dict(
-    seed=st.integers(0, 2**32 - 1),
-    n_batch=st.integers(1, 40),
-    n_rows=st.integers(8, 160),
-    prior=st.sampled_from(["none", "both", "mixed"]),
-    nonfinite=st.booleans(),
-    dup=st.booleans(),
-    far=st.booleans(),
-    max_iter=st.sampled_from([3, 60]),
-)
-
-_JOB_CASES = dict(
-    _KERNEL_CASES,
-    n_batch=st.integers(1, 12),
-    seeds=st.integers(1, 6),
-    ragged=st.booleans(),
-)
-
-
-def _kernel_examples(test):
-    """Serving-sized batches, repeated seed rows and reject-heavy starts."""
-    for seed, n_batch, n_rows, dup, far in ((2, 39, 160, True, False),
-                                            (3, 12, 120, True, True),
-                                            (4, 40, 100, False, True),
-                                            (5, 3, 160, True, False)):
-        test = example(seed=seed, n_batch=n_batch, n_rows=n_rows,
-                       prior="mixed", nonfinite=False, dup=dup, far=far,
-                       max_iter=60)(test)
-    return test
-
-
-def _job_examples(test):
-    """A warm-phase tick (3 seeds a job), a cold one (up to 6), ragged and
-    reject-heavy batches, and one job alone."""
-    for seed, n_batch, n_rows, seeds, dup, far, ragged in (
-            (2, 12, 160, 3, False, False, False),
-            (3, 4, 160, 6, True, False, True),
-            (4, 8, 100, 5, False, True, True),
-            (5, 1, 160, 6, True, False, False)):
-        test = example(seed=seed, n_batch=n_batch, n_rows=n_rows,
-                       prior="mixed", nonfinite=False, dup=dup, far=far,
-                       seeds=seeds, ragged=ragged, max_iter=60)(test)
-    return test
+    states = np.stack([path[stop] for path, stop in zip(paths, stops)],
+                      axis=1)
+    evals = sum(1 + stop for path, stop in zip(paths, stops)
+                if np.isfinite(path[0][_COST]))
+    return states, stops, evals, sum(merged)
 
 
 #: The kernel's perf counters, in :func:`_reference_kernel`'s terms.
@@ -409,147 +241,315 @@ _KERNEL_COUNTERS = ("estimator.lm_iterations", "estimator.lm_max_iter_calls",
                     "estimator.lm_kernel_calls")
 
 
+def _run_kernel(inputs, max_iter=60):
+    """The kernel's final states and how much each counter grew."""
+    before = [perf.counter_value(n) for n in _KERNEL_COUNTERS]
+    out = _vp_kernel(*inputs, max_iter=max_iter)
+    return out, tuple(perf.counter_value(n) - b
+                      for n, b in zip(_KERNEL_COUNTERS, before))
+
+
+_JOB_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_jobs=st.integers(1, 8),
+    n_rows=st.integers(8, 160),
+    prior=st.sampled_from(["none", "gamma", "both", "mixed"]),
+    nonfinite=st.booleans(),
+    seeds=st.integers(1, 6),
+    dup=st.booleans(),
+    far=st.booleans(),
+    ragged=st.booleans(),
+    max_iter=st.sampled_from([3, 60]),
+)
+
+
+def _job_examples(test):
+    """A warm tick (one seed a job), a cold one (up to 6), ragged and
+    reject-heavy batches, and one job alone."""
+    for seed, n_jobs, n_rows, seeds, dup, far, ragged in (
+            (2, 8, 160, 1, False, False, False),
+            (3, 4, 160, 6, True, False, True),
+            (4, 8, 100, 5, False, True, True),
+            (5, 1, 160, 6, True, False, False)):
+        test = example(seed=seed, n_jobs=n_jobs, n_rows=n_rows,
+                       prior="mixed", nonfinite=False, seeds=seeds, dup=dup,
+                       far=far, ragged=ragged, max_iter=60)(test)
+    return test
+
+
+class TestNormalEquationsOrder:
+    """A row's sums — the inner solve's and the 2×2 system's — are the
+    bits it gets alone, whatever else shares the work array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_jobs=st.integers(1, 12),
+           n_rows=st.integers(8, 200),
+           prior=st.sampled_from(["none", "gamma", "both", "mixed"]),
+           nonfinite=st.booleans(), far=st.booleans())
+    @example(seed=0, n_jobs=1, n_rows=8, prior="none", nonfinite=False,
+             far=False)
+    @example(seed=1, n_jobs=12, n_rows=200, prior="mixed", nonfinite=True,
+             far=True)
+    def test_row_major_sums_equal_batch_first_sums(
+            self, seed, n_jobs, n_rows, prior, nonfinite, far):
+        jobs, beacons = _jobs(seed, n_jobs, n_rows, prior, nonfinite,
+                              ragged=True)
+        inputs = _kernel_inputs(jobs, _seed_sets(seed, beacons, 3, far=far))
+        xy0, w, c, lengths, _job = inputs
+        with np.errstate(all="ignore"):
+            batch = _vp_eval(xy0, w, c, lengths,
+                             np.concatenate([[0], np.cumsum(lengths)[:-1]]))
+        assert batch.shape == (11, len(lengths))
+        for b in range(len(lengths)):
+            alone = _row_alone(inputs, b)
+            _assert_bitwise(batch[:, b], _evaluate(alone[0][:, 0], *alone[1:]))
+
+    def test_seed_on_the_beacon_keeps_signed_zero_terms(self):
+        """Inside the 0.1 m clamp the distance does not respond to
+        (x, h): a seed with every sample within 10 cm has an all-zero
+        gradient and Hessian, alone and batched."""
+        est = EllipticalEstimator()
+        p = np.array([-2.03, -2.0, -1.95, -2.01, -1.97, -2.0, -2.05, -1.99])
+        q = np.array([1.0, 1.05, 0.98, 0.96, 1.02, 1.0, 0.99, 1.01])
+        near = _Job(est, p, q, np.full(8, -60.0), True, None)
+        jobs, beacons = _jobs(3, 2, 40, "gamma")
+        inputs = _kernel_inputs([near] + jobs,
+                                [[(2.0, -1.0)]] + [[tuple(b)] for b in beacons])
+        alone = _evaluate((2.0, -1.0), *_row_alone(inputs, 0)[1:])
+        assert np.all(alone[_HESS:] == 0.0)
+        xy0, w, c, lengths, _job = inputs
+        batch = _vp_eval(xy0, w, c, lengths,
+                         np.concatenate([[0], np.cumsum(lengths)[:-1]]))
+        _assert_bitwise(batch[:, 0], alone)
+
+
+def _bounded_lstsq(job, xy):
+    """``(Γ, n)`` and the cost from a bounded least-squares solver over
+    the job's data and prior rows at the fixed position ``xy``."""
+    theta = np.array([[xy[0], xy[1], 0.0, 0.0]])
+    log_d = 0.5 * _lm_terms(theta, job.p[None], job.q[None])[3][0]
+    est, root_n = job.est, np.sqrt(len(job.p))
+    rows = [np.column_stack([np.ones_like(log_d), -10.0 * log_d])]
+    rhs = [job.rss]
+    if est.gamma_prior is not None:
+        wg = root_n / est.gamma_prior_sigma
+        rows.append([[wg, 0.0]])
+        rhs.append([wg * est.gamma_prior])
+    if est.n_prior is not None:
+        wn = root_n / N_PRIOR_SIGMA
+        rows.append([[0.0, wn]])
+        rhs.append([wn * est.n_prior])
+    a, b = np.vstack(rows), np.concatenate(rhs)
+    sol = lsq_linear(a, b, bounds=tuple(_GN_BOX.T), method="bvls",
+                     tol=1e-14)
+    return sol.x, float(np.sum((a @ sol.x - b) ** 2))
+
+
+class TestInnerSolve:
+    """At a fixed position the kernel's ``(Γ, n)`` and cost are the bounded
+    least-squares solution's, box edges included, and its Hessian is the
+    four-parameter Jacobian's (x, h) block projected off the free columns
+    of ``(Γ, n)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(8, 120),
+           true_n=st.floats(0.2, 8.0), true_gamma=st.floats(-120.0, -5.0),
+           prior=st.sampled_from(["none", "gamma", "both"]))
+    @example(seed=0, n_rows=40, true_n=7.0, true_gamma=-59.0, prior="none")
+    @example(seed=1, n_rows=40, true_n=0.3, true_gamma=-59.0, prior="none")
+    @example(seed=2, n_rows=40, true_n=2.0, true_gamma=-15.0, prior="none")
+    @example(seed=3, n_rows=40, true_n=6.0, true_gamma=-110.0, prior="none")
+    @example(seed=4, n_rows=40, true_n=2.0, true_gamma=-59.0, prior="both")
+    def test_matches_bounded_least_squares(self, seed, n_rows, true_n,
+                                           true_gamma, prior):
+        rng = np.random.default_rng(seed)
+        p, q = _walk(n_rows)
+        xy = rng.uniform(-6.0, 6.0, 2)
+        dist = np.maximum(np.hypot(xy[0] + p, xy[1] + q), 0.1)
+        rss = (true_gamma - 10.0 * true_n * np.log10(dist)
+               + rng.normal(0.0, 1.0, n_rows))
+        job = _Job(_PRIORS[prior], p, q, rss, True, None)
+        inputs = _kernel_inputs([job], [[tuple(xy)]])
+        state = _evaluate(xy, *_row_alone(inputs, 0)[1:])
+        (gamma, n), cost = _bounded_lstsq(job, xy)
+        np.testing.assert_allclose(state[[_GAMMA, _N]], [gamma, n],
+                                   rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(state[_COST], cost, rtol=1e-7, atol=1e-7)
+        assert np.all((_GN_BOX[:, 0] <= state[[_GAMMA, _N]])
+                      & (state[[_GAMMA, _N]] <= _GN_BOX[:, 1]))
+
+        # Kaufman's Hessian: Jxyᵀ (I − Φ(ΦᵀΦ)⁻¹Φᵀ) Jxy over the free
+        # columns Φ of the Jacobian's (Γ, n) block, a column on its bound
+        # held.
+        root_n = np.sqrt(n_rows)
+        est = job.est
+        wg = 0.0 if est.gamma_prior is None else root_n / est.gamma_prior_sigma
+        wn = 0.0 if est.n_prior is None else root_n / N_PRIOR_SIGMA
+        jac = _jacobian(state[None, :4], p[None], q[None], np.array([wg]),
+                        np.array([wn]))[:, :, 0]
+        free = ((_GN_BOX[:, 0] < state[[_GAMMA, _N]])
+                & (state[[_GAMMA, _N]] < _GN_BOX[:, 1]))
+        phi = jac[:, 2:][:, free]
+        j_xy = jac[:, :2] - phi @ np.linalg.lstsq(phi, jac[:, :2],
+                                                  rcond=None)[0]
+        hess = state[_HESS:_GRAD].reshape(2, 2)
+        np.testing.assert_allclose(hess, j_xy.T @ j_xy, rtol=1e-6,
+                                   atol=1e-6 * np.abs(hess).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), true_n=st.floats(0.2, 8.0))
+    @example(seed=0, true_n=7.0)
+    def test_gradient_is_half_the_projected_cost_slope(self, seed, true_n):
+        """The cost is ``Σr²``: its slope along x and h, with ``(Γ, n)``
+        re-solved at every position, is twice the kernel's ``Jᵀr``."""
+        rng = np.random.default_rng(seed)
+        p, q = _walk(60)
+        xy = rng.uniform(-6.0, 6.0, 2)
+        rss = (-59.0 - 10.0 * true_n * np.log10(np.maximum(
+            np.hypot(xy[0] + p, xy[1] + q), 0.1)) + rng.normal(0.0, 2.0, 60))
+        job = _Job(_PRIORS["gamma"], p, q, rss, True, None)
+        inputs = _row_alone(_kernel_inputs([job], [[tuple(xy)]]), 0)
+        at = xy + rng.normal(0.0, 1.0, 2)
+        grad = _evaluate(at, *inputs[1:])[_GRAD:]
+        for i, eps in enumerate(np.eye(2) * 1e-6):
+            slope = (_evaluate(at + eps, *inputs[1:])[_COST]
+                     - _evaluate(at - eps, *inputs[1:])[_COST]) / 2e-6
+            np.testing.assert_allclose(slope, 2.0 * grad[i], rtol=1e-4,
+                                       atol=1e-5)
+
+
 class TestKernelEqualsReferenceLoop:
     @settings(max_examples=40, deadline=None)
     @given(**_JOB_CASES)
     @_job_examples
     def test_kernel_equals_one_seed_reference(
-            self, seed, n_batch, n_rows, prior, nonfinite, dup, far, seeds,
+            self, seed, n_jobs, n_rows, prior, nonfinite, seeds, dup, far,
             ragged, max_iter):
-        args, job, n_data, pad = _job_system(
-            seed, n_batch, n_rows, prior, nonfinite, dup, far, seeds, ragged)
-        before = [perf.counter_value(n) for n in _KERNEL_COUNTERS]
-        theta, r, cost = _lm_kernel(*args, job=job, pad=pad,
-                                    max_iter=max_iter)
-        grew = tuple(perf.counter_value(n) - b
-                     for n, b in zip(_KERNEL_COUNTERS, before))
-        ref_theta, ref_r, ref_cost, stops, normal_rows, merged = (
-            _reference_kernel(*args, job=job, n_data=n_data,
-                              max_iter=max_iter))
-        _assert_bitwise(theta, ref_theta)
-        _assert_bitwise(r, ref_r)
-        _assert_bitwise(cost, ref_cost)
-        # The batch runs until its slowest row freezes, and forms normal
-        # equations only for rows whose step was accepted.
-        assert grew == (max(stops), int(max(stops) == max_iter),
-                        normal_rows, merged, 1)
+        jobs, beacons = _jobs(seed, n_jobs, n_rows, prior, nonfinite, ragged)
+        inputs = _kernel_inputs(jobs, _seed_sets(seed, beacons, seeds, dup,
+                                                 far))
+        out, grew = _run_kernel(inputs, max_iter)
+        states, stops, evals, merged = _reference_kernel(inputs, max_iter)
+        _assert_bitwise(out, states)
+        # The batch runs until its slowest row freezes.
+        assert grew == (max(stops), int(max(stops) == max_iter), evals,
+                        merged, 1)
 
-    @settings(max_examples=40, deadline=None)
-    @given(**_KERNEL_CASES)
-    @_kernel_examples
-    def test_kernel_equals_the_recomputing_kernel(
-            self, seed, n_batch, n_rows, prior, nonfinite, dup, far,
-            max_iter):
-        """Bit for bit the kernel that rebuilt every live row's Jacobian
-        and normal equations every iteration, on full windows with every
-        row a job of its own."""
-        args = _walk_system(seed, n_batch, n_rows, prior, nonfinite, dup,
-                            far)
-        with np.errstate(all="ignore"):
-            ref = recompute._lm_kernel(*args, max_iter=max_iter)
-        for got, want in zip(_lm_kernel(*args, max_iter=max_iter), ref):
-            _assert_bitwise(got, want)
+    def test_optimum_matches_the_four_parameter_kernel(self):
+        """Started from the same position — and the (Γ, n) that solve the
+        inner problem there — the four-parameter kernel the separable one
+        replaced reaches the same optimum, to its stopping tolerances, or
+        stops short of it in the Γ–n valley. Twelve batches of six
+        windows, 40 to 161 samples, under the default Γ prior, as served."""
+        est = _PRIORS["gamma"]
+        for seed in range(12):
+            n_rows = 40 + 11 * seed
+            jobs, beacons = _jobs(seed, 6, n_rows, "gamma")
+            inputs = _kernel_inputs(jobs, [[tuple(b)] for b in beacons])
+            start = _vp_eval(*inputs[:4], np.concatenate(
+                [[0], np.cumsum(inputs[3])[:-1]]))
+            out = _vp_kernel(*inputs)
+            k = len(jobs)
+            p, q, rss = (np.array([getattr(j, a) for j in jobs])
+                         for a in ("p", "q", "rss"))
+            theta, _r, cost = four_param._lm_kernel(
+                np.ascontiguousarray(start[:_COST].T), p, q, rss,
+                np.full(k, est.gamma_prior),
+                np.full(k, np.sqrt(n_rows) / est.gamma_prior_sigma),
+                np.zeros(k), np.zeros(k))
+            assert np.all(out[_COST] <= cost * (1.0 + 1e-6))
+            same = out[_COST] >= cost * (1.0 - 1e-7)
+            assert np.count_nonzero(same) >= k // 2
+            np.testing.assert_allclose(out[:_GAMMA, same].T,
+                                       theta[same, :2], atol=0.01)
 
     def test_far_starts_are_reject_heavy(self):
-        """The ``far`` examples exercise carried normal equations: over a
-        third of their row-iterations form none, more than on any serving
-        workload (a fifth to a third)."""
-        args = _walk_system(4, 40, 100, "mixed", False, far=True)
-        _theta, _r, _cost, stops, normal_rows, _merged = (
-            _reference_kernel(*args))
-        assert normal_rows < 0.65 * sum(stops)
+        """Starts anywhere in the box exercise rejected steps: over a
+        tenth of their row-iterations are rejected, so λ grows."""
+        jobs, beacons = _jobs(4, 8, 100, "mixed")
+        inputs = _kernel_inputs(jobs, _seed_sets(4, beacons, 5, far=True))
+        rejected = total = 0
+        for b in range(len(inputs[3])):
+            _states, accepted, stop = _reference_path(
+                *_row_alone(inputs, b), 60)
+            rejected += stop - sum(accepted)
+            total += stop
+        assert rejected > 0.1 * total
 
 
 class TestMergeRule:
     """A live row within ``_MERGE_TOL`` of a lower-cost row of its job
     freezes; rows of other jobs never stop it."""
 
-    def _one_job(self, seeds):
-        """One L-walk window (:func:`_walk_system`), one row per seed."""
-        theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
-            21, 1, 120, "both", False)
-        rows = np.zeros(len(seeds), dtype=np.intp)
-        return (np.asarray(seeds, dtype=float), p[rows], q[rows], rss[rows],
-                gp[rows], wg[rows], npr[rows], wn[rows]), theta0[0]
-
-    def _merged(self, args, job, max_iter=60):
-        before = perf.counter_value("estimator.lm_rows_merged")
-        out = _lm_kernel(*args, job=job, max_iter=max_iter)
-        return out, perf.counter_value("estimator.lm_rows_merged") - before
+    def _one_job(self):
+        jobs, beacons = _jobs(21, 1, 120, "both")
+        return jobs[0], beacons[0]
 
     def test_rows_that_meet_freeze(self):
         """Five seeds around one beacon reach one optimum: rows freeze on
         meeting a better one, as the reference replay says, and the job's
         winner lands within the tolerance of the unmerged winner."""
-        _args, start = self._one_job([])
-        seeds = start + np.array([[0.0, 0.0, 0.0, 0.0],
-                                  [0.4, -0.3, 2.0, 0.1],
-                                  [-0.5, 0.2, -3.0, -0.2],
-                                  [0.2, 0.6, 1.0, 0.3],
-                                  [-0.3, -0.4, -1.5, 0.15]])
-        args, _start = self._one_job(seeds)
-        job = np.zeros(len(seeds), dtype=np.intp)
-        (theta, r, cost), merged = self._merged(args, job)
-        ref = _reference_kernel(*args, job=job)
-        for got, want in zip((theta, r, cost), ref):
-            _assert_bitwise(got, want)
-        assert merged == ref[5] >= 2
-        apart, _r, apart_cost = _lm_kernel(*args)
-        win, apart_win = int(np.argmin(cost)), int(np.argmin(apart_cost))
-        assert np.all(np.abs(theta[win] - apart[apart_win]) <= _MERGE_TOL)
+        job, beacon = self._one_job()
+        seeds = [tuple(beacon + off) for off in
+                 ([0.0, 0.0], [0.4, -0.3], [-0.5, 0.2], [0.2, 0.6],
+                  [-0.3, -0.4])]
+        inputs = _kernel_inputs([job], [seeds])
+        out, grew = _run_kernel(inputs)
+        states, _stops, _evals, merged = _reference_kernel(inputs)
+        _assert_bitwise(out, states)
+        assert grew[3] == merged >= 2
+        apart = _vp_kernel(*inputs[:4])
+        win, apart_win = (int(np.argmin(s[_COST])) for s in (out, apart))
+        assert np.all(np.abs(out[:_GAMMA, win] - apart[:_GAMMA, apart_win])
+                      <= _MERGE_TOL)
 
     def test_equal_costs_freeze_the_later_row(self):
         """Two copies of one seed tie after the first iteration: the later
         freezes there, the earlier runs on as if alone. Copies in two jobs
         both run on."""
-        _args, start = self._one_job([])
-        args, _start = self._one_job([start, start])
-        (theta, r, cost), merged = self._merged(args, np.array([0, 0]))
-        assert merged == 1
-        alone = _lm_kernel(*(a[:1] for a in args))
-        first = _lm_kernel(*(a[:1] for a in args), max_iter=1)
-        for got, want, step in zip((theta, r, cost), alone, first):
-            _assert_bitwise(got[0], want[0])
-            _assert_bitwise(got[1], step[0])
-        assert not np.array_equal(alone[0], first[0])
-        (theta, r, cost), merged = self._merged(args, np.array([0, 1]))
-        assert merged == 0
-        for got, want in zip((theta, r, cost), alone):
-            _assert_bitwise(got[1], want[0])
+        job, beacon = self._one_job()
+        xy0, w, c, lengths, _job = _kernel_inputs([job], [[tuple(beacon)]])
+        two = (np.repeat(xy0, 2, axis=1), np.tile(w, 2), np.repeat(c, 2, 1),
+               np.repeat(lengths, 2))
+        out, grew = _run_kernel(two + (np.array([0, 0]),))
+        assert grew[3] == 1
+        alone = _vp_kernel(xy0, w, c, lengths)
+        first = _vp_kernel(xy0, w, c, lengths, max_iter=1)
+        _assert_bitwise(out[:, 0], alone[:, 0])
+        _assert_bitwise(out[:, 1], first[:, 0])
+        assert not np.array_equal(alone, first)
+        out, grew = _run_kernel(two + (np.array([0, 1]),))
+        assert grew[3] == 0
+        for b in (0, 1):
+            _assert_bitwise(out[:, b], alone[:, 0])
 
 
 class TestShortWindowAloneAndPadded:
-    """A short window refined alone — B = 1 — and padded beside a longer
-    window gives the same bits. A pairwise cost (``np.sum`` along the row
-    axis, or along axis 0 of a rows-first ``(M, 1)`` array when B = 1)
-    adds the two in different blocks and fails this."""
+    """A short window refined alone — B = 1 — and beside a longer window
+    in one run gives the same bits. A row sum over a padded window, or a
+    pairwise sum whose blocks follow the batch, fails this."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 159))
     @example(seed=0, n=37)
     @example(seed=1, n=129)
     def test_kernel_row_alone_equals_padded(self, seed, n):
-        theta0, p, q, rss, gp, wg, npr, wn = _walk_system(
-            seed, 2, 160, "both", False)
-        one = slice(0, 1)
-        alone = _lm_kernel(theta0[one], p[one, :n], q[one, :n],
-                           rss[one, :n], gp[one], wg[one], npr[one], wn[one],
-                           max_iter=1)
-        pad = np.arange(160) >= np.array([[n], [160]])
-        padded = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn,
-                            job=np.array([0, 1]), pad=pad, max_iter=1)
-        _assert_bitwise(padded[2][:1], alone[2])
-        _assert_bitwise(padded[0][:1], alone[0])
-        _assert_bitwise(np.delete(padded[1][0], np.s_[n:160]), alone[1][0])
+        jobs, beacons = _jobs(seed, 2, 160, "both")
+        short = dataclasses.replace(jobs[0], p=jobs[0].p[:n],
+                                    q=jobs[0].q[:n], rss=jobs[0].rss[:n])
+        seeds = [[tuple(beacons[0])], [tuple(beacons[1])]]
+        alone = _vp_kernel(*_kernel_inputs([short], seeds[:1]))
+        both = _vp_kernel(*_kernel_inputs([short, jobs[1]], seeds))
+        _assert_bitwise(both[:, :1], alone)
 
     def test_fits_alone_equal_fits_padded(self):
         """Through ``_lockstep`` and ``fit_batch``, cold and warm: one
         kernel run for the batch, and each fit what it is alone."""
         est = EllipticalEstimator().with_environment("LOS")
-        _theta0, p, q, rss, *_ = _walk_system(12, 2, 160, "none", False)
-        short = _Job(est, p[0, 23:60], q[0, 23:60], rss[0, 23:60],
-                     _uses_q(q[0, 23:60]), None)
-        long = _Job(est, p[1], q[1], rss[1], _uses_q(q[1]), None)
+        (job0, job1), _b = _jobs(12, 2, 160, "none")
+        short = _Job(est, job0.p[23:60], job0.q[23:60], job0.rss[23:60],
+                     _uses_q(job0.q[23:60]), None)
+        long = _Job(est, job1.p, job1.q, job1.rss, _uses_q(job1.q), None)
         seeds = [est._initial_candidates(job.p, job.q, job.rss, job.use_q)
                  for job in (short, long)]
         before = perf.counter_value("estimator.lm_kernel_calls")
@@ -580,17 +580,17 @@ class TestOneKernelRunPerBatch:
 
     def _requests(self):
         """Four ragged windows: a usable warm state, none, an unusable
-        one (exponent far outside the grid), and one whose warm fit blows
-        up (8 dB of extra noise against a 0.5 dB warm RMSE)."""
+        one (a negative residual scale), and one whose warm fit blows up
+        (8 dB of extra noise against a 0.5 dB warm RMSE)."""
         est = EllipticalEstimator().with_environment("LOS")
-        _theta0, p, q, rss, *_ = _walk_system(31, 4, 120, "none", False)
-        rss[3] += np.random.default_rng(31).normal(0.0, 8.0, 120)
+        jobs, _b = _jobs(31, 4, 120, "none")
+        jobs[3].rss[:] += np.random.default_rng(31).normal(0.0, 8.0, 120)
         cut = (120, 90, 105, 120)
-        p, q, rss = ([a[b, :n] for b, n in enumerate(cut)]
-                     for a in (p, q, rss))
+        p, q, rss = ([getattr(job, a)[:n] for job, n in zip(jobs, cut)]
+                     for a in ("p", "q", "rss"))
         cold = [est.fit(*args) for args in zip(p, q, rss)]
         warm = [cold[0].warm, None,
-                dataclasses.replace(cold[2].warm, n=9.0),
+                dataclasses.replace(cold[2].warm, rss_rmse=-1.0),
                 dataclasses.replace(cold[3].warm, rss_rmse=0.5)]
         return est, [FitRequest(p=a, q=b, rss=c, warm=w)
                      for a, b, c, w in zip(p, q, rss, warm)]
@@ -626,11 +626,12 @@ class TestOneKernelRunPerBatch:
 
 def test_lockstep_covariance_jacobians_are_batch_first_and_contiguous():
     """Winners' Jacobians feed a BLAS ``jac.T @ jac``: each must be the
-    C-contiguous ``(N+2, 4)`` slice of the rows-first Jacobian."""
+    C-contiguous ``(N+2, 4)`` slice of the four-parameter Jacobian."""
     est = EllipticalEstimator().with_environment("LOS")
-    _theta0, p, q, rss, *_ = _walk_system(5, 2, 40, "none", False)
-    jobs = [_Job(est, p[b], q[b], rss[b], _uses_q(q[b]), None)
-            for b in range(2)]
+    jobs, _b = _jobs(5, 2, 40, "none")
+    jobs = [dataclasses.replace(job, est=est) for job in jobs]
+    jobs[1] = dataclasses.replace(jobs[1], p=jobs[1].p[:31],
+                                  q=jobs[1].q[:31], rss=jobs[1].rss[:31])
     seeds = [est._initial_candidates(job.p, job.q, job.rss, job.use_q)
              for job in jobs]
     for job, best in zip(jobs, _lockstep(jobs, seeds)):
@@ -655,15 +656,17 @@ def _straight_leg_job(est, n_rows=60, seed=11):
 
 
 def _distinct(seeds):
-    """Seeds clipped into the box as ``_lockstep`` does, repeats dropped."""
-    rows = np.clip(np.asarray(seeds, dtype=float), _GN_LO + 1e-6,
-                   _GN_HI - 1e-6)
+    """Seeds' ``(x, h)`` clipped into the box as ``_lockstep`` does,
+    repeats dropped."""
+    rows = np.clip(np.asarray(seeds, dtype=float)[:, :2], -_XY_MAX + 1e-6,
+                   _XY_MAX - 1e-6)
     return list({row.tobytes(): tuple(row) for row in rows}.values())
 
 
 class TestRepeatedSeeds:
-    """A seed that repeats an earlier one of its job bit for bit gets no
-    kernel row; each winner, and ``n_candidates``, stay what they were."""
+    """A seed whose ``(x, h)`` repeats an earlier one of its job bit for
+    bit gets no kernel row; each winner, and ``n_candidates``, stay what
+    they were."""
 
     def _lm_rows(self, jobs, seed_sets):
         before = perf.counter_value("estimator.lm_rows")
@@ -672,16 +675,17 @@ class TestRepeatedSeeds:
 
     def test_repeats_give_the_winner_of_the_job_without_them(self):
         est = EllipticalEstimator()
-        _theta0, p, q, rss, *_ = _walk_system(7, 1, 80, "none", False)
-        job = _Job(est, p[0], q[0], rss[0], _uses_q(q[0]), None)
+        (job,), _b = _jobs(7, 1, 80, "none")
+        job = dataclasses.replace(job, est=est)
         seeds = est._initial_candidates(job.p, job.q, job.rss, job.use_q)
         # Every seed twice, the copies interleaved and some moved ahead of
-        # later originals, plus one seed only the clip makes a repeat.
+        # later originals; one that differs only in (Γ, n); and two that
+        # only the clip makes one.
         x, h, gam, n = seeds[3]
-        clipped = [(x, h, gam, n + 10.0)]
+        clipped = [(x + 40.0, h, gam, n)]
         repeated = ([seeds[0], seeds[0]] + seeds[1:5] + seeds[2:4]
-                    + seeds[5:] + seeds[::-1] + clipped
-                    + [(x, h, gam, 6.0)])
+                    + seeds[5:] + seeds[::-1] + [(x, h, gam - 9.0, n + 1.0)]
+                    + clipped + [(x + 50.0, h, gam, n)])
         other = _straight_leg_job(est, n_rows=80)  # shares the kernel run
         other_seeds = est._initial_candidates(other.p, other.q, other.rss,
                                               other.use_q)
@@ -696,8 +700,7 @@ class TestRepeatedSeeds:
         """``0.0 == -0.0``, but the two seeds are different kernel rows."""
         est = EllipticalEstimator()
         job = _straight_leg_job(est)
-        seeds = [(2.0, 0.0, -60.0, 2.0), (2.0, -0.0, -60.0, 2.0),
-                 (2.0, 0.0, -60.0, 2.0)]
+        seeds = [(2.0, 0.0), (2.0, -0.0), (2.0, 0.0)]
         _best, rows = self._lm_rows([job], [seeds])
         assert rows == 2
 
@@ -706,9 +709,9 @@ class TestRepeatedSeeds:
         job = _straight_leg_job(est)
         offered = est._initial_candidates(job.p, job.q, job.rss, job.use_q)
         assert len(_distinct(offered)) < len(offered)
-        _theta0, p, q, rss, *_ = _walk_system(8, 1, 60, "none", False)
+        (other,), _b = _jobs(8, 1, 60, "none")
         requests = [FitRequest(p=job.p, q=job.q, rss=job.rss),
-                    FitRequest(p=p[0], q=q[0], rss=rss[0])]
+                    FitRequest(p=other.p, q=other.q, rss=other.rss)]
         seq = [est.fit(r.p, r.q, r.rss) for r in requests]
         bat = fit_batch(requests, default_estimator=est)
         for s, b in zip(seq, bat):
@@ -717,28 +720,27 @@ class TestRepeatedSeeds:
         assert bat[0].n_candidates == len(offered)
 
     def test_warm_n_beyond_the_grid_fit_batch_equals_sequential(self):
-        """A warm exponent one step past the grid maximum clips all three
-        warm seeds onto the grid edge: one kernel row, three candidates."""
+        """A warm exponent past the grid is no obstacle: the warm fit
+        seeds only the position, one kernel row and one candidate."""
         est = EllipticalEstimator()
-        _theta0, p, q, rss, *_ = _walk_system(9, 2, 60, "none", False)
-        cold = est.fit(p[0], q[0], rss[0])
+        jobs, _b = _jobs(9, 2, 60, "none")
+        cold = est.fit(jobs[0].p, jobs[0].q, jobs[0].rss)
         warm = WarmStartState(
             x=cold.position.x, h=cold.position.y, gamma=cold.gamma,
-            n=float(np.max(DEFAULT_N_GRID)) + WARM_N_STEP,
+            n=float(np.max(DEFAULT_N_GRID)) + 0.3,
             rss_rmse=cold.rss_rmse + 1.0)
         assert est._warm_usable(warm)
-        seeds = est._warm_seeds(warm, True)
-        assert len(_distinct(seeds)) == 1
-        requests = [FitRequest(p=p[0], q=q[0], rss=rss[0], warm=warm),
-                    FitRequest(p=p[1], q=q[1], rss=rss[1], warm=cold.warm)]
+        requests = [FitRequest(p=j.p, q=j.q, rss=j.rss, warm=w)
+                    for j, w in zip(jobs, (warm, cold.warm))]
         before = perf.counter_value("estimator.lm_rows")
         seq = [est.fit(r.p, r.q, r.rss, warm=r.warm) for r in requests[:1]]
         assert perf.counter_value("estimator.lm_rows") - before == 1
-        seq.append(est.fit(p[1], q[1], rss[1], warm=cold.warm))
+        seq.append(est.fit(jobs[1].p, jobs[1].q, jobs[1].rss,
+                           warm=cold.warm))
         bat = fit_batch(requests, default_estimator=est)
         for s, b in zip(seq, bat):
             _assert_fit_bitwise(s, b)
-        assert bat[0].warm_started and bat[0].n_candidates == 3
+        assert bat[0].warm_started and bat[0].n_candidates == 1
 
 
 def _assert_fit_bitwise(a, b):
@@ -754,42 +756,107 @@ def _assert_fit_bitwise(a, b):
     assert a.warm.to_dict() == b.warm.to_dict()
 
 
+class TestFitBatchEqualsSequential:
+    """``fit_batch`` ≡ the sequential ``fit`` loop, bit for bit, for a
+    batch of one and for ragged batches of warm and cold requests."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(8, 160),
+           warm=st.booleans())
+    @example(seed=0, n_rows=8, warm=False)
+    def test_batch_of_one(self, seed, n_rows, warm):
+        (job,), _b = _jobs(seed, 1, n_rows, "gamma")
+        est = job.est
+        state = est.fit(job.p, job.q, job.rss).warm if warm else None
+        req = FitRequest(p=job.p, q=job.q, rss=job.rss, warm=state)
+        _assert_fit_bitwise(est.fit(req.p, req.q, req.rss, warm=req.warm),
+                            fit_batch([req], default_estimator=est)[0])
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_jobs=st.integers(2, 8),
+           warm=st.lists(st.booleans(), min_size=8, max_size=8))
+    @example(seed=3, n_jobs=8, warm=[True, False] * 4)
+    def test_ragged_mixed_batch(self, seed, n_jobs, warm):
+        jobs, _b = _jobs(seed, n_jobs, 160, "mixed", ragged=True)
+        requests = []
+        for job, w in zip(jobs, warm):
+            state = job.est.fit(job.p, job.q, job.rss).warm if w else None
+            requests.append(FitRequest(p=job.p, q=job.q, rss=job.rss,
+                                       warm=state, estimator=job.est))
+        seq = [r.estimator.fit(r.p, r.q, r.rss, warm=r.warm)
+               for r in requests]
+        for s, b in zip(seq, fit_batch(requests)):
+            _assert_fit_bitwise(s, b)
+
+
 class TestBoundPinnedParameter:
-    """A parameter on its bound whose gradient points out of the box is
-    held, and the others solve the reduced system instead of crawling
-    along the bound for every remaining iteration."""
+    """A coordinate on its ±18 m bound whose gradient points out of the
+    box is held, and the other one solves alone instead of crawling along
+    the bound for every remaining iteration."""
 
     def _pinned(self):
-        """One seed at the true position and Γ, with n on its lower bound
-        under RSS that falls off flatter (n = 0.7) than the box admits."""
-        d = np.linspace(0.0, 4.5, 40)
-        p = -np.minimum(d, 2.5)[None, :]
-        q = -np.clip(d - 2.5, 0.0, 2.0)[None, :]
-        rss = -59.0 - 7.0 * np.log10(np.hypot(4.0 + p, 3.0 + q))
-        theta0 = np.array([[4.0, 3.0, -59.0, _GN_LO[3]]])
-        zeros = np.zeros(1)
-        return theta0, p, q, rss, zeros, zeros, zeros, zeros
+        """One seed on the x bound, under RSS from a beacon further out
+        along +x: descent would push x past 18 m."""
+        p, q = _walk(60)
+        rss = -59.0 - 20.0 * np.log10(np.hypot(25.0 + p, 3.0 + q))
+        job = _Job(EllipticalEstimator(), p, q, rss, True, None)
+        _xy0, w, c, lengths, ids = _kernel_inputs([job], [[(0.0, 0.0)]])
+        return np.array([[_XY_MAX], [1.0]]), w, c, lengths, ids
 
     def test_outward_gradient_gets_exactly_zero_step(self):
-        theta0, p, q, rss, gp, wg, npr, wn = args = self._pinned()
-        jtj, grad = _lm_normal_equations(
-            _jacobian(theta0, p, q, wg, wn),
-            _residuals(theta0, p, q, rss, gp, wg, npr, wn))
-        assert grad[3, 0] > 0.0  # descent would push n below 1.0
-        theta, _r, _cost = _lm_kernel(*args, max_iter=1)
-        assert theta[0, 3] == _GN_LO[3]
-        reduced = np.linalg.solve(jtj[:3, :3, 0] + 1e-3 * np.eye(3),
-                                  grad[:3, 0])
-        np.testing.assert_allclose(theta[0, :3], theta0[0, :3] - reduced,
+        inputs = self._pinned()
+        start = _evaluate(inputs[0][:, 0], *_row_alone(inputs, 0)[1:])
+        assert start[_X] == _XY_MAX and start[_GRAD] < 0.0
+        out = _vp_kernel(*inputs, max_iter=1)
+        assert out[_X, 0] == _XY_MAX
+        h_step = start[_GRAD + 1] / (start[_HESS + 3] + 1e-3)
+        np.testing.assert_allclose(out[_H, 0], start[_H] - h_step,
                                    rtol=1e-12)
 
     def test_freezes_before_max_iter(self):
-        args = self._pinned()
-        before = (perf.counter_value("estimator.lm_iterations"),
-                  perf.counter_value("estimator.lm_max_iter_calls"))
-        theta, _r, cost = _lm_kernel(*args, max_iter=60)
-        iters = perf.counter_value("estimator.lm_iterations") - before[0]
-        assert iters < 60
-        assert perf.counter_value("estimator.lm_max_iter_calls") == before[1]
-        assert theta[0, 3] == _GN_LO[3]
-        assert cost[0] < 1e-2
+        inputs = self._pinned()
+        out, grew = _run_kernel(inputs)
+        assert grew[0] < 60 and grew[1] == 0
+        assert out[_X, 0] == _XY_MAX
+
+
+class TestWarmGate:
+    """A warm winner on the ±18 m position bound is rejected
+    (``at-bound``) and the job re-runs cold: a lone warm row can slide
+    down a flat likelihood to the box edge, where no cold seed goes."""
+
+    def test_warm_fit_on_the_position_bound_is_rejected(self):
+        p, q = _walk(60)
+        rss = (-59.0 - 20.0 * np.log10(np.hypot(25.0 + p, 3.0 + q))
+               + np.random.default_rng(0).normal(0.0, 1.0, 60))
+        est = EllipticalEstimator()
+        warm = WarmStartState(x=14.0, h=3.0, gamma=-59.0, n=2.0,
+                              rss_rmse=2.0)
+        with recording() as sink:
+            res = est.fit(p, q, rss, warm=warm)
+        (event,) = sink.named("solver.warm_rejected")
+        assert event.fields["reason"] == "at-bound"
+        assert not res.warm_started and res.solver == "gauss-newton"
+        _assert_fit_bitwise(res, est.fit(p, q, rss))
+        bat = fit_batch([FitRequest(p=p, q=q, rss=rss, warm=warm)],
+                        default_estimator=est)
+        _assert_fit_bitwise(res, bat[0])
+
+
+class TestTieRule:
+    """Seeds whose costs agree to within ``_TIE_RTOL`` tie: the first in
+    seed order wins, not the one rounding made cheaper."""
+
+    def test_near_equal_costs_pick_the_first_seed(self):
+        """A straight leg, its q perturbed by 1e-9 m: the optima at ±h
+        cost the same but for rounding. Whichever seed comes first wins."""
+        rng = np.random.default_rng(0)
+        p = -np.linspace(0.0, 4.0, 50)
+        q = rng.normal(0.0, 1e-9, 50)
+        rss = (-59.0 - 20.0 * np.log10(np.hypot(3.0 + p, 2.5 + q))
+               + rng.normal(0.0, 1.0, 50))
+        job = _Job(EllipticalEstimator(), p, q, rss, True, None)
+        low, high = (3.0, -2.0, -59.0, 2.0), (3.0, 2.0, -59.0, 2.0)
+        for order in ([low, high], [high, low]):
+            (best,) = _lockstep([job], [order])
+            assert np.sign(best[0][1]) == np.sign(order[0][1])

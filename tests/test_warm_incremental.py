@@ -7,6 +7,7 @@ checkpoints.
 """
 
 import contextlib
+import dataclasses
 import json
 import math
 
@@ -164,7 +165,8 @@ class TestWarmStartFastPath:
         bad = [
             WarmStartState(x=math.nan, h=3.0, gamma=-59.0, n=2.0,
                            rss_rmse=1.0),
-            WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=9.5, rss_rmse=1.0),
+            WarmStartState(x=4.0, h=3.0, gamma=math.inf, n=2.0,
+                           rss_rmse=1.0),
             WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=2.0, rss_rmse=-1.0),
         ]
         for warm in bad:
@@ -294,8 +296,6 @@ _UNUSABLE = {
                                  rss_rmse=1.0),
     "negative-rmse": WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=2.0,
                                     rss_rmse=-1.0),
-    "n-outside-window": WarmStartState(x=4.0, h=3.0, gamma=-59.0, n=4.95,
-                                       rss_rmse=1.0),
 }
 
 #: Request kinds of the mixed-batch property.
@@ -402,6 +402,27 @@ class TestMixedBatchBitIdentity:
             assert s.n_candidates == b.n_candidates
         assert any(b.warm_started for b in bat)
         assert not all(b.warm_started for b in bat)
+
+
+class TestCheckpointedWarmState:
+    def test_exponent_past_the_old_window_warm_starts(self):
+        """A checkpointed warm state whose exponent lies on the box edge,
+        past the old ±0.3 window around the cold grid, restores and
+        warm-starts: the warm fit seeds only the position. Alone and in a
+        batch, with no ``solver.warm_unusable`` event."""
+        req = _mixed_request("warm", 40)
+        saved = json.loads(json.dumps(dataclasses.replace(
+            req.warm, n=5.0).to_dict()))
+        warm = WarmStartState.from_dict(saved)
+        est = EllipticalEstimator()
+        with recording() as sink:
+            alone = est.fit(req.p, req.q, req.rss, warm=warm)
+            (batched,) = fit_batch([FitRequest(req.p, req.q, req.rss,
+                                               warm=warm)],
+                                   default_estimator=est)
+        assert alone.warm_started and alone.n_candidates == 1
+        assert sink.named("solver.warm_unusable") == []
+        _assert_fits_identical(alone, batched)
 
 
 class TestWarmUnusableEvent:
