@@ -1,9 +1,10 @@
 """CI benchmark smoke gate: catch hot-path perf regressions early.
 
 Re-runs the single-process hot-path benches from
-:mod:`bench_perf_hotpaths` and compares each measured speedup against the
-baseline recorded in the committed ``BENCH_perf.json``: a bench whose
-speedup falls below ``baseline / REGRESSION_FACTOR`` fails the gate. The
+:mod:`bench_perf_hotpaths` and compares each measured speedup — the median
+before/after ratio of its alternating runs — against the baseline recorded
+in the committed ``BENCH_perf.json``: a bench whose speedup falls below
+``baseline / REGRESSION_FACTOR`` fails the gate. The
 speedups are before/after *ratios* on identical workloads, so they are
 largely machine-independent — unlike raw wall-clock times, which CI
 hardware churn would make useless as baselines.

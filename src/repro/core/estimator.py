@@ -943,8 +943,8 @@ def _job_constants(job: "_Job") -> Tuple[float, ...]:
 
 def _inner_solve(
     sums: np.ndarray, c: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray,
-           np.ndarray]:
+) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]],
+           np.ndarray, np.ndarray, np.ndarray]:
     """The ``(Γ, n)`` in the box that minimise each row's cost at its
     fixed ``(x, h)``.
 
@@ -956,8 +956,9 @@ def _inner_solve(
     best of the four box edges, each a 1-D solve clamped to its edge; that
     edge also says which of Γ and n stays free. Returns ``(gn, free, a12,
     a22, det)``: ``(Γ, n)`` as a ``(2, B)`` array, which of them are free
-    (``None`` when both are, on every row), and the rest of the normal
-    matrix and its determinant, for :func:`_vp_eval`'s projection.
+    (a pair of ``(B,)`` masks, ``None`` when both are on every row), and
+    the rest of the normal matrix and its determinant, for
+    :func:`_vp_eval`'s projection.
     """
     a11, b1 = c[_A11], c[_B1]
     a22 = 25.0 * sums[0] + c[_WN2]
@@ -972,20 +973,25 @@ def _inner_solve(
     inside = inside[0] & inside[1]
     if np.count_nonzero(inside) == len(inside):
         return gn, None, a12, a22, det
-    # Edges 0-1 hold Γ on its bounds, edges 2-3 hold n on its bounds.
+    # Edges 0-1 hold Γ on its bounds, edges 2-3 hold n on its bounds; the
+    # free one of each is its 1-D solve, clamped into the box.
+    (g_lo, g_hi), (n_lo, n_hi) = _GN_BOX
     edges = np.empty((2, 4, len(det)))
     edges[0, :2] = _GN_BOX[0, :, None]
     edges[1, 2:] = _GN_BOX[1, :, None]
-    np.clip((b2 - a12 * edges[0, :2]) / a22, *_GN_BOX[1], out=edges[1, :2])
-    np.clip((b1 - a12 * edges[1, 2:]) / a11, *_GN_BOX[0], out=edges[0, 2:])
+    np.minimum(np.maximum((b2 - a12 * edges[0, :2]) / a22, n_lo), n_hi,
+               out=edges[1, :2])
+    np.minimum(np.maximum((b1 - a12 * edges[1, 2:]) / a11, g_lo), g_hi,
+               out=edges[0, 2:])
     g_e, n_e = edges
     # The quadratic less its constant: βᵀAβ − 2bᵀβ.
     f = (g_e * (a11 * g_e + 2.0 * (a12 * n_e - b1))
          + n_e * (a22 * n_e - 2.0 * b2))
     k = np.argmin(np.where(np.isfinite(f), f, np.inf), axis=0)
     best = edges[:, k, np.arange(len(k))]
-    free = (np.array([k >= 2, k < 2]) & (best > _GN_BOX[:, :1])
-            & (best < _GN_BOX[:, 1:]) | inside)
+    off = (best > _GN_BOX[:, :1]) & (best < _GN_BOX[:, 1:])
+    n_held = k >= 2
+    free = (n_held & off[0] | inside, ~n_held & off[1] | inside)
     return np.where(inside, gn, best), free, a12, a22, det
 
 
@@ -1114,6 +1120,34 @@ def _vp_kernel(
     of its job, live or frozen, freezes (on equal costs the later row
     does), since it has met a basin another row already holds.
 
+    A solo row, its job's only row (every warm fit), takes two more
+    rules against the zig-zag that Kaufman's Hessian causes where it
+    underestimates the curvature: each step overshoots across the valley
+    and the row crawls, up to ``max_iter``. Both read the parabola of the
+    cost along the step tried, ``c − 2α·g·s + α²κ`` with ``g·s`` the
+    gradient's dot with the step and ``κ = 2·g·s − gain``, least at
+    ``α = g·s/κ``.
+
+    - Rule 1, once a step of the row has overshot that least by half or
+      more (``α < 2/3``, a gain under half of ``g·s``): a step ``s``
+      that reverses the last accepted step ``m``, ``ρ = s·m/m·m < 0``, is
+      divided by ``min(1 − ρ, 10)``. A zig-zag that contracts by ρ per
+      step then lands on its limit (Aitken's Δ²). The step stop judges
+      ``s`` before the division, which would fake convergence. A row
+      whose steps gain as the model says keeps its Gauss-Newton path.
+    - Rule 2: after a rejected step with ``g·s > 0``, λ becomes at least
+      ``(h + λ)/α − h``, ``α`` clipped to [0.1, 0.5] and ``h`` the mean
+      of the Hessian's diagonal, so that the next step shrinks to about
+      the parabola's least instead of λ growing by 5 from as low as
+      1e-10.
+
+    Rows with siblings (cold fits) keep the steps above exactly. Applied
+    to them too, the rules move Fig. 5's full arm from 4.472 to 4.844 m,
+    past the bench's 1 m bound against 3.784 m without ANF: its median
+    turns on equal-cost mirror pairs whose winner depends on how far each
+    row converged (ROADMAP item 8). Once cold winners no longer depend on
+    stopping points, this fence can go.
+
     A frozen row is removed from the compacted working set — a handful of
     gathers of the packed state, samples and constants — and never
     changes again. Every operation is elementwise or one of
@@ -1123,10 +1157,22 @@ def _vp_kernel(
     out = _vp_eval(xy0, w, c, lengths, _starts(lengths))
     keep = np.isfinite(out[_COST])
     idx = np.flatnonzero(keep)
-    w = np.compress(np.repeat(keep, lengths), w, axis=1)
+    if idx.size < keep.size:
+        w = np.compress(np.repeat(keep, lengths), w, axis=1)
     s, c, lengths = out[:, idx], c[:, idx], lengths[idx]
     starts = _starts(lengths)
     lam = np.full(idx.size, 1e-3)
+    # Solo rows (their job's only row) and those of them rule 1 is armed
+    # for. ``steps[0]`` is this iteration's step and ``steps[1]`` an armed
+    # row's last accepted one, zero until it accepts one; every other row
+    # keeps a zero there.
+    solo = (np.ones(idx.size, dtype=bool) if job is None
+            else np.bincount(job)[job[idx]] == 1)
+    n_solo = np.count_nonzero(solo)
+    all_solo = n_solo == solo.size
+    armed = np.zeros(idx.size, dtype=bool)
+    n_armed = 0
+    steps = np.zeros((2, 2, idx.size))
     evals = idx.size
     # Merge candidates: ordered (a, b) pairs of one job whose row a is live.
     pair_a, pair_b = _job_pairs(job)
@@ -1152,22 +1198,56 @@ def _vp_kernel(
             d = np.where(free[1], d, 1.0)
             b = np.where(free[0] & free[1], b, 0.0)
             grad = np.where(free, grad, 0.0)
-        step = np.empty_like(xy)
+        step = steps[0]
         np.subtract(d * grad[0], b * grad[1], out=step[0])
         np.subtract(a * grad[1], b * grad[0], out=step[1])
         step /= a * d - b * b
-        trial = np.minimum(np.maximum(xy - step, -_XY_MAX), _XY_MAX)
+        if n_armed:
+            # Rule 1: ρ = s·m/m·m of the step s and the last accepted step
+            # m; a reversal, ρ < 0, divides the step by 1 − ρ, at most 10.
+            # A zero m gives ρ = NaN and the divisor 1.
+            sm = step * steps[1]
+            mm = steps[1] * steps[1]
+            rho = (sm[0] + sm[1]) / (mm[0] + mm[1])
+            trial = xy - step / np.fmin(np.fmax(1.0 - rho, 1.0), 10.0)
+        else:
+            trial = xy - step
+        trial = np.minimum(np.maximum(trial, -_XY_MAX), _XY_MAX)
         t = _vp_eval(trial, w, c, lengths, starts)
         evals += idx.size
         gain = s[_COST] - t[_COST]
         better = finite & (t[_COST] < s[_COST])
-        moved = np.abs(trial - xy) <= _STEP_TOL
+        rejected = finite & ~better
+        # A solo row's step stop judges its step before rule 1 shortened
+        # it. A row that is not finite leaves, so its λ does not matter.
+        moved = np.abs(step if all_solo else xy - trial if not n_solo
+                       else np.where(solo, step, xy - trial)) <= _STEP_TOL
+        grown = lam * 5.0
+        if n_solo:
+            # Along the step tried, xy − trial, the cost is the parabola
+            # c − 2α·g·s + α²κ, κ = 2·g·s − gain, least at α = g·s/κ.
+            gs = grad * (xy - trial)
+            gs = gs[0] + gs[1]
+            solo_rejected = rejected if all_solo else rejected & solo
+            if np.count_nonzero(solo_rejected):
+                # Rule 2: λ grows so that the step shrinks to about α.
+                alpha = np.minimum(np.maximum(gs / (2.0 * gs - gain), 0.1),
+                                   0.5)
+                h = 0.5 * (s[_HESS] + s[_HESS + 3])
+                grown = np.where(solo_rejected & (gs > 0.0), np.fmax(
+                    grown, (h + lam) / alpha - h), grown)
+            # Rule 1 is armed by a step that overshot its parabola's least
+            # by half or more (α < 2/3: it gained under half of g·s).
+            overshot = gain < 0.5 * gs
+            armed |= overshot if all_solo else overshot & solo
+            n_armed = np.count_nonzero(armed)
+            if n_armed:
+                np.copyto(steps[1], step, where=better & armed)
         s = np.where(better, t, s)
-        lam = np.where(better, np.maximum(lam / 3.0, 1e-10),
-                       np.where(finite, lam * 5.0, lam))
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-10), grown)
         done = better & ((moved[0] & moved[1])
                          | (gain <= 1e-10 * np.maximum(s[_COST], 1e-12)))
-        keep = finite & ~(done | (finite & ~better & (lam > 1e8)))
+        keep = finite & ~(done | (rejected & (lam > 1e8)))
         if pair_a.size and n_iter < max_iter:
             out[:, idx] = s
             live[idx] = keep
@@ -1186,6 +1266,12 @@ def _vp_kernel(
         if np.count_nonzero(keep) < keep.size:
             out[:, idx] = s
             idx, s, lam = idx[keep], s[:, keep], lam[keep]
+            steps = steps[:, :, keep]
+            if n_solo:
+                solo, armed = solo[keep], armed[keep]
+                n_solo = np.count_nonzero(solo)
+                n_armed = np.count_nonzero(armed)
+                all_solo = n_solo == solo.size
             w = np.compress(np.repeat(keep, lengths), w, axis=1)
             c, lengths = c[:, keep], lengths[keep]
             starts = _starts(lengths)

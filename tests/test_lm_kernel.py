@@ -10,7 +10,10 @@ batch, whatever the other windows' lengths. The judges:
 
 - a one-seed-at-a-time reference that refines each row alone, in plain
   floats, and replays the merge rule over the recorded paths must agree
-  with the kernel bit for bit, iteration counters included;
+  with the kernel bit for bit, iteration counters included. A row with no
+  sibling seed takes two more step rules there (a reversing step is
+  shortened, a rejected step sets λ from a parabola); a row with siblings
+  takes the steps it took before those rules;
 - the inner solve must match a bounded least-squares solver, box edges
   included, and the Hessian an explicit projection of the four-parameter
   Jacobian;
@@ -144,7 +147,7 @@ def _evaluate(xy, w, c, lengths):
                         lengths, np.zeros(1, np.intp))[:, 0]
 
 
-def _reference_path(xy0, w, c, lengths, max_iter):
+def _reference_path(xy0, w, c, lengths, max_iter, solo=True):
     """One seed refined alone, its step rules in plain floats: its states
     after 0, 1, ... iterations, whether each step was accepted, and the
     iteration at which it stops by itself (converged, stuck, non-finite
@@ -152,12 +155,22 @@ def _reference_path(xy0, w, c, lengths, max_iter):
 
     Models the bound hold independently of the kernel's masks: a
     coordinate on its bound whose gradient points out of the box is held.
+    A ``solo`` row (its job's only row) takes two more rules, both read
+    off the parabola through the cost, its slope along the step tried
+    (``xy − trial``, ``g·s`` its dot with the gradient) and the trial's
+    cost. Rule 1, armed once a step gains less than half of ``g·s``: a
+    step ``s`` that reverses the last accepted step ``m`` since,
+    ``ρ = s·m/m·m < 0``, is divided by ``min(1 − ρ, 10)``; the step stop
+    judges ``s`` before that. Rule 2: a rejected step with ``g·s > 0``
+    sets ``λ`` to at least ``(h + λ)/α − h``, ``α`` the parabola's least
+    clipped to [0.1, 0.5]. With ``solo=False`` these are the steps every
+    row took before the two rules.
     """
     s = _evaluate(xy0[:, 0], w, c, lengths)
     states, accepted = [s], [False]
     if not np.isfinite(s[_COST]):
         return states, accepted, 0
-    lam, k = 1e-3, 0
+    lam, k, last, armed = 1e-3, 0, (0.0, 0.0), False
     while k < max_iter:
         k += 1
         if not np.all(np.isfinite(s[_HESS:])):
@@ -174,12 +187,24 @@ def _reference_path(xy0, w, c, lengths, max_iter):
         g = [gi if fi else 0.0 for gi, fi in zip(g, free)]
         den = a * d - b * b
         step = [(d * g[0] - b * g[1]) / den, (a * g[1] - b * g[0]) / den]
-        trial = [min(max(xy[i] - step[i], -_XY_MAX), _XY_MAX) for i in (0, 1)]
+        tried = step
+        mm = last[0] * last[0] + last[1] * last[1]
+        if solo and mm > 0.0:
+            rho = (step[0] * last[0] + step[1] * last[1]) / mm
+            if rho < 0.0:
+                tried = [si / min(1.0 - rho, 10.0) for si in step]
+        trial = [min(max(xy[i] - tried[i], -_XY_MAX), _XY_MAX)
+                 for i in (0, 1)]
         t = _evaluate(trial, w, c, lengths)
         gain = float(s[_COST]) - float(t[_COST])
+        gs = g[0] * (xy[0] - trial[0]) + g[1] * (xy[1] - trial[1])
+        armed = armed or (solo and gain < 0.5 * gs)
         if float(t[_COST]) < float(s[_COST]):
-            still = all(abs(trial[i] - xy[i]) <= _STEP_TOL for i in (0, 1))
+            judged = step if solo else [xy[i] - trial[i] for i in (0, 1)]
+            still = all(abs(judged[i]) <= _STEP_TOL for i in (0, 1))
             s, lam = t, max(lam / 3.0, 1e-10)
+            if armed:
+                last = (step[0], step[1])
             states.append(s)
             accepted.append(True)
             if still or gain <= 1e-10 * max(float(s[_COST]), 1e-12):
@@ -187,16 +212,25 @@ def _reference_path(xy0, w, c, lengths, max_iter):
         else:
             states.append(s)
             accepted.append(False)
-            lam *= 5.0
+            grown = lam * 5.0
+            if solo and gs > 0.0:
+                alpha = gs / (2.0 * gs - gain)
+                if not np.isnan(alpha):
+                    alpha = min(max(alpha, 0.1), 0.5)
+                h = 0.5 * (float(s[_HESS]) + float(s[_HESS + 3]))
+                parabola = (h + lam) / alpha - h
+                if parabola > grown:
+                    grown = parabola
+            lam = grown
             if lam > 1e8:
                 break
     return states, accepted, k
 
 
-def _reference_kernel(inputs, max_iter=60):
-    """Each row refined alone (:func:`_reference_path`), then the merge
-    rule replayed over the recorded paths: ``(states, stops, evals,
-    merged)``.
+def _reference_kernel(inputs, max_iter=60, rules=True):
+    """Each row refined alone (:func:`_reference_path`, a row solo when
+    its job has no other row and ``rules``), then the merge rule replayed
+    over the recorded paths: ``(states, stops, evals, merged)``.
 
     After iteration k (k < ``max_iter``), a row that is still moving
     stops if its ``(x, h)`` lies within ``_MERGE_TOL`` of another row of
@@ -209,8 +243,9 @@ def _reference_kernel(inputs, max_iter=60):
     n_rows = len(job)
     paths, stops = [], []
     for b in range(n_rows):
+        solo = rules and np.count_nonzero(job == job[b]) == 1
         states, _accepted, stop = _reference_path(*_row_alone(inputs, b),
-                                                  max_iter)
+                                                  max_iter, solo)
         paths.append(states)
         stops.append(stop)
     merged = [False] * n_rows
@@ -469,12 +504,92 @@ class TestKernelEqualsReferenceLoop:
         jobs, beacons = _jobs(4, 8, 100, "mixed")
         inputs = _kernel_inputs(jobs, _seed_sets(4, beacons, 5, far=True))
         rejected = total = 0
+        job = inputs[4]
         for b in range(len(inputs[3])):
             _states, accepted, stop = _reference_path(
-                *_row_alone(inputs, b), 60)
+                *_row_alone(inputs, b), 60,
+                np.count_nonzero(job == job[b]) == 1)
             rejected += stop - sum(accepted)
             total += stop
         assert rejected > 0.1 * total
+
+
+def _fit_batch_bench_job(i):
+    """Warm job ``i`` of the ``estimator_fit_batch`` bench's 32: an L-walk
+    past a beacon at ``(1 + 0.1·i, 1.5 + 0.05·i)``, 40 samples, solved cold,
+    then warm from that fix against the same window with 0.4 dB more noise
+    (``benchmarks/bench_perf_hotpaths.py``)."""
+    est, noise = EllipticalEstimator(), np.random.default_rng(37)
+    for k in range(i + 1):
+        rng = np.random.default_rng(100 + k)
+        frac = np.linspace(0.0, 1.0, 40)
+        leg1 = frac < 0.56
+        ox = np.where(leg1, frac / 0.56 * 2.8, 2.8)
+        oy = np.where(leg1, 0.0, (frac - 0.56) / 0.44 * 2.2)
+        dist = np.hypot(ox - (1.0 + 0.1 * k), oy - (1.5 + 0.05 * k))
+        rss = (-55.0 - 22.0 * np.log10(np.maximum(dist, 0.1))
+               + rng.normal(0.0, 1.5, 40))
+        warm = est.fit(-ox, -oy, rss).warm
+        rss = rss + noise.normal(0.0, 0.4, 40)
+    job = _Job(est, -ox, -oy, rss, _uses_q(-oy), warm)
+    return _kernel_inputs([job], [[est._warm_seed(warm, job.use_q)]])
+
+
+class TestSoloRules:
+    """A row with no sibling seed — every warm fit — shortens a step that
+    reverses its last one once it has overshot, and sets λ after a rejected
+    step from the cost's parabola; a row with siblings — cold fits — takes
+    the steps it took before those rules."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_jobs=st.integers(1, 6),
+           n_rows=st.integers(8, 160),
+           prior=st.sampled_from(["none", "gamma", "both", "mixed"]),
+           far=st.booleans(), max_iter=st.sampled_from([3, 60]))
+    @example(seed=4, n_jobs=6, n_rows=100, prior="mixed", far=True,
+             max_iter=60)
+    def test_rows_with_siblings_take_todays_steps(self, seed, n_jobs, n_rows,
+                                                  prior, far, max_iter):
+        jobs, beacons = _jobs(seed, n_jobs, n_rows, prior)
+        rng = np.random.default_rng([seed, 2])
+        sets = [[tuple(row) for row in (
+            rng.uniform(-_XY_MAX, _XY_MAX, (rng.integers(2, 5), 2)) if far
+            else b + rng.normal(0.0, 2.0, (rng.integers(2, 5), 2)))]
+            for b in beacons]
+        inputs = _kernel_inputs(jobs, sets)
+        out, grew = _run_kernel(inputs, max_iter)
+        states, stops, evals, merged = _reference_kernel(inputs, max_iter,
+                                                         rules=False)
+        _assert_bitwise(out, states)
+        assert grew == (max(stops), int(max(stops) == max_iter), evals,
+                        merged, 1)
+
+    def test_zig_zag_warm_row_converges(self):
+        """Row 18 of the fit-batch bench zig-zags across its valley: with
+        a row's steps before the rules it runs all 60 iterations; solo, it
+        converges in a handful, to the same basin."""
+        inputs = _fit_batch_bench_job(18)
+        before, _accepted, stop = _reference_path(*inputs[:4], 60,
+                                                  solo=False)
+        assert stop == 60
+        out, grew = _run_kernel(inputs)
+        assert grew[0] <= 10 and grew[1] == 0
+        assert out[_COST, 0] <= before[-1][_COST]
+        assert np.all(np.abs(out[:_GAMMA, 0] - before[-1][:_GAMMA])
+                      <= 0.01)
+
+    def test_clean_steps_are_left_alone(self):
+        """A solo row whose steps gain as the model says — never half of
+        ``g·s`` short, never rejected — takes the steps of a row with
+        siblings, stops included."""
+        jobs, beacons = _jobs(21, 1, 120, "both")
+        inputs = _kernel_inputs(jobs, [[tuple(beacons[0])]])
+        states, accepted, stop = _reference_path(*_row_alone(inputs, 0), 60,
+                                                 solo=False)
+        assert all(accepted[1:]) and stop > 2
+        out, grew = _run_kernel(inputs)
+        _assert_bitwise(out[:, 0], states[-1])
+        assert grew[0] == stop
 
 
 class TestMergeRule:
