@@ -19,61 +19,36 @@ Quick start::
     print(est.position, "error:", est.error_to(rec.true_position_in_frame("b")))
 """
 
-from repro.baselines import (
-    DartleRanger,
-    ParticleEstimator,
-    ProximityEstimator,
-    ProximityZone,
-)
-from repro.core import (
-    AdaptiveNoiseFilter,
-    ClusteringCalibrator,
-    EllipticalEstimator,
-    EnvAwareClassifier,
-    LocBLE,
-    Navigator,
-)
-from repro.fleet import FleetConfig, ShardRouter, TrackingFleet
-from repro.gateway import GatewayConfig, IngestionGateway
-from repro.service import (
-    ServiceConfig,
-    SessionConfig,
-    SessionState,
-    TrackingService,
-    TrackingSession,
-)
-from repro.robustness import (
-    EstimateDiagnostics,
-    SanitizationReport,
-    check_trace,
-    sanitize_trace,
-)
-from repro.sim import (
-    BeaconSpec,
-    EnvDatasetBuilder,
-    FaultModel,
-    MeasurementRecord,
-    Simulator,
-    degradation_sweep,
-)
-from repro.types import EnvClass, ImuTrace, LocationEstimate, RssiTrace, Vec2
-from repro.world import Floorplan, Trajectory, l_shape, straight_walk
-from repro.world.scenarios import SCENARIOS, Scenario, scenario
+from repro.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DartleRanger", "ProximityEstimator", "ProximityZone",
-    "AdaptiveNoiseFilter", "ClusteringCalibrator", "EllipticalEstimator",
-    "EnvAwareClassifier", "LocBLE", "Navigator", "ParticleEstimator",
-    "BeaconSpec",
-    "EnvDatasetBuilder", "FaultModel", "degradation_sweep",
-    "EstimateDiagnostics", "SanitizationReport", "check_trace",
-    "sanitize_trace", "MeasurementRecord", "Simulator", "EnvClass",
-    "ImuTrace", "LocationEstimate", "RssiTrace", "Vec2", "Floorplan",
-    "Trajectory", "l_shape", "straight_walk", "SCENARIOS", "Scenario",
-    "scenario", "ServiceConfig", "SessionConfig", "SessionState",
-    "TrackingService", "TrackingSession",
-    "FleetConfig", "ShardRouter", "TrackingFleet",
-    "GatewayConfig", "IngestionGateway", "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.dartle": ["DartleRanger"],
+    "repro.baselines.particle": ["ParticleEstimator"],
+    "repro.baselines.proximity": ["ProximityEstimator", "ProximityZone"],
+    "repro.core.anf": ["AdaptiveNoiseFilter"],
+    "repro.core.calibration": ["ClusteringCalibrator"],
+    "repro.core.estimator": ["EllipticalEstimator"],
+    "repro.core.envaware": ["EnvAwareClassifier"],
+    "repro.core.pipeline": ["LocBLE"],
+    "repro.core.navigation": ["Navigator"],
+    "repro.fleet.fleet": ["FleetConfig", "TrackingFleet"],
+    "repro.fleet.router": ["ShardRouter"],
+    "repro.gateway.gateway": ["GatewayConfig", "IngestionGateway"],
+    "repro.service.service": ["ServiceConfig", "TrackingService"],
+    "repro.service.session": ["SessionConfig", "TrackingSession"],
+    "repro.service.health": ["SessionState"],
+    "repro.robustness.diagnostics": ["EstimateDiagnostics"],
+    "repro.robustness.sanitize": [
+        "SanitizationReport", "check_trace", "sanitize_trace"],
+    "repro.sim.simulator": ["BeaconSpec", "MeasurementRecord", "Simulator"],
+    "repro.sim.datasets": ["EnvDatasetBuilder"],
+    "repro.sim.faults": ["FaultModel", "degradation_sweep"],
+    "repro.types": [
+        "EnvClass", "ImuTrace", "LocationEstimate", "RssiTrace", "Vec2"],
+    "repro.world.floorplan": ["Floorplan"],
+    "repro.world.trajectory": ["Trajectory", "l_shape", "straight_walk"],
+    "repro.world.scenarios": ["SCENARIOS", "Scenario", "scenario"],
+})
+__all__.append("__version__")

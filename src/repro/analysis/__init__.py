@@ -1,6 +1,8 @@
 """Deployment analysis tools: link budgets and coverage maps."""
 
-from repro.analysis.coverage import CoverageMap
-from repro.analysis.linkbudget import LinkBudget
+from repro.exports import lazy_exports
 
-__all__ = ["CoverageMap", "LinkBudget"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.coverage": ["CoverageMap"],
+    "repro.analysis.linkbudget": ["LinkBudget"],
+})

@@ -1,14 +1,13 @@
 """Comparison baselines: Dartle-style ranging, fingerprinting, proximity zones,
 trilateration, and the particle filter."""
 
-from repro.baselines.dartle import DartleRanger
-from repro.baselines.fingerprint import DistanceFingerprint, FingerprintLocator
-from repro.baselines.particle import ParticleEstimator
-from repro.baselines.proximity import ProximityEstimator, ProximityZone
-from repro.baselines.trilateration import WalkTrilaterator, trilaterate
+from repro.exports import lazy_exports
 
-__all__ = [
-    "DartleRanger", "DistanceFingerprint", "FingerprintLocator",
-    "ParticleEstimator", "ProximityEstimator", "ProximityZone",
-    "WalkTrilaterator", "trilaterate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.dartle": ["DartleRanger"],
+    "repro.baselines.fingerprint": [
+        "DistanceFingerprint", "FingerprintLocator"],
+    "repro.baselines.particle": ["ParticleEstimator"],
+    "repro.baselines.proximity": ["ProximityEstimator", "ProximityZone"],
+    "repro.baselines.trilateration": ["WalkTrilaterator", "trilaterate"],
+})

@@ -1,12 +1,12 @@
 """BLE protocol substrate: device profiles, advertising schedule, scanner model."""
 
-from repro.ble.advertiser import Advertiser, AdvertisingEvent
-from repro.ble.devices import BEACONS, PHONES, BeaconProfile, PhoneProfile
-from repro.ble.interference import CrowdInterference, crowding_loss_probability
-from repro.ble.scanner import Scanner, resample_trace
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Advertiser", "AdvertisingEvent", "BEACONS", "PHONES", "BeaconProfile",
-    "PhoneProfile", "Scanner", "resample_trace",
-    "CrowdInterference", "crowding_loss_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ble.advertiser": ["Advertiser", "AdvertisingEvent"],
+    "repro.ble.devices": [
+        "BEACONS", "PHONES", "BeaconProfile", "PhoneProfile"],
+    "repro.ble.interference": [
+        "CrowdInterference", "crowding_loss_probability"],
+    "repro.ble.scanner": ["Scanner", "resample_trace"],
+})

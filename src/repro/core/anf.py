@@ -196,8 +196,8 @@ class AdaptiveNoiseFilter:
         naming the first bad index instead.
 
         With ``state`` the filter continues from that :class:`AnfState`
-        and returns ``(filtered, state_after)``; ``AnfState()`` is rest,
-        which filters exactly as the stateless call does. A started state
+        and returns ``(filtered, state_after)``; without one it filters
+        from rest, ``AnfState()``, and returns only the array. A started state
         advances over any number of new samples at the rate it was
         designed for, so ``fs_hz`` must be that rate; splitting a signal
         into chunks, each chunk's state handed to the next, filters it
@@ -206,9 +206,12 @@ class AdaptiveNoiseFilter:
         carries no state: ``state_after`` is ``None``.
         """
         values = np.asarray(values, dtype=float)
-        started = state is not None and not state.at_rest
+        from_rest = state is None
+        if from_rest:
+            state = AnfState()
+        started = not state.at_rest
         if values.size < _MIN_FILTER_SAMPLES and not started:
-            return values.copy() if state is None else (values.copy(), None)
+            return values.copy() if from_rest else (values.copy(), None)
         finite = np.isfinite(values)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -219,7 +222,6 @@ class AdaptiveNoiseFilter:
         if not np.isfinite(fs_hz) or fs_hz <= 0:
             raise ConfigurationError("fs_hz must be positive and finite")
 
-        stateful = state is not None
         smoothed, zf, carries = values, None, True
         if self.use_butterworth:
             cutoff = min(CUTOFF_HZ, 0.4 * fs_hz)
@@ -227,26 +229,20 @@ class AdaptiveNoiseFilter:
                 bf = ButterworthLowPass(
                     order=BUTTERWORTH_ORDER, cutoff_hz=cutoff, fs_hz=fs_hz
                 )
-                if not stateful:
-                    smoothed = bf.apply(values)
-                else:
-                    zi = state.zi if started else bf.rest_state(values[0])
-                    smoothed, zf = sos_filter(bf.sos, values, zi)
+                zi = state.zi if started else bf.rest_state(values[0])
+                smoothed, zf = sos_filter(bf.sos, values, zi)
             else:
                 window = max(3, int(round(fs_hz / (2.0 * cutoff))))
                 smoothed = moving_average(values, window)
                 carries = False
-        akf = state.akf if stateful else None
+        akf = state.akf
         if self.use_akf:
             # AKF without a trend input degenerates to an adaptive scalar KF.
             trend = smoothed if self.use_butterworth else values * 0.0
-            variances = dict(process_var=AKF_PROCESS_VAR,
-                             initial_measurement_var=AKF_MEASUREMENT_VAR)
-            if not stateful:
-                return adaptive_kalman_fuse(values, trend, **variances)
-            smoothed, akf = adaptive_kalman_fuse(values, trend, state=akf,
-                                                 **variances)
-        if not stateful:
+            smoothed, akf = adaptive_kalman_fuse(
+                values, trend, process_var=AKF_PROCESS_VAR,
+                initial_measurement_var=AKF_MEASUREMENT_VAR, state=akf)
+        if from_rest:
             return smoothed
         return smoothed, AnfState(zi=zf, akf=akf) if carries else None
 

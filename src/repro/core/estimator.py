@@ -296,8 +296,6 @@ class EllipticalEstimator:
         """A copy of this estimator whose priors match the environment class."""
         if env_class not in self.ENV_N_PRIORS:
             raise EstimationError(f"unknown environment class {env_class!r}")
-        import dataclasses
-
         gamma_prior = self.gamma_prior
         if gamma_prior is not None:
             gamma_prior = gamma_prior + self.ENV_GAMMA_SHIFTS[env_class]

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.types import LocationEstimate, Vec2
-from repro.world.geometry import wrap_angle
+from repro.types import LocationEstimate, Vec2, wrap_angle
 
 __all__ = ["Instruction", "Navigator"]
 

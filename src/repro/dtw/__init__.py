@@ -1,10 +1,9 @@
 """Sequence-matching substrate: DTW, LB_Keogh, segment voting."""
 
-from repro.dtw.dtw import DtwResult, dtw_distance, dtw_full
-from repro.dtw.lowerbound import envelope, lb_keogh
-from repro.dtw.segmatch import MatchResult, SegmentMatcher
+from repro.exports import lazy_exports
 
-__all__ = [
-    "DtwResult", "dtw_distance", "dtw_full", "envelope", "lb_keogh",
-    "MatchResult", "SegmentMatcher",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dtw.dtw": ["DtwResult", "dtw_distance", "dtw_full"],
+    "repro.dtw.lowerbound": ["envelope", "lb_keogh"],
+    "repro.dtw.segmatch": ["MatchResult", "SegmentMatcher"],
+})

@@ -19,26 +19,12 @@ and a process to come back to:
   errors, bounded loss and digest-identical recovered state.
 """
 
-from repro.durability.chaos import ChaosConfig, ChaosResult, run_chaos
-from repro.durability.store import (
-    CheckpointStore,
-    RestoredSnapshot,
-    SnapshotInfo,
-)
-from repro.durability.supervisor import (
-    FleetSupervisor,
-    RecoveryReport,
-    recover,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CheckpointStore",
-    "SnapshotInfo",
-    "RestoredSnapshot",
-    "FleetSupervisor",
-    "RecoveryReport",
-    "recover",
-    "ChaosConfig",
-    "ChaosResult",
-    "run_chaos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.durability.chaos": ["ChaosConfig", "ChaosResult", "run_chaos"],
+    "repro.durability.store": [
+        "CheckpointStore", "RestoredSnapshot", "SnapshotInfo"],
+    "repro.durability.supervisor": [
+        "FleetSupervisor", "RecoveryReport", "recover"],
+})

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.digests import canonical_json
 from repro.errors import ConfigurationError, DataQualityError
 from repro.obs.sinks import DURABILITY_POLICIES
 
@@ -64,28 +65,23 @@ _SNAPSHOT_RE = re.compile(r"^(?P<kind>[a-z0-9][a-z0-9_-]*)-(?P<seq>\d{8})"
                           r"\.ckpt\.json$")
 
 
-def _canonical(body: Dict[str, Any]) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
-
-
 def _hash(text: str) -> str:
     return blake2b(text.encode("utf-8"),
                    digest_size=_DIGEST_LEN // 2).hexdigest()
 
 
 def _digest(body: Dict[str, Any]) -> str:
-    return _hash(_canonical(body))
+    return _hash(canonical_json(body))
 
 
 def _sealed(body: Dict[str, Any]) -> Tuple[str, str]:
     """``(digest, text)`` of ``body`` from one encode.
 
-    ``text`` is ``_canonical(body)`` with ``"digest"`` added: sorted keys
+    ``text`` is ``canonical_json(body)`` with ``"digest"`` added: sorted keys
     put ``"digest"`` before every key a snapshot or manifest body has, so
     it is spliced in right after the opening brace.
     """
-    text = _canonical(body)
+    text = canonical_json(body)
     digest = _hash(text)
     return digest, f'{{"digest":"{digest}",{text[1:]}'
 
@@ -240,7 +236,7 @@ class CheckpointStore:
             info = SnapshotInfo(
                 kind=kind, seq=seq, tick=None if tick is None else int(tick),
                 path=str(self.root / name), digest=body["digest"],
-                n_bytes=len(_canonical(body)),
+                n_bytes=len(canonical_json(body)),
             )
             if skipped:
                 # Newer snapshots were refused on the way here; heal the
@@ -276,7 +272,7 @@ class CheckpointStore:
             return SnapshotInfo(
                 kind=kind, seq=seq, tick=None if tick is None else int(tick),
                 path=str(self.root / name), digest=body["digest"],
-                n_bytes=len(_canonical(body)),
+                n_bytes=len(canonical_json(body)),
             )
         return None
 

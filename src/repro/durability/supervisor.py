@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs, perf
+from repro.digests import Mismatch
 from repro.errors import ConfigurationError, DataQualityError, ReproError
 from repro.fleet import TrackingFleet
 from repro.fleet.fleet import Routes
@@ -377,7 +378,7 @@ class RecoveryReport:
     redriven_ticks: int
     trace_recovery: TraceRecovery
     quarantined: Tuple[Tuple[str, str], ...] = ()
-    digest_mismatches: Tuple[Tuple[int, float, str, str], ...] = ()
+    digest_mismatches: Tuple[Mismatch, ...] = ()
 
     @property
     def identical(self) -> bool:

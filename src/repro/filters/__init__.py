@@ -1,11 +1,12 @@
 """Signal-processing substrate: Butterworth, Kalman/AKF, smoothing."""
 
-from repro.filters.butterworth import ButterworthLowPass, butter_lowpass_sos, sos_filter
-from repro.filters.kalman import AdaptiveKalman, ScalarKalman, adaptive_kalman_fuse
-from repro.filters.smoothing import differentiate, moving_average, moving_median
+from repro.exports import lazy_exports
 
-__all__ = [
-    "ButterworthLowPass", "butter_lowpass_sos", "sos_filter",
-    "AdaptiveKalman", "ScalarKalman", "adaptive_kalman_fuse",
-    "differentiate", "moving_average", "moving_median",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.filters.butterworth": [
+        "ButterworthLowPass", "butter_lowpass_sos", "sos_filter"],
+    "repro.filters.kalman": [
+        "AdaptiveKalman", "ScalarKalman", "adaptive_kalman_fuse"],
+    "repro.filters.smoothing": [
+        "differentiate", "moving_average", "moving_median"],
+})

@@ -8,13 +8,10 @@ bit-identical checkpoint wire format. The serving benchmark in
 ``perfbench/`` measures it end to end behind the gateway and supervisor.
 """
 
-from repro.fleet.fleet import FleetConfig, TrackingFleet
-from repro.fleet.router import ShardRouter
-from repro.fleet.worker import ShardWorker
+from repro.exports import lazy_exports
 
-__all__ = [
-    "FleetConfig",
-    "TrackingFleet",
-    "ShardRouter",
-    "ShardWorker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fleet.fleet": ["FleetConfig", "TrackingFleet"],
+    "repro.fleet.router": ["ShardRouter"],
+    "repro.fleet.worker": ["ShardWorker"],
+})

@@ -16,65 +16,22 @@ Layout:
   parity and replay acceptance gates.
 """
 
-from repro.gateway.client import ClientStats, SimulatedClient, apply_reorder
-from repro.gateway.frames import (
-    MAX_FRAME_BYTES,
-    PROTO_VERSION,
-    FrameDecoder,
-    encode_binary,
-    encode_for,
-    encode_frame,
-    imu_samples,
-    scan_samples,
-    validate_frame,
-)
-from repro.gateway.gateway import GatewayConfig, IngestionGateway
-from repro.gateway.soak import (
-    GatewaySoakConfig,
-    GatewaySoakResult,
-    run_gateway_soak,
-)
-from repro.gateway.trace import (
-    TRACE_FORMAT,
-    ReplayResult,
-    TraceRecovery,
-    TraceWriter,
-    read_trace,
-    recover_trace,
-    replay,
-    snapshot_digest,
-    trace_meta,
-)
-from repro.gateway.transport import ConnectionClosed, Endpoint, connected_pair
+from repro.exports import lazy_exports
 
-__all__ = [
-    "PROTO_VERSION",
-    "MAX_FRAME_BYTES",
-    "TRACE_FORMAT",
-    "FrameDecoder",
-    "encode_frame",
-    "encode_binary",
-    "encode_for",
-    "validate_frame",
-    "scan_samples",
-    "imu_samples",
-    "ConnectionClosed",
-    "Endpoint",
-    "connected_pair",
-    "GatewayConfig",
-    "IngestionGateway",
-    "TraceRecovery",
-    "TraceWriter",
-    "read_trace",
-    "recover_trace",
-    "replay",
-    "ReplayResult",
-    "snapshot_digest",
-    "trace_meta",
-    "ClientStats",
-    "SimulatedClient",
-    "apply_reorder",
-    "GatewaySoakConfig",
-    "GatewaySoakResult",
-    "run_gateway_soak",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gateway.client": [
+        "ClientStats", "SimulatedClient", "apply_reorder"],
+    "repro.gateway.frames": [
+        "MAX_FRAME_BYTES", "PROTO_VERSION", "FrameDecoder", "encode_binary",
+        "encode_for", "encode_frame", "imu_samples", "scan_samples",
+        "validate_frame"],
+    "repro.gateway.gateway": ["GatewayConfig", "IngestionGateway"],
+    "repro.gateway.soak": [
+        "GatewaySoakConfig", "GatewaySoakResult", "run_gateway_soak"],
+    "repro.gateway.trace": [
+        "TRACE_FORMAT", "ReplayResult", "TraceRecovery", "TraceWriter",
+        "read_trace", "recover_trace", "replay", "snapshot_digest",
+        "trace_meta"],
+    "repro.gateway.transport": [
+        "ConnectionClosed", "Endpoint", "connected_pair"],
+})

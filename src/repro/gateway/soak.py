@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.digests import digest_mismatches
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.client import SimulatedClient
@@ -42,7 +43,7 @@ from repro.gateway.trace import (
     trace_meta,
 )
 from repro.sim.faults import FrameFate, TransportFaultModel
-from repro.sim.harness import Audit, ErrorLedger, digest_mismatches
+from repro.sim.harness import Audit, ErrorLedger
 from repro.sim.load import LoadConfig, generate_load
 
 __all__ = ["GatewaySoakConfig", "GatewaySoakResult", "run_gateway_soak"]

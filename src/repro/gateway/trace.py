@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
 
+from repro.digests import Mismatch, canonical_json, digest_mismatches
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
@@ -56,7 +57,6 @@ from repro.service.session import (
     default_pipeline_factory,
     snapshot_digest,
 )
-from repro.sim.harness import Mismatch, digest_mismatches
 from repro.types import ImuSample, RssiSample
 
 __all__ = [
@@ -82,15 +82,11 @@ GENESIS = "repro-trace-v1"
 _HASH_LEN = 32
 
 
-def _canonical(record: Dict[str, Any]) -> str:
-    """The canonical JSON text a record is hashed over (sans ``h``)."""
-    body = {k: v for k, v in record.items() if k != "h"}
-    return json.dumps(body, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
-
-
 def _chain(prev_h: str, record: Dict[str, Any]) -> str:
-    digest = blake2b((prev_h + _canonical(record)).encode("utf-8"),
+    """The chain hash of ``record``: over ``prev_h`` and the record's
+    canonical JSON without its own ``h``."""
+    body = {k: v for k, v in record.items() if k != "h"}
+    digest = blake2b((prev_h + canonical_json(body)).encode("utf-8"),
                      digest_size=_HASH_LEN // 2)
     return digest.hexdigest()
 
@@ -192,9 +188,7 @@ class TraceWriter:
     def _write(self, record: Dict[str, Any]) -> None:
         record = dict(record)
         record["h"] = self._h = _chain(self._h, record)
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":"), allow_nan=True)
-                       + "\n")
+        self._fh.write(canonical_json(record) + "\n")
         self._fh.flush()
         if self.durability == "fsync":
             os.fsync(self._fh.fileno())

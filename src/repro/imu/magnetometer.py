@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.world.geometry import wrap_angle
+from repro.types import wrap_angle
 
 __all__ = ["MagnetometerModel"]
 

@@ -18,8 +18,7 @@ from repro.errors import ConfigurationError
 from repro.imu.gait import GaitModel, step_frequency_for_speed
 from repro.imu.gyro import GyroModel, TurnEvent
 from repro.imu.magnetometer import MagnetometerModel, smooth_heading_through_turns
-from repro.types import ImuSample, ImuTrace
-from repro.world.geometry import wrap_angle
+from repro.types import ImuSample, ImuTrace, wrap_angle
 from repro.world.trajectory import Trajectory
 
 __all__ = ["ImuSynthesizer", "SynthesizedImu"]

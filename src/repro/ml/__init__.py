@@ -1,21 +1,15 @@
 """Learning substrate: SVMs, trees, forests, scaling, metrics."""
 
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.kernels import (
-    KernelSVM,
-    MultiClassKernelSVM,
-    linear_kernel,
-    poly_kernel,
-    rbf_kernel,
-)
-from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1
-from repro.ml.preprocessing import StandardScaler
-from repro.ml.svm import LinearSVM, MultiClassSVM
-from repro.ml.tree import DecisionTreeClassifier
+from repro.exports import lazy_exports
 
-__all__ = [
-    "RandomForestClassifier", "KernelSVM", "MultiClassKernelSVM",
-    "linear_kernel", "poly_kernel", "rbf_kernel", "accuracy",
-    "confusion_matrix", "precision_recall_f1", "StandardScaler", "LinearSVM",
-    "MultiClassSVM", "DecisionTreeClassifier",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ml.forest": ["RandomForestClassifier"],
+    "repro.ml.kernels": [
+        "KernelSVM", "MultiClassKernelSVM", "linear_kernel", "poly_kernel",
+        "rbf_kernel"],
+    "repro.ml.metrics": [
+        "accuracy", "confusion_matrix", "precision_recall_f1"],
+    "repro.ml.preprocessing": ["StandardScaler"],
+    "repro.ml.svm": ["LinearSVM", "MultiClassSVM"],
+    "repro.ml.tree": ["DecisionTreeClassifier"],
+})

@@ -1,13 +1,11 @@
 """Dead reckoning: step/turn detection and 2-D motion tracking."""
 
-from repro.motion.deadreckoning import MotionTrack, MotionTracker
-from repro.motion.headingfusion import ComplementaryHeadingFilter
-from repro.motion.stepcounter import DetectedStep, StepDetector
-from repro.motion.steplength import StepLengthModel, walking_distance
-from repro.motion.turndetector import DetectedTurn, TurnDetector
+from repro.exports import lazy_exports
 
-__all__ = [
-    "ComplementaryHeadingFilter",
-    "MotionTrack", "MotionTracker", "DetectedStep", "StepDetector",
-    "StepLengthModel", "walking_distance", "DetectedTurn", "TurnDetector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.motion.deadreckoning": ["MotionTrack", "MotionTracker"],
+    "repro.motion.headingfusion": ["ComplementaryHeadingFilter"],
+    "repro.motion.stepcounter": ["DetectedStep", "StepDetector"],
+    "repro.motion.steplength": ["StepLengthModel", "walking_distance"],
+    "repro.motion.turndetector": ["DetectedTurn", "TurnDetector"],
+})

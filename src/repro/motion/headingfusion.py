@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.types import ImuTrace
-from repro.world.geometry import wrap_angle
+from repro.types import ImuTrace, wrap_angle
 
 __all__ = ["ComplementaryHeadingFilter"]
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.filters.smoothing import moving_average
-from repro.types import ImuTrace
-from repro.world.geometry import wrap_angle
+from repro.types import ImuTrace, wrap_angle
 
 __all__ = ["TurnDetector", "DetectedTurn"]
 

@@ -9,36 +9,16 @@ bit-identical checkpoint/restore. Drive it through
 testing.
 """
 
-from repro.service.breaker import (
-    BackoffConfig,
-    BreakerConfig,
-    CircuitBreaker,
-    ExponentialBackoff,
-)
-from repro.service.buffers import DROP_OLDEST, BoundedBuffer
-from repro.service.health import HealthConfig, HealthMachine, SessionState
-from repro.service.service import ServiceConfig, TrackingService
-from repro.service.session import (
-    SessionConfig,
-    SessionSnapshot,
-    TrackingSession,
-    default_pipeline_factory,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "BackoffConfig",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "ExponentialBackoff",
-    "DROP_OLDEST",
-    "BoundedBuffer",
-    "HealthConfig",
-    "HealthMachine",
-    "SessionState",
-    "ServiceConfig",
-    "TrackingService",
-    "SessionConfig",
-    "SessionSnapshot",
-    "TrackingSession",
-    "default_pipeline_factory",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.breaker": [
+        "BackoffConfig", "BreakerConfig", "CircuitBreaker",
+        "ExponentialBackoff"],
+    "repro.service.buffers": ["DROP_OLDEST", "BoundedBuffer"],
+    "repro.service.health": ["HealthConfig", "HealthMachine", "SessionState"],
+    "repro.service.service": ["ServiceConfig", "TrackingService"],
+    "repro.service.session": [
+        "SessionConfig", "SessionSnapshot", "TrackingSession",
+        "default_pipeline_factory"],
+})

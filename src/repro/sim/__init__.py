@@ -1,43 +1,22 @@
 """Trace generation: measurement simulation, datasets, persistence."""
 
-from repro.sim.datasets import EnvDatasetBuilder, LabeledWindow, windows_from_trace
-from repro.sim.faults import (
-    FaultModel,
-    degradation_sweep,
-    inject_bursty_loss,
-    inject_clock_faults,
-    inject_nonfinite,
-    inject_outages,
-    inject_spikes,
-)
-from repro.sim.montecarlo import (
-    TrialSummary, empirical_cdf, stationary_trials, summarize,
-)
-from repro.sim.load import LoadConfig, LoadStream, generate_load
-from repro.sim.parallel import TrialResult, effective_workers, run_trials
-from repro.sim.simulator import BeaconSpec, MeasurementRecord, Simulator
-from repro.sim.soak import SoakConfig, SoakResult, long_walk, run_soak
-from repro.sim.simulator3d import Measurement3D, Simulator3D, ramp_profile
-from repro.sim.traces import (
-    imu_trace_from_dict,
-    imu_trace_to_dict,
-    load_session,
-    rssi_trace_from_dict,
-    rssi_trace_to_dict,
-    save_session,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "EnvDatasetBuilder", "LabeledWindow", "windows_from_trace", "BeaconSpec",
-    "MeasurementRecord", "Simulator", "Measurement3D", "Simulator3D",
-    "ramp_profile", "TrialSummary", "empirical_cdf", "stationary_trials",
-    "summarize", "TrialResult", "effective_workers", "run_trials",
-    "FaultModel", "degradation_sweep", "inject_bursty_loss",
-    "inject_clock_faults", "inject_nonfinite", "inject_outages",
-    "inject_spikes",
-    "SoakConfig", "SoakResult", "long_walk", "run_soak",
-    "LoadConfig", "LoadStream", "generate_load",
-    "imu_trace_from_dict",
-    "imu_trace_to_dict", "load_session", "rssi_trace_from_dict",
-    "rssi_trace_to_dict", "save_session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.datasets": [
+        "EnvDatasetBuilder", "LabeledWindow", "windows_from_trace"],
+    "repro.sim.faults": [
+        "FaultModel", "degradation_sweep", "inject_bursty_loss",
+        "inject_clock_faults", "inject_nonfinite", "inject_outages",
+        "inject_spikes"],
+    "repro.sim.montecarlo": [
+        "TrialSummary", "empirical_cdf", "stationary_trials", "summarize"],
+    "repro.sim.load": ["LoadConfig", "LoadStream", "generate_load"],
+    "repro.sim.parallel": ["TrialResult", "effective_workers", "run_trials"],
+    "repro.sim.simulator": ["BeaconSpec", "MeasurementRecord", "Simulator"],
+    "repro.sim.soak": ["SoakConfig", "SoakResult", "long_walk", "run_soak"],
+    "repro.sim.simulator3d": ["Measurement3D", "Simulator3D", "ramp_profile"],
+    "repro.sim.traces": [
+        "imu_trace_from_dict", "imu_trace_to_dict", "load_session",
+        "rssi_trace_from_dict", "rssi_trace_to_dict", "save_session"],
+})

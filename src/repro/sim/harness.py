@@ -1,9 +1,9 @@
 """The core the seeded fault-injection harnesses share.
 
 :mod:`repro.sim.soak`, :mod:`repro.gateway.soak` and
-:mod:`repro.durability.chaos` audit their runs, book their errors, gate
-resume and replay on per-tick snapshot digests and slice their streams
-into ticks with the code here.
+:mod:`repro.durability.chaos` audit their runs, book their errors and slice their streams into ticks
+with the code here; they gate resume and replay on per-tick snapshot
+digests with :func:`repro.digests.digest_mismatches`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from repro import obs, perf
 from repro.errors import ReproError
 from repro.types import ImuSample, RssiSample
 
-__all__ = ["Audit", "ErrorLedger", "Mismatch", "Tick", "digest_mismatches",
-           "slice_ticks"]
+__all__ = ["Audit", "ErrorLedger", "Tick", "slice_ticks"]
 
 #: One ingest batch: ``(t, scans in [t - tick_s, t), imu in the same span)``.
 Tick = Tuple[float, Tuple[RssiSample, ...], Tuple[ImuSample, ...]]
-
-#: ``(tick_index, t, expected_digest, actual_digest)`` for one diverged tick.
-Mismatch = Tuple[int, float, str, str]
 
 
 class Audit:
@@ -87,28 +83,6 @@ class ErrorLedger:
             yield
         except Exception as exc:  # noqa: BLE001 — a harness sees every failure
             self.record(exc)
-
-
-def digest_mismatches(
-    expected: Sequence[str],
-    actual: Sequence[str],
-    times: Sequence[float],
-    first_index: int = 0,
-) -> List[Mismatch]:
-    """Every tick where two per-tick snapshot-digest streams differ.
-
-    ``times[i]`` is the time of ``expected[i]``; indices start at
-    ``first_index``. A tick in only one stream differs from
-    ``"<missing>"``, so ``[]`` means identical snapshots at every tick.
-    """
-    out: List[Mismatch] = []
-    for i in range(max(len(expected), len(actual))):
-        want = expected[i] if i < len(expected) else "<missing>"
-        got = actual[i] if i < len(actual) else "<missing>"
-        if want != got:
-            t = float(times[i]) if i < len(times) else math.nan
-            out.append((first_index + i, t, want, got))
-    return out
 
 
 def slice_ticks(

@@ -26,7 +26,7 @@ JSON round trip, i.e. exactly what a process restart would read back from
 disk), a fresh fleet is restored from it, and both the uninterrupted
 original and the resumed copy replay the remaining stream — their per-tick
 snapshot digests must match exactly
-(:func:`repro.sim.harness.digest_mismatches`).
+(:func:`repro.digests.digest_mismatches`).
 
 Everything is seeded and deterministic; ``python -m repro soak`` wraps this
 module for the command line.
@@ -41,13 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.digests import digest_mismatches
 from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.service import ServiceConfig
 from repro.service.session import SessionSnapshot, snapshot_digest
 from repro.sim.faults import FaultModel
-from repro.sim.harness import (Audit, ErrorLedger, Tick, digest_mismatches,
-                               slice_ticks)
+from repro.sim.harness import Audit, ErrorLedger, Tick, slice_ticks
 from repro.sim.simulator import BeaconSpec, MeasurementRecord, Simulator
 from repro.types import RssiSample, Vec2
 from repro.world.scenarios import scenario

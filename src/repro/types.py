@@ -24,6 +24,7 @@ __all__ = [
     "MotionSegment",
     "LocationEstimate",
     "EnvClass",
+    "wrap_angle",
 ]
 
 
@@ -101,6 +102,14 @@ class Vec2:
     @staticmethod
     def from_polar(r: float, angle_rad: float) -> "Vec2":
         return Vec2(r * math.cos(angle_rad), r * math.sin(angle_rad))
+
+
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    a = math.fmod(angle + math.pi, 2.0 * math.pi)
+    if a <= 0.0:
+        a += 2.0 * math.pi
+    return a - math.pi
 
 
 @dataclass(frozen=True)

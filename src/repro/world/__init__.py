@@ -1,28 +1,16 @@
 """Geometry substrate: floorplans, obstacles and walking trajectories."""
 
-from repro.world.builder import (
-    apartment_layout,
-    office_layout,
-    random_clutter,
-    store_layout,
-)
-from repro.world.floorplan import Floorplan, LinkState
-from repro.world.geometry import (
-    Segment, point_segment_distance, segments_intersect, wrap_angle,
-)
-from repro.world.obstacles import MATERIALS, Material, Obstacle, wall
-from repro.world.trajectory import (
-    DEFAULT_WALK_SPEED,
-    Trajectory,
-    l_shape,
-    random_waypoint_walk,
-    straight_walk,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Floorplan", "LinkState", "Segment", "point_segment_distance",
-    "segments_intersect", "wrap_angle", "MATERIALS", "Material", "Obstacle",
-    "wall", "DEFAULT_WALK_SPEED", "Trajectory", "l_shape",
-    "apartment_layout", "office_layout", "random_clutter", "store_layout",
-    "random_waypoint_walk", "straight_walk",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.world.builder": [
+        "apartment_layout", "office_layout", "random_clutter", "store_layout"],
+    "repro.world.floorplan": ["Floorplan", "LinkState"],
+    "repro.world.geometry": [
+        "Segment", "point_segment_distance", "segments_intersect"],
+    "repro.world.obstacles": ["MATERIALS", "Material", "Obstacle", "wall"],
+    "repro.world.trajectory": [
+        "DEFAULT_WALK_SPEED", "Trajectory", "l_shape", "random_waypoint_walk",
+        "straight_walk"],
+    "repro.types": ["wrap_angle"],
+})

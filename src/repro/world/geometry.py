@@ -7,7 +7,6 @@ from the beacon to the observer cross this wall?" (LOS classification) and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,10 +125,3 @@ def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     t = min(max(t, 0.0), 1.0)
     return p.distance_to(a + ab * t)
 
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi

@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.types import Vec2
-from repro.world.geometry import wrap_angle
+from repro.types import Vec2, wrap_angle
 
 __all__ = [
     "Trajectory",

@@ -185,11 +185,11 @@ class TestCheckpointStore:
                 "seq": 1, "tick": 3, "payload": payload}
         assert info.digest == store_module._digest(body)
         text = (tmp_path / "fleet-00000001.ckpt.json").read_text()
-        assert text == store_module._canonical(
+        assert text == store_module.canonical_json(
             {**body, "digest": info.digest}) + "\n"
         assert info.n_bytes == len(text) - 1
         manifest = (tmp_path / "MANIFEST-fleet.json").read_text()
-        assert manifest == store_module._canonical(json.loads(manifest)) \
+        assert manifest == store_module.canonical_json(json.loads(manifest)) \
             + "\n"
 
     def test_steady_state_save_encodes_once_and_reverifies_nothing(
@@ -200,7 +200,7 @@ class TestCheckpointStore:
             store.save("fleet", {"k": k}, tick=k)
         verified, encoded = [], []
         full_check = CheckpointStore._verify_file
-        canonical = store_module._canonical
+        canonical = store_module.canonical_json
 
         def spy_verify(self, name, *args):
             verified.append(name)
@@ -212,7 +212,7 @@ class TestCheckpointStore:
             return canonical(body)
 
         monkeypatch.setattr(CheckpointStore, "_verify_file", spy_verify)
-        monkeypatch.setattr(store_module, "_canonical", spy_canonical)
+        monkeypatch.setattr(store_module, "canonical_json", spy_canonical)
         payloads = [{"k": k} for k in range(6, 9)]
         for k, payload in enumerate(payloads, 6):
             store.save("fleet", payload, tick=k)

@@ -333,6 +333,26 @@ def _rss(n, seed):
     return level + rng.normal(0.0, 3.0, n)
 
 
+def reference_anf(anf, values, fs_hz):
+    """The ANF as whole-signal filters: ``ButterworthLowPass.apply`` (or
+    the moving-average fallback), then the stateless AKF fusion."""
+    if values.size < 6:
+        return values.copy()
+    smoothed = values
+    if anf.use_butterworth:
+        cutoff = min(0.8, 0.4 * fs_hz)
+        if values.size >= 3.0 * fs_hz / cutoff:
+            smoothed = ButterworthLowPass(6, cutoff, fs_hz).apply(values)
+        else:
+            window = max(3, int(round(fs_hz / (2.0 * cutoff))))
+            smoothed = moving_average(values, window)
+    if not anf.use_akf:
+        return smoothed
+    trend = smoothed if anf.use_butterworth else values * 0.0
+    return adaptive_kalman_fuse(values, trend, process_var=0.05,
+                                initial_measurement_var=9.0)
+
+
 class TestAnfStream:
     """ANF advanced over a stream equals ANF over the whole signal."""
 
@@ -345,6 +365,7 @@ class TestAnfStream:
         anf = AdaptiveNoiseFilter(**ANF_CONFIGS[config])
         values = _rss(n, seed)
         out, state = anf.apply(values, 8.0, state=AnfState())
+        assert np.array_equal(out, reference_anf(anf, values, 8.0))
         assert np.array_equal(out, anf.apply(values, 8.0))
         fallback = n < 6 or (anf.use_butterworth and n < 30)
         assert (state is None) == fallback

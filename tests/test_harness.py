@@ -6,12 +6,8 @@ import pytest
 
 from repro import obs, perf
 from repro.errors import DataQualityError, EstimationError, ReproError
-from repro.sim.harness import (
-    Audit,
-    ErrorLedger,
-    digest_mismatches,
-    slice_ticks,
-)
+from repro.digests import digest_mismatches
+from repro.sim.harness import Audit, ErrorLedger, slice_ticks
 from repro.types import ImuSample, RssiSample
 
 

@@ -8,8 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.imu.sensors import ImuSynthesizer
 from repro.motion.headingfusion import ComplementaryHeadingFilter
-from repro.types import ImuSample, ImuTrace, Vec2
-from repro.world.geometry import wrap_angle
+from repro.types import ImuSample, ImuTrace, Vec2, wrap_angle
 from repro.world.trajectory import l_shape, straight_walk
 
 

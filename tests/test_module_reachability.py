@@ -8,9 +8,10 @@ packages, which every instrumented module uses.
 
 Importing a package does not reach everything it re-exports: a top-level
 ``from ... import`` in a package ``__init__`` is an edge only if the
-``__init__``'s own code uses the bound name. ``from pkg import Name`` (or
-``pkg.Name`` on an imported package) is followed through the ``__init__``
-to the module that defines ``Name``. Tests are not roots, so a module only
+``__init__``'s own code uses the bound name, and an entry in its
+:func:`repro.exports.lazy_exports` table is never one. ``from pkg import
+Name`` (or ``pkg.Name`` on an imported package) is followed through the
+``__init__``'s import or table entry to the module that defines ``Name``. Tests are not roots, so a module only
 its own tests import counts as unreached.
 """
 
@@ -48,14 +49,30 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _export_table(node: ast.AST) -> Optional[ast.Dict]:
+    """The table of a ``lazy_exports(__name__, {module: [names]})`` call."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)):
+        return node.args[1]
+    return None
+
+
 @lru_cache(maxsize=None)
 def _bindings(name: str) -> Dict[str, Tuple[str, str]]:
-    """Names a module binds by ``from X import A [as B]``: B -> (X, A)."""
+    """Names a module binds by ``from X import A [as B]``: B -> (X, A).
+    A package's ``lazy_exports`` table entry ``X: [..., A, ...]`` binds A
+    the same way."""
     out = {}
     for node in ast.walk(_parse(MODULES[name])):
         if isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
                 out[alias.asname or alias.name] = (node.module, alias.name)
+        table = _export_table(node)
+        if table is not None:
+            for module, names in zip(table.keys, table.values):
+                for export in ast.literal_eval(names):
+                    out[export] = (ast.literal_eval(module), export)
     return out
 
 

@@ -13,8 +13,7 @@ from repro.motion.deadreckoning import MotionTracker
 from repro.motion.stepcounter import DetectedStep, StepDetector
 from repro.motion.steplength import StepLengthModel, walking_distance
 from repro.motion.turndetector import DetectedTurn, TurnDetector
-from repro.types import ImuSample, ImuTrace, Vec2
-from repro.world.geometry import wrap_angle
+from repro.types import ImuSample, ImuTrace, Vec2, wrap_angle
 from repro.world.trajectory import l_shape, straight_walk
 
 

@@ -15,8 +15,7 @@ from repro.dtw.dtw import dtw_distance
 from repro.filters.butterworth import ButterworthLowPass
 from repro.filters.kalman import adaptive_kalman_fuse
 from repro.filters.smoothing import moving_average
-from repro.types import RssiTrace, Vec2
-from repro.world.geometry import wrap_angle
+from repro.types import RssiTrace, Vec2, wrap_angle
 from repro.world.trajectory import l_shape
 
 positions = st.tuples(

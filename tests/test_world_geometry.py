@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.types import Vec2
+from repro.types import Vec2, wrap_angle
 from repro.world.geometry import (
     Segment,
     point_segment_distance,
     segments_intersect,
-    wrap_angle,
 )
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False)
